@@ -1,133 +1,7 @@
-"""Route free-form customer complaints to terminal DTMF paths of an IVR menu."""
+"""Route free-form customer complaints to terminal DTMF paths of an IVR menu.
 
-from .datagen import (
-    Dataset,
-    DatagenError,
-    IntentRecord,
-    NoiseProfile,
-    augment_intents,
-    build_dataset,
-    generate_base_intents,
-    generate_menu,
-    load_dataset,
-    save_dataset,
-    validate_dataset,
-)
-from .evaluation import (
-    ClassMetrics,
-    ConfusionMatrix,
-    EvalReport,
-    accuracy,
-    build_report,
-    confusion_matrix,
-    emit_report,
-    load_report,
-    per_class_metrics,
-)
-from .menu import (
-    ActionType,
-    DtmfPath,
-    MenuFormatError,
-    MenuNode,
-    MenuTree,
-    NodeKind,
-    TerminalPath,
-    flatten,
-    load_menu,
-    parse_menu,
-    render_descriptive,
-    render_flattened,
-    resolve_path,
-    validate_menu,
-)
-from .prompts import PromptText, RoutingCondition, build_prompt
-from .provider import (
-    Completion,
-    HttpProvider,
-    KeywordProvider,
-    OracleProvider,
-    ProtocolError,
-    Provider,
-    ProviderConfig,
-    ProviderError,
-    ScriptedProvider,
-    TransportError,
-    check_role_separation,
-)
-from .router import (
-    INVALID,
-    ParsedResponse,
-    RoutingAborted,
-    RoutingResult,
-    RoutingRun,
-    load_results,
-    parse_dtmf_response,
-    render_context,
-    route_all,
-    route_one,
-    save_results,
-)
+The library API lives in the submodules: menu, datagen, prompts, provider,
+router and evaluation; cli is the command-line front end.
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ActionType",
-    "ClassMetrics",
-    "Completion",
-    "ConfusionMatrix",
-    "Dataset",
-    "DatagenError",
-    "DtmfPath",
-    "EvalReport",
-    "HttpProvider",
-    "INVALID",
-    "IntentRecord",
-    "KeywordProvider",
-    "MenuFormatError",
-    "MenuNode",
-    "MenuTree",
-    "NodeKind",
-    "NoiseProfile",
-    "OracleProvider",
-    "ParsedResponse",
-    "PromptText",
-    "ProtocolError",
-    "Provider",
-    "ProviderConfig",
-    "ProviderError",
-    "RoutingAborted",
-    "RoutingCondition",
-    "RoutingResult",
-    "RoutingRun",
-    "ScriptedProvider",
-    "TerminalPath",
-    "TransportError",
-    "accuracy",
-    "augment_intents",
-    "build_dataset",
-    "build_prompt",
-    "build_report",
-    "check_role_separation",
-    "confusion_matrix",
-    "emit_report",
-    "flatten",
-    "generate_base_intents",
-    "generate_menu",
-    "load_dataset",
-    "load_menu",
-    "load_report",
-    "load_results",
-    "parse_dtmf_response",
-    "parse_menu",
-    "per_class_metrics",
-    "render_context",
-    "render_descriptive",
-    "render_flattened",
-    "resolve_path",
-    "route_all",
-    "route_one",
-    "save_dataset",
-    "save_results",
-    "validate_dataset",
-    "validate_menu",
-]

@@ -15,8 +15,6 @@ import sys
 from pathlib import Path
 
 from .datagen import (
-    DatagenError,
-    IntentRecord,
     NoiseProfile,
     build_dataset,
     load_dataset,
@@ -31,7 +29,6 @@ from .menu import (
     parse_menu,
     render_flattened,
     render_paths_tsv,
-    validate_menu,
 )
 from .prompts import RoutingCondition
 from .provider import (
@@ -48,8 +45,8 @@ from .provider import (
 )
 from .router import (
     RoutingAborted,
+    route,
     route_all,
-    route_one,
     render_context,
     load_results,
     save_results,
@@ -61,9 +58,7 @@ EXIT_USAGE = 2
 
 _CONDITIONS = {
     "descriptive": RoutingCondition.DESCRIPTIVE_MENU,
-    "descriptive_menu": RoutingCondition.DESCRIPTIVE_MENU,
     "flattened": RoutingCondition.FLATTENED_PATHS,
-    "flattened_paths": RoutingCondition.FLATTENED_PATHS,
 }
 
 _PROVIDER_KINDS = ("http", "oracle", "keyword", "scripted")
@@ -114,39 +109,6 @@ def _stage_settings(config: dict, stage: str) -> dict:
     return settings if isinstance(settings, dict) else {}
 
 
-def _resolve_provider_config(args: argparse.Namespace, config: dict, stage: str) -> ProviderConfig:
-    """Layer CLI flags over the stage's config-file block over defaults."""
-    stage_cfg = _stage_settings(config, stage)
-
-    def pick(cli_value, key, default):
-        if cli_value is not None:
-            return cli_value
-        if key in stage_cfg and stage_cfg[key] is not None:
-            return stage_cfg[key]
-        return default
-
-    kind = pick(getattr(args, "provider", None), "kind", "http")
-    default_model = "mock" if kind == "http" else f"{kind}-mock"
-    return ProviderConfig(
-        endpoint_url=pick(getattr(args, "endpoint", None), "endpoint_url", ""),
-        model_name=pick(getattr(args, "model", None), "model_name", default_model),
-        api_key_source=pick(getattr(args, "api_key_env", None), "api_key_env", DEFAULT_API_KEY_ENV),
-        temperature=pick(getattr(args, "temperature", None), "temperature", None),
-        max_retries=pick(getattr(args, "max_retries", None), "max_retries", 3),
-        request_timeout=pick(getattr(args, "timeout", None), "request_timeout", 60.0),
-        max_in_flight=pick(getattr(args, "max_in_flight", None), "max_in_flight", 4),
-        requests_per_second=pick(getattr(args, "rps", None), "requests_per_second", None),
-    )
-
-
-def _provider_kind(args: argparse.Namespace, config: dict, stage: str) -> str:
-    stage_cfg = _stage_settings(config, stage)
-    kind = getattr(args, "provider", None) or stage_cfg.get("kind") or "http"
-    if kind not in _PROVIDER_KINDS:
-        raise ValueError(f"unknown provider kind {kind!r}")
-    return kind
-
-
 def _load_script(args: argparse.Namespace, config: dict, stage: str) -> list[str] | int:
     stage_cfg = _stage_settings(config, stage)
     script_path = getattr(args, "script", None) or stage_cfg.get("script")
@@ -164,15 +126,43 @@ def _load_script(args: argparse.Namespace, config: dict, stage: str) -> list[str
     return replies
 
 
-def _build_provider(
-    kind: str,
-    cfg: ProviderConfig,
+def _make_provider(
     args: argparse.Namespace,
     config: dict,
     stage: str,
     dataset=None,
     paths=None,
 ) -> Provider | int:
+    """The stage's provider, with CLI flags layered over the stage's
+    config-file block over defaults; an exit code when none can be built."""
+    stage_cfg = _stage_settings(config, stage)
+
+    def pick(cli_value, key, default):
+        if cli_value is not None:
+            return cli_value
+        if key in stage_cfg and stage_cfg[key] is not None:
+            return stage_cfg[key]
+        return default
+
+    kind = pick(args.provider, "kind", "http")
+    if kind not in _PROVIDER_KINDS:
+        return _fail(f"unknown provider kind {kind!r}", EXIT_USAGE)
+    if stage == "datagen" and kind in ("oracle", "keyword"):
+        return _fail(f"{kind} provider cannot synthesize intents; use http or scripted", EXIT_USAGE)
+    try:
+        cfg = ProviderConfig(
+            endpoint_url=pick(args.endpoint, "endpoint_url", ""),
+            model_name=pick(args.model, "model_name", "mock" if kind == "http" else f"{kind}-mock"),
+            api_key_source=pick(args.api_key_env, "api_key_env", DEFAULT_API_KEY_ENV),
+            temperature=pick(args.temperature, "temperature", None),
+            max_retries=pick(args.max_retries, "max_retries", 3),
+            request_timeout=pick(args.timeout, "request_timeout", 60.0),
+            max_in_flight=pick(args.max_in_flight, "max_in_flight", 4),
+            requests_per_second=pick(args.rps, "requests_per_second", None),
+        )
+    except (TypeError, ValueError) as exc:  # TypeError: a config-file value of the wrong type
+        return _fail(f"bad provider settings: {exc}", EXIT_USAGE)
+
     if kind == "http":
         if not cfg.endpoint_url:
             return _fail("http provider needs --endpoint (or an endpoint_url in the config file)", EXIT_USAGE)
@@ -185,12 +175,10 @@ def _build_provider(
         if paths is None:
             return _fail("keyword provider needs a menu", EXIT_USAGE)
         return KeywordProvider(paths, config=cfg)
-    if kind == "scripted":
-        replies = _load_script(args, config, stage)
-        if isinstance(replies, int):
-            return replies
-        return ScriptedProvider(replies, config=cfg)
-    return _fail(f"unknown provider kind {kind!r}", EXIT_USAGE)
+    replies = _load_script(args, config, stage)
+    if isinstance(replies, int):
+        return replies
+    return ScriptedProvider(replies, config=cfg)
 
 
 def _out_dir(args: argparse.Namespace, default: str = ".") -> Path:
@@ -203,11 +191,6 @@ def cmd_validate_menu(args: argparse.Namespace) -> int:
     tree = _read_menu(args.menu)
     if isinstance(tree, int):
         return tree
-    problems = validate_menu(tree)
-    if problems:
-        for problem in problems:
-            print(f"violation: {problem}", file=sys.stderr)
-        return EXIT_FAILURE
     print(f"OK: {tree.name}: {len(flatten(tree))} terminal paths")
     return EXIT_OK
 
@@ -234,14 +217,7 @@ def cmd_gen_intents(args: argparse.Namespace) -> int:
     if isinstance(tree, int):
         return tree
     paths = flatten(tree)
-    try:
-        kind = _provider_kind(args, config, "datagen")
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    if kind in ("oracle", "keyword"):
-        return _fail(f"{kind} provider cannot synthesize intents; use http or scripted", EXIT_USAGE)
-    cfg = _resolve_provider_config(args, config, "datagen")
-    provider = _build_provider(kind, cfg, args, config, "datagen", paths=paths)
+    provider = _make_provider(args, config, "datagen", paths=paths)
     if isinstance(provider, int):
         return provider
 
@@ -259,7 +235,7 @@ def cmd_gen_intents(args: argparse.Namespace) -> int:
             noise=noise,
             seed=seed,
         )
-    except (DatagenError, ProviderError, ValueError) as exc:
+    except (ProviderError, ValueError) as exc:
         return _fail(str(exc), EXIT_FAILURE)
     problems = validate_dataset(ds, paths)
     if problems:
@@ -291,12 +267,7 @@ def cmd_route(args: argparse.Namespace) -> int:
 
     condition = _CONDITIONS[args.condition]
     paths = flatten(tree)
-    try:
-        kind = _provider_kind(args, config, "routing")
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    cfg = _resolve_provider_config(args, config, "routing")
-    provider = _build_provider(kind, cfg, args, config, "routing", dataset=ds, paths=paths)
+    provider = _make_provider(args, config, "routing", dataset=ds, paths=paths)
     if isinstance(provider, int):
         return provider
 
@@ -408,24 +379,18 @@ def cmd_demo(args: argparse.Namespace) -> int:
         dataset_file = Path(args.dataset)
         if not dataset_file.is_file():
             return _fail(f"no such dataset file: {dataset_file}", EXIT_USAGE)
-        dataset = load_dataset(dataset_file, menu_name=tree.name)
+        try:
+            dataset = load_dataset(dataset_file, menu_name=tree.name)
+        except (ValueError, KeyError, json.JSONDecodeError) as exc:
+            return _fail(f"cannot load dataset {dataset_file}: {exc}", EXIT_FAILURE)
 
-    try:
-        kind = _provider_kind(args, config, "routing")
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    cfg = _resolve_provider_config(args, config, "routing")
-    provider = _build_provider(kind, cfg, args, config, "routing", dataset=dataset, paths=paths)
+    provider = _make_provider(args, config, "routing", dataset=dataset, paths=paths)
     if isinstance(provider, int):
         return provider
 
     condition = _CONDITIONS[args.condition]
     context = render_context(tree, condition)
-    known = frozenset(tp.path.canonical() for tp in paths)
     breadcrumb_of = {tp.path.canonical(): tp.breadcrumb_text() for tp in paths}
-    # Demo turns are stateless single-shot routes; the record's truth slot is
-    # filler because nothing grades an interactive query.
-    placeholder_truth = paths[0].path
     interactive = sys.stdin.isatty()
 
     while True:
@@ -437,27 +402,19 @@ def cmd_demo(args: argparse.Namespace) -> int:
         query = line.strip()
         if not query:
             continue
-        record = IntentRecord(
-            id="demo",
-            text=query,
-            ground_truth=placeholder_truth,
-            origin="base",
-            base_id="demo",
-            variant_index=0,
-        )
         try:
-            result = route_one(
-                record, condition, context, provider, known_paths=known, lenient=args.lenient
-            )
+            parsed, completion = route(query, condition, context, provider, args.lenient)
         except ProviderError as exc:
             print(f"error: {exc}", file=sys.stderr)
             continue
-        if result.predicted in breadcrumb_of:
-            print(f"{result.predicted}  {breadcrumb_of[result.predicted]}")
-        elif result.predicted == "INVALID":
-            print(f"INVALID  (reply did not parse: {result.raw_response!r})")
+        if parsed.path is None:
+            print(f"INVALID  (reply did not parse: {completion.raw_text!r})")
+            continue
+        predicted = parsed.path.canonical()
+        if predicted in breadcrumb_of:
+            print(f"{predicted}  {breadcrumb_of[predicted]}")
         else:
-            print(f"{result.predicted}  (not a terminal path of this menu)")
+            print(f"{predicted}  (not a terminal path of this menu)")
 
 
 def cmd_check_roles(args: argparse.Namespace) -> int:

@@ -16,17 +16,17 @@ import random
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .menu import DtmfPath, MenuFormatError, MenuTree, TerminalPath, parse_menu, validate_menu
+from .menu import DtmfPath, MenuFormatError, MenuTree, TerminalPath, parse_menu
+from .prompts import load_template
 from .provider import Provider
 
 log = logging.getLogger(__name__)
 
 
-class DatagenError(Exception):
+class DatagenError(ValueError):
     """Generation could not produce a usable result."""
 
 
@@ -66,10 +66,6 @@ DEFAULT_NOISE = NoiseProfile()
 _LISTED_LINE = re.compile(r"^\s*(?:\d+[.)]\s+|[-*]\s+)(.*\S)\s*$")
 
 
-def _load_template(name: str) -> str:
-    return resources.files("ivroute.data").joinpath(name).read_text(encoding="utf-8").rstrip("\n")
-
-
 def _dedup_key(text: str) -> str:
     return " ".join(text.split()).lower()
 
@@ -103,7 +99,7 @@ def generate_base_intents(
     if not paths:
         raise ValueError("no terminal paths to generate for")
 
-    template = _load_template("template_base_intents.txt")
+    template = load_template("template_base_intents.txt")
 
     def prompt_for(tp: TerminalPath) -> str:
         service = "self-service" if tp.service_type.value == "self_service" else "agent handoff"
@@ -192,7 +188,7 @@ def augment_intents(
     if variants == 0 or not base:
         return []
 
-    template = _load_template("template_paraphrase.txt")
+    template = load_template("template_paraphrase.txt")
     rng = random.Random(seed)
     prompts = []
     for record in base:
@@ -290,7 +286,7 @@ def generate_menu(business_brief: str, provider: Provider) -> dict:
     """
     if not business_brief.strip():
         raise ValueError("business brief is empty")
-    prompt = _load_template("template_menu_gen.txt").replace("{{BRIEF}}", business_brief)
+    prompt = load_template("template_menu_gen.txt").replace("{{BRIEF}}", business_brief)
     reply = provider.complete(prompt).raw_text
     try:
         document = json.loads(_strip_code_fence(reply))
@@ -307,12 +303,9 @@ def generate_menu(business_brief: str, provider: Provider) -> dict:
             raise DatagenError(f"model output is not JSON after a reformat retry: {exc}") from exc
 
     try:
-        tree = parse_menu(document)
+        parse_menu(document)
     except MenuFormatError as exc:
         raise DatagenError(f"generated menu rejected: {exc}") from exc
-    problems = validate_menu(tree)
-    if problems:
-        raise DatagenError("generated menu rejected: " + "; ".join(problems))
     return document
 
 

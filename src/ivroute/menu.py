@@ -254,8 +254,6 @@ def validate_menu(tree: MenuTree) -> list[str]:
     if tree.root.digit is not None:
         violations.append("root: carries a digit but is not selected by a keypress")
 
-    seen_paths: set[str] = set()
-
     def walk(node: MenuNode, digits: tuple[int, ...]) -> None:
         where = "-".join(str(d) for d in digits) or "root"
         if len(digits) > MAX_DEPTH:
@@ -284,12 +282,8 @@ def validate_menu(tree: MenuTree) -> list[str]:
             if child.digit in digits_seen:
                 violations.append(f"{where}: duplicate digit {child.digit} among children")
             digits_seen.add(child.digit)
-            child_digits = digits + (child.digit,)
-            child_path = "-".join(str(d) for d in child_digits)
-            if child_path in seen_paths:
-                violations.append(f"{child_path}: digit sequence is not unique")
-            seen_paths.add(child_path)
-            walk(child, child_digits)
+            # unique sibling digits make every digit sequence unique
+            walk(child, digits + (child.digit,))
 
     walk(tree.root, ())
     return violations

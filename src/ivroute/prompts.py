@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from importlib import resources
 
 
@@ -30,17 +31,26 @@ class PromptText:
     query: str
 
 
-def _load_template(name: str) -> str:
+@cache
+def load_template(name: str) -> str:
+    """A bundled template's text without its trailing newlines, read once."""
     text = resources.files("ivroute.data").joinpath(name).read_text(encoding="utf-8")
     return text.rstrip("\n")
 
 
 def template_descriptive() -> str:
-    return _load_template("template_descriptive.txt")
+    return load_template("template_descriptive.txt")
 
 
 def template_flattened() -> str:
-    return _load_template("template_flattened.txt")
+    return load_template("template_flattened.txt")
+
+
+# condition -> (template file, context placeholder, error for an empty context)
+_TEMPLATES = {
+    RoutingCondition.DESCRIPTIVE_MENU: ("template_descriptive.txt", "{{MENU}}", "menu_text is empty"),
+    RoutingCondition.FLATTENED_PATHS: ("template_flattened.txt", "{{PATHS}}", "paths_text is empty"),
+}
 
 
 def _clean_query(query: str) -> str:
@@ -53,25 +63,20 @@ def _clean_query(query: str) -> str:
 
 def build_descriptive_prompt(menu_text: str, query: str) -> PromptText:
     """Fill template 1 with the full hierarchical menu text and the query."""
-    if not menu_text:
-        raise ValueError("menu_text is empty")
-    cleaned = _clean_query(query)
-    content = template_descriptive().replace("{{MENU}}", menu_text, 1)
-    content = content.replace("{{QUERY}}", cleaned, 1)
-    return PromptText(content=content, condition=RoutingCondition.DESCRIPTIVE_MENU, query=cleaned)
+    return build_prompt(RoutingCondition.DESCRIPTIVE_MENU, menu_text, query)
 
 
 def build_flattened_prompt(paths_text: str, query: str) -> PromptText:
     """Fill template 2 with the flattened path list and the query."""
-    if not paths_text:
-        raise ValueError("paths_text is empty")
-    cleaned = _clean_query(query)
-    content = template_flattened().replace("{{PATHS}}", paths_text, 1)
-    content = content.replace("{{QUERY}}", cleaned, 1)
-    return PromptText(content=content, condition=RoutingCondition.FLATTENED_PATHS, query=cleaned)
+    return build_prompt(RoutingCondition.FLATTENED_PATHS, paths_text, query)
 
 
 def build_prompt(condition: RoutingCondition, context_text: str, query: str) -> PromptText:
-    if condition is RoutingCondition.DESCRIPTIVE_MENU:
-        return build_descriptive_prompt(context_text, query)
-    return build_flattened_prompt(context_text, query)
+    """Fill the condition's template with its context text and the query."""
+    template, placeholder, empty_context = _TEMPLATES[condition]
+    if not context_text:
+        raise ValueError(empty_context)
+    cleaned = _clean_query(query)
+    content = load_template(template).replace(placeholder, context_text, 1)
+    content = content.replace("{{QUERY}}", cleaned, 1)
+    return PromptText(content=content, condition=condition, query=cleaned)

@@ -1,4 +1,8 @@
-"""Routing: turn one intent plus one rendered context into one prediction.
+"""Routing: turn one query plus one rendered context into one predicted path.
+
+``route`` is the routing itself and needs no label; ``route_one`` grades its
+prediction against an intent's ground truth, and ``route_all`` does that for
+a whole dataset.
 
 Model output is held to a strict grammar: after a small, fixed normalization
 pipeline the whole reply must be ``digit ("-" digit)*`` or it is scored as
@@ -14,7 +18,7 @@ import logging
 import math
 import re
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -30,7 +34,7 @@ from .menu import (
     validate_menu,
 )
 from .prompts import PromptText, RoutingCondition, build_prompt
-from .provider import Provider, ProviderError
+from .provider import Completion, Provider, ProviderError
 
 log = logging.getLogger(__name__)
 
@@ -124,6 +128,19 @@ def parse_dtmf_response(raw: str, lenient: bool = False) -> ParsedResponse:
     return ParsedResponse(raw, None, tuple(applied))
 
 
+def route(
+    query: str,
+    condition: RoutingCondition,
+    context: str,
+    provider: Provider,
+    lenient: bool = False,
+) -> tuple[ParsedResponse, Completion]:
+    """One prompt, one completion, one parsed reply for a single query."""
+    prompt: PromptText = build_prompt(condition, context, query)
+    completion = provider.complete(prompt)
+    return parse_dtmf_response(completion.raw_text, lenient=lenient), completion
+
+
 def route_one(
     intent: IntentRecord,
     condition: RoutingCondition,
@@ -132,13 +149,11 @@ def route_one(
     known_paths: frozenset[str] = frozenset(),
     lenient: bool = False,
 ) -> RoutingResult:
-    """One prompt, one completion, one verdict for a single intent."""
-    prompt: PromptText = build_prompt(condition, context, intent.text)
+    """Route one intent's text and grade the reply against its ground truth."""
     try:
-        completion = provider.complete(prompt)
+        parsed, completion = route(intent.text, condition, context, provider, lenient)
     except ProviderError as exc:
         raise ProviderError(f"intent {intent.id}: {exc}") from exc
-    parsed = parse_dtmf_response(completion.raw_text, lenient=lenient)
     truth = intent.ground_truth.canonical()
     if parsed.path is not None:
         predicted = parsed.path.canonical()
@@ -229,28 +244,26 @@ def route_all(
         record = records[index]
         return route_one(record, condition, context, provider, known, lenient)
 
-    with ThreadPoolExecutor(max_workers=provider.config.max_in_flight) as pool:
+    pool = ThreadPoolExecutor(max_workers=provider.config.max_in_flight)
+    try:
         index_of = {pool.submit(work, i): i for i in range(len(records))}
-        pending = set(index_of)
-        try:
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    index = index_of[future]
-                    try:
-                        slots[index] = future.result()
-                    except ProviderError as exc:
-                        failures.append((records[index].id, str(exc)))
-                        if len(failures) > allowed_failures:
-                            raise RoutingAborted(
-                                f"{len(failures)} provider failure(s) exceeded the "
-                                f"budget of {allowed_failures}",
-                                completed=[r for r in slots if r is not None],
-                                failures=failures,
-                            ) from exc
-        finally:
-            for future in pending:
-                future.cancel()
+        for future in as_completed(index_of):
+            index = index_of[future]
+            try:
+                slots[index] = future.result()
+            except ProviderError as exc:
+                failures.append((records[index].id, str(exc)))
+                if len(failures) > allowed_failures:
+                    raise RoutingAborted(
+                        f"{len(failures)} provider failure(s) exceeded the "
+                        f"budget of {allowed_failures}",
+                        completed=[r for r in slots if r is not None],
+                        failures=failures,
+                    ) from exc
+    finally:
+        # as_completed leaves queued calls alone; on any early exit they must
+        # be cancelled, not run to completion before the error surfaces.
+        pool.shutdown(cancel_futures=True)
 
     results = [r for r in slots if r is not None]
     manifest = build_manifest(

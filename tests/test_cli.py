@@ -195,6 +195,39 @@ def test_route_http_requires_endpoint(fixture_menu_path, fixture_dataset_path, c
     assert "--endpoint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--max-in-flight", "0"), ("--temperature", "3"), ("--rps", "0"), ("--max-retries", "9")],
+)
+def test_route_bad_provider_setting_exit_2(tmp_path, fixture_menu_path, fixture_dataset_path,
+                                           capsys, flag, value):
+    argv = route_args(fixture_menu_path, fixture_dataset_path, tmp_path) + [flag, value]
+    assert run(argv) == 2  # returned, not raised
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.glob("run-*"))
+
+
+def test_route_config_value_of_wrong_type_exit_2(tmp_path, fixture_menu_path,
+                                                fixture_dataset_path, capsys):
+    file = tmp_path / "config.json"
+    file.write_text(json.dumps({"providers": {"routing": {"max_in_flight": "4"}}}), encoding="utf-8")
+    argv = route_args(fixture_menu_path, fixture_dataset_path, tmp_path) + ["--config", str(file)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: bad provider settings")
+
+
+def truncated_dataset(tmp_path):
+    first, second = data_text("agentnet.intents.jsonl").splitlines()[:2]
+    file = tmp_path / "truncated.jsonl"
+    file.write_text(first + "\n" + second[: len(second) // 2] + "\n", encoding="utf-8")
+    return file
+
+
+def test_route_malformed_dataset_line_exit_1(tmp_path, fixture_menu_path, capsys):
+    assert run(route_args(fixture_menu_path, truncated_dataset(tmp_path), tmp_path)) == 1
+    assert "truncated.jsonl:2: bad record" in capsys.readouterr().err
+
+
 # --- eval ------------------------------------------------------------------------------
 
 def test_eval_oracle_run(tmp_path, fixture_menu_path, fixture_dataset_path, capsys):
@@ -297,6 +330,16 @@ def test_demo_invalid_reply_reported(fixture_menu_path, tmp_path, monkeypatch, c
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("INVALID  ")
     assert out[1] == "5-5-5  (not a terminal path of this menu)"
+
+
+def test_demo_malformed_dataset_line_exit_1(tmp_path, fixture_menu_path, monkeypatch, capsys):
+    feed_stdin(monkeypatch, "i want to check my balance\n")
+    code = run(["demo", "--menu", str(fixture_menu_path), "--provider", "oracle",
+                "--dataset", str(truncated_dataset(tmp_path))])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "truncated.jsonl:2: bad record" in captured.err
+    assert captured.out == ""
 
 
 # --- check-roles -------------------------------------------------------------------------

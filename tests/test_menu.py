@@ -165,6 +165,13 @@ def test_validate_accepts_depth_at_limit():
     assert len(deepest.path) == MAX_DEPTH
 
 
+def test_validate_flags_duplicate_sibling_digits_once():
+    # Trees built in code skip parse_menu, so validate_menu is their check.
+    root = submenu("Root", None, [action("A", 1), action("B", 1)])
+    problems = validate_menu(MenuTree(name="t", root=root))
+    assert problems == ["root: duplicate digit 1 among children"]
+
+
 def test_validate_flags_menu_of_only_navigation():
     root = submenu("Root", None, [submenu("Dead End", 1, [navigation()])])
     problems = validate_menu(MenuTree(name="t", root=root))

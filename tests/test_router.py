@@ -1,6 +1,7 @@
 """Response parsing, single-shot routing, batch routing, manifests, and
 result files."""
 
+import dataclasses
 import json
 
 import pytest
@@ -22,6 +23,7 @@ from ivroute.router import (
     load_results,
     parse_dtmf_response,
     render_context,
+    route,
     route_all,
     route_one,
     save_results,
@@ -193,6 +195,18 @@ def test_route_one_wraps_provider_error_with_intent_id(tiny_tree):
         route_one(record, RoutingCondition.FLATTENED_PATHS, context, provider)
 
 
+def test_route_needs_no_ground_truth(tiny_tree):
+    provider = ScriptedProvider(["The path is 1-9."])
+    context = render_context(tiny_tree, RoutingCondition.DESCRIPTIVE_MENU)
+    parsed, completion = route("get me a person about my bill",
+                               RoutingCondition.DESCRIPTIVE_MENU, context, provider,
+                               lenient=True)
+    assert parsed.path.canonical() == "1-9"
+    assert parsed.raw_text == completion.raw_text == "The path is 1-9."
+    assert completion.model_name == "scripted-mock"
+    assert "get me a person about my bill" in provider.calls[0]
+
+
 # --- route_all -----------------------------------------------------------------------
 
 def test_select_records(dataset):
@@ -269,6 +283,19 @@ def test_route_all_aborts_past_budget(tiny_tree):
     aborted = excinfo.value
     assert len(aborted.failures) == 1
     assert all(r.correct for r in aborted.completed)
+
+
+def test_route_all_other_error_cancels_queued_calls(tiny_tree):
+    ds = tiny_dataset()
+    # A blank text passes the dataset checks but build_prompt rejects it.
+    records = [dataclasses.replace(ds.records[0], text="   ")] + ds.records[1:]
+    ds = Dataset(ds.menu_name, records, ds.per_node_base, ds.variants_per_base)
+    provider = ScriptedProvider(["1-1"] * 6, config=ProviderConfig(max_in_flight=1), delay=0.05)
+    with pytest.raises(ValueError, match="query is empty"):
+        route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
+    # The single worker may have started the next call before the abort;
+    # every call queued behind it is cancelled, not run.
+    assert len(provider.calls) <= 1
 
 
 # --- manifest ------------------------------------------------------------------------
