@@ -48,6 +48,7 @@ from .router import (
     route,
     route_all,
     render_context,
+    run_identity,
     load_results,
     save_results,
 )
@@ -166,7 +167,10 @@ def _make_provider(
     if kind == "http":
         if not cfg.endpoint_url:
             return _fail("http provider needs --endpoint (or an endpoint_url in the config file)", EXIT_USAGE)
-        return HttpProvider(cfg)
+        try:
+            return HttpProvider(cfg)
+        except ValueError as exc:  # an endpoint or proxy URL it cannot use
+            return _fail(f"bad provider settings: {exc}", EXIT_USAGE)
     if kind == "oracle":
         if dataset is None:
             return _fail("oracle provider needs a dataset to take its answers from", EXIT_USAGE)
@@ -251,6 +255,8 @@ def cmd_gen_intents(args: argparse.Namespace) -> int:
 
 
 def cmd_route(args: argparse.Namespace) -> int:
+    if not 0 <= args.error_budget <= 1:
+        return _fail(f"--error-budget must be within [0, 1], not {args.error_budget}", EXIT_USAGE)
     config = _load_config_file(args.config)
     if isinstance(config, int):
         return config
@@ -270,6 +276,16 @@ def cmd_route(args: argparse.Namespace) -> int:
     provider = _make_provider(args, config, "routing", dataset=ds, paths=paths)
     if isinstance(provider, int):
         return provider
+
+    # The run directory is named by the inputs alone, so a run that could
+    # not be saved is refused before any call is paid for.
+    identity = run_identity(ds, tree, condition, args.filter, provider.config.model_name, args.lenient)
+    run_dir = _out_dir(args, "runs") / f"run-{identity['run_id']}"
+    if run_dir.exists() and not args.force:
+        return _fail(
+            f"{run_dir} already exists (same menu/dataset/condition/model); use --force to overwrite",
+            EXIT_FAILURE,
+        )
 
     try:
         run = route_all(
@@ -291,12 +307,6 @@ def cmd_route(args: argparse.Namespace) -> int:
     except (ProviderError, ValueError) as exc:
         return _fail(str(exc), EXIT_FAILURE)
 
-    run_dir = _out_dir(args, "runs") / f"run-{run.manifest['run_id']}"
-    if run_dir.exists() and not args.force:
-        return _fail(
-            f"{run_dir} already exists (same menu/dataset/condition/model); use --force to overwrite",
-            EXIT_FAILURE,
-        )
     run_dir.mkdir(parents=True, exist_ok=True)
     save_results(run.results, run_dir / "results.jsonl")
     (run_dir / "manifest.json").write_text(

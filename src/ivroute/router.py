@@ -263,7 +263,10 @@ def route_all(
     finally:
         # as_completed leaves queued calls alone; on any early exit they must
         # be cancelled, not run to completion before the error surfaces.
+        # Once the running calls are done, the provider's idle connections
+        # are closed so that none outlives the run.
         pool.shutdown(cancel_futures=True)
+        provider.close()
 
     results = [r for r in slots if r is not None]
     manifest = build_manifest(
@@ -280,16 +283,19 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def build_manifest(
+def run_identity(
     ds: Dataset,
     tree: MenuTree,
     condition: RoutingCondition,
     record_filter: str,
-    provider: Provider,
+    model_name: str,
     lenient: bool,
-    n_results: int,
-    failures: list[tuple[str, str]],
 ) -> dict:
+    """The inputs that name a run, plus ``run_id``, their hash.
+
+    It depends on nothing routing produces, so it is known before the
+    first call is made.
+    """
     menu_hash = _sha256(
         json.dumps(tree_to_document(tree), sort_keys=True, ensure_ascii=False).encode("utf-8")
     )
@@ -300,12 +306,25 @@ def build_manifest(
         "dataset_hash": dataset_hash,
         "condition": condition.value,
         "dataset_filter": record_filter,
-        "model_name": provider.config.model_name,
+        "model_name": model_name,
         "parse_mode": "lenient" if lenient else "strict",
     }
-    run_id = _sha256(json.dumps(core, sort_keys=True).encode("utf-8"))[:12]
-    manifest = dict(core)
-    manifest["run_id"] = run_id
+    return {**core, "run_id": _sha256(json.dumps(core, sort_keys=True).encode("utf-8"))[:12]}
+
+
+def build_manifest(
+    ds: Dataset,
+    tree: MenuTree,
+    condition: RoutingCondition,
+    record_filter: str,
+    provider: Provider,
+    lenient: bool,
+    n_results: int,
+    failures: list[tuple[str, str]],
+) -> dict:
+    manifest = run_identity(
+        ds, tree, condition, record_filter, provider.config.model_name, lenient
+    )
     manifest["n_results"] = n_results
     manifest["failures"] = [{"intent_id": i, "error": e} for i, e in failures]
     manifest["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")

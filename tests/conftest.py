@@ -1,9 +1,14 @@
-"""Shared fixtures: the bundled menu and dataset, small synthetic menus, and
-provider doubles wired for deterministic tests."""
+"""Shared fixtures: the bundled menu and dataset, small synthetic menus,
+provider doubles wired for deterministic tests, and a loopback
+chat-completions server for the real HTTP transport."""
 
 from __future__ import annotations
 
 import json
+import socket
+import socketserver
+import threading
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -129,3 +134,131 @@ def tiny_dataset() -> Dataset:
         make_record("2", "nothing works at my house", suffix="b01"),
     ]
     return Dataset(menu_name="Tiny", records=records, per_node_base=2, variants_per_base=0)
+
+
+# --- loopback chat-completions server ------------------------------------------
+
+PROXY_VARIABLES = tuple(
+    name for base in ("http_proxy", "https_proxy", "all_proxy", "no_proxy")
+    for name in (base, base.upper())
+)
+
+
+class ChatServer(socketserver.ThreadingTCPServer):
+    """A chat-completions endpoint on 127.0.0.1, one thread per connection.
+
+    Every response leaves in one write: status line, headers and body split
+    over several writes stall kept-alive calls on the Nagle / delayed-ACK
+    interaction. ``reply`` is the content of every 200, ``status`` the
+    status of every response and ``delay`` holds each response.
+    ``hang_up`` closes each connection after its first response, without a
+    ``Connection: close`` header, as a server whose idle timeout ran out
+    does: at once (``"after-reply"``), or once the next request on it has
+    been read (``"before-reply"``), as when that request crosses the
+    hang-up. Counters: connections accepted, open now and at most at once,
+    and the requests answered.
+    """
+
+    daemon_threads = True
+    block_on_close = False
+
+    def __init__(self, reply="1-1", status=200, delay=0.0, hang_up=None):
+        super().__init__(("127.0.0.1", 0), _ChatHandler)
+        self.reply, self.status, self.delay = reply, status, delay
+        self.hang_up = hang_up
+        self.port = self.server_address[1]
+        self.url = f"http://127.0.0.1:{self.port}/v1/chat/completions"
+        self.lock = threading.Lock()
+        self.accepted = self.open = self.peak_open = self.answered = 0
+        self.seen: list[tuple[str, dict, bytes]] = []  # (request line, headers, body)
+
+    def response(self) -> bytes:
+        status = self.status
+        if status == 200:
+            body = json.dumps({"choices": [{"message": {"content": self.reply}}]},
+                              ensure_ascii=False).encode("utf-8")
+        else:
+            body = b'{"error": "unavailable"}'
+        head = (f"HTTP/1.1 {status} Status\r\nContent-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n")
+        return head.encode("ascii") + body
+
+    def shutdown_request(self, request) -> None:
+        super().shutdown_request(request)
+        with self.lock:
+            self.open -= 1
+
+    def wait_open(self, count: int, timeout: float = 5.0) -> bool:
+        """Whether the open connections came down to ``count`` within ``timeout``."""
+        deadline = time.monotonic() + timeout
+        while time.monotonic() < deadline:
+            with self.lock:
+                if self.open == count:
+                    return True
+            time.sleep(0.01)
+        return False
+
+    def wait_all_closed(self, timeout: float = 5.0) -> bool:
+        return self.wait_open(0, timeout)
+
+
+class _ChatHandler(socketserver.StreamRequestHandler):
+    server: ChatServer
+
+    def handle(self) -> None:
+        server = self.server
+        self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        with server.lock:
+            server.accepted += 1
+            server.open += 1
+            server.peak_open = max(server.peak_open, server.open)
+        try:
+            answered = self._answer_one()
+            if answered and server.hang_up == "before-reply":
+                self._read_request()
+            while answered and server.hang_up is None:
+                answered = self._answer_one()
+        except OSError:
+            pass  # a client that hangs up mid-request loses only its own connection
+
+    def _read_request(self) -> tuple[str, dict, bytes] | None:
+        request_line = self.rfile.readline()
+        if not request_line:
+            return None
+        headers = {}
+        while (line := self.rfile.readline()) not in (b"\r\n", b""):
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        body = self.rfile.read(int(headers.get("content-length", 0)))
+        return request_line.decode("latin-1").strip(), headers, body
+
+    def _answer_one(self) -> bool:
+        request = self._read_request()
+        if request is None:
+            return False
+        time.sleep(self.server.delay)
+        with self.server.lock:
+            self.server.answered += 1
+            self.server.seen.append(request)
+        self.wfile.write(self.server.response())
+        return True
+
+
+@pytest.fixture
+def chat_server(monkeypatch):
+    """Start a ChatServer; calls ``chat_server(**options)`` return it. No
+    proxy settings reach the code under test."""
+    for name in PROXY_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    servers = []
+
+    def start(**options) -> ChatServer:
+        server = ChatServer(**options)
+        threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True).start()
+        servers.append(server)
+        return server
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()

@@ -3,6 +3,7 @@ configuration layering."""
 
 import io
 import json
+import socket
 
 import pytest
 
@@ -10,7 +11,8 @@ from ivroute.cli import main
 from ivroute.datagen import load_dataset, validate_dataset
 from ivroute.evaluation import load_report
 from ivroute.menu import flatten, load_menu
-from ivroute.router import load_results
+from ivroute.prompts import RoutingCondition
+from ivroute.router import load_results, run_identity
 
 from conftest import data_text
 
@@ -197,7 +199,8 @@ def test_route_http_requires_endpoint(fixture_menu_path, fixture_dataset_path, c
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--max-in-flight", "0"), ("--temperature", "3"), ("--rps", "0"), ("--max-retries", "9")],
+    [("--max-in-flight", "0"), ("--temperature", "3"), ("--rps", "0"), ("--max-retries", "9"),
+     ("--timeout", "-1"), ("--timeout", "0")],
 )
 def test_route_bad_provider_setting_exit_2(tmp_path, fixture_menu_path, fixture_dataset_path,
                                            capsys, flag, value):
@@ -205,6 +208,49 @@ def test_route_bad_provider_setting_exit_2(tmp_path, fixture_menu_path, fixture_
     assert run(argv) == 2  # returned, not raised
     assert capsys.readouterr().err.startswith("error: ")
     assert not list(tmp_path.glob("run-*"))
+
+
+@pytest.mark.parametrize("endpoint", ["ftp://example.test/v1", "http://127.0.0.1:port/v1"])
+def test_route_unusable_endpoint_exit_2(tmp_path, fixture_menu_path, fixture_dataset_path,
+                                        capsys, endpoint):
+    argv = route_args(fixture_menu_path, fixture_dataset_path, tmp_path)
+    argv += ["--provider", "http", "--endpoint", endpoint]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: bad provider settings")
+
+
+@pytest.mark.parametrize("budget", ["-0.1", "1.5", "2", "nan"])
+def test_route_error_budget_out_of_range_exit_2(tmp_path, fixture_menu_path,
+                                                fixture_dataset_path, capsys, budget):
+    argv = route_args(fixture_menu_path, fixture_dataset_path, tmp_path) + ["--error-budget", budget]
+    assert run(argv) == 2
+    assert "--error-budget must be within [0, 1]" in capsys.readouterr().err
+    assert not list(tmp_path.glob("run-*"))
+
+
+@pytest.mark.parametrize("budget", ["0", "1"])
+def test_route_error_budget_bounds_are_allowed(tmp_path, fixture_menu_path,
+                                               fixture_dataset_path, budget):
+    argv = route_args(fixture_menu_path, fixture_dataset_path, tmp_path, filter="base_only")
+    assert run(argv + ["--error-budget", budget]) == 0
+
+
+def test_route_existing_run_dir_refused_before_any_request(tmp_path, fixture_menu_path,
+                                                           fixture_dataset_path, capsys):
+    tree = load_menu(fixture_menu_path)
+    ds = load_dataset(fixture_dataset_path, menu_name=tree.name)
+    run_id = run_identity(ds, tree, RoutingCondition.FLATTENED_PATHS, "all", "mock", False)["run_id"]
+    (tmp_path / f"run-{run_id}").mkdir()
+    with socket.socket() as probe:  # a port nothing listens on
+        probe.bind(("127.0.0.1", 0))
+        endpoint = f"http://127.0.0.1:{probe.getsockname()[1]}/v1/chat/completions"
+    argv = ["route", "--menu", str(fixture_menu_path), "--dataset", str(fixture_dataset_path),
+            "--condition", "flattened", "--provider", "http", "--endpoint", endpoint,
+            "--out", str(tmp_path)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "already exists" in err
+    assert "aborted" not in err  # what routing against the closed port would have ended in
 
 
 def test_route_config_value_of_wrong_type_exit_2(tmp_path, fixture_menu_path,
