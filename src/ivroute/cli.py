@@ -296,6 +296,7 @@ def cmd_route(args: argparse.Namespace) -> int:
             record_filter=args.filter,
             lenient=args.lenient,
             error_budget=args.error_budget,
+            identity=identity,
         )
     except RoutingAborted as exc:
         print(f"error: run aborted: {exc}", file=sys.stderr)

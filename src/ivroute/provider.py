@@ -3,8 +3,11 @@
 All providers share the same contract: ``complete(prompt) -> Completion``,
 safe to call from many worker threads at once. The base class owns the only
 shared mutable state (an in-flight semaphore, a token-bucket rate limiter,
-and a peak-concurrency counter used by tests); subclasses implement a single
-``_request`` hook.
+and a peak-concurrency counter used by tests) and the retry policy;
+subclasses implement a single ``_request`` hook that makes one request.
+``complete(prompt, attempt=n)`` makes only attempt n and raises ``Backoff``
+when another is worth making, so a scheduler can wait out the delay without
+holding a worker.
 
 The wire protocol of HttpProvider is the de-facto chat-completions JSON
 shape, so any compatible endpoint works: POST {"model", "messages"} with a
@@ -32,6 +35,9 @@ log = logging.getLogger(__name__)
 DEFAULT_API_KEY_ENV = "IVR_LLM_API_KEY"
 
 RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
+# Statuses whose Retry-After header is read, and the longest wait honoured.
+RETRY_AFTER_STATUSES = frozenset({429, 503})
+MAX_RETRY_AFTER_S = 60
 
 
 class ProviderError(Exception):
@@ -39,11 +45,45 @@ class ProviderError(Exception):
 
 
 class TransportError(ProviderError):
-    """Network failure or retryable HTTP status, after retries ran out."""
+    """Network failure or retryable HTTP status. Raised by one attempt, it
+    is retried; raised by ``complete``, the retries ran out.
+
+    ``retry_after`` is the server's Retry-After header value, if it sent one.
+    """
+
+    def __init__(self, message: str, retry_after: str | None = None):
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 class ProtocolError(ProviderError):
     """The endpoint answered, but not with a usable completion body."""
+
+
+class Backoff(Exception):
+    """The attempt failed in a way worth retrying after ``delay`` seconds.
+
+    Not a ProviderError: nothing has failed for good yet. The caller makes
+    the next attempt when the delay has passed.
+    """
+
+    def __init__(self, delay: float):
+        super().__init__(f"retry in {delay:g} s")
+        self.delay = delay
+
+
+def retry_delay(attempt: int, retry_after: str | None = None) -> float:
+    """Seconds to wait after failed attempt ``attempt`` (1-based).
+
+    The server's Retry-After when it is whole seconds within
+    [0, MAX_RETRY_AFTER_S]; otherwise (none sent, an HTTP-date, a negative
+    number, text, or longer) 0.5 s doubling per attempt to a cap of 8 s.
+    """
+    if retry_after is not None:
+        value = retry_after.strip()
+        if value.isascii() and value.isdigit() and int(value) <= MAX_RETRY_AFTER_S:
+            return float(int(value))
+    return min(0.5 * 2 ** (attempt - 1), 8.0)
 
 
 @dataclass(frozen=True)
@@ -102,38 +142,69 @@ class TokenBucket:
 
 
 class Provider:
-    """Shared plumbing: in-flight bound, rate limiting, latency bookkeeping."""
+    """Shared plumbing: in-flight bound, rate limiting, latency bookkeeping
+    and the retry policy."""
 
-    def __init__(self, config: ProviderConfig | None = None):
+    def __init__(self, config: ProviderConfig | None = None, sleep=time.sleep):
         self.config = config or ProviderConfig()
         self._slots = threading.BoundedSemaphore(self.config.max_in_flight)
         self._bucket = TokenBucket(self.config.requests_per_second)
         self._state_lock = threading.Lock()
         self._in_flight = 0
         self.peak_in_flight = 0
+        self._sleep = sleep
 
-    def complete(self, prompt) -> Completion:
-        """Run one completion. ``prompt`` is a PromptText or a plain string."""
-        text = prompt.content if hasattr(prompt, "content") else str(prompt)
-        with self._slots:
-            self._bucket.acquire()
-            with self._state_lock:
-                self._in_flight += 1
-                self.peak_in_flight = max(self.peak_in_flight, self._in_flight)
-            start = time.perf_counter()
+    def complete(self, prompt, attempt: int | None = None) -> Completion:
+        """Run one completion. ``prompt`` is a PromptText or a plain string.
+
+        Without ``attempt`` the call blocks until it succeeds or the retries
+        run out, sleeping between attempts. With ``attempt`` (1-based) it
+        makes only that attempt and raises ``Backoff`` when another attempt
+        is worth making; the caller then calls again with ``attempt + 1``.
+        A retry that ran out raises TransportError("gave up after ...").
+        """
+        if attempt is not None:
+            return self._attempt(prompt, attempt)
+        attempt = 1
+        while True:
             try:
-                raw, attempts = self._request(text, prompt)
-            finally:
+                return self._attempt(prompt, attempt)
+            except Backoff as backoff:
+                self._sleep(backoff.delay)
+                attempt += 1
+
+    def _attempt(self, prompt, attempt: int) -> Completion:
+        """One request, holding a slot and a rate-limiter token only while
+        it is on the wire; the retry decision is made after both are back."""
+        text = prompt.content if hasattr(prompt, "content") else str(prompt)
+        try:
+            with self._slots:
+                self._bucket.acquire()
                 with self._state_lock:
-                    self._in_flight -= 1
+                    self._in_flight += 1
+                    self.peak_in_flight = max(self.peak_in_flight, self._in_flight)
+                start = time.perf_counter()
+                try:
+                    raw, requests = self._request(text, prompt)
+                finally:
+                    with self._state_lock:
+                        self._in_flight -= 1
+                latency = time.perf_counter() - start
+        except TransportError as exc:
+            if attempt > self.config.max_retries:
+                raise TransportError(f"gave up after {attempt} attempt(s): {exc}") from exc
+            raise Backoff(retry_delay(attempt, exc.retry_after)) from exc
         return Completion(
             raw_text=raw,
             model_name=self.config.model_name,
-            latency=time.perf_counter() - start,
-            attempt_count=attempts,
+            latency=latency,
+            attempt_count=attempt + requests - 1,
         )
 
     def _request(self, text: str, prompt) -> tuple[str, int]:
+        """Send one request: (reply text, requests it made, normally 1).
+        A TransportError is retried by the policy above; any other
+        ProviderError fails the call at once."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -195,8 +266,9 @@ class ConnectionPool:
                 self._target = url
                 self._headers.update(proxy_headers)
 
-    def request(self, url: str, payload: dict, headers: dict, timeout: float) -> tuple[int, str]:
-        """POST ``payload`` as JSON; (status, body decoded as UTF-8)."""
+    def request(self, url: str, payload: dict, headers: dict, timeout: float) -> tuple[int, str, str | None]:
+        """POST ``payload`` as JSON; (status, body decoded as UTF-8, the
+        Retry-After header of a 429 or 503 response or None)."""
         if url != self.url:
             raise ValueError(f"connection pool for {self.url} cannot send to {url}")
         body = json.dumps(payload).encode("utf-8")
@@ -222,7 +294,8 @@ class ConnectionPool:
             conn.close()
             raise
         self._checkin(conn)
-        return response.status, text
+        retry_after = response.getheader("Retry-After") if response.status in RETRY_AFTER_STATUSES else None
+        return response.status, text, retry_after
 
     def close(self) -> None:
         """Close every idle connection. The pool stays usable: the next
@@ -284,33 +357,38 @@ def _dropped(sock) -> bool:
 
 
 class HttpProvider(Provider):
-    """POSTs chat-completion requests over kept-alive connections; retries
-    transport/5xx/429 failures with exponential backoff and never re-asks
-    after a parseable 200.
+    """POSTs chat-completion requests over kept-alive connections, one
+    attempt per ``_request``; the base class retries transport/5xx/429
+    failures and a parseable 200 is never re-asked.
 
-    ``_transport(url, payload, headers, timeout) -> (status, body)`` makes
-    one attempt. It is the ``request`` of the provider's own ConnectionPool
-    unless a ``transport`` is given or substituted later; ``close`` goes to
-    the pool directly, so it closes the connections either way.
+    ``_transport(url, payload, headers, timeout) -> (status, body,
+    retry_after)`` makes one attempt. It is the ``request`` of the
+    provider's own ConnectionPool unless a ``transport`` is given or
+    substituted later; ``close`` goes to the pool directly, so it closes the
+    connections either way.
+
+    The API key is read from the environment once, here; a key holding
+    anything but printable ASCII is refused with a ValueError that names
+    the variable, never the value.
     """
 
     def __init__(self, config: ProviderConfig, transport=None, sleep=time.sleep):
         if not config.endpoint_url:
             raise ValueError("HttpProvider needs an endpoint_url")
-        super().__init__(config)
+        super().__init__(config, sleep)
+        self._headers = {"Content-Type": "application/json"}
+        key = os.environ.get(config.api_key_source, "")
+        if key:
+            if not (key.isascii() and key.isprintable()):
+                raise ValueError(
+                    f"the API key in ${config.api_key_source} holds control or non-ASCII characters"
+                )
+            self._headers["Authorization"] = f"Bearer {key}"
         self._connections = ConnectionPool(config.endpoint_url, config.max_in_flight)
         self._transport = transport or self._connections.request
-        self._sleep = sleep
 
     def close(self) -> None:
         self._connections.close()
-
-    def _auth_headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
-        key = os.environ.get(self.config.api_key_source, "")
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
-        return headers
 
     def _payload(self, text: str) -> dict:
         payload = {
@@ -322,31 +400,14 @@ class HttpProvider(Provider):
         return payload
 
     def _request(self, text: str, prompt) -> tuple[str, int]:
-        payload = self._payload(text)
-        headers = self._auth_headers()
-        last_error: Exception | None = None
-        attempts = 0
-        for attempt in range(self.config.max_retries + 1):
-            if attempt > 0:
-                self._sleep(min(0.5 * 2 ** (attempt - 1), 8.0))
-                self._bucket.acquire()
-            attempts = attempt + 1
-            try:
-                status, body = self._transport(
-                    self.config.endpoint_url, payload, headers, self.config.request_timeout
-                )
-            except TransportError as exc:
-                last_error = exc
-                continue
-            if status in RETRYABLE_STATUSES:
-                last_error = TransportError(f"HTTP {status}")
-                continue
-            if status != 200:
-                raise ProtocolError(f"HTTP {status}: {body[:200]}")
-            return self._extract_text(body), attempts
-        raise TransportError(
-            f"gave up after {attempts} attempt(s): {last_error}"
-        ) from last_error
+        status, body, retry_after = self._transport(
+            self.config.endpoint_url, self._payload(text), self._headers, self.config.request_timeout
+        )
+        if status in RETRYABLE_STATUSES:
+            raise TransportError(f"HTTP {status}", retry_after)
+        if status != 200:
+            raise ProtocolError(f"HTTP {status}: {body[:200]}")
+        return self._extract_text(body), 1
 
     @staticmethod
     def _extract_text(body: str) -> str:

@@ -7,18 +7,19 @@ a whole dataset.
 Model output is held to a strict grammar: after a small, fixed normalization
 pipeline the whole reply must be ``digit ("-" digit)*`` or it is scored as
 INVALID. Content is never re-requested for being wrong; only the provider's
-transport retries apply.
+transport retries apply, and ``route_all`` schedules those itself.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import logging
 import math
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -34,11 +35,17 @@ from .menu import (
     validate_menu,
 )
 from .prompts import PromptText, RoutingCondition, build_prompt
-from .provider import Completion, Provider, ProviderError
+from .provider import Backoff, Completion, Provider, ProviderError
 
 log = logging.getLogger(__name__)
 
 INVALID = "INVALID"
+
+# Intents route_all keeps in progress per in-flight slot, counting those
+# waiting out a backoff: enough to keep every worker fed while some wait,
+# and few enough that a dead endpoint sees a bounded number of intents
+# before the error budget stops the run.
+WINDOW_PER_SLOT = 2
 
 # ASCII digits only; \d would admit unicode digits like fullwidth 3
 _PATH_GRAMMAR = re.compile(r"[0-9](?:-[0-9])*\Z")
@@ -134,10 +141,15 @@ def route(
     context: str,
     provider: Provider,
     lenient: bool = False,
+    attempt: int | None = None,
 ) -> tuple[ParsedResponse, Completion]:
-    """One prompt, one completion, one parsed reply for a single query."""
+    """One prompt, one completion, one parsed reply for a single query.
+
+    ``attempt`` goes to ``provider.complete``: None retries until done,
+    a number makes that attempt alone and may raise ``Backoff``.
+    """
     prompt: PromptText = build_prompt(condition, context, query)
-    completion = provider.complete(prompt)
+    completion = provider.complete(prompt, attempt=attempt)
     return parse_dtmf_response(completion.raw_text, lenient=lenient), completion
 
 
@@ -148,10 +160,14 @@ def route_one(
     provider: Provider,
     known_paths: frozenset[str] = frozenset(),
     lenient: bool = False,
+    attempt: int | None = None,
 ) -> RoutingResult:
-    """Route one intent's text and grade the reply against its ground truth."""
+    """Route one intent's text and grade the reply against its ground truth.
+
+    A ``Backoff`` from the provider passes through unchanged.
+    """
     try:
-        parsed, completion = route(intent.text, condition, context, provider, lenient)
+        parsed, completion = route(intent.text, condition, context, provider, lenient, attempt)
     except ProviderError as exc:
         raise ProviderError(f"intent {intent.id}: {exc}") from exc
     truth = intent.ground_truth.canonical()
@@ -215,14 +231,22 @@ def route_all(
     lenient: bool = False,
     error_budget: float = 0.01,
     extra_manifest: dict | None = None,
+    identity: dict | None = None,
 ) -> RoutingRun:
     """Route every selected record and return results in dataset order.
 
-    The context is rendered once and reused. Work fans out to a thread pool
-    sized by the provider's max_in_flight; completion order does not affect
-    output order. Provider failures are tolerated up to ``error_budget``
-    (a fraction of the selected calls); one failure past the budget aborts
-    the run with the completed results attached.
+    The context is rendered once and reused. Work runs on a thread pool of
+    the provider's max_in_flight workers, one provider attempt per task;
+    completion order does not affect output order. At most WINDOW_PER_SLOT
+    x max_in_flight intents are in progress at once. An attempt that asks
+    for a backoff gives its worker back and is submitted again when its
+    delay has passed, ahead of intents not yet started. Provider failures
+    are tolerated up to ``error_budget`` (a fraction of the selected
+    calls); one failure past the budget aborts the run with the completed
+    results attached, and retries still waiting are dropped.
+
+    ``identity``, the ``run_identity`` of these inputs when the caller has
+    it already, saves hashing them again for the manifest.
     """
     menu_problems = validate_menu(tree)
     if menu_problems:
@@ -236,41 +260,64 @@ def route_all(
     context = render_context(tree, condition)
     known = frozenset(tp.path.canonical() for tp in terminal)
     allowed_failures = math.floor(error_budget * len(records))
+    window = WINDOW_PER_SLOT * provider.config.max_in_flight
 
     slots: list[RoutingResult | None] = [None] * len(records)
     failures: list[tuple[str, str]] = []
-
-    def work(index: int) -> RoutingResult:
-        record = records[index]
-        return route_one(record, condition, context, provider, known, lenient)
+    running = {}  # future -> (record index, attempt)
+    waiting: list[tuple[float, int, int]] = []  # heap of (due time, record index, attempt)
+    next_index = 0
 
     pool = ThreadPoolExecutor(max_workers=provider.config.max_in_flight)
+
+    def submit(index: int, attempt: int) -> None:
+        future = pool.submit(
+            route_one, records[index], condition, context, provider, known, lenient, attempt
+        )
+        running[future] = (index, attempt)
+
     try:
-        index_of = {pool.submit(work, i): i for i in range(len(records))}
-        for future in as_completed(index_of):
-            index = index_of[future]
-            try:
-                slots[index] = future.result()
-            except ProviderError as exc:
-                failures.append((records[index].id, str(exc)))
-                if len(failures) > allowed_failures:
-                    raise RoutingAborted(
-                        f"{len(failures)} provider failure(s) exceeded the "
-                        f"budget of {allowed_failures}",
-                        completed=[r for r in slots if r is not None],
-                        failures=failures,
-                    ) from exc
+        while True:
+            now = time.monotonic()
+            while waiting and waiting[0][0] <= now:
+                _, index, attempt = heapq.heappop(waiting)
+                submit(index, attempt)
+            while next_index < len(records) and len(running) + len(waiting) < window:
+                submit(next_index, 1)
+                next_index += 1
+            if not running and not waiting:
+                break
+            timeout = waiting[0][0] - now if waiting else None
+            if not running:
+                time.sleep(timeout)
+                continue
+            done, _ = wait(running, timeout=timeout, return_when=FIRST_COMPLETED)
+            for future in done:
+                index, attempt = running.pop(future)
+                try:
+                    slots[index] = future.result()
+                except Backoff as backoff:
+                    heapq.heappush(waiting, (time.monotonic() + backoff.delay, index, attempt + 1))
+                except ProviderError as exc:
+                    failures.append((records[index].id, str(exc)))
+                    if len(failures) > allowed_failures:
+                        raise RoutingAborted(
+                            f"{len(failures)} provider failure(s) exceeded the "
+                            f"budget of {allowed_failures}",
+                            completed=[r for r in slots if r is not None],
+                            failures=failures,
+                        ) from exc
     finally:
-        # as_completed leaves queued calls alone; on any early exit they must
-        # be cancelled, not run to completion before the error surfaces.
-        # Once the running calls are done, the provider's idle connections
-        # are closed so that none outlives the run.
+        # On any early exit, calls still queued are cancelled, not run to
+        # completion before the error surfaces, and waiting retries are
+        # dropped. Once the running calls are done, the provider's idle
+        # connections are closed so that none outlives the run.
         pool.shutdown(cancel_futures=True)
         provider.close()
 
     results = [r for r in slots if r is not None]
     manifest = build_manifest(
-        ds, tree, condition, record_filter, provider, lenient, len(results), failures
+        ds, tree, condition, record_filter, provider, lenient, len(results), failures, identity
     )
     if extra_manifest:
         manifest.update(extra_manifest)
@@ -321,8 +368,11 @@ def build_manifest(
     lenient: bool,
     n_results: int,
     failures: list[tuple[str, str]],
+    identity: dict | None = None,
 ) -> dict:
-    manifest = run_identity(
+    """``run_identity`` plus what the run produced. ``identity``, when
+    given, must be the ``run_identity`` of the same inputs."""
+    manifest = dict(identity) if identity is not None else run_identity(
         ds, tree, condition, record_filter, provider.config.model_name, lenient
     )
     manifest["n_results"] = n_results

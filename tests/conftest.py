@@ -151,6 +151,8 @@ class ChatServer(socketserver.ThreadingTCPServer):
     over several writes stall kept-alive calls on the Nagle / delayed-ACK
     interaction. ``reply`` is the content of every 200, ``status`` the
     status of every response and ``delay`` holds each response.
+    ``retry_after``, when set, goes out as a Retry-After header on every
+    response that is not a 200.
     ``hang_up`` closes each connection after its first response, without a
     ``Connection: close`` header, as a server whose idle timeout ran out
     does: at once (``"after-reply"``), or once the next request on it has
@@ -162,9 +164,10 @@ class ChatServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
     block_on_close = False
 
-    def __init__(self, reply="1-1", status=200, delay=0.0, hang_up=None):
+    def __init__(self, reply="1-1", status=200, delay=0.0, hang_up=None, retry_after=None):
         super().__init__(("127.0.0.1", 0), _ChatHandler)
         self.reply, self.status, self.delay = reply, status, delay
+        self.retry_after = retry_after
         self.hang_up = hang_up
         self.port = self.server_address[1]
         self.url = f"http://127.0.0.1:{self.port}/v1/chat/completions"
@@ -179,8 +182,10 @@ class ChatServer(socketserver.ThreadingTCPServer):
                               ensure_ascii=False).encode("utf-8")
         else:
             body = b'{"error": "unavailable"}'
-        head = (f"HTTP/1.1 {status} Status\r\nContent-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n\r\n")
+        head = f"HTTP/1.1 {status} Status\r\nContent-Type: application/json\r\n"
+        if status != 200 and self.retry_after is not None:
+            head += f"Retry-After: {self.retry_after}\r\n"
+        head += f"Content-Length: {len(body)}\r\n\r\n"
         return head.encode("ascii") + body
 
     def shutdown_request(self, request) -> None:

@@ -12,6 +12,7 @@ from ivroute.datagen import load_dataset, validate_dataset
 from ivroute.evaluation import load_report
 from ivroute.menu import flatten, load_menu
 from ivroute.prompts import RoutingCondition
+from ivroute import router
 from ivroute.router import load_results, run_identity
 
 from conftest import data_text
@@ -219,6 +220,18 @@ def test_route_unusable_endpoint_exit_2(tmp_path, fixture_menu_path, fixture_dat
     assert capsys.readouterr().err.startswith("error: bad provider settings")
 
 
+def test_route_api_key_with_control_characters_exit_2(tmp_path, fixture_menu_path,
+                                                     fixture_dataset_path, capsys, monkeypatch):
+    monkeypatch.setenv("IVR_LLM_API_KEY", "sk-secret-123\n")
+    argv = route_args(fixture_menu_path, fixture_dataset_path, tmp_path)
+    argv += ["--provider", "http", "--endpoint", "http://127.0.0.1:9/v1"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad provider settings") and "IVR_LLM_API_KEY" in err
+    assert "sk-secret" not in err
+    assert not list(tmp_path.glob("run-*"))
+
+
 @pytest.mark.parametrize("budget", ["-0.1", "1.5", "2", "nan"])
 def test_route_error_budget_out_of_range_exit_2(tmp_path, fixture_menu_path,
                                                 fixture_dataset_path, capsys, budget):
@@ -251,6 +264,24 @@ def test_route_existing_run_dir_refused_before_any_request(tmp_path, fixture_men
     err = capsys.readouterr().err
     assert "already exists" in err
     assert "aborted" not in err  # what routing against the closed port would have ended in
+
+
+def test_route_hashes_its_inputs_once(tmp_path, fixture_menu_path, fixture_dataset_path,
+                                      monkeypatch):
+    hashed = []
+    dataset_to_jsonl = router.dataset_to_jsonl
+    monkeypatch.setattr(router, "dataset_to_jsonl", lambda ds: hashed.append(1) or dataset_to_jsonl(ds))
+    argv = route_args(fixture_menu_path, fixture_dataset_path, tmp_path, filter="base_only")
+    assert run(argv) == 0
+    assert len(hashed) == 1  # for the run id, before routing; the manifest reuses it
+    (run_dir,) = tmp_path.glob("run-*")
+    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+    tree = load_menu(fixture_menu_path)
+    ds = load_dataset(fixture_dataset_path, menu_name=tree.name)
+    identity = run_identity(ds, tree, RoutingCondition.FLATTENED_PATHS, "base_only", "oracle-mock", False)
+    assert list(manifest)[: len(identity)] == list(identity)
+    assert {key: manifest[key] for key in identity} == identity
+    assert run_dir.name == f"run-{identity['run_id']}"
 
 
 def test_route_config_value_of_wrong_type_exit_2(tmp_path, fixture_menu_path,

@@ -21,6 +21,7 @@ from ivroute.menu import flatten, render_flattened
 from ivroute.prompts import RoutingCondition, build_flattened_prompt
 from ivroute.provider import (
     DEFAULT_API_KEY_ENV,
+    Backoff,
     Completion,
     ConnectionPool,
     HttpProvider,
@@ -47,7 +48,8 @@ def ok_body(text: str) -> str:
 
 
 class FakeTransport:
-    """Returns queued (status, body) pairs and records every request."""
+    """Returns queued (status, body) or (status, body, retry_after) items as
+    (status, body, retry_after) and records every request."""
 
     def __init__(self, responses):
         self.responses = list(responses)
@@ -62,7 +64,7 @@ class FakeTransport:
             item = self.responses.pop(0)
         if isinstance(item, Exception):
             raise item
-        return item
+        return item if len(item) == 3 else (*item, None)
 
 
 def http_provider(responses, **config_kwargs):
@@ -236,6 +238,81 @@ def test_requires_endpoint_url():
         HttpProvider(ProviderConfig(endpoint_url=""))
 
 
+@pytest.mark.parametrize("key", ["sk-secret-123\n", "sk-secret\r\n123", "sk-\tsecret", "sk-s\u00e9cret"])
+def test_api_key_with_control_characters_is_refused_unseen(monkeypatch, key):
+    monkeypatch.setenv("OTHER_KEY_VAR", key)
+    with pytest.raises(ValueError, match=r"\$OTHER_KEY_VAR") as excinfo:
+        http_provider([], api_key_source="OTHER_KEY_VAR")
+    assert "secret" not in str(excinfo.value)
+
+
+def test_api_key_is_read_once_when_built(monkeypatch):
+    monkeypatch.setenv(DEFAULT_API_KEY_ENV, "first")
+    provider, transport, _ = http_provider([(200, ok_body("x"))] * 2)
+    provider.complete("q")
+    monkeypatch.setenv(DEFAULT_API_KEY_ENV, "second")
+    provider.complete("q")
+    assert [r["headers"]["Authorization"] for r in transport.requests] == ["Bearer first"] * 2
+
+
+# --- Retry-After and one attempt at a time -----------------------------------------
+
+@pytest.mark.parametrize("status", [429, 503])
+@pytest.mark.parametrize(
+    "retry_after, sleeps_expected",
+    [
+        ("0", [0.0, 0.0]),
+        ("2", [2.0, 2.0]),
+        (" 1 ", [1.0, 1.0]),
+        ("60", [60.0, 60.0]),
+        ("61", [0.5, 1.0]),
+        ("Wed, 21 Oct 2026 07:28:00 GMT", [0.5, 1.0]),
+        ("-1", [0.5, 1.0]),
+        ("1.5", [0.5, 1.0]),
+        ("abc", [0.5, 1.0]),
+        ("\u0662", [0.5, 1.0]),  # a digit, but not an ASCII one
+        ("", [0.5, 1.0]),
+    ],
+)
+def test_retry_after_whole_seconds_up_to_60_are_honoured(status, retry_after, sleeps_expected):
+    provider, transport, sleeps = http_provider(
+        [(status, "busy", retry_after)] * 2 + [(200, ok_body("1-1"))], max_retries=3
+    )
+    assert provider.complete("q").attempt_count == 3
+    assert sleeps == sleeps_expected
+
+
+def test_one_attempt_raises_backoff_and_holds_no_slot():
+    provider, transport, sleeps = http_provider(
+        [(429, "", "2"), (200, ok_body("1-1"))], max_in_flight=1, max_retries=1
+    )
+    with pytest.raises(Backoff) as excinfo:
+        provider.complete("q", attempt=1)
+    assert excinfo.value.delay == 2.0
+    assert not isinstance(excinfo.value, ProviderError)
+    assert provider._slots.acquire(blocking=False)  # the one slot came back
+    provider._slots.release()
+    completion = provider.complete("q", attempt=2)
+    assert completion.raw_text == "1-1" and completion.attempt_count == 2
+    assert sleeps == []  # waiting is the caller's business
+    assert len(transport.requests) == 2
+
+
+def test_last_attempt_gives_up_instead_of_backing_off():
+    provider, _, _ = http_provider([(503, "", "0")], max_retries=2)
+    with pytest.raises(TransportError, match="gave up after 3 attempt.*HTTP 503"):
+        provider.complete("q", attempt=3)
+
+
+def test_latency_is_the_answering_attempts():
+    config = ProviderConfig(endpoint_url="https://endpoint.test/v1", max_retries=1)
+    transport = FakeTransport([(503, ""), (200, ok_body("1-1"))])
+    provider = HttpProvider(config, transport=transport, sleep=lambda _: time.sleep(0.2))
+    completion = provider.complete("q")
+    assert completion.attempt_count == 2
+    assert completion.latency < 0.2  # the backoff is not part of the call's latency
+
+
 # --- the shipped transport, against a loopback server ------------------------------
 
 def live_provider(url, **config_kwargs):
@@ -321,7 +398,7 @@ def test_pool_keeps_at_most_size_connections(chat_server):
     pool = ConnectionPool(server.url, size=2)
     with ThreadPoolExecutor(max_workers=4) as workers:
         replies = list(workers.map(lambda _: pool.request(server.url, {}, {}, 5.0), range(4)))
-    assert [status for status, _ in replies] == [200] * 4
+    assert [(status, retry_after) for status, _, retry_after in replies] == [(200, None)] * 4
     assert server.accepted == 4  # four at once, more than the pool keeps
     assert server.wait_open(2)
     pool.close()
@@ -332,6 +409,18 @@ def test_reply_is_decoded_as_utf8(chat_server):
     server = chat_server(reply="2\u20131")  # en dash, sent without a charset
     provider, _ = live_provider(server.url)
     assert provider.complete("q").raw_text == "2\u20131"
+    provider.close()
+
+
+@pytest.mark.parametrize("status, sleeps_expected", [(429, [0.0, 0.0]), (503, [0.0, 0.0]),
+                                                     (500, [0.5, 1.0])])
+def test_transport_returns_retry_after_of_429_and_503(chat_server, status, sleeps_expected):
+    server = chat_server(status=status, retry_after="0")
+    provider, sleeps = live_provider(server.url, max_retries=2)
+    with pytest.raises(TransportError, match=f"gave up after 3 attempt.*HTTP {status}"):
+        provider.complete("q")
+    assert sleeps == sleeps_expected
+    assert server.answered == 3
     provider.close()
 
 

@@ -3,13 +3,18 @@ result files."""
 
 import dataclasses
 import json
+import threading
+import time
 
 import pytest
 
 from ivroute.datagen import Dataset, IntentRecord
 from ivroute.menu import DtmfPath, flatten
 from ivroute.prompts import RoutingCondition
+from ivroute import router
 from ivroute.provider import (
+    Backoff,
+    HttpProvider,
     OracleProvider,
     Provider,
     ProviderConfig,
@@ -26,6 +31,7 @@ from ivroute.router import (
     route,
     route_all,
     route_one,
+    run_identity,
     save_results,
     select_records,
 )
@@ -296,6 +302,104 @@ def test_route_all_other_error_cancels_queued_calls(tiny_tree):
     # The single worker may have started the next call before the abort;
     # every call queued behind it is cancelled, not run.
     assert len(provider.calls) <= 1
+
+
+class QueryTransport:
+    """An HTTP transport that answers by the prompt's query: the statuses
+    queued for it in ``faults`` first, each with ``Retry-After: 0``, then a
+    200 with the reply ``1-1`` (a ``None`` queue answers 503 forever).
+    Records the queries in the order their requests arrive."""
+
+    def __init__(self, faults):
+        self.faults = {query: list(statuses) if statuses is not None else None
+                       for query, statuses in faults.items()}
+        self.queries = []
+        self._lock = threading.Lock()
+
+    def __call__(self, url, payload, headers, timeout):
+        query = payload["messages"][0]["content"].rpartition("User Query:\n")[2].strip()
+        with self._lock:
+            self.queries.append(query)
+            queued = self.faults.get(query, [])
+            status = 503 if queued is None else (queued.pop(0) if queued else 200)
+        if status != 200:
+            return status, "busy", "0"
+        return 200, json.dumps({"choices": [{"message": {"content": "1-1"}}]}), None
+
+
+def http_provider_on(transport, **config_kwargs):
+    config = ProviderConfig(endpoint_url="http://endpoint.test/v1", **config_kwargs)
+    sleeps = []
+    return HttpProvider(config, transport=transport, sleep=sleeps.append), sleeps
+
+
+def test_route_all_retry_gives_its_worker_to_the_next_intent(tiny_tree):
+    ds = tiny_dataset()
+    queries = [r.text for r in ds.records]
+    transport = QueryTransport({queries[0]: [503]})
+    provider, sleeps = http_provider_on(transport, max_in_flight=1)
+    run = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
+    assert [r.intent_id for r in run.results] == [r.id for r in ds.records]
+    # The second intent goes out while the first waits out its backoff;
+    # holding the worker through the wait would give q0, q0, q1.
+    assert transport.queries[:3] == [queries[0], queries[1], queries[0]]
+    assert len(transport.queries) == 7
+    assert sleeps == []  # route_all waits; the provider never sleeps
+
+
+def test_route_all_dead_endpoint_sees_a_bounded_window(tiny_tree):
+    ds = tiny_dataset()
+    transport = QueryTransport({r.text: None for r in ds.records})
+    provider, _ = http_provider_on(transport, max_in_flight=1, max_retries=3)
+    with pytest.raises(RoutingAborted) as excinfo:
+        route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider, error_budget=0.0)
+    assert len(excinfo.value.failures) == 1
+    assert "gave up after 4 attempt(s): HTTP 503" in excinfo.value.failures[0][1]
+    assert len(set(transport.queries)) <= 2  # router.WINDOW_PER_SLOT x max_in_flight
+
+
+class BackoffOnce(Provider):
+    """Asks every query's first attempt to back off ``delay`` seconds and
+    answers ``1-1`` on the second; records when each attempt arrived."""
+
+    def __init__(self, delay, max_in_flight):
+        super().__init__(ProviderConfig(model_name="backoff-mock", max_in_flight=max_in_flight))
+        self._delay = delay
+        self.arrivals = []  # (query, attempt, monotonic time)
+
+    def complete(self, prompt, attempt=None):
+        self.arrivals.append((prompt.query, attempt, time.monotonic()))
+        if attempt == 1:
+            raise Backoff(self._delay)
+        return super().complete(prompt, attempt)
+
+    def _request(self, text, prompt):
+        return "1-1", 1
+
+
+def test_route_all_submits_a_retry_once_it_is_due(tiny_tree):
+    ds = tiny_dataset()
+    provider = BackoffOnce(delay=0.05, max_in_flight=2)
+    run = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
+    assert [r.intent_id for r in run.results] == [r.id for r in ds.records]
+    first = {query: at for query, attempt, at in provider.arrivals if attempt == 1}
+    second = {query: at for query, attempt, at in provider.arrivals if attempt == 2}
+    assert set(first) == set(second) == {r.text for r in ds.records}
+    assert all(second[query] - first[query] >= 0.05 for query in first)
+
+
+def test_route_all_takes_the_callers_identity(tiny_tree, monkeypatch):
+    ds = tiny_dataset()
+    config = ProviderConfig(max_in_flight=1)
+    plain = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree,
+                      ScriptedProvider(["1-1"] * 6, config=config))
+    identity = run_identity(ds, tiny_tree, RoutingCondition.FLATTENED_PATHS, "all", "mock", False)
+    hashed = []
+    monkeypatch.setattr(router, "dataset_to_jsonl", lambda d: hashed.append(d) or "")
+    given = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree,
+                      ScriptedProvider(["1-1"] * 6, config=config), identity=identity)
+    assert hashed == []  # the manifest reuses the identity, it does not hash again
+    assert json.dumps({**given.manifest, "timestamp": ""}) == json.dumps({**plain.manifest, "timestamp": ""})
 
 
 # --- manifest ------------------------------------------------------------------------
