@@ -214,6 +214,10 @@ def cmd_flatten(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_intents(args: argparse.Namespace) -> int:
+    try:
+        noise = NoiseProfile() if args.noise is None else NoiseProfile(*args.noise)
+    except ValueError as exc:
+        return _fail(f"--noise: {exc}", EXIT_USAGE)
     config = _load_config_file(args.config)
     if isinstance(config, int):
         return config
@@ -225,9 +229,6 @@ def cmd_gen_intents(args: argparse.Namespace) -> int:
     if isinstance(provider, int):
         return provider
 
-    noise = NoiseProfile()
-    if args.noise is not None:
-        noise = NoiseProfile(*args.noise)
     seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     try:
         ds = build_dataset(
@@ -340,6 +341,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         try:
             manifest = json.loads(manifest_file.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError):
+            pass
+        if not isinstance(manifest, dict):  # parses, but is no manifest: ignored as unreadable
             manifest = {}
 
     if args.menu:

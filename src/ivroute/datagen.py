@@ -60,6 +60,11 @@ class NoiseProfile:
     filler_prob: float = 0.3
     grammar_error_prob: float = 0.2
 
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not 0.0 <= value <= 1.0:  # NaN fails the comparison too
+                raise ValueError(f"{name} must be within [0, 1], not {value!r}")
+
 
 DEFAULT_NOISE = NoiseProfile()
 

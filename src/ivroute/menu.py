@@ -49,6 +49,8 @@ class DtmfPath:
 
     @classmethod
     def parse(cls, text: str) -> "DtmfPath":
+        if not isinstance(text, str):
+            raise ValueError(f"not a canonical DTMF path: {text!r}")
         parts = text.split("-")
         # ASCII 0-9 only; str.isdigit would wave through unicode digits
         if not all(len(p) == 1 and "0" <= p <= "9" for p in parts):

@@ -12,23 +12,18 @@ holding a worker.
 The wire protocol of HttpProvider is the de-facto chat-completions JSON
 shape, so any compatible endpoint works: POST {"model", "messages"} with a
 bearer token, read choices[0].message.content. It goes over kept-alive
-HTTP/1.1 connections from the standard library.
+HTTP/1.1 connections, spoken by the small client in ``ivroute.httpclient``.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import logging
 import math
 import os
-import select
 import threading
 import time
 from dataclasses import dataclass
-from urllib.parse import unquote, urlsplit, urlunsplit
-
-from . import __version__
 
 log = logging.getLogger(__name__)
 
@@ -214,148 +209,6 @@ class Provider:
 
 # --- the real thing ---------------------------------------------------------
 
-class ConnectionPool:
-    """Kept-alive HTTP/1.1 connections to one endpoint, reused across calls.
-
-    ``request`` is HttpProvider's transport. A call takes the most recently
-    used idle connection, or opens one, and puts it back once the response
-    is read. At most ``size`` connections are kept, so a provider with
-    ``size`` calls in flight never holds more than that. The proxy (from
-    ``HTTP(S)_PROXY`` / ``NO_PROXY``) and the TLS context are settled here,
-    once, not per request.
-    """
-
-    def __init__(self, url: str, size: int):
-        # Imported here, not at module level: commands that never build an
-        # HTTP provider do not pay for them at startup.
-        import base64
-        import http.client
-        import urllib.request
-
-        parts = urlsplit(url)
-        if parts.scheme not in ("http", "https") or not parts.hostname:
-            raise ValueError(f"endpoint must be an http:// or https:// URL, not {url!r}")
-        tls = parts.scheme == "https"
-        self.url = url
-        self._size = size
-        self._idle: list = []
-        self._lock = threading.Lock()
-        self._errors = (OSError, http.client.HTTPException)
-        self._connection_class = http.client.HTTPSConnection if tls else http.client.HTTPConnection
-        self._options = {"context": _tls_context()} if tls else {}
-        self._address = (parts.hostname, parts.port)  # .port raises ValueError when malformed
-        self._tunnel = None
-        self._target = urlunsplit(("", "", parts.path or "/", parts.query, ""))
-        self._headers = {"User-Agent": f"ivroute/{__version__}"}
-
-        proxies = urllib.request.getproxies()
-        proxy = proxies.get(parts.scheme) or proxies.get("all")
-        if proxy and not urllib.request.proxy_bypass(parts.hostname):
-            proxy_parts = urlsplit(proxy if "://" in proxy else "http://" + proxy)
-            if proxy_parts.scheme != "http" or not proxy_parts.hostname:
-                raise ValueError(f"unsupported proxy {proxy!r}: only http:// proxies are")
-            proxy_headers = {}
-            if proxy_parts.username is not None:
-                user = f"{unquote(proxy_parts.username)}:{unquote(proxy_parts.password or '')}"
-                token = base64.b64encode(user.encode("utf-8")).decode("ascii")
-                proxy_headers["Proxy-Authorization"] = f"Basic {token}"
-            self._address = (proxy_parts.hostname, proxy_parts.port or 80)
-            if tls:  # a CONNECT tunnel through the proxy, TLS to the endpoint inside it
-                self._tunnel = (parts.hostname, parts.port, proxy_headers)
-            else:  # the proxy takes the absolute URL
-                self._target = url
-                self._headers.update(proxy_headers)
-
-    def request(self, url: str, payload: dict, headers: dict, timeout: float) -> tuple[int, str, str | None]:
-        """POST ``payload`` as JSON; (status, body decoded as UTF-8, the
-        Retry-After header of a 429 or 503 response or None)."""
-        if url != self.url:
-            raise ValueError(f"connection pool for {self.url} cannot send to {url}")
-        body = json.dumps(payload).encode("utf-8")
-        headers = {**self._headers, **headers}
-        conn, reused = self._checkout(timeout)
-        try:
-            try:
-                response = self._send(conn, body, headers)
-            except ConnectionError:
-                # The server closed a kept-alive connection between the
-                # liveness check and the request: the request was never
-                # answered, so it goes once more on a fresh connection.
-                if not reused:
-                    raise
-                conn.close()
-                conn = self._open(timeout)
-                response = self._send(conn, body, headers)
-            text = response.read().decode("utf-8", errors="replace")
-        except self._errors as exc:
-            conn.close()
-            raise TransportError(f"{type(exc).__name__}: {exc}") from exc
-        except BaseException:
-            conn.close()
-            raise
-        self._checkin(conn)
-        retry_after = response.getheader("Retry-After") if response.status in RETRY_AFTER_STATUSES else None
-        return response.status, text, retry_after
-
-    def close(self) -> None:
-        """Close every idle connection. The pool stays usable: the next
-        request opens a new one."""
-        with self._lock:
-            idle, self._idle = self._idle, []
-        for conn in idle:
-            conn.close()
-
-    def _open(self, timeout: float):
-        conn = self._connection_class(*self._address, timeout=timeout, **self._options)
-        if self._tunnel:
-            conn.set_tunnel(*self._tunnel)
-        return conn  # it connects on its first request
-
-    def _checkout(self, timeout: float):
-        """(connection, whether it is a kept-alive one)."""
-        with self._lock:
-            conn = self._idle.pop() if self._idle else None
-        if conn is not None:
-            if not _dropped(conn.sock):
-                conn.sock.settimeout(timeout)
-                return conn, True
-            conn.close()  # the server hung up while it sat idle: no attempt is spent on it
-        return self._open(timeout), False
-
-    def _checkin(self, conn) -> None:
-        with self._lock:
-            if conn.sock is not None and len(self._idle) < self._size:
-                self._idle.append(conn)
-                return
-        conn.close()
-
-    def _send(self, conn, body: bytes, headers: dict):
-        conn.request("POST", self._target, body=body, headers=headers)
-        return conn.getresponse()
-
-
-@functools.cache
-def _tls_context():
-    """The system's trust store and the default TLS settings; loading them
-    takes tens of milliseconds, so every pool shares one context."""
-    import ssl
-
-    return ssl.create_default_context()
-
-
-def _dropped(sock) -> bool:
-    """Whether an idle kept-alive socket can no longer carry a request: it
-    is gone, or it polls readable, which between requests means the
-    server's FIN (or stray bytes) arrived."""
-    if sock is None:
-        return True
-    try:
-        readable, _, _ = select.select([sock], [], [], 0)
-    except (OSError, ValueError):  # ValueError: a descriptor select() cannot watch
-        return True
-    return bool(readable)
-
-
 class HttpProvider(Provider):
     """POSTs chat-completion requests over kept-alive connections, one
     attempt per ``_request``; the base class retries transport/5xx/429
@@ -384,6 +237,8 @@ class HttpProvider(Provider):
                     f"the API key in ${config.api_key_source} holds control or non-ASCII characters"
                 )
             self._headers["Authorization"] = f"Bearer {key}"
+        from .httpclient import ConnectionPool
+
         self._connections = ConnectionPool(config.endpoint_url, config.max_in_flight)
         self._transport = transport or self._connections.request
 

@@ -410,7 +410,7 @@ def result_from_record(record: dict) -> RoutingResult:
         raw_response=record["raw_response"],
         parsed=parsed,
         predicted=predicted,
-        ground_truth=record["ground_truth"],
+        ground_truth=DtmfPath.parse(record["ground_truth"]).canonical(),  # refused like predicted
         correct=record["correct"],
         known_path=record["known_path"],
         latency=record["latency"],

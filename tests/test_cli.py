@@ -135,6 +135,16 @@ def test_gen_intents_scripted_needs_script(fixture_menu_path, capsys):
     assert "--script" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("noise", [["5", "0.3", "0.2"], ["0.3", "-1", "0.2"], ["0.3", "0.3", "nan"]])
+def test_gen_intents_noise_out_of_range_exit_2(tmp_path, fixture_menu_path, capsys, noise):
+    script = write_script(tmp_path, [])
+    code = run(["gen-intents", str(fixture_menu_path), "--provider", "scripted",
+                "--script", str(script), "--noise", *noise])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--noise" in err and "must be within [0, 1]" in err
+
+
 # --- route -----------------------------------------------------------------------------
 
 def route_args(menu, dataset, out, **extra):
@@ -333,6 +343,33 @@ def test_eval_without_menu_uses_result_classes(tmp_path, fixture_menu_path,
     report = load_report(next(run_dir.glob("eval-*")) / "report.json")
     assert len(report.matrix.true_labels) == 23  # every class appears in the fixture
     assert report.dataset_filter == "all"
+
+
+def oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path):
+    assert run(route_args(fixture_menu_path, fixture_dataset_path, tmp_path,
+                          condition="flattened", filter="base_only")) == 0
+    return next(tmp_path.glob("run-*"))
+
+
+@pytest.mark.parametrize("manifest", ["[]", '"run"', "3", "{not json"])
+def test_eval_ignores_a_manifest_that_is_no_object(tmp_path, fixture_menu_path,
+                                                   fixture_dataset_path, capsys, manifest):
+    run_dir = oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path)
+    (run_dir / "manifest.json").write_text(manifest, encoding="utf-8")
+    assert run(["eval", str(run_dir / "results.jsonl")]) == 0
+    assert "accuracy 100.00% over 230 results" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("ground_truth", ["abc", "1--2", 12, None])
+def test_eval_ground_truth_that_is_no_path_exit_1(tmp_path, fixture_menu_path,
+                                                   fixture_dataset_path, capsys, ground_truth):
+    run_dir = oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path)
+    results_file = run_dir / "results.jsonl"
+    rows = [json.loads(line) for line in results_file.read_text(encoding="utf-8").splitlines()]
+    rows[3]["ground_truth"] = ground_truth
+    results_file.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    assert run(["eval", str(results_file)]) == 1
+    assert "cannot load results" in capsys.readouterr().err
 
 
 def test_eval_empty_results_exit_1(tmp_path, capsys):

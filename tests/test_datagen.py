@@ -218,6 +218,13 @@ def test_augment_noise_directives_follow_profile():
     assert "interjection" not in provider.calls[0]
 
 
+@pytest.mark.parametrize("probs", [(5, 0.3, 0.2), (0.3, -1, 0.2), (0.3, 0.3, float("nan")),
+                                   (0.3, 0.3, 1.01)])
+def test_noise_probabilities_outside_0_1_are_refused(probs):
+    with pytest.raises(ValueError, match="must be within \\[0, 1\\]"):
+        NoiseProfile(*probs)
+
+
 # --- build_dataset ------------------------------------------------------------------
 
 def test_build_dataset_small(tiny_tree):

@@ -1,0 +1,263 @@
+"""The HTTP/1.1 client against a raw loopback socket server that sends
+scripted bytes: response framing, connection reuse, the bounds on what a
+server may send, the one-write request and the CONNECT tunnel."""
+
+import base64
+import json
+import os
+import re
+import socket
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
+import pytest
+
+import ivroute
+from ivroute.httpclient import ConnectionPool, _authority
+from ivroute.provider import TransportError
+
+from conftest import PROXY_VARIABLES
+
+
+class Close(bytes):
+    """A scripted reply after which RawServer closes the connection."""
+
+
+class RawServer:
+    """A loopback server that answers each request, in arrival order, with
+    the next bytes of ``replies``, written as they are. Records the raw
+    requests, the connections accepted and those the client closed."""
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self.listener.getsockname()[1]
+        self.url = f"http://127.0.0.1:{self.port}/v1/chat/completions"
+        self.lock = threading.Lock()
+        self.requests: list[bytes] = []
+        self.accepted = self.client_closed = 0
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    def close(self) -> None:
+        self.listener.close()
+
+    def wait_client_closed(self, count: int, timeout: float = 5.0) -> bool:
+        deadline = time.monotonic() + timeout
+        while time.monotonic() < deadline:
+            with self.lock:
+                if self.client_closed == count:
+                    return True
+            time.sleep(0.01)
+        return False
+
+    def _accept(self) -> None:
+        while True:
+            try:
+                conn, _ = self.listener.accept()
+            except OSError:
+                return  # closed
+            with self.lock:
+                self.accepted += 1
+            threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
+
+    def _serve(self, conn) -> None:
+        with conn:
+            buffer = b""
+            while True:
+                while b"\r\n\r\n" not in buffer:
+                    chunk = conn.recv(65536)
+                    if not chunk:
+                        with self.lock:
+                            self.client_closed += 1
+                        return
+                    buffer += chunk
+                head, _, rest = buffer.partition(b"\r\n\r\n")
+                length = re.search(rb"\r\nContent-Length: (\d+)", head)
+                length = int(length.group(1)) if length else 0
+                while len(rest) < length:
+                    rest += conn.recv(65536)
+                buffer = rest[length:]
+                with self.lock:
+                    self.requests.append(head + b"\r\n\r\n" + rest[:length])
+                    reply = self.replies.pop(0)
+                conn.sendall(reply)
+                if isinstance(reply, Close):
+                    return
+
+
+@pytest.fixture
+def raw_server(monkeypatch):
+    """``raw_server(replies)`` starts a RawServer; no proxy settings reach
+    the code under test."""
+    for name in PROXY_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    servers = []
+
+    def start(replies) -> RawServer:
+        servers.append(RawServer(replies))
+        return servers[-1]
+
+    yield start
+    for server in servers:
+        server.close()
+
+
+def call(pool):
+    return pool.request(pool.url, {"q": "x"}, {}, 5.0)
+
+
+def test_chunked_body_with_extension_and_trailer_keeps_the_connection(raw_server):
+    chunked = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+               b"5;name=value\r\nhello\r\n6\r\n world\r\n0\r\nX-Checksum: 1\r\n\r\n")
+    server = raw_server([chunked, chunked])
+    pool = ConnectionPool(server.url, size=1)
+    assert call(pool) == (200, "hello world", None)
+    assert call(pool) == (200, "hello world", None)
+    assert server.accepted == 1
+    pool.close()
+    assert server.wait_client_closed(1)
+
+
+@pytest.mark.parametrize("reply", [
+    b"HTTP/1.0 200 OK\r\nContent-Length: 5\r\n\r\nhello",
+    b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 5\r\n\r\nhello",
+    Close(b"HTTP/1.1 200 OK\r\n\r\nhello"),  # no length: the body runs to the close
+    Close(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip\r\n\r\nhello"),
+], ids=["http-1.0", "connection-close", "read-to-close", "other-coding"])
+def test_reply_that_ends_the_connection_is_never_reused(raw_server, reply):
+    server = raw_server([reply, reply])
+    pool = ConnectionPool(server.url, size=1)
+    assert call(pool) == (200, "hello", None)
+    assert call(pool) == (200, "hello", None)
+    assert server.accepted == 2
+    if not isinstance(reply, Close):
+        assert server.wait_client_closed(2)  # the client hung up itself
+
+
+def test_interim_100_continue_is_skipped(raw_server):
+    server = raw_server([b"HTTP/1.1 100 Continue\r\n\r\n"
+                         b"HTTP/1.1 503 Busy\r\nRetry-After: 7\r\nContent-Length: 2\r\n\r\nno"])
+    pool = ConnectionPool(server.url, size=1)
+    assert call(pool) == (503, "no", "7")
+    pool.close()
+
+
+def headers(count, size=10):
+    return b"".join(b"X-%03d: " % i + b"v" * (size - 9) + b"\r\n" for i in range(count))
+
+
+@pytest.mark.parametrize("reply", [
+    b"HTTP/1.1 200 OK\r\n" + headers(1, 65536) + b"Content-Length: 2\r\n\r\nok",
+    b"HTTP/1.1 200 OK\r\n" + headers(99) + b"Content-Length: 2\r\n\r\nok",
+], ids=["65536-byte-line", "100-headers"])
+def test_response_at_the_bounds_is_read(raw_server, reply):
+    server = raw_server([reply])
+    pool = ConnectionPool(server.url, size=1)
+    assert call(pool) == (200, "ok", None)
+    pool.close()
+
+
+@pytest.mark.parametrize("reply, message", [
+    (b"SSH-2.0-OpenSSH_9.6\r\n\r\n", "not an HTTP/1.x status line"),
+    (b"HTTP/1.1 200 OK\r\n" + headers(1, 65537) + b"Content-Length: 2\r\n\r\nok", "longer than 65536"),
+    (b"HTTP/1.1 200 OK\r\n" + headers(1, 70000), "longer than 65536"),  # no end of head in sight
+    (b"HTTP/1.1 200 OK\r\n" + headers(100) + b"Content-Length: 2\r\n\r\nok", "more than 100 header"),
+    (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n", "bad chunk size"),
+    (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0x2\r\nok\r\n0\r\n\r\n", "bad chunk size"),
+    (b"HTTP/1.1 200 OK\r\nContent-Length: 1, 2\r\n\r\nok", "bad Content-Length"),
+    (Close(b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nhello"), "closed inside the response"),
+], ids=["non-http", "65537-byte-line", "endless-line", "101-headers", "chunk-size",
+        "prefixed-chunk-size", "two-lengths", "cut-short"])
+def test_malformed_response_is_a_transport_error_that_closes_the_connection(raw_server, reply,
+                                                                          message):
+    server = raw_server([reply])
+    pool = ConnectionPool(server.url, size=1)
+    with pytest.raises(TransportError, match=f"BadResponse: .*{message}"):
+        call(pool)
+    assert pool._idle == []
+    if not isinstance(reply, Close):
+        assert server.wait_client_closed(1)
+
+
+def test_request_leaves_in_one_write_on_a_nodelay_socket(raw_server, monkeypatch):
+    writes = []
+    sendall, send = socket.socket.sendall, socket.socket.send
+    monkeypatch.setattr(socket.socket, "sendall", lambda s, data, *a: writes.append(bytes(data)) or sendall(s, data, *a))
+    monkeypatch.setattr(socket.socket, "send", lambda s, data, *a: writes.append(bytes(data)) or send(s, data, *a))
+    ok = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+    server = raw_server([ok, ok])
+    pool = ConnectionPool(server.url, size=1)
+    payload = {"model": "m", "messages": [{"role": "user", "content": "x" * 3000}]}
+    for _ in range(2):
+        assert pool.request(server.url, payload, {"Authorization": "Bearer k"}, 5.0)[:2] == (200, "ok")
+    client_writes = [data for data in writes if data.startswith(b"POST ")]
+    assert len(client_writes) == 2 and client_writes == server.requests
+    head, _, body = client_writes[0].partition(b"\r\n\r\n")
+    assert json.loads(body) == payload
+    assert head.split(b"\r\n")[1:4] == [f"Host: 127.0.0.1:{server.port}".encode(),
+                                        b"Accept-Encoding: identity",
+                                        f"Content-Length: {len(body)}".encode()]
+    assert [data for data in writes if data not in client_writes] == [ok, ok]  # the server's
+    assert pool._idle[0].sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+    pool.close()
+
+
+def test_header_value_with_a_line_break_is_refused_unsent(raw_server):
+    server = raw_server([])
+    pool = ConnectionPool(server.url, size=1)
+    with pytest.raises(ValueError, match="'X-Key' holds a line break") as error:
+        pool.request(server.url, {}, {"X-Key": "sekrit\r\nX-Evil: 1"}, 5.0)
+    assert "sekrit" not in str(error.value)
+    assert server.accepted == 0
+
+
+@pytest.mark.parametrize("host, port, default, authority", [
+    ("example.test", 80, 80, "example.test"),
+    ("example.test", 8080, 80, "example.test:8080"),
+    ("::1", 443, 443, "[::1]"),
+    ("::1", 8443, 443, "[::1]:8443"),
+    ("bücher.example", 443, None, "xn--bcher-kva.example:443"),
+])
+def test_authority_of_host_header_and_connect_target(host, port, default, authority):
+    assert _authority(host, port, default) == authority
+
+
+@pytest.mark.parametrize("reply, message", [
+    (b"HTTP/1.1 407 Proxy Authentication Required\r\nContent-Length: 0\r\n\r\n",
+     "refused the tunnel: HTTP 407"),
+    (b"HTTP/1.1 200 Connection established\r\n\r\n\x16\x03\x01", "bytes past its CONNECT reply"),
+])
+def test_tunnel_sends_connect_and_refuses_a_bad_reply(raw_server, monkeypatch, reply, message):
+    proxy = raw_server([reply])
+    monkeypatch.setenv("HTTPS_PROXY", f"http://ivr:pw@127.0.0.1:{proxy.port}")
+    pool = ConnectionPool("https://endpoint.test/v1/chat/completions", size=1)
+    with pytest.raises(TransportError, match=message):
+        call(pool)
+    assert proxy.requests == [b"CONNECT endpoint.test:443 HTTP/1.1\r\nHost: endpoint.test:443\r\n"
+                              b"Proxy-Authorization: Basic " + base64.b64encode(b"ivr:pw")
+                              + b"\r\n\r\n"]
+    assert proxy.wait_client_closed(1)
+
+
+PROXY_PROBE = """
+import sys
+from ivroute.httpclient import ConnectionPool
+ConnectionPool(sys.argv[1], size=1)
+print("urllib.request" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("variable, loaded", [(None, False), ("NO_PROXY", False),
+                                              ("https_proxy", False), ("HTTP_PROXY", True),
+                                              ("all_proxy", True)])
+def test_urllib_is_imported_only_when_a_proxy_may_apply(variable, loaded):
+    env = {name: value for name, value in os.environ.items() if name not in PROXY_VARIABLES}
+    env["PYTHONPATH"] = str(Path(ivroute.__file__).resolve().parents[1])
+    if variable:
+        env[variable] = "http://127.0.0.1:9"
+    child = subprocess.run([sys.executable, "-c", PROXY_PROBE, "http://127.0.0.1:8/v1"], env=env,
+                           capture_output=True, text=True, timeout=60)
+    assert child.stdout.split() == [str(loaded)], child.stderr

@@ -23,7 +23,6 @@ from ivroute.provider import (
     DEFAULT_API_KEY_ENV,
     Backoff,
     Completion,
-    ConnectionPool,
     HttpProvider,
     KeywordProvider,
     OracleProvider,
@@ -34,9 +33,9 @@ from ivroute.provider import (
     ScriptedProvider,
     TokenBucket,
     TransportError,
-    _dropped,
     check_role_separation,
 )
+from ivroute.httpclient import ConnectionPool, _dropped
 
 from ivroute.router import RoutingAborted, route_all
 
@@ -500,6 +499,31 @@ def test_cli_http_route_never_imports_requests(chat_server, tmp_path,
     assert "routed 230 intents" in child.stdout
     assert "loaded: []" in child.stdout
     assert server.answered == 230
+
+
+ROUTE_LOADS_IN_CHILD = """
+import sys
+from ivroute.cli import main
+code = main(sys.argv[1:])
+print("loaded:", sorted(m for m in ("ssl", "http.client", "email", "urllib.request") if m in sys.modules))
+sys.exit(code)
+"""
+
+
+def test_cli_http_route_loads_no_ssl_http_client_email_or_urllib(chat_server, tmp_path,
+                                                                  fixture_menu_path,
+                                                                  fixture_dataset_path):
+    server = chat_server()
+    src = str(Path(ivroute.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)  # the fixture took out every proxy setting
+    argv = ["route", "--menu", str(fixture_menu_path), "--dataset", str(fixture_dataset_path),
+            "--filter", "base_only", "--provider", "http", "--endpoint", server.url,
+            "--out", str(tmp_path)]
+    child = subprocess.run([sys.executable, "-c", ROUTE_LOADS_IN_CHILD, *argv], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert "routed 230 intents" in child.stdout
+    assert "loaded: []" in child.stdout
 
 
 # --- deterministic doubles --------------------------------------------------------
