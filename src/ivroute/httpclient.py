@@ -16,11 +16,12 @@ import json
 import os
 import select
 import socket
+import sys
 import threading
 from urllib.parse import unquote, urlsplit, urlunsplit
 
 from . import __version__
-from .provider import RETRY_AFTER_STATUSES, TransportError
+from .provider import RETRY_AFTER_STATUSES, ProtocolError, TransportError
 
 # Bounds on what the server sends, as http.client has them: one status,
 # header, chunk-size or trailer line (its line ending counted) and the
@@ -269,6 +270,12 @@ class ConnectionPool:
         except BaseException as exc:
             if conn is not None:
                 conn.close()
+            # A certificate that failed verification fails again, so it is
+            # not retried. Any TLS connection has loaded ssl; looking it up
+            # instead of importing it keeps ssl out of http:// runs.
+            ssl = sys.modules.get("ssl")
+            if ssl is not None and isinstance(exc, ssl.SSLCertVerificationError):
+                raise ProtocolError(f"TLS certificate refused: {exc}") from exc
             if isinstance(exc, (OSError, BadResponse)):
                 raise TransportError(f"{type(exc).__name__}: {exc}") from exc
             raise

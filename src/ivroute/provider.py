@@ -21,6 +21,7 @@ import json
 import logging
 import math
 import os
+import random
 import threading
 import time
 from dataclasses import dataclass
@@ -67,18 +68,20 @@ class Backoff(Exception):
         self.delay = delay
 
 
-def retry_delay(attempt: int, retry_after: str | None = None) -> float:
+def retry_delay(attempt: int, retry_after: str | None, rng: random.Random) -> float:
     """Seconds to wait after failed attempt ``attempt`` (1-based).
 
     The server's Retry-After when it is whole seconds within
-    [0, MAX_RETRY_AFTER_S]; otherwise (none sent, an HTTP-date, a negative
-    number, text, or longer) 0.5 s doubling per attempt to a cap of 8 s.
+    [0, MAX_RETRY_AFTER_S], exactly; otherwise (none sent, an HTTP-date, a
+    negative number, text, or longer) a uniform draw from ``rng`` below a
+    cap of 0.5 s doubling per attempt to 8 s ("full jitter"), so calls that
+    fail together do not all come back together.
     """
     if retry_after is not None:
         value = retry_after.strip()
         if value.isascii() and value.isdigit() and int(value) <= MAX_RETRY_AFTER_S:
             return float(int(value))
-    return min(0.5 * 2 ** (attempt - 1), 8.0)
+    return rng.uniform(0.0, min(0.5 * 2 ** (attempt - 1), 8.0))
 
 
 @dataclass(frozen=True)
@@ -138,9 +141,11 @@ class TokenBucket:
 
 class Provider:
     """Shared plumbing: in-flight bound, rate limiting, latency bookkeeping
-    and the retry policy."""
+    and the retry policy. ``sleep`` and ``rng``, the source of the backoff
+    jitter (an unseeded ``random.Random`` by default), are injectable for
+    tests."""
 
-    def __init__(self, config: ProviderConfig | None = None, sleep=time.sleep):
+    def __init__(self, config: ProviderConfig | None = None, sleep=time.sleep, rng=None):
         self.config = config or ProviderConfig()
         self._slots = threading.BoundedSemaphore(self.config.max_in_flight)
         self._bucket = TokenBucket(self.config.requests_per_second)
@@ -148,6 +153,7 @@ class Provider:
         self._in_flight = 0
         self.peak_in_flight = 0
         self._sleep = sleep
+        self._rng = rng or random.Random()
 
     def complete(self, prompt, attempt: int | None = None) -> Completion:
         """Run one completion. ``prompt`` is a PromptText or a plain string.
@@ -188,7 +194,7 @@ class Provider:
         except TransportError as exc:
             if attempt > self.config.max_retries:
                 raise TransportError(f"gave up after {attempt} attempt(s): {exc}") from exc
-            raise Backoff(retry_delay(attempt, exc.retry_after)) from exc
+            raise Backoff(retry_delay(attempt, exc.retry_after, self._rng)) from exc
         return Completion(
             raw_text=raw,
             model_name=self.config.model_name,
@@ -225,10 +231,10 @@ class HttpProvider(Provider):
     the variable, never the value.
     """
 
-    def __init__(self, config: ProviderConfig, transport=None, sleep=time.sleep):
+    def __init__(self, config: ProviderConfig, transport=None, sleep=time.sleep, rng=None):
         if not config.endpoint_url:
             raise ValueError("HttpProvider needs an endpoint_url")
-        super().__init__(config, sleep)
+        super().__init__(config, sleep, rng)
         self._headers = {"Content-Type": "application/json"}
         key = os.environ.get(config.api_key_source, "")
         if key:

@@ -41,10 +41,10 @@ log = logging.getLogger(__name__)
 
 INVALID = "INVALID"
 
-# Intents route_all keeps in progress per in-flight slot, counting those
-# waiting out a backoff: enough to keep every worker fed while some wait,
-# and few enough that a dead endpoint sees a bounded number of intents
-# before the error budget stops the run.
+# Intents route_all keeps in progress per in-flight slot: enough to keep
+# every worker fed. Those waiting out a backoff count too while the endpoint
+# is failing, so a dead endpoint sees a bounded number of intents before the
+# error budget stops the run.
 WINDOW_PER_SLOT = 2
 
 # ASCII digits only; \d would admit unicode digits like fullwidth 3
@@ -238,9 +238,12 @@ def route_all(
     The context is rendered once and reused. Work runs on a thread pool of
     the provider's max_in_flight workers, one provider attempt per task;
     completion order does not affect output order. At most WINDOW_PER_SLOT
-    x max_in_flight intents are in progress at once. An attempt that asks
+    x max_in_flight intents are submitted at once. An attempt that asks
     for a backoff gives its worker back and is submitted again when its
-    delay has passed, ahead of intents not yet started. Provider failures
+    delay has passed, ahead of intents not yet started. While the endpoint
+    is failing, that is while the latest attempt to finish brought no
+    result, intents waiting out a backoff count against that window too,
+    so new intents wait for the endpoint to answer again. Provider failures
     are tolerated up to ``error_budget`` (a fraction of the selected
     calls); one failure past the budget aborts the run with the completed
     results attached, and retries still waiting are dropped.
@@ -267,6 +270,7 @@ def route_all(
     running = {}  # future -> (record index, attempt)
     waiting: list[tuple[float, int, int]] = []  # heap of (due time, record index, attempt)
     next_index = 0
+    failing = False  # the latest attempt to finish brought no result
 
     pool = ThreadPoolExecutor(max_workers=provider.config.max_in_flight)
 
@@ -282,7 +286,7 @@ def route_all(
             while waiting and waiting[0][0] <= now:
                 _, index, attempt = heapq.heappop(waiting)
                 submit(index, attempt)
-            while next_index < len(records) and len(running) + len(waiting) < window:
+            while next_index < len(records) and len(running) + (len(waiting) if failing else 0) < window:
                 submit(next_index, 1)
                 next_index += 1
             if not running and not waiting:
@@ -294,8 +298,10 @@ def route_all(
             done, _ = wait(running, timeout=timeout, return_when=FIRST_COMPLETED)
             for future in done:
                 index, attempt = running.pop(future)
+                failing = True
                 try:
                     slots[index] = future.result()
+                    failing = False
                 except Backoff as backoff:
                     heapq.heappush(waiting, (time.monotonic() + backoff.delay, index, attempt + 1))
                 except ProviderError as exc:
@@ -397,8 +403,20 @@ def result_to_record(result: RoutingResult) -> dict:
 
 
 def result_from_record(record: dict) -> RoutingResult:
+    """The result a results-file row holds. A row whose ``correct`` is not
+    the bool ``predicted == ground_truth`` is refused with ValueError, so
+    accuracy is graded from the evidence, not from a stored flag."""
     predicted = record["predicted"]
     path = None if predicted == INVALID else DtmfPath.parse(predicted)
+    ground_truth = DtmfPath.parse(record["ground_truth"]).canonical()  # refused like predicted
+    correct = record["correct"]
+    if not isinstance(correct, bool):
+        raise ValueError(f"intent {record['intent_id']}: correct must be true or false, not {correct!r}")
+    if correct != (predicted == ground_truth):
+        raise ValueError(
+            f"intent {record['intent_id']}: correct is {str(correct).lower()} but "
+            f"{predicted} was predicted for {ground_truth}"
+        )
     parsed = ParsedResponse(
         raw_text=record["raw_response"],
         path=path,
@@ -410,8 +428,8 @@ def result_from_record(record: dict) -> RoutingResult:
         raw_response=record["raw_response"],
         parsed=parsed,
         predicted=predicted,
-        ground_truth=DtmfPath.parse(record["ground_truth"]).canonical(),  # refused like predicted
-        correct=record["correct"],
+        ground_truth=ground_truth,
+        correct=correct,
         known_path=record["known_path"],
         latency=record["latency"],
         model_name=record["model_name"],

@@ -351,6 +351,12 @@ def oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path):
     return next(tmp_path.glob("run-*"))
 
 
+def rewrite_row(results_file, index, **fields):
+    rows = [json.loads(line) for line in results_file.read_text(encoding="utf-8").splitlines()]
+    rows[index].update(fields)
+    results_file.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+
+
 @pytest.mark.parametrize("manifest", ["[]", '"run"', "3", "{not json"])
 def test_eval_ignores_a_manifest_that_is_no_object(tmp_path, fixture_menu_path,
                                                    fixture_dataset_path, capsys, manifest):
@@ -365,9 +371,29 @@ def test_eval_ground_truth_that_is_no_path_exit_1(tmp_path, fixture_menu_path,
                                                    fixture_dataset_path, capsys, ground_truth):
     run_dir = oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path)
     results_file = run_dir / "results.jsonl"
-    rows = [json.loads(line) for line in results_file.read_text(encoding="utf-8").splitlines()]
-    rows[3]["ground_truth"] = ground_truth
-    results_file.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    rewrite_row(results_file, 3, ground_truth=ground_truth)
+    assert run(["eval", str(results_file)]) == 1
+    assert "cannot load results" in capsys.readouterr().err
+
+
+def test_eval_prediction_edited_against_its_flag_exit_1(tmp_path, fixture_menu_path,
+                                                        fixture_dataset_path, capsys):
+    run_dir = oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path)
+    results_file = run_dir / "results.jsonl"
+    truth = json.loads(results_file.read_text(encoding="utf-8").splitlines()[3])["ground_truth"]
+    wrong = "1-2" if truth == "1-1" else "1-1"
+    rewrite_row(results_file, 3, predicted=wrong)  # "correct": true left in place
+    assert run(["eval", str(results_file)]) == 1
+    err = capsys.readouterr().err
+    assert "cannot load results" in err and f"{wrong} was predicted" in err
+
+
+@pytest.mark.parametrize("flag", ["no", "true", 1, None])
+def test_eval_correct_flag_that_is_no_bool_exit_1(tmp_path, fixture_menu_path,
+                                                  fixture_dataset_path, capsys, flag):
+    run_dir = oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path)
+    results_file = run_dir / "results.jsonl"
+    rewrite_row(results_file, 3, correct=flag)
     assert run(["eval", str(results_file)]) == 1
     assert "cannot load results" in capsys.readouterr().err
 

@@ -5,6 +5,7 @@ rate limiting, and role separation."""
 import base64
 import json
 import os
+import random
 import socket
 import subprocess
 import sys
@@ -34,6 +35,7 @@ from ivroute.provider import (
     TokenBucket,
     TransportError,
     check_role_separation,
+    retry_delay,
 )
 from ivroute.httpclient import ConnectionPool, _dropped
 
@@ -66,7 +68,16 @@ class FakeTransport:
         return item if len(item) == 3 else (*item, None)
 
 
-def http_provider(responses, **config_kwargs):
+class CapRng(random.Random):
+    """Draws every backoff at its cap, so jittered delays are exact."""
+
+    def uniform(self, a, b):
+        return b
+
+
+def http_provider(responses, rng=None, **config_kwargs):
+    """An HttpProvider on a FakeTransport; backoff sleeps are recorded,
+    drawn at their caps unless another ``rng`` is given."""
     config = ProviderConfig(
         endpoint_url="https://endpoint.test/v1/chat/completions",
         model_name=config_kwargs.pop("model_name", "test-model"),
@@ -74,7 +85,7 @@ def http_provider(responses, **config_kwargs):
     )
     transport = FakeTransport(responses)
     sleeps = []
-    provider = HttpProvider(config, transport=transport, sleep=sleeps.append)
+    provider = HttpProvider(config, transport=transport, sleep=sleeps.append, rng=rng or CapRng())
     return provider, transport, sleeps
 
 
@@ -180,6 +191,35 @@ def test_backoff_doubles_and_caps():
     provider, _, sleeps = http_provider(failures, max_retries=5)
     provider.complete("q")
     assert sleeps == [0.5, 1.0, 2.0, 4.0, 8.0]
+
+
+BACKOFF_CAPS = [0.5, 1.0, 2.0, 4.0, 8.0, 8.0]
+
+
+def test_jittered_backoff_spreads_below_a_doubling_cap():
+    rng = random.Random(6)
+    for attempt, cap in enumerate(BACKOFF_CAPS, start=1):
+        draws = [retry_delay(attempt, None, rng) for _ in range(200)]
+        assert all(0.0 <= delay <= cap for delay in draws)
+        assert min(draws) < 0.1 * cap and max(draws) > 0.9 * cap  # the whole range, full jitter
+    assert [retry_delay(attempt, None, CapRng()) for attempt in range(1, 7)] == BACKOFF_CAPS
+
+
+@pytest.mark.parametrize("retry_after, delay", [("0", 0.0), ("3", 3.0), ("60", 60.0)])
+def test_honoured_retry_after_is_exact_not_jittered(retry_after, delay):
+    for attempt in range(1, 7):
+        assert retry_delay(attempt, retry_after, random.Random(attempt)) == delay
+
+
+def test_calls_that_fail_together_back_off_apart():
+    provider, _, _ = http_provider([(503, "busy")] * 2, rng=random.Random(8), max_retries=3)
+    delays = []
+    for query in ("q0", "q1"):
+        with pytest.raises(Backoff) as excinfo:
+            provider.complete(query, attempt=1)
+        delays.append(excinfo.value.delay)
+    assert delays[0] != delays[1]
+    assert all(0.0 <= delay <= 0.5 for delay in delays)
 
 
 def test_retries_exhausted_raises_transport_error():
@@ -315,10 +355,11 @@ def test_latency_is_the_answering_attempts():
 # --- the shipped transport, against a loopback server ------------------------------
 
 def live_provider(url, **config_kwargs):
-    """An HttpProvider on its own transport; backoff sleeps are recorded."""
+    """An HttpProvider on its own transport; backoff sleeps are recorded,
+    drawn at their caps."""
     config = ProviderConfig(endpoint_url=url, model_name="test-model", **config_kwargs)
     sleeps = []
-    return HttpProvider(config, sleep=sleeps.append), sleeps
+    return HttpProvider(config, sleep=sleeps.append, rng=CapRng()), sleeps
 
 
 def closed_port() -> int:
@@ -428,6 +469,27 @@ def test_closed_port_is_a_transport_error_after_the_retries(chat_server):  # no 
     with pytest.raises(TransportError, match="gave up after 3 attempt.*ConnectionRefusedError"):
         provider.complete("q")
     assert sleeps == [0.5, 1.0]
+
+
+def test_refused_certificate_is_one_attempt_not_retried(monkeypatch):
+    import ssl
+
+    provider, sleeps = live_provider("https://endpoint.test/v1", max_retries=3)
+    opened = []
+
+    def refuse(timeout):
+        opened.append(timeout)
+        raise ssl.SSLCertVerificationError(
+            1, "[SSL: CERTIFICATE_VERIFY_FAILED] certificate verify failed: self-signed certificate"
+        )
+
+    monkeypatch.setattr(provider._connections, "_open", refuse)
+    with pytest.raises(ProtocolError, match="TLS certificate refused.*self-signed") as excinfo:
+        provider.complete("q", attempt=1)  # a ProtocolError, not a Backoff
+    assert isinstance(excinfo.value.__cause__, ssl.SSLCertVerificationError)
+    with pytest.raises(ProtocolError):
+        provider.complete("q")
+    assert len(opened) == 2 and sleeps == []
 
 
 def test_http_proxy_from_environment_gets_the_absolute_url(chat_server, monkeypatch):

@@ -3,6 +3,7 @@ result files."""
 
 import dataclasses
 import json
+import math
 import threading
 import time
 
@@ -358,28 +359,65 @@ def test_route_all_dead_endpoint_sees_a_bounded_window(tiny_tree):
     assert len(set(transport.queries)) <= 2  # router.WINDOW_PER_SLOT x max_in_flight
 
 
-class BackoffOnce(Provider):
-    """Asks every query's first attempt to back off ``delay`` seconds and
-    answers ``1-1`` on the second; records when each attempt arrived."""
+class BackoffProvider(Provider):
+    """Asks the first ``backoffs.get(query, 0)`` attempts of a query to back
+    off ``delay`` seconds, giving up instead past max_retries; every other
+    attempt answers ``1-1`` after ``latency`` seconds. Records when each
+    attempt arrived."""
 
-    def __init__(self, delay, max_in_flight):
+    def __init__(self, delay, backoffs, max_in_flight, latency=0.0):
         super().__init__(ProviderConfig(model_name="backoff-mock", max_in_flight=max_in_flight))
         self._delay = delay
+        self._backoffs = backoffs
+        self._latency = latency
         self.arrivals = []  # (query, attempt, monotonic time)
 
     def complete(self, prompt, attempt=None):
         self.arrivals.append((prompt.query, attempt, time.monotonic()))
-        if attempt == 1:
+        if attempt <= self._backoffs.get(prompt.query, 0):
+            if attempt > self.config.max_retries:
+                raise ProviderError(f"gave up after {attempt} attempt(s)")
             raise Backoff(self._delay)
         return super().complete(prompt, attempt)
 
     def _request(self, text, prompt):
+        time.sleep(self._latency)
         return "1-1", 1
+
+
+def test_route_all_dead_endpoint_whose_retries_wait_sees_a_bounded_window(tiny_tree):
+    ds = tiny_dataset()
+    dead = dict.fromkeys((r.text for r in ds.records), math.inf)
+    provider = BackoffProvider(delay=0.05, backoffs=dead, max_in_flight=1)
+    with pytest.raises(RoutingAborted) as excinfo:
+        route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider, error_budget=0.0)
+    assert excinfo.value.failures[0][1].endswith("gave up after 4 attempt(s)")
+    # Retries waiting on a failing endpoint fill the window of
+    # router.WINDOW_PER_SLOT x max_in_flight: no third intent is started.
+    assert len({query for query, _, _ in provider.arrivals}) <= 2
+
+
+def test_route_all_keeps_starting_intents_while_retries_wait_on_a_healthy_endpoint(tiny_tree):
+    ds = tiny_dataset()
+    queries = [r.text for r in ds.records]
+    # A window's worth of intents (2 at max_in_flight=1) back off once, each
+    # followed by an intent that is answered. Were waiting retries always
+    # counted against the window, the two of them would hold back every
+    # intent after the third until a retry came back.
+    provider = BackoffProvider(delay=0.3, backoffs={queries[0]: 1, queries[2]: 1},
+                               max_in_flight=1, latency=0.02)
+    run = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
+    assert [r.intent_id for r in run.results] == [r.id for r in ds.records]
+    first = {query: at for query, attempt, at in provider.arrivals if attempt == 1}
+    assert set(first) == set(queries)
+    first_retry_due = min(first[queries[0]], first[queries[2]]) + 0.3
+    assert max(first.values()) < first_retry_due
 
 
 def test_route_all_submits_a_retry_once_it_is_due(tiny_tree):
     ds = tiny_dataset()
-    provider = BackoffOnce(delay=0.05, max_in_flight=2)
+    provider = BackoffProvider(delay=0.05, backoffs=dict.fromkeys((r.text for r in ds.records), 1),
+                               max_in_flight=2)
     run = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
     assert [r.intent_id for r in run.results] == [r.id for r in ds.records]
     first = {query: at for query, attempt, at in provider.arrivals if attempt == 1}
