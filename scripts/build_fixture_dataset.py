@@ -23,9 +23,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from ivroute.datagen import _dedup_key, build_dataset, save_dataset, validate_dataset
+from ivroute.datagen import save_dataset, validate_dataset
 from ivroute.menu import flatten, load_menu
 from ivroute.provider import ProviderConfig, ScriptedProvider
+from ivroute.synthesis import _dedup_key, build_dataset
 
 SEED = 20240817
 PER_NODE = 10

@@ -14,14 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .datagen import (
-    NoiseProfile,
-    build_dataset,
-    load_dataset,
-    save_dataset,
-    validate_dataset,
-)
-from .evaluation import accuracy, build_report, emit_report, format_percent
+from .datagen import load_dataset, save_dataset, validate_dataset
 from .menu import (
     MenuFormatError,
     MenuTree,
@@ -45,6 +38,8 @@ from .provider import (
 )
 from .router import (
     RoutingAborted,
+    accuracy,
+    format_percent,
     route,
     route_all,
     render_context,
@@ -214,6 +209,8 @@ def cmd_flatten(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_intents(args: argparse.Namespace) -> int:
+    from .synthesis import NoiseProfile, build_dataset  # only this command synthesizes
+
     try:
         noise = NoiseProfile() if args.noise is None else NoiseProfile(*args.noise)
     except ValueError as exc:
@@ -314,8 +311,10 @@ def cmd_route(args: argparse.Namespace) -> int:
     (run_dir / "manifest.json").write_text(
         json.dumps(run.manifest, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
     )
-    share = accuracy(run.results)
-    print(f"routed {len(run.results)} intents, accuracy {format_percent(share)}%")
+    if not run.results:  # every failure fit in the error budget, so nothing can be scored
+        failures = len(run.manifest["failures"])
+        return _fail(f"no intent was routed ({failures} provider failure(s)); see {run_dir}", EXIT_FAILURE)
+    print(f"routed {len(run.results)} intents, accuracy {format_percent(accuracy(run.results))}%")
     print(f"run directory: {run_dir}")
     return EXIT_OK
 
@@ -325,6 +324,8 @@ def _numeric_path_key(label: str) -> tuple[int, ...]:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .evaluation import build_report, emit_report  # only this command scores a report
+
     results_file = Path(args.results)
     if not results_file.is_file():
         return _fail(f"no such results file: {results_file}", EXIT_USAGE)

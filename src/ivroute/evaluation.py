@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .router import INVALID, RoutingResult
+from .router import INVALID, RoutingResult, accuracy, format_percent
 
 UNKNOWN_PATH = "UNKNOWN_PATH"
 
@@ -68,12 +68,6 @@ class EvalReport:
     condition: str
     dataset_filter: str
     model_name: str
-
-
-def accuracy(results: Sequence[RoutingResult]) -> float:
-    if not results:
-        raise ValueError("no results to score")
-    return sum(1 for r in results if r.correct) / len(results)
 
 
 def confusion_matrix(
@@ -150,10 +144,6 @@ def build_report(
         dataset_filter=dataset_filter,
         model_name=model_name,
     )
-
-
-def format_percent(fraction: float) -> str:
-    return f"{fraction * 100:.2f}"
 
 
 # --- emission ------------------------------------------------------------------

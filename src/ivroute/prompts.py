@@ -38,14 +38,6 @@ def load_template(name: str) -> str:
     return text.rstrip("\n")
 
 
-def template_descriptive() -> str:
-    return load_template("template_descriptive.txt")
-
-
-def template_flattened() -> str:
-    return load_template("template_flattened.txt")
-
-
 # condition -> (template file, context placeholder, error for an empty context)
 _TEMPLATES = {
     RoutingCondition.DESCRIPTIVE_MENU: ("template_descriptive.txt", "{{MENU}}", "menu_text is empty"),
@@ -59,16 +51,6 @@ def _clean_query(query: str) -> str:
     if not cleaned.strip():
         raise ValueError("query is empty")
     return cleaned
-
-
-def build_descriptive_prompt(menu_text: str, query: str) -> PromptText:
-    """Fill template 1 with the full hierarchical menu text and the query."""
-    return build_prompt(RoutingCondition.DESCRIPTIVE_MENU, menu_text, query)
-
-
-def build_flattened_prompt(paths_text: str, query: str) -> PromptText:
-    """Fill template 2 with the flattened path list and the query."""
-    return build_prompt(RoutingCondition.FLATTENED_PATHS, paths_text, query)
 
 
 def build_prompt(condition: RoutingCondition, context_text: str, query: str) -> PromptText:

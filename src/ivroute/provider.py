@@ -18,15 +18,12 @@ HTTP/1.1 connections, spoken by the small client in ``ivroute.httpclient``.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import os
 import random
 import threading
 import time
 from dataclasses import dataclass
-
-log = logging.getLogger(__name__)
 
 DEFAULT_API_KEY_ENV = "IVR_LLM_API_KEY"
 

@@ -15,14 +15,14 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
-import logging
 import math
 import re
+import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .datagen import Dataset, IntentRecord, dataset_to_jsonl, validate_dataset
 from .menu import (
@@ -36,8 +36,6 @@ from .menu import (
 )
 from .prompts import PromptText, RoutingCondition, build_prompt
 from .provider import Backoff, Completion, Provider, ProviderError
-
-log = logging.getLogger(__name__)
 
 INVALID = "INVALID"
 
@@ -208,6 +206,16 @@ class RoutingRun:
     manifest: dict
 
 
+def accuracy(results: Sequence[RoutingResult]) -> float:
+    if not results:
+        raise ValueError("no results to score")
+    return sum(1 for r in results if r.correct) / len(results)
+
+
+def format_percent(fraction: float) -> str:
+    return f"{fraction * 100:.2f}"
+
+
 def select_records(ds: Dataset, record_filter: str) -> list[IntentRecord]:
     if record_filter == "base_only":
         return [r for r in ds.records if r.origin == "base"]
@@ -235,18 +243,19 @@ def route_all(
 ) -> RoutingRun:
     """Route every selected record and return results in dataset order.
 
-    The context is rendered once and reused. Work runs on a thread pool of
-    the provider's max_in_flight workers, one provider attempt per task;
-    completion order does not affect output order. At most WINDOW_PER_SLOT
-    x max_in_flight intents are submitted at once. An attempt that asks
-    for a backoff gives its worker back and is submitted again when its
-    delay has passed, ahead of intents not yet started. While the endpoint
-    is failing, that is while the latest attempt to finish brought no
-    result, intents waiting out a backoff count against that window too,
-    so new intents wait for the endpoint to answer again. Provider failures
-    are tolerated up to ``error_budget`` (a fraction of the selected
-    calls); one failure past the budget aborts the run with the completed
-    results attached, and retries still waiting are dropped.
+    The context is rendered once and reused. Up to max_in_flight worker
+    threads take one provider attempt at a time, in submission order, and
+    there is no scheduling thread: after each attempt its worker records
+    the outcome and submits what is due. At most WINDOW_PER_SLOT x
+    max_in_flight intents are submitted at once. An attempt that asks for
+    a backoff gives its worker back and is submitted again when its delay
+    has passed, ahead of intents not yet started. While the endpoint is
+    failing, that is while the latest attempt to finish brought no result,
+    intents waiting out a backoff count against that window too. Provider
+    failures are tolerated up to ``error_budget`` (a fraction of the
+    selected calls); one failure past the budget aborts the run with the
+    completed results attached, and queued tasks and waiting retries are
+    dropped.
 
     ``identity``, the ``run_identity`` of these inputs when the caller has
     it already, saves hashing them again for the manifest.
@@ -267,59 +276,85 @@ def route_all(
 
     slots: list[RoutingResult | None] = [None] * len(records)
     failures: list[tuple[str, str]] = []
-    running = {}  # future -> (record index, attempt)
+    # The state below is shared by the workers and guarded by ``lock``.
+    lock = threading.Condition()
+    tasks: deque[tuple[int, int]] = deque()  # submitted (record index, attempt), not yet taken
     waiting: list[tuple[float, int, int]] = []  # heap of (due time, record index, attempt)
+    submitted = 0  # tasks queued or running
     next_index = 0
     failing = False  # the latest attempt to finish brought no result
+    error: BaseException | None = None  # what aborts the run
 
-    pool = ThreadPoolExecutor(max_workers=provider.config.max_in_flight)
-
-    def submit(index: int, attempt: int) -> None:
-        future = pool.submit(
-            route_one, records[index], condition, context, provider, known, lenient, attempt
-        )
-        running[future] = (index, attempt)
-
-    try:
-        while True:
-            now = time.monotonic()
-            while waiting and waiting[0][0] <= now:
-                _, index, attempt = heapq.heappop(waiting)
-                submit(index, attempt)
-            while next_index < len(records) and len(running) + (len(waiting) if failing else 0) < window:
-                submit(next_index, 1)
-                next_index += 1
-            if not running and not waiting:
-                break
-            timeout = waiting[0][0] - now if waiting else None
-            if not running:
-                time.sleep(timeout)
-                continue
-            done, _ = wait(running, timeout=timeout, return_when=FIRST_COMPLETED)
-            for future in done:
-                index, attempt = running.pop(future)
-                failing = True
+    def work() -> None:
+        nonlocal submitted, next_index, failing, error
+        with lock:
+            while error is None:
+                now = time.monotonic()
+                while waiting and waiting[0][0] <= now:
+                    _, index, attempt = heapq.heappop(waiting)
+                    tasks.append((index, attempt))
+                    submitted += 1
+                while next_index < len(records) and submitted + (len(waiting) if failing else 0) < window:
+                    tasks.append((next_index, 1))
+                    next_index += 1
+                    submitted += 1
+                if not tasks:
+                    if not waiting and not submitted:
+                        break  # every intent is done
+                    lock.wait(waiting[0][0] - now if waiting else None)
+                    continue
+                index, attempt = tasks.popleft()
+                lock.notify(len(tasks))  # idle workers take the rest
+                lock.release()
                 try:
-                    slots[index] = future.result()
-                    failing = False
-                except Backoff as backoff:
-                    heapq.heappush(waiting, (time.monotonic() + backoff.delay, index, attempt + 1))
-                except ProviderError as exc:
-                    failures.append((records[index].id, str(exc)))
+                    outcome = route_one(records[index], condition, context, provider, known, lenient, attempt)
+                except BaseException as exc:  # Backoff, ProviderError, or what aborts the run
+                    outcome = exc
+                lock.acquire()
+                if error is not None:
+                    break
+                submitted -= 1
+                failing = not isinstance(outcome, RoutingResult)
+                if not failing:
+                    slots[index] = outcome
+                elif isinstance(outcome, Backoff):
+                    heapq.heappush(waiting, (time.monotonic() + outcome.delay, index, attempt + 1))
+                    lock.notify()  # a worker waiting for a later retry times its wait again
+                elif not isinstance(outcome, ProviderError):
+                    error = outcome
+                else:
+                    failures.append((records[index].id, str(outcome)))
                     if len(failures) > allowed_failures:
-                        raise RoutingAborted(
-                            f"{len(failures)} provider failure(s) exceeded the "
-                            f"budget of {allowed_failures}",
+                        error = RoutingAborted(
+                            f"{len(failures)} provider failure(s) exceeded the budget of {allowed_failures}",
                             completed=[r for r in slots if r is not None],
                             failures=failures,
-                        ) from exc
+                        )
+                        error.__cause__ = outcome
+            lock.notify_all()  # the run is over, or aborted
+
+    threads = [
+        threading.Thread(target=work, name=f"ivroute-route-{n}", daemon=True)
+        for n in range(min(provider.config.max_in_flight, len(records)))
+    ]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    except BaseException as exc:  # a KeyboardInterrupt in the caller
+        with lock:
+            error = exc
+            lock.notify_all()
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
+        raise
     finally:
-        # On any early exit, calls still queued are cancelled, not run to
-        # completion before the error surfaces, and waiting retries are
-        # dropped. Once the running calls are done, the provider's idle
-        # connections are closed so that none outlives the run.
-        pool.shutdown(cancel_futures=True)
+        # The running attempts are done: no idle connection outlives the run.
         provider.close()
+    if error is not None:
+        raise error
 
     results = [r for r in slots if r is not None]
     manifest = build_manifest(

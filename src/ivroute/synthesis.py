@@ -1,0 +1,290 @@
+"""Synthetic intent datasets: base generation, paraphrase augmentation, and
+optional menu synthesis, all through a configured provider.
+
+Augmented records inherit their base record's label; linguistic noise
+(interjections, fillers, small grammar slips) is requested from the
+generator model through the prompt, never patched in afterwards.
+"""
+
+from __future__ import annotations
+
+import json
+import logging
+import random
+import re
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from typing import Sequence
+
+from .datagen import DatagenError, Dataset, IntentRecord
+from .menu import MenuFormatError, MenuTree, TerminalPath, parse_menu
+from .prompts import load_template
+from .provider import Provider
+
+log = logging.getLogger(__name__)
+
+
+@dataclass(frozen=True)
+class NoiseProfile:
+    """Chances of asking the generator for each noise kind, per paraphrase.
+
+    The defaults are this artifact's own choice; nothing pins them beyond
+    "controlled noise".
+    """
+
+    interjection_prob: float = 0.3
+    filler_prob: float = 0.3
+    grammar_error_prob: float = 0.2
+
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not 0.0 <= value <= 1.0:  # NaN fails the comparison too
+                raise ValueError(f"{name} must be within [0, 1], not {value!r}")
+
+
+DEFAULT_NOISE = NoiseProfile()
+
+_LISTED_LINE = re.compile(r"^\s*(?:\d+[.)]\s+|[-*]\s+)(.*\S)\s*$")
+
+
+def _dedup_key(text: str) -> str:
+    return " ".join(text.split()).lower()
+
+
+def parse_listed_lines(text: str) -> list[str]:
+    """Pull the items out of a numbered or bulleted list reply; falls back to
+    plain non-empty lines when the model skipped the numbering."""
+    items = [m.group(1) for line in text.splitlines() if (m := _LISTED_LINE.match(line))]
+    if items:
+        return items
+    return [line.strip() for line in text.splitlines() if line.strip()]
+
+
+# --- base intents -------------------------------------------------------------
+
+def generate_base_intents(
+    paths: Sequence[TerminalPath],
+    provider: Provider,
+    per_node: int = 10,
+    extra_call_budget: int = 3,
+) -> list[IntentRecord]:
+    """per_node distinct complaints for every terminal path.
+
+    One provider call per path asks for the whole batch as a numbered list;
+    duplicates (case-insensitive, whitespace-collapsed) are dropped and the
+    call is repeated until the node is filled or the extra-call budget runs
+    out. Output is ordered by path document order, then generation index.
+    """
+    if per_node < 1:
+        raise ValueError("per_node must be at least 1")
+    if not paths:
+        raise ValueError("no terminal paths to generate for")
+
+    template = load_template("template_base_intents.txt")
+
+    def prompt_for(tp: TerminalPath) -> str:
+        service = "self-service" if tp.service_type.value == "self_service" else "agent handoff"
+        return (
+            template.replace("{{COUNT}}", str(per_node))
+            .replace("{{BREADCRUMB}}", tp.breadcrumb_text())
+            .replace("{{SERVICE_TYPE}}", service)
+        )
+
+    def generate_node(tp: TerminalPath) -> list[str]:
+        texts: list[str] = []
+        seen: set[str] = set()
+        prompt = prompt_for(tp)
+        for _ in range(1 + extra_call_budget):
+            reply = provider.complete(prompt).raw_text
+            for item in parse_listed_lines(reply):
+                key = _dedup_key(item)
+                if key and key not in seen:
+                    seen.add(key)
+                    texts.append(item)
+                if len(texts) == per_node:
+                    return texts
+        raise DatagenError(
+            f"path {tp.path.canonical()}: only {len(texts)} distinct text(s) "
+            f"after {1 + extra_call_budget} call(s), needed {per_node}"
+        )
+
+    with ThreadPoolExecutor(max_workers=provider.config.max_in_flight) as pool:
+        per_path_texts = list(pool.map(generate_node, paths))
+
+    records = []
+    for tp, texts in zip(paths, per_path_texts):
+        for i, text in enumerate(texts):
+            canonical = tp.path.canonical()
+            records.append(
+                IntentRecord(
+                    id=f"{canonical}:b{i:02d}",
+                    text=text,
+                    ground_truth=tp.path,
+                    origin="base",
+                    base_id=f"{canonical}:b{i:02d}",
+                    variant_index=0,
+                )
+            )
+    return records
+
+
+# --- augmentation -------------------------------------------------------------
+
+_NOISE_LINES = (
+    ('interjection_prob', '- Start paraphrase {k} with a natural interjection (for example "ugh", "hey", "honestly").'),
+    ('filler_prob', '- Work a casual filler phrase (for example "you know", "I mean", "like") into paraphrase {k}.'),
+    ('grammar_error_prob', '- Let paraphrase {k} carry one minor grammatical slip, the kind a hurried caller makes.'),
+)
+
+
+def _noise_directives(rng: random.Random, noise: NoiseProfile, variants: int) -> str:
+    lines = []
+    for k in range(1, variants + 1):
+        for attr, template in _NOISE_LINES:
+            if rng.random() < getattr(noise, attr):
+                lines.append(template.format(k=k))
+    return "\n".join(lines)
+
+
+def augment_intents(
+    base: Sequence[IntentRecord],
+    provider: Provider,
+    variants: int = 3,
+    noise: NoiseProfile = DEFAULT_NOISE,
+    seed: int = 0,
+) -> list[IntentRecord]:
+    """``variants`` paraphrases per base record, labels untouched.
+
+    Noise directives are sampled per paraphrase up front (seeded, so runs
+    are reproducible) and passed to the generator inside the prompt. A
+    paraphrase that comes back identical to its base text is regenerated
+    once, then accepted with a warning. Output groups the variants of each
+    base record together, in base order.
+    """
+    if variants < 0:
+        raise ValueError("variants must not be negative")
+    for record in base:
+        if record.origin != "base":
+            raise ValueError(f"record {record.id} is not a base record")
+    if variants == 0 or not base:
+        return []
+
+    template = load_template("template_paraphrase.txt")
+    rng = random.Random(seed)
+    prompts = []
+    for record in base:
+        directives = _noise_directives(rng, noise, variants)
+        prompt = template.replace("{{COUNT}}", str(variants)).replace("{{TEXT}}", record.text)
+        if directives:
+            prompt = prompt.replace("{{NOISE_DIRECTIVES}}", directives)
+        else:
+            prompt = prompt.replace("\n{{NOISE_DIRECTIVES}}", "")
+        prompts.append(prompt)
+
+    def paraphrase_record(index: int) -> list[str]:
+        record = base[index]
+        reply = provider.complete(prompts[index]).raw_text
+        texts = parse_listed_lines(reply)
+        if len(texts) < variants:
+            reply = provider.complete(prompts[index]).raw_text
+            texts = parse_listed_lines(reply)
+        if len(texts) < variants:
+            raise DatagenError(
+                f"record {record.id}: got {len(texts)} paraphrase(s), needed {variants}"
+            )
+        texts = texts[:variants]
+        base_key = _dedup_key(record.text)
+        for k, text in enumerate(texts):
+            if _dedup_key(text) == base_key:
+                retry_prompt = template.replace("{{COUNT}}", "1").replace("{{TEXT}}", record.text)
+                retry_prompt = retry_prompt.replace("\n{{NOISE_DIRECTIVES}}", "")
+                retry = parse_listed_lines(provider.complete(retry_prompt).raw_text)
+                if retry and _dedup_key(retry[0]) != base_key:
+                    texts[k] = retry[0]
+                else:
+                    log.warning(
+                        "record %s: paraphrase %d still identical to its base text, keeping it",
+                        record.id, k + 1,
+                    )
+        return texts
+
+    with ThreadPoolExecutor(max_workers=provider.config.max_in_flight) as pool:
+        per_record_texts = list(pool.map(paraphrase_record, range(len(base))))
+
+    augmented = []
+    for record, texts in zip(base, per_record_texts):
+        for k, text in enumerate(texts, start=1):
+            augmented.append(
+                IntentRecord(
+                    id=f"{record.id}:v{k}",
+                    text=text,
+                    ground_truth=record.ground_truth,
+                    origin="augmented",
+                    base_id=record.id,
+                    variant_index=k,
+                )
+            )
+    return augmented
+
+
+def build_dataset(
+    tree: MenuTree,
+    paths: Sequence[TerminalPath],
+    provider: Provider,
+    per_node: int = 10,
+    variants: int = 3,
+    noise: NoiseProfile = DEFAULT_NOISE,
+    seed: int = 0,
+) -> Dataset:
+    """Both generation stages back to back: all base records, then all
+    augmented records."""
+    base = generate_base_intents(paths, provider, per_node)
+    augmented = augment_intents(base, provider, variants, noise, seed)
+    return Dataset(
+        menu_name=tree.name,
+        records=base + augmented,
+        per_node_base=per_node,
+        variants_per_base=variants,
+    )
+
+
+# --- menu synthesis -----------------------------------------------------------
+
+_FENCE = re.compile(r"^```[a-zA-Z]*\n(.*)\n```\s*$", re.DOTALL)
+
+
+def _strip_code_fence(text: str) -> str:
+    match = _FENCE.match(text.strip())
+    return match.group(1) if match else text
+
+
+def generate_menu(business_brief: str, provider: Provider) -> dict:
+    """Ask the provider for a whole menu document and vet it.
+
+    Output that is not JSON gets one reformat retry; a document that parses
+    but breaks the menu schema or its invariants is rejected outright with
+    the diagnostics, to be fixed by hand rather than by re-rolling.
+    """
+    if not business_brief.strip():
+        raise ValueError("business brief is empty")
+    prompt = load_template("template_menu_gen.txt").replace("{{BRIEF}}", business_brief)
+    reply = provider.complete(prompt).raw_text
+    try:
+        document = json.loads(_strip_code_fence(reply))
+    except json.JSONDecodeError as first_error:
+        retry_prompt = (
+            f"Your previous output was not valid JSON ({first_error}). "
+            "Resend the complete corrected JSON document, and nothing else.\n\n"
+            f"Previous output:\n{reply}"
+        )
+        reply = provider.complete(retry_prompt).raw_text
+        try:
+            document = json.loads(_strip_code_fence(reply))
+        except json.JSONDecodeError as exc:
+            raise DatagenError(f"model output is not JSON after a reformat retry: {exc}") from exc
+
+    try:
+        parse_menu(document)
+    except MenuFormatError as exc:
+        raise DatagenError(f"generated menu rejected: {exc}") from exc
+    return document

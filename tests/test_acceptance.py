@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from ivroute.cli import main as cli_main
-from ivroute.datagen import build_dataset, validate_dataset
+from ivroute.datagen import validate_dataset
 from ivroute.evaluation import (
     EXTRA_COLUMNS,
     UNKNOWN_PATH,
@@ -28,11 +28,7 @@ from ivroute.evaluation import (
     per_class_metrics,
 )
 from ivroute.menu import flatten, render_descriptive, render_paths_tsv
-from ivroute.prompts import (
-    RoutingCondition,
-    template_descriptive,
-    template_flattened,
-)
+from ivroute.prompts import RoutingCondition, load_template
 from ivroute.provider import (
     OracleProvider,
     Provider,
@@ -41,6 +37,7 @@ from ivroute.provider import (
     check_role_separation,
 )
 from ivroute.router import INVALID, ParsedResponse, RoutingResult, parse_dtmf_response, route_all
+from ivroute.synthesis import build_dataset
 
 from conftest import data_text
 
@@ -95,8 +92,8 @@ EXPECTED_FLATTENED_TEMPLATE = (
 def test_criterion_02_golden_rendering(tree):
     started = time.perf_counter()
     outline = render_descriptive(tree)
-    descriptive = template_descriptive()
-    flattened = template_flattened()
+    descriptive = load_template("template_descriptive.txt")
+    flattened = load_template("template_flattened.txt")
     elapsed = time.perf_counter() - started
 
     assert outline == data_text("agentnet.descriptive.txt")

@@ -315,6 +315,22 @@ def test_route_malformed_dataset_line_exit_1(tmp_path, fixture_menu_path, capsys
     assert "truncated.jsonl:2: bad record" in capsys.readouterr().err
 
 
+def test_route_every_intent_failing_within_budget_exit_1(tmp_path, fixture_menu_path,
+                                                         fixture_dataset_path, capsys):
+    script = tmp_path / "empty.json"
+    script.write_text("[]", encoding="utf-8")
+    argv = ["route", "--menu", str(fixture_menu_path), "--dataset", str(fixture_dataset_path),
+            "--filter", "base_only", "--provider", "scripted", "--script", str(script),
+            "--error-budget", "1", "--out", str(tmp_path)]
+    assert run(argv) == 1  # returned, not raised: there is nothing to score
+    err = capsys.readouterr().err
+    assert err.startswith("error: no intent was routed (230 provider failure(s))")
+    (run_dir,) = tmp_path.glob("run-*")
+    assert (run_dir / "results.jsonl").read_text(encoding="utf-8") == ""
+    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+    assert len(manifest["failures"]) == 230
+
+
 # --- eval ------------------------------------------------------------------------------
 
 def test_eval_oracle_run(tmp_path, fixture_menu_path, fixture_dataset_path, capsys):

@@ -10,19 +10,21 @@ from ivroute.datagen import (
     DatagenError,
     Dataset,
     IntentRecord,
-    NoiseProfile,
-    augment_intents,
-    build_dataset,
     dataset_from_records,
-    generate_base_intents,
-    generate_menu,
     load_dataset,
-    parse_listed_lines,
     save_dataset,
     validate_dataset,
 )
 from ivroute.menu import DtmfPath, flatten
 from ivroute.provider import ProviderConfig, ScriptedProvider
+from ivroute.synthesis import (
+    NoiseProfile,
+    augment_intents,
+    build_dataset,
+    generate_base_intents,
+    generate_menu,
+    parse_listed_lines,
+)
 
 from conftest import make_record, tiny_dataset
 
@@ -401,6 +403,18 @@ def test_load_dataset_rejects_bad_lines(tmp_path):
     file = tmp_path / "bad.jsonl"
     file.write_text('{"id": "x"}\n', encoding="utf-8")
     with pytest.raises(DatagenError, match="bad record"):
+        load_dataset(file)
+
+
+@pytest.mark.parametrize("truth", ["1--1", ["1-1"], None])
+def test_load_dataset_bad_path_names_its_line(tmp_path, truth):
+    good = json.dumps({"id": "a", "text": "t", "ground_truth": "1-1", "origin": "base",
+                       "base_id": "a", "variant_index": 0})
+    bad = json.dumps({"id": "b", "text": "u", "ground_truth": truth, "origin": "base",
+                      "base_id": "b", "variant_index": 0})
+    file = tmp_path / "bad.jsonl"
+    file.write_text(f"{good}\n{good}\n{bad}\n", encoding="utf-8")
+    with pytest.raises(DatagenError, match=r"bad\.jsonl:3: bad record: not a canonical DTMF path"):
         load_dataset(file)
 
 

@@ -7,11 +7,8 @@ from ivroute.prompts import (
     OUTPUT_CONSTRAINT,
     PromptText,
     RoutingCondition,
-    build_descriptive_prompt,
-    build_flattened_prompt,
     build_prompt,
-    template_descriptive,
-    template_flattened,
+    load_template,
 )
 
 EXPECTED_DESCRIPTIVE = (
@@ -38,18 +35,18 @@ EXPECTED_FLATTENED = (
 
 
 def test_templates_are_byte_exact():
-    assert template_descriptive() == EXPECTED_DESCRIPTIVE
-    assert template_flattened() == EXPECTED_FLATTENED
+    assert load_template("template_descriptive.txt") == EXPECTED_DESCRIPTIVE
+    assert load_template("template_flattened.txt") == EXPECTED_FLATTENED
 
 
 def test_templates_share_output_constraint():
-    assert OUTPUT_CONSTRAINT in template_descriptive()
-    assert OUTPUT_CONSTRAINT in template_flattened()
+    assert OUTPUT_CONSTRAINT in load_template("template_descriptive.txt")
+    assert OUTPUT_CONSTRAINT in load_template("template_flattened.txt")
 
 
 def test_descriptive_substitution(tree):
     menu_text = render_descriptive(tree)
-    prompt = build_descriptive_prompt(menu_text, "my bill is too high")
+    prompt = build_prompt(RoutingCondition.DESCRIPTIVE_MENU, menu_text, "my bill is too high")
     assert isinstance(prompt, PromptText)
     assert prompt.condition is RoutingCondition.DESCRIPTIVE_MENU
     assert prompt.query == "my bill is too high"
@@ -61,7 +58,7 @@ def test_descriptive_substitution(tree):
 
 def test_flattened_substitution(paths):
     paths_text = render_flattened(paths)
-    prompt = build_flattened_prompt(paths_text, "internet is down")
+    prompt = build_prompt(RoutingCondition.FLATTENED_PATHS, paths_text, "internet is down")
     assert prompt.condition is RoutingCondition.FLATTENED_PATHS
     assert paths_text in prompt.content
     assert "{{PATHS}}" not in prompt.content
@@ -77,14 +74,14 @@ def test_build_prompt_dispatch(tree, paths):
 
 def test_equal_inputs_equal_bytes(paths):
     text = render_flattened(paths)
-    a = build_flattened_prompt(text, "same query")
-    b = build_flattened_prompt(text, "same query")
+    a = build_prompt(RoutingCondition.FLATTENED_PATHS, text, "same query")
+    b = build_prompt(RoutingCondition.FLATTENED_PATHS, text, "same query")
     assert a.content == b.content
 
 
 def test_query_trailing_newline_stripped(paths):
     text = render_flattened(paths)
-    prompt = build_flattened_prompt(text, "trailing\n")
+    prompt = build_prompt(RoutingCondition.FLATTENED_PATHS, text, "trailing\n")
     assert prompt.query == "trailing"
     assert prompt.content.endswith("trailing")
 
@@ -92,28 +89,28 @@ def test_query_trailing_newline_stripped(paths):
 def test_query_internal_noise_kept(paths):
     text = render_flattened(paths)
     noisy = "ugh   my bill,, like, is SO wrong"
-    prompt = build_flattened_prompt(text, noisy)
+    prompt = build_prompt(RoutingCondition.FLATTENED_PATHS, text, noisy)
     assert prompt.query == noisy
 
 
 def test_empty_query_rejected(paths):
     text = render_flattened(paths)
     with pytest.raises(ValueError):
-        build_flattened_prompt(text, "")
+        build_prompt(RoutingCondition.FLATTENED_PATHS, text, "")
     with pytest.raises(ValueError):
-        build_flattened_prompt(text, "   \n")
+        build_prompt(RoutingCondition.FLATTENED_PATHS, text, "   \n")
 
 
 def test_empty_context_rejected():
     with pytest.raises(ValueError):
-        build_flattened_prompt("", "query")
+        build_prompt(RoutingCondition.FLATTENED_PATHS, "", "query")
     with pytest.raises(ValueError):
-        build_descriptive_prompt("", "query")
+        build_prompt(RoutingCondition.DESCRIPTIVE_MENU, "", "query")
 
 
 def test_substitution_is_literal_not_regex(paths):
     # A query containing replacement-like tokens must land verbatim.
     text = render_flattened(paths)
     tricky = r"pay \1 {{QUERY}} \g<0> bill"
-    prompt = build_flattened_prompt(text, tricky)
+    prompt = build_prompt(RoutingCondition.FLATTENED_PATHS, text, tricky)
     assert tricky in prompt.content

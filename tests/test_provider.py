@@ -19,7 +19,7 @@ import pytest
 import ivroute
 from ivroute.datagen import IntentRecord
 from ivroute.menu import flatten, render_flattened
-from ivroute.prompts import RoutingCondition, build_flattened_prompt
+from ivroute.prompts import RoutingCondition, build_prompt
 from ivroute.provider import (
     DEFAULT_API_KEY_ENV,
     Backoff,
@@ -157,7 +157,7 @@ def test_missing_key_sends_no_auth_header(monkeypatch):
 
 
 def test_prompt_object_content_is_sent(paths):
-    prompt = build_flattened_prompt(render_flattened(paths), "where is my invoice")
+    prompt = build_prompt(RoutingCondition.FLATTENED_PATHS, render_flattened(paths), "where is my invoice")
     provider, transport, _ = http_provider([(200, ok_body("1-2"))])
     provider.complete(prompt)
     assert transport.requests[0]["payload"]["messages"][0]["content"] == prompt.content
@@ -538,51 +538,54 @@ def test_no_connection_outlives_routing_aborted(chat_server, tiny_tree):
     assert server.wait_all_closed()
 
 
-ROUTE_IN_CHILD = """
+LOADS_IN_CHILD = """
 import sys
 from ivroute.cli import main
-code = main(sys.argv[1:])
-print("loaded:", sorted(m for m in ("requests", "urllib3") if m in sys.modules))
+modules = sys.argv[1].split(",")
+code = main(sys.argv[2:])
+print("loaded:", sorted(m for m in modules if m in sys.modules))
 sys.exit(code)
 """
+
+
+def route_in_child(server, out, menu, dataset, modules):
+    """Run ``ivroute route`` against ``server`` in a fresh interpreter; its
+    stdout ends with which of ``modules`` it loaded."""
+    src = str(Path(ivroute.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)  # the fixture took out every proxy setting
+    argv = ["route", "--menu", str(menu), "--dataset", str(dataset),
+            "--filter", "base_only", "--provider", "http", "--endpoint", server.url,
+            "--out", str(out)]
+    return subprocess.run([sys.executable, "-c", LOADS_IN_CHILD, ",".join(modules), *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
 
 
 def test_cli_http_route_never_imports_requests(chat_server, tmp_path,
                                                fixture_menu_path, fixture_dataset_path):
     server = chat_server()
-    src = str(Path(ivroute.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)  # the fixture took out every proxy setting
-    argv = ["route", "--menu", str(fixture_menu_path), "--dataset", str(fixture_dataset_path),
-            "--filter", "base_only", "--provider", "http", "--endpoint", server.url,
-            "--out", str(tmp_path)]
-    child = subprocess.run([sys.executable, "-c", ROUTE_IN_CHILD, *argv], env=env,
-                           capture_output=True, text=True, timeout=120)
+    child = route_in_child(server, tmp_path, fixture_menu_path, fixture_dataset_path,
+                           ("requests", "urllib3"))
     assert child.returncode == 0, child.stderr
     assert "routed 230 intents" in child.stdout
     assert "loaded: []" in child.stdout
     assert server.answered == 230
 
 
-ROUTE_LOADS_IN_CHILD = """
-import sys
-from ivroute.cli import main
-code = main(sys.argv[1:])
-print("loaded:", sorted(m for m in ("ssl", "http.client", "email", "urllib.request") if m in sys.modules))
-sys.exit(code)
-"""
-
-
 def test_cli_http_route_loads_no_ssl_http_client_email_or_urllib(chat_server, tmp_path,
                                                                   fixture_menu_path,
                                                                   fixture_dataset_path):
-    server = chat_server()
-    src = str(Path(ivroute.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)  # the fixture took out every proxy setting
-    argv = ["route", "--menu", str(fixture_menu_path), "--dataset", str(fixture_dataset_path),
-            "--filter", "base_only", "--provider", "http", "--endpoint", server.url,
-            "--out", str(tmp_path)]
-    child = subprocess.run([sys.executable, "-c", ROUTE_LOADS_IN_CHILD, *argv], env=env,
-                           capture_output=True, text=True, timeout=120)
+    child = route_in_child(chat_server(), tmp_path, fixture_menu_path, fixture_dataset_path,
+                           ("ssl", "http.client", "email", "urllib.request"))
+    assert child.returncode == 0, child.stderr
+    assert "routed 230 intents" in child.stdout
+    assert "loaded: []" in child.stdout
+
+
+def test_cli_http_route_loads_only_what_it_runs(chat_server, tmp_path,
+                                                fixture_menu_path, fixture_dataset_path):
+    child = route_in_child(chat_server(), tmp_path, fixture_menu_path, fixture_dataset_path,
+                           ("concurrent.futures", "logging", "csv", "ivroute.evaluation",
+                            "ivroute.synthesis"))
     assert child.returncode == 0, child.stderr
     assert "routed 230 intents" in child.stdout
     assert "loaded: []" in child.stdout
@@ -591,7 +594,7 @@ def test_cli_http_route_loads_no_ssl_http_client_email_or_urllib(chat_server, tm
 # --- deterministic doubles --------------------------------------------------------
 
 def routing_prompt(paths, query):
-    return build_flattened_prompt(render_flattened(paths), query)
+    return build_prompt(RoutingCondition.FLATTENED_PATHS, render_flattened(paths), query)
 
 
 def test_oracle_echoes_truth(paths):

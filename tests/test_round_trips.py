@@ -1,0 +1,77 @@
+"""Property tests of the file round trips: dataset JSONL and results rows."""
+
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ivroute.datagen import Dataset, IntentRecord, dataset_to_jsonl, load_dataset, save_dataset
+from ivroute.menu import DtmfPath
+from ivroute.prompts import RoutingCondition
+from ivroute.router import (
+    INVALID,
+    ParsedResponse,
+    RoutingResult,
+    result_from_record,
+    result_to_record,
+)
+
+dtmf_paths = st.lists(st.integers(0, 9), min_size=1, max_size=5).map(lambda d: DtmfPath(tuple(d)))
+
+records = st.builds(
+    IntentRecord,
+    id=st.text(min_size=1),
+    text=st.text(),
+    ground_truth=dtmf_paths,
+    origin=st.sampled_from(("base", "augmented")),
+    base_id=st.text(min_size=1),
+    variant_index=st.integers(-(2**40), 2**40),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(records, max_size=12), st.text())
+def test_dataset_survives_save_and_load(tmp_path_factory, dataset_records, menu_name):
+    file = tmp_path_factory.getbasetemp() / "round-trip.jsonl"  # rewritten by every example
+    ds = Dataset(menu_name=menu_name, records=dataset_records, per_node_base=0, variants_per_base=0)
+    save_dataset(ds, file)
+    loaded = load_dataset(file, menu_name=menu_name)
+    assert loaded.menu_name == menu_name
+    assert loaded.records == dataset_records
+    assert dataset_to_jsonl(loaded) == dataset_to_jsonl(ds)
+    # Records with one label share one parsed path.
+    truths = [r.ground_truth for r in loaded.records]
+    assert len({id(t) for t in truths}) == len(set(truths))
+
+
+@st.composite
+def results(draw):
+    truth = draw(dtmf_paths).canonical()
+    predicted = draw(st.one_of(st.just(truth), st.just(INVALID), dtmf_paths.map(DtmfPath.canonical)))
+    raw = draw(st.text())
+    rules = ("trim", "unquote", "strip_trailing_period", "map_unicode_dashes", "lenient_extract")
+    parsed = ParsedResponse(
+        raw_text=raw,
+        path=None if predicted == INVALID else DtmfPath.parse(predicted),
+        normalization_applied=tuple(draw(st.lists(st.sampled_from(rules), unique=True))),
+    )
+    return RoutingResult(
+        intent_id=draw(st.text(min_size=1)),
+        condition=draw(st.sampled_from(RoutingCondition)),
+        raw_response=raw,
+        parsed=parsed,
+        predicted=predicted,
+        ground_truth=truth,
+        correct=predicted == truth,
+        known_path=draw(st.booleans()),
+        latency=draw(st.floats(min_value=0, allow_nan=False, allow_infinity=False)),
+        model_name=draw(st.text()),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(results())
+def test_result_survives_a_results_file_row(result):
+    # One row as save_results writes it and load_results reads it back.
+    row = json.dumps(result_to_record(result), ensure_ascii=False)
+    assert result_from_record(json.loads(row)) == result

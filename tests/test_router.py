@@ -4,6 +4,8 @@ result files."""
 import dataclasses
 import json
 import math
+import signal
+import sys
 import threading
 import time
 
@@ -414,6 +416,24 @@ def test_route_all_keeps_starting_intents_while_retries_wait_on_a_healthy_endpoi
     assert max(first.values()) < first_retry_due
 
 
+def test_route_all_wakes_an_idle_worker_for_intents_admitted_after_an_answer(tiny_tree):
+    ds = tiny_dataset()
+    queries = [r.text for r in ds.records]
+    # Two workers, a window of four: the first, second and fourth intents
+    # back off while the third is answered, so the endpoint is failing and
+    # the window is full until that answer admits the last two intents at
+    # once. The worker waiting for the first retry takes one of them then,
+    # not when that retry is due: one worker taking both in turn would start
+    # the second after 2 x 0.3 s, past the 0.5 s backoff.
+    provider = BackoffProvider(delay=0.5, backoffs={queries[0]: 1, queries[1]: 1, queries[3]: 1},
+                               max_in_flight=2, latency=0.3)
+    run = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
+    assert [r.intent_id for r in run.results] == [r.id for r in ds.records]
+    first = {query: at for query, attempt, at in provider.arrivals if attempt == 1}
+    first_retry_due = min(first[queries[i]] for i in (0, 1, 3)) + 0.5
+    assert max(first.values()) < first_retry_due
+
+
 def test_route_all_submits_a_retry_once_it_is_due(tiny_tree):
     ds = tiny_dataset()
     provider = BackoffProvider(delay=0.05, backoffs=dict.fromkeys((r.text for r in ds.records), 1),
@@ -438,6 +458,94 @@ def test_route_all_takes_the_callers_identity(tiny_tree, monkeypatch):
                       ScriptedProvider(["1-1"] * 6, config=config), identity=identity)
     assert hashed == []  # the manifest reuses the identity, it does not hash again
     assert json.dumps({**given.manifest, "timestamp": ""}) == json.dumps({**plain.manifest, "timestamp": ""})
+
+
+def workers_alive():
+    return [t.name for t in threading.enumerate() if t.name.startswith("ivroute-route")]
+
+
+def test_route_all_starts_no_more_workers_than_intents(tiny_tree, monkeypatch):
+    started = []
+
+    class CountingThread(threading.Thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", CountingThread)
+    ds = tiny_dataset()
+    provider = ScriptedProvider(["1-1"] * 6, config=ProviderConfig(max_in_flight=64))
+    run = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
+    assert len(run.results) == len(ds.records)
+    assert 1 <= len(started) <= len(ds.records)
+
+
+def test_route_all_leaves_no_worker_behind(tiny_tree):
+    ds = tiny_dataset()
+    provider = ScriptedProvider(["1-1"] * 6, config=ProviderConfig(max_in_flight=4), delay=0.01)
+    route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
+    assert workers_alive() == []
+
+    class SlowlyFailing(Provider):
+        def _request(self, text, prompt):
+            time.sleep(0.05)
+            raise ProviderError("down")
+
+    provider = SlowlyFailing(ProviderConfig(max_in_flight=4))
+    with pytest.raises(RoutingAborted) as excinfo:
+        route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider, error_budget=0.0)
+    assert workers_alive() == []
+    # Four calls failed at once; the first failure aborted the run and the
+    # calls still running when it did are not counted after it.
+    assert len(excinfo.value.failures) == 1 and excinfo.value.completed == []
+
+
+def test_route_all_interrupted_in_the_caller_drops_queued_calls(tiny_tree):
+    ds = tiny_dataset()
+    caller = threading.get_ident()
+    closed = []
+
+    class InterruptingProvider(ScriptedProvider):
+        def _request(self, text, prompt):
+            signal.pthread_kill(caller, signal.SIGINT)  # Ctrl-C while this call runs
+            time.sleep(0.1)
+            return super()._request(text, prompt)
+
+        def close(self):
+            closed.append(workers_alive())
+
+    provider = InterruptingProvider(["1-1"] * 6, config=ProviderConfig(max_in_flight=1))
+    with pytest.raises(KeyboardInterrupt):
+        route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
+    # The running call finished before the provider was closed; the
+    # intent queued behind it was never sent.
+    assert len(provider.calls) == 1
+    assert closed == [[]]
+    assert workers_alive() == []
+
+
+def test_route_all_stress_keeps_every_intent_once(dataset, tree):
+    # Eight workers share the queue and the retry heap; switching threads
+    # every microsecond makes a lost update under the lock show as a missing,
+    # repeated or reordered result, or as a wrong attempt count.
+    queries = [r.text for r in dataset.records]
+    backoffs = dict.fromkeys(queries[::3], 1)
+    provider = BackoffProvider(delay=0.0, backoffs=backoffs, max_in_flight=8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        started = time.monotonic()
+        run = route_all(dataset, RoutingCondition.FLATTENED_PATHS, tree, provider)
+        elapsed = time.monotonic() - started
+    finally:
+        sys.setswitchinterval(interval)
+    assert [r.intent_id for r in run.results] == [r.id for r in dataset.records]
+    assert len(provider.arrivals) == len(queries) + len(backoffs)
+    assert sorted((q, a) for q, a, _ in provider.arrivals) == sorted(
+        [(q, 1) for q in queries] + [(q, 2) for q in backoffs]
+    )
+    assert elapsed < 30
+    assert workers_alive() == []
 
 
 # --- manifest ------------------------------------------------------------------------
