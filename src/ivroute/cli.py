@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .datagen import load_dataset, save_dataset, validate_dataset
+from .datagen import Dataset, load_dataset, save_dataset, validate_dataset
 from .menu import (
     MenuFormatError,
     MenuTree,
@@ -43,6 +43,7 @@ from .router import (
     route,
     route_all,
     render_context,
+    run_calls,
     run_identity,
     load_results,
     save_results,
@@ -95,6 +96,18 @@ def _read_menu(path_str: str) -> MenuTree | int:
         return parse_menu(text)
     except MenuFormatError as exc:
         return _fail(f"invalid menu: {exc}", EXIT_FAILURE)
+
+
+def _read_dataset(path_str: str, menu_name: str) -> Dataset | int:
+    """Loaded dataset, or an exit code: 2 when the file is absent, 1 when a
+    line does not load."""
+    path = Path(path_str)
+    if not path.is_file():
+        return _fail(f"no such dataset file: {path}", EXIT_USAGE)
+    try:
+        return load_dataset(path, menu_name=menu_name)
+    except ValueError as exc:
+        return _fail(f"cannot load dataset {path}: {exc}", EXIT_FAILURE)
 
 
 def _stage_settings(config: dict, stage: str) -> dict:
@@ -261,13 +274,9 @@ def cmd_route(args: argparse.Namespace) -> int:
     tree = _read_menu(args.menu)
     if isinstance(tree, int):
         return tree
-    dataset_file = Path(args.dataset)
-    if not dataset_file.is_file():
-        return _fail(f"no such dataset file: {dataset_file}", EXIT_USAGE)
-    try:
-        ds = load_dataset(dataset_file, menu_name=tree.name)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        return _fail(f"cannot load dataset {dataset_file}: {exc}", EXIT_FAILURE)
+    ds = _read_dataset(args.dataset, tree.name)
+    if isinstance(ds, int):
+        return ds
 
     condition = _CONDITIONS[args.condition]
     paths = flatten(tree)
@@ -331,7 +340,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         return _fail(f"no such results file: {results_file}", EXIT_USAGE)
     try:
         results = load_results(results_file)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         return _fail(f"cannot load results {results_file}: {exc}", EXIT_FAILURE)
     if not results:
         return _fail(f"results file {results_file} is empty", EXIT_FAILURE)
@@ -389,15 +398,9 @@ def cmd_demo(args: argparse.Namespace) -> int:
     if not paths:
         return _fail("menu has no terminal paths", EXIT_FAILURE)
 
-    dataset = None
-    if args.dataset:
-        dataset_file = Path(args.dataset)
-        if not dataset_file.is_file():
-            return _fail(f"no such dataset file: {dataset_file}", EXIT_USAGE)
-        try:
-            dataset = load_dataset(dataset_file, menu_name=tree.name)
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
-            return _fail(f"cannot load dataset {dataset_file}: {exc}", EXIT_FAILURE)
+    dataset = _read_dataset(args.dataset, tree.name) if args.dataset else None
+    if isinstance(dataset, int):
+        return dataset
 
     provider = _make_provider(args, config, "routing", dataset=dataset, paths=paths)
     if isinstance(provider, int):
@@ -417,11 +420,16 @@ def cmd_demo(args: argparse.Namespace) -> int:
         query = line.strip()
         if not query:
             continue
-        try:
-            parsed, completion = route(query, condition, context, provider, args.lenient)
-        except ProviderError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+
+        def step(index: int, attempt: int):
+            return route(query, condition, context, provider, args.lenient, attempt)
+
+        # One job per line; its failure is reported, not fatal.
+        (outcome,), failures = run_calls(provider, 1, step, error_budget=1)
+        if failures:
+            print(f"error: {failures[0][1]}", file=sys.stderr)
             continue
+        parsed, completion = outcome
         if parsed.path is None:
             print(f"INVALID  (reply did not parse: {completion.raw_text!r})")
             continue

@@ -137,7 +137,8 @@ def load_dataset(path: str | Path, menu_name: str = "") -> Dataset:
                 continue
             try:
                 records.append(record_from_json(json.loads(line), paths))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            # TypeError: the line is no JSON object, or a field has the wrong type
+            except (KeyError, TypeError, ValueError) as exc:
                 raise DatagenError(f"{path}:{line_no}: bad record: {exc}") from exc
     return dataset_from_records(records, menu_name)
 

@@ -104,8 +104,8 @@ def parse_menu(document: str | Mapping) -> MenuTree:
     """Parse a menu document (JSON text or an already-decoded mapping).
 
     Raises MenuFormatError with the offending node's digit path on any
-    schema violation; a parsed tree always satisfies the node invariants
-    re-checked by validate_menu.
+    schema violation. The tree invariants (root kind, action types, sibling
+    digits, depth) are validate_menu's, which every parsed tree passes.
     """
     if isinstance(document, str):
         try:
@@ -126,10 +126,7 @@ def parse_menu(document: str | Mapping) -> MenuTree:
     if not isinstance(name, str) or not name:
         raise MenuFormatError("menu name must be a non-empty string")
 
-    root = _parse_node(data["root"], where="root", is_root=True)
-    if root.kind is not NodeKind.MENU:
-        raise MenuFormatError("root node must have kind 'menu'")
-    tree = MenuTree(name=name, root=root)
+    tree = MenuTree(name=name, root=_parse_node(data["root"], where="root", is_root=True))
     violations = validate_menu(tree)
     if violations:
         raise MenuFormatError("; ".join(violations))
@@ -178,10 +175,6 @@ def _parse_node(data, where: str, is_root: bool = False) -> MenuNode:
             raise MenuFormatError(
                 f"node at {where}: action_type must be 'self_service' or 'agent_handoff'"
             ) from None
-        if action_type is ActionType.NONE:
-            raise MenuFormatError(
-                f"node at {where}: action_type must be 'self_service' or 'agent_handoff'"
-            )
     else:
         if "action_type" in data:
             raise MenuFormatError(f"node at {where}: action_type is for action nodes only")
@@ -203,20 +196,12 @@ def _parse_node(data, where: str, is_root: bool = False) -> MenuNode:
         raise MenuFormatError(f"node at {where}: menu nodes need a non-empty children list")
 
     children = []
-    seen_digits: dict[int, str] = {}
     for child_data in raw_children:
         child_digit = "?"
         if isinstance(child_data, Mapping) and isinstance(child_data.get("digit"), str):
             child_digit = child_data["digit"]
         child_where = child_digit if where == "root" else f"{where}-{child_digit}"
-        child = _parse_node(child_data, where=child_where)
-        assert child.digit is not None
-        if child.digit in seen_digits:
-            raise MenuFormatError(
-                f"node at {where}: duplicate digit {child.digit} among children"
-            )
-        seen_digits[child.digit] = child_where
-        children.append(child)
+        children.append(_parse_node(child_data, where=child_where))
 
     return MenuNode(
         label=label,

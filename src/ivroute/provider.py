@@ -1,13 +1,13 @@
 """Chat-completion providers: one real HTTP client plus deterministic doubles.
 
-All providers share the same contract: ``complete(prompt) -> Completion``,
-safe to call from many worker threads at once. The base class owns the only
-shared mutable state (an in-flight semaphore, a token-bucket rate limiter,
-and a peak-concurrency counter used by tests) and the retry policy;
-subclasses implement a single ``_request`` hook that makes one request.
-``complete(prompt, attempt=n)`` makes only attempt n and raises ``Backoff``
-when another is worth making, so a scheduler can wait out the delay without
-holding a worker.
+All providers share the same contract: ``complete(prompt, attempt) ->
+Completion`` makes one attempt, safe to call from many worker threads at
+once. The base class owns the only shared mutable state (an in-flight
+semaphore, a token-bucket rate limiter, and a peak-concurrency counter used
+by tests) and the retry policy; subclasses implement a single ``_request``
+hook that makes one request. An attempt that is worth repeating raises
+``Backoff``; ``router.run_calls`` waits out the delay without holding a
+worker and makes the next one.
 
 The wire protocol of HttpProvider is the de-facto chat-completions JSON
 shape, so any compatible endpoint works: POST {"model", "messages"} with a
@@ -38,7 +38,7 @@ class ProviderError(Exception):
 
 
 class TransportError(ProviderError):
-    """Network failure or retryable HTTP status. Raised by one attempt, it
+    """Network failure or retryable HTTP status. Raised by ``_request``, it
     is retried; raised by ``complete``, the retries ran out.
 
     ``retry_after`` is the server's Retry-After header value, if it sent one.
@@ -138,42 +138,28 @@ class TokenBucket:
 
 class Provider:
     """Shared plumbing: in-flight bound, rate limiting, latency bookkeeping
-    and the retry policy. ``sleep`` and ``rng``, the source of the backoff
-    jitter (an unseeded ``random.Random`` by default), are injectable for
-    tests."""
+    and the retry policy. ``rng``, the source of the backoff jitter (an
+    unseeded ``random.Random`` by default), is injectable for tests."""
 
-    def __init__(self, config: ProviderConfig | None = None, sleep=time.sleep, rng=None):
+    def __init__(self, config: ProviderConfig | None = None, rng=None):
         self.config = config or ProviderConfig()
         self._slots = threading.BoundedSemaphore(self.config.max_in_flight)
         self._bucket = TokenBucket(self.config.requests_per_second)
         self._state_lock = threading.Lock()
         self._in_flight = 0
         self.peak_in_flight = 0
-        self._sleep = sleep
         self._rng = rng or random.Random()
 
-    def complete(self, prompt, attempt: int | None = None) -> Completion:
-        """Run one completion. ``prompt`` is a PromptText or a plain string.
+    def complete(self, prompt, attempt: int = 1) -> Completion:
+        """Make attempt ``attempt`` (1-based) of one completion; ``prompt``
+        is a PromptText or a plain string.
 
-        Without ``attempt`` the call blocks until it succeeds or the retries
-        run out, sleeping between attempts. With ``attempt`` (1-based) it
-        makes only that attempt and raises ``Backoff`` when another attempt
-        is worth making; the caller then calls again with ``attempt + 1``.
-        A retry that ran out raises TransportError("gave up after ...").
+        The request holds a slot and a rate-limiter token only while it is
+        on the wire. When another attempt is worth making it raises
+        ``Backoff``, and the caller calls again with ``attempt + 1`` once
+        the delay has passed; past ``max_retries`` it raises
+        TransportError("gave up after ...") instead.
         """
-        if attempt is not None:
-            return self._attempt(prompt, attempt)
-        attempt = 1
-        while True:
-            try:
-                return self._attempt(prompt, attempt)
-            except Backoff as backoff:
-                self._sleep(backoff.delay)
-                attempt += 1
-
-    def _attempt(self, prompt, attempt: int) -> Completion:
-        """One request, holding a slot and a rate-limiter token only while
-        it is on the wire; the retry decision is made after both are back."""
         text = prompt.content if hasattr(prompt, "content") else str(prompt)
         try:
             with self._slots:
@@ -214,7 +200,7 @@ class Provider:
 
 class HttpProvider(Provider):
     """POSTs chat-completion requests over kept-alive connections, one
-    attempt per ``_request``; the base class retries transport/5xx/429
+    attempt per ``_request``; the base class backs off on transport/5xx/429
     failures and a parseable 200 is never re-asked.
 
     ``_transport(url, payload, headers, timeout) -> (status, body,
@@ -228,10 +214,10 @@ class HttpProvider(Provider):
     the variable, never the value.
     """
 
-    def __init__(self, config: ProviderConfig, transport=None, sleep=time.sleep, rng=None):
+    def __init__(self, config: ProviderConfig, transport=None, rng=None):
         if not config.endpoint_url:
             raise ValueError("HttpProvider needs an endpoint_url")
-        super().__init__(config, sleep, rng)
+        super().__init__(config, rng)
         self._headers = {"Content-Type": "application/json"}
         key = os.environ.get(config.api_key_source, "")
         if key:

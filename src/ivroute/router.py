@@ -2,12 +2,13 @@
 
 ``route`` is the routing itself and needs no label; ``route_one`` grades its
 prediction against an intent's ground truth, and ``route_all`` does that for
-a whole dataset.
+a whole dataset. ``run_calls`` is the scheduler every model call of the
+package goes through, routing and synthesis alike.
 
 Model output is held to a strict grammar: after a small, fixed normalization
 pipeline the whole reply must be ``digit ("-" digit)*`` or it is scored as
 INVALID. Content is never re-requested for being wrong; only the provider's
-transport retries apply, and ``route_all`` schedules those itself.
+transport retries apply, and ``run_calls`` schedules those.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .datagen import Dataset, IntentRecord, dataset_to_jsonl, validate_dataset
 from .menu import (
@@ -39,11 +40,14 @@ from .provider import Backoff, Completion, Provider, ProviderError
 
 INVALID = "INVALID"
 
-# Intents route_all keeps in progress per in-flight slot: enough to keep
-# every worker fed. Those waiting out a backoff count too while the endpoint
-# is failing, so a dead endpoint sees a bounded number of intents before the
-# error budget stops the run.
+# Jobs run_calls keeps in progress per in-flight slot: enough to keep every
+# worker fed. Those waiting out a backoff count too while the endpoint is
+# failing, so a dead endpoint sees a bounded number of jobs before the error
+# budget stops the run.
 WINDOW_PER_SLOT = 2
+
+# What a step returns when its job needs a follow-up call.
+AGAIN = object()
 
 # ASCII digits only; \d would admit unicode digits like fullwidth 3
 _PATH_GRAMMAR = re.compile(r"[0-9](?:-[0-9])*\Z")
@@ -139,12 +143,11 @@ def route(
     context: str,
     provider: Provider,
     lenient: bool = False,
-    attempt: int | None = None,
+    attempt: int = 1,
 ) -> tuple[ParsedResponse, Completion]:
     """One prompt, one completion, one parsed reply for a single query.
 
-    ``attempt`` goes to ``provider.complete``: None retries until done,
-    a number makes that attempt alone and may raise ``Backoff``.
+    ``attempt`` goes to ``provider.complete``, which may raise ``Backoff``.
     """
     prompt: PromptText = build_prompt(condition, context, query)
     completion = provider.complete(prompt, attempt=attempt)
@@ -158,7 +161,7 @@ def route_one(
     provider: Provider,
     known_paths: frozenset[str] = frozenset(),
     lenient: bool = False,
-    attempt: int | None = None,
+    attempt: int = 1,
 ) -> RoutingResult:
     """Route one intent's text and grade the reply against its ground truth.
 
@@ -169,14 +172,7 @@ def route_one(
     except ProviderError as exc:
         raise ProviderError(f"intent {intent.id}: {exc}") from exc
     truth = intent.ground_truth.canonical()
-    if parsed.path is not None:
-        predicted = parsed.path.canonical()
-        correct = predicted == truth
-        known = predicted in known_paths
-    else:
-        predicted = INVALID
-        correct = False
-        known = False
+    predicted = INVALID if parsed.path is None else parsed.path.canonical()
     return RoutingResult(
         intent_id=intent.id,
         condition=condition,
@@ -184,8 +180,8 @@ def route_one(
         parsed=parsed,
         predicted=predicted,
         ground_truth=truth,
-        correct=correct,
-        known_path=known,
+        correct=predicted == truth,  # INVALID is never a path
+        known_path=predicted in known_paths,
         latency=completion.latency,
         model_name=completion.model_name,
     )
@@ -194,7 +190,7 @@ def route_one(
 class RoutingAborted(ProviderError):
     """Provider failures went over budget; completed results are attached."""
 
-    def __init__(self, message: str, completed: list[RoutingResult], failures: list[tuple[str, str]]):
+    def __init__(self, message: str, completed: list, failures: list[tuple]):
         super().__init__(message)
         self.completed = completed
         self.failures = failures
@@ -230,59 +226,41 @@ def render_context(tree: MenuTree, condition: RoutingCondition) -> str:
     return render_flattened(flatten(tree))
 
 
-def route_all(
-    ds: Dataset,
-    condition: RoutingCondition,
-    tree: MenuTree,
+def run_calls(
     provider: Provider,
-    record_filter: str = "all",
-    lenient: bool = False,
-    error_budget: float = 0.01,
-    extra_manifest: dict | None = None,
-    identity: dict | None = None,
-) -> RoutingRun:
-    """Route every selected record and return results in dataset order.
+    count: int,
+    step: Callable[[int, int], object],
+    error_budget: float,
+) -> tuple[list, list[tuple[int, str]]]:
+    """Run jobs 0 .. count - 1; return their values (None for a failed job)
+    and the failures as (job, message).
 
-    The context is rendered once and reused. Up to max_in_flight worker
-    threads take one provider attempt at a time, in submission order, and
-    there is no scheduling thread: after each attempt its worker records
-    the outcome and submits what is due. At most WINDOW_PER_SLOT x
-    max_in_flight intents are submitted at once. An attempt that asks for
-    a backoff gives its worker back and is submitted again when its delay
-    has passed, ahead of intents not yet started. While the endpoint is
-    failing, that is while the latest attempt to finish brought no result,
-    intents waiting out a backoff count against that window too. Provider
-    failures are tolerated up to ``error_budget`` (a fraction of the
-    selected calls); one failure past the budget aborts the run with the
-    completed results attached, and queued tasks and waiting retries are
-    dropped.
-
-    ``identity``, the ``run_identity`` of these inputs when the caller has
-    it already, saves hashing them again for the manifest.
+    ``step(index, attempt)`` makes one provider attempt for job ``index``
+    and returns the job's value, or AGAIN for a follow-up call, which the
+    same worker makes at once, at attempt 1. Up to max_in_flight workers
+    take jobs in submission order; after each step its worker records the
+    outcome and submits what is due, with no scheduling thread. At most
+    WINDOW_PER_SLOT x max_in_flight jobs are submitted at once. A step that
+    raises ``Backoff`` gives its worker back, and its job is submitted again
+    once the delay has passed, ahead of jobs not yet started. While the
+    latest step to finish brought no value, jobs waiting out a backoff count
+    against that window too. A ``ProviderError`` fails its job; one failure
+    past ``error_budget`` (a fraction of ``count``) raises RoutingAborted,
+    and any other exception is raised as it is; queued jobs and waiting
+    retries are then dropped. The provider is closed at the end.
     """
-    menu_problems = validate_menu(tree)
-    if menu_problems:
-        raise ValueError("menu is not valid: " + "; ".join(menu_problems))
-    terminal = flatten(tree)
-    data_problems = validate_dataset(ds, terminal)
-    if data_problems:
-        raise ValueError("dataset is not valid: " + "; ".join(data_problems))
-
-    records = select_records(ds, record_filter)
-    context = render_context(tree, condition)
-    known = frozenset(tp.path.canonical() for tp in terminal)
-    allowed_failures = math.floor(error_budget * len(records))
+    allowed_failures = math.floor(error_budget * count)
     window = WINDOW_PER_SLOT * provider.config.max_in_flight
 
-    slots: list[RoutingResult | None] = [None] * len(records)
-    failures: list[tuple[str, str]] = []
+    values: list = [None] * count
+    failures: list[tuple[int, str]] = []
     # The state below is shared by the workers and guarded by ``lock``.
     lock = threading.Condition()
-    tasks: deque[tuple[int, int]] = deque()  # submitted (record index, attempt), not yet taken
-    waiting: list[tuple[float, int, int]] = []  # heap of (due time, record index, attempt)
+    tasks: deque[tuple[int, int]] = deque()  # submitted (job, attempt), not yet taken
+    waiting: list[tuple[float, int, int]] = []  # heap of (due time, job, attempt)
     submitted = 0  # tasks queued or running
     next_index = 0
-    failing = False  # the latest attempt to finish brought no result
+    failing = False  # the latest step to finish brought no value
     error: BaseException | None = None  # what aborts the run
 
     def work() -> None:
@@ -294,40 +272,41 @@ def route_all(
                     _, index, attempt = heapq.heappop(waiting)
                     tasks.append((index, attempt))
                     submitted += 1
-                while next_index < len(records) and submitted + (len(waiting) if failing else 0) < window:
+                while next_index < count and submitted + (len(waiting) if failing else 0) < window:
                     tasks.append((next_index, 1))
                     next_index += 1
                     submitted += 1
                 if not tasks:
                     if not waiting and not submitted:
-                        break  # every intent is done
+                        break  # every job is done
                     lock.wait(waiting[0][0] - now if waiting else None)
                     continue
                 index, attempt = tasks.popleft()
                 lock.notify(len(tasks))  # idle workers take the rest
                 lock.release()
                 try:
-                    outcome = route_one(records[index], condition, context, provider, known, lenient, attempt)
+                    while (outcome := step(index, attempt)) is AGAIN:
+                        attempt = 1
                 except BaseException as exc:  # Backoff, ProviderError, or what aborts the run
                     outcome = exc
                 lock.acquire()
                 if error is not None:
                     break
                 submitted -= 1
-                failing = not isinstance(outcome, RoutingResult)
+                failing = isinstance(outcome, BaseException)
                 if not failing:
-                    slots[index] = outcome
+                    values[index] = outcome
                 elif isinstance(outcome, Backoff):
                     heapq.heappush(waiting, (time.monotonic() + outcome.delay, index, attempt + 1))
                     lock.notify()  # a worker waiting for a later retry times its wait again
                 elif not isinstance(outcome, ProviderError):
                     error = outcome
                 else:
-                    failures.append((records[index].id, str(outcome)))
+                    failures.append((index, str(outcome)))
                     if len(failures) > allowed_failures:
                         error = RoutingAborted(
                             f"{len(failures)} provider failure(s) exceeded the budget of {allowed_failures}",
-                            completed=[r for r in slots if r is not None],
+                            completed=[v for v in values if v is not None],
                             failures=failures,
                         )
                         error.__cause__ = outcome
@@ -335,7 +314,7 @@ def route_all(
 
     threads = [
         threading.Thread(target=work, name=f"ivroute-route-{n}", daemon=True)
-        for n in range(min(provider.config.max_in_flight, len(records)))
+        for n in range(min(provider.config.max_in_flight, count))
     ]
     try:
         for thread in threads:
@@ -355,13 +334,53 @@ def route_all(
         provider.close()
     if error is not None:
         raise error
+    return values, failures
 
+
+def route_all(
+    ds: Dataset,
+    condition: RoutingCondition,
+    tree: MenuTree,
+    provider: Provider,
+    record_filter: str = "all",
+    lenient: bool = False,
+    error_budget: float = 0.01,
+    identity: dict | None = None,
+) -> RoutingRun:
+    """Route every selected record on ``run_calls`` and return results in
+    dataset order; the context is rendered once. A RoutingAborted names
+    its failures by intent id.
+
+    ``identity``, the ``run_identity`` of these inputs when the caller has
+    it already, saves hashing them again for the manifest.
+    """
+    menu_problems = validate_menu(tree)
+    if menu_problems:
+        raise ValueError("menu is not valid: " + "; ".join(menu_problems))
+    terminal = flatten(tree)
+    data_problems = validate_dataset(ds, terminal)
+    if data_problems:
+        raise ValueError("dataset is not valid: " + "; ".join(data_problems))
+
+    records = select_records(ds, record_filter)
+    context = render_context(tree, condition)
+    known = frozenset(tp.path.canonical() for tp in terminal)
+
+    def step(index: int, attempt: int) -> RoutingResult:
+        return route_one(records[index], condition, context, provider, known, lenient, attempt)
+
+    def by_id(failures: list[tuple[int, str]]) -> list[tuple[str, str]]:
+        return [(records[index].id, message) for index, message in failures]
+
+    try:
+        slots, failures = run_calls(provider, len(records), step, error_budget)
+    except RoutingAborted as exc:
+        exc.failures = by_id(exc.failures)
+        raise
     results = [r for r in slots if r is not None]
     manifest = build_manifest(
-        ds, tree, condition, record_filter, provider, lenient, len(results), failures, identity
+        ds, tree, condition, record_filter, provider, lenient, len(results), by_id(failures), identity
     )
-    if extra_manifest:
-        manifest.update(extra_manifest)
     return RoutingRun(results=results, manifest=manifest)
 
 
@@ -478,10 +497,17 @@ def save_results(results: Iterable[RoutingResult], path: str | Path) -> None:
 
 
 def load_results(path: str | Path) -> list[RoutingResult]:
+    """The results of a results file; a line that is no valid results row
+    raises ValueError naming its line."""
     results = []
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
+        for line_no, line in enumerate(handle, start=1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 results.append(result_from_record(json.loads(line)))
+            # TypeError: the line is no JSON object, or a field has the wrong type
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{line_no}: bad result: {exc}") from exc
     return results

@@ -1,5 +1,7 @@
 """Synthetic intent datasets: base generation, paraphrase augmentation, and
-optional menu synthesis, all through a configured provider.
+optional menu synthesis, all through a configured provider. Every model
+call runs on the router's scheduler: each job is a generator that yields
+its prompts and is sent their completions.
 
 Augmented records inherit their base record's label; linguistic noise
 (interjections, fillers, small grammar slips) is requested from the
@@ -12,14 +14,14 @@ import json
 import logging
 import random
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Generator, Sequence
 
 from .datagen import DatagenError, Dataset, IntentRecord
 from .menu import MenuFormatError, MenuTree, TerminalPath, parse_menu
 from .prompts import load_template
 from .provider import Provider
+from .router import AGAIN, RoutingAborted, run_calls
 
 log = logging.getLogger(__name__)
 
@@ -60,6 +62,26 @@ def parse_listed_lines(text: str) -> list[str]:
     return [line.strip() for line in text.splitlines() if line.strip()]
 
 
+def _run_jobs(provider: Provider, jobs: list[Generator]) -> list:
+    """The return values of ``jobs``, in order. Each job yields a prompt
+    and is sent its completion, until it returns. The jobs share the
+    workers of ``run_calls``, a backoff holds none, and the first failure
+    ends the run and is raised as it is."""
+    prompts = [next(job) for job in jobs]
+
+    def step(index: int, attempt: int):
+        try:
+            prompts[index] = jobs[index].send(provider.complete(prompts[index], attempt))
+        except StopIteration as done:
+            return done.value
+        return AGAIN
+
+    try:
+        return run_calls(provider, len(jobs), step, error_budget=0)[0]
+    except RoutingAborted as exc:
+        raise exc.__cause__  # with no failure allowed, the run's only one
+
+
 # --- base intents -------------------------------------------------------------
 
 def generate_base_intents(
@@ -82,50 +104,32 @@ def generate_base_intents(
 
     template = load_template("template_base_intents.txt")
 
-    def prompt_for(tp: TerminalPath) -> str:
+    def generate_node(tp: TerminalPath):
         service = "self-service" if tp.service_type.value == "self_service" else "agent handoff"
-        return (
+        prompt = (
             template.replace("{{COUNT}}", str(per_node))
             .replace("{{BREADCRUMB}}", tp.breadcrumb_text())
             .replace("{{SERVICE_TYPE}}", service)
         )
-
-    def generate_node(tp: TerminalPath) -> list[str]:
+        canonical = tp.path.canonical()
         texts: list[str] = []
         seen: set[str] = set()
-        prompt = prompt_for(tp)
         for _ in range(1 + extra_call_budget):
-            reply = provider.complete(prompt).raw_text
-            for item in parse_listed_lines(reply):
+            for item in parse_listed_lines((yield prompt).raw_text):
                 key = _dedup_key(item)
                 if key and key not in seen:
                     seen.add(key)
                     texts.append(item)
                 if len(texts) == per_node:
-                    return texts
+                    return [IntentRecord(id=f"{canonical}:b{i:02d}", text=text, ground_truth=tp.path,
+                                         origin="base", base_id=f"{canonical}:b{i:02d}", variant_index=0)
+                            for i, text in enumerate(texts)]
         raise DatagenError(
-            f"path {tp.path.canonical()}: only {len(texts)} distinct text(s) "
+            f"path {canonical}: only {len(texts)} distinct text(s) "
             f"after {1 + extra_call_budget} call(s), needed {per_node}"
         )
 
-    with ThreadPoolExecutor(max_workers=provider.config.max_in_flight) as pool:
-        per_path_texts = list(pool.map(generate_node, paths))
-
-    records = []
-    for tp, texts in zip(paths, per_path_texts):
-        for i, text in enumerate(texts):
-            canonical = tp.path.canonical()
-            records.append(
-                IntentRecord(
-                    id=f"{canonical}:b{i:02d}",
-                    text=text,
-                    ground_truth=tp.path,
-                    origin="base",
-                    base_id=f"{canonical}:b{i:02d}",
-                    variant_index=0,
-                )
-            )
-    return records
+    return [r for node in _run_jobs(provider, [generate_node(tp) for tp in paths]) for r in node]
 
 
 # --- augmentation -------------------------------------------------------------
@@ -171,23 +175,11 @@ def augment_intents(
 
     template = load_template("template_paraphrase.txt")
     rng = random.Random(seed)
-    prompts = []
-    for record in base:
-        directives = _noise_directives(rng, noise, variants)
-        prompt = template.replace("{{COUNT}}", str(variants)).replace("{{TEXT}}", record.text)
-        if directives:
-            prompt = prompt.replace("{{NOISE_DIRECTIVES}}", directives)
-        else:
-            prompt = prompt.replace("\n{{NOISE_DIRECTIVES}}", "")
-        prompts.append(prompt)
 
-    def paraphrase_record(index: int) -> list[str]:
-        record = base[index]
-        reply = provider.complete(prompts[index]).raw_text
-        texts = parse_listed_lines(reply)
+    def paraphrase(record: IntentRecord, prompt: str):
+        texts = parse_listed_lines((yield prompt).raw_text)
         if len(texts) < variants:
-            reply = provider.complete(prompts[index]).raw_text
-            texts = parse_listed_lines(reply)
+            texts = parse_listed_lines((yield prompt).raw_text)
         if len(texts) < variants:
             raise DatagenError(
                 f"record {record.id}: got {len(texts)} paraphrase(s), needed {variants}"
@@ -198,7 +190,7 @@ def augment_intents(
             if _dedup_key(text) == base_key:
                 retry_prompt = template.replace("{{COUNT}}", "1").replace("{{TEXT}}", record.text)
                 retry_prompt = retry_prompt.replace("\n{{NOISE_DIRECTIVES}}", "")
-                retry = parse_listed_lines(provider.complete(retry_prompt).raw_text)
+                retry = parse_listed_lines((yield retry_prompt).raw_text)
                 if retry and _dedup_key(retry[0]) != base_key:
                     texts[k] = retry[0]
                 else:
@@ -206,25 +198,20 @@ def augment_intents(
                         "record %s: paraphrase %d still identical to its base text, keeping it",
                         record.id, k + 1,
                     )
-        return texts
+        return [IntentRecord(id=f"{record.id}:v{k}", text=text, ground_truth=record.ground_truth,
+                             origin="augmented", base_id=record.id, variant_index=k)
+                for k, text in enumerate(texts, start=1)]
 
-    with ThreadPoolExecutor(max_workers=provider.config.max_in_flight) as pool:
-        per_record_texts = list(pool.map(paraphrase_record, range(len(base))))
-
-    augmented = []
-    for record, texts in zip(base, per_record_texts):
-        for k, text in enumerate(texts, start=1):
-            augmented.append(
-                IntentRecord(
-                    id=f"{record.id}:v{k}",
-                    text=text,
-                    ground_truth=record.ground_truth,
-                    origin="augmented",
-                    base_id=record.id,
-                    variant_index=k,
-                )
-            )
-    return augmented
+    jobs = []
+    for record in base:  # directives drawn in base order, so a seed fixes every prompt
+        directives = _noise_directives(rng, noise, variants)
+        prompt = template.replace("{{COUNT}}", str(variants)).replace("{{TEXT}}", record.text)
+        if directives:
+            prompt = prompt.replace("{{NOISE_DIRECTIVES}}", directives)
+        else:
+            prompt = prompt.replace("\n{{NOISE_DIRECTIVES}}", "")
+        jobs.append(paraphrase(record, prompt))
+    return [r for variants_of in _run_jobs(provider, jobs) for r in variants_of]
 
 
 def build_dataset(
@@ -268,20 +255,24 @@ def generate_menu(business_brief: str, provider: Provider) -> dict:
     if not business_brief.strip():
         raise ValueError("business brief is empty")
     prompt = load_template("template_menu_gen.txt").replace("{{BRIEF}}", business_brief)
-    reply = provider.complete(prompt).raw_text
-    try:
-        document = json.loads(_strip_code_fence(reply))
-    except json.JSONDecodeError as first_error:
-        retry_prompt = (
-            f"Your previous output was not valid JSON ({first_error}). "
-            "Resend the complete corrected JSON document, and nothing else.\n\n"
-            f"Previous output:\n{reply}"
-        )
-        reply = provider.complete(retry_prompt).raw_text
+
+    def ask():
+        reply = (yield prompt).raw_text
         try:
-            document = json.loads(_strip_code_fence(reply))
-        except json.JSONDecodeError as exc:
-            raise DatagenError(f"model output is not JSON after a reformat retry: {exc}") from exc
+            return json.loads(_strip_code_fence(reply))
+        except json.JSONDecodeError as first_error:
+            retry_prompt = (
+                f"Your previous output was not valid JSON ({first_error}). "
+                "Resend the complete corrected JSON document, and nothing else.\n\n"
+                f"Previous output:\n{reply}"
+            )
+            reply = (yield retry_prompt).raw_text
+            try:
+                return json.loads(_strip_code_fence(reply))
+            except json.JSONDecodeError as exc:
+                raise DatagenError(f"model output is not JSON after a reformat retry: {exc}") from exc
+
+    (document,) = _run_jobs(provider, [ask()])
 
     try:
         parse_menu(document)

@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import socket
 import socketserver
+import ssl
 import threading
 import time
 from importlib import resources
@@ -26,6 +27,18 @@ from ivroute.menu import (
 )
 
 DATA = resources.files("ivroute.data")
+
+# A test-only self-signed certificate for localhost and 127.0.0.1, valid
+# until 2126, and its key, made with OpenSSL 3.5:
+#   openssl req -x509 -newkey ec -pkeyopt ec_paramgen_curve:prime256v1 -nodes \
+#     -days 36500 -subj "/CN=localhost" \
+#     -addext "subjectAltName=DNS:localhost,IP:127.0.0.1" \
+#     -addext "basicConstraints=critical,CA:TRUE" \
+#     -addext "keyUsage=critical,digitalSignature,keyCertSign" \
+#     -addext "extendedKeyUsage=serverAuth" \
+#     -keyout localhost-key.pem -out localhost-cert.pem
+TLS_CERT = Path(__file__).parent / "data" / "localhost-cert.pem"
+TLS_KEY = Path(__file__).parent / "data" / "localhost-key.pem"
 
 
 def data_text(name: str) -> str:
@@ -149,10 +162,12 @@ class ChatServer(socketserver.ThreadingTCPServer):
 
     Every response leaves in one write: status line, headers and body split
     over several writes stall kept-alive calls on the Nagle / delayed-ACK
-    interaction. ``reply`` is the content of every 200, ``status`` the
-    status of every response and ``delay`` holds each response.
+    interaction. ``reply`` is the content of every 200, ``statuses`` the
+    statuses of the first responses, in order, ``status`` that of every
+    later one and ``delay`` holds each response.
     ``retry_after``, when set, goes out as a Retry-After header on every
-    response that is not a 200.
+    response that is not a 200. With ``tls`` the server speaks https with
+    the test certificate, TLS_CERT.
     ``hang_up`` closes each connection after its first response, without a
     ``Connection: close`` header, as a server whose idle timeout ran out
     does: at once (``"after-reply"``), or once the next request on it has
@@ -164,19 +179,30 @@ class ChatServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
     block_on_close = False
 
-    def __init__(self, reply="1-1", status=200, delay=0.0, hang_up=None, retry_after=None):
+    def __init__(self, reply="1-1", status=200, delay=0.0, hang_up=None, retry_after=None,
+                 statuses=(), tls=False):
         super().__init__(("127.0.0.1", 0), _ChatHandler)
         self.reply, self.status, self.delay = reply, status, delay
+        self.statuses = list(statuses)
         self.retry_after = retry_after
         self.hang_up = hang_up
+        self.tls = None
+        if tls:
+            self.tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            self.tls.load_cert_chain(TLS_CERT, TLS_KEY)
         self.port = self.server_address[1]
-        self.url = f"http://127.0.0.1:{self.port}/v1/chat/completions"
+        self.url = f"{'https' if tls else 'http'}://127.0.0.1:{self.port}/v1/chat/completions"
         self.lock = threading.Lock()
         self.accepted = self.open = self.peak_open = self.answered = 0
         self.seen: list[tuple[str, dict, bytes]] = []  # (request line, headers, body)
 
-    def response(self) -> bytes:
-        status = self.status
+    def get_request(self):
+        conn, address = super().get_request()
+        if self.tls is not None:  # the handshake is made on the connection's own thread
+            conn = self.tls.wrap_socket(conn, server_side=True, do_handshake_on_connect=False)
+        return conn, address
+
+    def response(self, status: int) -> bytes:
         if status == 200:
             body = json.dumps({"choices": [{"message": {"content": self.reply}}]},
                               ensure_ascii=False).encode("utf-8")
@@ -218,6 +244,8 @@ class _ChatHandler(socketserver.StreamRequestHandler):
             server.open += 1
             server.peak_open = max(server.peak_open, server.open)
         try:
+            if server.tls is not None:
+                self.request.do_handshake()
             answered = self._answer_one()
             if answered and server.hang_up == "before-reply":
                 self._read_request()
@@ -245,7 +273,8 @@ class _ChatHandler(socketserver.StreamRequestHandler):
         with self.server.lock:
             self.server.answered += 1
             self.server.seen.append(request)
-        self.wfile.write(self.server.response())
+            status = self.server.statuses.pop(0) if self.server.statuses else self.server.status
+        self.wfile.write(self.server.response(status))
         return True
 
 

@@ -12,6 +12,7 @@ from ivroute.datagen import load_dataset, validate_dataset
 from ivroute.evaluation import load_report
 from ivroute.menu import flatten, load_menu
 from ivroute.prompts import RoutingCondition
+from ivroute.provider import DEFAULT_API_KEY_ENV
 from ivroute import router
 from ivroute.router import load_results, run_identity
 
@@ -303,16 +304,24 @@ def test_route_config_value_of_wrong_type_exit_2(tmp_path, fixture_menu_path,
     assert capsys.readouterr().err.startswith("error: bad provider settings")
 
 
-def truncated_dataset(tmp_path):
+def malformed_datasets(tmp_path):
+    """Dataset files whose second line does not load: cut short, or JSON
+    that is no object."""
     first, second = data_text("agentnet.intents.jsonl").splitlines()[:2]
-    file = tmp_path / "truncated.jsonl"
-    file.write_text(first + "\n" + second[: len(second) // 2] + "\n", encoding="utf-8")
-    return file
+    files = []
+    for name, line in [("truncated", second[: len(second) // 2]), ("number", "3"),
+                       ("string", '"x"'), ("null", "null"), ("array", f"[{second}]")]:
+        files.append(tmp_path / f"{name}.jsonl")
+        files[-1].write_text(first + "\n" + line + "\n", encoding="utf-8")
+    return files
 
 
 def test_route_malformed_dataset_line_exit_1(tmp_path, fixture_menu_path, capsys):
-    assert run(route_args(fixture_menu_path, truncated_dataset(tmp_path), tmp_path)) == 1
-    assert "truncated.jsonl:2: bad record" in capsys.readouterr().err
+    for dataset in malformed_datasets(tmp_path):
+        assert run(route_args(fixture_menu_path, dataset, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot load dataset {dataset}: ")
+        assert f"{dataset.name}:2: bad record" in err
 
 
 def test_route_every_intent_failing_within_budget_exit_1(tmp_path, fixture_menu_path,
@@ -414,6 +423,28 @@ def test_eval_correct_flag_that_is_no_bool_exit_1(tmp_path, fixture_menu_path,
     assert "cannot load results" in capsys.readouterr().err
 
 
+NOT_A_RESULTS_ROW = {
+    "number": lambda row: 3,
+    "string": lambda row: "row",
+    "null": lambda row: None,
+    "array": lambda row: [row],
+    "rules-not-a-list": lambda row: {**row, "normalization_applied": 5},
+}
+
+
+@pytest.mark.parametrize("edit", NOT_A_RESULTS_ROW.values(), ids=NOT_A_RESULTS_ROW.keys())
+def test_eval_results_line_that_is_no_results_row_exit_1(tmp_path, fixture_menu_path,
+                                                         fixture_dataset_path, capsys, edit):
+    run_dir = oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path)
+    results_file = run_dir / "results.jsonl"
+    rows = [json.loads(line) for line in results_file.read_text(encoding="utf-8").splitlines()]
+    rows[3] = edit(rows[3])
+    results_file.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    assert run(["eval", str(results_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot load results {results_file}: {results_file}:4: bad result")
+
+
 def test_eval_empty_results_exit_1(tmp_path, capsys):
     empty = tmp_path / "results.jsonl"
     empty.write_text("", encoding="utf-8")
@@ -478,6 +509,21 @@ def test_demo_provider_error_continues(fixture_menu_path, tmp_path, monkeypatch,
     assert captured.err.count("error:") == 2  # exhausted script, loop kept going
 
 
+def test_demo_retries_a_503_and_prints_the_path(fixture_menu_path, chat_server, monkeypatch,
+                                                capsys):
+    monkeypatch.delenv(DEFAULT_API_KEY_ENV, raising=False)
+    server = chat_server(reply="2-1-9", statuses=[503], retry_after="0")
+    feed_stdin(monkeypatch, "router is broken\n")
+    code = run(["demo", "--menu", str(fixture_menu_path), "--provider", "http",
+                "--endpoint", server.url])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("2-1-9  ") and captured.out.count("\n") == 1
+    assert captured.err == ""
+    assert server.answered == 2  # the 503, then its retry
+    assert server.wait_all_closed()  # the scheduler closed the connection after the line
+
+
 def test_demo_invalid_reply_reported(fixture_menu_path, tmp_path, monkeypatch, capsys):
     script = write_script(tmp_path, ["press one please", "5-5-5"])
     feed_stdin(monkeypatch, "a\nb\n")
@@ -489,13 +535,15 @@ def test_demo_invalid_reply_reported(fixture_menu_path, tmp_path, monkeypatch, c
 
 
 def test_demo_malformed_dataset_line_exit_1(tmp_path, fixture_menu_path, monkeypatch, capsys):
-    feed_stdin(monkeypatch, "i want to check my balance\n")
-    code = run(["demo", "--menu", str(fixture_menu_path), "--provider", "oracle",
-                "--dataset", str(truncated_dataset(tmp_path))])
-    assert code == 1
-    captured = capsys.readouterr()
-    assert "truncated.jsonl:2: bad record" in captured.err
-    assert captured.out == ""
+    for dataset in malformed_datasets(tmp_path):
+        feed_stdin(monkeypatch, "i want to check my balance\n")
+        code = run(["demo", "--menu", str(fixture_menu_path), "--provider", "oracle",
+                    "--dataset", str(dataset)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot load dataset {dataset}: ")
+        assert f"{dataset.name}:2: bad record" in captured.err
+        assert captured.out == ""
 
 
 # --- check-roles -------------------------------------------------------------------------

@@ -3,6 +3,7 @@ validation, and JSONL round-trips."""
 
 import json
 import logging
+import threading
 
 import pytest
 
@@ -16,7 +17,7 @@ from ivroute.datagen import (
     validate_dataset,
 )
 from ivroute.menu import DtmfPath, flatten
-from ivroute.provider import ProviderConfig, ScriptedProvider
+from ivroute.provider import HttpProvider, ProviderConfig, ProviderError, ScriptedProvider
 from ivroute.synthesis import (
     NoiseProfile,
     augment_intents,
@@ -104,6 +105,38 @@ def test_base_generation_budget_exhaustion(tiny_tree):
     replies = [numbered(["only one"])] * 4  # initial call + 3 extra, all stuck
     with pytest.raises(DatagenError, match="only 1 distinct"):
         generate_base_intents(paths, serial_scripted(replies), per_node=3, extra_call_budget=3)
+
+
+def test_base_generation_call_backing_off_lets_the_next_path_go_first(tiny_tree):
+    # One worker: the first path's call gets a 503, and the second path's
+    # call goes out while it waits. A worker that slept through the backoff
+    # would send the first path's prompt twice in a row.
+    breadcrumbs = [tp.breadcrumb_text() for tp in flatten(tiny_tree)]
+    sent = []
+    lock = threading.Lock()
+
+    def transport(url, payload, headers, timeout):
+        prompt = payload["messages"][0]["content"]
+        with lock:
+            sent.append(next(b for b in breadcrumbs if b in prompt))
+            if len(sent) == 1:
+                return 503, "busy", "0"
+            count = len(sent)
+        reply = numbered([f"complaint {count}a", f"complaint {count}b"])
+        return 200, json.dumps({"choices": [{"message": {"content": reply}}]}), None
+
+    config = ProviderConfig(endpoint_url="http://endpoint.test/v1", max_in_flight=1)
+    records = generate_base_intents(flatten(tiny_tree), HttpProvider(config, transport=transport),
+                                    per_node=2)
+    assert sent == [breadcrumbs[0], breadcrumbs[1], breadcrumbs[0], breadcrumbs[2]]
+    assert [r.id for r in records] == ["1-1:b00", "1-1:b01", "1-9:b00", "1-9:b01", "2:b00", "2:b01"]
+    assert records[0].text == "complaint 3a"  # the first path's answer is its retry's
+
+
+def test_base_generation_provider_failure_is_raised_as_it_is(tiny_tree):
+    paths = flatten(tiny_tree)
+    with pytest.raises(ProviderError, match="scripted mock ran out of replies"):
+        generate_base_intents(paths, serial_scripted([numbered(["a", "b"])]), per_node=2)
 
 
 def test_base_generation_rejects_bad_args(tiny_tree):

@@ -1,4 +1,5 @@
-"""Property tests of the file round trips: dataset JSONL and results rows."""
+"""Property tests of the file round trips: menu documents, dataset JSONL and
+results rows."""
 
 import json
 
@@ -6,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ivroute.datagen import Dataset, IntentRecord, dataset_to_jsonl, load_dataset, save_dataset
-from ivroute.menu import DtmfPath
+from ivroute.menu import (
+    ActionType,
+    DtmfPath,
+    MenuNode,
+    MenuTree,
+    NodeKind,
+    parse_menu,
+    tree_to_document,
+)
 from ivroute.prompts import RoutingCondition
 from ivroute.router import (
     INVALID,
@@ -15,6 +24,44 @@ from ivroute.router import (
     result_from_record,
     result_to_record,
 )
+
+labels = st.text(min_size=1, max_size=12)
+action_types = st.sampled_from((ActionType.SELF_SERVICE, ActionType.AGENT_HANDOFF))
+
+
+@st.composite
+def menu_nodes(draw, digit=None, depth=0):
+    """A valid menu node: distinct child digits, navigation options only on
+    0 and never alone, sub-menus at most three levels deep."""
+    digits = draw(st.lists(st.integers(0, 9), min_size=1, max_size=4, unique=True))
+    children = []
+    for child_digit in digits:
+        kinds = ["action"] + (["menu"] if depth < 3 else [])
+        if child_digit == 0 and len(digits) > 1:
+            kinds.append("navigation")
+        kind = draw(st.sampled_from(kinds))
+        if kind == "menu":
+            children.append(draw(menu_nodes(child_digit, depth + 1)))
+        elif kind == "navigation":
+            children.append(MenuNode(label=draw(labels), digit=0, kind=NodeKind.NAVIGATION))
+        else:
+            children.append(MenuNode(label=draw(labels), digit=child_digit, kind=NodeKind.ACTION,
+                                     action_type=draw(action_types)))
+    return MenuNode(label=draw(labels), digit=digit, kind=NodeKind.MENU, children=tuple(children),
+                    prompt_text=draw(st.text(max_size=30)))
+
+
+menu_trees = st.builds(MenuTree, name=labels, root=menu_nodes())
+
+
+@settings(max_examples=200, deadline=None)
+@given(menu_trees)
+def test_menu_survives_its_document(tree):
+    document = tree_to_document(tree)
+    assert parse_menu(document) == tree
+    assert parse_menu(json.dumps(document, ensure_ascii=False)) == tree
+    assert tree_to_document(parse_menu(document)) == document
+
 
 dtmf_paths = st.lists(st.integers(0, 9), min_size=1, max_size=5).map(lambda d: DtmfPath(tuple(d)))
 

@@ -25,6 +25,7 @@ from ivroute.provider import (
     ScriptedProvider,
 )
 from ivroute.router import (
+    AGAIN,
     INVALID,
     RoutingAborted,
     build_manifest,
@@ -34,6 +35,7 @@ from ivroute.router import (
     route,
     route_all,
     route_one,
+    run_calls,
     run_identity,
     save_results,
     select_records,
@@ -332,28 +334,26 @@ class QueryTransport:
 
 def http_provider_on(transport, **config_kwargs):
     config = ProviderConfig(endpoint_url="http://endpoint.test/v1", **config_kwargs)
-    sleeps = []
-    return HttpProvider(config, transport=transport, sleep=sleeps.append), sleeps
+    return HttpProvider(config, transport=transport)
 
 
 def test_route_all_retry_gives_its_worker_to_the_next_intent(tiny_tree):
     ds = tiny_dataset()
     queries = [r.text for r in ds.records]
     transport = QueryTransport({queries[0]: [503]})
-    provider, sleeps = http_provider_on(transport, max_in_flight=1)
+    provider = http_provider_on(transport, max_in_flight=1)
     run = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
     assert [r.intent_id for r in run.results] == [r.id for r in ds.records]
     # The second intent goes out while the first waits out its backoff;
     # holding the worker through the wait would give q0, q0, q1.
     assert transport.queries[:3] == [queries[0], queries[1], queries[0]]
     assert len(transport.queries) == 7
-    assert sleeps == []  # route_all waits; the provider never sleeps
 
 
 def test_route_all_dead_endpoint_sees_a_bounded_window(tiny_tree):
     ds = tiny_dataset()
     transport = QueryTransport({r.text: None for r in ds.records})
-    provider, _ = http_provider_on(transport, max_in_flight=1, max_retries=3)
+    provider = http_provider_on(transport, max_in_flight=1, max_retries=3)
     with pytest.raises(RoutingAborted) as excinfo:
         route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider, error_budget=0.0)
     assert len(excinfo.value.failures) == 1
@@ -546,6 +546,39 @@ def test_route_all_stress_keeps_every_intent_once(dataset, tree):
     )
     assert elapsed < 30
     assert workers_alive() == []
+
+
+def test_run_calls_makes_a_follow_up_call_at_once_and_a_retry_after_the_next_job():
+    # Job 0 backs off, its retry asks for a follow-up call, and that one
+    # answers; job 1 answers at once. One worker takes job 1 while job 0
+    # waits, and makes job 0's follow-up call, at attempt 1, right after
+    # the call that asked for it.
+    steps = []
+
+    def step(index, attempt):
+        steps.append((index, attempt))
+        if index == 1:
+            return "one"
+        if len(steps) == 1:
+            raise Backoff(0.0)
+        return AGAIN if len(steps) == 3 else "zero"
+
+    provider = ScriptedProvider([], config=ProviderConfig(max_in_flight=1))
+    assert run_calls(provider, 2, step, error_budget=0) == (["zero", "one"], [])
+    assert steps == [(0, 1), (1, 1), (0, 2), (0, 1)]
+
+
+def test_run_calls_counts_a_failure_within_budget_and_keeps_going():
+    def step(index, attempt):
+        if index == 1:
+            raise ProviderError("down")
+        return index
+
+    provider = ScriptedProvider([], config=ProviderConfig(max_in_flight=2))
+    assert run_calls(provider, 3, step, error_budget=0.5) == ([0, None, 2], [(1, "down")])
+    with pytest.raises(RoutingAborted, match="exceeded the budget of 0") as excinfo:
+        run_calls(provider, 3, step, error_budget=0.0)
+    assert excinfo.value.failures == [(1, "down")]
 
 
 # --- manifest ------------------------------------------------------------------------
