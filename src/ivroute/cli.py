@@ -61,53 +61,58 @@ _CONDITIONS = {
 _PROVIDER_KINDS = ("http", "oracle", "keyword", "scripted")
 
 
-def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+class CommandFailed(Exception):
+    """Ends a subcommand: ``main`` prints ``error: <message>`` and returns
+    ``code``."""
+
+    def __init__(self, message: str, code: int):
+        super().__init__(message)
+        self.code = code
 
 
-def _load_config_file(path: str | None) -> dict | int:
-    """Parsed config mapping, or an exit code on failure."""
+def _load_config_file(path: str | None) -> dict:
+    """Parsed config mapping; exit 2 when the file is absent or holds no
+    JSON object."""
     if not path:
         return {}
     file = Path(path)
     if not file.is_file():
-        return _fail(f"no such config file: {file}", EXIT_USAGE)
+        raise CommandFailed(f"no such config file: {file}", EXIT_USAGE)
     try:
         data = json.loads(file.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
-        return _fail(f"cannot read config file {file}: {exc}", EXIT_USAGE)
+        raise CommandFailed(f"cannot read config file {file}: {exc}", EXIT_USAGE)
     if not isinstance(data, dict):
-        return _fail(f"config file {file} must hold a JSON object", EXIT_USAGE)
+        raise CommandFailed(f"config file {file} must hold a JSON object", EXIT_USAGE)
     return data
 
 
-def _read_menu(path_str: str) -> MenuTree | int:
-    """Parsed tree, or an exit code: 2 when the file is absent, 1 when the
-    content does not parse."""
+def _read_menu(path_str: str) -> MenuTree:
+    """Parsed tree; exit 2 when the file is absent, 1 when the content does
+    not parse."""
     path = Path(path_str)
     if not path.is_file():
-        return _fail(f"no such menu file: {path}", EXIT_USAGE)
+        raise CommandFailed(f"no such menu file: {path}", EXIT_USAGE)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
-        return _fail(f"cannot read {path}: {exc}", EXIT_USAGE)
+        raise CommandFailed(f"cannot read {path}: {exc}", EXIT_USAGE)
     try:
         return parse_menu(text)
     except MenuFormatError as exc:
-        return _fail(f"invalid menu: {exc}", EXIT_FAILURE)
+        raise CommandFailed(f"invalid menu: {exc}", EXIT_FAILURE)
 
 
-def _read_dataset(path_str: str, menu_name: str) -> Dataset | int:
-    """Loaded dataset, or an exit code: 2 when the file is absent, 1 when a
-    line does not load."""
+def _read_dataset(path_str: str, menu_name: str) -> Dataset:
+    """Loaded dataset; exit 2 when the file is absent, 1 when a line does
+    not load."""
     path = Path(path_str)
     if not path.is_file():
-        return _fail(f"no such dataset file: {path}", EXIT_USAGE)
+        raise CommandFailed(f"no such dataset file: {path}", EXIT_USAGE)
     try:
         return load_dataset(path, menu_name=menu_name)
     except ValueError as exc:
-        return _fail(f"cannot load dataset {path}: {exc}", EXIT_FAILURE)
+        raise CommandFailed(f"cannot load dataset {path}: {exc}", EXIT_FAILURE)
 
 
 def _stage_settings(config: dict, stage: str) -> dict:
@@ -118,20 +123,19 @@ def _stage_settings(config: dict, stage: str) -> dict:
     return settings if isinstance(settings, dict) else {}
 
 
-def _load_script(args: argparse.Namespace, config: dict, stage: str) -> list[str] | int:
-    stage_cfg = _stage_settings(config, stage)
-    script_path = getattr(args, "script", None) or stage_cfg.get("script")
+def _load_script(args: argparse.Namespace, config: dict, stage: str) -> list[str]:
+    script_path = args.script or _stage_settings(config, stage).get("script")
     if not script_path:
-        return _fail("scripted provider needs --script <json array file>", EXIT_USAGE)
+        raise CommandFailed("scripted provider needs --script <json array file>", EXIT_USAGE)
     file = Path(script_path)
     if not file.is_file():
-        return _fail(f"no such script file: {file}", EXIT_USAGE)
+        raise CommandFailed(f"no such script file: {file}", EXIT_USAGE)
     try:
         replies = json.loads(file.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
-        return _fail(f"cannot read script file {file}: {exc}", EXIT_USAGE)
+        raise CommandFailed(f"cannot read script file {file}: {exc}", EXIT_USAGE)
     if not isinstance(replies, list) or not all(isinstance(r, str) for r in replies):
-        return _fail(f"script file {file} must hold a JSON array of strings", EXIT_USAGE)
+        raise CommandFailed(f"script file {file} must hold a JSON array of strings", EXIT_USAGE)
     return replies
 
 
@@ -141,9 +145,9 @@ def _make_provider(
     stage: str,
     dataset=None,
     paths=None,
-) -> Provider | int:
+) -> Provider:
     """The stage's provider, with CLI flags layered over the stage's
-    config-file block over defaults; an exit code when none can be built."""
+    config-file block over defaults; exit 2 when none can be built."""
     stage_cfg = _stage_settings(config, stage)
 
     def pick(cli_value, key, default):
@@ -155,9 +159,9 @@ def _make_provider(
 
     kind = pick(args.provider, "kind", "http")
     if kind not in _PROVIDER_KINDS:
-        return _fail(f"unknown provider kind {kind!r}", EXIT_USAGE)
+        raise CommandFailed(f"unknown provider kind {kind!r}", EXIT_USAGE)
     if stage == "datagen" and kind in ("oracle", "keyword"):
-        return _fail(f"{kind} provider cannot synthesize intents; use http or scripted", EXIT_USAGE)
+        raise CommandFailed(f"{kind} provider cannot synthesize intents; use http or scripted", EXIT_USAGE)
     try:
         cfg = ProviderConfig(
             endpoint_url=pick(args.endpoint, "endpoint_url", ""),
@@ -170,50 +174,39 @@ def _make_provider(
             requests_per_second=pick(args.rps, "requests_per_second", None),
         )
     except (TypeError, ValueError) as exc:  # TypeError: a config-file value of the wrong type
-        return _fail(f"bad provider settings: {exc}", EXIT_USAGE)
+        raise CommandFailed(f"bad provider settings: {exc}", EXIT_USAGE)
 
     if kind == "http":
         if not cfg.endpoint_url:
-            return _fail("http provider needs --endpoint (or an endpoint_url in the config file)", EXIT_USAGE)
+            raise CommandFailed(
+                "http provider needs --endpoint (or an endpoint_url in the config file)", EXIT_USAGE
+            )
         try:
             return HttpProvider(cfg)
         except ValueError as exc:  # an endpoint or proxy URL it cannot use
-            return _fail(f"bad provider settings: {exc}", EXIT_USAGE)
+            raise CommandFailed(f"bad provider settings: {exc}", EXIT_USAGE)
     if kind == "oracle":
         if dataset is None:
-            return _fail("oracle provider needs a dataset to take its answers from", EXIT_USAGE)
+            raise CommandFailed("oracle provider needs a dataset to take its answers from", EXIT_USAGE)
         return OracleProvider.for_dataset(dataset, config=cfg)
     if kind == "keyword":
         if paths is None:
-            return _fail("keyword provider needs a menu", EXIT_USAGE)
+            raise CommandFailed("keyword provider needs a menu", EXIT_USAGE)
         return KeywordProvider(paths, config=cfg)
-    replies = _load_script(args, config, stage)
-    if isinstance(replies, int):
-        return replies
-    return ScriptedProvider(replies, config=cfg)
-
-
-def _out_dir(args: argparse.Namespace, default: str = ".") -> Path:
-    return Path(args.out) if getattr(args, "out", None) else Path(default)
+    return ScriptedProvider(_load_script(args, config, stage), config=cfg)
 
 
 # --- subcommands ----------------------------------------------------------------
 
 def cmd_validate_menu(args: argparse.Namespace) -> int:
     tree = _read_menu(args.menu)
-    if isinstance(tree, int):
-        return tree
     print(f"OK: {tree.name}: {len(flatten(tree))} terminal paths")
     return EXIT_OK
 
 
 def cmd_flatten(args: argparse.Namespace) -> int:
     tree = _read_menu(args.menu)
-    if isinstance(tree, int):
-        return tree
     paths = flatten(tree)
-    if not paths:
-        return _fail("menu has no terminal paths", EXIT_FAILURE)
     if args.format == "tsv":
         sys.stdout.write(render_paths_tsv(paths))
     else:
@@ -227,17 +220,11 @@ def cmd_gen_intents(args: argparse.Namespace) -> int:
     try:
         noise = NoiseProfile() if args.noise is None else NoiseProfile(*args.noise)
     except ValueError as exc:
-        return _fail(f"--noise: {exc}", EXIT_USAGE)
+        raise CommandFailed(f"--noise: {exc}", EXIT_USAGE)
     config = _load_config_file(args.config)
-    if isinstance(config, int):
-        return config
     tree = _read_menu(args.menu)
-    if isinstance(tree, int):
-        return tree
     paths = flatten(tree)
     provider = _make_provider(args, config, "datagen", paths=paths)
-    if isinstance(provider, int):
-        return provider
 
     seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     try:
@@ -251,14 +238,14 @@ def cmd_gen_intents(args: argparse.Namespace) -> int:
             seed=seed,
         )
     except (ProviderError, ValueError) as exc:
-        return _fail(str(exc), EXIT_FAILURE)
+        raise CommandFailed(str(exc), EXIT_FAILURE)
     problems = validate_dataset(ds, paths)
     if problems:
         for problem in problems:
             print(f"violation: {problem}", file=sys.stderr)
-        return _fail("generated dataset failed validation", EXIT_FAILURE)
+        raise CommandFailed("generated dataset failed validation", EXIT_FAILURE)
 
-    out_file = Path(args.dataset_out) if args.dataset_out else _out_dir(args) / "intents.jsonl"
+    out_file = Path(args.dataset_out) if args.dataset_out else Path(args.out) / "intents.jsonl"
     out_file.parent.mkdir(parents=True, exist_ok=True)
     save_dataset(ds, out_file)
     print(f"wrote {len(ds.records)} records to {out_file}")
@@ -267,29 +254,21 @@ def cmd_gen_intents(args: argparse.Namespace) -> int:
 
 def cmd_route(args: argparse.Namespace) -> int:
     if not 0 <= args.error_budget <= 1:
-        return _fail(f"--error-budget must be within [0, 1], not {args.error_budget}", EXIT_USAGE)
+        raise CommandFailed(f"--error-budget must be within [0, 1], not {args.error_budget}", EXIT_USAGE)
     config = _load_config_file(args.config)
-    if isinstance(config, int):
-        return config
     tree = _read_menu(args.menu)
-    if isinstance(tree, int):
-        return tree
     ds = _read_dataset(args.dataset, tree.name)
-    if isinstance(ds, int):
-        return ds
 
     condition = _CONDITIONS[args.condition]
     paths = flatten(tree)
     provider = _make_provider(args, config, "routing", dataset=ds, paths=paths)
-    if isinstance(provider, int):
-        return provider
 
     # The run directory is named by the inputs alone, so a run that could
     # not be saved is refused before any call is paid for.
     identity = run_identity(ds, tree, condition, args.filter, provider.config.model_name, args.lenient)
-    run_dir = _out_dir(args, "runs") / f"run-{identity['run_id']}"
+    run_dir = Path(args.out) / f"run-{identity['run_id']}"
     if run_dir.exists() and not args.force:
-        return _fail(
+        raise CommandFailed(
             f"{run_dir} already exists (same menu/dataset/condition/model); use --force to overwrite",
             EXIT_FAILURE,
         )
@@ -306,14 +285,13 @@ def cmd_route(args: argparse.Namespace) -> int:
             identity=identity,
         )
     except RoutingAborted as exc:
-        print(f"error: run aborted: {exc}", file=sys.stderr)
-        for intent_id, message in exc.failures[:5]:
-            print(f"  failed {intent_id}: {message}", file=sys.stderr)
+        lines = [f"run aborted: {exc}"]
+        lines += [f"  failed {intent_id}: {message}" for intent_id, message in exc.failures[:5]]
         if len(exc.failures) > 5:
-            print(f"  ... and {len(exc.failures) - 5} more", file=sys.stderr)
-        return EXIT_FAILURE
+            lines.append(f"  ... and {len(exc.failures) - 5} more")
+        raise CommandFailed("\n".join(lines), EXIT_FAILURE)
     except (ProviderError, ValueError) as exc:
-        return _fail(str(exc), EXIT_FAILURE)
+        raise CommandFailed(str(exc), EXIT_FAILURE)
 
     run_dir.mkdir(parents=True, exist_ok=True)
     save_results(run.results, run_dir / "results.jsonl")
@@ -322,7 +300,9 @@ def cmd_route(args: argparse.Namespace) -> int:
     )
     if not run.results:  # every failure fit in the error budget, so nothing can be scored
         failures = len(run.manifest["failures"])
-        return _fail(f"no intent was routed ({failures} provider failure(s)); see {run_dir}", EXIT_FAILURE)
+        raise CommandFailed(
+            f"no intent was routed ({failures} provider failure(s)); see {run_dir}", EXIT_FAILURE
+        )
     print(f"routed {len(run.results)} intents, accuracy {format_percent(accuracy(run.results))}%")
     print(f"run directory: {run_dir}")
     return EXIT_OK
@@ -337,13 +317,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     results_file = Path(args.results)
     if not results_file.is_file():
-        return _fail(f"no such results file: {results_file}", EXIT_USAGE)
+        raise CommandFailed(f"no such results file: {results_file}", EXIT_USAGE)
     try:
         results = load_results(results_file)
     except ValueError as exc:
-        return _fail(f"cannot load results {results_file}: {exc}", EXIT_FAILURE)
+        raise CommandFailed(f"cannot load results {results_file}: {exc}", EXIT_FAILURE)
     if not results:
-        return _fail(f"results file {results_file} is empty", EXIT_FAILURE)
+        raise CommandFailed(f"results file {results_file} is empty", EXIT_FAILURE)
 
     manifest = {}
     manifest_file = results_file.parent / "manifest.json"
@@ -357,8 +337,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     if args.menu:
         tree = _read_menu(args.menu)
-        if isinstance(tree, int):
-            return tree
         classes = [tp.path.canonical() for tp in flatten(tree)]
     else:
         # No menu at hand: score over the classes the results actually carry.
@@ -375,11 +353,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     try:
         report = build_report(results, classes, condition, dataset_filter, model_name)
     except ValueError as exc:
-        return _fail(str(exc), EXIT_FAILURE)
+        raise CommandFailed(str(exc), EXIT_FAILURE)
 
-    report_dir = _out_dir(args, str(results_file.parent)) / f"eval-{run_id}"
+    report_dir = Path(args.out or results_file.parent) / f"eval-{run_id}"
     if report_dir.exists() and not args.force:
-        return _fail(f"{report_dir} already exists; use --force to overwrite", EXIT_FAILURE)
+        raise CommandFailed(f"{report_dir} already exists; use --force to overwrite", EXIT_FAILURE)
     written = emit_report(report, report_dir)
     print(f"accuracy {format_percent(report.accuracy)}% over {report.n} results")
     for path in written:
@@ -389,22 +367,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_demo(args: argparse.Namespace) -> int:
     config = _load_config_file(args.config)
-    if isinstance(config, int):
-        return config
     tree = _read_menu(args.menu)
-    if isinstance(tree, int):
-        return tree
     paths = flatten(tree)
-    if not paths:
-        return _fail("menu has no terminal paths", EXIT_FAILURE)
 
     dataset = _read_dataset(args.dataset, tree.name) if args.dataset else None
-    if isinstance(dataset, int):
-        return dataset
 
     provider = _make_provider(args, config, "routing", dataset=dataset, paths=paths)
-    if isinstance(provider, int):
-        return provider
 
     condition = _CONDITIONS[args.condition]
     context = render_context(tree, condition)
@@ -442,8 +410,6 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 def cmd_check_roles(args: argparse.Namespace) -> int:
     config = _load_config_file(args.config)
-    if isinstance(config, int):
-        return config
     flag_models = {
         "menugen": args.menugen_model,
         "datagen": args.datagen_model,
@@ -468,10 +434,8 @@ def cmd_check_roles(args: argparse.Namespace) -> int:
 
 # --- parser ---------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_config(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--seed", type=int, help="seed for randomized choices")
 
 
 def _add_provider_flags(parser: argparse.ArgumentParser) -> None:
@@ -503,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate-menu", help="check a menu file against the schema rules")
     p.add_argument("menu", help="menu JSON file")
-    _add_common(p)
     p.set_defaults(func=cmd_validate_menu)
 
     p = sub.add_parser("flatten", help="list the terminal paths of a menu")
@@ -514,7 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="tsv",
         help="tsv: path/breadcrumb/type columns; prompt-lines: 'path: breadcrumb'",
     )
-    _add_common(p)
     p.set_defaults(func=cmd_flatten)
 
     p = sub.add_parser("gen-intents", help="synthesize a labeled complaint dataset")
@@ -529,7 +491,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="noise directive probabilities (defaults 0.3 0.3 0.2)",
     )
     p.add_argument("--dataset-out", help="output JSONL file (default <out>/intents.jsonl)")
-    _add_common(p)
+    p.add_argument("--out", default=".", help="output directory (default .)")
+    p.add_argument("--seed", type=int, help="noise seed (default: the config file's, else 0)")
+    _add_config(p)
     _add_provider_flags(p)
     p.set_defaults(func=cmd_gen_intents)
 
@@ -541,7 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lenient", action="store_true", help="salvage one path token from prose replies")
     p.add_argument("--error-budget", type=float, default=0.01, help="tolerated provider failure fraction")
     p.add_argument("--force", action="store_true", help="overwrite an existing run directory")
-    _add_common(p)
+    p.add_argument("--out", default="runs", help="directory the run directory goes in (default runs)")
+    _add_config(p)
     _add_provider_flags(p)
     p.set_defaults(func=cmd_route)
 
@@ -549,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("results", help="results JSONL file")
     p.add_argument("--menu", help="menu file fixing the class list (else classes come from the results)")
     p.add_argument("--force", action="store_true", help="overwrite an existing report directory")
-    _add_common(p)
+    p.add_argument("--out", help="directory the report directory goes in (default: the results file's)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("demo", help="route queries typed on stdin, one per line")
@@ -557,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--condition", choices=sorted(_CONDITIONS), default="flattened")
     p.add_argument("--dataset", help="dataset JSONL file (required by the oracle provider)")
     p.add_argument("--lenient", action="store_true", help="salvage one path token from prose replies")
-    _add_common(p)
+    _add_config(p)
     _add_provider_flags(p)
     p.set_defaults(func=cmd_demo)
 
@@ -570,16 +535,19 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="exit nonzero when any stages share a model",
     )
-    _add_common(p)
+    _add_config(p)
     p.set_defaults(func=cmd_check_roles)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except CommandFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

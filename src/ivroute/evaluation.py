@@ -44,9 +44,6 @@ class ConfusionMatrix:
     def row_sum(self, true_label: str) -> int:
         return sum(self.counts[self.true_labels.index(true_label)])
 
-    def total(self) -> int:
-        return sum(sum(row) for row in self.counts)
-
 
 @dataclass
 class ClassMetrics:
@@ -175,35 +172,6 @@ def report_to_json(report: EvalReport) -> dict:
     }
 
 
-def report_from_json(data: dict) -> EvalReport:
-    matrix = ConfusionMatrix(
-        true_labels=list(data["matrix"]["true_labels"]),
-        predicted_labels=list(data["matrix"]["predicted_labels"]),
-        counts=[list(row) for row in data["matrix"]["counts"]],
-    )
-    per_class = [
-        ClassMetrics(
-            label=m["class"],
-            precision=m["precision"],
-            recall=m["recall"],
-            f1=m["f1"],
-            support=m["support"],
-            precision_defined=m["precision_defined"],
-            recall_defined=m["recall_defined"],
-        )
-        for m in data["per_class"]
-    ]
-    return EvalReport(
-        accuracy=data["accuracy"],
-        n=data["n"],
-        matrix=matrix,
-        per_class=per_class,
-        condition=data["condition"],
-        dataset_filter=data["dataset_filter"],
-        model_name=data["model_name"],
-    )
-
-
 def matrix_csv(matrix: ConfusionMatrix) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -249,35 +217,20 @@ def summary_markdown(report: EvalReport) -> str:
     return "\n".join(lines)
 
 
-def emit_report(
-    report: EvalReport,
-    out_dir: str | Path,
-    formats: set[str] = frozenset({"json", "csv", "markdown"}),
-) -> list[Path]:
-    """Write the report files; returns the paths written."""
+def emit_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
+    """Write report.json, matrix.csv, matrix_long.csv and summary.md;
+    returns the paths written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    files = {
+        "report.json": json.dumps(report_to_json(report), indent=2, ensure_ascii=False) + "\n",
+        "matrix.csv": matrix_csv(report.matrix),
+        "matrix_long.csv": matrix_long_csv(report.matrix),
+        "summary.md": summary_markdown(report),
+    }
     written = []
-    if "json" in formats:
-        path = out / "report.json"
-        path.write_text(
-            json.dumps(report_to_json(report), indent=2, ensure_ascii=False) + "\n",
-            encoding="utf-8",
-        )
-        written.append(path)
-    if "csv" in formats:
-        path = out / "matrix.csv"
-        path.write_text(matrix_csv(report.matrix), encoding="utf-8")
-        written.append(path)
-        path = out / "matrix_long.csv"
-        path.write_text(matrix_long_csv(report.matrix), encoding="utf-8")
-        written.append(path)
-    if "markdown" in formats:
-        path = out / "summary.md"
-        path.write_text(summary_markdown(report), encoding="utf-8")
+    for name, text in files.items():
+        path = out / name
+        path.write_text(text, encoding="utf-8")
         written.append(path)
     return written
-
-
-def load_report(path: str | Path) -> EvalReport:
-    return report_from_json(json.loads(Path(path).read_text(encoding="utf-8")))

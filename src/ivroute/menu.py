@@ -305,19 +305,6 @@ def flatten(tree: MenuTree) -> list[TerminalPath]:
     return paths
 
 
-def resolve_path(tree: MenuTree, path: DtmfPath) -> MenuNode | None:
-    """Walk the tree digit by digit; None when the path selects nothing."""
-    node = tree.root
-    for digit in path.digits:
-        if node.kind is not NodeKind.MENU:
-            return None
-        match = next((c for c in node.children if c.digit == digit), None)
-        if match is None:
-            return None
-        node = match
-    return node
-
-
 def render_descriptive(tree: MenuTree) -> str:
     """The full hierarchical outline: menu name, one section per menu node
     with its spoken message, sub-menus indented beneath their parents.

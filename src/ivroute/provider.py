@@ -93,6 +93,14 @@ class ProviderConfig:
     requests_per_second: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("max_retries", "max_in_flight"):
+            value = getattr(self, name)
+            if type(value) is not int:  # a bool is refused too
+                raise TypeError(f"{name} must be an integer, not {value!r}")
+        for name in ("temperature", "request_timeout", "requests_per_second"):
+            value = getattr(self, name)
+            if type(value) not in (int, float, type(None)):
+                raise TypeError(f"{name} must be a number, not {value!r}")
         if not 0 <= self.max_retries <= 5:
             raise ValueError("max_retries must be between 0 and 5")
         if self.max_in_flight < 1:

@@ -188,11 +188,10 @@ def route_one(
 
 
 class RoutingAborted(ProviderError):
-    """Provider failures went over budget; completed results are attached."""
+    """Provider failures went over budget; the failures are attached."""
 
-    def __init__(self, message: str, completed: list, failures: list[tuple]):
+    def __init__(self, message: str, failures: list[tuple]):
         super().__init__(message)
-        self.completed = completed
         self.failures = failures
 
 
@@ -306,7 +305,6 @@ def run_calls(
                     if len(failures) > allowed_failures:
                         error = RoutingAborted(
                             f"{len(failures)} provider failure(s) exceeded the budget of {allowed_failures}",
-                            completed=[v for v in values if v is not None],
                             failures=failures,
                         )
                         error.__cause__ = outcome
@@ -457,35 +455,43 @@ def result_to_record(result: RoutingResult) -> dict:
 
 
 def result_from_record(record: dict) -> RoutingResult:
-    """The result a results-file row holds. A row whose ``correct`` is not
-    the bool ``predicted == ground_truth`` is refused with ValueError, so
-    accuracy is graded from the evidence, not from a stored flag."""
+    """The result a results-file row holds. A field of the wrong type is
+    refused with ValueError, and so is a row whose ``correct`` is not
+    ``predicted == ground_truth``: accuracy is graded from the evidence, not
+    from a stored flag. A row without ``normalization_applied`` applied no
+    rule."""
+    intent_id = record["intent_id"]
+    if not isinstance(intent_id, str):
+        raise ValueError(f"intent_id must be a string, not {intent_id!r}")
+    for name, kind, what in [("raw_response", str, "a string"), ("model_name", str, "a string"),
+                             ("correct", bool, "true or false"), ("known_path", bool, "true or false")]:
+        if not isinstance(record[name], kind):
+            raise ValueError(f"intent {intent_id}: {name} must be {what}, not {record[name]!r}")
+    latency = record["latency"]
+    if type(latency) not in (int, float) or not 0 <= latency < math.inf:  # no bool, no NaN
+        raise ValueError(f"intent {intent_id}: latency must be a finite number ≥ 0, not {latency!r}")
+    rules = record.get("normalization_applied", [])
+    if not isinstance(rules, list) or not all(isinstance(rule, str) for rule in rules):
+        raise ValueError(f"intent {intent_id}: normalization_applied must list strings, not {rules!r}")
     predicted = record["predicted"]
     path = None if predicted == INVALID else DtmfPath.parse(predicted)
     ground_truth = DtmfPath.parse(record["ground_truth"]).canonical()  # refused like predicted
     correct = record["correct"]
-    if not isinstance(correct, bool):
-        raise ValueError(f"intent {record['intent_id']}: correct must be true or false, not {correct!r}")
     if correct != (predicted == ground_truth):
         raise ValueError(
-            f"intent {record['intent_id']}: correct is {str(correct).lower()} but "
+            f"intent {intent_id}: correct is {str(correct).lower()} but "
             f"{predicted} was predicted for {ground_truth}"
         )
-    parsed = ParsedResponse(
-        raw_text=record["raw_response"],
-        path=path,
-        normalization_applied=tuple(record.get("normalization_applied", ())),
-    )
     return RoutingResult(
-        intent_id=record["intent_id"],
+        intent_id=intent_id,
         condition=RoutingCondition(record["condition"]),
         raw_response=record["raw_response"],
-        parsed=parsed,
+        parsed=ParsedResponse(record["raw_response"], path, normalization_applied=tuple(rules)),
         predicted=predicted,
         ground_truth=ground_truth,
         correct=correct,
         known_path=record["known_path"],
-        latency=record["latency"],
+        latency=latency,
         model_name=record["model_name"],
     )
 

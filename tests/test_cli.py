@@ -9,7 +9,6 @@ import pytest
 
 from ivroute.cli import main
 from ivroute.datagen import load_dataset, validate_dataset
-from ivroute.evaluation import load_report
 from ivroute.menu import flatten, load_menu
 from ivroute.prompts import RoutingCondition
 from ivroute.provider import DEFAULT_API_KEY_ENV
@@ -196,6 +195,28 @@ def test_route_unknown_condition_usage_error(fixture_menu_path, fixture_dataset_
     assert excinfo.value.code == 2
 
 
+REMOVED_FLAGS = {
+    "route-seed": lambda menu, data, out: ["route", "--menu", menu, "--dataset", data,
+                                           "--provider", "oracle", "--out", out, "--seed", "1"],
+    "demo-seed": lambda menu, data, out: ["demo", "--menu", menu, "--provider", "keyword",
+                                          "--seed", "1"],
+    "validate-menu-config": lambda menu, data, out: ["validate-menu", menu, "--config", "c.json"],
+    "flatten-out": lambda menu, data, out: ["flatten", menu, "--out", out],
+    "eval-config": lambda menu, data, out: ["eval", "results.jsonl", "--config", "c.json"],
+    "check-roles-out": lambda menu, data, out: ["check-roles", "--out", out],
+}
+
+
+@pytest.mark.parametrize("argv", REMOVED_FLAGS.values(), ids=REMOVED_FLAGS.keys())
+def test_flag_the_command_does_not_read_is_refused(tmp_path, fixture_menu_path,
+                                                   fixture_dataset_path, capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        run(argv(str(fixture_menu_path), str(fixture_dataset_path), str(tmp_path)))
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_route_missing_dataset_exit_2(tmp_path, fixture_menu_path, capsys):
     code = run(["route", "--menu", str(fixture_menu_path),
                 "--dataset", str(tmp_path / "absent.jsonl"), "--provider", "oracle"])
@@ -298,10 +319,14 @@ def test_route_hashes_its_inputs_once(tmp_path, fixture_menu_path, fixture_datas
 def test_route_config_value_of_wrong_type_exit_2(tmp_path, fixture_menu_path,
                                                 fixture_dataset_path, capsys):
     file = tmp_path / "config.json"
-    file.write_text(json.dumps({"providers": {"routing": {"max_in_flight": "4"}}}), encoding="utf-8")
     argv = route_args(fixture_menu_path, fixture_dataset_path, tmp_path) + ["--config", str(file)]
-    assert run(argv) == 2
-    assert capsys.readouterr().err.startswith("error: bad provider settings")
+    # A bool is no number here, though Python counts it as an int.
+    for settings in [{"max_in_flight": "4"}, {"max_in_flight": 2.5}, {"max_retries": True},
+                     {"temperature": True}]:
+        file.write_text(json.dumps({"providers": {"routing": settings}}), encoding="utf-8")
+        assert run(argv) == 2, settings
+        assert capsys.readouterr().err.startswith("error: bad provider settings")
+    assert not list(tmp_path.glob("run-*"))
 
 
 def malformed_datasets(tmp_path):
@@ -352,9 +377,9 @@ def test_eval_oracle_run(tmp_path, fixture_menu_path, fixture_dataset_path, caps
     assert "accuracy 100.00% over 230 results" in out
     report_dir = run_dir / f"eval-{run_dir.name.removeprefix('run-')}"
     assert report_dir.is_dir()
-    report = load_report(report_dir / "report.json")
-    assert report.accuracy == 1.0
-    assert report.dataset_filter == "base_only"
+    report = json.loads((report_dir / "report.json").read_text(encoding="utf-8"))
+    assert report["accuracy"] == 1.0
+    assert report["dataset_filter"] == "base_only"
     summary = (report_dir / "summary.md").read_text(encoding="utf-8")
     assert "| Flattened Paths | Base Only | 100.00 | 230 |" in summary
 
@@ -365,9 +390,9 @@ def test_eval_without_menu_uses_result_classes(tmp_path, fixture_menu_path,
                           condition="flattened", filter="all")) == 0
     run_dir = next(tmp_path.glob("run-*"))
     assert run(["eval", str(run_dir / "results.jsonl")]) == 0
-    report = load_report(next(run_dir.glob("eval-*")) / "report.json")
-    assert len(report.matrix.true_labels) == 23  # every class appears in the fixture
-    assert report.dataset_filter == "all"
+    report = json.loads((next(run_dir.glob("eval-*")) / "report.json").read_text(encoding="utf-8"))
+    assert len(report["matrix"]["true_labels"]) == 23  # every class appears in the fixture
+    assert report["dataset_filter"] == "all"
 
 
 def oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path):
@@ -429,6 +454,16 @@ NOT_A_RESULTS_ROW = {
     "null": lambda row: None,
     "array": lambda row: [row],
     "rules-not-a-list": lambda row: {**row, "normalization_applied": 5},
+    "rules-a-string": lambda row: {**row, "normalization_applied": "trim"},
+    "rule-not-a-string": lambda row: {**row, "normalization_applied": ["trim", 1]},
+    "known-path-not-a-bool": lambda row: {**row, "known_path": "no"},
+    "latency-a-string": lambda row: {**row, "latency": "fast"},
+    "latency-negative": lambda row: {**row, "latency": -0.5},
+    "latency-not-finite": lambda row: {**row, "latency": float("inf")},
+    "latency-a-bool": lambda row: {**row, "latency": True},
+    "intent-id-not-a-string": lambda row: {**row, "intent_id": 7},
+    "raw-response-not-a-string": lambda row: {**row, "raw_response": None},
+    "model-name-not-a-string": lambda row: {**row, "model_name": ["oracle"]},
 }
 
 

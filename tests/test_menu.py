@@ -17,7 +17,6 @@ from ivroute.menu import (
     render_descriptive,
     render_flattened,
     render_paths_tsv,
-    resolve_path,
     tree_to_document,
     validate_menu,
 )
@@ -204,13 +203,6 @@ def test_flatten_skips_navigation(tiny_tree):
 
 def test_flatten_golden_tsv(paths):
     assert render_paths_tsv(paths) == data_text("agentnet.paths.tsv")
-
-
-def test_resolve_known_and_unknown(tree):
-    node = resolve_path(tree, DtmfPath.parse("2-2-3"))
-    assert node is not None and node.label == "Mobile Device Support"
-    assert resolve_path(tree, DtmfPath.parse("9-9-9")) is None
-    assert resolve_path(tree, DtmfPath.parse("1-1-1")) is None  # beyond a leaf
 
 
 # --- rendering ------------------------------------------------------------------
