@@ -222,11 +222,13 @@ def cmd_gen_intents(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CommandFailed(f"--noise: {exc}", EXIT_USAGE)
     config = _load_config_file(args.config)
+    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    if type(seed) is not int:  # a bool is refused too
+        raise CommandFailed(f"bad config: seed must be an integer, not {seed!r}", EXIT_USAGE)
     tree = _read_menu(args.menu)
     paths = flatten(tree)
     provider = _make_provider(args, config, "datagen", paths=paths)
 
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     try:
         ds = build_dataset(
             tree,
@@ -384,6 +386,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
             print("query> ", end="", file=sys.stderr, flush=True)
         line = sys.stdin.readline()
         if line == "":
+            provider.close()  # kept open across lines: they share its connections
             return EXIT_OK
         query = line.strip()
         if not query:

@@ -6,9 +6,8 @@ be scored by exact match; ``synthesis`` generates records through a model.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .menu import DtmfPath, TerminalPath
 
@@ -17,8 +16,7 @@ class DatagenError(ValueError):
     """A dataset could not be generated or read."""
 
 
-@dataclass(frozen=True)
-class IntentRecord:
+class IntentRecord(NamedTuple):
     id: str
     text: str
     ground_truth: DtmfPath
@@ -27,8 +25,7 @@ class IntentRecord:
     variant_index: int  # 0 for base, 1..variants for paraphrases
 
 
-@dataclass
-class Dataset:
+class Dataset(NamedTuple):
     menu_name: str
     records: list[IntentRecord]
     per_node_base: int
@@ -101,7 +98,7 @@ def record_to_json(record: IntentRecord) -> dict:
 
 def record_from_json(data: dict, paths: dict[str, DtmfPath]) -> IntentRecord:
     """``paths`` holds the ground truths parsed so far by their text, so
-    records with one label share one (frozen) DtmfPath."""
+    records with one label share one (immutable) DtmfPath."""
     text = data["ground_truth"]
     if not isinstance(text, str) or text not in paths:
         paths[text] = DtmfPath.parse(text)  # raises first on a text that is no path

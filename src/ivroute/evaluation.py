@@ -13,9 +13,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .router import INVALID, RoutingResult, accuracy, format_percent
 
@@ -30,8 +29,7 @@ _CONDITION_DISPLAY = {
 _FILTER_DISPLAY = {"base_only": "Base Only", "all": "Augmented"}
 
 
-@dataclass
-class ConfusionMatrix:
+class ConfusionMatrix(NamedTuple):
     true_labels: list[str]
     predicted_labels: list[str]  # true_labels + [INVALID, UNKNOWN_PATH]
     counts: list[list[int]]  # indexed [true][predicted]
@@ -45,8 +43,7 @@ class ConfusionMatrix:
         return sum(self.counts[self.true_labels.index(true_label)])
 
 
-@dataclass
-class ClassMetrics:
+class ClassMetrics(NamedTuple):
     label: str
     precision: float
     recall: float
@@ -56,8 +53,7 @@ class ClassMetrics:
     recall_defined: bool
 
 
-@dataclass
-class EvalReport:
+class EvalReport(NamedTuple):
     accuracy: float
     n: int
     matrix: ConfusionMatrix

@@ -10,10 +10,10 @@ flattened terminal paths.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 MAX_DEPTH = 10  # DTMF gives ten digits; one level per keypress
 
@@ -34,18 +34,21 @@ class MenuFormatError(ValueError):
     """Raised when a menu document does not conform to the file schema."""
 
 
-@dataclass(frozen=True)
-class DtmfPath:
+class DtmfPath(namedtuple("DtmfPath", "digits")):
     """A non-empty keypress sequence, e.g. digits (2, 1, 9) for "2-1-9"."""
 
-    digits: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.digits:
+    def __new__(cls, digits: tuple[int, ...]) -> DtmfPath:
+        if not digits:
             raise ValueError("a DTMF path needs at least one digit")
-        for d in self.digits:
+        for d in digits:
             if not isinstance(d, int) or not 0 <= d <= 9:
                 raise ValueError(f"not a DTMF digit: {d!r}")
+        return super().__new__(cls, digits)
+
+    # _replace validates too; the stock _make takes len() for the field count
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def parse(cls, text: str) -> "DtmfPath":
@@ -67,8 +70,7 @@ class DtmfPath:
         return len(self.digits)
 
 
-@dataclass(frozen=True)
-class MenuNode:
+class MenuNode(NamedTuple):
     label: str
     digit: int | None  # None only on the root
     kind: NodeKind
@@ -77,14 +79,12 @@ class MenuNode:
     prompt_text: str = ""
 
 
-@dataclass(frozen=True)
-class MenuTree:
+class MenuTree(NamedTuple):
     name: str
     root: MenuNode
 
 
-@dataclass(frozen=True)
-class TerminalPath:
+class TerminalPath(NamedTuple):
     """A flattened endpoint: keypress sequence plus its human-readable trail."""
 
     path: DtmfPath

@@ -8,10 +8,10 @@ equal inputs give equal bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from importlib import resources
+from typing import NamedTuple
 
 
 class RoutingCondition(str, Enum):
@@ -24,8 +24,7 @@ class RoutingCondition(str, Enum):
 OUTPUT_CONSTRAINT = "Output only the path."
 
 
-@dataclass(frozen=True)
-class PromptText:
+class PromptText(NamedTuple):
     content: str
     condition: RoutingCondition
     query: str

@@ -23,7 +23,7 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 DEFAULT_API_KEY_ENV = "IVR_LLM_API_KEY"
 
@@ -81,18 +81,15 @@ def retry_delay(attempt: int, retry_after: str | None, rng: random.Random) -> fl
     return rng.uniform(0.0, min(0.5 * 2 ** (attempt - 1), 8.0))
 
 
-@dataclass(frozen=True)
-class ProviderConfig:
-    endpoint_url: str = ""
-    model_name: str = "mock"
-    api_key_source: str = DEFAULT_API_KEY_ENV
-    temperature: float | None = None  # None = endpoint default, field not sent
-    max_retries: int = 3
-    request_timeout: float = 60.0
-    max_in_flight: int = 4
-    requests_per_second: float | None = None
+class ProviderConfig(namedtuple("ProviderConfig", "endpoint_url model_name api_key_source temperature"
+                                " max_retries request_timeout max_in_flight requests_per_second",
+                                defaults=("", "mock", DEFAULT_API_KEY_ENV, None, 3, 60.0, 4, None))):
+    """A ``temperature`` of None keeps the endpoint's default: the field is not sent."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ProviderConfig:
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("max_retries", "max_in_flight"):
             value = getattr(self, name)
             if type(value) is not int:  # a bool is refused too
@@ -111,18 +108,22 @@ class ProviderConfig:
             raise ValueError("temperature must be within [0, 2]")
         if self.requests_per_second is not None and self.requests_per_second <= 0:
             raise ValueError("requests_per_second must be positive")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
 
-@dataclass(frozen=True)
-class Completion:
-    raw_text: str
-    model_name: str
-    latency: float
-    attempt_count: int = 1
+class Completion(namedtuple("Completion", "raw_text model_name latency attempt_count",
+                            defaults=(1,))):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> Completion:
+        self = super().__new__(cls, *args, **kwargs)
         if self.attempt_count < 1:
             raise ValueError("attempt_count must be at least 1")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
 
 class TokenBucket:

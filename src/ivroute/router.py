@@ -21,9 +21,8 @@ import re
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .datagen import Dataset, IntentRecord, dataset_to_jsonl, validate_dataset
 from .menu import (
@@ -67,8 +66,7 @@ _DASH_TRANSLATION = str.maketrans({
 _QUOTE_PAIRS = (("'", "'"), ('"', '"'), ("`", "`"))
 
 
-@dataclass(frozen=True)
-class ParsedResponse:
+class ParsedResponse(NamedTuple):
     raw_text: str
     path: DtmfPath | None  # None means INVALID
     normalization_applied: tuple[str, ...]
@@ -78,8 +76,7 @@ class ParsedResponse:
         return self.path is not None
 
 
-@dataclass(frozen=True)
-class RoutingResult:
+class RoutingResult(NamedTuple):
     intent_id: str
     condition: RoutingCondition
     raw_response: str
@@ -195,8 +192,7 @@ class RoutingAborted(ProviderError):
         self.failures = failures
 
 
-@dataclass
-class RoutingRun:
+class RoutingRun(NamedTuple):
     results: list[RoutingResult]
     manifest: dict
 
@@ -246,7 +242,8 @@ def run_calls(
     against that window too. A ``ProviderError`` fails its job; one failure
     past ``error_budget`` (a fraction of ``count``) raises RoutingAborted,
     and any other exception is raised as it is; queued jobs and waiting
-    retries are then dropped. The provider is closed at the end.
+    retries are then dropped. The provider stays open for the caller's
+    next run; the caller closes it.
     """
     allowed_failures = math.floor(error_budget * count)
     window = WINDOW_PER_SLOT * provider.config.max_in_flight
@@ -327,9 +324,6 @@ def run_calls(
             if thread.is_alive():
                 thread.join()
         raise
-    finally:
-        # The running attempts are done: no idle connection outlives the run.
-        provider.close()
     if error is not None:
         raise error
     return values, failures
@@ -375,6 +369,9 @@ def route_all(
     except RoutingAborted as exc:
         exc.failures = by_id(exc.failures)
         raise
+    finally:
+        # The running attempts are done: no idle connection outlives the run.
+        provider.close()
     results = [r for r in slots if r is not None]
     manifest = build_manifest(
         ds, tree, condition, record_filter, provider, lenient, len(results), by_id(failures), identity

@@ -14,7 +14,7 @@ import json
 import logging
 import random
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Generator, Sequence
 
 from .datagen import DatagenError, Dataset, IntentRecord
@@ -26,22 +26,24 @@ from .router import AGAIN, RoutingAborted, run_calls
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class NoiseProfile:
+class NoiseProfile(namedtuple("NoiseProfile", "interjection_prob filler_prob grammar_error_prob",
+                              defaults=(0.3, 0.3, 0.2))):
     """Chances of asking the generator for each noise kind, per paraphrase.
 
     The defaults are this artifact's own choice; nothing pins them beyond
     "controlled noise".
     """
 
-    interjection_prob: float = 0.3
-    filler_prob: float = 0.3
-    grammar_error_prob: float = 0.2
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name, value in vars(self).items():
+    def __new__(cls, *args, **kwargs) -> NoiseProfile:
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
             if not 0.0 <= value <= 1.0:  # NaN fails the comparison too
                 raise ValueError(f"{name} must be within [0, 1], not {value!r}")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
 
 DEFAULT_NOISE = NoiseProfile()
@@ -66,7 +68,7 @@ def _run_jobs(provider: Provider, jobs: list[Generator]) -> list:
     """The return values of ``jobs``, in order. Each job yields a prompt
     and is sent its completion, until it returns. The jobs share the
     workers of ``run_calls``, a backoff holds none, and the first failure
-    ends the run and is raised as it is."""
+    ends the run and is raised as it is. The provider is closed at the end."""
     prompts = [next(job) for job in jobs]
 
     def step(index: int, attempt: int):
@@ -80,6 +82,8 @@ def _run_jobs(provider: Provider, jobs: list[Generator]) -> list:
         return run_calls(provider, len(jobs), step, error_budget=0)[0]
     except RoutingAborted as exc:
         raise exc.__cause__  # with no failure allowed, the run's only one
+    finally:
+        provider.close()
 
 
 # --- base intents -------------------------------------------------------------

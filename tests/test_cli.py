@@ -329,6 +329,18 @@ def test_route_config_value_of_wrong_type_exit_2(tmp_path, fixture_menu_path,
     assert not list(tmp_path.glob("run-*"))
 
 
+@pytest.mark.parametrize("seed", ["x", True, 1.5, None])
+def test_gen_intents_config_seed_of_wrong_type_exit_2(tmp_path, fixture_menu_path, capsys, seed):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": seed}), encoding="utf-8")
+    script = write_script(tmp_path, [])
+    code = run(["gen-intents", str(fixture_menu_path), "--provider", "scripted",
+                "--script", str(script), "--config", str(config), "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: bad config: seed must be an integer")
+    assert not (tmp_path / "intents.jsonl").exists()
+
+
 def malformed_datasets(tmp_path):
     """Dataset files whose second line does not load: cut short, or JSON
     that is no object."""
@@ -556,7 +568,20 @@ def test_demo_retries_a_503_and_prints_the_path(fixture_menu_path, chat_server, 
     assert captured.out.startswith("2-1-9  ") and captured.out.count("\n") == 1
     assert captured.err == ""
     assert server.answered == 2  # the 503, then its retry
-    assert server.wait_all_closed()  # the scheduler closed the connection after the line
+    assert server.wait_all_closed()  # demo closed the connection when stdin ended
+
+
+def test_demo_lines_share_one_connection(fixture_menu_path, chat_server, monkeypatch, capsys):
+    monkeypatch.delenv(DEFAULT_API_KEY_ENV, raising=False)
+    server = chat_server(reply="2-1-9")
+    feed_stdin(monkeypatch, "router is broken\nstill broken\n")
+    code = run(["demo", "--menu", str(fixture_menu_path), "--provider", "http",
+                "--endpoint", server.url])
+    assert code == 0
+    assert capsys.readouterr().out.count("2-1-9  ") == 2
+    assert server.answered == 2
+    assert server.accepted == 1  # the second line reused the first line's connection
+    assert server.wait_all_closed()
 
 
 def test_demo_invalid_reply_reported(fixture_menu_path, tmp_path, monkeypatch, capsys):

@@ -644,10 +644,22 @@ def test_cli_http_route_loads_only_what_it_runs(chat_server, tmp_path,
                                                 fixture_menu_path, fixture_dataset_path):
     child = route_in_child(chat_server(), tmp_path, fixture_menu_path, fixture_dataset_path,
                            ("concurrent.futures", "logging", "csv", "ivroute.evaluation",
-                            "ivroute.synthesis"))
+                            "ivroute.synthesis", "dataclasses", "inspect"))
     assert child.returncode == 0, child.stderr
     assert "routed 230 intents" in child.stdout
     assert "loaded: []" in child.stdout
+
+
+def test_no_module_imports_dataclasses_or_inspect():
+    # route never loads evaluation, synthesis or httpclient; eval, gen-intents and
+    # the http provider do, and their records are named tuples too.
+    code = ("import sys, ivroute.evaluation, ivroute.synthesis, ivroute.httpclient; "
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    src = str(Path(ivroute.__file__).resolve().parents[1])
+    child = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                           capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "[]\n"
 
 
 # --- deterministic doubles --------------------------------------------------------

@@ -1,7 +1,6 @@
 """Response parsing, single-shot routing, batch routing, manifests, and
 result files."""
 
-import dataclasses
 import json
 import math
 import signal
@@ -299,7 +298,7 @@ def test_route_all_aborts_past_budget(tiny_tree):
 def test_route_all_other_error_cancels_queued_calls(tiny_tree):
     ds = tiny_dataset()
     # A blank text passes the dataset checks but build_prompt rejects it.
-    records = [dataclasses.replace(ds.records[0], text="   ")] + ds.records[1:]
+    records = [ds.records[0]._replace(text="   ")] + ds.records[1:]
     ds = Dataset(ds.menu_name, records, ds.per_node_base, ds.variants_per_base)
     provider = ScriptedProvider(["1-1"] * 6, config=ProviderConfig(max_in_flight=1), delay=0.05)
     with pytest.raises(ValueError, match="query is empty"):
