@@ -241,6 +241,8 @@ def cmd_gen_intents(args: argparse.Namespace) -> int:
         )
     except (ProviderError, ValueError) as exc:
         raise CommandFailed(str(exc), EXIT_FAILURE)
+    finally:
+        provider.close()  # once: both stages share its connections
     problems = validate_dataset(ds, paths)
     if problems:
         for problem in problems:

@@ -1,13 +1,14 @@
 """Chat-completion providers: one real HTTP client plus deterministic doubles.
 
 All providers share the same contract: ``complete(prompt, attempt) ->
-Completion`` makes one attempt, safe to call from many worker threads at
-once. The base class owns the only shared mutable state (an in-flight
-semaphore, a token-bucket rate limiter, and a peak-concurrency counter used
-by tests) and the retry policy; subclasses implement a single ``_request``
-hook that makes one request. An attempt that is worth repeating raises
-``Backoff``; ``router.run_calls`` waits out the delay without holding a
-worker and makes the next one.
+Completion`` sends exactly one request, safe to call from many worker
+threads at once. An attempt worth repeating raises ``TransportError`` with
+the server's ``retry_after``; any other ``ProviderError`` is final. When an
+attempt is sent, and whether and when it is retried, is decided by
+``router.run_calls``: it admits every attempt against ``--rps``, bounds the
+requests in flight by its worker count and applies ``max_retries``.
+Subclasses implement a single ``_request`` hook; the base class keeps the
+latency and a peak-concurrency count.
 
 The wire protocol of HttpProvider is the de-facto chat-completions JSON
 shape, so any compatible endpoint works: POST {"model", "messages"} with a
@@ -28,9 +29,8 @@ from collections import namedtuple
 DEFAULT_API_KEY_ENV = "IVR_LLM_API_KEY"
 
 RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
-# Statuses whose Retry-After header is read, and the longest wait honoured.
+# Statuses whose Retry-After header is read.
 RETRY_AFTER_STATUSES = frozenset({429, 503})
-MAX_RETRY_AFTER_S = 60
 
 
 class ProviderError(Exception):
@@ -38,8 +38,9 @@ class ProviderError(Exception):
 
 
 class TransportError(ProviderError):
-    """Network failure or retryable HTTP status. Raised by ``_request``, it
-    is retried; raised by ``complete``, the retries ran out.
+    """Network failure or retryable HTTP status: ``router.run_calls``
+    retries the attempt that raised it, and past ``max_retries`` fails the
+    call with a TransportError("gave up after ...").
 
     ``retry_after`` is the server's Retry-After header value, if it sent one.
     """
@@ -51,34 +52,6 @@ class TransportError(ProviderError):
 
 class ProtocolError(ProviderError):
     """The endpoint answered, but not with a usable completion body."""
-
-
-class Backoff(Exception):
-    """The attempt failed in a way worth retrying after ``delay`` seconds.
-
-    Not a ProviderError: nothing has failed for good yet. The caller makes
-    the next attempt when the delay has passed.
-    """
-
-    def __init__(self, delay: float):
-        super().__init__(f"retry in {delay:g} s")
-        self.delay = delay
-
-
-def retry_delay(attempt: int, retry_after: str | None, rng: random.Random) -> float:
-    """Seconds to wait after failed attempt ``attempt`` (1-based).
-
-    The server's Retry-After when it is whole seconds within
-    [0, MAX_RETRY_AFTER_S], exactly; otherwise (none sent, an HTTP-date, a
-    negative number, text, or longer) a uniform draw from ``rng`` below a
-    cap of 0.5 s doubling per attempt to 8 s ("full jitter"), so calls that
-    fail together do not all come back together.
-    """
-    if retry_after is not None:
-        value = retry_after.strip()
-        if value.isascii() and value.isdigit() and int(value) <= MAX_RETRY_AFTER_S:
-            return float(int(value))
-    return rng.uniform(0.0, min(0.5 * 2 ** (attempt - 1), 8.0))
 
 
 class ProviderConfig(namedtuple("ProviderConfig", "endpoint_url model_name api_key_source temperature"
@@ -106,8 +79,8 @@ class ProviderConfig(namedtuple("ProviderConfig", "endpoint_url model_name api_k
             raise ValueError("request_timeout must be a positive number of seconds")
         if self.temperature is not None and not 0.0 <= self.temperature <= 2.0:
             raise ValueError("temperature must be within [0, 2]")
-        if self.requests_per_second is not None and self.requests_per_second <= 0:
-            raise ValueError("requests_per_second must be positive")
+        if self.requests_per_second is not None and not 0 < self.requests_per_second < math.inf:
+            raise ValueError("requests_per_second must be a positive finite number")
         return self
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
@@ -126,78 +99,45 @@ class Completion(namedtuple("Completion", "raw_text model_name latency attempt_c
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
 
-class TokenBucket:
-    """Client-side rate limiter; acquire() blocks until a slot frees up."""
-
-    def __init__(self, rate_per_second: float | None):
-        self._interval = 1.0 / rate_per_second if rate_per_second else 0.0
-        self._next_slot = 0.0
-        self._lock = threading.Lock()
-
-    def acquire(self) -> None:
-        if not self._interval:
-            return
-        with self._lock:
-            now = time.monotonic()
-            wait = self._next_slot - now
-            self._next_slot = max(self._next_slot, now) + self._interval
-        if wait > 0:
-            time.sleep(wait)
-
-
 class Provider:
-    """Shared plumbing: in-flight bound, rate limiting, latency bookkeeping
-    and the retry policy. ``rng``, the source of the backoff jitter (an
-    unseeded ``random.Random`` by default), is injectable for tests."""
+    """Shared plumbing: latency and peak-concurrency bookkeeping. ``rng``,
+    the source of the jitter ``router.run_calls`` draws retry waits from (an
+    unseeded ``random.Random`` by default), is injectable for tests.
+    ``next_send``, the ``time.monotonic()`` before which ``run_calls`` sends
+    no further attempt, carries ``requests_per_second`` from one run of the
+    provider to its next, such as demo lines or synthesis stages."""
 
     def __init__(self, config: ProviderConfig | None = None, rng=None):
         self.config = config or ProviderConfig()
-        self._slots = threading.BoundedSemaphore(self.config.max_in_flight)
-        self._bucket = TokenBucket(self.config.requests_per_second)
+        self.rng = rng or random.Random()
+        self.next_send = 0.0
         self._state_lock = threading.Lock()
         self._in_flight = 0
         self.peak_in_flight = 0
-        self._rng = rng or random.Random()
 
     def complete(self, prompt, attempt: int = 1) -> Completion:
-        """Make attempt ``attempt`` (1-based) of one completion; ``prompt``
-        is a PromptText or a plain string.
-
-        The request holds a slot and a rate-limiter token only while it is
-        on the wire. When another attempt is worth making it raises
-        ``Backoff``, and the caller calls again with ``attempt + 1`` once
-        the delay has passed; past ``max_retries`` it raises
-        TransportError("gave up after ...") instead.
-        """
+        """Send attempt ``attempt`` (1-based) of one completion, one
+        request; ``prompt`` is a PromptText or a plain string."""
         text = prompt.content if hasattr(prompt, "content") else str(prompt)
+        with self._state_lock:
+            self._in_flight += 1
+            self.peak_in_flight = max(self.peak_in_flight, self._in_flight)
+        start = time.perf_counter()
         try:
-            with self._slots:
-                self._bucket.acquire()
-                with self._state_lock:
-                    self._in_flight += 1
-                    self.peak_in_flight = max(self.peak_in_flight, self._in_flight)
-                start = time.perf_counter()
-                try:
-                    raw, requests = self._request(text, prompt)
-                finally:
-                    with self._state_lock:
-                        self._in_flight -= 1
-                latency = time.perf_counter() - start
-        except TransportError as exc:
-            if attempt > self.config.max_retries:
-                raise TransportError(f"gave up after {attempt} attempt(s): {exc}") from exc
-            raise Backoff(retry_delay(attempt, exc.retry_after, self._rng)) from exc
+            raw = self._request(text, prompt)
+        finally:
+            with self._state_lock:
+                self._in_flight -= 1
         return Completion(
             raw_text=raw,
             model_name=self.config.model_name,
-            latency=latency,
-            attempt_count=attempt + requests - 1,
+            latency=time.perf_counter() - start,
+            attempt_count=attempt,
         )
 
-    def _request(self, text: str, prompt) -> tuple[str, int]:
-        """Send one request: (reply text, requests it made, normally 1).
-        A TransportError is retried by the policy above; any other
-        ProviderError fails the call at once."""
+    def _request(self, text: str, prompt) -> str:
+        """Send one request and return the reply text. A TransportError is
+        worth retrying; any other ProviderError fails the call at once."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -209,8 +149,8 @@ class Provider:
 
 class HttpProvider(Provider):
     """POSTs chat-completion requests over kept-alive connections, one
-    attempt per ``_request``; the base class backs off on transport/5xx/429
-    failures and a parseable 200 is never re-asked.
+    attempt per ``_request``: transport failures, 429 and 5xx raise
+    TransportError, and a parseable 200 is never re-asked.
 
     ``_transport(url, payload, headers, timeout) -> (status, body,
     retry_after)`` makes one attempt. It is the ``request`` of the
@@ -252,7 +192,7 @@ class HttpProvider(Provider):
             payload["temperature"] = self.config.temperature
         return payload
 
-    def _request(self, text: str, prompt) -> tuple[str, int]:
+    def _request(self, text: str, prompt) -> str:
         status, body, retry_after = self._transport(
             self.config.endpoint_url, self._payload(text), self._headers, self.config.request_timeout
         )
@@ -260,7 +200,7 @@ class HttpProvider(Provider):
             raise TransportError(f"HTTP {status}", retry_after)
         if status != 200:
             raise ProtocolError(f"HTTP {status}: {body[:200]}")
-        return self._extract_text(body), 1
+        return self._extract_text(body)
 
     @staticmethod
     def _extract_text(body: str) -> str:
@@ -296,12 +236,12 @@ class OracleProvider(Provider):
         truth = {r.text: r.ground_truth.canonical() for r in dataset.records}
         return cls(truth, config)
 
-    def _request(self, text: str, prompt) -> tuple[str, int]:
+    def _request(self, text: str, prompt) -> str:
         query = getattr(prompt, "query", None)
         if query is None:
             raise ProviderError("oracle mock needs a routing prompt with a query")
         try:
-            return self._truth_by_text[query], 1
+            return self._truth_by_text[query]
         except KeyError:
             raise ProviderError(f"oracle mock has no truth for query {query!r}") from None
 
@@ -316,7 +256,7 @@ class KeywordProvider(Provider):
         if not self._paths:
             raise ValueError("keyword mock needs at least one terminal path")
 
-    def _request(self, text: str, prompt) -> tuple[str, int]:
+    def _request(self, text: str, prompt) -> str:
         query = getattr(prompt, "query", text)
         query_words = _words(query)
         best_path = self._paths[0][0]
@@ -325,7 +265,7 @@ class KeywordProvider(Provider):
             score = len(query_words & words)
             if score > best_score:  # strict: ties keep the earlier path
                 best_path, best_score = path, score
-        return best_path, 1
+        return best_path
 
 
 def _words(text: str) -> set[str]:
@@ -353,7 +293,7 @@ class ScriptedProvider(Provider):
         self._delay = delay
         self.calls: list[str] = []
 
-    def _request(self, text: str, prompt) -> tuple[str, int]:
+    def _request(self, text: str, prompt) -> str:
         with self._script_lock:
             if self._next >= len(self._replies):
                 raise ProviderError("scripted mock ran out of replies")
@@ -362,7 +302,7 @@ class ScriptedProvider(Provider):
             self.calls.append(text)
         if self._delay:
             time.sleep(self._delay)
-        return reply, 1
+        return reply
 
 
 # --- pipeline hygiene --------------------------------------------------------

@@ -7,8 +7,8 @@ package goes through, routing and synthesis alike.
 
 Model output is held to a strict grammar: after a small, fixed normalization
 pipeline the whole reply must be ``digit ("-" digit)*`` or it is scored as
-INVALID. Content is never re-requested for being wrong; only the provider's
-transport retries apply, and ``run_calls`` schedules those.
+INVALID. Content is never re-requested for being wrong; only transport
+failures are retried, and ``run_calls`` decides when.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .menu import (
     validate_menu,
 )
 from .prompts import PromptText, RoutingCondition, build_prompt
-from .provider import Backoff, Completion, Provider, ProviderError
+from .provider import Completion, Provider, ProviderError, TransportError
 
 INVALID = "INVALID"
 
@@ -44,6 +44,9 @@ INVALID = "INVALID"
 # failing, so a dead endpoint sees a bounded number of jobs before the error
 # budget stops the run.
 WINDOW_PER_SLOT = 2
+
+# The longest Retry-After, in seconds, that run_calls honours.
+MAX_RETRY_AFTER_S = 60
 
 # What a step returns when its job needs a follow-up call.
 AGAIN = object()
@@ -144,7 +147,7 @@ def route(
 ) -> tuple[ParsedResponse, Completion]:
     """One prompt, one completion, one parsed reply for a single query.
 
-    ``attempt`` goes to ``provider.complete``, which may raise ``Backoff``.
+    ``attempt`` goes to ``provider.complete``, which makes one request.
     """
     prompt: PromptText = build_prompt(condition, context, query)
     completion = provider.complete(prompt, attempt=attempt)
@@ -162,10 +165,13 @@ def route_one(
 ) -> RoutingResult:
     """Route one intent's text and grade the reply against its ground truth.
 
-    A ``Backoff`` from the provider passes through unchanged.
+    A TransportError passes through unchanged, for ``run_calls`` to retry;
+    any other ProviderError is raised again naming the intent.
     """
     try:
         parsed, completion = route(intent.text, condition, context, provider, lenient, attempt)
+    except TransportError:
+        raise
     except ProviderError as exc:
         raise ProviderError(f"intent {intent.id}: {exc}") from exc
     truth = intent.ground_truth.canonical()
@@ -221,6 +227,22 @@ def render_context(tree: MenuTree, condition: RoutingCondition) -> str:
     return render_flattened(flatten(tree))
 
 
+def retry_delay(attempt: int, retry_after: str | None, rng) -> float:
+    """Seconds to wait after failed attempt ``attempt`` (1-based).
+
+    The server's Retry-After when it is whole seconds within
+    [0, MAX_RETRY_AFTER_S], exactly; otherwise (none sent, an HTTP-date, a
+    negative number, text, or longer) a uniform draw from ``rng`` below a
+    cap of 0.5 s doubling per attempt to 8 s ("full jitter"), so calls that
+    fail together do not all come back together.
+    """
+    if retry_after is not None:
+        value = retry_after.strip()
+        if value.isascii() and value.isdigit() and int(value) <= MAX_RETRY_AFTER_S:
+            return float(int(value))
+    return rng.uniform(0.0, min(0.5 * 2 ** (attempt - 1), 8.0))
+
+
 def run_calls(
     provider: Provider,
     count: int,
@@ -231,22 +253,28 @@ def run_calls(
     and the failures as (job, message).
 
     ``step(index, attempt)`` makes one provider attempt for job ``index``
-    and returns the job's value, or AGAIN for a follow-up call, which the
-    same worker makes at once, at attempt 1. Up to max_in_flight workers
-    take jobs in submission order; after each step its worker records the
-    outcome and submits what is due, with no scheduling thread. At most
-    WINDOW_PER_SLOT x max_in_flight jobs are submitted at once. A step that
-    raises ``Backoff`` gives its worker back, and its job is submitted again
-    once the delay has passed, ahead of jobs not yet started. While the
-    latest step to finish brought no value, jobs waiting out a backoff count
-    against that window too. A ``ProviderError`` fails its job; one failure
+    and returns the job's value, or AGAIN for a follow-up call at attempt 1,
+    admitted before any other. Up to max_in_flight workers take jobs in
+    submission order; after each step its worker records the outcome and
+    submits what is due, with no scheduling thread. Every attempt, first
+    try, retry or follow-up, is admitted only when a requests_per_second
+    token is free, also across runs of one provider; a worker with nothing
+    to admit waits for the next token or the next due retry. At most WINDOW_PER_SLOT x max_in_flight jobs are
+    submitted at once. A step that raises TransportError gives its worker
+    back, and its job is submitted again after ``retry_delay``, ahead of
+    jobs not yet started; past max_retries the job fails with
+    TransportError("gave up after N attempt(s): ..."). While the latest
+    step to finish brought no value, jobs waiting out a retry count against
+    that window too. Another ``ProviderError`` fails its job; one failure
     past ``error_budget`` (a fraction of ``count``) raises RoutingAborted,
-    and any other exception is raised as it is; queued jobs and waiting
-    retries are then dropped. The provider stays open for the caller's
-    next run; the caller closes it.
+    and any other exception is raised as it is; nothing is admitted after
+    either, and queued jobs and waiting retries are dropped. The provider
+    stays open for the caller's next run; the caller closes it.
     """
+    config = provider.config
     allowed_failures = math.floor(error_budget * count)
-    window = WINDOW_PER_SLOT * provider.config.max_in_flight
+    window = WINDOW_PER_SLOT * config.max_in_flight
+    interval = 1.0 / config.requests_per_second if config.requests_per_second else 0.0
 
     values: list = [None] * count
     failures: list[tuple[int, str]] = []
@@ -256,11 +284,12 @@ def run_calls(
     waiting: list[tuple[float, int, int]] = []  # heap of (due time, job, attempt)
     submitted = 0  # tasks queued or running
     next_index = 0
+    next_token = provider.next_send  # when the next attempt may be sent
     failing = False  # the latest step to finish brought no value
     error: BaseException | None = None  # what aborts the run
 
     def work() -> None:
-        nonlocal submitted, next_index, failing, error
+        nonlocal submitted, next_index, next_token, failing, error
         with lock:
             while error is None:
                 now = time.monotonic()
@@ -277,27 +306,38 @@ def run_calls(
                         break  # every job is done
                     lock.wait(waiting[0][0] - now if waiting else None)
                     continue
+                if next_token > now:  # the next --rps turn has not come
+                    lock.wait(next_token - now)
+                    continue
+                next_token = max(next_token, now) + interval
                 index, attempt = tasks.popleft()
                 lock.notify(len(tasks))  # idle workers take the rest
                 lock.release()
                 try:
-                    while (outcome := step(index, attempt)) is AGAIN:
-                        attempt = 1
-                except BaseException as exc:  # Backoff, ProviderError, or what aborts the run
+                    outcome = step(index, attempt)
+                except BaseException as exc:  # TransportError, ProviderError, or what aborts the run
                     outcome = exc
                 lock.acquire()
                 if error is not None:
                     break
+                if outcome is AGAIN:  # the follow-up call is admitted first
+                    tasks.appendleft((index, 1))
+                    continue
                 submitted -= 1
                 failing = isinstance(outcome, BaseException)
                 if not failing:
                     values[index] = outcome
-                elif isinstance(outcome, Backoff):
-                    heapq.heappush(waiting, (time.monotonic() + outcome.delay, index, attempt + 1))
+                elif isinstance(outcome, TransportError) and attempt <= config.max_retries:
+                    due = time.monotonic() + retry_delay(attempt, outcome.retry_after, provider.rng)
+                    heapq.heappush(waiting, (due, index, attempt + 1))
                     lock.notify()  # a worker waiting for a later retry times its wait again
                 elif not isinstance(outcome, ProviderError):
                     error = outcome
                 else:
+                    if isinstance(outcome, TransportError):
+                        gave_up = TransportError(f"gave up after {attempt} attempt(s): {outcome}")
+                        gave_up.__cause__ = outcome
+                        outcome = gave_up
                     failures.append((index, str(outcome)))
                     if len(failures) > allowed_failures:
                         error = RoutingAborted(
@@ -309,7 +349,7 @@ def run_calls(
 
     threads = [
         threading.Thread(target=work, name=f"ivroute-route-{n}", daemon=True)
-        for n in range(min(provider.config.max_in_flight, count))
+        for n in range(min(config.max_in_flight, count))
     ]
     try:
         for thread in threads:
@@ -324,6 +364,8 @@ def run_calls(
             if thread.is_alive():
                 thread.join()
         raise
+    finally:
+        provider.next_send = next_token  # the provider's next run keeps the pace
     if error is not None:
         raise error
     return values, failures

@@ -68,7 +68,8 @@ def _run_jobs(provider: Provider, jobs: list[Generator]) -> list:
     """The return values of ``jobs``, in order. Each job yields a prompt
     and is sent its completion, until it returns. The jobs share the
     workers of ``run_calls``, a backoff holds none, and the first failure
-    ends the run and is raised as it is. The provider is closed at the end."""
+    ends the run and is raised as it is. The provider stays open for the
+    next stage; the caller closes it."""
     prompts = [next(job) for job in jobs]
 
     def step(index: int, attempt: int):
@@ -82,8 +83,6 @@ def _run_jobs(provider: Provider, jobs: list[Generator]) -> list:
         return run_calls(provider, len(jobs), step, error_budget=0)[0]
     except RoutingAborted as exc:
         raise exc.__cause__  # with no failure allowed, the run's only one
-    finally:
-        provider.close()
 
 
 # --- base intents -------------------------------------------------------------

@@ -365,7 +365,7 @@ class CountingProvider(Provider):
         time.sleep(0.0005)
         with self._counter_lock:
             self._active -= 1
-        return "1-1", 1
+        return "1-1"
 
 
 @pytest.mark.parametrize("bound", [1, 4, 16])

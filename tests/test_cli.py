@@ -3,6 +3,7 @@ configuration layering."""
 
 import io
 import json
+import math
 import socket
 
 import pytest
@@ -232,8 +233,8 @@ def test_route_http_requires_endpoint(fixture_menu_path, fixture_dataset_path, c
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--max-in-flight", "0"), ("--temperature", "3"), ("--rps", "0"), ("--max-retries", "9"),
-     ("--timeout", "-1"), ("--timeout", "0")],
+    [("--max-in-flight", "0"), ("--temperature", "3"), ("--rps", "0"), ("--rps", "nan"),
+     ("--rps", "inf"), ("--max-retries", "9"), ("--timeout", "-1"), ("--timeout", "0")],
 )
 def test_route_bad_provider_setting_exit_2(tmp_path, fixture_menu_path, fixture_dataset_path,
                                            capsys, flag, value):
@@ -320,9 +321,11 @@ def test_route_config_value_of_wrong_type_exit_2(tmp_path, fixture_menu_path,
                                                 fixture_dataset_path, capsys):
     file = tmp_path / "config.json"
     argv = route_args(fixture_menu_path, fixture_dataset_path, tmp_path) + ["--config", str(file)]
-    # A bool is no number here, though Python counts it as an int.
+    # A bool is no number here, though Python counts it as an int; json.loads
+    # reads NaN and Infinity as floats, but neither is a rate.
     for settings in [{"max_in_flight": "4"}, {"max_in_flight": 2.5}, {"max_retries": True},
-                     {"temperature": True}]:
+                     {"temperature": True}, {"requests_per_second": math.nan},
+                     {"requests_per_second": math.inf}]:
         file.write_text(json.dumps({"providers": {"routing": settings}}), encoding="utf-8")
         assert run(argv) == 2, settings
         assert capsys.readouterr().err.startswith("error: bad provider settings")
@@ -569,6 +572,19 @@ def test_demo_retries_a_503_and_prints_the_path(fixture_menu_path, chat_server, 
     assert captured.err == ""
     assert server.answered == 2  # the 503, then its retry
     assert server.wait_all_closed()  # demo closed the connection when stdin ended
+
+
+def test_gen_intents_stages_share_one_connection(fixture_menu_path, chat_server, monkeypatch,
+                                                tmp_path, capsys):
+    monkeypatch.delenv(DEFAULT_API_KEY_ENV, raising=False)
+    server = chat_server()  # every reply is "1-1", the same for base and paraphrase
+    code = run(["gen-intents", str(fixture_menu_path), "--per-node", "1", "--variants", "1",
+                "--max-in-flight", "1", "--provider", "http", "--endpoint", server.url,
+                "--out", str(tmp_path)])
+    assert code == 0 and "wrote 46 records" in capsys.readouterr().out
+    assert server.answered == 3 * 23  # base, paraphrase, and its retry for each path
+    assert server.accepted == 1  # the paraphrase stage reused the base stage's connection
+    assert server.wait_all_closed()  # closed once, when the command ended
 
 
 def test_demo_lines_share_one_connection(fixture_menu_path, chat_server, monkeypatch, capsys):

@@ -1,9 +1,8 @@
 """Provider layer: HTTP client behavior via an injected transport, the
 shipped transport against a loopback server, the deterministic doubles,
-rate limiting, and role separation."""
+the retry and pacing policy of the scheduler, and role separation."""
 
 import base64
-import itertools
 import json
 import os
 import random
@@ -24,7 +23,6 @@ from ivroute.menu import flatten, render_flattened
 from ivroute.prompts import RoutingCondition, build_prompt
 from ivroute.provider import (
     DEFAULT_API_KEY_ENV,
-    Backoff,
     Completion,
     HttpProvider,
     KeywordProvider,
@@ -34,14 +32,13 @@ from ivroute.provider import (
     ProviderConfig,
     ProviderError,
     ScriptedProvider,
-    TokenBucket,
     TransportError,
     check_role_separation,
-    retry_delay,
 )
 from ivroute.httpclient import ConnectionPool, _dropped, _tls_context
 
-from ivroute.router import RoutingAborted, route_all
+from ivroute import router
+from ivroute.router import RoutingAborted, retry_delay, route_all, run_calls
 
 from conftest import TLS_CERT, tiny_dataset
 
@@ -90,15 +87,32 @@ def http_provider(responses, rng=None, **config_kwargs):
     return provider, transport
 
 
+def recording_delays(patch, delays):
+    """Make run_calls append the wait its retry policy chose after each
+    failed attempt to ``delays``, and retry at once instead."""
+    policy = router.retry_delay
+    patch.setattr(router, "retry_delay", lambda *args: delays.append(policy(*args)) or 0.0)
+
+
 def attempt_until_done(provider, prompt, delays):
-    """Attempts 1, 2, ... of one call, each made as soon as the one before
-    asks for a backoff, with no wait; the delay of each Backoff is
-    appended to ``delays``."""
-    for attempt in itertools.count(1):
+    """One call made on run_calls: attempts 1, 2, ... until one answers,
+    each retry made at once. The wait chosen before each retry is appended
+    to ``delays``; the call's failure is raised as it is."""
+    def step(_, attempt):
+        return provider.complete(prompt, attempt)
+
+    with pytest.MonkeyPatch.context() as patch:
+        recording_delays(patch, delays)
         try:
-            return provider.complete(prompt, attempt)
-        except Backoff as backoff:
-            delays.append(backoff.delay)
+            (completion,), _ = run_calls(provider, 1, step, error_budget=0)
+        except RoutingAborted as exc:
+            raise exc.__cause__  # with no failure allowed, the only one
+    return completion
+
+
+def complete_each(provider):
+    """A run_calls step: job ``i`` is one completion of the prompt ``q<i>``."""
+    return lambda i, attempt: provider.complete(f"q{i}", attempt)
 
 
 # --- config ---------------------------------------------------------------------
@@ -226,14 +240,13 @@ def test_honoured_retry_after_is_exact_not_jittered(retry_after, delay):
         assert retry_delay(attempt, retry_after, random.Random(attempt)) == delay
 
 
-def test_calls_that_fail_together_back_off_apart():
-    provider, _ = http_provider([(503, "busy")] * 2, rng=random.Random(8), max_retries=3)
+def test_calls_that_fail_together_back_off_apart(monkeypatch):
+    provider, _ = http_provider([(503, "busy")] * 2 + [(200, ok_body("1-1"))] * 2,
+                                rng=random.Random(8), max_retries=3, max_in_flight=1)
     delays = []
-    for query in ("q0", "q1"):
-        with pytest.raises(Backoff) as excinfo:
-            provider.complete(query, attempt=1)
-        delays.append(excinfo.value.delay)
-    assert delays[0] != delays[1]
+    recording_delays(monkeypatch, delays)
+    run_calls(provider, 2, complete_each(provider), error_budget=0)
+    assert len(delays) == 2 and delays[0] != delays[1]
     assert all(0.0 <= delay <= 0.5 for delay in delays)
 
 
@@ -339,32 +352,33 @@ def test_retry_after_whole_seconds_up_to_60_are_honoured(status, retry_after, sl
     assert delays == sleeps_expected
 
 
-def test_one_attempt_raises_backoff_and_holds_no_slot():
+def test_one_attempt_is_one_request_raising_its_retry_after():
     provider, transport = http_provider(
         [(429, "", "2"), (200, ok_body("1-1"))], max_in_flight=1, max_retries=1
     )
-    with pytest.raises(Backoff) as excinfo:
+    with pytest.raises(TransportError, match="HTTP 429") as excinfo:
         provider.complete("q", attempt=1)
-    assert excinfo.value.delay == 2.0
-    assert not isinstance(excinfo.value, ProviderError)
-    assert provider._slots.acquire(blocking=False)  # the one slot came back
-    provider._slots.release()
+    assert excinfo.value.retry_after == "2"
+    assert len(transport.requests) == 1
     completion = provider.complete("q", attempt=2)
     assert completion.raw_text == "1-1" and completion.attempt_count == 2
     assert len(transport.requests) == 2
 
 
 def test_last_attempt_gives_up_instead_of_backing_off():
-    provider, _ = http_provider([(503, "", "0")], max_retries=2)
-    with pytest.raises(TransportError, match="gave up after 3 attempt.*HTTP 503"):
-        provider.complete("q", attempt=3)
+    provider, transport = http_provider([(503, "", "0")] * 3, max_retries=2)
+    delays = []
+    with pytest.raises(TransportError, match="gave up after 3 attempt.*HTTP 503") as excinfo:
+        attempt_until_done(provider, "q", delays)
+    assert str(excinfo.value.__cause__) == "HTTP 503"  # the last attempt's own error
+    assert len(transport.requests) == 3 and delays == [0.0, 0.0]
 
 
 def test_latency_is_the_answering_attempts():
     config = ProviderConfig(endpoint_url="https://endpoint.test/v1", max_retries=1)
     transport = FakeTransport([(503, ""), (200, ok_body("1-1"))])
     provider = HttpProvider(config, transport=transport)
-    with pytest.raises(Backoff):
+    with pytest.raises(TransportError):
         provider.complete("q", attempt=1)
     time.sleep(0.2)  # the caller's wait before the next attempt
     completion = provider.complete("q", attempt=2)
@@ -411,11 +425,10 @@ def test_threads_share_at_most_max_in_flight_connections(chat_server):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as possible
     try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            replies = list(pool.map(lambda i: provider.complete(f"q{i}").raw_text, range(30)))
+        completions, _ = run_calls(provider, 30, complete_each(provider), error_budget=0)
     finally:
         sys.setswitchinterval(interval)
-    assert replies == ["1-1"] * 30
+    assert [c.raw_text for c in completions] == ["1-1"] * 30
     assert server.answered == 30
     assert 1 <= server.accepted <= 2  # opened once per slot, then reused
     assert server.peak_open <= 2
@@ -505,7 +518,7 @@ def test_refused_certificate_is_one_attempt_not_retried(monkeypatch):
 
     monkeypatch.setattr(provider._connections, "_open", refuse)
     with pytest.raises(ProtocolError, match="TLS certificate refused.*self-signed") as excinfo:
-        provider.complete("q", attempt=1)  # a ProtocolError, not a Backoff
+        provider.complete("q", attempt=1)  # a ProtocolError, not a TransportError
     assert isinstance(excinfo.value.__cause__, ssl.SSLCertVerificationError)
     delays = []
     with pytest.raises(ProtocolError):
@@ -545,7 +558,7 @@ def test_https_host_name_mismatch_is_one_open_and_no_retry(chat_server, trusted_
     open_connection = pool._open
     monkeypatch.setattr(pool, "_open", lambda timeout: opened.append(timeout) or open_connection(timeout))
     with pytest.raises(ProtocolError, match="TLS certificate refused.*ivroute.test") as excinfo:
-        provider.complete("q", attempt=1)  # a ProtocolError, not a Backoff
+        provider.complete("q", attempt=1)  # a ProtocolError, not a TransportError
     assert isinstance(excinfo.value.__cause__, ssl.SSLCertVerificationError)
     assert len(opened) == 1
     assert server.answered == 0
@@ -760,7 +773,7 @@ def test_mocks_are_deterministic(paths):
         assert first == second
 
 
-# --- concurrency and rate limiting -------------------------------------------------
+# --- concurrency and pacing, through run_calls --------------------------------------
 
 class SlowProvider(Provider):
     """Sleeps briefly per request so overlap is observable."""
@@ -771,33 +784,61 @@ class SlowProvider(Provider):
 
     def _request(self, text, prompt):
         time.sleep(self._delay)
-        return "1-1", 1
+        return "1-1"
 
 
 @pytest.mark.parametrize("bound", [1, 3])
 def test_in_flight_never_exceeds_bound(bound):
     provider = SlowProvider(max_in_flight=bound)
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        list(pool.map(lambda i: provider.complete(f"q{i}"), range(24)))
+    run_calls(provider, 24, complete_each(provider), error_budget=0)
     assert 1 <= provider.peak_in_flight <= bound
 
 
-def test_token_bucket_spaces_requests():
-    bucket = TokenBucket(rate_per_second=200)
-    start = time.monotonic()
-    for _ in range(6):
-        bucket.acquire()
-    elapsed = time.monotonic() - start
-    # Six acquisitions at 200/s leave five 5 ms gaps.
-    assert elapsed >= 0.02
+class TimedProvider(Provider):
+    """Records when each request starts; answers ``1-1``, or raises
+    ``error`` for the requests numbered in ``fail`` (1-based)."""
+
+    def __init__(self, config, fail=(), error=TransportError("HTTP 503", "0")):
+        super().__init__(config)
+        self._fail, self._error = set(fail), error
+        self._lock = threading.Lock()
+        self.starts = []
+
+    def _request(self, text, prompt):
+        with self._lock:
+            self.starts.append(time.monotonic())
+            number = len(self.starts)
+        if number in self._fail:
+            raise self._error
+        return "1-1"
 
 
-def test_token_bucket_disabled_when_unset():
-    bucket = TokenBucket(rate_per_second=None)
-    start = time.monotonic()
-    for _ in range(1000):
-        bucket.acquire()
-    assert time.monotonic() - start < 0.5
+def test_run_calls_paces_every_attempt_and_a_retry_takes_its_own_token():
+    # Four jobs at 10/s on four workers; the first request gets a 503 with
+    # Retry-After: 0, so its retry is due at once but still waits its turn,
+    # and so does the job of a second run on the same provider.
+    provider = TimedProvider(ProviderConfig(max_in_flight=4, requests_per_second=10), fail={1})
+    values, failures = run_calls(provider, 4, complete_each(provider), error_budget=0)
+    assert [v.attempt_count for v in values] == [2, 1, 1, 1] and failures == []
+    assert len(provider.starts) == 5
+    run_calls(provider, 1, complete_each(provider), error_budget=0)  # the next run keeps the pace
+    assert len(provider.starts) == 6
+    gaps = [b - a for a, b in zip(provider.starts, provider.starts[1:])]
+    assert min(gaps) >= 0.07  # 1/10 s apart, less the time from admission to send
+    assert provider.starts[-1] - provider.starts[0] >= 5 / 10 - 0.01
+
+
+def test_run_calls_admits_nothing_after_an_abort():
+    # At 2/s on eight workers with no failure allowed, the second request
+    # fails. The workers waiting for a token send nothing more, and the run
+    # ends at once instead of after their turns.
+    config = ProviderConfig(max_in_flight=8, requests_per_second=2)
+    provider = TimedProvider(config, fail={2}, error=ProviderError("down"))
+    with pytest.raises(RoutingAborted):
+        run_calls(provider, 16, complete_each(provider), error_budget=0)
+    aborted = time.monotonic()
+    assert len(provider.starts) == 2
+    assert aborted - provider.starts[1] < 0.2
 
 
 # --- role separation ---------------------------------------------------------------

@@ -15,13 +15,13 @@ from ivroute.menu import DtmfPath, flatten
 from ivroute.prompts import RoutingCondition
 from ivroute import router
 from ivroute.provider import (
-    Backoff,
     HttpProvider,
     OracleProvider,
     Provider,
     ProviderConfig,
     ProviderError,
     ScriptedProvider,
+    TransportError,
 )
 from ivroute.router import (
     AGAIN,
@@ -267,7 +267,7 @@ class FlakyOracle(Provider):
         query = prompt.query
         if query in self._fail:
             raise ProviderError("synthetic outage")
-        return self._truth[query], 1
+        return self._truth[query]
 
 
 def test_route_all_tolerates_failures_within_budget(tiny_tree):
@@ -360,30 +360,39 @@ def test_route_all_dead_endpoint_sees_a_bounded_window(tiny_tree):
     assert len(set(transport.queries)) <= 2  # router.WINDOW_PER_SLOT x max_in_flight
 
 
-class BackoffProvider(Provider):
-    """Asks the first ``backoffs.get(query, 0)`` attempts of a query to back
-    off ``delay`` seconds, giving up instead past max_retries; every other
-    attempt answers ``1-1`` after ``latency`` seconds. Records when each
-    attempt arrived."""
+class FixedJitter:
+    """A jitter source whose every draw is ``delay``."""
 
-    def __init__(self, delay, backoffs, max_in_flight, latency=0.0):
-        super().__init__(ProviderConfig(model_name="backoff-mock", max_in_flight=max_in_flight))
-        self._delay = delay
+    def __init__(self, delay):
+        self.delay = delay
+
+    def uniform(self, a, b):
+        return self.delay
+
+
+class BackoffProvider(Provider):
+    """Fails the first ``backoffs.get(query, 0)`` attempts of a query with a
+    TransportError that run_calls retries after ``delay`` seconds; every
+    other attempt answers ``1-1`` after ``latency`` seconds. Records when
+    each attempt arrived."""
+
+    def __init__(self, delay, backoffs, max_in_flight, latency=0.0, rps=None):
+        config = ProviderConfig(model_name="backoff-mock", max_in_flight=max_in_flight,
+                                requests_per_second=rps)
+        super().__init__(config, rng=FixedJitter(delay))
         self._backoffs = backoffs
         self._latency = latency
         self.arrivals = []  # (query, attempt, monotonic time)
 
-    def complete(self, prompt, attempt=None):
+    def complete(self, prompt, attempt=1):
         self.arrivals.append((prompt.query, attempt, time.monotonic()))
         if attempt <= self._backoffs.get(prompt.query, 0):
-            if attempt > self.config.max_retries:
-                raise ProviderError(f"gave up after {attempt} attempt(s)")
-            raise Backoff(self._delay)
+            raise TransportError("busy")
         return super().complete(prompt, attempt)
 
     def _request(self, text, prompt):
         time.sleep(self._latency)
-        return "1-1", 1
+        return "1-1"
 
 
 def test_route_all_dead_endpoint_whose_retries_wait_sees_a_bounded_window(tiny_tree):
@@ -392,7 +401,7 @@ def test_route_all_dead_endpoint_whose_retries_wait_sees_a_bounded_window(tiny_t
     provider = BackoffProvider(delay=0.05, backoffs=dead, max_in_flight=1)
     with pytest.raises(RoutingAborted) as excinfo:
         route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider, error_budget=0.0)
-    assert excinfo.value.failures[0][1].endswith("gave up after 4 attempt(s)")
+    assert excinfo.value.failures[0][1] == "gave up after 4 attempt(s): busy"
     # Retries waiting on a failing endpoint fill the window of
     # router.WINDOW_PER_SLOT x max_in_flight: no third intent is started.
     assert len({query for query, _, _ in provider.arrivals}) <= 2
@@ -524,12 +533,14 @@ def test_route_all_interrupted_in_the_caller_drops_queued_calls(tiny_tree):
 
 
 def test_route_all_stress_keeps_every_intent_once(dataset, tree):
-    # Eight workers share the queue and the retry heap; switching threads
-    # every microsecond makes a lost update under the lock show as a missing,
-    # repeated or reordered result, or as a wrong attempt count.
+    # Eight workers share the queue, the retry heap and the pacing turn;
+    # switching threads every microsecond makes a lost update under the lock
+    # show as a missing, repeated or reordered result, a wrong attempt count,
+    # or two attempts sent on one turn.
     queries = [r.text for r in dataset.records]
     backoffs = dict.fromkeys(queries[::3], 1)
-    provider = BackoffProvider(delay=0.0, backoffs=backoffs, max_in_flight=8)
+    rate = 2000
+    provider = BackoffProvider(delay=0.0, backoffs=backoffs, max_in_flight=8, rps=rate)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -543,6 +554,8 @@ def test_route_all_stress_keeps_every_intent_once(dataset, tree):
     assert sorted((q, a) for q, a, _ in provider.arrivals) == sorted(
         [(q, 1) for q in queries] + [(q, 2) for q in backoffs]
     )
+    sent = sorted(at for _, _, at in provider.arrivals)
+    assert sent[-1] - sent[0] >= (len(sent) - 1) / rate - 0.01
     assert elapsed < 30
     assert workers_alive() == []
 
@@ -559,7 +572,7 @@ def test_run_calls_makes_a_follow_up_call_at_once_and_a_retry_after_the_next_job
         if index == 1:
             return "one"
         if len(steps) == 1:
-            raise Backoff(0.0)
+            raise TransportError("busy", retry_after="0")
         return AGAIN if len(steps) == 3 else "zero"
 
     provider = ScriptedProvider([], config=ProviderConfig(max_in_flight=1))
