@@ -17,6 +17,8 @@ class DatagenError(ValueError):
 
 
 class IntentRecord(NamedTuple):
+    """One dataset line, its fields in the line's key order."""
+
     id: str
     text: str
     ground_truth: DtmfPath
@@ -33,18 +35,26 @@ class Dataset(NamedTuple):
 
 
 def validate_dataset(ds: Dataset, paths: Sequence[TerminalPath]) -> list[str]:
-    """Empty iff the dataset invariants hold and every label is a real path."""
+    """Empty iff the dataset invariants hold, every label is a real path
+    and no text is labelled with two paths (a text may repeat under one)."""
     violations: list[str] = []
     known = {tp.path.canonical() for tp in paths}
 
     ids_seen: set[str] = set()
     base_by_id: dict[str, IntentRecord] = {}
+    first_with_text: dict[str, IntentRecord] = {}
     for record in ds.records:
         if record.id in ids_seen:
             violations.append(f"record {record.id}: duplicate id")
         ids_seen.add(record.id)
         if record.origin == "base":
             base_by_id[record.id] = record
+        first = first_with_text.setdefault(record.text, record)
+        if first.ground_truth != record.ground_truth:
+            violations.append(
+                f"record {record.id}: same text as record {first.id}, "
+                f"which is labelled {first.ground_truth.canonical()}"
+            )
 
     base_count = 0
     for record in ds.records:
@@ -86,14 +96,7 @@ def validate_dataset(ds: Dataset, paths: Sequence[TerminalPath]) -> list[str]:
 
 
 def record_to_json(record: IntentRecord) -> dict:
-    return {
-        "id": record.id,
-        "text": record.text,
-        "ground_truth": record.ground_truth.canonical(),
-        "origin": record.origin,
-        "base_id": record.base_id,
-        "variant_index": record.variant_index,
-    }
+    return {**record._asdict(), "ground_truth": record.ground_truth.canonical()}
 
 
 def record_from_json(data: dict, paths: dict[str, DtmfPath]) -> IntentRecord:

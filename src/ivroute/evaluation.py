@@ -34,14 +34,6 @@ class ConfusionMatrix(NamedTuple):
     predicted_labels: list[str]  # true_labels + [INVALID, UNKNOWN_PATH]
     counts: list[list[int]]  # indexed [true][predicted]
 
-    def count(self, true_label: str, predicted_label: str) -> int:
-        return self.counts[self.true_labels.index(true_label)][
-            self.predicted_labels.index(predicted_label)
-        ]
-
-    def row_sum(self, true_label: str) -> int:
-        return sum(self.counts[self.true_labels.index(true_label)])
-
 
 class ClassMetrics(NamedTuple):
     label: str
@@ -54,13 +46,15 @@ class ClassMetrics(NamedTuple):
 
 
 class EvalReport(NamedTuple):
+    """The content of report.json, its fields in the file's key order."""
+
     accuracy: float
     n: int
-    matrix: ConfusionMatrix
-    per_class: list[ClassMetrics]
     condition: str
     dataset_filter: str
     model_name: str
+    matrix: ConfusionMatrix
+    per_class: list[ClassMetrics]
 
 
 def confusion_matrix(
@@ -141,30 +135,15 @@ def build_report(
 
 # --- emission ------------------------------------------------------------------
 
+# A per-class entry's keys: "class" is a keyword, so the field is "label".
+_CLASS_KEYS = ("class",) + ClassMetrics._fields[1:]
+
+
 def report_to_json(report: EvalReport) -> dict:
     return {
-        "accuracy": report.accuracy,
-        "n": report.n,
-        "condition": report.condition,
-        "dataset_filter": report.dataset_filter,
-        "model_name": report.model_name,
-        "matrix": {
-            "true_labels": report.matrix.true_labels,
-            "predicted_labels": report.matrix.predicted_labels,
-            "counts": report.matrix.counts,
-        },
-        "per_class": [
-            {
-                "class": m.label,
-                "precision": m.precision,
-                "recall": m.recall,
-                "f1": m.f1,
-                "support": m.support,
-                "precision_defined": m.precision_defined,
-                "recall_defined": m.recall_defined,
-            }
-            for m in report.per_class
-        ],
+        **report._asdict(),
+        "matrix": report.matrix._asdict(),
+        "per_class": [dict(zip(_CLASS_KEYS, m)) for m in report.per_class],
     }
 
 

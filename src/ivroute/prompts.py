@@ -26,7 +26,6 @@ OUTPUT_CONSTRAINT = "Output only the path."
 
 class PromptText(NamedTuple):
     content: str
-    condition: RoutingCondition
     query: str
 
 
@@ -60,4 +59,4 @@ def build_prompt(condition: RoutingCondition, context_text: str, query: str) -> 
     cleaned = _clean_query(query)
     content = load_template(template).replace(placeholder, context_text, 1)
     content = content.replace("{{QUERY}}", cleaned, 1)
-    return PromptText(content=content, condition=condition, query=cleaned)
+    return PromptText(content=content, query=cleaned)

@@ -86,7 +86,7 @@ class ProviderConfig(namedtuple("ProviderConfig", "endpoint_url model_name api_k
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
 
-class Completion(namedtuple("Completion", "raw_text model_name latency attempt_count",
+class Completion(namedtuple("Completion", "raw_text latency attempt_count",
                             defaults=(1,))):
     __slots__ = ()
 
@@ -128,12 +128,7 @@ class Provider:
         finally:
             with self._state_lock:
                 self._in_flight -= 1
-        return Completion(
-            raw_text=raw,
-            model_name=self.config.model_name,
-            latency=time.perf_counter() - start,
-            attempt_count=attempt,
-        )
+        return Completion(raw_text=raw, latency=time.perf_counter() - start, attempt_count=attempt)
 
     def _request(self, text: str, prompt) -> str:
         """Send one request and return the reply text. A TransportError is

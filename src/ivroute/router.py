@@ -70,20 +70,17 @@ _QUOTE_PAIRS = (("'", "'"), ('"', '"'), ("`", "`"))
 
 
 class ParsedResponse(NamedTuple):
-    raw_text: str
     path: DtmfPath | None  # None means INVALID
     normalization_applied: tuple[str, ...]
 
-    @property
-    def is_valid(self) -> bool:
-        return self.path is not None
-
 
 class RoutingResult(NamedTuple):
+    """One results-file row, its fields in the row's key order."""
+
     intent_id: str
     condition: RoutingCondition
     raw_response: str
-    parsed: ParsedResponse
+    normalization_applied: tuple[str, ...]
     predicted: str  # canonical path or "INVALID"
     ground_truth: str
     correct: bool
@@ -126,15 +123,15 @@ def parse_dtmf_response(raw: str, lenient: bool = False) -> ParsedResponse:
     text = mapped
 
     if _PATH_GRAMMAR.match(text):
-        return ParsedResponse(raw, DtmfPath.parse(text), tuple(applied))
+        return ParsedResponse(DtmfPath.parse(text), tuple(applied))
 
     if lenient:
         tokens = _PATH_TOKEN.findall(text)
         if len(tokens) == 1:
             applied.append("lenient_extract")
-            return ParsedResponse(raw, DtmfPath.parse(tokens[0]), tuple(applied))
+            return ParsedResponse(DtmfPath.parse(tokens[0]), tuple(applied))
 
-    return ParsedResponse(raw, None, tuple(applied))
+    return ParsedResponse(None, tuple(applied))
 
 
 def route(
@@ -165,28 +162,23 @@ def route_one(
 ) -> RoutingResult:
     """Route one intent's text and grade the reply against its ground truth.
 
-    A TransportError passes through unchanged, for ``run_calls`` to retry;
-    any other ProviderError is raised again naming the intent.
+    A ProviderError passes through unchanged, for ``run_calls`` to retry or
+    to record against the intent.
     """
-    try:
-        parsed, completion = route(intent.text, condition, context, provider, lenient, attempt)
-    except TransportError:
-        raise
-    except ProviderError as exc:
-        raise ProviderError(f"intent {intent.id}: {exc}") from exc
+    parsed, completion = route(intent.text, condition, context, provider, lenient, attempt)
     truth = intent.ground_truth.canonical()
     predicted = INVALID if parsed.path is None else parsed.path.canonical()
     return RoutingResult(
         intent_id=intent.id,
         condition=condition,
         raw_response=completion.raw_text,
-        parsed=parsed,
+        normalization_applied=parsed.normalization_applied,
         predicted=predicted,
         ground_truth=truth,
         correct=predicted == truth,  # INVALID is never a path
         known_path=predicted in known_paths,
         latency=completion.latency,
-        model_name=completion.model_name,
+        model_name=provider.config.model_name,
     )
 
 
@@ -385,8 +377,8 @@ def route_all(
     dataset order; the context is rendered once. A RoutingAborted names
     its failures by intent id.
 
-    ``identity``, the ``run_identity`` of these inputs when the caller has
-    it already, saves hashing them again for the manifest.
+    ``identity`` is the ``run_identity`` of these inputs when the caller has
+    it already; without it, the inputs are hashed for the manifest here.
     """
     menu_problems = validate_menu(tree)
     if menu_problems:
@@ -415,10 +407,9 @@ def route_all(
         # The running attempts are done: no idle connection outlives the run.
         provider.close()
     results = [r for r in slots if r is not None]
-    manifest = build_manifest(
-        ds, tree, condition, record_filter, provider, lenient, len(results), by_id(failures), identity
-    )
-    return RoutingRun(results=results, manifest=manifest)
+    if identity is None:
+        identity = run_identity(ds, tree, condition, record_filter, provider.config.model_name, lenient)
+    return RoutingRun(results=results, manifest=build_manifest(identity, len(results), by_id(failures)))
 
 
 # --- manifest and results files ----------------------------------------------
@@ -456,40 +447,13 @@ def run_identity(
     return {**core, "run_id": _sha256(json.dumps(core, sort_keys=True).encode("utf-8"))[:12]}
 
 
-def build_manifest(
-    ds: Dataset,
-    tree: MenuTree,
-    condition: RoutingCondition,
-    record_filter: str,
-    provider: Provider,
-    lenient: bool,
-    n_results: int,
-    failures: list[tuple[str, str]],
-    identity: dict | None = None,
-) -> dict:
-    """``run_identity`` plus what the run produced. ``identity``, when
-    given, must be the ``run_identity`` of the same inputs."""
-    manifest = dict(identity) if identity is not None else run_identity(
-        ds, tree, condition, record_filter, provider.config.model_name, lenient
-    )
-    manifest["n_results"] = n_results
-    manifest["failures"] = [{"intent_id": i, "error": e} for i, e in failures]
-    manifest["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    return manifest
-
-
-def result_to_record(result: RoutingResult) -> dict:
+def build_manifest(identity: dict, n_results: int, failures: list[tuple[str, str]]) -> dict:
+    """A run's ``run_identity`` plus what the run produced."""
     return {
-        "intent_id": result.intent_id,
-        "condition": result.condition.value,
-        "raw_response": result.raw_response,
-        "normalization_applied": list(result.parsed.normalization_applied),
-        "predicted": result.predicted,
-        "ground_truth": result.ground_truth,
-        "correct": result.correct,
-        "known_path": result.known_path,
-        "latency": result.latency,
-        "model_name": result.model_name,
+        **identity,
+        "n_results": n_results,
+        "failures": [{"intent_id": i, "error": e} for i, e in failures],
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
 
 
@@ -513,7 +477,8 @@ def result_from_record(record: dict) -> RoutingResult:
     if not isinstance(rules, list) or not all(isinstance(rule, str) for rule in rules):
         raise ValueError(f"intent {intent_id}: normalization_applied must list strings, not {rules!r}")
     predicted = record["predicted"]
-    path = None if predicted == INVALID else DtmfPath.parse(predicted)
+    if predicted != INVALID:
+        DtmfPath.parse(predicted)  # refused when it is no path
     ground_truth = DtmfPath.parse(record["ground_truth"]).canonical()  # refused like predicted
     correct = record["correct"]
     if correct != (predicted == ground_truth):
@@ -521,24 +486,15 @@ def result_from_record(record: dict) -> RoutingResult:
             f"intent {intent_id}: correct is {str(correct).lower()} but "
             f"{predicted} was predicted for {ground_truth}"
         )
-    return RoutingResult(
-        intent_id=intent_id,
-        condition=RoutingCondition(record["condition"]),
-        raw_response=record["raw_response"],
-        parsed=ParsedResponse(record["raw_response"], path, normalization_applied=tuple(rules)),
-        predicted=predicted,
-        ground_truth=ground_truth,
-        correct=correct,
-        known_path=record["known_path"],
-        latency=latency,
-        model_name=record["model_name"],
-    )
+    return RoutingResult(intent_id, RoutingCondition(record["condition"]), record["raw_response"],
+                         tuple(rules), predicted, ground_truth, correct, record["known_path"],
+                         latency, record["model_name"])
 
 
 def save_results(results: Iterable[RoutingResult], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for result in results:
-            handle.write(json.dumps(result_to_record(result), ensure_ascii=False) + "\n")
+            handle.write(json.dumps(result._asdict(), ensure_ascii=False) + "\n")
 
 
 def load_results(path: str | Path) -> list[RoutingResult]:

@@ -162,7 +162,8 @@ class ChatServer(socketserver.ThreadingTCPServer):
 
     Every response leaves in one write: status line, headers and body split
     over several writes stall kept-alive calls on the Nagle / delayed-ACK
-    interaction. ``reply`` is the content of every 200, ``statuses`` the
+    interaction. ``reply`` is the content of every 200, or a function from
+    the request's prompt to that content; ``statuses`` the
     statuses of the first responses, in order, ``status`` that of every
     later one and ``delay`` holds each response.
     ``retry_after``, when set, goes out as a Retry-After header on every
@@ -202,9 +203,12 @@ class ChatServer(socketserver.ThreadingTCPServer):
             conn = self.tls.wrap_socket(conn, server_side=True, do_handshake_on_connect=False)
         return conn, address
 
-    def response(self, status: int) -> bytes:
+    def response(self, status: int, body: bytes) -> bytes:
         if status == 200:
-            body = json.dumps({"choices": [{"message": {"content": self.reply}}]},
+            content = self.reply
+            if callable(content):
+                content = content(json.loads(body)["messages"][-1]["content"])
+            body = json.dumps({"choices": [{"message": {"content": content}}]},
                               ensure_ascii=False).encode("utf-8")
         else:
             body = b'{"error": "unavailable"}'
@@ -274,7 +278,7 @@ class _ChatHandler(socketserver.StreamRequestHandler):
             self.server.answered += 1
             self.server.seen.append(request)
             status = self.server.statuses.pop(0) if self.server.statuses else self.server.status
-        self.wfile.write(self.server.response(status))
+        self.wfile.write(self.server.response(status, request[2]))
         return True
 
 

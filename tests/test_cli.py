@@ -364,6 +364,30 @@ def test_route_malformed_dataset_line_exit_1(tmp_path, fixture_menu_path, capsys
         assert f"{dataset.name}:2: bad record" in err
 
 
+def test_route_text_under_two_labels_exit_1(tmp_path, fixture_menu_path, fixture_dataset_path,
+                                             capsys):
+    rows = [json.loads(line) for line in fixture_dataset_path.read_text(encoding="utf-8").splitlines()]
+    by_id = {row["id"]: row for row in rows}
+    by_id["1-2:b00"]["text"] = by_id["1-1:b00"]["text"]
+    dataset = tmp_path / "relabelled.jsonl"
+    dataset.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    assert run(route_args(fixture_menu_path, dataset, tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: dataset is not valid: record 1-2:b00: same text as record 1-1:b00")
+    assert not list(tmp_path.glob("run-*"))
+
+
+def test_route_names_each_failure_once(tmp_path, fixture_menu_path, fixture_dataset_path, capsys):
+    script = write_script(tmp_path, ["1-1", "1-1"])
+    argv = ["route", "--menu", str(fixture_menu_path), "--dataset", str(fixture_dataset_path),
+            "--filter", "base_only", "--provider", "scripted", "--script", str(script),
+            "--max-in-flight", "1", "--out", str(tmp_path)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "error: run aborted: 3 provider failure(s) exceeded the budget of 2"
+    assert err[1:] == [f"  failed 1-1:b0{i}: scripted mock ran out of replies" for i in (2, 3, 4)]
+
+
 def test_route_every_intent_failing_within_budget_exit_1(tmp_path, fixture_menu_path,
                                                          fixture_dataset_path, capsys):
     script = tmp_path / "empty.json"
@@ -574,10 +598,32 @@ def test_demo_retries_a_503_and_prints_the_path(fixture_menu_path, chat_server, 
     assert server.wait_all_closed()  # demo closed the connection when stdin ended
 
 
+def echo_endpoint_or_original(prompt):
+    """One complaint per path, its breadcrumb; a paraphrase repeats its
+    original, which is asked again once and then kept."""
+    marker = "Endpoint: " if "Endpoint: " in prompt else "Original message: "
+    return prompt.split(marker, 1)[1].split("\n", 1)[0]
+
+
+def test_gen_intents_one_text_for_every_path_exit_1(fixture_menu_path, chat_server, monkeypatch,
+                                                    tmp_path, capsys):
+    monkeypatch.delenv(DEFAULT_API_KEY_ENV, raising=False)
+    server = chat_server()  # every reply is "1-1", whichever path it is for
+    code = run(["gen-intents", str(fixture_menu_path), "--per-node", "1", "--variants", "1",
+                "--max-in-flight", "1", "--provider", "http", "--endpoint", server.url,
+                "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "violation: record 1-2:b00: same text as record 1-1:b00, which is labelled 1-1" in err
+    assert err.endswith("error: generated dataset failed validation\n")
+    assert not (tmp_path / "intents.jsonl").exists()
+    assert server.wait_all_closed()
+
+
 def test_gen_intents_stages_share_one_connection(fixture_menu_path, chat_server, monkeypatch,
                                                 tmp_path, capsys):
     monkeypatch.delenv(DEFAULT_API_KEY_ENV, raising=False)
-    server = chat_server()  # every reply is "1-1", the same for base and paraphrase
+    server = chat_server(reply=echo_endpoint_or_original)
     code = run(["gen-intents", str(fixture_menu_path), "--per-node", "1", "--variants", "1",
                 "--max-in-flight", "1", "--provider", "http", "--endpoint", server.url,
                 "--out", str(tmp_path)])

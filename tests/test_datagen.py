@@ -12,6 +12,7 @@ from ivroute.datagen import (
     Dataset,
     IntentRecord,
     dataset_from_records,
+    dataset_to_jsonl,
     load_dataset,
     save_dataset,
     validate_dataset,
@@ -349,6 +350,25 @@ def test_validate_flags_variant_index_range(tiny_tree):
     assert any("out of range" in p for p in validate_dataset(broken, paths))
 
 
+def test_validate_flags_one_text_under_two_labels(tiny_tree):
+    paths = flatten(tiny_tree)
+    records = tiny_dataset().records
+    records[2] = records[2]._replace(text=records[0].text)  # a 1-9 record takes a 1-1 text
+    broken = tiny_dataset()._replace(records=records)
+    assert validate_dataset(broken, paths) == [
+        "record 1-9:b00: same text as record 1-1:b00, which is labelled 1-1"
+    ]
+
+
+def test_validate_allows_one_text_repeated_under_one_label(tiny_tree):
+    # augment_intents keeps a paraphrase that came back equal to its base text
+    ds = tiny_dataset()
+    same = [make_record(r.ground_truth.canonical(), r.text, origin="augmented",
+                        base_suffix=r.id.split(":")[1], variant_index=1) for r in ds.records]
+    repeated = ds._replace(records=ds.records + same, variants_per_base=1)
+    assert validate_dataset(repeated, flatten(tiny_tree)) == []
+
+
 def test_validate_flags_count_mismatch(tiny_tree):
     paths = flatten(tiny_tree)
     ds = tiny_dataset()
@@ -430,6 +450,12 @@ def test_dataset_round_trip(tmp_path, tiny_tree):
     assert loaded.per_node_base == 2
     assert loaded.variants_per_base == 0
     assert validate_dataset(loaded, flatten(tiny_tree)) == []
+
+
+def test_dataset_line_keys_in_file_order():
+    line = dataset_to_jsonl(tiny_dataset()._replace(records=[make_record("1-9", "agent, bitte")]))
+    assert line == ('{"id": "1-9:b00", "text": "agent, bitte", "ground_truth": "1-9", '
+                    '"origin": "base", "base_id": "1-9:b00", "variant_index": 0}\n')
 
 
 def test_load_dataset_rejects_bad_lines(tmp_path):

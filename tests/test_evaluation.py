@@ -21,7 +21,7 @@ from ivroute.evaluation import (
     summary_markdown,
 )
 from ivroute.prompts import RoutingCondition
-from ivroute.router import INVALID, ParsedResponse, RoutingResult
+from ivroute.router import INVALID, RoutingResult
 
 
 def result(truth: str, predicted: str, intent_id: str = "") -> RoutingResult:
@@ -29,7 +29,7 @@ def result(truth: str, predicted: str, intent_id: str = "") -> RoutingResult:
         intent_id=intent_id or f"{truth}:b00",
         condition=RoutingCondition.FLATTENED_PATHS,
         raw_response=predicted,
-        parsed=ParsedResponse(predicted, None, ()),
+        normalization_applied=(),
         predicted=predicted,
         ground_truth=truth,
         correct=predicted == truth,
@@ -76,13 +76,14 @@ def test_matrix_shape_and_counts():
     matrix = confusion_matrix(results, CLASSES)
     assert matrix.true_labels == CLASSES
     assert matrix.predicted_labels == CLASSES + list(EXTRA_COLUMNS)
-    assert matrix.count("1-1", "1-1") == 1
-    assert matrix.count("1-1", "1-2") == 1
-    assert matrix.count("1-2", "1-2") == 1
-    assert matrix.count("2-1", INVALID) == 1
-    assert matrix.count("2-1", UNKNOWN_PATH) == 1
-    assert sum(map(sum, matrix.counts)) == 5
-    assert matrix.row_sum("1-1") == 2
+    cells = {
+        (truth, predicted): count
+        for truth, row in zip(matrix.true_labels, matrix.counts)
+        for predicted, count in zip(matrix.predicted_labels, row)
+        if count
+    }
+    assert cells == {("1-1", "1-1"): 1, ("1-1", "1-2"): 1, ("1-2", "1-2"): 1,
+                     ("2-1", INVALID): 1, ("2-1", UNKNOWN_PATH): 1}
 
 
 def test_matrix_rejects_foreign_truth():
@@ -221,6 +222,18 @@ def test_emit_report_files(tmp_path):
     assert names == {"report.json", "matrix.csv", "matrix_long.csv", "summary.md"}
     text = (tmp_path / "out" / "report.json").read_text(encoding="utf-8")
     assert json.loads(text) == report_to_json(report)
+
+
+def test_report_json_keys_in_file_order(tmp_path):
+    emit_report(sample_report(), tmp_path)
+    data = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert list(data) == ["accuracy", "n", "condition", "dataset_filter", "model_name", "matrix",
+                          "per_class"]
+    assert list(data["matrix"]) == ["true_labels", "predicted_labels", "counts"]
+    assert data["per_class"][0] == {"class": "1-1", "precision": 1.0, "recall": 0.5, "f1": 2 / 3,
+                                    "support": 2, "precision_defined": True, "recall_defined": True}
+    assert list(data["per_class"][0]) == ["class", "precision", "recall", "f1", "support",
+                                          "precision_defined", "recall_defined"]
 
 
 def test_matrix_csv_shape(tmp_path):

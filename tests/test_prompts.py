@@ -2,7 +2,7 @@
 
 import pytest
 
-from ivroute.menu import flatten, render_descriptive, render_flattened
+from ivroute.menu import render_descriptive, render_flattened
 from ivroute.prompts import (
     OUTPUT_CONSTRAINT,
     PromptText,
@@ -48,7 +48,6 @@ def test_descriptive_substitution(tree):
     menu_text = render_descriptive(tree)
     prompt = build_prompt(RoutingCondition.DESCRIPTIVE_MENU, menu_text, "my bill is too high")
     assert isinstance(prompt, PromptText)
-    assert prompt.condition is RoutingCondition.DESCRIPTIVE_MENU
     assert prompt.query == "my bill is too high"
     assert menu_text in prompt.content
     assert "{{MENU}}" not in prompt.content
@@ -59,17 +58,18 @@ def test_descriptive_substitution(tree):
 def test_flattened_substitution(paths):
     paths_text = render_flattened(paths)
     prompt = build_prompt(RoutingCondition.FLATTENED_PATHS, paths_text, "internet is down")
-    assert prompt.condition is RoutingCondition.FLATTENED_PATHS
     assert paths_text in prompt.content
     assert "{{PATHS}}" not in prompt.content
     assert prompt.content.endswith("internet is down")
 
 
-def test_build_prompt_dispatch(tree, paths):
-    desc = build_prompt(RoutingCondition.DESCRIPTIVE_MENU, render_descriptive(tree), "q")
-    flat = build_prompt(RoutingCondition.FLATTENED_PATHS, render_flattened(paths), "q")
-    assert desc.condition is RoutingCondition.DESCRIPTIVE_MENU
-    assert flat.condition is RoutingCondition.FLATTENED_PATHS
+def test_build_prompt_dispatch():
+    desc = build_prompt(RoutingCondition.DESCRIPTIVE_MENU, "CONTEXT", "q")
+    flat = build_prompt(RoutingCondition.FLATTENED_PATHS, "CONTEXT", "q")
+    assert desc == (load_template("template_descriptive.txt").replace("{{MENU}}", "CONTEXT")
+                    .replace("{{QUERY}}", "q"), "q")
+    assert flat == (load_template("template_flattened.txt").replace("{{PATHS}}", "CONTEXT")
+                    .replace("{{QUERY}}", "q"), "q")
 
 
 def test_equal_inputs_equal_bytes(paths):

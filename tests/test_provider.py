@@ -18,8 +18,7 @@ from pathlib import Path
 import pytest
 
 import ivroute
-from ivroute.datagen import IntentRecord
-from ivroute.menu import flatten, render_flattened
+from ivroute.menu import render_flattened
 from ivroute.prompts import RoutingCondition, build_prompt
 from ivroute.provider import (
     DEFAULT_API_KEY_ENV,
@@ -133,7 +132,7 @@ def test_config_validation():
 
 
 def test_completion_invariants():
-    done = Completion(raw_text="", model_name="m", latency=0.0)
+    done = Completion(raw_text="", latency=0.0)
     assert done.attempt_count == 1
     assert done.raw_text == ""  # empty output is recorded, not erased
 
@@ -145,7 +144,6 @@ def test_post_payload_shape_and_auth(monkeypatch):
     provider, transport = http_provider([(200, ok_body("1-1"))])
     completion = provider.complete("route this")
     assert completion.raw_text == "1-1"
-    assert completion.model_name == "test-model"
     assert completion.attempt_count == 1
     request = transport.requests[0]
     assert request["url"] == "https://endpoint.test/v1/chat/completions"

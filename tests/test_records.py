@@ -28,7 +28,7 @@ def intent():
 
 def result():
     return RoutingResult(intent_id="1:b00", condition=FLAT, raw_response="1",
-                         parsed=ParsedResponse("1", DtmfPath((1,)), ()), predicted="1",
+                         normalization_applied=(), predicted="1",
                          ground_truth="1", correct=True, known_path=True, latency=0.25,
                          model_name="m")
 
@@ -52,11 +52,10 @@ RECORDS = {
     "IntentRecord": (intent, True),
     "Dataset": (lambda: Dataset(menu_name="Menu", records=[intent()], per_node_base=1,
                                 variants_per_base=0), False),
-    "PromptText": (lambda: PromptText(content="Route: my balance?", condition=FLAT,
-                                      query="my balance?"), True),
+    "PromptText": (lambda: PromptText(content="Route: my balance?", query="my balance?"), True),
     "ProviderConfig": (lambda: ProviderConfig(endpoint_url="http://127.0.0.1/v1", max_in_flight=2), True),
-    "Completion": (lambda: Completion(raw_text="1", model_name="m", latency=0.25), True),
-    "ParsedResponse": (lambda: ParsedResponse(" 1", DtmfPath((1,)), ("trim",)), True),
+    "Completion": (lambda: Completion(raw_text="1", latency=0.25), True),
+    "ParsedResponse": (lambda: ParsedResponse(DtmfPath((1,)), ("trim",)), True),
     "RoutingResult": (result, True),
     "RoutingRun": (lambda: RoutingRun(results=[result()], manifest={"run_id": "abc"}), False),
     "ConfusionMatrix": (matrix, False),
@@ -93,6 +92,6 @@ def test_replace_derives_a_checked_copy():
     with pytest.raises(ValueError, match="max_retries"):
         config._replace(max_retries=9)
     with pytest.raises(ValueError, match="attempt_count"):
-        Completion("1", "m", 0.25)._replace(attempt_count=0)
+        Completion("1", 0.25)._replace(attempt_count=0)
     with pytest.raises(ValueError, match="filler_prob"):
         NoiseProfile()._replace(filler_prob=2.0)

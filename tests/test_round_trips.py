@@ -17,13 +17,7 @@ from ivroute.menu import (
     tree_to_document,
 )
 from ivroute.prompts import RoutingCondition
-from ivroute.router import (
-    INVALID,
-    ParsedResponse,
-    RoutingResult,
-    result_from_record,
-    result_to_record,
-)
+from ivroute.router import INVALID, RoutingResult, result_from_record
 
 labels = st.text(min_size=1, max_size=12)
 action_types = st.sampled_from((ActionType.SELF_SERVICE, ActionType.AGENT_HANDOFF))
@@ -95,18 +89,12 @@ def test_dataset_survives_save_and_load(tmp_path_factory, dataset_records, menu_
 def results(draw):
     truth = draw(dtmf_paths).canonical()
     predicted = draw(st.one_of(st.just(truth), st.just(INVALID), dtmf_paths.map(DtmfPath.canonical)))
-    raw = draw(st.text())
     rules = ("trim", "unquote", "strip_trailing_period", "map_unicode_dashes", "lenient_extract")
-    parsed = ParsedResponse(
-        raw_text=raw,
-        path=None if predicted == INVALID else DtmfPath.parse(predicted),
-        normalization_applied=tuple(draw(st.lists(st.sampled_from(rules), unique=True))),
-    )
     return RoutingResult(
         intent_id=draw(st.text(min_size=1)),
         condition=draw(st.sampled_from(RoutingCondition)),
-        raw_response=raw,
-        parsed=parsed,
+        raw_response=draw(st.text()),
+        normalization_applied=tuple(draw(st.lists(st.sampled_from(rules), unique=True))),
         predicted=predicted,
         ground_truth=truth,
         correct=predicted == truth,
@@ -120,5 +108,5 @@ def results(draw):
 @given(results())
 def test_result_survives_a_results_file_row(result):
     # One row as save_results writes it and load_results reads it back.
-    row = json.dumps(result_to_record(result), ensure_ascii=False)
+    row = json.dumps(result._asdict(), ensure_ascii=False)
     assert result_from_record(json.loads(row)) == result

@@ -10,8 +10,8 @@ import time
 
 import pytest
 
-from ivroute.datagen import Dataset, IntentRecord
-from ivroute.menu import DtmfPath, flatten
+from ivroute.datagen import Dataset
+from ivroute.menu import flatten
 from ivroute.prompts import RoutingCondition
 from ivroute import router
 from ivroute.provider import (
@@ -48,7 +48,6 @@ from conftest import make_record, tiny_dataset
 @pytest.mark.parametrize("text", ["1", "1-1", "2-1-9", "0-0-0", "9-8-7-6-5-4-3-2-1-0"])
 def test_strict_accepts_canonical(text):
     parsed = parse_dtmf_response(text)
-    assert parsed.is_valid
     assert parsed.path.canonical() == text
     assert parsed.normalization_applied == ()
 
@@ -71,16 +70,16 @@ def test_strict_normalization_rules(raw, expected, rules):
     if expected == "2-1-9.":
         # The single trailing-period strip happens after unquoting, so a
         # quoted "2-1-9." does resolve; spell the pipeline out.
-        assert parsed.is_valid and parsed.path.canonical() == "2-1-9"
+        assert parsed.path.canonical() == "2-1-9"
         assert parsed.normalization_applied == ("trim", "unquote", "strip_trailing_period")
     else:
-        assert parsed.is_valid and parsed.path.canonical() == expected
+        assert parsed.path.canonical() == expected
         assert parsed.normalization_applied == rules
 
 
 def test_strict_combined_normalization():
     parsed = parse_dtmf_response('  "2–1–9."  ')
-    assert parsed.is_valid and parsed.path.canonical() == "2-1-9"
+    assert parsed.path.canonical() == "2-1-9"
     assert parsed.normalization_applied == (
         "trim", "unquote", "strip_trailing_period", "map_unicode_dashes",
     )
@@ -106,39 +105,40 @@ def test_strict_combined_normalization():
     ],
 )
 def test_strict_rejects_noise(raw):
-    parsed = parse_dtmf_response(raw)
-    assert not parsed.is_valid
-    assert parsed.path is None
+    assert parse_dtmf_response(raw).path is None
 
 
-def test_strict_mismatch_keeps_raw_text():
-    parsed = parse_dtmf_response("The answer is 1-4.")
-    assert parsed.raw_text == "The answer is 1-4."
-    assert not parsed.is_valid
+def test_strict_mismatch_keeps_raw_text(tiny_tree):
+    # The parse holds no text; the reply is kept once, in the result row.
+    assert parse_dtmf_response("The answer is 1-4.") == (None, ("strip_trailing_period",))
+    context = render_context(tiny_tree, RoutingCondition.FLATTENED_PATHS)
+    result = route_one(make_record("1-1", "my bill"), RoutingCondition.FLATTENED_PATHS, context,
+                       ScriptedProvider(["The answer is 1-4."]))
+    assert result.raw_response == "The answer is 1-4." and result.predicted == INVALID
 
 
 # --- parsing: lenient ----------------------------------------------------------------
 
 def test_lenient_salvages_single_token():
     parsed = parse_dtmf_response("The best path is 2-1-9.", lenient=True)
-    assert parsed.is_valid and parsed.path.canonical() == "2-1-9"
+    assert parsed.path.canonical() == "2-1-9"
     assert parsed.normalization_applied[-1] == "lenient_extract"
 
 
 def test_lenient_refuses_multiple_tokens():
     parsed = parse_dtmf_response("either 1-2 or 3-4", lenient=True)
-    assert not parsed.is_valid
+    assert parsed.path is None
 
 
 def test_lenient_refuses_zero_tokens():
     parsed = parse_dtmf_response("no digits here", lenient=True)
-    assert not parsed.is_valid
+    assert parsed.path is None
 
 
 def test_lenient_ignores_embedded_digit_runs():
     # "12-3" is not a well-formed token and must not yield "2-3".
     parsed = parse_dtmf_response("code 12-3", lenient=True)
-    assert not parsed.is_valid
+    assert parsed.path is None
 
 
 def test_lenient_not_used_when_strict_matches():
@@ -197,12 +197,16 @@ def test_route_one_invalid_reply(tiny_tree):
     assert result.raw_response == "I think you should press one"
 
 
-def test_route_one_wraps_provider_error_with_intent_id(tiny_tree):
+def test_route_one_passes_provider_error_through(tiny_tree):
+    # route_all names the failing intent; route_one adds nothing to the error.
     record = make_record("1-1", "text")
     provider = ScriptedProvider([])  # immediately exhausted
     context = render_context(tiny_tree, RoutingCondition.FLATTENED_PATHS)
-    with pytest.raises(ProviderError, match="1-1:b00"):
+    with pytest.raises(ProviderError) as excinfo:
         route_one(record, RoutingCondition.FLATTENED_PATHS, context, provider)
+    assert type(excinfo.value) is ProviderError
+    assert str(excinfo.value) == "scripted mock ran out of replies"
+    assert excinfo.value.__cause__ is None
 
 
 def test_route_needs_no_ground_truth(tiny_tree):
@@ -212,8 +216,7 @@ def test_route_needs_no_ground_truth(tiny_tree):
                                RoutingCondition.DESCRIPTIVE_MENU, context, provider,
                                lenient=True)
     assert parsed.path.canonical() == "1-9"
-    assert parsed.raw_text == completion.raw_text == "The path is 1-9."
-    assert completion.model_name == "scripted-mock"
+    assert completion.raw_text == "The path is 1-9."
     assert "get me a person about my bill" in provider.calls[0]
 
 
@@ -278,7 +281,7 @@ def test_route_all_tolerates_failures_within_budget(tiny_tree):
                     error_budget=0.5)
     assert len(run.results) == 5
     assert run.manifest["failures"] == [
-        {"intent_id": ds.records[1].id, "error": f"intent {ds.records[1].id}: synthetic outage"}
+        {"intent_id": ds.records[1].id, "error": "synthetic outage"}
     ]
     assert run.manifest["n_results"] == 5
 
@@ -595,17 +598,10 @@ def test_run_calls_counts_a_failure_within_budget_and_keeps_going():
 
 # --- manifest ------------------------------------------------------------------------
 
-def manifest_for(ds, tree, **overrides):
-    arguments = dict(
-        condition=RoutingCondition.FLATTENED_PATHS,
-        record_filter="base_only",
-        provider=ScriptedProvider(["1-1"]),
-        lenient=False,
-        n_results=1,
-        failures=[],
-    )
-    arguments.update(overrides)
-    return build_manifest(ds, tree, **arguments)
+def manifest_for(ds, tree, condition=RoutingCondition.FLATTENED_PATHS, record_filter="base_only",
+                 model_name="scripted-mock", lenient=False, n_results=1, failures=()):
+    identity = run_identity(ds, tree, condition, record_filter, model_name, lenient)
+    return build_manifest(identity, n_results, list(failures))
 
 
 def test_manifest_run_id_ignores_timestamp_and_counts(tiny_tree, monkeypatch):
@@ -623,10 +619,20 @@ def test_manifest_run_id_tracks_inputs(tiny_tree):
     assert base["run_id"] != reconditioned["run_id"]
     refiltered = manifest_for(ds, tiny_tree, record_filter="all")
     assert base["run_id"] != refiltered["run_id"]
-    remodeled = manifest_for(
-        ds, tiny_tree, provider=ScriptedProvider(["1-1"], config=ProviderConfig(model_name="other"))
-    )
+    remodeled = manifest_for(ds, tiny_tree, model_name="other")
     assert base["run_id"] != remodeled["run_id"]
+
+
+@pytest.mark.parametrize("condition, record_filter, run_id", [
+    (RoutingCondition.DESCRIPTIVE_MENU, "base_only", "8a900ae47168"),
+    (RoutingCondition.DESCRIPTIVE_MENU, "all", "f01ca3e681f7"),
+    (RoutingCondition.FLATTENED_PATHS, "base_only", "c3ca07a72a4f"),
+    (RoutingCondition.FLATTENED_PATHS, "all", "dfc44e400268"),
+])
+def test_fixture_oracle_run_ids_are_stable(dataset, tree, condition, record_filter, run_id):
+    # Run directories are named by these; a drift orphans every earlier run.
+    identity = run_identity(dataset, tree, condition, record_filter, "oracle-mock", False)
+    assert identity["run_id"] == run_id
 
 
 def test_manifest_core_fields(tiny_tree):
@@ -641,6 +647,24 @@ def test_manifest_core_fields(tiny_tree):
 
 
 # --- result files --------------------------------------------------------------------
+
+def test_results_row_keys_in_file_order(tmp_path, tiny_tree):
+    ds = tiny_dataset()
+    provider = ScriptedProvider([" '1-1.' "] + ["2\u20139"] * 5, config=ProviderConfig(max_in_flight=1))
+    run = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
+    file = tmp_path / "results.jsonl"
+    save_results([r._replace(latency=0.25) for r in run.results[:2]], file)
+    assert file.read_text(encoding="utf-8").splitlines() == [
+        '{"intent_id": "1-1:b00", "condition": "flattened_paths", "raw_response": " \'1-1.\' ", '
+        '"normalization_applied": ["trim", "unquote", "strip_trailing_period"], "predicted": "1-1", '
+        '"ground_truth": "1-1", "correct": true, "known_path": true, "latency": 0.25, '
+        '"model_name": "mock"}',
+        '{"intent_id": "1-1:b01", "condition": "flattened_paths", "raw_response": "2\u20139", '
+        '"normalization_applied": ["map_unicode_dashes"], "predicted": "2-9", '
+        '"ground_truth": "1-1", "correct": false, "known_path": false, "latency": 0.25, '
+        '"model_name": "mock"}',
+    ]
+
 
 def test_results_round_trip(tmp_path, tiny_tree):
     ds = tiny_dataset()
