@@ -60,6 +60,12 @@ _CONDITIONS = {
 
 _PROVIDER_KINDS = ("http", "oracle", "keyword", "scripted")
 
+# The keys some command reads from a config file: at the top level, and in
+# the block of a stage (one of PIPELINE_STAGES) under "providers".
+_CONFIG_KEYS = {"seed", "providers"}
+_STAGE_KEYS = {"kind", "endpoint_url", "model_name", "api_key_env", "temperature", "max_retries",
+               "request_timeout", "max_in_flight", "requests_per_second", "script"}
+
 
 class CommandFailed(Exception):
     """Ends a subcommand: ``main`` prints ``error: <message>`` and returns
@@ -70,21 +76,39 @@ class CommandFailed(Exception):
         self.code = code
 
 
-def _load_config_file(path: str | None) -> dict:
-    """Parsed config mapping; exit 2 when the file is absent or holds no
-    JSON object."""
-    if not path:
-        return {}
+def _read_json(path: str, what: str):
+    """The value a JSON input file holds; exit 2 when the file is absent or
+    holds no JSON."""
     file = Path(path)
     if not file.is_file():
-        raise CommandFailed(f"no such config file: {file}", EXIT_USAGE)
+        raise CommandFailed(f"no such {what} file: {file}", EXIT_USAGE)
     try:
-        data = json.loads(file.read_text(encoding="utf-8"))
+        return json.loads(file.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
-        raise CommandFailed(f"cannot read config file {file}: {exc}", EXIT_USAGE)
+        raise CommandFailed(f"cannot read {what} file {file}: {exc}", EXIT_USAGE)
+
+
+def _load_config_file(path: str | None) -> dict:
+    """Parsed config mapping; exit 2 when the file is absent, holds no JSON
+    object, or holds a key that no command reads."""
+    if not path:
+        return {}
+    data = _read_json(path, "config")
     if not isinstance(data, dict):
-        raise CommandFailed(f"config file {file} must hold a JSON object", EXIT_USAGE)
+        raise CommandFailed(f"config file {path} must hold a JSON object", EXIT_USAGE)
+    _check_config_block(data, _CONFIG_KEYS, "the top level")
+    _check_config_block(data.get("providers", {}), set(PIPELINE_STAGES), "providers")
+    for stage, settings in data.get("providers", {}).items():
+        _check_config_block(settings, _STAGE_KEYS, f"providers.{stage}")
     return data
+
+
+def _check_config_block(block, readable: set[str], where: str) -> None:
+    if not isinstance(block, dict):
+        raise CommandFailed(f"bad config: {where} must be an object, not {block!r}", EXIT_USAGE)
+    unread = sorted(set(block) - readable)
+    if unread:
+        raise CommandFailed(f"bad config: no command reads {where} key(s) {unread}", EXIT_USAGE)
 
 
 def _read_menu(path_str: str) -> MenuTree:
@@ -115,27 +139,13 @@ def _read_dataset(path_str: str, menu_name: str) -> Dataset:
         raise CommandFailed(f"cannot load dataset {path}: {exc}", EXIT_FAILURE)
 
 
-def _stage_settings(config: dict, stage: str) -> dict:
-    providers = config.get("providers")
-    if not isinstance(providers, dict):
-        return {}
-    settings = providers.get(stage)
-    return settings if isinstance(settings, dict) else {}
-
-
 def _load_script(args: argparse.Namespace, config: dict, stage: str) -> list[str]:
-    script_path = args.script or _stage_settings(config, stage).get("script")
+    script_path = args.script or config.get("providers", {}).get(stage, {}).get("script")
     if not script_path:
         raise CommandFailed("scripted provider needs --script <json array file>", EXIT_USAGE)
-    file = Path(script_path)
-    if not file.is_file():
-        raise CommandFailed(f"no such script file: {file}", EXIT_USAGE)
-    try:
-        replies = json.loads(file.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CommandFailed(f"cannot read script file {file}: {exc}", EXIT_USAGE)
+    replies = _read_json(script_path, "script")
     if not isinstance(replies, list) or not all(isinstance(r, str) for r in replies):
-        raise CommandFailed(f"script file {file} must hold a JSON array of strings", EXIT_USAGE)
+        raise CommandFailed(f"script file {script_path} must hold a JSON array of strings", EXIT_USAGE)
     return replies
 
 
@@ -148,7 +158,7 @@ def _make_provider(
 ) -> Provider:
     """The stage's provider, with CLI flags layered over the stage's
     config-file block over defaults; exit 2 when none can be built."""
-    stage_cfg = _stage_settings(config, stage)
+    stage_cfg = config.get("providers", {}).get(stage, {})
 
     def pick(cli_value, key, default):
         if cli_value is not None:
@@ -217,6 +227,10 @@ def cmd_flatten(args: argparse.Namespace) -> int:
 def cmd_gen_intents(args: argparse.Namespace) -> int:
     from .synthesis import NoiseProfile, build_dataset  # only this command synthesizes
 
+    if args.per_node < 1:
+        raise CommandFailed(f"--per-node must be at least 1, not {args.per_node}", EXIT_USAGE)
+    if args.variants < 0:
+        raise CommandFailed(f"--variants must be at least 0, not {args.variants}", EXIT_USAGE)
     try:
         noise = NoiseProfile() if args.noise is None else NoiseProfile(*args.noise)
     except ValueError as exc:
@@ -312,10 +326,6 @@ def cmd_route(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _numeric_path_key(label: str) -> tuple[int, ...]:
-    return tuple(int(d) for d in label.split("-"))
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     from .evaluation import build_report, emit_report  # only this command scores a report
 
@@ -341,10 +351,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     if args.menu:
         tree = _read_menu(args.menu)
-        classes = [tp.path.canonical() for tp in flatten(tree)]
+        classes = [tp.path for tp in flatten(tree)]
     else:
         # No menu at hand: score over the classes the results actually carry.
-        classes = sorted({r.ground_truth for r in results}, key=_numeric_path_key)
+        # One character per digit, and "-" below "0": texts sort as digit sequences.
+        classes = sorted({r.ground_truth for r in results})
 
     condition = manifest.get("condition", results[0].condition.value)
     dataset_filter = manifest.get(
@@ -375,12 +386,14 @@ def cmd_demo(args: argparse.Namespace) -> int:
     paths = flatten(tree)
 
     dataset = _read_dataset(args.dataset, tree.name) if args.dataset else None
-
+    problems = validate_dataset(dataset, paths) if args.dataset else []
+    if problems:  # the oracle would answer a text with two labels from either
+        raise CommandFailed("dataset is not valid: " + "; ".join(problems), EXIT_FAILURE)
     provider = _make_provider(args, config, "routing", dataset=dataset, paths=paths)
 
     condition = _CONDITIONS[args.condition]
     context = render_context(tree, condition)
-    breadcrumb_of = {tp.path.canonical(): tp.breadcrumb_text() for tp in paths}
+    breadcrumb_of = {tp.path: tp.breadcrumb_text() for tp in paths}
     interactive = sys.stdin.isatty()
 
     while True:
@@ -406,25 +419,19 @@ def cmd_demo(args: argparse.Namespace) -> int:
         if parsed.path is None:
             print(f"INVALID  (reply did not parse: {completion.raw_text!r})")
             continue
-        predicted = parsed.path.canonical()
-        if predicted in breadcrumb_of:
-            print(f"{predicted}  {breadcrumb_of[predicted]}")
+        if parsed.path in breadcrumb_of:
+            print(f"{parsed.path}  {breadcrumb_of[parsed.path]}")
         else:
-            print(f"{predicted}  (not a terminal path of this menu)")
+            print(f"{parsed.path}  (not a terminal path of this menu)")
 
 
 def cmd_check_roles(args: argparse.Namespace) -> int:
     config = _load_config_file(args.config)
-    flag_models = {
-        "menugen": args.menugen_model,
-        "datagen": args.datagen_model,
-        "routing": args.routing_model,
-    }
     stage_configs: dict[str, ProviderConfig] = {}
     for stage in PIPELINE_STAGES:
-        model = flag_models.get(stage)
+        model = getattr(args, f"{stage}_model")  # --menugen-model and so on
         if model is None:
-            model = _stage_settings(config, stage).get("model_name")
+            model = config.get("providers", {}).get(stage, {}).get("model_name")
         if model is not None:
             stage_configs[stage] = ProviderConfig(model_name=model)
     warnings = check_role_separation(stage_configs)

@@ -10,7 +10,7 @@ flattened terminal paths.
 from __future__ import annotations
 
 import json
-from collections import namedtuple
+import re
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
@@ -34,40 +34,25 @@ class MenuFormatError(ValueError):
     """Raised when a menu document does not conform to the file schema."""
 
 
-class DtmfPath(namedtuple("DtmfPath", "digits")):
-    """A non-empty keypress sequence, e.g. digits (2, 1, 9) for "2-1-9"."""
+# The grammar of a DTMF path, for every file, prompt and reply: ASCII digits
+# only (\d would admit unicode digits like fullwidth 3), joined by hyphens.
+PATH_PATTERN = "[0-9](?:-[0-9])*"
+_PATH = re.compile(PATH_PATTERN)
+
+
+class DtmfPath(str):
+    """A non-empty keypress sequence as its canonical text, e.g. "2-1-9"."""
 
     __slots__ = ()
 
-    def __new__(cls, digits: tuple[int, ...]) -> DtmfPath:
-        if not digits:
-            raise ValueError("a DTMF path needs at least one digit")
-        for d in digits:
-            if not isinstance(d, int) or not 0 <= d <= 9:
-                raise ValueError(f"not a DTMF digit: {d!r}")
-        return super().__new__(cls, digits)
-
-    # _replace validates too; the stock _make takes len() for the field count
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    @classmethod
-    def parse(cls, text: str) -> "DtmfPath":
-        if not isinstance(text, str):
+    def __new__(cls, text: str) -> DtmfPath:
+        if not isinstance(text, str) or not _PATH.fullmatch(text):
             raise ValueError(f"not a canonical DTMF path: {text!r}")
-        parts = text.split("-")
-        # ASCII 0-9 only; str.isdigit would wave through unicode digits
-        if not all(len(p) == 1 and "0" <= p <= "9" for p in parts):
-            raise ValueError(f"not a canonical DTMF path: {text!r}")
-        return cls(tuple(int(p) for p in parts))
+        return super().__new__(cls, text)
 
     def canonical(self) -> str:
-        return "-".join(str(d) for d in self.digits)
-
-    def __str__(self) -> str:
-        return self.canonical()
-
-    def __len__(self) -> int:
-        return len(self.digits)
+        """The path's text as a plain ``str``."""
+        return str(self)
 
 
 class MenuNode(NamedTuple):
@@ -97,15 +82,22 @@ class TerminalPath(NamedTuple):
 
 # --- parsing ---------------------------------------------------------------
 
-_NODE_FIELDS = {"label", "digit", "kind", "action_type", "prompt_text", "children"}
+# The fields every node may carry, and those a node of each kind may add.
+_NODE_FIELDS = {"label", "digit", "kind"}
+_KIND_FIELDS = {
+    NodeKind.MENU: {"prompt_text", "children"},
+    NodeKind.ACTION: {"action_type"},
+    NodeKind.NAVIGATION: set(),
+}
 
 
 def parse_menu(document: str | Mapping) -> MenuTree:
     """Parse a menu document (JSON text or an already-decoded mapping).
 
     Raises MenuFormatError with the offending node's digit path on any
-    schema violation. The tree invariants (root kind, action types, sibling
-    digits, depth) are validate_menu's, which every parsed tree passes.
+    schema violation. The tree invariants (root kind and digit, action
+    types, children, sibling digits, depth) are validate_menu's alone, so a
+    document's violations of them are reported together.
     """
     if isinstance(document, str):
         try:
@@ -126,7 +118,7 @@ def parse_menu(document: str | Mapping) -> MenuTree:
     if not isinstance(name, str) or not name:
         raise MenuFormatError("menu name must be a non-empty string")
 
-    tree = MenuTree(name=name, root=_parse_node(data["root"], where="root", is_root=True))
+    tree = MenuTree(name=name, root=_parse_node(data["root"], where="root"))
     violations = validate_menu(tree)
     if violations:
         raise MenuFormatError("; ".join(violations))
@@ -137,14 +129,11 @@ def load_menu(path: str | Path) -> MenuTree:
     return parse_menu(Path(path).read_text(encoding="utf-8"))
 
 
-def _parse_node(data, where: str, is_root: bool = False) -> MenuNode:
+def _parse_node(data, where: str) -> MenuNode:
+    """The node a document object describes, each field converted to its
+    type; a field that the node's kind may not carry is refused."""
     if not isinstance(data, Mapping):
         raise MenuFormatError(f"node at {where}: must be a JSON object")
-    unknown = set(data) - _NODE_FIELDS
-    if unknown:
-        raise MenuFormatError(
-            f"node at {where}: unknown field(s) {sorted(unknown)}"
-        )
 
     label = data.get("label")
     if not isinstance(label, str) or not label:
@@ -155,45 +144,36 @@ def _parse_node(data, where: str, is_root: bool = False) -> MenuNode:
         kind = NodeKind(kind_text)
     except ValueError:
         raise MenuFormatError(f"node at {where}: unknown kind {kind_text!r}") from None
+    misplaced = set(data) - _NODE_FIELDS - _KIND_FIELDS[kind]
+    if misplaced:
+        raise MenuFormatError(
+            f"node at {where}: field(s) {sorted(misplaced)} not allowed on {kind.value} nodes"
+        )
 
-    if is_root:
-        if "digit" in data:
-            raise MenuFormatError("node at root: root carries no digit")
-        digit = None
-    else:
-        digit_text = data.get("digit")
-        if not isinstance(digit_text, str) or len(digit_text) != 1 or not digit_text.isdigit():
+    digit = None
+    if "digit" in data:
+        digit_text = data["digit"]
+        # a one-keypress path is exactly one ASCII digit
+        if not isinstance(digit_text, str) or len(digit_text) != 1 or not _PATH.fullmatch(digit_text):
             raise MenuFormatError(
                 f"node at {where}: digit must be a one-character string '0'-'9'"
             )
         digit = int(digit_text)
 
-    if kind is NodeKind.ACTION:
-        try:
-            action_type = ActionType(data.get("action_type"))
-        except ValueError:
+    action_type = ActionType.NONE
+    if "action_type" in data:
+        if data["action_type"] not in ("self_service", "agent_handoff"):
             raise MenuFormatError(
                 f"node at {where}: action_type must be 'self_service' or 'agent_handoff'"
-            ) from None
-    else:
-        if "action_type" in data:
-            raise MenuFormatError(f"node at {where}: action_type is for action nodes only")
-        action_type = ActionType.NONE
-
-    if kind is not NodeKind.MENU:
-        for key in ("children", "prompt_text"):
-            if key in data:
-                raise MenuFormatError(
-                    f"node at {where}: {key} is allowed on menu nodes only"
-                )
-        return MenuNode(label=label, digit=digit, kind=kind, action_type=action_type)
+            )
+        action_type = ActionType(data["action_type"])
 
     prompt_text = data.get("prompt_text", "")
     if not isinstance(prompt_text, str):
         raise MenuFormatError(f"node at {where}: prompt_text must be a string")
     raw_children = data.get("children", [])
-    if not isinstance(raw_children, list) or not raw_children:
-        raise MenuFormatError(f"node at {where}: menu nodes need a non-empty children list")
+    if not isinstance(raw_children, list):
+        raise MenuFormatError(f"node at {where}: children must be a list")
 
     children = []
     for child_data in raw_children:
@@ -207,6 +187,7 @@ def _parse_node(data, where: str, is_root: bool = False) -> MenuNode:
         label=label,
         digit=digit,
         kind=kind,
+        action_type=action_type,
         children=tuple(children),
         prompt_text=prompt_text,
     )
@@ -214,12 +195,12 @@ def _parse_node(data, where: str, is_root: bool = False) -> MenuNode:
 
 def tree_to_document(tree: MenuTree) -> dict:
     """Inverse of parse_menu: a plain dict in the menu file schema."""
-    return {"name": tree.name, "root": _node_to_document(tree.root, is_root=True)}
+    return {"name": tree.name, "root": _node_to_document(tree.root)}
 
 
-def _node_to_document(node: MenuNode, is_root: bool = False) -> dict:
+def _node_to_document(node: MenuNode) -> dict:
     doc: dict = {"label": node.label}
-    if not is_root:
+    if node.digit is not None:  # every node but the root
         doc["digit"] = str(node.digit)
     doc["kind"] = node.kind.value
     if node.kind is NodeKind.ACTION:
@@ -233,7 +214,7 @@ def _node_to_document(node: MenuNode, is_root: bool = False) -> dict:
 # --- validation ------------------------------------------------------------
 
 def validate_menu(tree: MenuTree) -> list[str]:
-    """Re-check every tree invariant; each violation names the offending node
+    """Check every tree invariant; each violation names the offending node
     by its digit path. An empty list means the tree is well-formed."""
     violations: list[str] = []
     if tree.root.kind is not NodeKind.MENU:
@@ -285,23 +266,16 @@ def flatten(tree: MenuTree) -> list[TerminalPath]:
     """
     paths: list[TerminalPath] = []
 
-    def walk(node: MenuNode, digits: tuple[int, ...], trail: tuple[str, ...]) -> None:
+    def walk(node: MenuNode, prefix: str, trail: tuple[str, ...]) -> None:
         for child in node.children:
-            assert child.digit is not None
-            child_digits = digits + (child.digit,)
+            path = f"{prefix}{child.digit}"
             child_trail = trail + (child.label,)
             if child.kind is NodeKind.ACTION:
-                paths.append(
-                    TerminalPath(
-                        path=DtmfPath(child_digits),
-                        breadcrumb=child_trail,
-                        service_type=child.action_type,
-                    )
-                )
+                paths.append(TerminalPath(DtmfPath(path), child_trail, child.action_type))
             elif child.kind is NodeKind.MENU:
-                walk(child, child_digits, child_trail)
+                walk(child, path + "-", child_trail)
 
-    walk(tree.root, (), ())
+    walk(tree.root, "", ())
     return paths
 
 
@@ -315,21 +289,15 @@ def render_descriptive(tree: MenuTree) -> str:
     """
     lines: list[str] = [f'IVR Menu Name: "{tree.name}"', ""]
 
-    def emit_menu(node: MenuNode, digits: tuple[int, ...]) -> None:
-        depth = len(digits)
+    def emit_menu(node: MenuNode, path: str, depth: int) -> None:
         if depth == 0:
             header = "--- Root Menu ---"
-            header_indent = ""
-            message_indent = ""
         elif depth == 1:
-            header = f"--- Branch {digits[0]}: {node.label} (DTMF: {digits[0]}) ---"
-            header_indent = ""
-            message_indent = "  "
+            header = f"--- Branch {path}: {node.label} (DTMF: {path}) ---"
         else:
-            dtmf = "-".join(str(d) for d in digits)
-            header = f"--- Sub-Menu for {node.label} (DTMF: {dtmf}) ---"
-            header_indent = "  " * (depth - 1)
-            message_indent = "  " * depth
+            header = f"--- Sub-Menu for {node.label} (DTMF: {path}) ---"
+        header_indent = "  " * max(depth - 1, 0)
+        message_indent = "  " * depth
         body_indent = message_indent + "  "
 
         lines.append(header_indent + header)
@@ -346,16 +314,15 @@ def render_descriptive(tree: MenuTree) -> str:
                 lines.append("")
         for child in node.children:
             if child.kind is NodeKind.MENU:
-                assert child.digit is not None
-                emit_menu(child, digits + (child.digit,))
+                emit_menu(child, f"{path}-{child.digit}" if path else str(child.digit), depth + 1)
 
-    emit_menu(tree.root, ())
+    emit_menu(tree.root, "", 0)
     return "\n".join(lines).rstrip("\n") + "\n"
 
 
 def render_flattened(paths: Iterable[TerminalPath]) -> str:
     """One "<path>: <breadcrumb>" line per terminal path, order preserved."""
-    lines = [f"{tp.path.canonical()}: {tp.breadcrumb_text()}" for tp in paths]
+    lines = [f"{tp.path}: {tp.breadcrumb_text()}" for tp in paths]
     if not lines:
         raise ValueError("no terminal paths to render")
     return "\n".join(lines)
@@ -364,7 +331,7 @@ def render_flattened(paths: Iterable[TerminalPath]) -> str:
 def render_paths_tsv(paths: Iterable[TerminalPath]) -> str:
     """Tab-separated path table: path, breadcrumb, service type."""
     lines = [
-        f"{tp.path.canonical()}\t{tp.breadcrumb_text()}\t{tp.service_type.value}"
+        f"{tp.path}\t{tp.breadcrumb_text()}\t{tp.service_type.value}"
         for tp in paths
     ]
     return "\n".join(lines) + "\n"

@@ -228,7 +228,7 @@ class OracleProvider(Provider):
 
     @classmethod
     def for_dataset(cls, dataset, config: ProviderConfig | None = None) -> "OracleProvider":
-        truth = {r.text: r.ground_truth.canonical() for r in dataset.records}
+        truth = {r.text: r.ground_truth for r in dataset.records}
         return cls(truth, config)
 
     def _request(self, text: str, prompt) -> str:
@@ -247,7 +247,7 @@ class KeywordProvider(Provider):
 
     def __init__(self, paths, config: ProviderConfig | None = None):
         super().__init__(config or ProviderConfig(model_name="keyword-mock"))
-        self._paths = [(tp.path.canonical(), _words(tp.breadcrumb_text())) for tp in paths]
+        self._paths = [(tp.path, _words(tp.breadcrumb_text())) for tp in paths]
         if not self._paths:
             raise ValueError("keyword mock needs at least one terminal path")
 

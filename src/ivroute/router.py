@@ -26,6 +26,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .datagen import Dataset, IntentRecord, dataset_to_jsonl, validate_dataset
 from .menu import (
+    PATH_PATTERN,
     DtmfPath,
     MenuTree,
     flatten,
@@ -51,10 +52,8 @@ MAX_RETRY_AFTER_S = 60
 # What a step returns when its job needs a follow-up call.
 AGAIN = object()
 
-# ASCII digits only; \d would admit unicode digits like fullwidth 3
-_PATH_GRAMMAR = re.compile(r"[0-9](?:-[0-9])*\Z")
 # a path token not butted against other digits/hyphens, for lenient salvage
-_PATH_TOKEN = re.compile(r"(?<![0-9-])[0-9](?:-[0-9])*(?![0-9-])")
+_PATH_TOKEN = re.compile(rf"(?<![0-9-]){PATH_PATTERN}(?![0-9-])")
 
 _DASH_TRANSLATION = str.maketrans({
     "‐": "-",  # hyphen
@@ -81,8 +80,8 @@ class RoutingResult(NamedTuple):
     condition: RoutingCondition
     raw_response: str
     normalization_applied: tuple[str, ...]
-    predicted: str  # canonical path or "INVALID"
-    ground_truth: str
+    predicted: str  # a DtmfPath or "INVALID"
+    ground_truth: DtmfPath
     correct: bool
     known_path: bool
     latency: float
@@ -122,14 +121,16 @@ def parse_dtmf_response(raw: str, lenient: bool = False) -> ParsedResponse:
         applied.append("map_unicode_dashes")
     text = mapped
 
-    if _PATH_GRAMMAR.match(text):
-        return ParsedResponse(DtmfPath.parse(text), tuple(applied))
+    try:
+        return ParsedResponse(DtmfPath(text), tuple(applied))
+    except ValueError:
+        pass
 
     if lenient:
         tokens = _PATH_TOKEN.findall(text)
         if len(tokens) == 1:
             applied.append("lenient_extract")
-            return ParsedResponse(DtmfPath.parse(tokens[0]), tuple(applied))
+            return ParsedResponse(DtmfPath(tokens[0]), tuple(applied))
 
     return ParsedResponse(None, tuple(applied))
 
@@ -166,8 +167,8 @@ def route_one(
     to record against the intent.
     """
     parsed, completion = route(intent.text, condition, context, provider, lenient, attempt)
-    truth = intent.ground_truth.canonical()
-    predicted = INVALID if parsed.path is None else parsed.path.canonical()
+    truth = intent.ground_truth
+    predicted = INVALID if parsed.path is None else parsed.path
     return RoutingResult(
         intent_id=intent.id,
         condition=condition,
@@ -390,7 +391,7 @@ def route_all(
 
     records = select_records(ds, record_filter)
     context = render_context(tree, condition)
-    known = frozenset(tp.path.canonical() for tp in terminal)
+    known = frozenset(tp.path for tp in terminal)
 
     def step(index: int, attempt: int) -> RoutingResult:
         return route_one(records[index], condition, context, provider, known, lenient, attempt)
@@ -478,8 +479,8 @@ def result_from_record(record: dict) -> RoutingResult:
         raise ValueError(f"intent {intent_id}: normalization_applied must list strings, not {rules!r}")
     predicted = record["predicted"]
     if predicted != INVALID:
-        DtmfPath.parse(predicted)  # refused when it is no path
-    ground_truth = DtmfPath.parse(record["ground_truth"]).canonical()  # refused like predicted
+        predicted = DtmfPath(predicted)  # refused when it is no path
+    ground_truth = DtmfPath(record["ground_truth"])
     correct = record["correct"]
     if correct != (predicted == ground_truth):
         raise ValueError(

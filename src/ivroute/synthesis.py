@@ -114,7 +114,6 @@ def generate_base_intents(
             .replace("{{BREADCRUMB}}", tp.breadcrumb_text())
             .replace("{{SERVICE_TYPE}}", service)
         )
-        canonical = tp.path.canonical()
         texts: list[str] = []
         seen: set[str] = set()
         for _ in range(1 + extra_call_budget):
@@ -124,11 +123,11 @@ def generate_base_intents(
                     seen.add(key)
                     texts.append(item)
                 if len(texts) == per_node:
-                    return [IntentRecord(id=f"{canonical}:b{i:02d}", text=text, ground_truth=tp.path,
-                                         origin="base", base_id=f"{canonical}:b{i:02d}", variant_index=0)
+                    return [IntentRecord(id=f"{tp.path}:b{i:02d}", text=text, ground_truth=tp.path,
+                                         origin="base", base_id=f"{tp.path}:b{i:02d}", variant_index=0)
                             for i, text in enumerate(texts)]
         raise DatagenError(
-            f"path {canonical}: only {len(texts)} distinct text(s) "
+            f"path {tp.path}: only {len(texts)} distinct text(s) "
             f"after {1 + extra_call_budget} call(s), needed {per_node}"
         )
 
@@ -230,12 +229,7 @@ def build_dataset(
     augmented records."""
     base = generate_base_intents(paths, provider, per_node)
     augmented = augment_intents(base, provider, variants, noise, seed)
-    return Dataset(
-        menu_name=tree.name,
-        records=base + augmented,
-        per_node_base=per_node,
-        variants_per_base=variants,
-    )
+    return Dataset(tree.name, base + augmented)
 
 
 # --- menu synthesis -----------------------------------------------------------

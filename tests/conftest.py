@@ -129,7 +129,7 @@ def make_record(
     return IntentRecord(
         id=rid,
         text=text,
-        ground_truth=DtmfPath.parse(path),
+        ground_truth=DtmfPath(path),
         origin=origin,
         base_id=base_id,
         variant_index=variant_index,
@@ -146,7 +146,7 @@ def tiny_dataset() -> Dataset:
         make_record("2", "my service is broken"),
         make_record("2", "nothing works at my house", suffix="b01"),
     ]
-    return Dataset(menu_name="Tiny", records=records, per_node_base=2, variants_per_base=0)
+    return Dataset(menu_name="Tiny", records=records)
 
 
 # --- loopback chat-completions server ------------------------------------------

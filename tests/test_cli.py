@@ -7,8 +7,10 @@ import math
 import socket
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ivroute.cli import main
+from ivroute.cli import _load_config_file, _make_provider, build_parser, main
 from ivroute.datagen import load_dataset, validate_dataset
 from ivroute.menu import flatten, load_menu
 from ivroute.prompts import RoutingCondition
@@ -59,6 +61,31 @@ def test_validate_menu_unparseable_json_exit_1(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{nope", encoding="utf-8")
     assert run(["validate-menu", str(bad)]) == 1
+
+
+@pytest.mark.parametrize("digit", ["\u00b2", "\uff11"], ids=["superscript-two", "fullwidth-one"])
+def test_validate_menu_unicode_digit_exit_1(tmp_path, capsys, digit):
+    doc = json.loads(data_text("agentnet.menu.json"))
+    doc["root"]["children"][0]["children"][0]["digit"] = digit
+    menu = tmp_path / "unicode.menu.json"
+    menu.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    assert run(["validate-menu", str(menu)]) == 1  # an exception would leave main
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: invalid menu: node at 1-{digit}: "
+                            "digit must be a one-character string '0'-'9'\n")
+    assert captured.out == ""
+
+
+def test_validate_menu_reports_every_tree_violation_together(tmp_path, capsys):
+    doc = {"name": "Broken", "root": {"label": "Root", "kind": "menu", "children": [
+        {"label": "Pay", "digit": "1", "kind": "action"},
+        {"label": "Empty", "digit": "2", "kind": "menu", "children": []},
+    ]}}
+    menu = tmp_path / "broken.menu.json"
+    menu.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["validate-menu", str(menu)]) == 1
+    assert capsys.readouterr().err == ("error: invalid menu: 1: action node without an action_type; "
+                                       "2: menu node has no children\n")
 
 
 # --- flatten ---------------------------------------------------------------------------
@@ -134,6 +161,20 @@ def test_gen_intents_rejects_oracle(fixture_menu_path, capsys):
 def test_gen_intents_scripted_needs_script(fixture_menu_path, capsys):
     assert run(["gen-intents", str(fixture_menu_path), "--provider", "scripted"]) == 2
     assert "--script" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("counts", [["--per-node", "0"], ["--per-node", "1", "--variants", "-1"]],
+                         ids=["per-node-0", "variants-minus-1"])
+def test_gen_intents_counts_checked_before_any_call(fixture_menu_path, chat_server, monkeypatch,
+                                                   tmp_path, capsys, counts):
+    monkeypatch.delenv(DEFAULT_API_KEY_ENV, raising=False)
+    server = chat_server()
+    code = run(["gen-intents", str(fixture_menu_path), *counts, "--provider", "http",
+                "--endpoint", server.url, "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {counts[-2]} must be at least")
+    assert (server.accepted, server.answered) == (0, 0)
+    assert not (tmp_path / "intents.jsonl").exists()
 
 
 @pytest.mark.parametrize("noise", [["5", "0.3", "0.2"], ["0.3", "-1", "0.2"], ["0.3", "0.3", "nan"]])
@@ -374,6 +415,39 @@ def test_route_text_under_two_labels_exit_1(tmp_path, fixture_menu_path, fixture
     assert run(route_args(fixture_menu_path, dataset, tmp_path)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: dataset is not valid: record 1-2:b00: same text as record 1-1:b00")
+    assert not list(tmp_path.glob("run-*"))
+
+
+def edited_fixture(tmp_path, fixture_dataset_path, edit):
+    """The fixture dataset with ``edit`` applied to each row."""
+    rows = [json.loads(line) for line in fixture_dataset_path.read_text(encoding="utf-8").splitlines()]
+    dataset = tmp_path / "edited.jsonl"
+    dataset.write_text("".join(json.dumps(edit(row)) + "\n" for row in rows), encoding="utf-8")
+    return dataset
+
+
+def relabel_base_1_1_b00(row):
+    # its base record and three paraphrases move from 1-1 to 1-2
+    return {**row, "ground_truth": "1-2"} if row["base_id"] == "1-1:b00" else row
+
+
+def move_paraphrase_1_1_b00_v3(row):
+    if row["id"] == "1-1:b00:v3":
+        return {**row, "base_id": "1-1:b01", "variant_index": 4}
+    return row
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (relabel_base_1_1_b00,
+     "base record count per terminal path must be one number, but 1-1 has 9 and 1-2 has 11"),
+    (move_paraphrase_1_1_b00_v3,
+     "paraphrase count per base record must be one number, but 1-1:b00 has 2 and 1-1:b01 has 4"),
+], ids=["uneven-base-counts", "uneven-paraphrase-counts"])
+def test_route_uneven_dataset_exit_1(tmp_path, fixture_menu_path, fixture_dataset_path, capsys,
+                                     edit, problem):
+    dataset = edited_fixture(tmp_path, fixture_dataset_path, edit)
+    assert run(route_args(fixture_menu_path, dataset, tmp_path)) == 1
+    assert capsys.readouterr().err == f"error: dataset is not valid: {problem}\n"
     assert not list(tmp_path.glob("run-*"))
 
 
@@ -668,6 +742,24 @@ def test_demo_malformed_dataset_line_exit_1(tmp_path, fixture_menu_path, monkeyp
         assert captured.out == ""
 
 
+def test_demo_dataset_is_validated(tmp_path, fixture_menu_path, fixture_dataset_path,
+                                   monkeypatch, capsys):
+    rows = {json.loads(line)["id"]: json.loads(line)
+            for line in fixture_dataset_path.read_text(encoding="utf-8").splitlines()}
+    text = rows["1-1:b00"]["text"]
+    dataset = edited_fixture(tmp_path, fixture_dataset_path,
+                             lambda row: {**row, "text": text} if row["id"] == "1-2:b00" else row)
+    feed_stdin(monkeypatch, text + "\n")
+    code = run(["demo", "--menu", str(fixture_menu_path), "--provider", "oracle",
+                "--dataset", str(dataset)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        "error: dataset is not valid: record 1-2:b00: same text as record 1-1:b00"
+    )
+    assert captured.out == ""
+
+
 # --- check-roles -------------------------------------------------------------------------
 
 def test_check_roles_distinct_models(capsys):
@@ -740,3 +832,75 @@ def test_pipeline_composes_end_to_end(tmp_path, fixture_menu_path, capsys):
     run_dir = next(tmp_path.glob("run-*"))
     assert run(["eval", str(run_dir / "results.jsonl"), "--menu", str(fixture_menu_path)]) == 0
     capsys.readouterr()  # drain
+
+
+# --- config files ---------------------------------------------------------------------------
+
+UNREAD_CONFIGS = {
+    "top-level key": {"seed": 1, "bogus": 1},
+    "stage key": {"providers": {"routing": {"kind": "oracle", "bogus": 1}}},
+    "misspelt stage key": {"providers": {"routing": {"max_in_fligth": 8}}},
+    "stage": {"providers": {"scoring": {}}},
+    "providers no object": {"providers": ["routing"]},
+    "stage no object": {"providers": {"routing": "oracle"}},
+}
+
+
+def config_commands(menu, dataset, tmp_path):
+    script = write_script(tmp_path, [])
+    return {
+        "route": route_args(menu, dataset, tmp_path),
+        "demo": ["demo", "--menu", str(menu), "--provider", "keyword"],
+        "gen-intents": ["gen-intents", str(menu), "--provider", "scripted", "--script", str(script),
+                        "--out", str(tmp_path)],
+        "check-roles": ["check-roles"],
+    }
+
+
+@pytest.mark.parametrize("config", UNREAD_CONFIGS.values(), ids=UNREAD_CONFIGS.keys())
+def test_config_key_no_command_reads_exit_2(tmp_path, fixture_menu_path, fixture_dataset_path,
+                                            monkeypatch, capsys, config):
+    file = tmp_path / "config.json"
+    file.write_text(json.dumps(config), encoding="utf-8")
+    feed_stdin(monkeypatch, "i want to check my balance\n")
+    for name, argv in config_commands(fixture_menu_path, fixture_dataset_path, tmp_path).items():
+        assert run(argv + ["--config", str(file)]) == 2, name
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: bad config: "), name
+        assert captured.out == "", name
+    assert not list(tmp_path.glob("run-*")) and not (tmp_path / "intents.jsonl").exists()
+
+
+# ProviderConfig field: its flag, its config-file key, its default (for the
+# keyword provider), and values to draw for it.
+PROVIDER_SETTINGS = {
+    "endpoint_url": ("--endpoint", "endpoint_url", "", st.sampled_from(["http://a.test/v1", "http://b.test/v1"])),
+    "model_name": ("--model", "model_name", "keyword-mock", st.sampled_from(["model-a", "model-b"])),
+    "api_key_source": ("--api-key-env", "api_key_env", DEFAULT_API_KEY_ENV, st.sampled_from(["KEY_A", "KEY_B"])),
+    "temperature": ("--temperature", "temperature", None, st.floats(0, 2)),
+    "max_retries": ("--max-retries", "max_retries", 3, st.integers(0, 5)),
+    "request_timeout": ("--timeout", "request_timeout", 60.0, st.floats(0.5, 600)),
+    "max_in_flight": ("--max-in-flight", "max_in_flight", 4, st.integers(1, 64)),
+    "requests_per_second": ("--rps", "requests_per_second", None, st.floats(0.5, 1000)),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_provider_settings_layer_flag_then_file_then_default(tmp_path_factory, fixture_menu_path,
+                                                             paths, data):
+    argv = ["demo", "--menu", str(fixture_menu_path), "--provider", "keyword"]
+    stage, expected = {}, {}
+    for field, (flag, key, default, values) in PROVIDER_SETTINGS.items():
+        from_flag = data.draw(st.none() | values, label=flag)
+        from_file = data.draw(st.none() | values, label=key)
+        if from_flag is not None:
+            argv += [flag, str(from_flag)]
+        if from_file is not None or data.draw(st.booleans(), label=f"{key} null"):
+            stage[key] = from_file  # a null in the file leaves the default
+        expected[field] = from_flag if from_flag is not None else from_file if from_file is not None else default
+    file = tmp_path_factory.getbasetemp() / "layering.json"  # rewritten by every example
+    file.write_text(json.dumps({"providers": {"routing": stage}}), encoding="utf-8")
+    args = build_parser().parse_args(argv + ["--config", str(file)])
+    provider = _make_provider(args, _load_config_file(args.config), "routing", paths=paths)
+    assert provider.config._asdict() == expected

@@ -3,6 +3,7 @@ validation, and JSONL round-trips."""
 
 import json
 import logging
+import random
 import threading
 
 import pytest
@@ -11,7 +12,6 @@ from ivroute.datagen import (
     DatagenError,
     Dataset,
     IntentRecord,
-    dataset_from_records,
     dataset_to_jsonl,
     load_dataset,
     save_dataset,
@@ -78,7 +78,7 @@ def test_base_generation_shape(tiny_tree):
         "1-1:b00", "1-1:b01", "1-9:b00", "1-9:b01", "2:b00", "2:b01",
     ]
     assert all(r.origin == "base" and r.base_id == r.id and r.variant_index == 0 for r in records)
-    assert records[0].ground_truth == DtmfPath.parse("1-1")
+    assert records[0].ground_truth == DtmfPath("1-1")
     assert records[4].text == "my line is dead"
 
 
@@ -168,8 +168,8 @@ def test_augment_shape_and_linkage():
     ]
     assert all(r.origin == "augmented" for r in augmented)
     assert augmented[0].base_id == "1-1:b00"
-    assert augmented[0].ground_truth == DtmfPath.parse("1-1")
-    assert augmented[2].ground_truth == DtmfPath.parse("1-9")
+    assert augmented[0].ground_truth == DtmfPath("1-1")
+    assert augmented[2].ground_truth == DtmfPath("1-9")
     assert [r.variant_index for r in augmented] == [1, 2, 1, 2]
 
 
@@ -274,7 +274,6 @@ def test_build_dataset_small(tiny_tree):
         replies.append(numbered([f"variant of base {i}"]))
     ds = build_dataset(tiny_tree, paths, serial_scripted(replies), per_node=2, variants=1)
     assert len(ds.records) == 2 * 3 * 2
-    assert ds.per_node_base == 2 and ds.variants_per_base == 1
     assert validate_dataset(ds, paths) == []
     base = [r for r in ds.records if r.origin == "base"]
     assert len(base) == 6
@@ -287,13 +286,12 @@ def test_fixture_dataset_validates(dataset, paths):
     assert validate_dataset(dataset, paths) == []
     assert len(dataset.records) == 920
     assert sum(1 for r in dataset.records if r.origin == "base") == 230
-    assert dataset.per_node_base == 10 and dataset.variants_per_base == 3
 
 
 def test_validate_flags_duplicate_ids(tiny_tree):
     paths = flatten(tiny_tree)
     ds = tiny_dataset()
-    broken = Dataset(ds.menu_name, ds.records + [ds.records[0]], ds.per_node_base, ds.variants_per_base)
+    broken = Dataset(ds.menu_name, ds.records + [ds.records[0]])
     assert any("duplicate id" in p for p in validate_dataset(broken, paths))
 
 
@@ -301,7 +299,7 @@ def test_validate_flags_unknown_truth(tiny_tree):
     paths = flatten(tiny_tree)
     ds = tiny_dataset()
     stray = make_record("9", "registered nowhere")
-    broken = Dataset(ds.menu_name, ds.records[1:] + [stray], ds.per_node_base, ds.variants_per_base)
+    broken = Dataset(ds.menu_name, ds.records[1:] + [stray])
     assert any("not a terminal path" in p for p in validate_dataset(broken, paths))
 
 
@@ -311,12 +309,12 @@ def test_validate_flags_orphan_augmented(tiny_tree):
     orphan = IntentRecord(
         id="1-1:b77:v1",
         text="orphan",
-        ground_truth=DtmfPath.parse("1-1"),
+        ground_truth=DtmfPath("1-1"),
         origin="augmented",
         base_id="1-1:b77",
         variant_index=1,
     )
-    broken = Dataset(ds.menu_name, ds.records + [orphan], ds.per_node_base, 1)
+    broken = Dataset(ds.menu_name, ds.records + [orphan])
     assert any("not in dataset" in p for p in validate_dataset(broken, paths))
 
 
@@ -326,12 +324,12 @@ def test_validate_flags_truth_drift(tiny_tree):
     drifted = IntentRecord(
         id="1-1:b00:v1",
         text="label went wrong",
-        ground_truth=DtmfPath.parse("1-9"),
+        ground_truth=DtmfPath("1-9"),
         origin="augmented",
         base_id="1-1:b00",
         variant_index=1,
     )
-    broken = Dataset(ds.menu_name, ds.records + [drifted], ds.per_node_base, 1)
+    broken = Dataset(ds.menu_name, ds.records + [drifted])
     assert any("differs from base" in p for p in validate_dataset(broken, paths))
 
 
@@ -341,12 +339,12 @@ def test_validate_flags_variant_index_range(tiny_tree):
     outlier = IntentRecord(
         id="1-1:b00:v9",
         text="ninth variant of one",
-        ground_truth=DtmfPath.parse("1-1"),
+        ground_truth=DtmfPath("1-1"),
         origin="augmented",
         base_id="1-1:b00",
         variant_index=9,
     )
-    broken = Dataset(ds.menu_name, ds.records + [outlier], ds.per_node_base, 1)
+    broken = Dataset(ds.menu_name, ds.records + [outlier])
     assert any("out of range" in p for p in validate_dataset(broken, paths))
 
 
@@ -365,15 +363,47 @@ def test_validate_allows_one_text_repeated_under_one_label(tiny_tree):
     ds = tiny_dataset()
     same = [make_record(r.ground_truth.canonical(), r.text, origin="augmented",
                         base_suffix=r.id.split(":")[1], variant_index=1) for r in ds.records]
-    repeated = ds._replace(records=ds.records + same, variants_per_base=1)
+    repeated = ds._replace(records=ds.records + same)
     assert validate_dataset(repeated, flatten(tiny_tree)) == []
 
 
 def test_validate_flags_count_mismatch(tiny_tree):
     paths = flatten(tiny_tree)
     ds = tiny_dataset()
-    short = Dataset(ds.menu_name, ds.records[:-1], ds.per_node_base, ds.variants_per_base)
+    short = Dataset(ds.menu_name, ds.records[:-1])
     assert any("base record count" in p for p in validate_dataset(short, paths))
+
+
+def test_validate_count_rules_hold_in_any_record_order(dataset, paths):
+    shuffled = list(dataset.records)
+    random.Random(7).shuffle(shuffled)  # paraphrases may now come before their base record
+    assert validate_dataset(dataset._replace(records=shuffled), paths) == []
+
+    def edited(edit):
+        return dataset._replace(records=[edit(r) for r in shuffled])
+
+    relabelled = edited(lambda r: r._replace(ground_truth=DtmfPath("1-2")) if r.base_id == "1-1:b00" else r)
+    assert validate_dataset(relabelled, paths) == [
+        "base record count per terminal path must be one number, but 1-1 has 9 and 1-2 has 11"
+    ]
+    moved = edited(lambda r: r._replace(base_id="1-1:b01", variant_index=4) if r.id == "1-1:b00:v3" else r)
+    assert validate_dataset(moved, paths) == [
+        "paraphrase count per base record must be one number, but 1-1:b00 has 2 and 1-1:b01 has 4"
+    ]
+    repeated = edited(lambda r: r._replace(variant_index=2) if r.id == "1-1:b00:v3" else r)
+    assert validate_dataset(repeated, paths) == [
+        "record 1-1:b00: paraphrase variant_index values [1, 2, 2] out of range or repeated; "
+        "want 1..3, each once"
+    ]
+
+
+def test_validate_flags_a_terminal_path_without_base_records(tiny_tree):
+    ds = tiny_dataset()
+    without_2 = ds._replace(records=[r for r in ds.records if r.ground_truth != "2"])
+    assert validate_dataset(without_2, flatten(tiny_tree)) == [
+        "terminal path 2 has no base record",
+        "base record count per terminal path must be one number, but 2 has 0 and 1-1 has 2",
+    ]
 
 
 # --- menu synthesis ------------------------------------------------------------------
@@ -446,9 +476,7 @@ def test_dataset_round_trip(tmp_path, tiny_tree):
     file = tmp_path / "tiny.jsonl"
     save_dataset(ds, file)
     loaded = load_dataset(file, menu_name="Tiny")
-    assert loaded.records == ds.records
-    assert loaded.per_node_base == 2
-    assert loaded.variants_per_base == 0
+    assert loaded == ds
     assert validate_dataset(loaded, flatten(tiny_tree)) == []
 
 
@@ -476,8 +504,3 @@ def test_load_dataset_bad_path_names_its_line(tmp_path, truth):
     with pytest.raises(DatagenError, match=r"bad\.jsonl:3: bad record: not a canonical DTMF path"):
         load_dataset(file)
 
-
-def test_dataset_from_records_derives_counts(dataset):
-    rebuilt = dataset_from_records(dataset.records, menu_name=dataset.menu_name)
-    assert rebuilt.per_node_base == 10
-    assert rebuilt.variants_per_base == 3

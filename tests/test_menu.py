@@ -27,28 +27,26 @@ from conftest import action, data_text, navigation, submenu
 # --- DtmfPath -------------------------------------------------------------------
 
 def test_path_parse_and_canonical():
-    path = DtmfPath.parse("2-1-9")
-    assert path.digits == (2, 1, 9)
-    assert path.canonical() == "2-1-9"
-    assert str(path) == "2-1-9"
-    assert len(path) == 3
+    path = DtmfPath("2-1-9")
+    assert path == "2-1-9" and isinstance(path, str)
+    assert path.canonical() == "2-1-9" and type(path.canonical()) is str
+    assert json.dumps({"path": path}) == '{"path": "2-1-9"}'
 
 
 def test_path_single_digit():
-    assert DtmfPath.parse("7").digits == (7,)
+    assert DtmfPath("7") == "7"
 
 
 @pytest.mark.parametrize("bad", ["", "1-", "-1", "1--2", "12", "1-23", "a", "1 2", "1.2"])
 def test_path_parse_rejects_non_canonical(bad):
-    with pytest.raises(ValueError):
-        DtmfPath.parse(bad)
+    with pytest.raises(ValueError, match="not a canonical DTMF path"):
+        DtmfPath(bad)
 
 
 def test_path_rejects_bad_digits():
-    with pytest.raises(ValueError):
-        DtmfPath(digits=())
-    with pytest.raises(ValueError):
-        DtmfPath(digits=(1, 10))
+    for bad in ["1-\uff11", "\u00b2", "1\n", 7, None, ("1",)]:
+        with pytest.raises(ValueError, match="not a canonical DTMF path"):
+            DtmfPath(bad)
 
 
 # --- parsing --------------------------------------------------------------------
@@ -161,7 +159,7 @@ def test_validate_accepts_depth_at_limit():
     tree = MenuTree(name="t", root=submenu("Root", None, [node]))
     assert validate_menu(tree) == []
     deepest = flatten(tree)[-1]
-    assert len(deepest.path) == MAX_DEPTH
+    assert len(deepest.path.split("-")) == MAX_DEPTH
 
 
 def test_validate_flags_duplicate_sibling_digits_once():

@@ -1,15 +1,25 @@
-"""Property tests of the file round trips: menu documents, dataset JSONL and
-results rows."""
+"""Property tests of the file round trips (menu documents, dataset JSONL and
+results rows) and of the one path grammar that every reader of a path
+applies."""
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivroute.datagen import Dataset, IntentRecord, dataset_to_jsonl, load_dataset, save_dataset
+from ivroute.datagen import (
+    DatagenError,
+    Dataset,
+    IntentRecord,
+    dataset_to_jsonl,
+    load_dataset,
+    save_dataset,
+)
 from ivroute.menu import (
     ActionType,
     DtmfPath,
+    MenuFormatError,
     MenuNode,
     MenuTree,
     NodeKind,
@@ -17,7 +27,7 @@ from ivroute.menu import (
     tree_to_document,
 )
 from ivroute.prompts import RoutingCondition
-from ivroute.router import INVALID, RoutingResult, result_from_record
+from ivroute.router import INVALID, RoutingResult, load_results, parse_dtmf_response, result_from_record
 
 labels = st.text(min_size=1, max_size=12)
 action_types = st.sampled_from((ActionType.SELF_SERVICE, ActionType.AGENT_HANDOFF))
@@ -57,7 +67,9 @@ def test_menu_survives_its_document(tree):
     assert tree_to_document(parse_menu(document)) == document
 
 
-dtmf_paths = st.lists(st.integers(0, 9), min_size=1, max_size=5).map(lambda d: DtmfPath(tuple(d)))
+dtmf_paths = st.lists(st.sampled_from("0123456789"), min_size=1, max_size=5).map(
+    lambda digits: DtmfPath("-".join(digits))
+)
 
 records = st.builds(
     IntentRecord,
@@ -74,21 +86,19 @@ records = st.builds(
 @given(st.lists(records, max_size=12), st.text())
 def test_dataset_survives_save_and_load(tmp_path_factory, dataset_records, menu_name):
     file = tmp_path_factory.getbasetemp() / "round-trip.jsonl"  # rewritten by every example
-    ds = Dataset(menu_name=menu_name, records=dataset_records, per_node_base=0, variants_per_base=0)
+    ds = Dataset(menu_name=menu_name, records=dataset_records)
     save_dataset(ds, file)
     loaded = load_dataset(file, menu_name=menu_name)
     assert loaded.menu_name == menu_name
     assert loaded.records == dataset_records
+    assert all(type(r.ground_truth) is DtmfPath for r in loaded.records)
     assert dataset_to_jsonl(loaded) == dataset_to_jsonl(ds)
-    # Records with one label share one parsed path.
-    truths = [r.ground_truth for r in loaded.records]
-    assert len({id(t) for t in truths}) == len(set(truths))
 
 
 @st.composite
 def results(draw):
-    truth = draw(dtmf_paths).canonical()
-    predicted = draw(st.one_of(st.just(truth), st.just(INVALID), dtmf_paths.map(DtmfPath.canonical)))
+    truth = draw(dtmf_paths)
+    predicted = draw(st.one_of(st.just(truth), st.just(INVALID), dtmf_paths))
     rules = ("trim", "unquote", "strip_trailing_period", "map_unicode_dashes", "lenient_extract")
     return RoutingResult(
         intent_id=draw(st.text(min_size=1)),
@@ -110,3 +120,94 @@ def test_result_survives_a_results_file_row(result):
     # One row as save_results writes it and load_results reads it back.
     row = json.dumps(result._asdict(), ensure_ascii=False)
     assert result_from_record(json.loads(row)) == result
+
+
+# --- the path grammar -------------------------------------------------------------
+
+def is_path(text) -> bool:
+    """The grammar, stated apart from its regular expression: one or more
+    ASCII digits 0-9 joined by single hyphens."""
+    return isinstance(text, str) and all(
+        len(part) == 1 and part in "0123456789" for part in text.split("-")
+    )
+
+
+# Near misses: unicode digits (superscript two, fullwidth one, Arabic-Indic
+# three), unicode dashes and whitespace beside the ASCII digits and hyphen.
+path_like = st.text(alphabet="0123456789-\u00b2\uff11\u0663\u2013 \n.", max_size=8)
+any_text = st.one_of(path_like, st.text(max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_text)
+def test_a_path_is_exactly_what_the_grammar_accepts(text):
+    if is_path(text):
+        assert DtmfPath(text) == text
+    else:
+        with pytest.raises(ValueError, match="not a canonical DTMF path"):
+            DtmfPath(text)
+
+
+def dataset_line(ground_truth) -> str:
+    return json.dumps({"id": "a", "text": "t", "ground_truth": ground_truth, "origin": "base",
+                       "base_id": "a", "variant_index": 0}, ensure_ascii=False) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_text)
+def test_a_dataset_line_takes_exactly_the_grammars_paths(tmp_path_factory, text):
+    file = tmp_path_factory.getbasetemp() / "grammar.jsonl"  # rewritten by every example
+    file.write_text(dataset_line(text), encoding="utf-8")
+    if is_path(text):
+        assert load_dataset(file).records[0].ground_truth == text
+    else:
+        with pytest.raises(DatagenError, match="not a canonical DTMF path"):
+            load_dataset(file)
+
+
+def results_row(predicted, ground_truth) -> str:
+    return json.dumps({
+        "intent_id": "a", "condition": RoutingCondition.FLATTENED_PATHS.value,
+        "raw_response": "r", "normalization_applied": [], "predicted": predicted,
+        "ground_truth": ground_truth, "correct": predicted == ground_truth, "known_path": True,
+        "latency": 0.0, "model_name": "m",
+    }, ensure_ascii=False) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_text)
+def test_a_results_row_takes_exactly_the_grammars_paths(tmp_path_factory, text):
+    file = tmp_path_factory.getbasetemp() / "grammar-results.jsonl"  # rewritten by every example
+    for predicted, ground_truth in [(text, "1"), ("1", text), (INVALID, text)]:
+        file.write_text(results_row(predicted, ground_truth), encoding="utf-8")
+        if is_path(text) or (text == INVALID and predicted == text):
+            (result,) = load_results(file)
+            assert (result.predicted, result.ground_truth) == (predicted, ground_truth)
+        else:
+            with pytest.raises(ValueError, match="not a canonical DTMF path"):
+                load_results(file)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_text)
+def test_a_strict_reply_is_a_path_exactly_when_the_grammar_says(text):
+    parsed = parse_dtmf_response(text)
+    if not parsed.normalization_applied:  # the reply is parsed as it came
+        assert (parsed.path is not None) == is_path(text)
+        assert parsed.path is None or parsed.path == text
+
+
+def one_option_menu(digit) -> dict:
+    return {"name": "One", "root": {"label": "Root", "kind": "menu", "children": [
+        {"label": "Pay", "digit": digit, "kind": "action", "action_type": "self_service"},
+    ]}}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(max_size=2), path_like))
+def test_a_menu_digit_is_exactly_one_of_0_to_9(digit):
+    if len(digit) == 1 and digit in "0123456789":
+        assert parse_menu(one_option_menu(digit)).root.children[0].digit == int(digit)
+    else:
+        with pytest.raises(MenuFormatError, match="digit must be"):
+            parse_menu(one_option_menu(digit))

@@ -253,7 +253,7 @@ def test_route_all_scripted_alignment_serial(tiny_tree):
 
 def test_route_all_rejects_invalid_dataset(tiny_tree):
     ds = tiny_dataset()
-    broken = Dataset(ds.menu_name, ds.records[:-1], ds.per_node_base, ds.variants_per_base)
+    broken = Dataset(ds.menu_name, ds.records[:-1])
     with pytest.raises(ValueError, match="dataset is not valid"):
         route_all(broken, RoutingCondition.FLATTENED_PATHS, tiny_tree, ScriptedProvider(["1-1"]))
 
@@ -302,7 +302,7 @@ def test_route_all_other_error_cancels_queued_calls(tiny_tree):
     ds = tiny_dataset()
     # A blank text passes the dataset checks but build_prompt rejects it.
     records = [ds.records[0]._replace(text="   ")] + ds.records[1:]
-    ds = Dataset(ds.menu_name, records, ds.per_node_base, ds.variants_per_base)
+    ds = Dataset(ds.menu_name, records)
     provider = ScriptedProvider(["1-1"] * 6, config=ProviderConfig(max_in_flight=1), delay=0.05)
     with pytest.raises(ValueError, match="query is empty"):
         route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
