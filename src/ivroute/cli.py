@@ -14,15 +14,8 @@ import json
 import sys
 from pathlib import Path
 
-from .datagen import Dataset, load_dataset, save_dataset, validate_dataset
-from .menu import (
-    MenuFormatError,
-    MenuTree,
-    flatten,
-    parse_menu,
-    render_flattened,
-    render_paths_tsv,
-)
+from .datagen import load_dataset, save_dataset, validate_dataset
+from .menu import flatten, load_menu, render_flattened, render_paths_tsv
 from .prompts import RoutingCondition
 from .provider import (
     DEFAULT_API_KEY_ENV,
@@ -35,6 +28,7 @@ from .provider import (
     ProviderError,
     ScriptedProvider,
     check_role_separation,
+    mock_config,
 )
 from .router import (
     RoutingAborted,
@@ -61,10 +55,10 @@ _CONDITIONS = {
 _PROVIDER_KINDS = ("http", "oracle", "keyword", "scripted")
 
 # The keys some command reads from a config file: at the top level, and in
-# the block of a stage (one of PIPELINE_STAGES) under "providers".
+# the block of a stage (one of PIPELINE_STAGES) under "providers". Each
+# provider flag's dest is its stage key too.
 _CONFIG_KEYS = {"seed", "providers"}
-_STAGE_KEYS = {"kind", "endpoint_url", "model_name", "api_key_env", "temperature", "max_retries",
-               "request_timeout", "max_in_flight", "requests_per_second", "script"}
+_STAGE_KEYS = ("kind", "script", *ProviderConfig._fields)
 
 
 class CommandFailed(Exception):
@@ -76,77 +70,71 @@ class CommandFailed(Exception):
         self.code = code
 
 
-def _read_json(path: str, what: str):
-    """The value a JSON input file holds; exit 2 when the file is absent or
-    holds no JSON."""
+def _json_file(file: Path):
+    return json.loads(file.read_text(encoding="utf-8"))
+
+
+def _read(path: str | Path, what: str, load, refused: str = "cannot load {what} {file}",
+          code: int = EXIT_FAILURE):
+    """What ``load`` makes of an input file: exit 2 when the file is absent
+    or unreadable, ``code`` when ``load`` refuses its content with a
+    ValueError (undecodable bytes and bad JSON are ValueErrors too) or a
+    RecursionError (nested too deep)."""
     file = Path(path)
     if not file.is_file():
         raise CommandFailed(f"no such {what} file: {file}", EXIT_USAGE)
     try:
-        return json.loads(file.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        return load(file)
+    except OSError as exc:
         raise CommandFailed(f"cannot read {what} file {file}: {exc}", EXIT_USAGE)
+    except (ValueError, RecursionError) as exc:
+        raise CommandFailed(f"{refused.format(what=what, file=file)}: {exc}", code)
 
 
 def _load_config_file(path: str | None) -> dict:
     """Parsed config mapping; exit 2 when the file is absent, holds no JSON
-    object, or holds a key that no command reads."""
+    object, or holds a key that no command reads or a setting of the wrong
+    type or value, even one a flag overrides."""
     if not path:
         return {}
-    data = _read_json(path, "config")
+    data = _read(path, "config", _json_file, "cannot read {what} file {file}", EXIT_USAGE)
     if not isinstance(data, dict):
         raise CommandFailed(f"config file {path} must hold a JSON object", EXIT_USAGE)
     _check_config_block(data, _CONFIG_KEYS, "the top level")
-    _check_config_block(data.get("providers", {}), set(PIPELINE_STAGES), "providers")
+    _check_config_block(data.get("providers", {}), PIPELINE_STAGES, "providers")
     for stage, settings in data.get("providers", {}).items():
         _check_config_block(settings, _STAGE_KEYS, f"providers.{stage}")
+        _stage_settings({}, data, stage)
     return data
 
 
-def _check_config_block(block, readable: set[str], where: str) -> None:
+def _check_config_block(block, readable, where: str) -> None:
     if not isinstance(block, dict):
         raise CommandFailed(f"bad config: {where} must be an object, not {block!r}", EXIT_USAGE)
-    unread = sorted(set(block) - readable)
+    unread = sorted(set(block).difference(readable))
     if unread:
         raise CommandFailed(f"bad config: no command reads {where} key(s) {unread}", EXIT_USAGE)
 
 
-def _read_menu(path_str: str) -> MenuTree:
-    """Parsed tree; exit 2 when the file is absent, 1 when the content does
-    not parse."""
-    path = Path(path_str)
-    if not path.is_file():
-        raise CommandFailed(f"no such menu file: {path}", EXIT_USAGE)
+def _stage_settings(flags: dict, config: dict, stage: str) -> tuple[dict, ProviderConfig]:
+    """The stage keys that a flag, else the stage's config-file block, gives
+    (a null gives nothing), and the ProviderConfig they make over its
+    defaults; exit 2 when a setting has the wrong type or value."""
+    block = config.get("providers", {}).get(stage, {})
+    given = {"kind": "http"}
+    for key in _STAGE_KEYS:
+        value = block.get(key) if flags.get(key) is None else flags[key]
+        if value is not None:
+            given[key] = value
+    settings = {key: given[key] for key in ProviderConfig._fields if key in given}
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CommandFailed(f"cannot read {path}: {exc}", EXIT_USAGE)
-    try:
-        return parse_menu(text)
-    except MenuFormatError as exc:
-        raise CommandFailed(f"invalid menu: {exc}", EXIT_FAILURE)
-
-
-def _read_dataset(path_str: str, menu_name: str) -> Dataset:
-    """Loaded dataset; exit 2 when the file is absent, 1 when a line does
-    not load."""
-    path = Path(path_str)
-    if not path.is_file():
-        raise CommandFailed(f"no such dataset file: {path}", EXIT_USAGE)
-    try:
-        return load_dataset(path, menu_name=menu_name)
-    except ValueError as exc:
-        raise CommandFailed(f"cannot load dataset {path}: {exc}", EXIT_FAILURE)
-
-
-def _load_script(args: argparse.Namespace, config: dict, stage: str) -> list[str]:
-    script_path = args.script or config.get("providers", {}).get(stage, {}).get("script")
-    if not script_path:
-        raise CommandFailed("scripted provider needs --script <json array file>", EXIT_USAGE)
-    replies = _read_json(script_path, "script")
-    if not isinstance(replies, list) or not all(isinstance(r, str) for r in replies):
-        raise CommandFailed(f"script file {script_path} must hold a JSON array of strings", EXIT_USAGE)
-    return replies
+        for key in ("kind", "script"):
+            if not isinstance(given.get(key, ""), str):
+                raise TypeError(f"{key} must be a string, not {given[key]!r}")
+        kind = given["kind"]
+        return given, ProviderConfig(**settings) if kind == "http" else mock_config(kind, **settings)
+    except (TypeError, ValueError) as exc:  # TypeError: a config-file value of the wrong type
+        raise CommandFailed(f"bad provider settings: {exc}", EXIT_USAGE)
 
 
 def _make_provider(
@@ -156,35 +144,14 @@ def _make_provider(
     dataset=None,
     paths=None,
 ) -> Provider:
-    """The stage's provider, with CLI flags layered over the stage's
-    config-file block over defaults; exit 2 when none can be built."""
-    stage_cfg = config.get("providers", {}).get(stage, {})
-
-    def pick(cli_value, key, default):
-        if cli_value is not None:
-            return cli_value
-        if key in stage_cfg and stage_cfg[key] is not None:
-            return stage_cfg[key]
-        return default
-
-    kind = pick(args.provider, "kind", "http")
+    """The stage's provider, built from its flag > config file > default
+    settings; exit 2 when none can be built."""
+    given, cfg = _stage_settings(vars(args), config, stage)
+    kind = given["kind"]
     if kind not in _PROVIDER_KINDS:
         raise CommandFailed(f"unknown provider kind {kind!r}", EXIT_USAGE)
     if stage == "datagen" and kind in ("oracle", "keyword"):
         raise CommandFailed(f"{kind} provider cannot synthesize intents; use http or scripted", EXIT_USAGE)
-    try:
-        cfg = ProviderConfig(
-            endpoint_url=pick(args.endpoint, "endpoint_url", ""),
-            model_name=pick(args.model, "model_name", "mock" if kind == "http" else f"{kind}-mock"),
-            api_key_source=pick(args.api_key_env, "api_key_env", DEFAULT_API_KEY_ENV),
-            temperature=pick(args.temperature, "temperature", None),
-            max_retries=pick(args.max_retries, "max_retries", 3),
-            request_timeout=pick(args.timeout, "request_timeout", 60.0),
-            max_in_flight=pick(args.max_in_flight, "max_in_flight", 4),
-            requests_per_second=pick(args.rps, "requests_per_second", None),
-        )
-    except (TypeError, ValueError) as exc:  # TypeError: a config-file value of the wrong type
-        raise CommandFailed(f"bad provider settings: {exc}", EXIT_USAGE)
 
     if kind == "http":
         if not cfg.endpoint_url:
@@ -203,19 +170,24 @@ def _make_provider(
         if paths is None:
             raise CommandFailed("keyword provider needs a menu", EXIT_USAGE)
         return KeywordProvider(paths, config=cfg)
-    return ScriptedProvider(_load_script(args, config, stage), config=cfg)
+    if not given.get("script"):
+        raise CommandFailed("scripted provider needs --script <json array file>", EXIT_USAGE)
+    replies = _read(given["script"], "script", _json_file, "cannot read {what} file {file}", EXIT_USAGE)
+    if not isinstance(replies, list) or not all(isinstance(r, str) for r in replies):
+        raise CommandFailed(f"script file {given['script']} must hold a JSON array of strings", EXIT_USAGE)
+    return ScriptedProvider(replies, config=cfg)
 
 
 # --- subcommands ----------------------------------------------------------------
 
 def cmd_validate_menu(args: argparse.Namespace) -> int:
-    tree = _read_menu(args.menu)
+    tree = _read(args.menu, "menu", load_menu, "invalid menu")
     print(f"OK: {tree.name}: {len(flatten(tree))} terminal paths")
     return EXIT_OK
 
 
 def cmd_flatten(args: argparse.Namespace) -> int:
-    tree = _read_menu(args.menu)
+    tree = _read(args.menu, "menu", load_menu, "invalid menu")
     paths = flatten(tree)
     if args.format == "tsv":
         sys.stdout.write(render_paths_tsv(paths))
@@ -239,7 +211,7 @@ def cmd_gen_intents(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else config.get("seed", 0)
     if type(seed) is not int:  # a bool is refused too
         raise CommandFailed(f"bad config: seed must be an integer, not {seed!r}", EXIT_USAGE)
-    tree = _read_menu(args.menu)
+    tree = _read(args.menu, "menu", load_menu, "invalid menu")
     paths = flatten(tree)
     provider = _make_provider(args, config, "datagen", paths=paths)
 
@@ -274,8 +246,8 @@ def cmd_route(args: argparse.Namespace) -> int:
     if not 0 <= args.error_budget <= 1:
         raise CommandFailed(f"--error-budget must be within [0, 1], not {args.error_budget}", EXIT_USAGE)
     config = _load_config_file(args.config)
-    tree = _read_menu(args.menu)
-    ds = _read_dataset(args.dataset, tree.name)
+    tree = _read(args.menu, "menu", load_menu, "invalid menu")
+    ds = _read(args.dataset, "dataset", lambda file: load_dataset(file, menu_name=tree.name))
 
     condition = _CONDITIONS[args.condition]
     paths = flatten(tree)
@@ -330,27 +302,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
     from .evaluation import build_report, emit_report  # only this command scores a report
 
     results_file = Path(args.results)
-    if not results_file.is_file():
-        raise CommandFailed(f"no such results file: {results_file}", EXIT_USAGE)
-    try:
-        results = load_results(results_file)
-    except ValueError as exc:
-        raise CommandFailed(f"cannot load results {results_file}: {exc}", EXIT_FAILURE)
+    results = _read(results_file, "results", load_results)
     if not results:
         raise CommandFailed(f"results file {results_file} is empty", EXIT_FAILURE)
 
-    manifest = {}
-    manifest_file = results_file.parent / "manifest.json"
-    if manifest_file.is_file():
-        try:
-            manifest = json.loads(manifest_file.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            pass
-        if not isinstance(manifest, dict):  # parses, but is no manifest: ignored as unreadable
-            manifest = {}
+    try:  # an absent or unreadable manifest is ignored
+        manifest = _read(results_file.parent / "manifest.json", "manifest", _json_file)
+    except CommandFailed:
+        manifest = {}
+    if not isinstance(manifest, dict):  # parses, but is no manifest: ignored as unreadable
+        manifest = {}
 
     if args.menu:
-        tree = _read_menu(args.menu)
+        tree = _read(args.menu, "menu", load_menu, "invalid menu")
         classes = [tp.path for tp in flatten(tree)]
     else:
         # No menu at hand: score over the classes the results actually carry.
@@ -382,10 +346,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_demo(args: argparse.Namespace) -> int:
     config = _load_config_file(args.config)
-    tree = _read_menu(args.menu)
+    tree = _read(args.menu, "menu", load_menu, "invalid menu")
     paths = flatten(tree)
 
-    dataset = _read_dataset(args.dataset, tree.name) if args.dataset else None
+    dataset = (_read(args.dataset, "dataset", lambda file: load_dataset(file, menu_name=tree.name))
+               if args.dataset else None)
     problems = validate_dataset(dataset, paths) if args.dataset else []
     if problems:  # the oracle would answer a text with two labels from either
         raise CommandFailed("dataset is not valid: " + "; ".join(problems), EXIT_FAILURE)
@@ -429,11 +394,10 @@ def cmd_check_roles(args: argparse.Namespace) -> int:
     config = _load_config_file(args.config)
     stage_configs: dict[str, ProviderConfig] = {}
     for stage in PIPELINE_STAGES:
-        model = getattr(args, f"{stage}_model")  # --menugen-model and so on
-        if model is None:
-            model = config.get("providers", {}).get(stage, {}).get("model_name")
-        if model is not None:
-            stage_configs[stage] = ProviderConfig(model_name=model)
+        flags = {"model_name": getattr(args, f"{stage}_model")}  # --menugen-model and so on
+        given, stage_configs[stage] = _stage_settings(flags, config, stage)
+        if "model_name" not in given:  # a stage no model is named for shares none
+            del stage_configs[stage]
     warnings = check_role_separation(stage_configs)
     for warning in warnings:
         print(f"warning: {warning}")
@@ -453,20 +417,24 @@ def _add_config(parser: argparse.ArgumentParser) -> None:
 def _add_provider_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--provider",
+        dest="kind",
         choices=_PROVIDER_KINDS,
         help="provider kind (default http, or the config file's choice)",
     )
-    parser.add_argument("--endpoint", help="chat-completions endpoint URL (http provider)")
-    parser.add_argument("--model", help="model name sent with each request")
+    parser.add_argument("--endpoint", dest="endpoint_url",
+                        help="chat-completions endpoint URL (http provider)")
+    parser.add_argument("--model", dest="model_name", help="model name sent with each request")
     parser.add_argument(
         "--api-key-env",
         help=f"environment variable holding the bearer token (default {DEFAULT_API_KEY_ENV})",
     )
     parser.add_argument("--temperature", type=float, help="sampling temperature (default: unset)")
     parser.add_argument("--max-retries", type=int, help="retry budget for transport failures")
-    parser.add_argument("--timeout", type=float, help="per-request timeout in seconds")
+    parser.add_argument("--timeout", dest="request_timeout", type=float,
+                        help="per-request timeout in seconds")
     parser.add_argument("--max-in-flight", type=int, help="concurrent request cap")
-    parser.add_argument("--rps", type=float, help="client-side requests-per-second cap")
+    parser.add_argument("--rps", dest="requests_per_second", type=float,
+                        help="client-side requests-per-second cap")
     parser.add_argument("--script", help="JSON array of replies for the scripted provider")
 
 

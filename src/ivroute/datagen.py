@@ -7,13 +7,13 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .menu import DtmfPath, TerminalPath
 
 
 class DatagenError(ValueError):
-    """A dataset could not be generated or read."""
+    """A dataset could not be generated, or a JSONL file could not be read."""
 
 
 class IntentRecord(NamedTuple):
@@ -101,13 +101,19 @@ def validate_dataset(ds: Dataset, paths: Sequence[TerminalPath]) -> list[str]:
 
 
 def record_from_json(data: dict) -> IntentRecord:
+    """The record a dataset line holds; a field of the wrong type is refused, not coerced."""
+    for name in ("id", "text", "origin", "base_id"):
+        if not isinstance(data[name], str):
+            raise ValueError(f"{name} must be a string, not {data[name]!r}")
+    if type(data["variant_index"]) is not int:  # a bool or a fraction is refused too
+        raise ValueError(f"variant_index must be an integer, not {data['variant_index']!r}")
     return IntentRecord(
         id=data["id"],
         text=data["text"],
         ground_truth=DtmfPath(data["ground_truth"]),
         origin=data["origin"],
         base_id=data["base_id"],
-        variant_index=int(data["variant_index"]),
+        variant_index=data["variant_index"],
     )
 
 
@@ -121,17 +127,23 @@ def save_dataset(ds: Dataset, path: str | Path) -> None:
     Path(path).write_text(dataset_to_jsonl(ds), encoding="utf-8")
 
 
-def load_dataset(path: str | Path, menu_name: str = "") -> Dataset:
-    """Read a JSONL dataset; validate_dataset checks its counts."""
-    records = []
+def read_jsonl(path: str | Path, parse: Callable[[dict], object], what: str) -> list:
+    """What ``parse`` makes of each non-blank line of a JSONL file; a line
+    it refuses raises DatagenError naming ``<path>:<line>: bad <what>``."""
+    items = []
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                records.append(record_from_json(json.loads(line)))
+                items.append(parse(json.loads(line)))
             # TypeError: the line is no JSON object, or a field has the wrong type
             except (KeyError, TypeError, ValueError) as exc:
-                raise DatagenError(f"{path}:{line_no}: bad record: {exc}") from exc
-    return Dataset(menu_name, records)
+                raise DatagenError(f"{path}:{line_no}: bad {what}: {exc}") from exc
+    return items
+
+
+def load_dataset(path: str | Path, menu_name: str = "") -> Dataset:
+    """Read a JSONL dataset; validate_dataset checks its counts."""
+    return Dataset(menu_name, read_jsonl(path, record_from_json, "record"))

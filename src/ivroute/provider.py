@@ -54,23 +54,31 @@ class ProtocolError(ProviderError):
     """The endpoint answered, but not with a usable completion body."""
 
 
-class ProviderConfig(namedtuple("ProviderConfig", "endpoint_url model_name api_key_source temperature"
-                                " max_retries request_timeout max_in_flight requests_per_second",
-                                defaults=("", "mock", DEFAULT_API_KEY_ENV, None, 3, 60.0, 4, None))):
+# Each setting (also its key in a config file): its default, and what it
+# must be, in words and as exact types, so that a bool is no number.
+_SETTINGS = {
+    "endpoint_url": ("", "a string", (str,)),
+    "model_name": ("mock", "a string", (str,)),
+    "api_key_env": (DEFAULT_API_KEY_ENV, "a string", (str,)),
+    "temperature": (None, "a number", (int, float, type(None))),
+    "max_retries": (3, "an integer", (int,)),
+    "request_timeout": (60.0, "a number", (int, float)),
+    "max_in_flight": (4, "an integer", (int,)),
+    "requests_per_second": (None, "a number", (int, float, type(None))),
+}
+
+
+class ProviderConfig(namedtuple("ProviderConfig", _SETTINGS,
+                                defaults=[default for default, _, _ in _SETTINGS.values()])):
     """A ``temperature`` of None keeps the endpoint's default: the field is not sent."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> ProviderConfig:
         self = super().__new__(cls, *args, **kwargs)
-        for name in ("max_retries", "max_in_flight"):
-            value = getattr(self, name)
-            if type(value) is not int:  # a bool is refused too
-                raise TypeError(f"{name} must be an integer, not {value!r}")
-        for name in ("temperature", "request_timeout", "requests_per_second"):
-            value = getattr(self, name)
-            if type(value) not in (int, float, type(None)):
-                raise TypeError(f"{name} must be a number, not {value!r}")
+        for (name, (_, what, types)), value in zip(_SETTINGS.items(), self):
+            if type(value) not in types:
+                raise TypeError(f"{name} must be {what}, not {value!r}")
         if not 0 <= self.max_retries <= 5:
             raise ValueError("max_retries must be between 0 and 5")
         if self.max_in_flight < 1:
@@ -84,6 +92,11 @@ class ProviderConfig(namedtuple("ProviderConfig", "endpoint_url model_name api_k
         return self
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
+
+
+def mock_config(kind: str, **settings) -> ProviderConfig:
+    """The settings of the ``kind`` double: its model is ``<kind>-mock`` unless named."""
+    return ProviderConfig(**{"model_name": f"{kind}-mock", **settings})
 
 
 class Completion(namedtuple("Completion", "raw_text latency attempt_count",
@@ -159,15 +172,13 @@ class HttpProvider(Provider):
     """
 
     def __init__(self, config: ProviderConfig, transport=None, rng=None):
-        if not config.endpoint_url:
-            raise ValueError("HttpProvider needs an endpoint_url")
         super().__init__(config, rng)
         self._headers = {"Content-Type": "application/json"}
-        key = os.environ.get(config.api_key_source, "")
+        key = os.environ.get(config.api_key_env, "")
         if key:
             if not (key.isascii() and key.isprintable()):
                 raise ValueError(
-                    f"the API key in ${config.api_key_source} holds control or non-ASCII characters"
+                    f"the API key in ${config.api_key_env} holds control or non-ASCII characters"
                 )
             self._headers["Authorization"] = f"Bearer {key}"
         from .httpclient import ConnectionPool
@@ -223,7 +234,7 @@ class OracleProvider(Provider):
     """
 
     def __init__(self, truth_by_text: dict[str, str], config: ProviderConfig | None = None):
-        super().__init__(config or ProviderConfig(model_name="oracle-mock"))
+        super().__init__(config or mock_config("oracle"))
         self._truth_by_text = dict(truth_by_text)
 
     @classmethod
@@ -246,7 +257,7 @@ class KeywordProvider(Provider):
     to the earliest path in document order. Crude but fully deterministic."""
 
     def __init__(self, paths, config: ProviderConfig | None = None):
-        super().__init__(config or ProviderConfig(model_name="keyword-mock"))
+        super().__init__(config or mock_config("keyword"))
         self._paths = [(tp.path, _words(tp.breadcrumb_text())) for tp in paths]
         if not self._paths:
             raise ValueError("keyword mock needs at least one terminal path")
@@ -281,7 +292,7 @@ class ScriptedProvider(Provider):
         config: ProviderConfig | None = None,
         delay: float = 0.0,
     ):
-        super().__init__(config or ProviderConfig(model_name="scripted-mock"))
+        super().__init__(config or mock_config("scripted"))
         self._replies = list(replies)
         self._next = 0
         self._script_lock = threading.Lock()

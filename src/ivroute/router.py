@@ -24,7 +24,7 @@ from collections import deque
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .datagen import Dataset, IntentRecord, dataset_to_jsonl, validate_dataset
+from .datagen import Dataset, IntentRecord, dataset_to_jsonl, read_jsonl, validate_dataset
 from .menu import (
     PATH_PATTERN,
     DtmfPath,
@@ -501,15 +501,4 @@ def save_results(results: Iterable[RoutingResult], path: str | Path) -> None:
 def load_results(path: str | Path) -> list[RoutingResult]:
     """The results of a results file; a line that is no valid results row
     raises ValueError naming its line."""
-    results = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                results.append(result_from_record(json.loads(line)))
-            # TypeError: the line is no JSON object, or a field has the wrong type
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{line_no}: bad result: {exc}") from exc
-    return results
+    return read_jsonl(path, result_from_record, "result")

@@ -14,7 +14,7 @@ from ivroute.cli import _load_config_file, _make_provider, build_parser, main
 from ivroute.datagen import load_dataset, validate_dataset
 from ivroute.menu import flatten, load_menu
 from ivroute.prompts import RoutingCondition
-from ivroute.provider import DEFAULT_API_KEY_ENV
+from ivroute.provider import DEFAULT_API_KEY_ENV, PIPELINE_STAGES
 from ivroute import router
 from ivroute.router import load_results, run_identity
 
@@ -359,18 +359,26 @@ def test_route_hashes_its_inputs_once(tmp_path, fixture_menu_path, fixture_datas
 
 
 def test_route_config_value_of_wrong_type_exit_2(tmp_path, fixture_menu_path,
-                                                fixture_dataset_path, capsys):
+                                                fixture_dataset_path, monkeypatch, capsys):
     file = tmp_path / "config.json"
-    argv = route_args(fixture_menu_path, fixture_dataset_path, tmp_path) + ["--config", str(file)]
+    commands = config_commands(fixture_menu_path, fixture_dataset_path, tmp_path)
     # A bool is no number here, though Python counts it as an int; json.loads
-    # reads NaN and Infinity as floats, but neither is a rate.
+    # reads NaN and Infinity as floats, but neither is a rate. A stage block
+    # is checked whole, so a flag that overrides a setting (as --provider
+    # does kind) does not hide its wrong type.
     for settings in [{"max_in_flight": "4"}, {"max_in_flight": 2.5}, {"max_retries": True},
                      {"temperature": True}, {"requests_per_second": math.nan},
-                     {"requests_per_second": math.inf}]:
-        file.write_text(json.dumps({"providers": {"routing": settings}}), encoding="utf-8")
-        assert run(argv) == 2, settings
-        assert capsys.readouterr().err.startswith("error: bad provider settings")
-    assert not list(tmp_path.glob("run-*"))
+                     {"requests_per_second": math.inf}, {"model_name": 3}, {"endpoint_url": 3},
+                     {"api_key_env": []}, {"kind": 3}, {"script": 3}]:
+        file.write_text(json.dumps({"providers": dict.fromkeys(PIPELINE_STAGES, settings)}),
+                        encoding="utf-8")
+        for name, argv in commands.items():
+            feed_stdin(monkeypatch, "i want to check my balance\n")
+            assert run(argv + ["--config", str(file)]) == 2, (name, settings)
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: bad provider settings"), (name, settings)
+            assert captured.out == "", (name, settings)
+    assert not list(tmp_path.glob("run-*")) and not (tmp_path / "intents.jsonl").exists()
 
 
 @pytest.mark.parametrize("seed", ["x", True, 1.5, None])
@@ -448,6 +456,25 @@ def test_route_uneven_dataset_exit_1(tmp_path, fixture_menu_path, fixture_datase
     dataset = edited_fixture(tmp_path, fixture_dataset_path, edit)
     assert run(route_args(fixture_menu_path, dataset, tmp_path)) == 1
     assert capsys.readouterr().err == f"error: dataset is not valid: {problem}\n"
+    assert not list(tmp_path.glob("run-*"))
+
+
+@pytest.mark.parametrize("field, value", [("text", 5), ("variant_index", 3.7), ("variant_index", True)])
+def test_dataset_field_of_wrong_type_exit_1(tmp_path, fixture_menu_path, fixture_dataset_path,
+                                            monkeypatch, capsys, field, value):
+    # line 233, a paraphrase whose variant_index is 3: int() would read 3.7 as 3 and true as 1
+    dataset = edited_fixture(tmp_path, fixture_dataset_path,
+                             lambda row: {**row, field: value} if row["id"] == "1-1:b00:v3" else row)
+    for argv in [route_args(fixture_menu_path, dataset, tmp_path),
+                 ["demo", "--menu", str(fixture_menu_path), "--provider", "oracle",
+                  "--dataset", str(dataset)]]:
+        feed_stdin(monkeypatch, "i want to check my balance\n")
+        assert run(argv) == 1, argv[0]
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: cannot load dataset {dataset}: {dataset}:233: bad record: "
+                                f"{field} must be {'a string' if field == 'text' else 'an integer'}, "
+                                f"not {value!r}\n")
+        assert captured.out == ""
     assert not list(tmp_path.glob("run-*"))
 
 
@@ -876,7 +903,7 @@ def test_config_key_no_command_reads_exit_2(tmp_path, fixture_menu_path, fixture
 PROVIDER_SETTINGS = {
     "endpoint_url": ("--endpoint", "endpoint_url", "", st.sampled_from(["http://a.test/v1", "http://b.test/v1"])),
     "model_name": ("--model", "model_name", "keyword-mock", st.sampled_from(["model-a", "model-b"])),
-    "api_key_source": ("--api-key-env", "api_key_env", DEFAULT_API_KEY_ENV, st.sampled_from(["KEY_A", "KEY_B"])),
+    "api_key_env": ("--api-key-env", "api_key_env", DEFAULT_API_KEY_ENV, st.sampled_from(["KEY_A", "KEY_B"])),
     "temperature": ("--temperature", "temperature", None, st.floats(0, 2)),
     "max_retries": ("--max-retries", "max_retries", 3, st.integers(0, 5)),
     "request_timeout": ("--timeout", "request_timeout", 60.0, st.floats(0.5, 600)),
@@ -904,3 +931,64 @@ def test_provider_settings_layer_flag_then_file_then_default(tmp_path_factory, f
     args = build_parser().parse_args(argv + ["--config", str(file)])
     provider = _make_provider(args, _load_config_file(args.config), "routing", paths=paths)
     assert provider.config._asdict() == expected
+
+
+# --- input files -----------------------------------------------------------------------------
+
+def deep_menu(levels):
+    return ('{"name": "Deep", "root": ' + '{"label": "m", "kind": "menu", "children": [' * levels
+            + "]}" * levels + "}")
+
+
+# Each input file of the CLI, the command that reads it, and the exit code
+# and error line when the file is no UTF-8 text or nests too deep to parse:
+# a menu, dataset or results file is refused (1), a config or script file is
+# a usage error (2), and a manifest beside the results is ignored.
+FRONT_DOOR = {
+    "menu": (lambda menu, data, file: ["validate-menu", str(file)], 1, "error: invalid menu: 'utf-8'"),
+    "deep menu": (lambda menu, data, file: ["validate-menu", str(file)], 1,
+                  "error: invalid menu: maximum recursion depth exceeded"),
+    "dataset": (lambda menu, data, file: route_args(menu, file, file.parent), 1,
+                "error: cannot load dataset"),
+    "results": (lambda menu, data, file: ["eval", str(file)], 1, "error: cannot load results"),
+    "config": (lambda menu, data, file: route_args(menu, data, file.parent) + ["--config", str(file)], 2,
+               "error: cannot read config file"),
+    "script": (lambda menu, data, file: ["gen-intents", str(menu), "--provider", "scripted", "--script",
+                                         str(file), "--out", str(file.parent)], 2,
+               "error: cannot read script file"),
+    "manifest": (lambda menu, data, file: ["eval", str(file.parent / "results.jsonl")], 0, None),
+}
+
+
+@pytest.mark.parametrize("kind", FRONT_DOOR)
+def test_input_file_no_utf8_or_too_deep_ends_with_its_exit_code(tmp_path, fixture_menu_path,
+                                                                 fixture_dataset_path, capsys, kind):
+    argv_for, code, error = FRONT_DOOR[kind]
+    if kind == "manifest":
+        file = oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path) / "manifest.json"
+        capsys.readouterr()
+    else:
+        file = tmp_path / kind.replace(" ", "-")
+    if kind == "deep menu":
+        file.write_text(deep_menu(600), encoding="utf-8")
+    else:
+        file.write_bytes(b"\xff\xfe{}\n")
+    assert run(argv_for(fixture_menu_path, fixture_dataset_path, file)) == code  # nothing raised
+    err = capsys.readouterr().err
+    if error is None:
+        assert err == ""
+    else:
+        assert err.startswith(error) and err.count("\n") == 1, err
+    assert kind == "manifest" or not list(tmp_path.glob("run-*"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(content=st.binary())
+def test_any_bytes_as_menu_or_config_end_with_an_exit_code(tmp_path_factory, fixture_menu_path,
+                                                           fixture_dataset_path, content):
+    file = tmp_path_factory.getbasetemp() / "any-bytes"  # rewritten by every example
+    file.write_bytes(content)
+    assert run(["validate-menu", str(file)]) in (0, 1, 2)
+    argv = route_args(fixture_menu_path, fixture_dataset_path, file.parent / "any-bytes-runs",
+                      filter="base_only")
+    assert run(argv + ["--config", str(file)]) in (0, 1, 2)

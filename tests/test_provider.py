@@ -168,7 +168,7 @@ def test_temperature_sent_only_when_set(monkeypatch):
 def test_api_key_source_is_configurable(monkeypatch):
     monkeypatch.setenv("OTHER_KEY_VAR", "alt-token")
     monkeypatch.delenv(DEFAULT_API_KEY_ENV, raising=False)
-    provider, transport = http_provider([(200, ok_body("x"))], api_key_source="OTHER_KEY_VAR")
+    provider, transport = http_provider([(200, ok_body("x"))], api_key_env="OTHER_KEY_VAR")
     provider.complete("q")
     assert transport.requests[0]["headers"]["Authorization"] == "Bearer alt-token"
 
@@ -309,7 +309,7 @@ def test_requires_endpoint_url():
 def test_api_key_with_control_characters_is_refused_unseen(monkeypatch, key):
     monkeypatch.setenv("OTHER_KEY_VAR", key)
     with pytest.raises(ValueError, match=r"\$OTHER_KEY_VAR") as excinfo:
-        http_provider([], api_key_source="OTHER_KEY_VAR")
+        http_provider([], api_key_env="OTHER_KEY_VAR")
     assert "secret" not in str(excinfo.value)
 
 
