@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -298,6 +299,14 @@ def cmd_route(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _is_manifest(data) -> bool:
+    """Whether a parsed manifest.json may name the report directory (a run_id
+    of 12 lowercase hex digits) and label the report (string fields)."""
+    return (isinstance(data, dict)
+            and all(isinstance(data.get(k, ""), str) for k in ("run_id", "condition", "dataset_filter", "model_name"))
+            and ("run_id" not in data or bool(re.fullmatch("[0-9a-f]{12}", data["run_id"]))))
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     from .evaluation import build_report, emit_report  # only this command scores a report
 
@@ -310,7 +319,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         manifest = _read(results_file.parent / "manifest.json", "manifest", _json_file)
     except CommandFailed:
         manifest = {}
-    if not isinstance(manifest, dict):  # parses, but is no manifest: ignored as unreadable
+    if not _is_manifest(manifest):  # parses, but is no manifest: ignored as unreadable
         manifest = {}
 
     if args.menu:
@@ -507,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_demo)
 
     p = sub.add_parser("check-roles", help="warn when pipeline stages share a model")
-    p.add_argument("--menugen-model", help="model used to synthesize menus")
+    p.add_argument("--menugen-model", help="model that wrote the menu (ivroute does not generate menus)")
     p.add_argument("--datagen-model", help="model used to synthesize intents")
     p.add_argument("--routing-model", help="model used to route intents")
     p.add_argument(

@@ -138,8 +138,8 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], object], what: str) -> 
                 continue
             try:
                 items.append(parse(json.loads(line)))
-            # TypeError: the line is no JSON object, or a field has the wrong type
-            except (KeyError, TypeError, ValueError) as exc:
+            # TypeError: no JSON object, or a field of the wrong type; RecursionError: nested too deep
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise DatagenError(f"{path}:{line_no}: bad {what}: {exc}") from exc
     return items
 

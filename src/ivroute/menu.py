@@ -91,21 +91,18 @@ _KIND_FIELDS = {
 }
 
 
-def parse_menu(document: str | Mapping) -> MenuTree:
-    """Parse a menu document (JSON text or an already-decoded mapping).
+def parse_menu(document: str) -> MenuTree:
+    """Parse a menu document's JSON text.
 
     Raises MenuFormatError with the offending node's digit path on any
     schema violation. The tree invariants (root kind and digit, action
     types, children, sibling digits, depth) are validate_menu's alone, so a
     document's violations of them are reported together.
     """
-    if isinstance(document, str):
-        try:
-            data = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise MenuFormatError(f"menu document is not valid JSON: {exc}") from exc
-    else:
-        data = document
+    try:
+        data = json.loads(document)
+    except json.JSONDecodeError as exc:
+        raise MenuFormatError(f"menu document is not valid JSON: {exc}") from exc
     if not isinstance(data, Mapping):
         raise MenuFormatError("menu document must be a JSON object")
 

@@ -21,9 +21,6 @@ class RoutingCondition(str, Enum):
     FLATTENED_PATHS = "flattened_paths"
 
 
-OUTPUT_CONSTRAINT = "Output only the path."
-
-
 class PromptText(NamedTuple):
     content: str
     query: str

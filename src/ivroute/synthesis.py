@@ -1,7 +1,8 @@
-"""Synthetic intent datasets: base generation, paraphrase augmentation, and
-optional menu synthesis, all through a configured provider. Every model
-call runs on the router's scheduler: each job is a generator that yields
-its prompts and is sent their completions.
+"""Synthetic intent datasets: base generation and paraphrase augmentation,
+both through a configured provider. The menu they are labelled against is
+an input; ivroute does not generate menus. Every model call runs on the
+router's scheduler: each job is a generator that yields its prompts and is
+sent their completions.
 
 Augmented records inherit their base record's label; linguistic noise
 (interjections, fillers, small grammar slips) is requested from the
@@ -10,7 +11,6 @@ generator model through the prompt, never patched in afterwards.
 
 from __future__ import annotations
 
-import json
 import logging
 import random
 import re
@@ -18,7 +18,7 @@ from collections import namedtuple
 from typing import Generator, Sequence
 
 from .datagen import DatagenError, Dataset, IntentRecord
-from .menu import MenuFormatError, MenuTree, TerminalPath, parse_menu
+from .menu import MenuTree, TerminalPath
 from .prompts import load_template
 from .provider import Provider
 from .router import AGAIN, RoutingAborted, run_calls
@@ -87,18 +87,20 @@ def _run_jobs(provider: Provider, jobs: list[Generator]) -> list:
 
 # --- base intents -------------------------------------------------------------
 
+_EXTRA_CALLS = 3  # calls per path beyond the first, to make up for duplicates
+
+
 def generate_base_intents(
     paths: Sequence[TerminalPath],
     provider: Provider,
     per_node: int = 10,
-    extra_call_budget: int = 3,
 ) -> list[IntentRecord]:
     """per_node distinct complaints for every terminal path.
 
     One provider call per path asks for the whole batch as a numbered list;
     duplicates (case-insensitive, whitespace-collapsed) are dropped and the
-    call is repeated until the node is filled or the extra-call budget runs
-    out. Output is ordered by path document order, then generation index.
+    call is repeated, up to ``_EXTRA_CALLS`` times, until the node is
+    filled. Output is ordered by path document order, then generation index.
     """
     if per_node < 1:
         raise ValueError("per_node must be at least 1")
@@ -116,7 +118,7 @@ def generate_base_intents(
         )
         texts: list[str] = []
         seen: set[str] = set()
-        for _ in range(1 + extra_call_budget):
+        for _ in range(1 + _EXTRA_CALLS):
             for item in parse_listed_lines((yield prompt).raw_text):
                 key = _dedup_key(item)
                 if key and key not in seen:
@@ -128,7 +130,7 @@ def generate_base_intents(
                             for i, text in enumerate(texts)]
         raise DatagenError(
             f"path {tp.path}: only {len(texts)} distinct text(s) "
-            f"after {1 + extra_call_budget} call(s), needed {per_node}"
+            f"after {1 + _EXTRA_CALLS} call(s), needed {per_node}"
         )
 
     return [r for node in _run_jobs(provider, [generate_node(tp) for tp in paths]) for r in node]
@@ -230,49 +232,3 @@ def build_dataset(
     base = generate_base_intents(paths, provider, per_node)
     augmented = augment_intents(base, provider, variants, noise, seed)
     return Dataset(tree.name, base + augmented)
-
-
-# --- menu synthesis -----------------------------------------------------------
-
-_FENCE = re.compile(r"^```[a-zA-Z]*\n(.*)\n```\s*$", re.DOTALL)
-
-
-def _strip_code_fence(text: str) -> str:
-    match = _FENCE.match(text.strip())
-    return match.group(1) if match else text
-
-
-def generate_menu(business_brief: str, provider: Provider) -> dict:
-    """Ask the provider for a whole menu document and vet it.
-
-    Output that is not JSON gets one reformat retry; a document that parses
-    but breaks the menu schema or its invariants is rejected outright with
-    the diagnostics, to be fixed by hand rather than by re-rolling.
-    """
-    if not business_brief.strip():
-        raise ValueError("business brief is empty")
-    prompt = load_template("template_menu_gen.txt").replace("{{BRIEF}}", business_brief)
-
-    def ask():
-        reply = (yield prompt).raw_text
-        try:
-            return json.loads(_strip_code_fence(reply))
-        except json.JSONDecodeError as first_error:
-            retry_prompt = (
-                f"Your previous output was not valid JSON ({first_error}). "
-                "Resend the complete corrected JSON document, and nothing else.\n\n"
-                f"Previous output:\n{reply}"
-            )
-            reply = (yield retry_prompt).raw_text
-            try:
-                return json.loads(_strip_code_fence(reply))
-            except json.JSONDecodeError as exc:
-                raise DatagenError(f"model output is not JSON after a reformat retry: {exc}") from exc
-
-    (document,) = _run_jobs(provider, [ask()])
-
-    try:
-        parse_menu(document)
-    except MenuFormatError as exc:
-        raise DatagenError(f"generated menu rejected: {exc}") from exc
-    return document

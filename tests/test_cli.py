@@ -4,6 +4,7 @@ configuration layering."""
 import io
 import json
 import math
+import re
 import socket
 
 import pytest
@@ -547,13 +548,24 @@ def rewrite_row(results_file, index, **fields):
     results_file.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
 
 
-@pytest.mark.parametrize("manifest", ["[]", '"run"', "3", "{not json"])
+@pytest.mark.parametrize("manifest", [
+    "[]", '"run"', "3", "{not json",
+    '{"run_id": "x/../../escaped"}',  # a run_id is a directory name
+    '{"run_id": 7}',
+    '{"condition": ["x"]}',
+])
 def test_eval_ignores_a_manifest_that_is_no_object(tmp_path, fixture_menu_path,
                                                    fixture_dataset_path, capsys, manifest):
     run_dir = oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path)
     (run_dir / "manifest.json").write_text(manifest, encoding="utf-8")
+    before = set(tmp_path.rglob("*"))
     assert run(["eval", str(run_dir / "results.jsonl")]) == 0
     assert "accuracy 100.00% over 230 results" in capsys.readouterr().out
+    new = set(tmp_path.rglob("*")) - before
+    report_dirs = [p for p in new if p.is_dir()]
+    assert len(report_dirs) == 1 and report_dirs[0].parent == run_dir
+    assert re.fullmatch("eval-[0-9a-f]{12}", report_dirs[0].name)
+    assert {p.parent for p in new if p.is_file()} == {report_dirs[0]}
 
 
 @pytest.mark.parametrize("ground_truth", ["abc", "1--2", 12, None])
@@ -943,7 +955,8 @@ def deep_menu(levels):
 # Each input file of the CLI, the command that reads it, and the exit code
 # and error line when the file is no UTF-8 text or nests too deep to parse:
 # a menu, dataset or results file is refused (1), a config or script file is
-# a usage error (2), and a manifest beside the results is ignored.
+# a usage error (2), and a manifest beside the results is ignored. A JSONL
+# line nested too deep is refused by its line number.
 FRONT_DOOR = {
     "menu": (lambda menu, data, file: ["validate-menu", str(file)], 1, "error: invalid menu: 'utf-8'"),
     "deep menu": (lambda menu, data, file: ["validate-menu", str(file)], 1,
@@ -951,12 +964,24 @@ FRONT_DOOR = {
     "dataset": (lambda menu, data, file: route_args(menu, file, file.parent), 1,
                 "error: cannot load dataset"),
     "results": (lambda menu, data, file: ["eval", str(file)], 1, "error: cannot load results"),
+    "deep dataset": (lambda menu, data, file: route_args(menu, file, file.parent), 1,
+                     "error: cannot load dataset"),
+    "deep results": (lambda menu, data, file: ["eval", str(file)], 1, "error: cannot load results"),
     "config": (lambda menu, data, file: route_args(menu, data, file.parent) + ["--config", str(file)], 2,
                "error: cannot read config file"),
     "script": (lambda menu, data, file: ["gen-intents", str(menu), "--provider", "scripted", "--script",
                                          str(file), "--out", str(file.parent)], 2,
                "error: cannot read script file"),
     "manifest": (lambda menu, data, file: ["eval", str(file.parent / "results.jsonl")], 0, None),
+}
+
+
+GOOD_LINE = {
+    "deep dataset": data_text("agentnet.intents.jsonl").splitlines()[0],
+    "deep results": json.dumps({
+        "intent_id": "1-1:b00", "condition": "flattened_paths", "raw_response": "1-1",
+        "normalization_applied": [], "predicted": "1-1", "ground_truth": "1-1", "correct": True,
+        "known_path": True, "latency": 0.0, "model_name": "oracle"}),
 }
 
 
@@ -971,6 +996,8 @@ def test_input_file_no_utf8_or_too_deep_ends_with_its_exit_code(tmp_path, fixtur
         file = tmp_path / kind.replace(" ", "-")
     if kind == "deep menu":
         file.write_text(deep_menu(600), encoding="utf-8")
+    elif kind.startswith("deep "):  # a good line, then one nested too deep
+        file.write_text(GOOD_LINE[kind] + "\n" + "[" * 5000 + "\n", encoding="utf-8")
     else:
         file.write_bytes(b"\xff\xfe{}\n")
     assert run(argv_for(fixture_menu_path, fixture_dataset_path, file)) == code  # nothing raised
@@ -979,6 +1006,7 @@ def test_input_file_no_utf8_or_too_deep_ends_with_its_exit_code(tmp_path, fixtur
         assert err == ""
     else:
         assert err.startswith(error) and err.count("\n") == 1, err
+    assert kind not in GOOD_LINE or f"{file}:2: bad " in err
     assert kind == "manifest" or not list(tmp_path.glob("run-*"))
 
 

@@ -1,5 +1,5 @@
-"""Dataset synthesis: base generation, augmentation, menu synthesis,
-validation, and JSONL round-trips."""
+"""Dataset synthesis: base generation, augmentation, validation, and JSONL
+round-trips."""
 
 import json
 import logging
@@ -24,7 +24,6 @@ from ivroute.synthesis import (
     augment_intents,
     build_dataset,
     generate_base_intents,
-    generate_menu,
     parse_listed_lines,
 )
 
@@ -105,7 +104,7 @@ def test_base_generation_budget_exhaustion(tiny_tree):
     paths = flatten(tiny_tree)[:1]
     replies = [numbered(["only one"])] * 4  # initial call + 3 extra, all stuck
     with pytest.raises(DatagenError, match="only 1 distinct"):
-        generate_base_intents(paths, serial_scripted(replies), per_node=3, extra_call_budget=3)
+        generate_base_intents(paths, serial_scripted(replies), per_node=3)
 
 
 def test_base_generation_call_backing_off_lets_the_next_path_go_first(tiny_tree):
@@ -404,69 +403,6 @@ def test_validate_flags_a_terminal_path_without_base_records(tiny_tree):
         "terminal path 2 has no base record",
         "base record count per terminal path must be one number, but 2 has 0 and 1-1 has 2",
     ]
-
-
-# --- menu synthesis ------------------------------------------------------------------
-
-def minimal_menu_json():
-    return json.dumps(
-        {
-            "name": "Gen",
-            "root": {
-                "label": "Root",
-                "kind": "menu",
-                "prompt_text": "Welcome.",
-                "children": [
-                    {
-                        "label": "Pay",
-                        "digit": "1",
-                        "kind": "action",
-                        "action_type": "self_service",
-                    }
-                ],
-            },
-        }
-    )
-
-
-def test_generate_menu_happy_path():
-    provider = serial_scripted([minimal_menu_json()])
-    document = generate_menu("a tiny utility with one payable bill", provider)
-    assert document["name"] == "Gen"
-    assert len(provider.calls) == 1
-    assert "a tiny utility" in provider.calls[0]
-
-
-def test_generate_menu_strips_code_fence():
-    provider = serial_scripted([f"```json\n{minimal_menu_json()}\n```"])
-    assert generate_menu("brief", provider)["name"] == "Gen"
-
-
-def test_generate_menu_reformat_retry_on_bad_json():
-    provider = serial_scripted(["{broken", minimal_menu_json()])
-    document = generate_menu("brief", provider)
-    assert document["name"] == "Gen"
-    assert len(provider.calls) == 2
-    assert "not valid JSON" in provider.calls[1]
-
-
-def test_generate_menu_gives_up_after_one_retry():
-    provider = serial_scripted(["{broken", "{still broken"])
-    with pytest.raises(DatagenError, match="after a reformat retry"):
-        generate_menu("brief", provider)
-
-
-def test_generate_menu_schema_violation_is_fatal_without_retry():
-    bad = json.dumps({"name": "x", "root": {"label": "r", "kind": "menu", "children": []}})
-    provider = serial_scripted([bad, bad])
-    with pytest.raises(DatagenError, match="rejected"):
-        generate_menu("brief", provider)
-    assert len(provider.calls) == 1
-
-
-def test_generate_menu_empty_brief():
-    with pytest.raises(ValueError):
-        generate_menu("  ", serial_scripted([]))
 
 
 # --- JSONL files --------------------------------------------------------------------

@@ -59,7 +59,7 @@ def test_parse_fixture_menu(tree):
 
 
 def test_parse_round_trip(tree):
-    again = parse_menu(tree_to_document(tree))
+    again = parse_menu(json.dumps(tree_to_document(tree)))
     assert again == tree
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from ivroute.menu import render_descriptive, render_flattened
 from ivroute.prompts import (
-    OUTPUT_CONSTRAINT,
     PromptText,
     RoutingCondition,
     build_prompt,
@@ -37,11 +36,6 @@ EXPECTED_FLATTENED = (
 def test_templates_are_byte_exact():
     assert load_template("template_descriptive.txt") == EXPECTED_DESCRIPTIVE
     assert load_template("template_flattened.txt") == EXPECTED_FLATTENED
-
-
-def test_templates_share_output_constraint():
-    assert OUTPUT_CONSTRAINT in load_template("template_descriptive.txt")
-    assert OUTPUT_CONSTRAINT in load_template("template_flattened.txt")
 
 
 def test_descriptive_substitution(tree):

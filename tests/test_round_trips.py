@@ -62,9 +62,8 @@ menu_trees = st.builds(MenuTree, name=labels, root=menu_nodes())
 @given(menu_trees)
 def test_menu_survives_its_document(tree):
     document = tree_to_document(tree)
-    assert parse_menu(document) == tree
     assert parse_menu(json.dumps(document, ensure_ascii=False)) == tree
-    assert tree_to_document(parse_menu(document)) == document
+    assert tree_to_document(parse_menu(json.dumps(document))) == document
 
 
 dtmf_paths = st.lists(st.sampled_from("0123456789"), min_size=1, max_size=5).map(
@@ -197,10 +196,10 @@ def test_a_strict_reply_is_a_path_exactly_when_the_grammar_says(text):
         assert parsed.path is None or parsed.path == text
 
 
-def one_option_menu(digit) -> dict:
-    return {"name": "One", "root": {"label": "Root", "kind": "menu", "children": [
+def one_option_menu(digit) -> str:
+    return json.dumps({"name": "One", "root": {"label": "Root", "kind": "menu", "children": [
         {"label": "Pay", "digit": digit, "kind": "action", "action_type": "self_service"},
-    ]}}
+    ]}})
 
 
 @settings(max_examples=200, deadline=None)
