@@ -32,6 +32,7 @@ from .provider import (
     mock_config,
 )
 from .router import (
+    Pacing,
     RoutingAborted,
     accuracy,
     format_percent,
@@ -364,6 +365,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     if problems:  # the oracle would answer a text with two labels from either
         raise CommandFailed("dataset is not valid: " + "; ".join(problems), EXIT_FAILURE)
     provider = _make_provider(args, config, "routing", dataset=dataset, paths=paths)
+    pacing = Pacing(provider.config)  # one pace across the session's lines
 
     condition = _CONDITIONS[args.condition]
     context = render_context(tree, condition)
@@ -385,7 +387,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
             return route(query, condition, context, provider, args.lenient, attempt)
 
         # One job per line; its failure is reported, not fatal.
-        (outcome,), failures = run_calls(provider, 1, step, error_budget=1)
+        (outcome,), failures = run_calls(provider, 1, step, error_budget=1, pacing=pacing)
         if failures:
             print(f"error: {failures[0][1]}", file=sys.stderr)
             continue
@@ -481,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--dataset-out", help="output JSONL file (default <out>/intents.jsonl)")
     p.add_argument("--out", default=".", help="output directory (default .)")
-    p.add_argument("--seed", type=int, help="noise seed (default: the config file's, else 0)")
+    p.add_argument("--seed", type=int, help="noise and retry-jitter seed (default: the config file's, else 0)")
     _add_config(p)
     _add_provider_flags(p)
     p.set_defaults(func=cmd_gen_intents)

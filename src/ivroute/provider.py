@@ -3,12 +3,11 @@
 All providers share the same contract: ``complete(prompt, attempt) ->
 Completion`` sends exactly one request, safe to call from many worker
 threads at once. An attempt worth repeating raises ``TransportError`` with
-the server's ``retry_after``; any other ``ProviderError`` is final. When an
-attempt is sent, and whether and when it is retried, is decided by
-``router.run_calls``: it admits every attempt against ``--rps``, bounds the
-requests in flight by its worker count and applies ``max_retries``.
-Subclasses implement a single ``_request`` hook; the base class keeps the
-latency and a peak-concurrency count.
+the server's ``retry_after``; any other ``ProviderError`` is final. A
+provider only sends: ``router.run_calls`` bounds the requests in flight and
+asks a ``router.Pacing`` when each attempt goes (``--rps``, ``Retry-After``,
+seeded jitter, ``max_retries``). Subclasses implement a single ``_request``
+hook; the base class keeps the latency and a peak-concurrency count.
 
 The wire protocol of HttpProvider is the de-facto chat-completions JSON
 shape, so any compatible endpoint works: POST {"model", "messages"} with a
@@ -21,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import random
 import threading
 import time
 from collections import namedtuple
@@ -39,8 +37,8 @@ class ProviderError(Exception):
 
 class TransportError(ProviderError):
     """Network failure or retryable HTTP status: ``router.run_calls``
-    retries the attempt that raised it, and past ``max_retries`` fails the
-    call with a TransportError("gave up after ...").
+    retries the attempt that raised it when its ``Pacing`` says, and past
+    ``max_retries`` fails the call with a TransportError("gave up after ...").
 
     ``retry_after`` is the server's Retry-After header value, if it sent one.
     """
@@ -113,17 +111,12 @@ class Completion(namedtuple("Completion", "raw_text latency attempt_count",
 
 
 class Provider:
-    """Shared plumbing: latency and peak-concurrency bookkeeping. ``rng``,
-    the source of the jitter ``router.run_calls`` draws retry waits from (an
-    unseeded ``random.Random`` by default), is injectable for tests.
-    ``next_send``, the ``time.monotonic()`` before which ``run_calls`` sends
-    no further attempt, carries ``requests_per_second`` from one run of the
-    provider to its next, such as demo lines or synthesis stages."""
+    """Shared plumbing: latency and peak-concurrency bookkeeping. It holds
+    no pacing state: when to send, and when to retry, is the caller's
+    ``router.Pacing``."""
 
-    def __init__(self, config: ProviderConfig | None = None, rng=None):
+    def __init__(self, config: ProviderConfig | None = None):
         self.config = config or ProviderConfig()
-        self.rng = rng or random.Random()
-        self.next_send = 0.0
         self._state_lock = threading.Lock()
         self._in_flight = 0
         self.peak_in_flight = 0
@@ -171,8 +164,8 @@ class HttpProvider(Provider):
     the variable, never the value.
     """
 
-    def __init__(self, config: ProviderConfig, transport=None, rng=None):
-        super().__init__(config, rng)
+    def __init__(self, config: ProviderConfig, transport=None):
+        super().__init__(config)
         self._headers = {"Content-Type": "application/json"}
         key = os.environ.get(config.api_key_env, "")
         if key:
@@ -215,11 +208,11 @@ class HttpProvider(Provider):
         except json.JSONDecodeError as exc:
             raise ProtocolError(f"response body is not JSON: {exc}") from exc
         choices = data.get("choices") if isinstance(data, dict) else None
-        if not choices:
+        if not isinstance(choices, list) or not choices:
             raise ProtocolError("response carries no choices")
         message = choices[0].get("message") if isinstance(choices[0], dict) else None
-        if not isinstance(message, dict) or "content" not in message:
-            raise ProtocolError("first choice carries no message content")
+        if not isinstance(message, dict) or not isinstance(message.get("content", 0), (str, type(None))):
+            raise ProtocolError("first choice carries no message content, or content that is no text")
         return message["content"] or ""
 
 

@@ -17,6 +17,7 @@ import hashlib
 import heapq
 import json
 import math
+import random
 import re
 import threading
 import time
@@ -36,17 +37,15 @@ from .menu import (
     validate_menu,
 )
 from .prompts import PromptText, RoutingCondition, build_prompt
-from .provider import Completion, Provider, ProviderError, TransportError
+from .provider import Completion, Provider, ProviderConfig, ProviderError, TransportError
 
 INVALID = "INVALID"
 
 # Jobs run_calls keeps in progress per in-flight slot: enough to keep every
-# worker fed. Those waiting out a backoff count too while the endpoint is
-# failing, so a dead endpoint sees a bounded number of jobs before the error
-# budget stops the run.
+# worker fed, and few enough that a dead endpoint sees a bounded number.
 WINDOW_PER_SLOT = 2
 
-# The longest Retry-After, in seconds, that run_calls honours.
+# The longest Retry-After, in seconds, that Pacing honours.
 MAX_RETRY_AFTER_S = 60
 
 # What a step returns when its job needs a follow-up call.
@@ -55,17 +54,8 @@ AGAIN = object()
 # a path token not butted against other digits/hyphens, for lenient salvage
 _PATH_TOKEN = re.compile(rf"(?<![0-9-]){PATH_PATTERN}(?![0-9-])")
 
-_DASH_TRANSLATION = str.maketrans({
-    "‐": "-",  # hyphen
-    "‑": "-",  # non-breaking hyphen
-    "‒": "-",  # figure dash
-    "–": "-",  # en dash
-    "—": "-",  # em dash
-    "―": "-",  # horizontal bar
-    "−": "-",  # minus sign
-})
-
-_QUOTE_PAIRS = (("'", "'"), ('"', '"'), ("`", "`"))
+# hyphen, non-breaking hyphen, figure dash, en dash, em dash, horizontal bar, minus sign
+_DASH_TRANSLATION = str.maketrans(dict.fromkeys("\u2010\u2011\u2012\u2013\u2014\u2015\u2212", "-"))
 
 
 class ParsedResponse(NamedTuple):
@@ -105,12 +95,9 @@ def parse_dtmf_response(raw: str, lenient: bool = False) -> ParsedResponse:
         applied.append("trim")
     text = trimmed
 
-    if len(text) >= 2:
-        for open_q, close_q in _QUOTE_PAIRS:
-            if text.startswith(open_q) and text.endswith(close_q):
-                text = text[1:-1]
-                applied.append("unquote")
-                break
+    if len(text) >= 2 and text[0] == text[-1] and text[0] in "'\"`":
+        text = text[1:-1]
+        applied.append("unquote")
 
     if text.endswith("."):
         text = text[:-1]
@@ -220,20 +207,36 @@ def render_context(tree: MenuTree, condition: RoutingCondition) -> str:
     return render_flattened(flatten(tree))
 
 
-def retry_delay(attempt: int, retry_after: str | None, rng) -> float:
-    """Seconds to wait after failed attempt ``attempt`` (1-based).
+class Pacing:
+    """When ``run_calls`` sends an attempt; ``now`` is a ``time.monotonic()``.
+    Every attempt takes its own requests_per_second turn. A failed attempt
+    goes again after the server's Retry-After when it is whole seconds within
+    [0, MAX_RETRY_AFTER_S], exactly, and otherwise (none sent, an HTTP-date,
+    text, or longer) after a draw from ``rng`` below a cap of 0.5 s doubling
+    per attempt to 8 s ("full jitter"), so calls that fail together come back
+    apart. Runs given one Pacing keep one pace."""
 
-    The server's Retry-After when it is whole seconds within
-    [0, MAX_RETRY_AFTER_S], exactly; otherwise (none sent, an HTTP-date, a
-    negative number, text, or longer) a uniform draw from ``rng`` below a
-    cap of 0.5 s doubling per attempt to 8 s ("full jitter"), so calls that
-    fail together do not all come back together.
-    """
-    if retry_after is not None:
-        value = retry_after.strip()
+    def __init__(self, config: ProviderConfig, rng: random.Random | None = None):
+        self.interval = 1.0 / config.requests_per_second if config.requests_per_second else 0.0
+        self.max_retries = config.max_retries
+        self.rng = rng or random.Random()
+        self.next_send = 0.0  # no attempt is sent before this
+
+    def admit(self, now: float) -> float:
+        """``now`` if an attempt may go now, taking the turn; else when the next turn comes."""
+        if self.next_send > now:
+            return self.next_send
+        self.next_send = now + self.interval
+        return now
+
+    def retry_at(self, now: float, attempt: int, retry_after: str | None) -> float | None:
+        """When failed attempt ``attempt`` (1-based) goes again; None past max_retries."""
+        if attempt > self.max_retries:
+            return None
+        value = (retry_after or "").strip()
         if value.isascii() and value.isdigit() and int(value) <= MAX_RETRY_AFTER_S:
-            return float(int(value))
-    return rng.uniform(0.0, min(0.5 * 2 ** (attempt - 1), 8.0))
+            return now + int(value)
+        return now + self.rng.uniform(0.0, min(0.5 * 2 ** (attempt - 1), 8.0))
 
 
 def run_calls(
@@ -241,6 +244,7 @@ def run_calls(
     count: int,
     step: Callable[[int, int], object],
     error_budget: float,
+    pacing: Pacing | None = None,
 ) -> tuple[list, list[tuple[int, str]]]:
     """Run jobs 0 .. count - 1; return their values (None for a failed job)
     and the failures as (job, message).
@@ -249,25 +253,23 @@ def run_calls(
     and returns the job's value, or AGAIN for a follow-up call at attempt 1,
     admitted before any other. Up to max_in_flight workers take jobs in
     submission order; after each step its worker records the outcome and
-    submits what is due, with no scheduling thread. Every attempt, first
-    try, retry or follow-up, is admitted only when a requests_per_second
-    token is free, also across runs of one provider; a worker with nothing
-    to admit waits for the next token or the next due retry. At most WINDOW_PER_SLOT x max_in_flight jobs are
-    submitted at once. A step that raises TransportError gives its worker
-    back, and its job is submitted again after ``retry_delay``, ahead of
-    jobs not yet started; past max_retries the job fails with
-    TransportError("gave up after N attempt(s): ..."). While the latest
-    step to finish brought no value, jobs waiting out a retry count against
-    that window too. Another ``ProviderError`` fails its job; one failure
-    past ``error_budget`` (a fraction of ``count``) raises RoutingAborted,
-    and any other exception is raised as it is; nothing is admitted after
-    either, and queued jobs and waiting retries are dropped. The provider
-    stays open for the caller's next run; the caller closes it.
+    submits what is due, with no scheduling thread. ``pacing`` (by default a
+    fresh Pacing of the provider's config) admits every attempt and times
+    each retry; a worker with nothing to admit waits for the next turn or
+    the next due retry. At most WINDOW_PER_SLOT x max_in_flight jobs are
+    submitted at once; while the latest step to finish brought no value,
+    jobs waiting out a retry count too. A job whose step raises
+    TransportError gives its worker back and goes again, ahead of jobs not
+    yet started, or fails with TransportError("gave up after N attempt(s):
+    ...") once ``pacing`` gives up. Another ``ProviderError`` fails its job;
+    one failure past ``error_budget`` (a fraction of ``count``) raises
+    RoutingAborted, and any other exception is raised as it is; nothing is
+    admitted after either, and queued jobs and waiting retries are dropped.
+    The provider stays open for the caller's next run; the caller closes it.
     """
-    config = provider.config
     allowed_failures = math.floor(error_budget * count)
-    window = WINDOW_PER_SLOT * config.max_in_flight
-    interval = 1.0 / config.requests_per_second if config.requests_per_second else 0.0
+    window = WINDOW_PER_SLOT * provider.config.max_in_flight
+    pacing = pacing or Pacing(provider.config)
 
     values: list = [None] * count
     failures: list[tuple[int, str]] = []
@@ -277,12 +279,11 @@ def run_calls(
     waiting: list[tuple[float, int, int]] = []  # heap of (due time, job, attempt)
     submitted = 0  # tasks queued or running
     next_index = 0
-    next_token = provider.next_send  # when the next attempt may be sent
     failing = False  # the latest step to finish brought no value
     error: BaseException | None = None  # what aborts the run
 
     def work() -> None:
-        nonlocal submitted, next_index, next_token, failing, error
+        nonlocal submitted, next_index, failing, error
         with lock:
             while error is None:
                 now = time.monotonic()
@@ -299,10 +300,10 @@ def run_calls(
                         break  # every job is done
                     lock.wait(waiting[0][0] - now if waiting else None)
                     continue
-                if next_token > now:  # the next --rps turn has not come
-                    lock.wait(next_token - now)
+                due = pacing.admit(now)
+                if due > now:  # the next --rps turn has not come
+                    lock.wait(due - now)
                     continue
-                next_token = max(next_token, now) + interval
                 index, attempt = tasks.popleft()
                 lock.notify(len(tasks))  # idle workers take the rest
                 lock.release()
@@ -318,10 +319,11 @@ def run_calls(
                     continue
                 submitted -= 1
                 failing = isinstance(outcome, BaseException)
+                due = (pacing.retry_at(time.monotonic(), attempt, outcome.retry_after)
+                       if isinstance(outcome, TransportError) else None)
                 if not failing:
                     values[index] = outcome
-                elif isinstance(outcome, TransportError) and attempt <= config.max_retries:
-                    due = time.monotonic() + retry_delay(attempt, outcome.retry_after, provider.rng)
+                elif due is not None:
                     heapq.heappush(waiting, (due, index, attempt + 1))
                     lock.notify()  # a worker waiting for a later retry times its wait again
                 elif not isinstance(outcome, ProviderError):
@@ -340,10 +342,8 @@ def run_calls(
                         error.__cause__ = outcome
             lock.notify_all()  # the run is over, or aborted
 
-    threads = [
-        threading.Thread(target=work, name=f"ivroute-route-{n}", daemon=True)
-        for n in range(min(config.max_in_flight, count))
-    ]
+    threads = [threading.Thread(target=work, name=f"ivroute-route-{n}", daemon=True)
+               for n in range(min(provider.config.max_in_flight, count))]
     try:
         for thread in threads:
             thread.start()
@@ -357,8 +357,6 @@ def run_calls(
             if thread.is_alive():
                 thread.join()
         raise
-    finally:
-        provider.next_send = next_token  # the provider's next run keeps the pace
     if error is not None:
         raise error
     return values, failures
@@ -379,7 +377,8 @@ def route_all(
     its failures by intent id.
 
     ``identity`` is the ``run_identity`` of these inputs when the caller has
-    it already; without it, the inputs are hashed for the manifest here.
+    it already; without it, the inputs are hashed here. Its run id seeds the
+    retry jitter, so a rerun of the same inputs retries on the same schedule.
     """
     menu_problems = validate_menu(tree)
     if menu_problems:
@@ -399,8 +398,11 @@ def route_all(
     def by_id(failures: list[tuple[int, str]]) -> list[tuple[str, str]]:
         return [(records[index].id, message) for index, message in failures]
 
+    if identity is None:
+        identity = run_identity(ds, tree, condition, record_filter, provider.config.model_name, lenient)
     try:
-        slots, failures = run_calls(provider, len(records), step, error_budget)
+        slots, failures = run_calls(provider, len(records), step, error_budget,
+                                    Pacing(provider.config, random.Random(identity["run_id"])))
     except RoutingAborted as exc:
         exc.failures = by_id(exc.failures)
         raise
@@ -408,8 +410,6 @@ def route_all(
         # The running attempts are done: no idle connection outlives the run.
         provider.close()
     results = [r for r in slots if r is not None]
-    if identity is None:
-        identity = run_identity(ds, tree, condition, record_filter, provider.config.model_name, lenient)
     return RoutingRun(results=results, manifest=build_manifest(identity, len(results), by_id(failures)))
 
 

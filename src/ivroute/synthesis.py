@@ -21,7 +21,7 @@ from .datagen import DatagenError, Dataset, IntentRecord
 from .menu import MenuTree, TerminalPath
 from .prompts import load_template
 from .provider import Provider
-from .router import AGAIN, RoutingAborted, run_calls
+from .router import AGAIN, Pacing, RoutingAborted, run_calls
 
 log = logging.getLogger(__name__)
 
@@ -64,12 +64,12 @@ def parse_listed_lines(text: str) -> list[str]:
     return [line.strip() for line in text.splitlines() if line.strip()]
 
 
-def _run_jobs(provider: Provider, jobs: list[Generator]) -> list:
+def _run_jobs(provider: Provider, jobs: list[Generator], pacing: Pacing | None) -> list:
     """The return values of ``jobs``, in order. Each job yields a prompt
     and is sent its completion, until it returns. The jobs share the
     workers of ``run_calls``, a backoff holds none, and the first failure
-    ends the run and is raised as it is. The provider stays open for the
-    next stage; the caller closes it."""
+    ends the run and is raised as it is. The provider stays open, and
+    ``pacing`` keeps its pace, for the next stage; the caller closes it."""
     prompts = [next(job) for job in jobs]
 
     def step(index: int, attempt: int):
@@ -80,7 +80,7 @@ def _run_jobs(provider: Provider, jobs: list[Generator]) -> list:
         return AGAIN
 
     try:
-        return run_calls(provider, len(jobs), step, error_budget=0)[0]
+        return run_calls(provider, len(jobs), step, error_budget=0, pacing=pacing)[0]
     except RoutingAborted as exc:
         raise exc.__cause__  # with no failure allowed, the run's only one
 
@@ -94,6 +94,7 @@ def generate_base_intents(
     paths: Sequence[TerminalPath],
     provider: Provider,
     per_node: int = 10,
+    pacing: Pacing | None = None,
 ) -> list[IntentRecord]:
     """per_node distinct complaints for every terminal path.
 
@@ -133,7 +134,7 @@ def generate_base_intents(
             f"after {1 + _EXTRA_CALLS} call(s), needed {per_node}"
         )
 
-    return [r for node in _run_jobs(provider, [generate_node(tp) for tp in paths]) for r in node]
+    return [r for node in _run_jobs(provider, [generate_node(tp) for tp in paths], pacing) for r in node]
 
 
 # --- augmentation -------------------------------------------------------------
@@ -160,6 +161,7 @@ def augment_intents(
     variants: int = 3,
     noise: NoiseProfile = DEFAULT_NOISE,
     seed: int = 0,
+    pacing: Pacing | None = None,
 ) -> list[IntentRecord]:
     """``variants`` paraphrases per base record, labels untouched.
 
@@ -215,7 +217,7 @@ def augment_intents(
         else:
             prompt = prompt.replace("\n{{NOISE_DIRECTIVES}}", "")
         jobs.append(paraphrase(record, prompt))
-    return [r for variants_of in _run_jobs(provider, jobs) for r in variants_of]
+    return [r for variants_of in _run_jobs(provider, jobs, pacing) for r in variants_of]
 
 
 def build_dataset(
@@ -228,7 +230,8 @@ def build_dataset(
     seed: int = 0,
 ) -> Dataset:
     """Both generation stages back to back: all base records, then all
-    augmented records."""
-    base = generate_base_intents(paths, provider, per_node)
-    augmented = augment_intents(base, provider, variants, noise, seed)
+    augmented records, at one pace whose retry jitter ``seed`` fixes."""
+    pacing = Pacing(provider.config, random.Random(seed))
+    base = generate_base_intents(paths, provider, per_node, pacing)
+    augmented = augment_intents(base, provider, variants, noise, seed, pacing)
     return Dataset(tree.name, base + augmented)

@@ -506,6 +506,21 @@ def test_route_every_intent_failing_within_budget_exit_1(tmp_path, fixture_menu_
     assert len(manifest["failures"]) == 230
 
 
+def test_route_reply_content_that_is_no_text_exit_1(tmp_path, fixture_menu_path, fixture_dataset_path,
+                                                    chat_server, monkeypatch, capsys):
+    monkeypatch.delenv(DEFAULT_API_KEY_ENV, raising=False)
+    server = chat_server(reply=219)  # "content": 219
+    argv = ["route", "--menu", str(fixture_menu_path), "--dataset", str(fixture_dataset_path),
+            "--filter", "base_only", "--provider", "http", "--endpoint", server.url,
+            "--max-in-flight", "1", "--out", str(tmp_path)]
+    assert run(argv) == 1  # returned: an exception would leave main
+    err = capsys.readouterr().err
+    assert err.startswith("error: run aborted: 3 provider failure(s) exceeded the budget of 2")
+    assert "content that is no text" in err and "Traceback" not in err
+    assert server.answered == 3
+    assert server.wait_all_closed()
+
+
 # --- eval ------------------------------------------------------------------------------
 
 def test_eval_oracle_run(tmp_path, fixture_menu_path, fixture_dataset_path, capsys):
@@ -757,6 +772,17 @@ def test_demo_lines_share_one_connection(fixture_menu_path, chat_server, monkeyp
     assert server.answered == 2
     assert server.accepted == 1  # the second line reused the first line's connection
     assert server.wait_all_closed()
+
+
+def test_demo_lines_share_one_pace(fixture_menu_path, monkeypatch, capsys):
+    paced = []
+    run_calls = router.run_calls
+    monkeypatch.setattr("ivroute.cli.run_calls", lambda *args, pacing, **kwargs: (
+        paced.append(pacing) or run_calls(*args, pacing=pacing, **kwargs)))
+    feed_stdin(monkeypatch, "check my balance\npay my bill\n")
+    assert run(["demo", "--menu", str(fixture_menu_path), "--provider", "keyword"]) == 0
+    assert capsys.readouterr().out.count("\n") == 2
+    assert len(paced) == 2 and paced[0] is paced[1]  # the second line keeps the first line's pace
 
 
 def test_demo_invalid_reply_reported(fixture_menu_path, tmp_path, monkeypatch, capsys):

@@ -19,6 +19,7 @@ from ivroute.datagen import (
 )
 from ivroute.menu import DtmfPath, flatten
 from ivroute.provider import HttpProvider, ProviderConfig, ProviderError, ScriptedProvider
+from ivroute import synthesis
 from ivroute.synthesis import (
     NoiseProfile,
     augment_intents,
@@ -277,6 +278,18 @@ def test_build_dataset_small(tiny_tree):
     base = [r for r in ds.records if r.origin == "base"]
     assert len(base) == 6
     assert ds.records[:6] == base  # base block first, then the variants
+
+
+def test_build_dataset_runs_both_stages_at_one_pace_seeded_by_its_seed(tiny_tree, monkeypatch):
+    paced = []
+    run_calls = synthesis.run_calls
+    monkeypatch.setattr(synthesis, "run_calls", lambda *args, pacing, **kwargs: (
+        paced.append(pacing) or run_calls(*args, pacing=pacing, **kwargs)))
+    paths = flatten(tiny_tree)
+    replies = [numbered([f"{kind} {i}"]) for kind in ("complaint", "variant") for i in range(3)]
+    build_dataset(tiny_tree, paths, serial_scripted(replies), per_node=1, variants=1, seed=7)
+    assert len(paced) == 2 and paced[0] is paced[1]  # the paraphrase stage keeps the base stage's pace
+    assert paced[0].rng.getstate() == random.Random(7).getstate()  # no retry drew from it
 
 
 # --- dataset validation --------------------------------------------------------------

@@ -3,6 +3,7 @@ shipped transport against a loopback server, the deterministic doubles,
 the retry and pacing policy of the scheduler, and role separation."""
 
 import base64
+import heapq
 import json
 import os
 import random
@@ -16,6 +17,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ivroute
 from ivroute.menu import render_flattened
@@ -37,7 +40,7 @@ from ivroute.provider import (
 from ivroute.httpclient import ConnectionPool, _dropped, _tls_context
 
 from ivroute import router
-from ivroute.router import RoutingAborted, retry_delay, route_all, run_calls
+from ivroute.router import Pacing, RoutingAborted, route_all, run_calls
 
 from conftest import TLS_CERT, tiny_dataset
 
@@ -73,24 +76,33 @@ class CapRng(random.Random):
         return b
 
 
-def http_provider(responses, rng=None, **config_kwargs):
-    """An HttpProvider on a FakeTransport; backoffs are drawn at their caps
-    unless another ``rng`` is given."""
+def http_provider(responses, **config_kwargs):
+    """An HttpProvider on a FakeTransport."""
     config = ProviderConfig(
         endpoint_url="https://endpoint.test/v1/chat/completions",
         model_name=config_kwargs.pop("model_name", "test-model"),
         **config_kwargs,
     )
     transport = FakeTransport(responses)
-    provider = HttpProvider(config, transport=transport, rng=rng or CapRng())
+    provider = HttpProvider(config, transport=transport)
     return provider, transport
 
 
-def recording_delays(patch, delays):
-    """Make run_calls append the wait its retry policy chose after each
-    failed attempt to ``delays``, and retry at once instead."""
-    policy = router.retry_delay
-    patch.setattr(router, "retry_delay", lambda *args: delays.append(policy(*args)) or 0.0)
+class RecordingPacing(Pacing):
+    """Appends the wait it chose after each failed attempt to ``delays``
+    and retries at once instead. Backoffs are drawn at their caps, so
+    jittered delays are exact, unless another ``rng`` is given."""
+
+    def __init__(self, config, delays, rng=None):
+        super().__init__(config, rng or CapRng())
+        self.delays = delays
+
+    def retry_at(self, now, attempt, retry_after):
+        wait = super().retry_at(0.0, attempt, retry_after)  # due at time 0 + the wait
+        if wait is None:
+            return None
+        self.delays.append(wait)
+        return now
 
 
 def attempt_until_done(provider, prompt, delays):
@@ -100,12 +112,11 @@ def attempt_until_done(provider, prompt, delays):
     def step(_, attempt):
         return provider.complete(prompt, attempt)
 
-    with pytest.MonkeyPatch.context() as patch:
-        recording_delays(patch, delays)
-        try:
-            (completion,), _ = run_calls(provider, 1, step, error_budget=0)
-        except RoutingAborted as exc:
-            raise exc.__cause__  # with no failure allowed, the only one
+    try:
+        (completion,), _ = run_calls(provider, 1, step, error_budget=0,
+                                     pacing=RecordingPacing(provider.config, delays))
+    except RoutingAborted as exc:
+        raise exc.__cause__  # with no failure allowed, the only one
     return completion
 
 
@@ -220,30 +231,34 @@ def test_backoff_doubles_and_caps():
     assert delays == [0.5, 1.0, 2.0, 4.0, 8.0]
 
 
-BACKOFF_CAPS = [0.5, 1.0, 2.0, 4.0, 8.0, 8.0]
+# The jitter cap of failed attempts 1 .. 5, the most max_retries allows.
+BACKOFF_CAPS = [0.5, 1.0, 2.0, 4.0, 8.0]
 
 
 def test_jittered_backoff_spreads_below_a_doubling_cap():
-    rng = random.Random(6)
+    pacing = Pacing(ProviderConfig(max_retries=5), random.Random(6))
     for attempt, cap in enumerate(BACKOFF_CAPS, start=1):
-        draws = [retry_delay(attempt, None, rng) for _ in range(200)]
+        draws = [pacing.retry_at(0.0, attempt, None) for _ in range(200)]
         assert all(0.0 <= delay <= cap for delay in draws)
         assert min(draws) < 0.1 * cap and max(draws) > 0.9 * cap  # the whole range, full jitter
-    assert [retry_delay(attempt, None, CapRng()) for attempt in range(1, 7)] == BACKOFF_CAPS
+    capped = Pacing(ProviderConfig(max_retries=5), CapRng())
+    assert [capped.retry_at(0.0, attempt, None) for attempt in range(1, 6)] == BACKOFF_CAPS
 
 
 @pytest.mark.parametrize("retry_after, delay", [("0", 0.0), ("3", 3.0), ("60", 60.0)])
 def test_honoured_retry_after_is_exact_not_jittered(retry_after, delay):
-    for attempt in range(1, 7):
-        assert retry_delay(attempt, retry_after, random.Random(attempt)) == delay
+    for attempt in range(1, 6):
+        pacing = Pacing(ProviderConfig(max_retries=5), random.Random(attempt))
+        assert pacing.retry_at(0.0, attempt, retry_after) == delay
+        assert pacing.retry_at(1234.5, attempt, retry_after) == 1234.5 + delay
 
 
-def test_calls_that_fail_together_back_off_apart(monkeypatch):
+def test_calls_that_fail_together_back_off_apart():
     provider, _ = http_provider([(503, "busy")] * 2 + [(200, ok_body("1-1"))] * 2,
-                                rng=random.Random(8), max_retries=3, max_in_flight=1)
+                                max_retries=3, max_in_flight=1)
     delays = []
-    recording_delays(monkeypatch, delays)
-    run_calls(provider, 2, complete_each(provider), error_budget=0)
+    pacing = RecordingPacing(provider.config, delays, random.Random(8))
+    run_calls(provider, 2, complete_each(provider), error_budget=0, pacing=pacing)
     assert len(delays) == 2 and delays[0] != delays[1]
     assert all(0.0 <= delay <= 0.5 for delay in delays)
 
@@ -278,12 +293,20 @@ def test_malformed_body_is_protocol_error_not_retried():
         json.dumps({"choices": []}),
         json.dumps({"choices": [{"no_message": 1}]}),
         json.dumps({"choices": [{"message": {"role": "assistant"}}]}),
+        json.dumps({"choices": {"x": 1}}),
+        json.dumps({"choices": [{"message": {"content": 219}}]}),
+        json.dumps({"choices": [{"message": {"content": [{"type": "text", "text": "1-1"}]}}]}),
     ],
 )
 def test_missing_choices_or_content_is_protocol_error(body):
     provider, _ = http_provider([(200, body)])
     with pytest.raises(ProtocolError):
         provider.complete("q")
+
+
+def test_null_content_is_an_empty_reply():
+    provider, _ = http_provider([(200, json.dumps({"choices": [{"message": {"content": None}}]}))])
+    assert provider.complete("q").raw_text == ""
 
 
 def test_success_never_retried():
@@ -390,7 +413,7 @@ def live_provider(url, **config_kwargs):
     """An HttpProvider on its own transport; backoffs are drawn at their
     caps."""
     config = ProviderConfig(endpoint_url=url, model_name="test-model", **config_kwargs)
-    return HttpProvider(config, rng=CapRng())
+    return HttpProvider(config)
 
 
 def closed_port() -> int:
@@ -771,6 +794,104 @@ def test_mocks_are_deterministic(paths):
         assert first == second
 
 
+# --- the pacing policy, at simulated times ------------------------------------------
+
+def test_pacing_admits_one_attempt_per_turn():
+    pacing = Pacing(ProviderConfig(requests_per_second=4))
+    assert pacing.admit(10.0) == 10.0  # the first attempt goes at once
+    assert pacing.admit(10.0) == 10.25  # the next waits a quarter second
+    assert pacing.admit(10.1) == 10.25  # asking early takes no turn
+    assert pacing.admit(10.25) == 10.25
+    assert pacing.admit(10.3) == 10.5
+    assert pacing.admit(11.0) == 11.0  # idle turns are not saved up for a burst
+    assert pacing.admit(11.0) == 11.25
+
+
+def test_pacing_without_a_rate_admits_every_attempt_at_once():
+    pacing = Pacing(ProviderConfig())
+    assert [pacing.admit(5.0) for _ in range(3)] == [5.0] * 3
+
+
+def test_a_retry_due_at_once_still_takes_its_own_turn():
+    pacing = Pacing(ProviderConfig(requests_per_second=2))
+    assert pacing.admit(0.0) == 0.0
+    due = pacing.retry_at(0.0, 1, "0")  # that attempt got Retry-After: 0
+    assert due == 0.0
+    assert pacing.admit(due) == 0.5  # the retry waits for the next turn
+    assert pacing.admit(0.5) == 0.5
+
+
+@pytest.mark.parametrize("max_retries", range(6))
+def test_pacing_gives_up_past_max_retries(max_retries):
+    pacing = Pacing(ProviderConfig(max_retries=max_retries), random.Random(1))
+    for attempt in range(1, 8):
+        for retry_after in ("0", None):
+            assert (pacing.retry_at(0.0, attempt, retry_after) is None) == (attempt > max_retries)
+
+
+def test_pacing_with_the_same_seed_draws_the_same_waits():
+    def waits(seed):
+        pacing = Pacing(ProviderConfig(max_retries=5), random.Random(seed))
+        return [pacing.retry_at(0.0, attempt, None) for attempt in (1, 2, 1, 3, 5, 4)]
+
+    assert waits("c3ca07a72a4f") == waits("c3ca07a72a4f")
+    assert waits("c3ca07a72a4f") != waits("0123456789ab")
+
+
+HONOURED = ("0", "1", "7", "60")
+RETRY_AFTERS = st.one_of(st.none(), st.sampled_from([*HONOURED, "61", "-1", "soon"]))
+
+
+def paced_schedule(rps, max_retries, failures, seed):
+    """Jobs 0 .. len(failures) - 1, all ready at time 0, sent at simulated
+    times as run_calls sends them with replies that take no time: attempt
+    ``n`` of job ``i`` fails with Retry-After ``failures[i][n - 1]`` while
+    there is one, and answers after. Returns the sends, as (time, job,
+    attempt), and the retries asked for, as (failed at, job, attempt, due
+    or None)."""
+    config = ProviderConfig(requests_per_second=rps, max_retries=max_retries)
+    pacing = Pacing(config, random.Random(seed))
+    ready = [(0.0, job, 1) for job in range(len(failures))]  # a heap of (due, job, attempt)
+    now, sends, retries = 0.0, [], []
+    while ready:
+        due, job, attempt = heapq.heappop(ready)
+        now = max(now, due)
+        while (turn := pacing.admit(now)) > now:
+            now = turn
+        sends.append((now, job, attempt))
+        if attempt <= len(failures[job]):
+            due = pacing.retry_at(now, attempt, failures[job][attempt - 1])
+            retries.append((now, job, attempt, due))
+            if due is not None:
+                heapq.heappush(ready, (due, job, attempt + 1))
+    return sends, retries
+
+
+@settings(max_examples=200, deadline=None)
+@given(rps=st.sampled_from([None, 0.5, 3, 10, 1000]), max_retries=st.integers(0, 5),
+       failures=st.lists(st.lists(RETRY_AFTERS, max_size=7), min_size=1, max_size=6),
+       seed=st.text(max_size=12))
+def test_a_paced_schedule_keeps_every_rule(rps, max_retries, failures, seed):
+    sends, retries = paced_schedule(rps, max_retries, failures, seed)
+    times = [at for at, _, _ in sends]
+    interval = 1 / rps if rps else 0.0
+    assert all(b - a >= interval - 1e-9 for a, b in zip(times, times[1:]))  # retries too
+    due_of = {}
+    for at, job, attempt, due in retries:
+        retry_after = failures[job][attempt - 1]
+        if attempt > max_retries:
+            assert due is None
+        elif retry_after in HONOURED:
+            assert due == at + int(retry_after)
+        else:
+            assert at <= due <= at + min(0.5 * 2 ** (attempt - 1), 8.0)
+        due_of[job, attempt + 1] = due
+    for job, fails in enumerate(failures):
+        assert [a for _, j, a in sends if j == job] == list(range(1, min(len(fails), max_retries) + 2))
+    assert all(at >= due_of[job, attempt] for at, job, attempt in sends if attempt > 1)
+    assert paced_schedule(rps, max_retries, failures, seed) == (sends, retries)  # same seed, same waits
+
+
 # --- concurrency and pacing, through run_calls --------------------------------------
 
 class SlowProvider(Provider):
@@ -814,12 +935,13 @@ class TimedProvider(Provider):
 def test_run_calls_paces_every_attempt_and_a_retry_takes_its_own_token():
     # Four jobs at 10/s on four workers; the first request gets a 503 with
     # Retry-After: 0, so its retry is due at once but still waits its turn,
-    # and so does the job of a second run on the same provider.
+    # and so does the job of a second run given the same pacing.
     provider = TimedProvider(ProviderConfig(max_in_flight=4, requests_per_second=10), fail={1})
-    values, failures = run_calls(provider, 4, complete_each(provider), error_budget=0)
+    pacing = Pacing(provider.config)
+    values, failures = run_calls(provider, 4, complete_each(provider), error_budget=0, pacing=pacing)
     assert [v.attempt_count for v in values] == [2, 1, 1, 1] and failures == []
     assert len(provider.starts) == 5
-    run_calls(provider, 1, complete_each(provider), error_budget=0)  # the next run keeps the pace
+    run_calls(provider, 1, complete_each(provider), error_budget=0, pacing=pacing)  # keeps the pace
     assert len(provider.starts) == 6
     gaps = [b - a for a, b in zip(provider.starts, provider.starts[1:])]
     assert min(gaps) >= 0.07  # 1/10 s apart, less the time from admission to send

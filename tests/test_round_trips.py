@@ -5,7 +5,7 @@ applies."""
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ivroute.datagen import (
@@ -175,11 +175,13 @@ def results_row(predicted, ground_truth) -> str:
 
 @settings(max_examples=200, deadline=None)
 @given(any_text)
+@example(INVALID)
 def test_a_results_row_takes_exactly_the_grammars_paths(tmp_path_factory, text):
     file = tmp_path_factory.getbasetemp() / "grammar-results.jsonl"  # rewritten by every example
     for predicted, ground_truth in [(text, "1"), ("1", text), (INVALID, text)]:
         file.write_text(results_row(predicted, ground_truth), encoding="utf-8")
-        if is_path(text) or (text == INVALID and predicted == text):
+        # A row loads iff it predicts a path or INVALID, for a path.
+        if (is_path(predicted) or predicted == INVALID) and is_path(ground_truth):
             (result,) = load_results(file)
             assert (result.predicted, result.ground_truth) == (predicted, ground_truth)
         else:

@@ -3,6 +3,7 @@ result files."""
 
 import json
 import math
+import random
 import signal
 import sys
 import threading
@@ -363,26 +364,22 @@ def test_route_all_dead_endpoint_sees_a_bounded_window(tiny_tree):
     assert len(set(transport.queries)) <= 2  # router.WINDOW_PER_SLOT x max_in_flight
 
 
-class FixedJitter:
-    """A jitter source whose every draw is ``delay``."""
-
-    def __init__(self, delay):
-        self.delay = delay
-
-    def uniform(self, a, b):
-        return self.delay
+def fixed_backoff(monkeypatch, delay):
+    """Make every retry that Pacing allows wait exactly ``delay`` seconds."""
+    retry_at = router.Pacing.retry_at
+    monkeypatch.setattr(router.Pacing, "retry_at", lambda self, now, *rest: (
+        None if retry_at(self, now, *rest) is None else now + delay))
 
 
 class BackoffProvider(Provider):
     """Fails the first ``backoffs.get(query, 0)`` attempts of a query with a
-    TransportError that run_calls retries after ``delay`` seconds; every
-    other attempt answers ``1-1`` after ``latency`` seconds. Records when
-    each attempt arrived."""
+    TransportError that run_calls retries; every other attempt answers
+    ``1-1`` after ``latency`` seconds. Records when each attempt arrived."""
 
-    def __init__(self, delay, backoffs, max_in_flight, latency=0.0, rps=None):
+    def __init__(self, backoffs, max_in_flight, latency=0.0, rps=None):
         config = ProviderConfig(model_name="backoff-mock", max_in_flight=max_in_flight,
                                 requests_per_second=rps)
-        super().__init__(config, rng=FixedJitter(delay))
+        super().__init__(config)
         self._backoffs = backoffs
         self._latency = latency
         self.arrivals = []  # (query, attempt, monotonic time)
@@ -398,10 +395,11 @@ class BackoffProvider(Provider):
         return "1-1"
 
 
-def test_route_all_dead_endpoint_whose_retries_wait_sees_a_bounded_window(tiny_tree):
+def test_route_all_dead_endpoint_whose_retries_wait_sees_a_bounded_window(tiny_tree, monkeypatch):
     ds = tiny_dataset()
     dead = dict.fromkeys((r.text for r in ds.records), math.inf)
-    provider = BackoffProvider(delay=0.05, backoffs=dead, max_in_flight=1)
+    fixed_backoff(monkeypatch, 0.05)
+    provider = BackoffProvider(backoffs=dead, max_in_flight=1)
     with pytest.raises(RoutingAborted) as excinfo:
         route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider, error_budget=0.0)
     assert excinfo.value.failures[0][1] == "gave up after 4 attempt(s): busy"
@@ -410,14 +408,15 @@ def test_route_all_dead_endpoint_whose_retries_wait_sees_a_bounded_window(tiny_t
     assert len({query for query, _, _ in provider.arrivals}) <= 2
 
 
-def test_route_all_keeps_starting_intents_while_retries_wait_on_a_healthy_endpoint(tiny_tree):
+def test_route_all_keeps_starting_intents_while_retries_wait_on_a_healthy_endpoint(tiny_tree, monkeypatch):
     ds = tiny_dataset()
     queries = [r.text for r in ds.records]
     # A window's worth of intents (2 at max_in_flight=1) back off once, each
     # followed by an intent that is answered. Were waiting retries always
     # counted against the window, the two of them would hold back every
     # intent after the third until a retry came back.
-    provider = BackoffProvider(delay=0.3, backoffs={queries[0]: 1, queries[2]: 1},
+    fixed_backoff(monkeypatch, 0.3)
+    provider = BackoffProvider(backoffs={queries[0]: 1, queries[2]: 1},
                                max_in_flight=1, latency=0.02)
     run = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
     assert [r.intent_id for r in run.results] == [r.id for r in ds.records]
@@ -427,7 +426,7 @@ def test_route_all_keeps_starting_intents_while_retries_wait_on_a_healthy_endpoi
     assert max(first.values()) < first_retry_due
 
 
-def test_route_all_wakes_an_idle_worker_for_intents_admitted_after_an_answer(tiny_tree):
+def test_route_all_wakes_an_idle_worker_for_intents_admitted_after_an_answer(tiny_tree, monkeypatch):
     ds = tiny_dataset()
     queries = [r.text for r in ds.records]
     # Two workers, a window of four: the first, second and fourth intents
@@ -436,7 +435,8 @@ def test_route_all_wakes_an_idle_worker_for_intents_admitted_after_an_answer(tin
     # once. The worker waiting for the first retry takes one of them then,
     # not when that retry is due: one worker taking both in turn would start
     # the second after 2 x 0.3 s, past the 0.5 s backoff.
-    provider = BackoffProvider(delay=0.5, backoffs={queries[0]: 1, queries[1]: 1, queries[3]: 1},
+    fixed_backoff(monkeypatch, 0.5)
+    provider = BackoffProvider(backoffs={queries[0]: 1, queries[1]: 1, queries[3]: 1},
                                max_in_flight=2, latency=0.3)
     run = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
     assert [r.intent_id for r in run.results] == [r.id for r in ds.records]
@@ -445,9 +445,10 @@ def test_route_all_wakes_an_idle_worker_for_intents_admitted_after_an_answer(tin
     assert max(first.values()) < first_retry_due
 
 
-def test_route_all_submits_a_retry_once_it_is_due(tiny_tree):
+def test_route_all_submits_a_retry_once_it_is_due(tiny_tree, monkeypatch):
     ds = tiny_dataset()
-    provider = BackoffProvider(delay=0.05, backoffs=dict.fromkeys((r.text for r in ds.records), 1),
+    fixed_backoff(monkeypatch, 0.05)
+    provider = BackoffProvider(backoffs=dict.fromkeys((r.text for r in ds.records), 1),
                                max_in_flight=2)
     run = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
     assert [r.intent_id for r in run.results] == [r.id for r in ds.records]
@@ -455,6 +456,38 @@ def test_route_all_submits_a_retry_once_it_is_due(tiny_tree):
     second = {query: at for query, attempt, at in provider.arrivals if attempt == 2}
     assert set(first) == set(second) == {r.text for r in ds.records}
     assert all(second[query] - first[query] >= 0.05 for query in first)
+
+
+def test_route_all_seeds_its_retry_jitter_with_the_run_id(tiny_tree, monkeypatch):
+    ds = tiny_dataset()
+    draws = []  # (attempt, wait) for each failed attempt, in order
+    retry_at = router.Pacing.retry_at
+
+    def recording(self, now, attempt, retry_after):  # records the wait, retries at once
+        wait = retry_at(self, 0.0, attempt, retry_after)
+        draws.append((attempt, wait))
+        return None if wait is None else now
+
+    monkeypatch.setattr(router.Pacing, "retry_at", recording)
+
+    def waits(**kwargs):
+        draws.clear()
+        provider = BackoffProvider(backoffs=dict.fromkeys((r.text for r in ds.records), 2),
+                                   max_in_flight=1)
+        run = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider, **kwargs)
+        assert len(run.results) == len(ds.records)
+        return run.manifest["run_id"], list(draws)
+
+    run_id, first = waits()
+    assert len(first) == 2 * len(ds.records)
+    assert waits() == (run_id, first)  # a rerun of the same inputs retries on the same schedule
+    rng = random.Random(run_id)
+    assert first == [(attempt, rng.uniform(0.0, 0.5 * 2 ** (attempt - 1))) for attempt, _ in first]
+    identity = run_identity(ds, tiny_tree, RoutingCondition.FLATTENED_PATHS, "all", "backoff-mock", False)
+    assert identity["run_id"] == run_id
+    other_id, other = waits(identity={**identity, "run_id": "0123456789ab"})
+    assert other_id == "0123456789ab" and [a for a, _ in other] == [a for a, _ in first]
+    assert other != first
 
 
 def test_route_all_takes_the_callers_identity(tiny_tree, monkeypatch):
@@ -535,7 +568,7 @@ def test_route_all_interrupted_in_the_caller_drops_queued_calls(tiny_tree):
     assert workers_alive() == []
 
 
-def test_route_all_stress_keeps_every_intent_once(dataset, tree):
+def test_route_all_stress_keeps_every_intent_once(dataset, tree, monkeypatch):
     # Eight workers share the queue, the retry heap and the pacing turn;
     # switching threads every microsecond makes a lost update under the lock
     # show as a missing, repeated or reordered result, a wrong attempt count,
@@ -543,7 +576,8 @@ def test_route_all_stress_keeps_every_intent_once(dataset, tree):
     queries = [r.text for r in dataset.records]
     backoffs = dict.fromkeys(queries[::3], 1)
     rate = 2000
-    provider = BackoffProvider(delay=0.0, backoffs=backoffs, max_in_flight=8, rps=rate)
+    fixed_backoff(monkeypatch, 0.0)
+    provider = BackoffProvider(backoffs=backoffs, max_in_flight=8, rps=rate)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
