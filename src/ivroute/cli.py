@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import re
+import shutil
 import sys
 from pathlib import Path
 
@@ -290,6 +291,9 @@ def cmd_route(args: argparse.Namespace) -> int:
     (run_dir / "manifest.json").write_text(
         json.dumps(run.manifest, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
     )
+    # A --force rerun's report scored the results just replaced; until they
+    # were, an aborted rerun kept both.
+    shutil.rmtree(run_dir / f"eval-{identity['run_id']}", ignore_errors=True)
     if not run.results:  # every failure fit in the error budget, so nothing can be scored
         failures = len(run.manifest["failures"])
         raise CommandFailed(
@@ -383,8 +387,8 @@ def cmd_demo(args: argparse.Namespace) -> int:
         if not query:
             continue
 
-        def step(index: int, attempt: int):
-            return route(query, condition, context, provider, args.lenient, attempt)
+        def step(index: int):
+            return route(query, condition, context, provider, args.lenient)
 
         # One job per line; its failure is reported, not fatal.
         (outcome,), failures = run_calls(provider, 1, step, error_budget=1, pacing=pacing)

@@ -201,25 +201,29 @@ class ConnectionPool:
     is read, unless the response ended the connection. At most ``size``
     connections are kept, so a provider with ``size`` calls in flight never
     holds more than that. The proxy (from ``HTTP(S)_PROXY`` / ``NO_PROXY``),
-    the request line and the Host header are settled here, once, not per
-    request.
+    the request head but its Content-Length, with ``headers`` in it, and the
+    ``timeout`` of every socket are settled here, once, not per request; a
+    header that holds a line break is refused here, before anything is sent.
     """
 
-    def __init__(self, url: str, size: int):
+    def __init__(self, url: str, size: int, headers: dict, timeout: float):
         parts = urlsplit(url)
         if parts.scheme not in DEFAULT_PORTS or not parts.hostname:
             raise ValueError(f"endpoint must be an http:// or https:// URL, not {url!r}")
         default_port = DEFAULT_PORTS[parts.scheme]
         port = default_port if parts.port is None else parts.port  # .port raises ValueError when malformed
-        self.url = url
         self._size = size
+        self._timeout = timeout
         self._idle: list[_Connection] = []
         self._lock = threading.Lock()
         self._address = (parts.hostname, port)
         self._tls_host = parts.hostname if parts.scheme == "https" else None
         self._tunnel = None  # the CONNECT request, when TLS goes through a proxy
         target = urlunsplit(("", "", parts.path or "/", parts.query, ""))
-        self._headers = {"User-Agent": f"ivroute/{__version__}"}
+        fields = {
+            "Host": _authority(parts.hostname, port, default_port), "Accept-Encoding": "identity",
+            "User-Agent": f"ivroute/{__version__}", "Content-Type": "application/json",
+        }
 
         proxy = _proxy_for(parts.scheme, parts.hostname)
         if proxy:
@@ -236,24 +240,19 @@ class ConnectionPool:
             self._address = (proxy_parts.hostname, proxy_parts.port or 80)
             if self._tls_host:  # a CONNECT tunnel through the proxy, TLS to the endpoint inside it
                 authority = _authority(parts.hostname, port)
-                self._tunnel = _head(f"CONNECT {authority} HTTP/1.1", {"Host": authority, **proxy_headers})
+                connect = _head(f"CONNECT {authority} HTTP/1.1", {"Host": authority, **proxy_headers})
+                self._tunnel = connect + b"\r\n"
             else:  # the proxy takes the absolute URL
                 target = url
-                self._headers.update(proxy_headers)
-        self._request_line = f"POST {target} HTTP/1.1"
-        self._host = _authority(parts.hostname, port, default_port)
+                fields.update(proxy_headers)
+        self._head = _head(f"POST {target} HTTP/1.1", {**fields, **headers})
 
-    def request(self, url: str, payload: dict, headers: dict, timeout: float) -> tuple[int, str, str | None]:
+    def request(self, payload: dict) -> tuple[int, str, str | None]:
         """POST ``payload`` as JSON; (status, body decoded as UTF-8, the
         Retry-After header of a 429 or 503 response or None)."""
-        if url != self.url:
-            raise ValueError(f"connection pool for {self.url} cannot send to {url}")
         body = json.dumps(payload).encode("utf-8")
-        message = _head(self._request_line, {
-            "Host": self._host, "Accept-Encoding": "identity", "Content-Length": str(len(body)),
-            **self._headers, **headers,
-        }) + body
-        conn = self._checkout(timeout)
+        message = self._head + b"Content-Length: %d\r\n\r\n" % len(body) + body
+        conn = self._checkout()
         try:
             if conn is not None:
                 try:
@@ -265,7 +264,7 @@ class ConnectionPool:
                     conn.close()
                     conn = None
             if conn is None:
-                conn = self._open(timeout)
+                conn = self._open()
                 response = self._send(conn, message)
         except BaseException as exc:
             if conn is not None:
@@ -295,8 +294,8 @@ class ConnectionPool:
         for conn in idle:
             conn.close()
 
-    def _open(self, timeout: float) -> _Connection:
-        conn = _Connection(socket.create_connection(self._address, timeout))
+    def _open(self) -> _Connection:
+        conn = _Connection(socket.create_connection(self._address, self._timeout))
         try:
             conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             if self._tunnel:
@@ -313,7 +312,7 @@ class ConnectionPool:
             raise
         return conn
 
-    def _checkout(self, timeout: float) -> _Connection | None:
+    def _checkout(self) -> _Connection | None:
         """The most recently used idle connection still open, or None."""
         while True:
             with self._lock:
@@ -321,7 +320,6 @@ class ConnectionPool:
                     return None
                 conn = self._idle.pop()
             if not _dropped(conn.sock):
-                conn.sock.settimeout(timeout)
                 return conn
             conn.close()  # the server hung up while it sat idle: no attempt is spent on it
 
@@ -346,16 +344,16 @@ class ConnectionPool:
 
 
 def _head(start_line: str, fields: dict) -> bytes:
-    """A request head. A field that holds a line break is refused, named but
-    not shown, since it may hold a credential."""
+    """A request head up to its closing empty line, each line ended. A field
+    that holds a line break is refused, named but not shown, since it may
+    hold a credential."""
     lines = [start_line]
     for name, value in fields.items():
         line = f"{name}: {value}"
         if "\r" in line or "\n" in line:
             raise ValueError(f"header field {name!r} holds a line break")
         lines.append(line)
-    lines += ("", "")
-    return "\r\n".join(lines).encode("latin-1")
+    return "".join(line + "\r\n" for line in lines).encode("latin-1")
 
 
 @functools.cache

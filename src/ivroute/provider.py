@@ -1,13 +1,14 @@
 """Chat-completion providers: one real HTTP client plus deterministic doubles.
 
-All providers share the same contract: ``complete(prompt, attempt) ->
-Completion`` sends exactly one request, safe to call from many worker
-threads at once. An attempt worth repeating raises ``TransportError`` with
-the server's ``retry_after``; any other ``ProviderError`` is final. A
-provider only sends: ``router.run_calls`` bounds the requests in flight and
-asks a ``router.Pacing`` when each attempt goes (``--rps``, ``Retry-After``,
-seeded jitter, ``max_retries``). Subclasses implement a single ``_request``
-hook; the base class keeps the latency and a peak-concurrency count.
+All providers share the same contract: ``complete(prompt) -> Completion``
+sends exactly one request, safe to call from many worker threads at once.
+A request worth repeating raises ``TransportError`` with the server's
+``retry_after``; any other ``ProviderError`` is final. A provider only
+sends: ``router.run_calls`` bounds the requests in flight, counts the
+attempts and asks a ``router.Pacing`` when each one goes (``--rps``,
+``Retry-After``, seeded jitter, ``max_retries``). Subclasses implement a
+single ``_request`` hook; the base class keeps the latency and a
+peak-concurrency count.
 
 The wire protocol of HttpProvider is the de-facto chat-completions JSON
 shape, so any compatible endpoint works: POST {"model", "messages"} with a
@@ -23,6 +24,7 @@ import os
 import threading
 import time
 from collections import namedtuple
+from typing import NamedTuple
 
 DEFAULT_API_KEY_ENV = "IVR_LLM_API_KEY"
 
@@ -97,17 +99,11 @@ def mock_config(kind: str, **settings) -> ProviderConfig:
     return ProviderConfig(**{"model_name": f"{kind}-mock", **settings})
 
 
-class Completion(namedtuple("Completion", "raw_text latency attempt_count",
-                            defaults=(1,))):
-    __slots__ = ()
+class Completion(NamedTuple):
+    """One reply: its text, and the seconds its request took."""
 
-    def __new__(cls, *args, **kwargs) -> Completion:
-        self = super().__new__(cls, *args, **kwargs)
-        if self.attempt_count < 1:
-            raise ValueError("attempt_count must be at least 1")
-        return self
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
+    raw_text: str
+    latency: float
 
 
 class Provider:
@@ -121,9 +117,9 @@ class Provider:
         self._in_flight = 0
         self.peak_in_flight = 0
 
-    def complete(self, prompt, attempt: int = 1) -> Completion:
-        """Send attempt ``attempt`` (1-based) of one completion, one
-        request; ``prompt`` is a PromptText or a plain string."""
+    def complete(self, prompt) -> Completion:
+        """Send one request for one completion; ``prompt`` is a PromptText
+        or a plain string."""
         text = prompt.content if hasattr(prompt, "content") else str(prompt)
         with self._state_lock:
             self._in_flight += 1
@@ -134,7 +130,7 @@ class Provider:
         finally:
             with self._state_lock:
                 self._in_flight -= 1
-        return Completion(raw_text=raw, latency=time.perf_counter() - start, attempt_count=attempt)
+        return Completion(raw_text=raw, latency=time.perf_counter() - start)
 
     def _request(self, text: str, prompt) -> str:
         """Send one request and return the reply text. A TransportError is
@@ -150,14 +146,14 @@ class Provider:
 
 class HttpProvider(Provider):
     """POSTs chat-completion requests over kept-alive connections, one
-    attempt per ``_request``: transport failures, 429 and 5xx raise
+    request per ``_request``: transport failures, 429 and 5xx raise
     TransportError, and a parseable 200 is never re-asked.
 
-    ``_transport(url, payload, headers, timeout) -> (status, body,
-    retry_after)`` makes one attempt. It is the ``request`` of the
-    provider's own ConnectionPool unless a ``transport`` is given or
-    substituted later; ``close`` goes to the pool directly, so it closes the
-    connections either way.
+    ``_transport(payload) -> (status, body, retry_after)`` sends one
+    request. It is the ``request`` of the provider's own ConnectionPool,
+    built once with the endpoint, the headers and the timeout, unless a
+    ``transport`` is given or substituted later; ``close`` goes to the pool
+    directly, so it closes the connections either way.
 
     The API key is read from the environment once, here; a key holding
     anything but printable ASCII is refused with a ValueError that names
@@ -166,17 +162,18 @@ class HttpProvider(Provider):
 
     def __init__(self, config: ProviderConfig, transport=None):
         super().__init__(config)
-        self._headers = {"Content-Type": "application/json"}
+        headers = {}
         key = os.environ.get(config.api_key_env, "")
         if key:
             if not (key.isascii() and key.isprintable()):
                 raise ValueError(
                     f"the API key in ${config.api_key_env} holds control or non-ASCII characters"
                 )
-            self._headers["Authorization"] = f"Bearer {key}"
+            headers["Authorization"] = f"Bearer {key}"
         from .httpclient import ConnectionPool
 
-        self._connections = ConnectionPool(config.endpoint_url, config.max_in_flight)
+        self._connections = ConnectionPool(config.endpoint_url, config.max_in_flight, headers,
+                                           config.request_timeout)
         self._transport = transport or self._connections.request
 
     def close(self) -> None:
@@ -192,9 +189,7 @@ class HttpProvider(Provider):
         return payload
 
     def _request(self, text: str, prompt) -> str:
-        status, body, retry_after = self._transport(
-            self.config.endpoint_url, self._payload(text), self._headers, self.config.request_timeout
-        )
+        status, body, retry_after = self._transport(self._payload(text))
         if status in RETRYABLE_STATUSES:
             raise TransportError(f"HTTP {status}", retry_after)
         if status != 200:

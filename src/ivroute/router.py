@@ -128,14 +128,11 @@ def route(
     context: str,
     provider: Provider,
     lenient: bool = False,
-    attempt: int = 1,
 ) -> tuple[ParsedResponse, Completion]:
-    """One prompt, one completion, one parsed reply for a single query.
-
-    ``attempt`` goes to ``provider.complete``, which makes one request.
-    """
+    """One prompt, one completion (one request), one parsed reply for a
+    single query."""
     prompt: PromptText = build_prompt(condition, context, query)
-    completion = provider.complete(prompt, attempt=attempt)
+    completion = provider.complete(prompt)
     return parse_dtmf_response(completion.raw_text, lenient=lenient), completion
 
 
@@ -146,14 +143,13 @@ def route_one(
     provider: Provider,
     known_paths: frozenset[str] = frozenset(),
     lenient: bool = False,
-    attempt: int = 1,
 ) -> RoutingResult:
     """Route one intent's text and grade the reply against its ground truth.
 
     A ProviderError passes through unchanged, for ``run_calls`` to retry or
     to record against the intent.
     """
-    parsed, completion = route(intent.text, condition, context, provider, lenient, attempt)
+    parsed, completion = route(intent.text, condition, context, provider, lenient)
     truth = intent.ground_truth
     predicted = INVALID if parsed.path is None else parsed.path
     return RoutingResult(
@@ -242,16 +238,17 @@ class Pacing:
 def run_calls(
     provider: Provider,
     count: int,
-    step: Callable[[int, int], object],
+    step: Callable[[int], object],
     error_budget: float,
     pacing: Pacing | None = None,
 ) -> tuple[list, list[tuple[int, str]]]:
     """Run jobs 0 .. count - 1; return their values (None for a failed job)
     and the failures as (job, message).
 
-    ``step(index, attempt)`` makes one provider attempt for job ``index``
-    and returns the job's value, or AGAIN for a follow-up call at attempt 1,
-    admitted before any other. Up to max_in_flight workers take jobs in
+    ``step(index)`` makes one provider call for job ``index`` and returns
+    the job's value, or AGAIN for a follow-up call, admitted before any
+    other with a retry budget of its own. Attempts are counted here, for
+    ``pacing``, and nowhere else. Up to max_in_flight workers take jobs in
     submission order; after each step its worker records the outcome and
     submits what is due, with no scheduling thread. ``pacing`` (by default a
     fresh Pacing of the provider's config) admits every attempt and times
@@ -308,7 +305,7 @@ def run_calls(
                 lock.notify(len(tasks))  # idle workers take the rest
                 lock.release()
                 try:
-                    outcome = step(index, attempt)
+                    outcome = step(index)
                 except BaseException as exc:  # TransportError, ProviderError, or what aborts the run
                     outcome = exc
                 lock.acquire()
@@ -392,8 +389,8 @@ def route_all(
     context = render_context(tree, condition)
     known = frozenset(tp.path for tp in terminal)
 
-    def step(index: int, attempt: int) -> RoutingResult:
-        return route_one(records[index], condition, context, provider, known, lenient, attempt)
+    def step(index: int) -> RoutingResult:
+        return route_one(records[index], condition, context, provider, known, lenient)
 
     def by_id(failures: list[tuple[int, str]]) -> list[tuple[str, str]]:
         return [(records[index].id, message) for index, message in failures]

@@ -72,9 +72,9 @@ def _run_jobs(provider: Provider, jobs: list[Generator], pacing: Pacing | None) 
     ``pacing`` keeps its pace, for the next stage; the caller closes it."""
     prompts = [next(job) for job in jobs]
 
-    def step(index: int, attempt: int):
+    def step(index: int):
         try:
-            prompts[index] = jobs[index].send(provider.complete(prompts[index], attempt))
+            prompts[index] = jobs[index].send(provider.complete(prompts[index]))
         except StopIteration as done:
             return done.value
         return AGAIN

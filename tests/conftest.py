@@ -300,3 +300,16 @@ def chat_server(monkeypatch):
     for server in servers:
         server.shutdown()
         server.server_close()
+
+
+@pytest.fixture
+def trusted_test_certificate(monkeypatch):
+    """TLS contexts made during the test, and in child processes it starts,
+    trust the test certificate; the shared context is dropped before and
+    after, so no other test sees it."""
+    from ivroute.httpclient import _tls_context
+
+    monkeypatch.setenv("SSL_CERT_FILE", str(TLS_CERT))
+    _tls_context.cache_clear()
+    yield
+    _tls_context.cache_clear()

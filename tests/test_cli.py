@@ -232,6 +232,28 @@ def test_route_refuses_overwrite_without_force(tmp_path, fixture_menu_path,
     assert run(argv + ["--force"]) == 0
 
 
+def test_route_force_replaces_the_report_only_once_new_results_are_written(
+        tmp_path, fixture_menu_path, fixture_dataset_path, capsys):
+    run_dir = oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path)
+    evaluate = ["eval", str(run_dir / "results.jsonl"), "--menu", str(fixture_menu_path)]
+    assert run(evaluate) == 0
+    report = run_dir / f"eval-{run_dir.name.removeprefix('run-')}" / "report.json"
+    oracle_results = (run_dir / "results.jsonl").read_bytes()
+    # The same run id under another provider: the model name is in it, the provider kind is not.
+    rerun = route_args(fixture_menu_path, fixture_dataset_path, tmp_path, condition="flattened",
+                       filter="base_only", model="oracle-mock") + ["--force", "--provider"]
+    # A rerun that aborts keeps the old results and their report together.
+    assert run(rerun + ["scripted", "--script", str(write_script(tmp_path, ["1-1"]))]) == 1
+    assert (run_dir / "results.jsonl").read_bytes() == oracle_results
+    assert json.loads(report.read_text(encoding="utf-8"))["accuracy"] == 1.0
+    assert run(rerun + ["keyword"]) == 0
+    assert list(tmp_path.glob("run-*")) == [run_dir]
+    assert not report.parent.exists()  # it scored the results just replaced
+    capsys.readouterr()
+    assert run(evaluate) == 0
+    assert "accuracy 30.87% over 230 results" in capsys.readouterr().out
+
+
 def test_route_unknown_condition_usage_error(fixture_menu_path, fixture_dataset_path):
     with pytest.raises(SystemExit) as excinfo:
         run(route_args(fixture_menu_path, fixture_dataset_path, "out", condition="nonsense"))

@@ -116,7 +116,7 @@ def test_base_generation_call_backing_off_lets_the_next_path_go_first(tiny_tree)
     sent = []
     lock = threading.Lock()
 
-    def transport(url, payload, headers, timeout):
+    def transport(payload):
         prompt = payload["messages"][0]["content"]
         with lock:
             sent.append(next(b for b in breadcrumbs if b in prompt))

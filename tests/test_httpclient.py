@@ -1,12 +1,13 @@
 """The HTTP/1.1 client against a raw loopback socket server that sends
 scripted bytes: response framing, connection reuse, the bounds on what a
-server may send, the one-write request and the CONNECT tunnel."""
+server may send, the one-write request, TLS and the CONNECT tunnel."""
 
 import base64
 import json
 import os
 import re
 import socket
+import ssl
 import subprocess
 import sys
 import threading
@@ -19,7 +20,7 @@ import ivroute
 from ivroute.httpclient import ConnectionPool, _authority
 from ivroute.provider import TransportError
 
-from conftest import PROXY_VARIABLES
+from conftest import PROXY_VARIABLES, TLS_CERT, TLS_KEY
 
 
 class Close(bytes):
@@ -29,13 +30,22 @@ class Close(bytes):
 class RawServer:
     """A loopback server that answers each request, in arrival order, with
     the next bytes of ``replies``, written as they are. Records the raw
-    requests, the connections accepted and those the client closed."""
+    requests, the connections accepted and those the client closed.
 
-    def __init__(self, replies):
+    ``tls`` makes it speak TLS with the test certificate, TLS_CERT: from
+    the first byte (``"https"``), or once it has answered a CONNECT with a
+    200 (``"tunnel"``), as a proxy that is the endpoint at the tunnel's far
+    end."""
+
+    def __init__(self, replies, tls=None):
         self.replies = list(replies)
+        self.tls = tls
+        if tls:
+            self.context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            self.context.load_cert_chain(TLS_CERT, TLS_KEY)
         self.listener = socket.create_server(("127.0.0.1", 0))
         self.port = self.listener.getsockname()[1]
-        self.url = f"http://127.0.0.1:{self.port}/v1/chat/completions"
+        self.url = f"{'https' if tls == 'https' else 'http'}://127.0.0.1:{self.port}/v1/chat/completions"
         self.lock = threading.Lock()
         self.requests: list[bytes] = []
         self.accepted = self.client_closed = 0
@@ -64,7 +74,9 @@ class RawServer:
             threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
 
     def _serve(self, conn) -> None:
-        with conn:
+        try:
+            if self.tls == "https":
+                conn = self.context.wrap_socket(conn, server_side=True)
             buffer = b""
             while True:
                 while b"\r\n\r\n" not in buffer:
@@ -86,18 +98,22 @@ class RawServer:
                 conn.sendall(reply)
                 if isinstance(reply, Close):
                     return
+                if self.tls == "tunnel" and head.startswith(b"CONNECT ") and reply.startswith(b"HTTP/1.1 200 "):
+                    conn = self.context.wrap_socket(conn, server_side=True)
+        finally:
+            conn.close()
 
 
 @pytest.fixture
 def raw_server(monkeypatch):
-    """``raw_server(replies)`` starts a RawServer; no proxy settings reach
-    the code under test."""
+    """``raw_server(replies, tls=None)`` starts a RawServer; no proxy
+    settings reach the code under test."""
     for name in PROXY_VARIABLES:
         monkeypatch.delenv(name, raising=False)
     servers = []
 
-    def start(replies) -> RawServer:
-        servers.append(RawServer(replies))
+    def start(replies, tls=None) -> RawServer:
+        servers.append(RawServer(replies, tls))
         return servers[-1]
 
     yield start
@@ -105,15 +121,20 @@ def raw_server(monkeypatch):
         server.close()
 
 
+def pool_to(url, headers=None):
+    """A pool of one connection to ``url``, whose sockets time out after 5 s."""
+    return ConnectionPool(url, 1, headers or {}, 5.0)
+
+
 def call(pool):
-    return pool.request(pool.url, {"q": "x"}, {}, 5.0)
+    return pool.request({"q": "x"})
 
 
 def test_chunked_body_with_extension_and_trailer_keeps_the_connection(raw_server):
     chunked = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
                b"5;name=value\r\nhello\r\n6\r\n world\r\n0\r\nX-Checksum: 1\r\n\r\n")
     server = raw_server([chunked, chunked])
-    pool = ConnectionPool(server.url, size=1)
+    pool = pool_to(server.url)
     assert call(pool) == (200, "hello world", None)
     assert call(pool) == (200, "hello world", None)
     assert server.accepted == 1
@@ -129,7 +150,7 @@ def test_chunked_body_with_extension_and_trailer_keeps_the_connection(raw_server
 ], ids=["http-1.0", "connection-close", "read-to-close", "other-coding"])
 def test_reply_that_ends_the_connection_is_never_reused(raw_server, reply):
     server = raw_server([reply, reply])
-    pool = ConnectionPool(server.url, size=1)
+    pool = pool_to(server.url)
     assert call(pool) == (200, "hello", None)
     assert call(pool) == (200, "hello", None)
     assert server.accepted == 2
@@ -137,10 +158,21 @@ def test_reply_that_ends_the_connection_is_never_reused(raw_server, reply):
         assert server.wait_client_closed(2)  # the client hung up itself
 
 
+def test_tls_reply_without_a_length_runs_to_the_close(raw_server, trusted_test_certificate):
+    # The server closes the TCP connection without a TLS close_notify, as
+    # many do; the body still ends there, and the next call opens anew.
+    reply = Close(b"HTTP/1.1 200 OK\r\n\r\nhello over tls")
+    server = raw_server([reply, reply], tls="https")
+    pool = pool_to(server.url)
+    assert call(pool) == (200, "hello over tls", None)
+    assert call(pool) == (200, "hello over tls", None)
+    assert server.accepted == 2 and pool._idle == []
+
+
 def test_interim_100_continue_is_skipped(raw_server):
     server = raw_server([b"HTTP/1.1 100 Continue\r\n\r\n"
                          b"HTTP/1.1 503 Busy\r\nRetry-After: 7\r\nContent-Length: 2\r\n\r\nno"])
-    pool = ConnectionPool(server.url, size=1)
+    pool = pool_to(server.url)
     assert call(pool) == (503, "no", "7")
     pool.close()
 
@@ -155,7 +187,7 @@ def headers(count, size=10):
 ], ids=["65536-byte-line", "100-headers"])
 def test_response_at_the_bounds_is_read(raw_server, reply):
     server = raw_server([reply])
-    pool = ConnectionPool(server.url, size=1)
+    pool = pool_to(server.url)
     assert call(pool) == (200, "ok", None)
     pool.close()
 
@@ -174,7 +206,7 @@ def test_response_at_the_bounds_is_read(raw_server, reply):
 def test_malformed_response_is_a_transport_error_that_closes_the_connection(raw_server, reply,
                                                                           message):
     server = raw_server([reply])
-    pool = ConnectionPool(server.url, size=1)
+    pool = pool_to(server.url)
     with pytest.raises(TransportError, match=f"BadResponse: .*{message}"):
         call(pool)
     assert pool._idle == []
@@ -189,17 +221,18 @@ def test_request_leaves_in_one_write_on_a_nodelay_socket(raw_server, monkeypatch
     monkeypatch.setattr(socket.socket, "send", lambda s, data, *a: writes.append(bytes(data)) or send(s, data, *a))
     ok = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
     server = raw_server([ok, ok])
-    pool = ConnectionPool(server.url, size=1)
+    pool = pool_to(server.url, {"Authorization": "Bearer k"})
     payload = {"model": "m", "messages": [{"role": "user", "content": "x" * 3000}]}
     for _ in range(2):
-        assert pool.request(server.url, payload, {"Authorization": "Bearer k"}, 5.0)[:2] == (200, "ok")
+        assert pool.request(payload)[:2] == (200, "ok")
     client_writes = [data for data in writes if data.startswith(b"POST ")]
     assert len(client_writes) == 2 and client_writes == server.requests
     head, _, body = client_writes[0].partition(b"\r\n\r\n")
     assert json.loads(body) == payload
-    assert head.split(b"\r\n")[1:4] == [f"Host: 127.0.0.1:{server.port}".encode(),
-                                        b"Accept-Encoding: identity",
-                                        f"Content-Length: {len(body)}".encode()]
+    lines = head.split(b"\r\n")
+    assert lines[1:3] == [f"Host: 127.0.0.1:{server.port}".encode(), b"Accept-Encoding: identity"]
+    assert b"Authorization: Bearer k" in lines and b"Content-Type: application/json" in lines
+    assert lines[-1] == f"Content-Length: {len(body)}".encode()
     assert [data for data in writes if data not in client_writes] == [ok, ok]  # the server's
     assert pool._idle[0].sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
     pool.close()
@@ -207,9 +240,8 @@ def test_request_leaves_in_one_write_on_a_nodelay_socket(raw_server, monkeypatch
 
 def test_header_value_with_a_line_break_is_refused_unsent(raw_server):
     server = raw_server([])
-    pool = ConnectionPool(server.url, size=1)
     with pytest.raises(ValueError, match="'X-Key' holds a line break") as error:
-        pool.request(server.url, {}, {"X-Key": "sekrit\r\nX-Evil: 1"}, 5.0)
+        pool_to(server.url, {"X-Key": "sekrit\r\nX-Evil: 1"})  # refused when the pool is built
     assert "sekrit" not in str(error.value)
     assert server.accepted == 0
 
@@ -233,7 +265,7 @@ def test_authority_of_host_header_and_connect_target(host, port, default, author
 def test_tunnel_sends_connect_and_refuses_a_bad_reply(raw_server, monkeypatch, reply, message):
     proxy = raw_server([reply])
     monkeypatch.setenv("HTTPS_PROXY", f"http://ivr:pw@127.0.0.1:{proxy.port}")
-    pool = ConnectionPool("https://endpoint.test/v1/chat/completions", size=1)
+    pool = pool_to("https://endpoint.test/v1/chat/completions")
     with pytest.raises(TransportError, match=message):
         call(pool)
     assert proxy.requests == [b"CONNECT endpoint.test:443 HTTP/1.1\r\nHost: endpoint.test:443\r\n"
@@ -242,10 +274,29 @@ def test_tunnel_sends_connect_and_refuses_a_bad_reply(raw_server, monkeypatch, r
     assert proxy.wait_client_closed(1)
 
 
+def test_tunnel_carries_tls_and_is_kept_for_the_next_request(raw_server, monkeypatch,
+                                                              trusted_test_certificate):
+    # The certificate names localhost: TLS inside the tunnel is checked
+    # against the endpoint's name, not the proxy's address.
+    ok = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+    proxy = raw_server([b"HTTP/1.1 200 Connection established\r\n\r\n", ok, ok], tls="tunnel")
+    monkeypatch.setenv("HTTPS_PROXY", f"http://127.0.0.1:{proxy.port}")
+    pool = pool_to("https://localhost:8443/v1/chat/completions")
+    assert call(pool) == (200, "ok", None)
+    assert call(pool) == (200, "ok", None)
+    assert proxy.accepted == 1  # one tunnel, kept for the second request
+    connect, *posts = proxy.requests
+    assert connect == b"CONNECT localhost:8443 HTTP/1.1\r\nHost: localhost:8443\r\n\r\n"
+    assert [post.split(b"\r\n")[:2] for post in posts] == [
+        [b"POST /v1/chat/completions HTTP/1.1", b"Host: localhost:8443"]] * 2
+    pool.close()
+    assert proxy.wait_client_closed(1)
+
+
 PROXY_PROBE = """
 import sys
 from ivroute.httpclient import ConnectionPool
-ConnectionPool(sys.argv[1], size=1)
+ConnectionPool(sys.argv[1], 1, {}, 5.0)
 print("urllib.request" in sys.modules)
 """
 

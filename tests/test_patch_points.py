@@ -48,7 +48,7 @@ def test_route_all_calls_every_substitutable_name(monkeypatch, tiny_tree):
         (200, json.dumps({"choices": [{"message": {"content": "1-1"}}]}), None)
     ] * len(ds.records)
 
-    def transport(url, payload, headers, timeout):
+    def transport(payload):
         return answers.pop(0)
 
     config = ProviderConfig(endpoint_url="http://endpoint.test/v1", max_in_flight=2)

@@ -37,12 +37,12 @@ from ivroute.provider import (
     TransportError,
     check_role_separation,
 )
-from ivroute.httpclient import ConnectionPool, _dropped, _tls_context
+from ivroute.httpclient import ConnectionPool, _dropped
 
 from ivroute import router
 from ivroute.router import Pacing, RoutingAborted, route_all, run_calls
 
-from conftest import TLS_CERT, tiny_dataset
+from conftest import tiny_dataset
 
 
 def ok_body(text: str) -> str:
@@ -51,18 +51,16 @@ def ok_body(text: str) -> str:
 
 class FakeTransport:
     """Returns queued (status, body) or (status, body, retry_after) items as
-    (status, body, retry_after) and records every request."""
+    (status, body, retry_after) and records the payload of every request."""
 
     def __init__(self, responses):
         self.responses = list(responses)
         self.requests = []
         self._lock = threading.Lock()
 
-    def __call__(self, url, payload, headers, timeout):
+    def __call__(self, payload):
         with self._lock:
-            self.requests.append(
-                {"url": url, "payload": payload, "headers": headers, "timeout": timeout}
-            )
+            self.requests.append(payload)
             item = self.responses.pop(0)
         if isinstance(item, Exception):
             raise item
@@ -109,8 +107,8 @@ def attempt_until_done(provider, prompt, delays):
     """One call made on run_calls: attempts 1, 2, ... until one answers,
     each retry made at once. The wait chosen before each retry is appended
     to ``delays``; the call's failure is raised as it is."""
-    def step(_, attempt):
-        return provider.complete(prompt, attempt)
+    def step(_):
+        return provider.complete(prompt)
 
     try:
         (completion,), _ = run_calls(provider, 1, step, error_budget=0,
@@ -122,7 +120,7 @@ def attempt_until_done(provider, prompt, delays):
 
 def complete_each(provider):
     """A run_calls step: job ``i`` is one completion of the prompt ``q<i>``."""
-    return lambda i, attempt: provider.complete(f"q{i}", attempt)
+    return lambda i: provider.complete(f"q{i}")
 
 
 # --- config ---------------------------------------------------------------------
@@ -144,58 +142,58 @@ def test_config_validation():
 
 def test_completion_invariants():
     done = Completion(raw_text="", latency=0.0)
-    assert done.attempt_count == 1
+    assert Completion._fields == ("raw_text", "latency")  # attempts are the scheduler's to count
     assert done.raw_text == ""  # empty output is recorded, not erased
 
 
 # --- HTTP wire protocol ----------------------------------------------------------
 
-def test_post_payload_shape_and_auth(monkeypatch):
-    monkeypatch.setenv(DEFAULT_API_KEY_ENV, "sekrit")
+def test_post_payload_shape():
     provider, transport = http_provider([(200, ok_body("1-1"))])
     completion = provider.complete("route this")
     assert completion.raw_text == "1-1"
-    assert completion.attempt_count == 1
-    request = transport.requests[0]
-    assert request["url"] == "https://endpoint.test/v1/chat/completions"
-    assert request["payload"] == {
+    assert transport.requests == [{
         "model": "test-model",
         "messages": [{"role": "user", "content": "route this"}],
-    }
-    assert request["headers"]["Authorization"] == "Bearer sekrit"
+    }]
 
 
 def test_temperature_sent_only_when_set(monkeypatch):
     monkeypatch.delenv(DEFAULT_API_KEY_ENV, raising=False)
     provider, transport = http_provider([(200, ok_body("x"))])
     provider.complete("q")
-    assert "temperature" not in transport.requests[0]["payload"]
+    assert "temperature" not in transport.requests[0]
 
     provider, transport = http_provider([(200, ok_body("x"))], temperature=0.0)
     provider.complete("q")
-    assert transport.requests[0]["payload"]["temperature"] == 0.0
+    assert transport.requests[0]["temperature"] == 0.0
 
 
-def test_api_key_source_is_configurable(monkeypatch):
+def sent_headers(server, **config_kwargs):
+    """The header fields, by lower-case name, of one call to ``server``."""
+    provider = live_provider(server.url, **config_kwargs)
+    provider.complete("q")
+    provider.close()
+    return server.seen[-1][1]
+
+
+def test_api_key_source_is_configurable(chat_server, monkeypatch):
     monkeypatch.setenv("OTHER_KEY_VAR", "alt-token")
     monkeypatch.delenv(DEFAULT_API_KEY_ENV, raising=False)
-    provider, transport = http_provider([(200, ok_body("x"))], api_key_env="OTHER_KEY_VAR")
-    provider.complete("q")
-    assert transport.requests[0]["headers"]["Authorization"] == "Bearer alt-token"
+    headers = sent_headers(chat_server(), api_key_env="OTHER_KEY_VAR")
+    assert headers["authorization"] == "Bearer alt-token"
 
 
-def test_missing_key_sends_no_auth_header(monkeypatch):
+def test_missing_key_sends_no_auth_header(chat_server, monkeypatch):
     monkeypatch.delenv(DEFAULT_API_KEY_ENV, raising=False)
-    provider, transport = http_provider([(200, ok_body("x"))])
-    provider.complete("q")
-    assert "Authorization" not in transport.requests[0]["headers"]
+    assert "authorization" not in sent_headers(chat_server())
 
 
 def test_prompt_object_content_is_sent(paths):
     prompt = build_prompt(RoutingCondition.FLATTENED_PATHS, render_flattened(paths), "where is my invoice")
     provider, transport = http_provider([(200, ok_body("1-2"))])
     provider.complete(prompt)
-    assert transport.requests[0]["payload"]["messages"][0]["content"] == prompt.content
+    assert transport.requests[0]["messages"][0]["content"] == prompt.content
 
 
 # --- retry policy ----------------------------------------------------------------
@@ -208,7 +206,6 @@ def test_retryable_status_then_success(status):
     delays = []
     completion = attempt_until_done(provider, "q", delays)
     assert completion.raw_text == "2-1-1"
-    assert completion.attempt_count == 3
     assert len(transport.requests) == 3
     assert delays == [0.5, 1.0]
 
@@ -219,7 +216,7 @@ def test_transport_error_then_success():
     )
     delays = []
     completion = attempt_until_done(provider, "q", delays)
-    assert completion.attempt_count == 2
+    assert completion.raw_text == "3-9" and len(transport.requests) == 2
     assert delays == [0.5]
 
 
@@ -336,13 +333,15 @@ def test_api_key_with_control_characters_is_refused_unseen(monkeypatch, key):
     assert "secret" not in str(excinfo.value)
 
 
-def test_api_key_is_read_once_when_built(monkeypatch):
+def test_api_key_is_read_once_when_built(chat_server, monkeypatch):
     monkeypatch.setenv(DEFAULT_API_KEY_ENV, "first")
-    provider, transport = http_provider([(200, ok_body("x"))] * 2)
+    server = chat_server()
+    provider = live_provider(server.url)
     provider.complete("q")
     monkeypatch.setenv(DEFAULT_API_KEY_ENV, "second")
     provider.complete("q")
-    assert [r["headers"]["Authorization"] for r in transport.requests] == ["Bearer first"] * 2
+    provider.close()
+    assert [headers["authorization"] for _, headers, _ in server.seen] == ["Bearer first"] * 2
 
 
 # --- Retry-After and one attempt at a time -----------------------------------------
@@ -369,7 +368,8 @@ def test_retry_after_whole_seconds_up_to_60_are_honoured(status, retry_after, sl
         [(status, "busy", retry_after)] * 2 + [(200, ok_body("1-1"))], max_retries=3
     )
     delays = []
-    assert attempt_until_done(provider, "q", delays).attempt_count == 3
+    assert attempt_until_done(provider, "q", delays).raw_text == "1-1"
+    assert len(transport.requests) == 3
     assert delays == sleeps_expected
 
 
@@ -378,11 +378,11 @@ def test_one_attempt_is_one_request_raising_its_retry_after():
         [(429, "", "2"), (200, ok_body("1-1"))], max_in_flight=1, max_retries=1
     )
     with pytest.raises(TransportError, match="HTTP 429") as excinfo:
-        provider.complete("q", attempt=1)
+        provider.complete("q")
     assert excinfo.value.retry_after == "2"
     assert len(transport.requests) == 1
-    completion = provider.complete("q", attempt=2)
-    assert completion.raw_text == "1-1" and completion.attempt_count == 2
+    completion = provider.complete("q")
+    assert completion.raw_text == "1-1"
     assert len(transport.requests) == 2
 
 
@@ -400,10 +400,10 @@ def test_latency_is_the_answering_attempts():
     transport = FakeTransport([(503, ""), (200, ok_body("1-1"))])
     provider = HttpProvider(config, transport=transport)
     with pytest.raises(TransportError):
-        provider.complete("q", attempt=1)
+        provider.complete("q")
     time.sleep(0.2)  # the caller's wait before the next attempt
-    completion = provider.complete("q", attempt=2)
-    assert completion.attempt_count == 2
+    completion = provider.complete("q")
+    assert len(transport.requests) == 2
     assert completion.latency < 0.2  # the backoff is not part of the call's latency
 
 
@@ -467,11 +467,11 @@ def test_server_that_hangs_up_costs_no_attempt_and_no_sleep(chat_server, monkeyp
     server = chat_server(hang_up=hang_up)
     provider = live_provider(server.url, max_retries=3)
     delays = []
-    for _ in range(5):
+    for answered in range(1, 6):
         if hang_up == "after-reply":
             assert server.wait_all_closed()
         completion = attempt_until_done(provider, "q", delays)
-        assert completion.raw_text == "1-1" and completion.attempt_count == 1
+        assert completion.raw_text == "1-1" and server.answered == answered
     assert delays == []
     assert server.accepted == server.answered == 5
     assert len(sends) == (5 if hang_up == "after-reply" else 9)
@@ -489,9 +489,9 @@ def test_idle_check_sees_the_peer_hang_up():
 
 def test_pool_keeps_at_most_size_connections(chat_server):
     server = chat_server(delay=0.05)
-    pool = ConnectionPool(server.url, size=2)
+    pool = ConnectionPool(server.url, 2, {}, 5.0)
     with ThreadPoolExecutor(max_workers=4) as workers:
-        replies = list(workers.map(lambda _: pool.request(server.url, {}, {}, 5.0), range(4)))
+        replies = list(workers.map(lambda _: pool.request({}), range(4)))
     assert [(status, retry_after) for status, _, retry_after in replies] == [(200, None)] * 4
     assert server.accepted == 4  # four at once, more than the pool keeps
     assert server.wait_open(2)
@@ -531,30 +531,20 @@ def test_refused_certificate_is_one_attempt_not_retried(monkeypatch):
     provider = live_provider("https://endpoint.test/v1", max_retries=3)
     opened = []
 
-    def refuse(timeout):
-        opened.append(timeout)
+    def refuse():
+        opened.append(1)
         raise ssl.SSLCertVerificationError(
             1, "[SSL: CERTIFICATE_VERIFY_FAILED] certificate verify failed: self-signed certificate"
         )
 
     monkeypatch.setattr(provider._connections, "_open", refuse)
     with pytest.raises(ProtocolError, match="TLS certificate refused.*self-signed") as excinfo:
-        provider.complete("q", attempt=1)  # a ProtocolError, not a TransportError
+        provider.complete("q")  # a ProtocolError, not a TransportError
     assert isinstance(excinfo.value.__cause__, ssl.SSLCertVerificationError)
     delays = []
     with pytest.raises(ProtocolError):
         attempt_until_done(provider, "q", delays)
     assert len(opened) == 2 and delays == []
-
-
-@pytest.fixture
-def trusted_test_certificate(monkeypatch):
-    """TLS contexts made during the test trust the test certificate; the
-    shared context is dropped before and after, so no other test sees it."""
-    monkeypatch.setenv("SSL_CERT_FILE", str(TLS_CERT))
-    _tls_context.cache_clear()
-    yield
-    _tls_context.cache_clear()
 
 
 def test_https_calls_share_one_kept_alive_connection(chat_server, trusted_test_certificate):
@@ -577,9 +567,9 @@ def test_https_host_name_mismatch_is_one_open_and_no_retry(chat_server, trusted_
     monkeypatch.setattr(pool, "_address", ("127.0.0.1", server.port))
     opened = []
     open_connection = pool._open
-    monkeypatch.setattr(pool, "_open", lambda timeout: opened.append(timeout) or open_connection(timeout))
+    monkeypatch.setattr(pool, "_open", lambda: opened.append(1) or open_connection())
     with pytest.raises(ProtocolError, match="TLS certificate refused.*ivroute.test") as excinfo:
-        provider.complete("q", attempt=1)  # a ProtocolError, not a TransportError
+        provider.complete("q")  # a ProtocolError, not a TransportError
     assert isinstance(excinfo.value.__cause__, ssl.SSLCertVerificationError)
     assert len(opened) == 1
     assert server.answered == 0
@@ -672,6 +662,18 @@ def test_cli_http_route_loads_no_ssl_http_client_email_or_urllib(chat_server, tm
     assert child.returncode == 0, child.stderr
     assert "routed 230 intents" in child.stdout
     assert "loaded: []" in child.stdout
+
+
+def test_cli_https_route_loads_ssl_but_no_http_client_email_or_urllib(chat_server, trusted_test_certificate,
+                                                                      tmp_path, fixture_menu_path,
+                                                                      fixture_dataset_path):
+    server = chat_server(tls=True)  # the child trusts its certificate through SSL_CERT_FILE
+    child = route_in_child(server, tmp_path, fixture_menu_path, fixture_dataset_path,
+                           ("ssl", "http.client", "email", "urllib.request"))
+    assert child.returncode == 0, child.stderr
+    assert "routed 230 intents" in child.stdout
+    assert "loaded: ['ssl']" in child.stdout
+    assert server.answered == 230
 
 
 def test_cli_http_route_loads_only_what_it_runs(chat_server, tmp_path,
@@ -914,18 +916,20 @@ def test_in_flight_never_exceeds_bound(bound):
 
 
 class TimedProvider(Provider):
-    """Records when each request starts; answers ``1-1``, or raises
-    ``error`` for the requests numbered in ``fail`` (1-based)."""
+    """Records when each request starts, and its prompt; answers ``1-1``, or
+    raises ``error`` for the requests numbered in ``fail`` (1-based)."""
 
     def __init__(self, config, fail=(), error=TransportError("HTTP 503", "0")):
         super().__init__(config)
         self._fail, self._error = set(fail), error
         self._lock = threading.Lock()
         self.starts = []
+        self.prompts = []
 
     def _request(self, text, prompt):
         with self._lock:
             self.starts.append(time.monotonic())
+            self.prompts.append(text)
             number = len(self.starts)
         if number in self._fail:
             raise self._error
@@ -939,7 +943,8 @@ def test_run_calls_paces_every_attempt_and_a_retry_takes_its_own_token():
     provider = TimedProvider(ProviderConfig(max_in_flight=4, requests_per_second=10), fail={1})
     pacing = Pacing(provider.config)
     values, failures = run_calls(provider, 4, complete_each(provider), error_budget=0, pacing=pacing)
-    assert [v.attempt_count for v in values] == [2, 1, 1, 1] and failures == []
+    assert [v.raw_text for v in values] == ["1-1"] * 4 and failures == []
+    assert sorted(provider.prompts) == ["q0", "q0", "q1", "q2", "q3"]  # q0 was sent twice
     assert len(provider.starts) == 5
     run_calls(provider, 1, complete_each(provider), error_budget=0, pacing=pacing)  # keeps the pace
     assert len(provider.starts) == 6

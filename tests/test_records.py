@@ -85,7 +85,5 @@ def test_replace_derives_a_checked_copy():
     assert config._replace(max_in_flight=8).max_in_flight == 8 and config.max_in_flight == 4
     with pytest.raises(ValueError, match="max_retries"):
         config._replace(max_retries=9)
-    with pytest.raises(ValueError, match="attempt_count"):
-        Completion("1", 0.25)._replace(attempt_count=0)
     with pytest.raises(ValueError, match="filler_prob"):
         NoiseProfile()._replace(filler_prob=2.0)

@@ -8,6 +8,7 @@ import signal
 import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -324,7 +325,7 @@ class QueryTransport:
         self.queries = []
         self._lock = threading.Lock()
 
-    def __call__(self, url, payload, headers, timeout):
+    def __call__(self, payload):
         query = payload["messages"][0]["content"].rpartition("User Query:\n")[2].strip()
         with self._lock:
             self.queries.append(query)
@@ -372,9 +373,10 @@ def fixed_backoff(monkeypatch, delay):
 
 
 class BackoffProvider(Provider):
-    """Fails the first ``backoffs.get(query, 0)`` attempts of a query with a
-    TransportError that run_calls retries; every other attempt answers
-    ``1-1`` after ``latency`` seconds. Records when each attempt arrived."""
+    """Fails the first ``backoffs.get(query, 0)`` requests for a query with
+    a TransportError that run_calls retries; every other request answers
+    ``1-1`` after ``latency`` seconds. Records when each request arrived,
+    numbered per query from 1."""
 
     def __init__(self, backoffs, max_in_flight, latency=0.0, rps=None):
         config = ProviderConfig(model_name="backoff-mock", max_in_flight=max_in_flight,
@@ -382,13 +384,18 @@ class BackoffProvider(Provider):
         super().__init__(config)
         self._backoffs = backoffs
         self._latency = latency
-        self.arrivals = []  # (query, attempt, monotonic time)
+        self._lock = threading.Lock()
+        self._sent = Counter()
+        self.arrivals = []  # (query, its request number, monotonic time)
 
-    def complete(self, prompt, attempt=1):
-        self.arrivals.append((prompt.query, attempt, time.monotonic()))
-        if attempt <= self._backoffs.get(prompt.query, 0):
+    def complete(self, prompt):
+        with self._lock:
+            self._sent[prompt.query] += 1
+            number = self._sent[prompt.query]
+            self.arrivals.append((prompt.query, number, time.monotonic()))
+        if number <= self._backoffs.get(prompt.query, 0):
             raise TransportError("busy")
-        return super().complete(prompt, attempt)
+        return super().complete(prompt)
 
     def _request(self, text, prompt):
         time.sleep(self._latency)
@@ -420,7 +427,7 @@ def test_route_all_keeps_starting_intents_while_retries_wait_on_a_healthy_endpoi
                                max_in_flight=1, latency=0.02)
     run = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
     assert [r.intent_id for r in run.results] == [r.id for r in ds.records]
-    first = {query: at for query, attempt, at in provider.arrivals if attempt == 1}
+    first = {query: at for query, number, at in provider.arrivals if number == 1}
     assert set(first) == set(queries)
     first_retry_due = min(first[queries[0]], first[queries[2]]) + 0.3
     assert max(first.values()) < first_retry_due
@@ -440,7 +447,7 @@ def test_route_all_wakes_an_idle_worker_for_intents_admitted_after_an_answer(tin
                                max_in_flight=2, latency=0.3)
     run = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
     assert [r.intent_id for r in run.results] == [r.id for r in ds.records]
-    first = {query: at for query, attempt, at in provider.arrivals if attempt == 1}
+    first = {query: at for query, number, at in provider.arrivals if number == 1}
     first_retry_due = min(first[queries[i]] for i in (0, 1, 3)) + 0.5
     assert max(first.values()) < first_retry_due
 
@@ -452,8 +459,8 @@ def test_route_all_submits_a_retry_once_it_is_due(tiny_tree, monkeypatch):
                                max_in_flight=2)
     run = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
     assert [r.intent_id for r in run.results] == [r.id for r in ds.records]
-    first = {query: at for query, attempt, at in provider.arrivals if attempt == 1}
-    second = {query: at for query, attempt, at in provider.arrivals if attempt == 2}
+    first = {query: at for query, number, at in provider.arrivals if number == 1}
+    second = {query: at for query, number, at in provider.arrivals if number == 2}
     assert set(first) == set(second) == {r.text for r in ds.records}
     assert all(second[query] - first[query] >= 0.05 for query in first)
 
@@ -571,8 +578,8 @@ def test_route_all_interrupted_in_the_caller_drops_queued_calls(tiny_tree):
 def test_route_all_stress_keeps_every_intent_once(dataset, tree, monkeypatch):
     # Eight workers share the queue, the retry heap and the pacing turn;
     # switching threads every microsecond makes a lost update under the lock
-    # show as a missing, repeated or reordered result, a wrong attempt count,
-    # or two attempts sent on one turn.
+    # show as a missing, repeated or reordered result, a wrong request
+    # count, or two requests sent on one turn.
     queries = [r.text for r in dataset.records]
     backoffs = dict.fromkeys(queries[::3], 1)
     rate = 2000
@@ -600,12 +607,12 @@ def test_route_all_stress_keeps_every_intent_once(dataset, tree, monkeypatch):
 def test_run_calls_makes_a_follow_up_call_at_once_and_a_retry_after_the_next_job():
     # Job 0 backs off, its retry asks for a follow-up call, and that one
     # answers; job 1 answers at once. One worker takes job 1 while job 0
-    # waits, and makes job 0's follow-up call, at attempt 1, right after
-    # the call that asked for it.
+    # waits, and makes job 0's follow-up call right after the call that
+    # asked for it.
     steps = []
 
-    def step(index, attempt):
-        steps.append((index, attempt))
+    def step(index):
+        steps.append(index)
         if index == 1:
             return "one"
         if len(steps) == 1:
@@ -614,11 +621,31 @@ def test_run_calls_makes_a_follow_up_call_at_once_and_a_retry_after_the_next_job
 
     provider = ScriptedProvider([], config=ProviderConfig(max_in_flight=1))
     assert run_calls(provider, 2, step, error_budget=0) == (["zero", "one"], [])
-    assert steps == [(0, 1), (1, 1), (0, 2), (0, 1)]
+    assert steps == [0, 1, 0, 0]
+
+
+def test_run_calls_gives_a_follow_up_call_a_retry_budget_of_its_own():
+    # With one retry allowed, the job's first call fails once and then asks
+    # for a follow-up, which fails once too: two failures in one job, but
+    # one per call, so the job still succeeds. Had the follow-up inherited
+    # the first call's retry, its failure would have given up.
+    outcomes = iter([TransportError("busy", "0"), AGAIN, TransportError("busy", "0"), "done"])
+    calls = []
+
+    def step(index):
+        calls.append(index)
+        outcome = next(outcomes)
+        if isinstance(outcome, TransportError):
+            raise outcome
+        return outcome
+
+    provider = ScriptedProvider([], config=ProviderConfig(max_in_flight=1, max_retries=1))
+    assert run_calls(provider, 1, step, error_budget=0) == (["done"], [])
+    assert calls == [0, 0, 0, 0]
 
 
 def test_run_calls_counts_a_failure_within_budget_and_keeps_going():
-    def step(index, attempt):
+    def step(index):
         if index == 1:
             raise ProviderError("down")
         return index
