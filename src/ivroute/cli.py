@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .datagen import load_dataset, save_dataset, validate_dataset
 from .menu import flatten, load_menu, render_flattened, render_paths_tsv
-from .prompts import RoutingCondition
+from .prompts import CONDITIONS, RoutingCondition
 from .provider import (
     DEFAULT_API_KEY_ENV,
     HttpProvider,
@@ -33,6 +33,8 @@ from .provider import (
     mock_config,
 )
 from .router import (
+    DATASET_FILTERS,
+    INVALID,
     Pacing,
     RoutingAborted,
     accuracy,
@@ -50,18 +52,14 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
-_CONDITIONS = {
-    "descriptive": RoutingCondition.DESCRIPTIVE_MENU,
-    "flattened": RoutingCondition.FLATTENED_PATHS,
-}
-
 _PROVIDER_KINDS = ("http", "oracle", "keyword", "scripted")
 
 # The keys some command reads from a config file: at the top level, and in
-# the block of a stage (one of PIPELINE_STAGES) under "providers". Each
-# provider flag's dest is its stage key too.
+# the block of each stage under "providers". Each provider flag's dest is
+# its key. Only check-roles reads menugen's block, for its model_name.
 _CONFIG_KEYS = {"seed", "providers"}
-_STAGE_KEYS = ("kind", "script", *ProviderConfig._fields)
+_PROVIDER_KEYS = ("kind", "script", *ProviderConfig._fields)
+_STAGE_KEYS = dict.fromkeys(PIPELINE_STAGES, _PROVIDER_KEYS) | {"menugen": ("model_name",)}
 
 
 class CommandFailed(Exception):
@@ -104,9 +102,9 @@ def _load_config_file(path: str | None) -> dict:
     if not isinstance(data, dict):
         raise CommandFailed(f"config file {path} must hold a JSON object", EXIT_USAGE)
     _check_config_block(data, _CONFIG_KEYS, "the top level")
-    _check_config_block(data.get("providers", {}), PIPELINE_STAGES, "providers")
+    _check_config_block(data.get("providers", {}), _STAGE_KEYS, "providers")
     for stage, settings in data.get("providers", {}).items():
-        _check_config_block(settings, _STAGE_KEYS, f"providers.{stage}")
+        _check_config_block(settings, _STAGE_KEYS[stage], f"providers.{stage}")
         _stage_settings({}, data, stage)
     return data
 
@@ -122,19 +120,20 @@ def _check_config_block(block, readable, where: str) -> None:
 def _stage_settings(flags: dict, config: dict, stage: str) -> tuple[dict, ProviderConfig]:
     """The stage keys that a flag, else the stage's config-file block, gives
     (a null gives nothing), and the ProviderConfig they make over its
-    defaults; exit 2 when a setting has the wrong type or value."""
+    defaults; exit 2 when a setting, the kind too, has the wrong type or value."""
     block = config.get("providers", {}).get(stage, {})
     given = {"kind": "http"}
-    for key in _STAGE_KEYS:
+    for key in _PROVIDER_KEYS:
         value = block.get(key) if flags.get(key) is None else flags[key]
         if value is not None:
             given[key] = value
     settings = {key: given[key] for key in ProviderConfig._fields if key in given}
     try:
-        for key in ("kind", "script"):
-            if not isinstance(given.get(key, ""), str):
-                raise TypeError(f"{key} must be a string, not {given[key]!r}")
+        if not isinstance(given.get("script", ""), str):
+            raise TypeError(f"script must be a string, not {given['script']!r}")
         kind = given["kind"]
+        if kind not in _PROVIDER_KINDS:  # a kind that is no string is none of them
+            raise ValueError(f"kind must be one of {', '.join(_PROVIDER_KINDS)}, not {kind!r}")
         return given, ProviderConfig(**settings) if kind == "http" else mock_config(kind, **settings)
     except (TypeError, ValueError) as exc:  # TypeError: a config-file value of the wrong type
         raise CommandFailed(f"bad provider settings: {exc}", EXIT_USAGE)
@@ -151,8 +150,6 @@ def _make_provider(
     settings; exit 2 when none can be built."""
     given, cfg = _stage_settings(vars(args), config, stage)
     kind = given["kind"]
-    if kind not in _PROVIDER_KINDS:
-        raise CommandFailed(f"unknown provider kind {kind!r}", EXIT_USAGE)
     if stage == "datagen" and kind in ("oracle", "keyword"):
         raise CommandFailed(f"{kind} provider cannot synthesize intents; use http or scripted", EXIT_USAGE)
 
@@ -238,10 +235,9 @@ def cmd_gen_intents(args: argparse.Namespace) -> int:
             print(f"violation: {problem}", file=sys.stderr)
         raise CommandFailed("generated dataset failed validation", EXIT_FAILURE)
 
-    out_file = Path(args.dataset_out) if args.dataset_out else Path(args.out) / "intents.jsonl"
-    out_file.parent.mkdir(parents=True, exist_ok=True)
-    save_dataset(ds, out_file)
-    print(f"wrote {len(ds.records)} records to {out_file}")
+    args.dataset_out.parent.mkdir(parents=True, exist_ok=True)
+    save_dataset(ds, args.dataset_out)
+    print(f"wrote {len(ds.records)} records to {args.dataset_out}")
     return EXIT_OK
 
 
@@ -252,13 +248,14 @@ def cmd_route(args: argparse.Namespace) -> int:
     tree = _read(args.menu, "menu", load_menu, "invalid menu")
     ds = _read(args.dataset, "dataset", lambda file: load_dataset(file, menu_name=tree.name))
 
-    condition = _CONDITIONS[args.condition]
+    condition = _condition(args)
     paths = flatten(tree)
     provider = _make_provider(args, config, "routing", dataset=ds, paths=paths)
 
     # The run directory is named by the inputs alone, so a run that could
     # not be saved is refused before any call is paid for.
-    identity = run_identity(ds, tree, condition, args.filter, provider.config.model_name, args.lenient)
+    identity = run_identity(ds, tree, condition, args.filter, provider.config.model_name, args.lenient,
+                            provider.config.temperature)
     run_dir = Path(args.out) / f"run-{identity['run_id']}"
     if run_dir.exists() and not args.force:
         raise CommandFailed(
@@ -327,20 +324,29 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not _is_manifest(manifest):  # parses, but is no manifest: ignored as unreadable
         manifest = {}
 
+    # The report's condition and model come from the rows, which must agree
+    # with each other and with a manifest that names them.
+    labels = {"condition": {r.condition.value for r in results}, "model_name": {r.model_name for r in results}}
+    for key, values in labels.items():
+        values.add(manifest.get(key, next(iter(values))))
+        if len(values) > 1:
+            raise CommandFailed(f"{results_file} mixes runs: {key} is each of {sorted(values)}", EXIT_FAILURE)
+    (condition,), (model_name,) = labels.values()
+
     if args.menu:
         tree = _read(args.menu, "menu", load_menu, "invalid menu")
         classes = [tp.path for tp in flatten(tree)]
     else:
-        # No menu at hand: score over the classes the results actually carry.
+        # No menu at hand: score over the paths the results carry, each a
+        # ground truth or a prediction its row knows as a terminal path.
         # One character per digit, and "-" below "0": texts sort as digit sequences.
-        classes = sorted({r.ground_truth for r in results})
+        known = {r.predicted for r in results if r.known_path and r.predicted != INVALID}
+        classes = sorted(known | {r.ground_truth for r in results})
 
-    condition = manifest.get("condition", results[0].condition.value)
     dataset_filter = manifest.get(
         "dataset_filter",
         "all" if any(":v" in r.intent_id for r in results) else "base_only",
     )
-    model_name = manifest.get("model_name", results[0].model_name)
     run_id = manifest.get("run_id") or hashlib.sha256(results_file.read_bytes()).hexdigest()[:12]
 
     try:
@@ -371,7 +377,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     provider = _make_provider(args, config, "routing", dataset=dataset, paths=paths)
     pacing = Pacing(provider.config)  # one pace across the session's lines
 
-    condition = _CONDITIONS[args.condition]
+    condition = _condition(args)
     context = render_context(tree, condition)
     breadcrumb_of = {tp.path: tp.breadcrumb_text() for tp in paths}
     interactive = sys.stdin.isatty()
@@ -425,6 +431,10 @@ def cmd_check_roles(args: argparse.Namespace) -> int:
 
 # --- parser ---------------------------------------------------------------------
 
+def _condition(args: argparse.Namespace) -> RoutingCondition:
+    return next(condition for condition, spec in CONDITIONS.items() if spec.name == args.condition)
+
+
 def _add_config(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override it")
 
@@ -459,6 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Route free-form complaints to terminal DTMF paths of an IVR menu.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    conditions = [spec.name for spec in CONDITIONS.values()]
 
     p = sub.add_parser("validate-menu", help="check a menu file against the schema rules")
     p.add_argument("menu", help="menu JSON file")
@@ -485,8 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("INTERJECTION", "FILLER", "GRAMMAR"),
         help="noise directive probabilities (defaults 0.3 0.3 0.2)",
     )
-    p.add_argument("--dataset-out", help="output JSONL file (default <out>/intents.jsonl)")
-    p.add_argument("--out", default=".", help="output directory (default .)")
+    p.add_argument("--dataset-out", type=Path, default="intents.jsonl",
+                   help="output JSONL file (default intents.jsonl)")
     p.add_argument("--seed", type=int, help="noise and retry-jitter seed (default: the config file's, else 0)")
     _add_config(p)
     _add_provider_flags(p)
@@ -495,8 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("route", help="route a dataset and write results + manifest")
     p.add_argument("--menu", required=True, help="menu JSON file")
     p.add_argument("--dataset", required=True, help="dataset JSONL file")
-    p.add_argument("--condition", choices=sorted(_CONDITIONS), default="flattened")
-    p.add_argument("--filter", choices=("base_only", "all"), default="all", dest="filter")
+    p.add_argument("--condition", choices=conditions, default="flattened")
+    p.add_argument("--filter", choices=DATASET_FILTERS, default="all")
     p.add_argument("--lenient", action="store_true", help="salvage one path token from prose replies")
     p.add_argument("--error-budget", type=float, default=0.01, help="tolerated provider failure fraction")
     p.add_argument("--force", action="store_true", help="overwrite an existing run directory")
@@ -514,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="route queries typed on stdin, one per line")
     p.add_argument("--menu", required=True, help="menu JSON file")
-    p.add_argument("--condition", choices=sorted(_CONDITIONS), default="flattened")
+    p.add_argument("--condition", choices=conditions, default="flattened")
     p.add_argument("--dataset", help="dataset JSONL file (required by the oracle provider)")
     p.add_argument("--lenient", action="store_true", help="salvage one path token from prose replies")
     _add_config(p)

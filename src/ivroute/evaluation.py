@@ -16,17 +16,12 @@ import json
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .router import INVALID, RoutingResult, accuracy, format_percent
+from .prompts import CONDITIONS
+from .router import DATASET_FILTERS, INVALID, RoutingResult, accuracy, format_percent
 
 UNKNOWN_PATH = "UNKNOWN_PATH"
 
 EXTRA_COLUMNS = (INVALID, UNKNOWN_PATH)
-
-_CONDITION_DISPLAY = {
-    "descriptive_menu": "Descriptive Menu",
-    "flattened_paths": "Flattened Paths",
-}
-_FILTER_DISPLAY = {"base_only": "Base Only", "all": "Augmented"}
 
 
 class ConfusionMatrix(NamedTuple):
@@ -73,14 +68,8 @@ def confusion_matrix(
                 f"result {result.intent_id}: ground truth {result.ground_truth} "
                 "is outside the class list"
             )
-        row = row_index[result.ground_truth]
-        if result.predicted == INVALID:
-            col = col_index[INVALID]
-        elif result.predicted in col_index:
-            col = col_index[result.predicted]
-        else:
-            col = col_index[UNKNOWN_PATH]
-        counts[row][col] += 1
+        col = col_index.get(result.predicted, col_index[UNKNOWN_PATH])  # INVALID has a column too
+        counts[row_index[result.ground_truth]][col] += 1
     return ConfusionMatrix(true_labels, predicted_labels, counts)
 
 
@@ -100,17 +89,7 @@ def per_class_metrics(matrix: ConfusionMatrix) -> list[ClassMetrics]:
         recall = tp / support if recall_defined else 0.0
         precision = tp / column if precision_defined else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-        metrics.append(
-            ClassMetrics(
-                label=label,
-                precision=precision,
-                recall=recall,
-                f1=f1,
-                support=support,
-                precision_defined=precision_defined,
-                recall_defined=recall_defined,
-            )
-        )
+        metrics.append(ClassMetrics(label, precision, recall, f1, support, precision_defined, recall_defined))
     return metrics
 
 
@@ -168,8 +147,9 @@ def matrix_long_csv(matrix: ConfusionMatrix) -> str:
 
 
 def summary_markdown(report: EvalReport) -> str:
-    condition = _CONDITION_DISPLAY.get(report.condition, report.condition)
-    dataset = _FILTER_DISPLAY.get(report.dataset_filter, report.dataset_filter)
+    spec = CONDITIONS.get(report.condition)
+    condition = spec.label if spec else report.condition
+    dataset = DATASET_FILTERS.get(report.dataset_filter, (report.dataset_filter,))[0]
     lines = [
         f"# Routing accuracy: {report.model_name}",
         "",

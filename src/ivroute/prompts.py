@@ -21,6 +21,22 @@ class RoutingCondition(str, Enum):
     FLATTENED_PATHS = "flattened_paths"
 
 
+class ConditionSpec(NamedTuple):
+    name: str  # what --condition takes
+    label: str  # what the report calls it
+    template: str  # the bundled template file
+    placeholder: str  # where the template takes the context text
+
+
+# The one declaration of each condition's names and template.
+CONDITIONS = {
+    RoutingCondition.DESCRIPTIVE_MENU: ConditionSpec("descriptive", "Descriptive Menu",
+                                                     "template_descriptive.txt", "{{MENU}}"),
+    RoutingCondition.FLATTENED_PATHS: ConditionSpec("flattened", "Flattened Paths",
+                                                    "template_flattened.txt", "{{PATHS}}"),
+}
+
+
 class PromptText(NamedTuple):
     content: str
     query: str
@@ -33,13 +49,6 @@ def load_template(name: str) -> str:
     return text.rstrip("\n")
 
 
-# condition -> (template file, context placeholder, error for an empty context)
-_TEMPLATES = {
-    RoutingCondition.DESCRIPTIVE_MENU: ("template_descriptive.txt", "{{MENU}}", "menu_text is empty"),
-    RoutingCondition.FLATTENED_PATHS: ("template_flattened.txt", "{{PATHS}}", "paths_text is empty"),
-}
-
-
 def _clean_query(query: str) -> str:
     # Only the trailing newline goes; queries keep their noise on purpose.
     cleaned = query.rstrip("\n")
@@ -50,10 +59,10 @@ def _clean_query(query: str) -> str:
 
 def build_prompt(condition: RoutingCondition, context_text: str, query: str) -> PromptText:
     """Fill the condition's template with its context text and the query."""
-    template, placeholder, empty_context = _TEMPLATES[condition]
+    spec = CONDITIONS[condition]
     if not context_text:
-        raise ValueError(empty_context)
+        raise ValueError(f"the {spec.name} context is empty")
     cleaned = _clean_query(query)
-    content = load_template(template).replace(placeholder, context_text, 1)
+    content = load_template(spec.template).replace(spec.placeholder, context_text, 1)
     content = content.replace("{{QUERY}}", cleaned, 1)
     return PromptText(content=content, query=cleaned)

@@ -189,12 +189,14 @@ def format_percent(fraction: float) -> str:
     return f"{fraction * 100:.2f}"
 
 
+# Each --filter value: its report label, and the record origins it keeps.
+DATASET_FILTERS = {"base_only": ("Base Only", {"base"}), "all": ("Augmented", {"base", "augmented"})}
+
+
 def select_records(ds: Dataset, record_filter: str) -> list[IntentRecord]:
-    if record_filter == "base_only":
-        return [r for r in ds.records if r.origin == "base"]
-    if record_filter == "all":
-        return list(ds.records)
-    raise ValueError(f"unknown dataset filter {record_filter!r}")
+    if record_filter not in DATASET_FILTERS:
+        raise ValueError(f"unknown dataset filter {record_filter!r}")
+    return [r for r in ds.records if r.origin in DATASET_FILTERS[record_filter][1]]
 
 
 def render_context(tree: MenuTree, condition: RoutingCondition) -> str:
@@ -256,9 +258,10 @@ def run_calls(
     the next due retry. At most WINDOW_PER_SLOT x max_in_flight jobs are
     submitted at once; while the latest step to finish brought no value,
     jobs waiting out a retry count too. A job whose step raises
-    TransportError gives its worker back and goes again, ahead of jobs not
-    yet started, or fails with TransportError("gave up after N attempt(s):
-    ...") once ``pacing`` gives up. Another ``ProviderError`` fails its job;
+    TransportError gives its worker back and goes again, after the jobs
+    already submitted and ahead of those not yet submitted, or fails with
+    TransportError("gave up after N attempt(s): ...") once ``pacing`` gives
+    up. Another ``ProviderError`` fails its job;
     one failure past ``error_budget`` (a fraction of ``count``) raises
     RoutingAborted, and any other exception is raised as it is; nothing is
     admitted after either, and queued jobs and waiting retries are dropped.
@@ -396,7 +399,8 @@ def route_all(
         return [(records[index].id, message) for index, message in failures]
 
     if identity is None:
-        identity = run_identity(ds, tree, condition, record_filter, provider.config.model_name, lenient)
+        identity = run_identity(ds, tree, condition, record_filter, provider.config.model_name, lenient,
+                                provider.config.temperature)
     try:
         slots, failures = run_calls(provider, len(records), step, error_budget,
                                     Pacing(provider.config, random.Random(identity["run_id"])))
@@ -423,8 +427,10 @@ def run_identity(
     record_filter: str,
     model_name: str,
     lenient: bool,
+    temperature: float | None = None,
 ) -> dict:
-    """The inputs that name a run, plus ``run_id``, their hash.
+    """The inputs that name a run, plus ``run_id``, their hash. A run at
+    the endpoint's default temperature (None) hashes no temperature.
 
     It depends on nothing routing produces, so it is known before the
     first call is made.
@@ -442,6 +448,8 @@ def run_identity(
         "model_name": model_name,
         "parse_mode": "lenient" if lenient else "strict",
     }
+    if temperature is not None:
+        core["temperature"] = float(temperature)  # 1 and 1.0 name one run
     return {**core, "run_id": _sha256(json.dumps(core, sort_keys=True).encode("utf-8"))[:12]}
 
 

@@ -4,7 +4,7 @@ an input; ivroute does not generate menus. Every model call runs on the
 router's scheduler: each job is a generator that yields its prompts and is
 sent their completions.
 
-Augmented records inherit their base record's label; linguistic noise
+Each paraphrase inherits its base record's label; linguistic noise
 (interjections, fillers, small grammar slips) is requested from the
 generator model through the prompt, never patched in afterwards.
 """

@@ -15,7 +15,7 @@ from ivroute.cli import _load_config_file, _make_provider, build_parser, main
 from ivroute.datagen import load_dataset, validate_dataset
 from ivroute.menu import flatten, load_menu
 from ivroute.prompts import RoutingCondition
-from ivroute.provider import DEFAULT_API_KEY_ENV, PIPELINE_STAGES
+from ivroute.provider import DEFAULT_API_KEY_ENV
 from ivroute import router
 from ivroute.router import load_results, run_identity
 
@@ -171,7 +171,7 @@ def test_gen_intents_counts_checked_before_any_call(fixture_menu_path, chat_serv
     monkeypatch.delenv(DEFAULT_API_KEY_ENV, raising=False)
     server = chat_server()
     code = run(["gen-intents", str(fixture_menu_path), *counts, "--provider", "http",
-                "--endpoint", server.url, "--out", str(tmp_path)])
+                "--endpoint", server.url, "--dataset-out", str(tmp_path / "intents.jsonl")])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: {counts[-2]} must be at least")
     assert (server.accepted, server.answered) == (0, 0)
@@ -254,6 +254,15 @@ def test_route_force_replaces_the_report_only_once_new_results_are_written(
     assert "accuracy 30.87% over 230 results" in capsys.readouterr().out
 
 
+def test_route_a_set_temperature_names_its_own_run(tmp_path, fixture_menu_path, fixture_dataset_path):
+    argv = route_args(fixture_menu_path, fixture_dataset_path, tmp_path, condition="flattened",
+                      filter="base_only")
+    assert run(argv + ["--temperature", "0"]) == 0
+    assert run(argv + ["--temperature", "1.5"]) == 0  # not refused as the same run
+    names = {run_dir.name for run_dir in tmp_path.glob("run-*")}
+    assert len(names) == 2 and "run-c3ca07a72a4f" not in names  # the unset temperature's run
+
+
 def test_route_unknown_condition_usage_error(fixture_menu_path, fixture_dataset_path):
     with pytest.raises(SystemExit) as excinfo:
         run(route_args(fixture_menu_path, fixture_dataset_path, "out", condition="nonsense"))
@@ -269,6 +278,8 @@ REMOVED_FLAGS = {
     "flatten-out": lambda menu, data, out: ["flatten", menu, "--out", out],
     "eval-config": lambda menu, data, out: ["eval", "results.jsonl", "--config", "c.json"],
     "check-roles-out": lambda menu, data, out: ["check-roles", "--out", out],
+    "gen-intents-out": lambda menu, data, out: ["gen-intents", menu, "--provider", "scripted",
+                                                "--out", out],
 }
 
 
@@ -388,12 +399,13 @@ def test_route_config_value_of_wrong_type_exit_2(tmp_path, fixture_menu_path,
     # A bool is no number here, though Python counts it as an int; json.loads
     # reads NaN and Infinity as floats, but neither is a rate. A stage block
     # is checked whole, so a flag that overrides a setting (as --provider
-    # does kind) does not hide its wrong type.
+    # does kind) does not hide its wrong type. Every command checks every
+    # block it may read, its own or not.
     for settings in [{"max_in_flight": "4"}, {"max_in_flight": 2.5}, {"max_retries": True},
                      {"temperature": True}, {"requests_per_second": math.nan},
                      {"requests_per_second": math.inf}, {"model_name": 3}, {"endpoint_url": 3},
                      {"api_key_env": []}, {"kind": 3}, {"script": 3}]:
-        file.write_text(json.dumps({"providers": dict.fromkeys(PIPELINE_STAGES, settings)}),
+        file.write_text(json.dumps({"providers": dict.fromkeys(("datagen", "routing"), settings)}),
                         encoding="utf-8")
         for name, argv in commands.items():
             feed_stdin(monkeypatch, "i want to check my balance\n")
@@ -410,7 +422,8 @@ def test_gen_intents_config_seed_of_wrong_type_exit_2(tmp_path, fixture_menu_pat
     config.write_text(json.dumps({"seed": seed}), encoding="utf-8")
     script = write_script(tmp_path, [])
     code = run(["gen-intents", str(fixture_menu_path), "--provider", "scripted",
-                "--script", str(script), "--config", str(config), "--out", str(tmp_path)])
+                "--script", str(script), "--config", str(config),
+                "--dataset-out", str(tmp_path / "intents.jsonl")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: bad config: seed must be an integer")
     assert not (tmp_path / "intents.jsonl").exists()
@@ -571,6 +584,51 @@ def test_eval_without_menu_uses_result_classes(tmp_path, fixture_menu_path,
     report = json.loads((next(run_dir.glob("eval-*")) / "report.json").read_text(encoding="utf-8"))
     assert len(report["matrix"]["true_labels"]) == 23  # every class appears in the fixture
     assert report["dataset_filter"] == "all"
+
+
+def test_eval_without_menu_takes_a_known_prediction_as_a_class(tmp_path, fixture_menu_path,
+                                                                fixture_dataset_path):
+    argv = route_args(fixture_menu_path, fixture_dataset_path, tmp_path, filter="base_only")
+    assert run(argv + ["--provider", "keyword"]) == 0
+    results_file = next(tmp_path.glob("run-*")) / "results.jsonl"
+    rows = [json.loads(line) for line in results_file.read_text(encoding="utf-8").splitlines()]
+    cut = [row for row in rows if row["ground_truth"] in ("1-1", "1-2")]
+    results_file.write_text("".join(json.dumps(row) + "\n" for row in cut), encoding="utf-8")
+    assert len(cut) == 20 and {row["predicted"] for row in cut} == {"1-1", "1-2", "1-4", "3-4"}
+    assert run(["eval", str(results_file)]) == 0
+    report = json.loads((next(results_file.parent.glob("eval-*")) / "report.json").read_text(encoding="utf-8"))
+    matrix = report["matrix"]
+    assert matrix["true_labels"] == ["1-1", "1-2", "1-4", "3-4"]  # 1-4 and 3-4 are terminal paths
+    assert matrix["predicted_labels"][-2:] == ["INVALID", "UNKNOWN_PATH"]
+    assert [row[-1] for row in matrix["counts"]] == [0, 0, 0, 0]
+
+
+def test_eval_refuses_rows_of_two_runs(tmp_path, fixture_menu_path, fixture_dataset_path, capsys):
+    runs = {}
+    for condition, provider in [("flattened", "keyword"), ("descriptive", "oracle")]:
+        out = tmp_path / provider
+        assert run(route_args(fixture_menu_path, fixture_dataset_path, out, condition=condition,
+                              filter="base_only") + ["--provider", provider]) == 0
+        runs[provider] = next(out.glob("run-*"))
+    lines = {provider: (run_dir / "results.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+             for provider, run_dir in runs.items()}
+    mixed = tmp_path / "mixed"
+    mixed.mkdir()
+    (mixed / "results.jsonl").write_text("".join(lines["keyword"][:5] + lines["oracle"][:5]),
+                                         encoding="utf-8")
+    capsys.readouterr()
+    assert run(["eval", str(mixed / "results.jsonl")]) == 1
+    assert capsys.readouterr().err == (f"error: {mixed / 'results.jsonl'} mixes runs: condition is each of "
+                                       "['descriptive_menu', 'flattened_paths']\n")
+    # One run's rows beside another run's manifest, which names another model.
+    keyword_results = runs["keyword"] / "results.jsonl"
+    manifest = json.loads((runs["keyword"] / "manifest.json").read_text(encoding="utf-8"))
+    manifest["model_name"] = "oracle-mock"
+    (runs["keyword"] / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    assert run(["eval", str(keyword_results)]) == 1
+    assert capsys.readouterr().err == (f"error: {keyword_results} mixes runs: model_name is each of "
+                                       "['keyword-mock', 'oracle-mock']\n")
+    assert not list(tmp_path.rglob("eval-*"))
 
 
 def oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path):
@@ -761,7 +819,7 @@ def test_gen_intents_one_text_for_every_path_exit_1(fixture_menu_path, chat_serv
     server = chat_server()  # every reply is "1-1", whichever path it is for
     code = run(["gen-intents", str(fixture_menu_path), "--per-node", "1", "--variants", "1",
                 "--max-in-flight", "1", "--provider", "http", "--endpoint", server.url,
-                "--out", str(tmp_path)])
+                "--dataset-out", str(tmp_path / "intents.jsonl")])
     assert code == 1
     err = capsys.readouterr().err
     assert "violation: record 1-2:b00: same text as record 1-1:b00, which is labelled 1-1" in err
@@ -776,7 +834,7 @@ def test_gen_intents_stages_share_one_connection(fixture_menu_path, chat_server,
     server = chat_server(reply=echo_endpoint_or_original)
     code = run(["gen-intents", str(fixture_menu_path), "--per-node", "1", "--variants", "1",
                 "--max-in-flight", "1", "--provider", "http", "--endpoint", server.url,
-                "--out", str(tmp_path)])
+                "--dataset-out", str(tmp_path / "intents.jsonl")])
     assert code == 0 and "wrote 46 records" in capsys.readouterr().out
     assert server.answered == 3 * 23  # base, paraphrase, and its retry for each path
     assert server.accepted == 1  # the paraphrase stage reused the base stage's connection
@@ -926,6 +984,7 @@ def test_pipeline_composes_end_to_end(tmp_path, fixture_menu_path, capsys):
 UNREAD_CONFIGS = {
     "top-level key": {"seed": 1, "bogus": 1},
     "stage key": {"providers": {"routing": {"kind": "oracle", "bogus": 1}}},
+    "menugen provider key": {"providers": {"menugen": {"model_name": "m", "temperature": 0}}},
     "misspelt stage key": {"providers": {"routing": {"max_in_fligth": 8}}},
     "stage": {"providers": {"scoring": {}}},
     "providers no object": {"providers": ["routing"]},
@@ -939,7 +998,7 @@ def config_commands(menu, dataset, tmp_path):
         "route": route_args(menu, dataset, tmp_path),
         "demo": ["demo", "--menu", str(menu), "--provider", "keyword"],
         "gen-intents": ["gen-intents", str(menu), "--provider", "scripted", "--script", str(script),
-                        "--out", str(tmp_path)],
+                        "--dataset-out", str(tmp_path / "intents.jsonl")],
         "check-roles": ["check-roles"],
     }
 
@@ -955,6 +1014,21 @@ def test_config_key_no_command_reads_exit_2(tmp_path, fixture_menu_path, fixture
         captured = capsys.readouterr()
         assert captured.err.startswith("error: bad config: "), name
         assert captured.out == "", name
+    assert not list(tmp_path.glob("run-*")) and not (tmp_path / "intents.jsonl").exists()
+
+
+def test_config_kind_that_names_no_provider_exit_2(tmp_path, fixture_menu_path, fixture_dataset_path,
+                                                  monkeypatch, capsys):
+    file = tmp_path / "config.json"
+    file.write_text(json.dumps({"providers": {"routing": {"kind": "bogus"}}}), encoding="utf-8")
+    for name, argv in config_commands(fixture_menu_path, fixture_dataset_path, tmp_path).items():
+        # --provider overrides the kind, but does not hide that it names no provider.
+        for flags in ([], ["--provider", "oracle"]) if name != "check-roles" else ([],):
+            feed_stdin(monkeypatch, "i want to check my balance\n")
+            assert run(argv + flags + ["--config", str(file)]) == 2, (name, flags)
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: bad provider settings: kind must be one of"), name
+            assert captured.out == "", name
     assert not list(tmp_path.glob("run-*")) and not (tmp_path / "intents.jsonl").exists()
 
 
@@ -1018,7 +1092,7 @@ FRONT_DOOR = {
     "config": (lambda menu, data, file: route_args(menu, data, file.parent) + ["--config", str(file)], 2,
                "error: cannot read config file"),
     "script": (lambda menu, data, file: ["gen-intents", str(menu), "--provider", "scripted", "--script",
-                                         str(file), "--out", str(file.parent)], 2,
+                                         str(file), "--dataset-out", str(file.parent / "intents.jsonl")], 2,
                "error: cannot read script file"),
     "manifest": (lambda menu, data, file: ["eval", str(file.parent / "results.jsonl")], 0, None),
 }

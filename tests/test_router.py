@@ -696,6 +696,23 @@ def test_fixture_oracle_run_ids_are_stable(dataset, tree, condition, record_filt
     assert identity["run_id"] == run_id
 
 
+def test_a_set_temperature_names_the_run(dataset, tree):
+    def identity(temperature):
+        return run_identity(dataset, tree, RoutingCondition.FLATTENED_PATHS, "base_only", "oracle-mock",
+                            False, temperature)
+
+    assert identity(None)["run_id"] == "c3ca07a72a4f"  # unset, as in every pinned id
+    assert "temperature" not in identity(None)
+    assert len({identity(t)["run_id"] for t in (None, 0, 1.5)}) == 3
+    assert identity(1) == identity(1.0)  # one temperature, however it is written
+    # Without an identity from its caller, route_all hashes its provider's temperature.
+    oracle = OracleProvider.for_dataset(dataset, config=ProviderConfig(model_name="oracle-mock",
+                                                                      temperature=1.5))
+    run = route_all(dataset, RoutingCondition.FLATTENED_PATHS, tree, oracle, record_filter="base_only")
+    assert run.manifest["run_id"] == identity(1.5)["run_id"]
+    assert run.manifest["temperature"] == 1.5
+
+
 def test_manifest_core_fields(tiny_tree):
     ds = tiny_dataset()
     manifest = manifest_for(ds, tiny_tree)
