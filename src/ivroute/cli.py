@@ -9,7 +9,6 @@ or missing input file.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import re
 import shutil
@@ -39,6 +38,7 @@ from .router import (
     RoutingAborted,
     accuracy,
     format_percent,
+    parse_dtmf_response,
     route,
     route_all,
     render_context,
@@ -92,6 +92,14 @@ def _read(path: str | Path, what: str, load, refused: str = "cannot load {what} 
         raise CommandFailed(f"{refused.format(what=what, file=file)}: {exc}", code)
 
 
+def _claim_dir(directory: Path) -> None:
+    """Make a command's output directory before any call is paid for; exit 2 when it cannot be."""
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CommandFailed(f"cannot write {directory}: {exc}", EXIT_USAGE)
+
+
 def _load_config_file(path: str | None) -> dict:
     """Parsed config mapping; exit 2 when the file is absent, holds no JSON
     object, or holds a key that no command reads or a setting of the wrong
@@ -143,8 +151,8 @@ def _make_provider(
     args: argparse.Namespace,
     config: dict,
     stage: str,
+    paths,
     dataset=None,
-    paths=None,
 ) -> Provider:
     """The stage's provider, built from its flag > config file > default
     settings; exit 2 when none can be built."""
@@ -167,8 +175,6 @@ def _make_provider(
             raise CommandFailed("oracle provider needs a dataset to take its answers from", EXIT_USAGE)
         return OracleProvider.for_dataset(dataset, config=cfg)
     if kind == "keyword":
-        if paths is None:
-            raise CommandFailed("keyword provider needs a menu", EXIT_USAGE)
         return KeywordProvider(paths, config=cfg)
     if not given.get("script"):
         raise CommandFailed("scripted provider needs --script <json array file>", EXIT_USAGE)
@@ -214,6 +220,9 @@ def cmd_gen_intents(args: argparse.Namespace) -> int:
     tree = _read(args.menu, "menu", load_menu, "invalid menu")
     paths = flatten(tree)
     provider = _make_provider(args, config, "datagen", paths=paths)
+    if args.dataset_out.is_dir():
+        raise CommandFailed(f"cannot write {args.dataset_out}: it is a directory", EXIT_USAGE)
+    _claim_dir(args.dataset_out.parent)
 
     try:
         ds = build_dataset(
@@ -235,7 +244,6 @@ def cmd_gen_intents(args: argparse.Namespace) -> int:
             print(f"violation: {problem}", file=sys.stderr)
         raise CommandFailed("generated dataset failed validation", EXIT_FAILURE)
 
-    args.dataset_out.parent.mkdir(parents=True, exist_ok=True)
     save_dataset(ds, args.dataset_out)
     print(f"wrote {len(ds.records)} records to {args.dataset_out}")
     return EXIT_OK
@@ -262,6 +270,7 @@ def cmd_route(args: argparse.Namespace) -> int:
             f"{run_dir} already exists (same menu/dataset/condition/model); use --force to overwrite",
             EXIT_FAILURE,
         )
+    _claim_dir(Path(args.out))
 
     try:
         run = route_all(
@@ -283,11 +292,13 @@ def cmd_route(args: argparse.Namespace) -> int:
     except (ProviderError, ValueError) as exc:
         raise CommandFailed(str(exc), EXIT_FAILURE)
 
-    run_dir.mkdir(parents=True, exist_ok=True)
-    save_results(run.results, run_dir / "results.jsonl")
-    (run_dir / "manifest.json").write_text(
-        json.dumps(run.manifest, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
+    try:
+        run_dir.mkdir(exist_ok=True)
+        save_results(run.results, run_dir / "results.jsonl")
+        (run_dir / "manifest.json").write_text(json.dumps(run.manifest, indent=2, ensure_ascii=False) + "\n",
+                                               encoding="utf-8")
+    except OSError as exc:
+        raise CommandFailed(f"cannot write {run_dir}: {exc}", EXIT_FAILURE)
     # A --force rerun's report scored the results just replaced; until they
     # were, an aborted rerun kept both.
     shutil.rmtree(run_dir / f"eval-{identity['run_id']}", ignore_errors=True)
@@ -301,12 +312,19 @@ def cmd_route(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _is_manifest(data) -> bool:
-    """Whether a parsed manifest.json may name the report directory (a run_id
-    of 12 lowercase hex digits) and label the report (string fields)."""
-    return (isinstance(data, dict)
-            and all(isinstance(data.get(k, ""), str) for k in ("run_id", "condition", "dataset_filter", "model_name"))
-            and ("run_id" not in data or bool(re.fullmatch("[0-9a-f]{12}", data["run_id"]))))
+def _run_manifest(file: Path) -> dict:
+    """A route run's manifest.json; ValueError naming each field that is missing or wrong."""
+    data = _json_file(file)
+    data = data if isinstance(data, dict) else {}
+    fields = {"run_id": isinstance(data.get("run_id"), str) and re.fullmatch("[0-9a-f]{12}", data["run_id"]),
+              "condition": isinstance(data.get("condition"), str),
+              "model_name": isinstance(data.get("model_name"), str),
+              "dataset_filter": data.get("dataset_filter") in list(DATASET_FILTERS),
+              "parse_mode": data.get("parse_mode") in ("strict", "lenient"),
+              "n_results": type(data.get("n_results")) is int}
+    if not all(fields.values()):
+        raise ValueError(f"not a route run's manifest (bad {', '.join(k for k, ok in fields.items() if not ok)})")
+    return data
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -316,22 +334,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
     results = _read(results_file, "results", load_results)
     if not results:
         raise CommandFailed(f"results file {results_file} is empty", EXIT_FAILURE)
+    manifest = _read(results_file.parent / "manifest.json", "manifest", _run_manifest)
 
-    try:  # an absent or unreadable manifest is ignored
-        manifest = _read(results_file.parent / "manifest.json", "manifest", _json_file)
-    except CommandFailed:
-        manifest = {}
-    if not _is_manifest(manifest):  # parses, but is no manifest: ignored as unreadable
-        manifest = {}
-
-    # The report's condition and model come from the rows, which must agree
-    # with each other and with a manifest that names them.
-    labels = {"condition": {r.condition.value for r in results}, "model_name": {r.model_name for r in results}}
-    for key, values in labels.items():
-        values.add(manifest.get(key, next(iter(values))))
+    # The rows must be the run the manifest names, which labels the report.
+    for key, values in [("condition", {r.condition.value for r in results}),
+                        ("model_name", {r.model_name for r in results}), ("n_results", {len(results)})]:
+        values.add(manifest[key])
         if len(values) > 1:
             raise CommandFailed(f"{results_file} mixes runs: {key} is each of {sorted(values)}", EXIT_FAILURE)
-    (condition,), (model_name,) = labels.values()
+    # A prediction is graded from the reply its row stores, parsed again.
+    lenient = manifest["parse_mode"] == "lenient"
+    for r in results:
+        if (parse_dtmf_response(r.raw_response, lenient).path or INVALID) != r.predicted:
+            raise CommandFailed(f"{results_file}: intent {r.intent_id}'s reply does not parse to its prediction "
+                                f"{r.predicted} under {manifest['parse_mode']} parsing", EXIT_FAILURE)
 
     if args.menu:
         tree = _read(args.menu, "menu", load_menu, "invalid menu")
@@ -343,21 +359,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
         known = {r.predicted for r in results if r.known_path and r.predicted != INVALID}
         classes = sorted(known | {r.ground_truth for r in results})
 
-    dataset_filter = manifest.get(
-        "dataset_filter",
-        "all" if any(":v" in r.intent_id for r in results) else "base_only",
-    )
-    run_id = manifest.get("run_id") or hashlib.sha256(results_file.read_bytes()).hexdigest()[:12]
-
     try:
-        report = build_report(results, classes, condition, dataset_filter, model_name)
+        report = build_report(results, classes, manifest["condition"], manifest["dataset_filter"],
+                              manifest["model_name"])
     except ValueError as exc:
         raise CommandFailed(str(exc), EXIT_FAILURE)
 
-    report_dir = Path(args.out or results_file.parent) / f"eval-{run_id}"
+    report_dir = Path(args.out or results_file.parent) / f"eval-{manifest['run_id']}"
     if report_dir.exists() and not args.force:
         raise CommandFailed(f"{report_dir} already exists; use --force to overwrite", EXIT_FAILURE)
-    written = emit_report(report, report_dir)
+    try:
+        written = emit_report(report, report_dir)
+    except OSError as exc:  # an --out that names a file, say
+        raise CommandFailed(f"cannot write {report_dir}: {exc}", EXIT_USAGE)
     print(f"accuracy {format_percent(report.accuracy)}% over {report.n} results")
     for path in written:
         print(f"wrote {path}")

@@ -147,9 +147,8 @@ def matrix_long_csv(matrix: ConfusionMatrix) -> str:
 
 
 def summary_markdown(report: EvalReport) -> str:
-    spec = CONDITIONS.get(report.condition)
-    condition = spec.label if spec else report.condition
-    dataset = DATASET_FILTERS.get(report.dataset_filter, (report.dataset_filter,))[0]
+    condition = CONDITIONS[report.condition].label
+    dataset = DATASET_FILTERS[report.dataset_filter][0]
     lines = [
         f"# Routing accuracy: {report.model_name}",
         "",

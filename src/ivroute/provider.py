@@ -270,21 +270,14 @@ class ScriptedProvider(Provider):
     """Plays back a fixed reply list in call order; raises when exhausted.
 
     Reply assignment is call-order based, so tests that need a specific
-    reply per intent should run with max_in_flight=1. ``delay`` holds each
-    call open, which lets concurrency tests observe real overlap.
+    reply per intent should run with max_in_flight=1.
     """
 
-    def __init__(
-        self,
-        replies: list[str],
-        config: ProviderConfig | None = None,
-        delay: float = 0.0,
-    ):
+    def __init__(self, replies: list[str], config: ProviderConfig | None = None):
         super().__init__(config or mock_config("scripted"))
         self._replies = list(replies)
         self._next = 0
         self._script_lock = threading.Lock()
-        self._delay = delay
         self.calls: list[str] = []
 
     def _request(self, text: str, prompt) -> str:
@@ -294,8 +287,6 @@ class ScriptedProvider(Provider):
             reply = self._replies[self._next]
             self._next += 1
             self.calls.append(text)
-        if self._delay:
-            time.sleep(self._delay)
         return reply
 
 

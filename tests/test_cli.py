@@ -4,7 +4,6 @@ configuration layering."""
 import io
 import json
 import math
-import re
 import socket
 
 import pytest
@@ -15,11 +14,11 @@ from ivroute.cli import _load_config_file, _make_provider, build_parser, main
 from ivroute.datagen import load_dataset, validate_dataset
 from ivroute.menu import flatten, load_menu
 from ivroute.prompts import RoutingCondition
-from ivroute.provider import DEFAULT_API_KEY_ENV
+from ivroute.provider import DEFAULT_API_KEY_ENV, ScriptedProvider
 from ivroute import router
 from ivroute.router import load_results, run_identity
 
-from conftest import data_text
+from conftest import data_text, make_record
 
 
 def run(argv):
@@ -594,6 +593,7 @@ def test_eval_without_menu_takes_a_known_prediction_as_a_class(tmp_path, fixture
     rows = [json.loads(line) for line in results_file.read_text(encoding="utf-8").splitlines()]
     cut = [row for row in rows if row["ground_truth"] in ("1-1", "1-2")]
     results_file.write_text("".join(json.dumps(row) + "\n" for row in cut), encoding="utf-8")
+    edit_manifest(results_file.parent, n_results=20)
     assert len(cut) == 20 and {row["predicted"] for row in cut} == {"1-1", "1-2", "1-4", "3-4"}
     assert run(["eval", str(results_file)]) == 0
     report = json.loads((next(results_file.parent.glob("eval-*")) / "report.json").read_text(encoding="utf-8"))
@@ -616,15 +616,14 @@ def test_eval_refuses_rows_of_two_runs(tmp_path, fixture_menu_path, fixture_data
     mixed.mkdir()
     (mixed / "results.jsonl").write_text("".join(lines["keyword"][:5] + lines["oracle"][:5]),
                                          encoding="utf-8")
+    (mixed / "manifest.json").write_bytes((runs["keyword"] / "manifest.json").read_bytes())
     capsys.readouterr()
     assert run(["eval", str(mixed / "results.jsonl")]) == 1
     assert capsys.readouterr().err == (f"error: {mixed / 'results.jsonl'} mixes runs: condition is each of "
                                        "['descriptive_menu', 'flattened_paths']\n")
     # One run's rows beside another run's manifest, which names another model.
     keyword_results = runs["keyword"] / "results.jsonl"
-    manifest = json.loads((runs["keyword"] / "manifest.json").read_text(encoding="utf-8"))
-    manifest["model_name"] = "oracle-mock"
-    (runs["keyword"] / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    edit_manifest(runs["keyword"], model_name="oracle-mock")
     assert run(["eval", str(keyword_results)]) == 1
     assert capsys.readouterr().err == (f"error: {keyword_results} mixes runs: model_name is each of "
                                        "['keyword-mock', 'oracle-mock']\n")
@@ -635,6 +634,11 @@ def oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path):
     assert run(route_args(fixture_menu_path, fixture_dataset_path, tmp_path,
                           condition="flattened", filter="base_only")) == 0
     return next(tmp_path.glob("run-*"))
+
+
+def edit_manifest(run_dir, **fields):
+    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+    (run_dir / "manifest.json").write_text(json.dumps({**manifest, **fields}), encoding="utf-8")
 
 
 def rewrite_row(results_file, index, **fields):
@@ -654,13 +658,97 @@ def test_eval_ignores_a_manifest_that_is_no_object(tmp_path, fixture_menu_path,
     run_dir = oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path)
     (run_dir / "manifest.json").write_text(manifest, encoding="utf-8")
     before = set(tmp_path.rglob("*"))
-    assert run(["eval", str(run_dir / "results.jsonl")]) == 0
-    assert "accuracy 100.00% over 230 results" in capsys.readouterr().out
-    new = set(tmp_path.rglob("*")) - before
-    report_dirs = [p for p in new if p.is_dir()]
-    assert len(report_dirs) == 1 and report_dirs[0].parent == run_dir
-    assert re.fullmatch("eval-[0-9a-f]{12}", report_dirs[0].name)
-    assert {p.parent for p in new if p.is_file()} == {report_dirs[0]}
+    capsys.readouterr()
+    assert run(["eval", str(run_dir / "results.jsonl")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot load manifest {run_dir / 'manifest.json'}: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert set(tmp_path.rglob("*")) == before
+
+
+# Each field eval reads from a route-written manifest, edited into one that
+# names no route run or another run than the rows, and the error it makes.
+MANIFEST_EDITS = {
+    "run_id": ({"run_id": "C3CA07A72A4F"}, "cannot load manifest"),
+    "condition": ({"condition": "descriptive_menu"}, "mixes runs: condition is each of"),
+    "model_name": ({"model_name": "keyword-mock"}, "mixes runs: model_name is each of"),
+    "dataset_filter": ({"dataset_filter": "augmented"}, "cannot load manifest"),
+    "n_results": ({"n_results": 229}, "mixes runs: n_results is each of [229, 230]"),
+    "parse_mode": ({"parse_mode": None}, "cannot load manifest"),
+}
+
+
+@pytest.mark.parametrize("field", MANIFEST_EDITS)
+def test_eval_refuses_a_manifest_edited_in_one_field(tmp_path, fixture_menu_path, fixture_dataset_path,
+                                                     capsys, field):
+    run_dir = oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path)
+    edit, error = MANIFEST_EDITS[field]
+    edit_manifest(run_dir, **edit)
+    before = set(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert run(["eval", str(run_dir / "results.jsonl"), "--menu", str(fixture_menu_path)]) == 1
+    err = capsys.readouterr().err
+    assert error in err and field in err, err
+    assert set(tmp_path.rglob("*")) == before
+
+
+def test_eval_refuses_the_rows_of_another_slice_than_the_manifest(tmp_path, fixture_menu_path,
+                                                                   fixture_dataset_path, capsys):
+    run_dirs = {}
+    for slice_ in ("base_only", "all"):
+        assert run(route_args(fixture_menu_path, fixture_dataset_path, tmp_path / slice_, filter=slice_)) == 0
+        run_dirs[slice_] = next((tmp_path / slice_).glob("run-*"))
+    # The 920 rows of the augmented run beside the base-only run's manifest.
+    (run_dirs["all"] / "manifest.json").write_bytes((run_dirs["base_only"] / "manifest.json").read_bytes())
+    capsys.readouterr()
+    assert run(["eval", str(run_dirs["all"] / "results.jsonl")]) == 1
+    assert capsys.readouterr().err.endswith("mixes runs: n_results is each of [230, 920]\n")
+    assert not list(tmp_path.rglob("eval-*"))
+
+
+def test_eval_without_a_manifest_exit_2(tmp_path, fixture_menu_path, fixture_dataset_path, capsys):
+    run_dir = oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path)
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    (alone / "results.jsonl").write_bytes((run_dir / "results.jsonl").read_bytes())
+    capsys.readouterr()
+    assert run(["eval", str(alone / "results.jsonl")]) == 2
+    assert capsys.readouterr().err == f"error: no such manifest file: {alone / 'manifest.json'}\n"
+    assert list(alone.iterdir()) == [alone / "results.jsonl"]
+
+
+def test_eval_refuses_a_prediction_its_reply_does_not_parse_to(tmp_path, fixture_menu_path,
+                                                               fixture_dataset_path, capsys):
+    run_dir = oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path)
+    results_file = run_dir / "results.jsonl"
+    rewrite_row(results_file, 3, raw_response="I cannot tell, sorry")  # "predicted" and "correct" left
+    rewrite_row(results_file, 5, raw_response="no idea")
+    intent_id = json.loads(results_file.read_text(encoding="utf-8").splitlines()[3])["intent_id"]
+    capsys.readouterr()
+    assert run(["eval", str(results_file)]) == 1
+    err = capsys.readouterr().err
+    assert f"intent {intent_id}'s reply does not parse to its prediction" in err and "strict" in err
+    assert not list(run_dir.glob("eval-*"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(reply=st.text(max_size=30) | st.from_regex(r"\A[ '`.]{0,2}[0-9](-[0-9]){0,3}[ '`.]{0,2}\Z"),
+       lenient=st.booleans(), other=st.sampled_from(["1-1", "2-1", "INVALID"]))
+def test_eval_regrades_any_reply_route_one_wrote(tmp_path_factory, reply, lenient, other):
+    intent = make_record("1-1", "i want my balance")  # the ground truth is 1-1
+    row = router.route_one(intent, RoutingCondition.FLATTENED_PATHS, "1-1: Balance",
+                           ScriptedProvider([reply]), frozenset({"1-1", "2-1"}), lenient)
+    run_dir = tmp_path_factory.mktemp("regrade")
+    manifest = {"run_id": "0123456789ab", "condition": "flattened_paths", "model_name": row.model_name,
+                "dataset_filter": "base_only", "parse_mode": "lenient" if lenient else "strict", "n_results": 1}
+    (run_dir / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    router.save_results([row], run_dir / "results.jsonl")
+    assert run(["eval", str(run_dir / "results.jsonl"), "--out", str(run_dir / "ok")]) == 0
+    if other != row.predicted:
+        edited = row._replace(predicted=other, correct=other == "1-1")
+        router.save_results([edited], run_dir / "results.jsonl")
+        assert run(["eval", str(run_dir / "results.jsonl"), "--out", str(run_dir / "edited")]) == 1
+        assert not (run_dir / "edited").exists()
 
 
 @pytest.mark.parametrize("ground_truth", ["abc", "1--2", 12, None])
@@ -736,6 +824,48 @@ def test_eval_empty_results_exit_1(tmp_path, capsys):
 
 def test_eval_missing_file_exit_2(tmp_path):
     assert run(["eval", str(tmp_path / "none.jsonl")]) == 2
+
+
+# --- output locations ------------------------------------------------------------------
+
+# Each command's output location that cannot be written: under a file, or a
+# directory where a file goes. Each is given a provider at a live endpoint.
+UNWRITABLE_OUTPUTS = {
+    "route --out a file": lambda menu, data, file, url: [
+        "route", "--menu", str(menu), "--dataset", str(data), "--provider", "http", "--endpoint", url,
+        "--out", str(file)],
+    "gen-intents --dataset-out under a file": lambda menu, data, file, url: [
+        "gen-intents", str(menu), "--provider", "http", "--endpoint", url,
+        "--dataset-out", str(file / "intents.jsonl")],
+    "gen-intents --dataset-out a directory": lambda menu, data, file, url: [
+        "gen-intents", str(menu), "--provider", "http", "--endpoint", url, "--dataset-out", str(file.parent)],
+}
+
+
+@pytest.mark.parametrize("kind", UNWRITABLE_OUTPUTS)
+def test_output_that_cannot_be_written_exit_2_before_any_call(tmp_path, fixture_menu_path,
+                                                              fixture_dataset_path, chat_server,
+                                                              monkeypatch, capsys, kind):
+    monkeypatch.delenv(DEFAULT_API_KEY_ENV, raising=False)
+    server = chat_server()
+    file = tmp_path / "taken"
+    file.write_text("", encoding="utf-8")
+    assert run(UNWRITABLE_OUTPUTS[kind](fixture_menu_path, fixture_dataset_path, file, server.url)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and "Traceback" not in err
+    assert (server.accepted, server.answered) == (0, 0)
+    assert sorted(tmp_path.iterdir()) == [file]
+
+
+def test_eval_out_a_file_exit_2(tmp_path, fixture_menu_path, fixture_dataset_path, capsys):
+    run_dir = oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path)
+    file = tmp_path / "taken"
+    file.write_text("", encoding="utf-8")
+    capsys.readouterr()
+    assert run(["eval", str(run_dir / "results.jsonl"), "--out", str(file)]) == 2
+    report_dir = file / run_dir.name.replace("run-", "eval-")
+    assert capsys.readouterr().err.startswith(f"error: cannot write {report_dir}: ")
+    assert file.read_text(encoding="utf-8") == ""
 
 
 # --- demo ------------------------------------------------------------------------------
@@ -1076,8 +1206,8 @@ def deep_menu(levels):
 
 # Each input file of the CLI, the command that reads it, and the exit code
 # and error line when the file is no UTF-8 text or nests too deep to parse:
-# a menu, dataset or results file is refused (1), a config or script file is
-# a usage error (2), and a manifest beside the results is ignored. A JSONL
+# a menu, dataset, results or manifest file is refused (1), and a config or
+# script file is a usage error (2). A JSONL
 # line nested too deep is refused by its line number.
 FRONT_DOOR = {
     "menu": (lambda menu, data, file: ["validate-menu", str(file)], 1, "error: invalid menu: 'utf-8'"),
@@ -1094,7 +1224,8 @@ FRONT_DOOR = {
     "script": (lambda menu, data, file: ["gen-intents", str(menu), "--provider", "scripted", "--script",
                                          str(file), "--dataset-out", str(file.parent / "intents.jsonl")], 2,
                "error: cannot read script file"),
-    "manifest": (lambda menu, data, file: ["eval", str(file.parent / "results.jsonl")], 0, None),
+    "manifest": (lambda menu, data, file: ["eval", str(file.parent / "results.jsonl")], 1,
+                 "error: cannot load manifest"),
 }
 
 

@@ -300,12 +300,27 @@ def test_route_all_aborts_past_budget(tiny_tree):
     assert str(aborted) == "1 provider failure(s) exceeded the budget of 0"
 
 
+class SlowProvider(Provider):
+    """Answers 1-1 after holding each call open for ``delay`` seconds, so
+    concurrency tests see real overlap; records each call's prompt text."""
+
+    def __init__(self, max_in_flight, delay):
+        super().__init__(ProviderConfig(max_in_flight=max_in_flight))
+        self.delay = delay
+        self.calls = []
+
+    def _request(self, text, prompt):
+        self.calls.append(text)
+        time.sleep(self.delay)
+        return "1-1"
+
+
 def test_route_all_other_error_cancels_queued_calls(tiny_tree):
     ds = tiny_dataset()
     # A blank text passes the dataset checks but build_prompt rejects it.
     records = [ds.records[0]._replace(text="   ")] + ds.records[1:]
     ds = Dataset(ds.menu_name, records)
-    provider = ScriptedProvider(["1-1"] * 6, config=ProviderConfig(max_in_flight=1), delay=0.05)
+    provider = SlowProvider(max_in_flight=1, delay=0.05)
     with pytest.raises(ValueError, match="query is empty"):
         route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
     # The single worker may have started the next call before the abort;
@@ -533,7 +548,7 @@ def test_route_all_starts_no_more_workers_than_intents(tiny_tree, monkeypatch):
 
 def test_route_all_leaves_no_worker_behind(tiny_tree):
     ds = tiny_dataset()
-    provider = ScriptedProvider(["1-1"] * 6, config=ProviderConfig(max_in_flight=4), delay=0.01)
+    provider = SlowProvider(max_in_flight=4, delay=0.01)
     route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
     assert workers_alive() == []
 
