@@ -19,7 +19,6 @@ from .datagen import load_dataset, save_dataset, validate_dataset
 from .menu import flatten, load_menu, render_flattened, render_paths_tsv
 from .prompts import CONDITIONS, RoutingCondition
 from .provider import (
-    DEFAULT_API_KEY_ENV,
     HttpProvider,
     KeywordProvider,
     OracleProvider,
@@ -27,6 +26,7 @@ from .provider import (
     Provider,
     ProviderConfig,
     ProviderError,
+    SETTINGS,
     ScriptedProvider,
     check_role_separation,
     mock_config,
@@ -98,6 +98,15 @@ def _claim_dir(directory: Path) -> None:
         directory.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise CommandFailed(f"cannot write {directory}: {exc}", EXIT_USAGE)
+
+
+def _read_dataset(path: str, tree, paths):
+    """The dataset at ``path``; exit 1 when it cannot be loaded or is not valid for the menu's ``paths``."""
+    dataset = _read(path, "dataset", lambda file: load_dataset(file, menu_name=tree.name))
+    problems = validate_dataset(dataset, paths)
+    if problems:
+        raise CommandFailed("dataset is not valid: " + "; ".join(problems), EXIT_FAILURE)
+    return dataset
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -254,10 +263,10 @@ def cmd_route(args: argparse.Namespace) -> int:
         raise CommandFailed(f"--error-budget must be within [0, 1], not {args.error_budget}", EXIT_USAGE)
     config = _load_config_file(args.config)
     tree = _read(args.menu, "menu", load_menu, "invalid menu")
-    ds = _read(args.dataset, "dataset", lambda file: load_dataset(file, menu_name=tree.name))
+    paths = flatten(tree)
+    ds = _read_dataset(args.dataset, tree, paths)
 
     condition = _condition(args)
-    paths = flatten(tree)
     provider = _make_provider(args, config, "routing", dataset=ds, paths=paths)
 
     # The run directory is named by the inputs alone, so a run that could
@@ -383,11 +392,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     tree = _read(args.menu, "menu", load_menu, "invalid menu")
     paths = flatten(tree)
 
-    dataset = (_read(args.dataset, "dataset", lambda file: load_dataset(file, menu_name=tree.name))
-               if args.dataset else None)
-    problems = validate_dataset(dataset, paths) if args.dataset else []
-    if problems:  # the oracle would answer a text with two labels from either
-        raise CommandFailed("dataset is not valid: " + "; ".join(problems), EXIT_FAILURE)
+    dataset = _read_dataset(args.dataset, tree, paths) if args.dataset else None
     provider = _make_provider(args, config, "routing", dataset=dataset, paths=paths)
     pacing = Pacing(provider.config)  # one pace across the session's lines
 
@@ -454,26 +459,10 @@ def _add_config(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_provider_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--provider",
-        dest="kind",
-        choices=_PROVIDER_KINDS,
-        help="provider kind (default http, or the config file's choice)",
-    )
-    parser.add_argument("--endpoint", dest="endpoint_url",
-                        help="chat-completions endpoint URL (http provider)")
-    parser.add_argument("--model", dest="model_name", help="model name sent with each request")
-    parser.add_argument(
-        "--api-key-env",
-        help=f"environment variable holding the bearer token (default {DEFAULT_API_KEY_ENV})",
-    )
-    parser.add_argument("--temperature", type=float, help="sampling temperature (default: unset)")
-    parser.add_argument("--max-retries", type=int, help="retry budget for transport failures")
-    parser.add_argument("--timeout", dest="request_timeout", type=float,
-                        help="per-request timeout in seconds")
-    parser.add_argument("--max-in-flight", type=int, help="concurrent request cap")
-    parser.add_argument("--rps", dest="requests_per_second", type=float,
-                        help="client-side requests-per-second cap")
+    parser.add_argument("--provider", dest="kind", choices=_PROVIDER_KINDS,
+                        help="provider kind (default http, or the config file's choice)")
+    for name, (flag, text, _, kind, _) in SETTINGS.items():
+        parser.add_argument(flag, dest=name, type=kind, help=text)
     parser.add_argument("--script", help="JSON array of replies for the scripted provider")
 
 

@@ -19,7 +19,6 @@ HTTP/1.1 connections, spoken by the small client in ``ivroute.httpclient``.
 from __future__ import annotations
 
 import json
-import math
 import os
 import threading
 import time
@@ -54,41 +53,49 @@ class ProtocolError(ProviderError):
     """The endpoint answered, but not with a usable completion body."""
 
 
-# Each setting (also its key in a config file): its default, and what it
-# must be, in words and as exact types, so that a bool is no number.
-_SETTINGS = {
-    "endpoint_url": ("", "a string", (str,)),
-    "model_name": ("mock", "a string", (str,)),
-    "api_key_env": (DEFAULT_API_KEY_ENV, "a string", (str,)),
-    "temperature": (None, "a number", (int, float, type(None))),
-    "max_retries": (3, "an integer", (int,)),
-    "request_timeout": (60.0, "a number", (int, float)),
-    "max_in_flight": (4, "an integer", (int,)),
-    "requests_per_second": (None, "a number", (int, float, type(None))),
+# Each setting, by its config-file key: its flag and the flag's help; its
+# default, and None is a value only where it is the default; its type, str,
+# int or float (which takes an int too), never a bool; and for a number, the
+# interval it must lie in, "[low, high]" with a parenthesis at an open end.
+# No wait can be longer than threading.TIMEOUT_MAX, the longest a lock or a
+# socket takes: that bounds the timeout, and the turn that --rps sets.
+SETTINGS = {
+    "endpoint_url": ("--endpoint", "chat-completions endpoint URL (http provider)", "", str, ""),
+    "model_name": ("--model", "model name sent with each request", "mock", str, ""),
+    "api_key_env": ("--api-key-env", f"environment variable holding the bearer token (default {DEFAULT_API_KEY_ENV})",
+                    DEFAULT_API_KEY_ENV, str, ""),
+    "temperature": ("--temperature", "sampling temperature (default: unset)", None, float, "[0, 2]"),
+    "max_retries": ("--max-retries", "retry budget for transport failures", 3, int, "[0, 5]"),
+    "request_timeout": ("--timeout", "per-request timeout in seconds", 60.0, float, f"(0, {threading.TIMEOUT_MAX}]"),
+    "max_in_flight": ("--max-in-flight", "concurrent request cap", 4, int, "[1, inf)"),
+    "requests_per_second": ("--rps", "client-side requests-per-second cap", None, float,
+                            f"[{1 / threading.TIMEOUT_MAX}, inf)"),
 }
+_TYPE_WORDS = {str: "a string", int: "an integer", float: "a number"}
 
 
-class ProviderConfig(namedtuple("ProviderConfig", _SETTINGS,
-                                defaults=[default for default, _, _ in _SETTINGS.values()])):
+def _within(interval: str, value) -> bool:
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    return ((low <= value) if interval[0] == "[" else (low < value)) and (
+        (value <= high) if interval[-1] == "]" else (value < high))
+
+
+class ProviderConfig(namedtuple("ProviderConfig", SETTINGS,
+                                defaults=[default for _, _, default, _, _ in SETTINGS.values()])):
     """A ``temperature`` of None keeps the endpoint's default: the field is not sent."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> ProviderConfig:
         self = super().__new__(cls, *args, **kwargs)
-        for (name, (_, what, types)), value in zip(_SETTINGS.items(), self):
-            if type(value) not in types:
+        for (name, (_, _, default, kind, interval)), value in zip(SETTINGS.items(), self):
+            if value is None and default is None:
+                continue
+            what = _TYPE_WORDS[kind] + (interval and f" in {interval}")
+            if type(value) is not kind and not (kind is float and type(value) is int):
                 raise TypeError(f"{name} must be {what}, not {value!r}")
-        if not 0 <= self.max_retries <= 5:
-            raise ValueError("max_retries must be between 0 and 5")
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be at least 1")
-        if not 0 < self.request_timeout < math.inf:
-            raise ValueError("request_timeout must be a positive number of seconds")
-        if self.temperature is not None and not 0.0 <= self.temperature <= 2.0:
-            raise ValueError("temperature must be within [0, 2]")
-        if self.requests_per_second is not None and not 0 < self.requests_per_second < math.inf:
-            raise ValueError("requests_per_second must be a positive finite number")
+            if interval and not _within(interval, value):
+                raise ValueError(f"{name} must be {what}, not {value!r}")
         return self
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too

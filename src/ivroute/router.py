@@ -263,8 +263,9 @@ def run_calls(
     TransportError("gave up after N attempt(s): ...") once ``pacing`` gives
     up. Another ``ProviderError`` fails its job;
     one failure past ``error_budget`` (a fraction of ``count``) raises
-    RoutingAborted, and any other exception is raised as it is; nothing is
-    admitted after either, and queued jobs and waiting retries are dropped.
+    RoutingAborted, and any other exception, a step's or a worker's own, is
+    raised as it is once every worker has stopped; nothing is admitted after
+    either, and queued jobs and waiting retries are dropped.
     The provider stays open for the caller's next run; the caller closes it.
     """
     allowed_failures = math.floor(error_budget * count)
@@ -285,61 +286,64 @@ def run_calls(
     def work() -> None:
         nonlocal submitted, next_index, failing, error
         with lock:
-            while error is None:
-                now = time.monotonic()
-                while waiting and waiting[0][0] <= now:
-                    _, index, attempt = heapq.heappop(waiting)
-                    tasks.append((index, attempt))
-                    submitted += 1
-                while next_index < count and submitted + (len(waiting) if failing else 0) < window:
-                    tasks.append((next_index, 1))
-                    next_index += 1
-                    submitted += 1
-                if not tasks:
-                    if not waiting and not submitted:
-                        break  # every job is done
-                    lock.wait(waiting[0][0] - now if waiting else None)
-                    continue
-                due = pacing.admit(now)
-                if due > now:  # the next --rps turn has not come
-                    lock.wait(due - now)
-                    continue
-                index, attempt = tasks.popleft()
-                lock.notify(len(tasks))  # idle workers take the rest
-                lock.release()
-                try:
-                    outcome = step(index)
-                except BaseException as exc:  # TransportError, ProviderError, or what aborts the run
-                    outcome = exc
-                lock.acquire()
-                if error is not None:
-                    break
-                if outcome is AGAIN:  # the follow-up call is admitted first
-                    tasks.appendleft((index, 1))
-                    continue
-                submitted -= 1
-                failing = isinstance(outcome, BaseException)
-                due = (pacing.retry_at(time.monotonic(), attempt, outcome.retry_after)
-                       if isinstance(outcome, TransportError) else None)
-                if not failing:
-                    values[index] = outcome
-                elif due is not None:
-                    heapq.heappush(waiting, (due, index, attempt + 1))
-                    lock.notify()  # a worker waiting for a later retry times its wait again
-                elif not isinstance(outcome, ProviderError):
-                    error = outcome
-                else:
-                    if isinstance(outcome, TransportError):
-                        gave_up = TransportError(f"gave up after {attempt} attempt(s): {outcome}")
-                        gave_up.__cause__ = outcome
-                        outcome = gave_up
-                    failures.append((index, str(outcome)))
-                    if len(failures) > allowed_failures:
-                        error = RoutingAborted(
-                            f"{len(failures)} provider failure(s) exceeded the budget of {allowed_failures}",
-                            failures=failures,
-                        )
-                        error.__cause__ = outcome
+            try:
+                while error is None:
+                    now = time.monotonic()
+                    while waiting and waiting[0][0] <= now:
+                        _, index, attempt = heapq.heappop(waiting)
+                        tasks.append((index, attempt))
+                        submitted += 1
+                    while next_index < count and submitted + (len(waiting) if failing else 0) < window:
+                        tasks.append((next_index, 1))
+                        next_index += 1
+                        submitted += 1
+                    if not tasks:
+                        if not waiting and not submitted:
+                            break  # every job is done
+                        lock.wait(waiting[0][0] - now if waiting else None)
+                        continue
+                    due = pacing.admit(now)
+                    if due > now:  # the next --rps turn has not come
+                        lock.wait(due - now)
+                        continue
+                    index, attempt = tasks.popleft()
+                    lock.notify(len(tasks))  # idle workers take the rest
+                    lock.release()
+                    try:
+                        outcome = step(index)
+                    except BaseException as exc:  # TransportError, ProviderError, or what aborts the run
+                        outcome = exc
+                    lock.acquire()
+                    if error is not None:
+                        break
+                    if outcome is AGAIN:  # the follow-up call is admitted first
+                        tasks.appendleft((index, 1))
+                        continue
+                    submitted -= 1
+                    failing = isinstance(outcome, BaseException)
+                    due = (pacing.retry_at(time.monotonic(), attempt, outcome.retry_after)
+                           if isinstance(outcome, TransportError) else None)
+                    if not failing:
+                        values[index] = outcome
+                    elif due is not None:
+                        heapq.heappush(waiting, (due, index, attempt + 1))
+                        lock.notify()  # a worker waiting for a later retry times its wait again
+                    elif not isinstance(outcome, ProviderError):
+                        error = outcome
+                    else:
+                        if isinstance(outcome, TransportError):
+                            gave_up = TransportError(f"gave up after {attempt} attempt(s): {outcome}")
+                            gave_up.__cause__ = outcome
+                            outcome = gave_up
+                        failures.append((index, str(outcome)))
+                        if len(failures) > allowed_failures:
+                            error = RoutingAborted(
+                                f"{len(failures)} provider failure(s) exceeded the budget of {allowed_failures}",
+                                failures=failures,
+                            )
+                            error.__cause__ = outcome
+            except BaseException as exc:  # the scheduling's own, as a wait too long or a Pacing that raises
+                error = exc
             lock.notify_all()  # the run is over, or aborted
 
     threads = [threading.Thread(target=work, name=f"ivroute-route-{n}", daemon=True)

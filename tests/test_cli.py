@@ -308,13 +308,14 @@ def test_route_http_requires_endpoint(fixture_menu_path, fixture_dataset_path, c
 @pytest.mark.parametrize(
     "flag, value",
     [("--max-in-flight", "0"), ("--temperature", "3"), ("--rps", "0"), ("--rps", "nan"),
-     ("--rps", "inf"), ("--max-retries", "9"), ("--timeout", "-1"), ("--timeout", "0")],
+     ("--rps", "inf"), ("--max-retries", "9"), ("--timeout", "-1"), ("--timeout", "0"),
+     ("--rps", "1e-300"), ("--timeout", "1e10")],
 )
 def test_route_bad_provider_setting_exit_2(tmp_path, fixture_menu_path, fixture_dataset_path,
                                            capsys, flag, value):
     argv = route_args(fixture_menu_path, fixture_dataset_path, tmp_path) + [flag, value]
     assert run(argv) == 2  # returned, not raised
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith("error: bad provider settings: ")
     assert not list(tmp_path.glob("run-*"))
 
 
@@ -396,14 +397,17 @@ def test_route_config_value_of_wrong_type_exit_2(tmp_path, fixture_menu_path,
     file = tmp_path / "config.json"
     commands = config_commands(fixture_menu_path, fixture_dataset_path, tmp_path)
     # A bool is no number here, though Python counts it as an int; json.loads
-    # reads NaN and Infinity as floats, but neither is a rate. A stage block
+    # reads NaN and Infinity as floats, but neither is a rate. No wait may
+    # outlast threading.TIMEOUT_MAX: not a timeout of 1e10 s, nor a turn of
+    # 1e300 s at 1e-300 requests per second. A stage block
     # is checked whole, so a flag that overrides a setting (as --provider
     # does kind) does not hide its wrong type. Every command checks every
     # block it may read, its own or not.
     for settings in [{"max_in_flight": "4"}, {"max_in_flight": 2.5}, {"max_retries": True},
                      {"temperature": True}, {"requests_per_second": math.nan},
                      {"requests_per_second": math.inf}, {"model_name": 3}, {"endpoint_url": 3},
-                     {"api_key_env": []}, {"kind": 3}, {"script": 3}]:
+                     {"api_key_env": []}, {"kind": 3}, {"script": 3}, {"requests_per_second": 1e-300},
+                     {"request_timeout": 1e10}]:
         file.write_text(json.dumps({"providers": dict.fromkeys(("datagen", "routing"), settings)}),
                         encoding="utf-8")
         for name, argv in commands.items():
@@ -459,6 +463,16 @@ def test_route_text_under_two_labels_exit_1(tmp_path, fixture_menu_path, fixture
     err = capsys.readouterr().err
     assert err.startswith("error: dataset is not valid: record 1-2:b00: same text as record 1-1:b00")
     assert not list(tmp_path.glob("run-*"))
+
+
+def test_route_invalid_dataset_claims_no_out_dir(tmp_path, fixture_menu_path, fixture_dataset_path, capsys):
+    lines = fixture_dataset_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    dataset = tmp_path / "head.jsonl"
+    dataset.write_text("".join(lines[:229]), encoding="utf-8")  # one base record short of 230
+    out = tmp_path / "newout"
+    assert run(route_args(fixture_menu_path, dataset, out)) == 1
+    assert capsys.readouterr().err.startswith("error: dataset is not valid: base record count per terminal path")
+    assert not out.exists()
 
 
 def edited_fixture(tmp_path, fixture_dataset_path, edit):

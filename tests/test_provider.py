@@ -966,6 +966,29 @@ def test_run_calls_admits_nothing_after_an_abort():
     assert aborted - provider.starts[1] < 0.2
 
 
+class BrokenPacing(Pacing):
+    def __init__(self, config, admit):
+        super().__init__(config)
+        self.admit = admit
+
+
+def refuse_every_turn(now):
+    raise RuntimeError("no turn")
+
+
+@pytest.mark.parametrize("admit, error", [
+    (refuse_every_turn, RuntimeError),
+    (lambda now: now + 1e300, OverflowError),  # a wait longer than threading.TIMEOUT_MAX
+], ids=["admit-raises", "wait-overflows"])
+def test_run_calls_raises_what_its_own_scheduling_raises(admit, error):
+    # Not a step's exception but a worker's own ends the run as well: it is
+    # raised once every worker has stopped, and no partial run is returned.
+    provider = ScriptedProvider([], config=ProviderConfig(max_in_flight=2))
+    with pytest.raises(error):
+        run_calls(provider, 3, lambda i: "x", error_budget=0, pacing=BrokenPacing(provider.config, admit))
+    assert not [t for t in threading.enumerate() if t.name.startswith("ivroute-route")]
+
+
 # --- role separation ---------------------------------------------------------------
 
 def reference_stages():
