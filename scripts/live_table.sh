@@ -3,9 +3,11 @@
 # chat-completions endpoint and print the accuracy grid as markdown.
 #
 # This is the optional live reproduction: it needs network access, a real
-# model, and an API key, so nothing in the test suite depends on it. Expect
-# accuracy near the reference values quoted in README.md, not exactly at
-# them; live model output is not deterministic.
+# model, and an API key. Expect accuracy near the reference values quoted in
+# README.md, not exactly at them; live model output is not deterministic.
+# Each cell's route report goes to stderr and to $IVR_OUT/route-*.log; stdout
+# holds the grid alone. A cell whose route fails ends the script with
+# route's exit code, before the grid is printed.
 #
 # Required environment:
 #   IVR_ENDPOINT_URL   chat-completions endpoint, e.g. https://api.example.com/v1/chat/completions
@@ -39,7 +41,6 @@ mkdir -p "$OUT"
 run_cell() {
   condition="$1"
   filter="$2"
-  log="$OUT/route-$condition-$filter.log"
   python3 -m ivroute.cli route \
     --menu "$MENU" \
     --dataset "$DATASET" \
@@ -52,21 +53,25 @@ run_cell() {
     --max-in-flight "$MAX_IN_FLIGHT" \
     $LENIENT_FLAG \
     --force \
-    --out "$OUT" | tee "$log"
-  # "routed N intents, accuracy XX.XX%" -> XX.XX
-  sed -n 's/.*accuracy \([0-9.]*\)%.*/\1/p' "$log"
+    --out "$OUT" | tee "$OUT/route-$condition-$filter.log" >&2
+}
+
+# "routed N intents, accuracy XX.XX%" -> XX.XX
+accuracy() {
+  sed -n 's/.*accuracy \([0-9.]*\)%.*/\1/p' "$OUT/route-$1-$2.log"
 }
 
 echo "routing 2 conditions x 2 dataset slices with $IVR_MODEL ..." >&2
-FB="$(run_cell flattened base_only | tail -1)"
-FA="$(run_cell flattened all | tail -1)"
-DB="$(run_cell descriptive base_only | tail -1)"
-DA="$(run_cell descriptive all | tail -1)"
+for condition in flattened descriptive; do
+  for filter in base_only all; do
+    run_cell "$condition" "$filter"
+  done
+done
 
 echo
 echo "### Routing accuracy (%): $IVR_MODEL"
 echo
 echo "| IVR Context | Base Only (N=230) | Augmented (N=920) |"
 echo "| --- | --- | --- |"
-echo "| Flattened Paths | $FB | $FA |"
-echo "| Descriptive Menu | $DB | $DA |"
+echo "| Flattened Paths | $(accuracy flattened base_only) | $(accuracy flattened all) |"
+echo "| Descriptive Menu | $(accuracy descriptive base_only) | $(accuracy descriptive all) |"

@@ -33,11 +33,12 @@ class Dataset(NamedTuple):
 
 
 def validate_dataset(ds: Dataset, paths: Sequence[TerminalPath]) -> list[str]:
-    """Empty iff every label is a real path, no text is labelled with two
-    paths (a text may repeat under one), every terminal path has the same
-    nonzero number of base records, and every base record has the same
-    number k of paraphrases, whose variant_index values are 1..k, each once.
-    None of it depends on the order of the records."""
+    """Empty iff every text holds a character other than white space, every
+    label is a real path, no text is labelled with two paths (a text may
+    repeat under one), every terminal path has the same nonzero number of
+    base records, and every base record has the same number k of
+    paraphrases, whose variant_index values are 1..k, each once. None of it
+    depends on the order of the records."""
     violations: list[str] = []
     base_per_path = dict.fromkeys((tp.path for tp in paths), 0)
 
@@ -48,6 +49,8 @@ def validate_dataset(ds: Dataset, paths: Sequence[TerminalPath]) -> list[str]:
         if record.id in ids_seen:
             violations.append(f"record {record.id}: duplicate id")
         ids_seen.add(record.id)
+        if not record.text.strip():
+            violations.append(f"record {record.id}: text is blank")
         if record.ground_truth not in base_per_path:
             violations.append(
                 f"record {record.id}: ground truth {record.ground_truth} is not a terminal path"

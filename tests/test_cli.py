@@ -313,10 +313,11 @@ def test_route_http_requires_endpoint(fixture_menu_path, fixture_dataset_path, c
 )
 def test_route_bad_provider_setting_exit_2(tmp_path, fixture_menu_path, fixture_dataset_path,
                                            capsys, flag, value):
-    argv = route_args(fixture_menu_path, fixture_dataset_path, tmp_path) + [flag, value]
+    out = tmp_path / "out"
+    argv = route_args(fixture_menu_path, fixture_dataset_path, out) + [flag, value]
     assert run(argv) == 2  # returned, not raised
     assert capsys.readouterr().err.startswith("error: bad provider settings: ")
-    assert not list(tmp_path.glob("run-*"))
+    assert not out.exists()  # refused before route claims its --out
 
 
 @pytest.mark.parametrize("endpoint", ["ftp://example.test/v1", "http://127.0.0.1:port/v1"])
@@ -473,6 +474,21 @@ def test_route_invalid_dataset_claims_no_out_dir(tmp_path, fixture_menu_path, fi
     assert run(route_args(fixture_menu_path, dataset, out)) == 1
     assert capsys.readouterr().err.startswith("error: dataset is not valid: base record count per terminal path")
     assert not out.exists()
+
+
+def test_route_blank_text_is_refused_before_any_call(tmp_path, fixture_menu_path, fixture_dataset_path,
+                                                     chat_server, monkeypatch, capsys):
+    monkeypatch.delenv(DEFAULT_API_KEY_ENV, raising=False)
+    server = chat_server()
+    dataset = edited_fixture(tmp_path, fixture_dataset_path,
+                             lambda row: {**row, "text": "   "} if row["id"] == "3-9:b09:v3" else row)
+    out = tmp_path / "newout"
+    argv = route_args(fixture_menu_path, dataset, out, filter="all") + ["--provider", "http",
+                                                                         "--endpoint", server.url]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "error: dataset is not valid: record 3-9:b09:v3: text is blank\n"
+    assert not out.exists()
+    assert (server.accepted, server.answered) == (0, 0)
 
 
 def edited_fixture(tmp_path, fixture_dataset_path, edit):

@@ -360,6 +360,14 @@ def test_validate_flags_variant_index_range(tiny_tree):
     assert any("out of range" in p for p in validate_dataset(broken, paths))
 
 
+@pytest.mark.parametrize("blank", ["", "   ", "\n", " \t\r\n"])
+def test_validate_flags_a_blank_text(tiny_tree, blank):
+    records = tiny_dataset().records
+    records[3] = records[3]._replace(text=blank)  # no prompt can be built from it
+    broken = tiny_dataset()._replace(records=records)
+    assert validate_dataset(broken, flatten(tiny_tree)) == ["record 1-9:b01: text is blank"]
+
+
 def test_validate_flags_one_text_under_two_labels(tiny_tree):
     paths = flatten(tiny_tree)
     records = tiny_dataset().records

@@ -1,8 +1,12 @@
 """The HTTP/1.1 client against a raw loopback socket server that sends
 scripted bytes: response framing, connection reuse, the bounds on what a
-server may send, the one-write request, TLS and the CONNECT tunnel."""
+server may send, the one-write request, TLS and the CONNECT tunnel. The
+response reader is also checked against http.client on generated
+responses, delivered in pieces down to one byte."""
 
 import base64
+import http.client
+import io
 import json
 import os
 import re
@@ -13,11 +17,14 @@ import sys
 import threading
 import time
 from pathlib import Path
+from unittest.mock import ANY
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ivroute
-from ivroute.httpclient import ConnectionPool, _authority
+from ivroute.httpclient import BadResponse, ConnectionPool, NoResponse, _Connection, _authority
 from ivroute.provider import TransportError
 
 from conftest import PROXY_VARIABLES, TLS_CERT, TLS_KEY
@@ -312,3 +319,137 @@ def test_urllib_is_imported_only_when_a_proxy_may_apply(variable, loaded):
     child = subprocess.run([sys.executable, "-c", PROXY_PROBE, "http://127.0.0.1:8/v1"], env=env,
                            capture_output=True, text=True, timeout=60)
     assert child.stdout.split() == [str(loaded)], child.stderr
+
+
+# --- the reader against http.client -----------------------------------------------
+
+def spelled(draw, name: str) -> str:
+    """``name`` in a random mix of upper and lower case."""
+    mask = draw(st.integers(0, 2 ** len(name) - 1))
+    return "".join(c.upper() if mask >> i & 1 else c.lower() for i, c in enumerate(name))
+
+
+def field(draw, name: str, value: str, trailing_space: bool = True) -> bytes:
+    """A header or trailer line with random case and optional white space."""
+    lead = draw(st.sampled_from(["", " ", "\t", "  "]))
+    trail = draw(st.sampled_from(["", " ", "\t"])) if trailing_space else ""
+    return f"{spelled(draw, name)}:{lead}{value}{trail}\r\n".encode("latin-1")
+
+
+SIZES = st.lists(st.integers(1, 16), min_size=1, max_size=4)
+
+
+def pieces(data: bytes, sizes: list[int]) -> list[bytes]:
+    """``data`` cut into pieces of ``sizes``, cycled."""
+    out = []
+    while data:
+        size = sizes[len(out) % len(sizes)]
+        out.append(data[:size])
+        data = data[size:]
+    return out
+
+
+OTHER_FIELDS = [("Content-Type", "application/json"), ("Retry-After", "7"), ("X-Request-Id", "a1, b2"),
+                ("Server", "stub/1.0"), ("Connection", "keep-alive"), ("Connection", "close")]
+CHUNK_EXTENSIONS = ["", ";x", ";name=value", ' ;q="a b"']
+
+
+@st.composite
+def responses(draw):
+    """(bytes, status, body, framing, head size) of one HTTP/1.1 response:
+    header fields in random case and spacing, a body framed by
+    Content-Length, by chunked coding with random chunk sizes, extensions
+    and trailers, or by the close, and perhaps a 100 Continue first. A 204
+    or 304 has no body and no framing field."""
+    status = draw(st.sampled_from([200, 201, 204, 304, 400, 429, 500, 503]))
+    body = b"" if status in (204, 304) else draw(st.binary(max_size=40))
+    framing = "none" if status in (204, 304) else draw(st.sampled_from(["length", "chunked", "close"]))
+    fields = [field(draw, name, value) for name, value in draw(st.lists(st.sampled_from(OTHER_FIELDS),
+                                                                        max_size=3, unique_by=lambda f: f[0]))]
+    if framing == "length":
+        fields.append(field(draw, "Content-Length", str(len(body))))
+    elif framing == "chunked":  # http.client takes only the exact token as chunked
+        fields.append(field(draw, "Transfer-Encoding", spelled(draw, "chunked"), trailing_space=False))
+    head = b"".join(draw(st.permutations(fields)))
+    reason = draw(st.sampled_from(["", " OK", " Some Reason"]))
+    message = f"HTTP/1.1 {status}{reason}\r\n".encode("ascii") + head + b"\r\n"
+    if draw(st.booleans()):
+        message = b"HTTP/1.1 100 Continue\r\n" + draw(st.sampled_from([b"", b"X-Note: wait\r\n"])) + b"\r\n" + message
+    head_size = len(message)
+    if framing != "chunked":
+        return message + body, status, body, framing, head_size
+    for chunk in pieces(body, draw(SIZES)):
+        size = format(len(chunk), draw(st.sampled_from(["x", "X", "03x"])))
+        message += f"{size}{draw(st.sampled_from(CHUNK_EXTENSIONS))}\r\n".encode() + chunk + b"\r\n"
+    message += f"0{draw(st.sampled_from(CHUNK_EXTENSIONS))}\r\n".encode()
+    message += b"".join(field(draw, "X-Trailer", str(i)) for i in range(draw(st.integers(0, 2))))
+    return message + b"\r\n", status, body, framing, head_size
+
+
+class Drip:
+    """A socketpair that delivers ``data`` to its reading end ``sock`` in
+    pieces of ``sizes``, cycled: the writing end sends the next piece each
+    time the reader asks for more. Once all is sent it hangs up when
+    ``hang_up``, or else stays silent, so that a reader waiting past its
+    response times out."""
+
+    def __init__(self, data: bytes, sizes: list[int], hang_up: bool):
+        self.writer, self.sock = socket.socketpair()
+        self.sock.settimeout(1.0)
+        self.pieces = pieces(data, sizes)[::-1]
+        self.hang_up = hang_up
+
+    def recv(self, size: int) -> bytes:
+        if self.pieces:
+            self.writer.sendall(self.pieces.pop())
+        elif self.hang_up:
+            self.writer.shutdown(socket.SHUT_WR)
+        return self.sock.recv(size)
+
+    def close(self) -> None:
+        self.writer.close()
+        self.sock.close()
+
+
+def read_dripped(data: bytes, sizes: list[int], hang_up: bool):
+    """_Connection.read_response of ``data`` delivered by a Drip."""
+    drip = Drip(data, sizes, hang_up)
+    try:
+        return _Connection(drip).read_response()
+    finally:
+        drip.close()
+
+
+class BytesSocket:
+    """What http.client.HTTPResponse needs of a socket, holding ``data``."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+
+    def makefile(self, mode):
+        return io.BytesIO(self.data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(response=responses(), sizes=SIZES)
+def test_reader_agrees_with_http_client_over_any_segmenting(response, sizes):
+    data, status, body, framing, _ = response
+    expected = http.client.HTTPResponse(BytesSocket(data), method="POST")
+    expected.begin()
+    assert (expected.status, expected.read()) == (status, body)
+    got_status, fields, got_body, reusable = read_dripped(data, sizes, hang_up=framing == "close")
+    assert (got_status, got_body) == (status, body)
+    assert fields == {name.lower(): value.rstrip(" \t") for name, value in expected.getheaders()}
+    assert reusable == (not expected.will_close)
+
+
+@settings(max_examples=100, deadline=None)
+@given(response=responses(), sizes=SIZES, data=st.data())
+def test_truncated_response_is_a_bad_response(response, sizes, data):
+    message, status, body, framing, head_size = response
+    cut = data.draw(st.integers(0, len(message) - 1), label="cut")
+    if framing == "close" and cut >= head_size:  # the close ends the body: a shorter one is read
+        assert read_dripped(message[:cut], sizes, hang_up=True) == (status, ANY, body[:cut - head_size], False)
+        return
+    with pytest.raises((BadResponse, NoResponse)):
+        read_dripped(message[:cut], sizes, hang_up=True)

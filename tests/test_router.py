@@ -317,11 +317,15 @@ class SlowProvider(Provider):
 
 def test_route_all_other_error_cancels_queued_calls(tiny_tree):
     ds = tiny_dataset()
-    # A blank text passes the dataset checks but build_prompt rejects it.
-    records = [ds.records[0]._replace(text="   ")] + ds.records[1:]
-    ds = Dataset(ds.menu_name, records)
-    provider = SlowProvider(max_in_flight=1, delay=0.05)
-    with pytest.raises(ValueError, match="query is empty"):
+
+    class Broken(SlowProvider):  # its call for the first record fails with no ProviderError
+        def _request(self, text, prompt):
+            if prompt.query == ds.records[0].text:
+                raise RuntimeError("provider bug")
+            return super()._request(text, prompt)
+
+    provider = Broken(max_in_flight=1, delay=0.05)
+    with pytest.raises(RuntimeError, match="provider bug"):
         route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
     # The single worker may have started the next call before the abort;
     # every call queued behind it is cancelled, not run.
