@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import shutil
 import sys
 from pathlib import Path
@@ -38,11 +37,13 @@ from .router import (
     RoutingAborted,
     accuracy,
     format_percent,
+    menu_hash,
     parse_dtmf_response,
     route,
     route_all,
     render_context,
     run_calls,
+    run_id,
     run_identity,
     load_results,
     save_results,
@@ -311,28 +312,30 @@ def cmd_route(args: argparse.Namespace) -> int:
     # A --force rerun's report scored the results just replaced; until they
     # were, an aborted rerun kept both.
     shutil.rmtree(run_dir / f"eval-{identity['run_id']}", ignore_errors=True)
-    if not run.results:  # every failure fit in the error budget, so nothing can be scored
-        failures = len(run.manifest["failures"])
+    failures = len(run.manifest["failures"])  # each fit in the error budget
+    if not run.results:
         raise CommandFailed(
             f"no intent was routed ({failures} provider failure(s)); see {run_dir}", EXIT_FAILURE
         )
-    print(f"routed {len(run.results)} intents, accuracy {format_percent(accuracy(run.results))}%")
+    unscored = f", {failures} failed and not scored" if failures else ""
+    print(f"routed {len(run.results)} intents, accuracy {format_percent(accuracy(run.results))}%{unscored}")
     print(f"run directory: {run_dir}")
     return EXIT_OK
 
 
 def _run_manifest(file: Path) -> dict:
-    """A route run's manifest.json; ValueError naming each field that is missing or wrong."""
+    """A route run's manifest.json; ValueError naming each field that is missing or wrong, or a false run_id."""
     data = _json_file(file)
     data = data if isinstance(data, dict) else {}
-    fields = {"run_id": isinstance(data.get("run_id"), str) and re.fullmatch("[0-9a-f]{12}", data["run_id"]),
-              "condition": isinstance(data.get("condition"), str),
+    fields = {"condition": data.get("condition") in list(CONDITIONS),
               "model_name": isinstance(data.get("model_name"), str),
               "dataset_filter": data.get("dataset_filter") in list(DATASET_FILTERS),
               "parse_mode": data.get("parse_mode") in ("strict", "lenient"),
               "n_results": type(data.get("n_results")) is int}
     if not all(fields.values()):
         raise ValueError(f"not a route run's manifest (bad {', '.join(k for k, ok in fields.items() if not ok)})")
+    if run_id(data) != data.get("run_id"):  # so it is 12 hex digits, fit to name a directory
+        raise ValueError(f"run_id {data.get('run_id')!r} is not the hash of the fields that name its run")
     return data
 
 
@@ -345,12 +348,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise CommandFailed(f"results file {results_file} is empty", EXIT_FAILURE)
     manifest = _read(results_file.parent / "manifest.json", "manifest", _run_manifest)
 
-    # The rows must be the run the manifest names, which labels the report.
-    for key, values in [("condition", {r.condition.value for r in results}),
-                        ("model_name", {r.model_name for r in results}), ("n_results", {len(results)})]:
-        values.add(manifest[key])
-        if len(values) > 1:
-            raise CommandFailed(f"{results_file} mixes runs: {key} is each of {sorted(values)}", EXIT_FAILURE)
+    if manifest["n_results"] != len(results):  # the rows must be all the answers of the run it names
+        raise CommandFailed(f"{results_file} mixes runs: {len(results)} rows, n_results {manifest['n_results']}",
+                            EXIT_FAILURE)
     # A prediction is graded from the reply its row stores, parsed again.
     lenient = manifest["parse_mode"] == "lenient"
     for r in results:
@@ -360,6 +360,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     if args.menu:
         tree = _read(args.menu, "menu", load_menu, "invalid menu")
+        if menu_hash(tree) != manifest.get("menu_hash"):
+            raise CommandFailed(f"menu {args.menu} has hash {menu_hash(tree)}, but the run's menu_hash "
+                                f"is {manifest.get('menu_hash')}", EXIT_FAILURE)
         classes = [tp.path for tp in flatten(tree)]
     else:
         # No menu at hand: score over the paths the results carry, each a

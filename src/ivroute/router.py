@@ -64,18 +64,19 @@ class ParsedResponse(NamedTuple):
 
 
 class RoutingResult(NamedTuple):
-    """One results-file row, its fields in the row's key order."""
+    """One results-file row, its fields in the row's key order; the run's manifest names the run."""
 
     intent_id: str
-    condition: RoutingCondition
     raw_response: str
     normalization_applied: tuple[str, ...]
     predicted: str  # a DtmfPath or "INVALID"
     ground_truth: DtmfPath
-    correct: bool
     known_path: bool
     latency: float
-    model_name: str
+
+    @property
+    def correct(self) -> bool:
+        return self.predicted == self.ground_truth  # INVALID is never a path
 
 
 def parse_dtmf_response(raw: str, lenient: bool = False) -> ParsedResponse:
@@ -150,19 +151,14 @@ def route_one(
     to record against the intent.
     """
     parsed, completion = route(intent.text, condition, context, provider, lenient)
-    truth = intent.ground_truth
-    predicted = INVALID if parsed.path is None else parsed.path
     return RoutingResult(
         intent_id=intent.id,
-        condition=condition,
         raw_response=completion.raw_text,
         normalization_applied=parsed.normalization_applied,
-        predicted=predicted,
-        ground_truth=truth,
-        correct=predicted == truth,  # INVALID is never a path
-        known_path=predicted in known_paths,
+        predicted=INVALID if parsed.path is None else parsed.path,
+        ground_truth=intent.ground_truth,
+        known_path=parsed.path in known_paths,
         latency=completion.latency,
-        model_name=provider.config.model_name,
     )
 
 
@@ -424,6 +420,15 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+# The keys of run_identity that its run id hashes; "temperature" only when set.
+IDENTITY_KEYS = ("menu_name", "menu_hash", "dataset_hash", "condition", "dataset_filter", "model_name",
+                 "parse_mode", "temperature")
+
+
+def menu_hash(tree: MenuTree) -> str:
+    return _sha256(json.dumps(tree_to_document(tree), sort_keys=True, ensure_ascii=False).encode("utf-8"))
+
+
 def run_identity(
     ds: Dataset,
     tree: MenuTree,
@@ -439,14 +444,10 @@ def run_identity(
     It depends on nothing routing produces, so it is known before the
     first call is made.
     """
-    menu_hash = _sha256(
-        json.dumps(tree_to_document(tree), sort_keys=True, ensure_ascii=False).encode("utf-8")
-    )
-    dataset_hash = _sha256(dataset_to_jsonl(ds).encode("utf-8"))
     core = {
         "menu_name": tree.name,
-        "menu_hash": menu_hash,
-        "dataset_hash": dataset_hash,
+        "menu_hash": menu_hash(tree),
+        "dataset_hash": _sha256(dataset_to_jsonl(ds).encode("utf-8")),
         "condition": condition.value,
         "dataset_filter": record_filter,
         "model_name": model_name,
@@ -454,7 +455,13 @@ def run_identity(
     }
     if temperature is not None:
         core["temperature"] = float(temperature)  # 1 and 1.0 name one run
-    return {**core, "run_id": _sha256(json.dumps(core, sort_keys=True).encode("utf-8"))[:12]}
+    return {**core, "run_id": run_id(core)}
+
+
+def run_id(fields: dict) -> str:
+    """The id of the run that ``fields``, a ``run_identity`` or a manifest, names: its IDENTITY_KEYS' hash."""
+    identity = {key: fields[key] for key in IDENTITY_KEYS if key in fields}
+    return _sha256(json.dumps(identity, sort_keys=True).encode("utf-8"))[:12]
 
 
 def build_manifest(identity: dict, n_results: int, failures: list[tuple[str, str]]) -> dict:
@@ -468,16 +475,14 @@ def build_manifest(identity: dict, n_results: int, failures: list[tuple[str, str
 
 
 def result_from_record(record: dict) -> RoutingResult:
-    """The result a results-file row holds. A field of the wrong type is
-    refused with ValueError, and so is a row whose ``correct`` is not
-    ``predicted == ground_truth``: accuracy is graded from the evidence, not
-    from a stored flag. A row without ``normalization_applied`` applied no
-    rule."""
+    """The result a results-file row holds; a field of the wrong type is
+    refused with ValueError. Other keys, as the ``condition``, ``model_name``
+    and ``correct`` of rows of an earlier format, are ignored. A row without
+    ``normalization_applied`` applied no rule."""
     intent_id = record["intent_id"]
     if not isinstance(intent_id, str):
         raise ValueError(f"intent_id must be a string, not {intent_id!r}")
-    for name, kind, what in [("raw_response", str, "a string"), ("model_name", str, "a string"),
-                             ("correct", bool, "true or false"), ("known_path", bool, "true or false")]:
+    for name, kind, what in [("raw_response", str, "a string"), ("known_path", bool, "true or false")]:
         if not isinstance(record[name], kind):
             raise ValueError(f"intent {intent_id}: {name} must be {what}, not {record[name]!r}")
     latency = record["latency"]
@@ -489,16 +494,8 @@ def result_from_record(record: dict) -> RoutingResult:
     predicted = record["predicted"]
     if predicted != INVALID:
         predicted = DtmfPath(predicted)  # refused when it is no path
-    ground_truth = DtmfPath(record["ground_truth"])
-    correct = record["correct"]
-    if correct != (predicted == ground_truth):
-        raise ValueError(
-            f"intent {intent_id}: correct is {str(correct).lower()} but "
-            f"{predicted} was predicted for {ground_truth}"
-        )
-    return RoutingResult(intent_id, RoutingCondition(record["condition"]), record["raw_response"],
-                         tuple(rules), predicted, ground_truth, correct, record["known_path"],
-                         latency, record["model_name"])
+    return RoutingResult(intent_id, record["raw_response"], tuple(rules), predicted,
+                         DtmfPath(record["ground_truth"]), record["known_path"], latency)
 
 
 def save_results(results: Iterable[RoutingResult], path: str | Path) -> None:

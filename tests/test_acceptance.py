@@ -172,15 +172,12 @@ def test_criterion_04_accuracy_arithmetic(tree, dataset):
 def make_result(truth: str, predicted: str) -> RoutingResult:
     return RoutingResult(
         intent_id=f"{truth}:b00",
-        condition=RoutingCondition.FLATTENED_PATHS,
         raw_response=predicted,
         normalization_applied=(),
         predicted=predicted,
         ground_truth=truth,
-        correct=predicted == truth,
         known_path=predicted != INVALID,
         latency=0.0,
-        model_name="test",
     )
 
 

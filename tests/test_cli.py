@@ -554,6 +554,15 @@ def test_route_names_each_failure_once(tmp_path, fixture_menu_path, fixture_data
     assert err[1:] == [f"  failed 1-1:b0{i}: scripted mock ran out of replies" for i in (2, 3, 4)]
 
 
+def test_route_summary_counts_the_failures_it_does_not_score(tmp_path, fixture_menu_path,
+                                                             fixture_dataset_path, capsys):
+    script = write_script(tmp_path, ["1-1"] * 228)  # two of the 230 base intents get no reply
+    argv = route_args(fixture_menu_path, fixture_dataset_path, tmp_path, filter="base_only",
+                      max_in_flight=1) + ["--provider", "scripted", "--script", str(script)]
+    assert run(argv) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "routed 228 intents, accuracy 4.39%, 2 failed and not scored"
+
+
 def test_route_every_intent_failing_within_budget_exit_1(tmp_path, fixture_menu_path,
                                                          fixture_dataset_path, capsys):
     script = tmp_path / "empty.json"
@@ -649,14 +658,12 @@ def test_eval_refuses_rows_of_two_runs(tmp_path, fixture_menu_path, fixture_data
     (mixed / "manifest.json").write_bytes((runs["keyword"] / "manifest.json").read_bytes())
     capsys.readouterr()
     assert run(["eval", str(mixed / "results.jsonl")]) == 1
-    assert capsys.readouterr().err == (f"error: {mixed / 'results.jsonl'} mixes runs: condition is each of "
-                                       "['descriptive_menu', 'flattened_paths']\n")
+    assert capsys.readouterr().err == f"error: {mixed / 'results.jsonl'} mixes runs: 10 rows, n_results 230\n"
     # One run's rows beside another run's manifest, which names another model.
     keyword_results = runs["keyword"] / "results.jsonl"
     edit_manifest(runs["keyword"], model_name="oracle-mock")
     assert run(["eval", str(keyword_results)]) == 1
-    assert capsys.readouterr().err == (f"error: {keyword_results} mixes runs: model_name is each of "
-                                       "['keyword-mock', 'oracle-mock']\n")
+    assert capsys.readouterr().err.endswith("is not the hash of the fields that name its run\n")
     assert not list(tmp_path.rglob("eval-*"))
 
 
@@ -696,15 +703,27 @@ def test_eval_ignores_a_manifest_that_is_no_object(tmp_path, fixture_menu_path,
     assert set(tmp_path.rglob("*")) == before
 
 
-# Each field eval reads from a route-written manifest, edited into one that
-# names no route run or another run than the rows, and the error it makes.
+# A route-written manifest edited in one field, and the error eval makes of it.
+NOT_HASHED = "cannot load manifest {file}: run_id 'c3ca07a72a4f' is not the hash of the fields that name its run"
 MANIFEST_EDITS = {
-    "run_id": ({"run_id": "C3CA07A72A4F"}, "cannot load manifest"),
-    "condition": ({"condition": "descriptive_menu"}, "mixes runs: condition is each of"),
-    "model_name": ({"model_name": "keyword-mock"}, "mixes runs: model_name is each of"),
-    "dataset_filter": ({"dataset_filter": "augmented"}, "cannot load manifest"),
-    "n_results": ({"n_results": 229}, "mixes runs: n_results is each of [229, 230]"),
-    "parse_mode": ({"parse_mode": None}, "cannot load manifest"),
+    # a value no route run writes, refused by its own check even under a run_id hashed to match it
+    "run_id": ({"run_id": "C3CA07A72A4F"}, "cannot load manifest {file}: run_id 'C3CA07A72A4F' is not the hash"),
+    "no condition": ({"condition": "foo"}, "cannot load manifest {file}: not a route run's manifest (bad condition)"),
+    "no model name": ({"model_name": ["oracle-mock"]}, "not a route run's manifest (bad model_name)"),
+    "dataset_filter": ({"dataset_filter": "augmented"}, "not a route run's manifest (bad dataset_filter)"),
+    "parse_mode": ({"parse_mode": None}, "not a route run's manifest (bad parse_mode)"),
+    "no count": ({"n_results": "230"}, "not a route run's manifest (bad n_results)"),
+    # another run than the one its run_id names, in each field the run_id hashes
+    "menu_name": ({"menu_name": "Other"}, NOT_HASHED),
+    "menu_hash": ({"menu_hash": "0" * 64}, NOT_HASHED),
+    "dataset_hash": ({"dataset_hash": "0" * 64}, NOT_HASHED),
+    "condition": ({"condition": "descriptive_menu"}, NOT_HASHED),
+    "dataset_filter hashed": ({"dataset_filter": "all"}, NOT_HASHED),
+    "model_name": ({"model_name": "keyword-mock"}, NOT_HASHED),
+    "parse_mode hashed": ({"parse_mode": "lenient"}, NOT_HASHED),
+    "temperature": ({"temperature": 0.0}, NOT_HASHED),
+    # another number of rows than the run's
+    "n_results": ({"n_results": 229}, "mixes runs: 230 rows, n_results 229"),
 }
 
 
@@ -713,12 +732,16 @@ def test_eval_refuses_a_manifest_edited_in_one_field(tmp_path, fixture_menu_path
                                                      capsys, field):
     run_dir = oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path)
     edit, error = MANIFEST_EDITS[field]
-    edit_manifest(run_dir, **edit)
+    manifest = {**json.loads((run_dir / "manifest.json").read_text(encoding="utf-8")), **edit}
+    if "not a route run's manifest" in error:  # a run_id forged to match: the field's own check must refuse it
+        manifest["run_id"] = router.run_id(manifest)
+    (run_dir / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     before = set(tmp_path.rglob("*"))
     capsys.readouterr()
     assert run(["eval", str(run_dir / "results.jsonl"), "--menu", str(fixture_menu_path)]) == 1
     err = capsys.readouterr().err
-    assert error in err and field in err, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err  # returned, no traceback
+    assert error.format(file=run_dir / "manifest.json") in err, err
     assert set(tmp_path.rglob("*")) == before
 
 
@@ -732,7 +755,7 @@ def test_eval_refuses_the_rows_of_another_slice_than_the_manifest(tmp_path, fixt
     (run_dirs["all"] / "manifest.json").write_bytes((run_dirs["base_only"] / "manifest.json").read_bytes())
     capsys.readouterr()
     assert run(["eval", str(run_dirs["all"] / "results.jsonl")]) == 1
-    assert capsys.readouterr().err.endswith("mixes runs: n_results is each of [230, 920]\n")
+    assert capsys.readouterr().err.endswith("mixes runs: 920 rows, n_results 230\n")
     assert not list(tmp_path.rglob("eval-*"))
 
 
@@ -769,13 +792,15 @@ def test_eval_regrades_any_reply_route_one_wrote(tmp_path_factory, reply, lenien
     row = router.route_one(intent, RoutingCondition.FLATTENED_PATHS, "1-1: Balance",
                            ScriptedProvider([reply]), frozenset({"1-1", "2-1"}), lenient)
     run_dir = tmp_path_factory.mktemp("regrade")
-    manifest = {"run_id": "0123456789ab", "condition": "flattened_paths", "model_name": row.model_name,
-                "dataset_filter": "base_only", "parse_mode": "lenient" if lenient else "strict", "n_results": 1}
+    identity = {"menu_name": "Tiny", "menu_hash": "0" * 64, "dataset_hash": "0" * 64,
+                "condition": "flattened_paths", "dataset_filter": "base_only", "model_name": "scripted-mock",
+                "parse_mode": "lenient" if lenient else "strict"}
+    manifest = {**identity, "run_id": router.run_id(identity), "n_results": 1}
     (run_dir / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     router.save_results([row], run_dir / "results.jsonl")
     assert run(["eval", str(run_dir / "results.jsonl"), "--out", str(run_dir / "ok")]) == 0
     if other != row.predicted:
-        edited = row._replace(predicted=other, correct=other == "1-1")
+        edited = row._replace(predicted=other)
         router.save_results([edited], run_dir / "results.jsonl")
         assert run(["eval", str(run_dir / "results.jsonl"), "--out", str(run_dir / "edited")]) == 1
         assert not (run_dir / "edited").exists()
@@ -795,22 +820,47 @@ def test_eval_prediction_edited_against_its_flag_exit_1(tmp_path, fixture_menu_p
                                                         fixture_dataset_path, capsys):
     run_dir = oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path)
     results_file = run_dir / "results.jsonl"
-    truth = json.loads(results_file.read_text(encoding="utf-8").splitlines()[3])["ground_truth"]
-    wrong = "1-2" if truth == "1-1" else "1-1"
-    rewrite_row(results_file, 3, predicted=wrong)  # "correct": true left in place
+    row = json.loads(results_file.read_text(encoding="utf-8").splitlines()[3])
+    wrong = "1-2" if row["ground_truth"] == "1-1" else "1-1"
+    rewrite_row(results_file, 3, predicted=wrong, correct=True)  # a stale flag of a previous-format row
     assert run(["eval", str(results_file)]) == 1
     err = capsys.readouterr().err
-    assert "cannot load results" in err and f"{wrong} was predicted" in err
+    assert f"intent {row['intent_id']}'s reply does not parse to its prediction {wrong}" in err
 
 
-@pytest.mark.parametrize("flag", ["no", "true", 1, None])
-def test_eval_correct_flag_that_is_no_bool_exit_1(tmp_path, fixture_menu_path,
-                                                  fixture_dataset_path, capsys, flag):
+def test_eval_scores_a_previous_format_results_file_from_the_evidence(tmp_path, fixture_menu_path,
+                                                                      fixture_dataset_path, capsys):
     run_dir = oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path)
     results_file = run_dir / "results.jsonl"
-    rewrite_row(results_file, 3, correct=flag)
-    assert run(["eval", str(results_file)]) == 1
-    assert "cannot load results" in capsys.readouterr().err
+    truth = json.loads(results_file.read_text(encoding="utf-8").splitlines()[3])["ground_truth"]
+    wrong = "1-2" if truth == "1-1" else "1-1"
+    rewrite_row(results_file, 3, raw_response=wrong, predicted=wrong)
+    assert run(["eval", str(results_file), "--out", str(tmp_path / "now")]) == 0
+    # The same answers as rows were written before they held the answer alone:
+    # each names the run's condition and model and stores a flag, true even on the wrong answer.
+    rows = [json.loads(line) for line in results_file.read_text(encoding="utf-8").splitlines()]
+    results_file.write_text("".join(json.dumps({
+        "intent_id": row["intent_id"], "condition": "flattened_paths", **row, "correct": True,
+        "model_name": "oracle-mock"}) + "\n" for row in rows), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["eval", str(results_file), "--out", str(tmp_path / "previous")]) == 0
+    assert "accuracy 99.57% over 230 results" in capsys.readouterr().out
+    for name in ("report.json", "matrix.csv", "matrix_long.csv", "summary.md"):
+        report = f"eval-{run_dir.name.removeprefix('run-')}/{name}"
+        assert (tmp_path / "previous" / report).read_bytes() == (tmp_path / "now" / report).read_bytes()
+
+
+def test_eval_refuses_a_menu_of_another_run(tmp_path, fixture_menu_path, fixture_dataset_path, capsys):
+    run_dir = oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path)
+    other = tmp_path / "other.menu.json"
+    other.write_text(json.dumps({**json.loads(fixture_menu_path.read_text(encoding="utf-8")), "name": "Other"}),
+                     encoding="utf-8")  # the same paths, so the same classes, under another name
+    capsys.readouterr()
+    assert run(["eval", str(run_dir / "results.jsonl"), "--menu", str(other)]) == 1
+    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+    assert capsys.readouterr().err == (f"error: menu {other} has hash {router.menu_hash(load_menu(other))}, "
+                                       f"but the run's menu_hash is {manifest['menu_hash']}\n")
+    assert not list(run_dir.glob("eval-*"))
 
 
 NOT_A_RESULTS_ROW = {
@@ -828,7 +878,6 @@ NOT_A_RESULTS_ROW = {
     "latency-a-bool": lambda row: {**row, "latency": True},
     "intent-id-not-a-string": lambda row: {**row, "intent_id": 7},
     "raw-response-not-a-string": lambda row: {**row, "raw_response": None},
-    "model-name-not-a-string": lambda row: {**row, "model_name": ["oracle"]},
 }
 
 
@@ -1262,9 +1311,8 @@ FRONT_DOOR = {
 GOOD_LINE = {
     "deep dataset": data_text("agentnet.intents.jsonl").splitlines()[0],
     "deep results": json.dumps({
-        "intent_id": "1-1:b00", "condition": "flattened_paths", "raw_response": "1-1",
-        "normalization_applied": [], "predicted": "1-1", "ground_truth": "1-1", "correct": True,
-        "known_path": True, "latency": 0.0, "model_name": "oracle"}),
+        "intent_id": "1-1:b00", "raw_response": "1-1", "normalization_applied": [], "predicted": "1-1",
+        "ground_truth": "1-1", "known_path": True, "latency": 0.0}),
 }
 
 

@@ -20,22 +20,18 @@ from ivroute.evaluation import (
     report_to_json,
     summary_markdown,
 )
-from ivroute.prompts import RoutingCondition
 from ivroute.router import INVALID, RoutingResult
 
 
 def result(truth: str, predicted: str, intent_id: str = "") -> RoutingResult:
     return RoutingResult(
         intent_id=intent_id or f"{truth}:b00",
-        condition=RoutingCondition.FLATTENED_PATHS,
         raw_response=predicted,
         normalization_applied=(),
         predicted=predicted,
         ground_truth=truth,
-        correct=predicted == truth,
         known_path=predicted != INVALID,
         latency=0.0,
-        model_name="test",
     )
 
 

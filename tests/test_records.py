@@ -27,10 +27,8 @@ def intent():
 
 
 def result():
-    return RoutingResult(intent_id="1:b00", condition=FLAT, raw_response="1",
-                         normalization_applied=(), predicted="1",
-                         ground_truth="1", correct=True, known_path=True, latency=0.25,
-                         model_name="m")
+    return RoutingResult(intent_id="1:b00", raw_response="1", normalization_applied=(), predicted="1",
+                         ground_truth="1", known_path=True, latency=0.25)
 
 
 def matrix():

@@ -101,24 +101,31 @@ def results(draw):
     rules = ("trim", "unquote", "strip_trailing_period", "map_unicode_dashes", "lenient_extract")
     return RoutingResult(
         intent_id=draw(st.text(min_size=1)),
-        condition=draw(st.sampled_from(RoutingCondition)),
         raw_response=draw(st.text()),
         normalization_applied=tuple(draw(st.lists(st.sampled_from(rules), unique=True))),
         predicted=predicted,
         ground_truth=truth,
-        correct=predicted == truth,
         known_path=draw(st.booleans()),
         latency=draw(st.floats(min_value=0, allow_nan=False, allow_infinity=False)),
-        model_name=draw(st.text()),
     )
 
 
+# The keys a row held before it held the answer alone, with any values.
+previous_row_keys = st.fixed_dictionaries({}, optional={
+    "condition": st.sampled_from([c.value for c in RoutingCondition]),
+    "model_name": st.text(),
+    "correct": st.booleans(),
+})
+
+
 @settings(max_examples=300, deadline=None)
-@given(results())
-def test_result_survives_a_results_file_row(result):
+@given(results(), previous_row_keys)
+def test_result_survives_a_results_file_row(result, previous):
     # One row as save_results writes it and load_results reads it back.
-    row = json.dumps(result._asdict(), ensure_ascii=False)
-    assert result_from_record(json.loads(row)) == result
+    row = json.loads(json.dumps(result._asdict(), ensure_ascii=False))
+    assert result_from_record(row) == result
+    # A previous-format row is the same result, graded from its evidence.
+    assert result_from_record({**row, **previous}) == result
 
 
 # --- the path grammar -------------------------------------------------------------
@@ -166,10 +173,8 @@ def test_a_dataset_line_takes_exactly_the_grammars_paths(tmp_path_factory, text)
 
 def results_row(predicted, ground_truth) -> str:
     return json.dumps({
-        "intent_id": "a", "condition": RoutingCondition.FLATTENED_PATHS.value,
-        "raw_response": "r", "normalization_applied": [], "predicted": predicted,
-        "ground_truth": ground_truth, "correct": predicted == ground_truth, "known_path": True,
-        "latency": 0.0, "model_name": "m",
+        "intent_id": "a", "raw_response": "r", "normalization_applied": [], "predicted": predicted,
+        "ground_truth": ground_truth, "known_path": True, "latency": 0.0,
     }, ensure_ascii=False) + "\n"
 
 
