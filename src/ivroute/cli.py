@@ -353,23 +353,21 @@ def cmd_eval(args: argparse.Namespace) -> int:
                             EXIT_FAILURE)
     # A prediction is graded from the reply its row stores, parsed again.
     lenient = manifest["parse_mode"] == "lenient"
+    graded = set()
     for r in results:
+        if r.intent_id in graded:
+            raise CommandFailed(f"{results_file}: intent {r.intent_id} has more than one row", EXIT_FAILURE)
+        graded.add(r.intent_id)
         if (parse_dtmf_response(r.raw_response, lenient).path or INVALID) != r.predicted:
             raise CommandFailed(f"{results_file}: intent {r.intent_id}'s reply does not parse to its prediction "
                                 f"{r.predicted} under {manifest['parse_mode']} parsing", EXIT_FAILURE)
 
-    if args.menu:
-        tree = _read(args.menu, "menu", load_menu, "invalid menu")
-        if menu_hash(tree) != manifest.get("menu_hash"):
-            raise CommandFailed(f"menu {args.menu} has hash {menu_hash(tree)}, but the run's menu_hash "
-                                f"is {manifest.get('menu_hash')}", EXIT_FAILURE)
-        classes = [tp.path for tp in flatten(tree)]
-    else:
-        # No menu at hand: score over the paths the results carry, each a
-        # ground truth or a prediction its row knows as a terminal path.
-        # One character per digit, and "-" below "0": texts sort as digit sequences.
-        known = {r.predicted for r in results if r.known_path and r.predicted != INVALID}
-        classes = sorted(known | {r.ground_truth for r in results})
+    # The report's classes are the terminal paths of the menu the run routed against.
+    tree = _read(args.menu, "menu", load_menu, "invalid menu")
+    if menu_hash(tree) != manifest.get("menu_hash"):
+        raise CommandFailed(f"menu {args.menu} has hash {menu_hash(tree)}, but the run's menu_hash "
+                            f"is {manifest.get('menu_hash')}", EXIT_FAILURE)
+    classes = [tp.path for tp in flatten(tree)]
 
     try:
         report = build_report(results, classes, manifest["condition"], manifest["dataset_filter"],
@@ -524,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="score a results file into a report directory")
     p.add_argument("results", help="results JSONL file")
-    p.add_argument("--menu", help="menu file fixing the class list (else classes come from the results)")
+    p.add_argument("--menu", required=True, help="the run's menu JSON file; its terminal paths are the classes")
     p.add_argument("--force", action="store_true", help="overwrite an existing report directory")
     p.add_argument("--out", help="directory the report directory goes in (default: the results file's)")
     p.set_defaults(func=cmd_eval)

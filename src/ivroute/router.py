@@ -64,14 +64,14 @@ class ParsedResponse(NamedTuple):
 
 
 class RoutingResult(NamedTuple):
-    """One results-file row, its fields in the row's key order; the run's manifest names the run."""
+    """One results-file row, its fields in the row's key order; the run's
+    manifest names the run. The rules that fired are those of
+    ``parse_dtmf_response(raw_response)`` under the run's parse mode."""
 
     intent_id: str
     raw_response: str
-    normalization_applied: tuple[str, ...]
     predicted: str  # a DtmfPath or "INVALID"
     ground_truth: DtmfPath
-    known_path: bool
     latency: float
 
     @property
@@ -142,7 +142,6 @@ def route_one(
     condition: RoutingCondition,
     context: str,
     provider: Provider,
-    known_paths: frozenset[str] = frozenset(),
     lenient: bool = False,
 ) -> RoutingResult:
     """Route one intent's text and grade the reply against its ground truth.
@@ -154,10 +153,8 @@ def route_one(
     return RoutingResult(
         intent_id=intent.id,
         raw_response=completion.raw_text,
-        normalization_applied=parsed.normalization_applied,
         predicted=INVALID if parsed.path is None else parsed.path,
         ground_truth=intent.ground_truth,
-        known_path=parsed.path in known_paths,
         latency=completion.latency,
     )
 
@@ -383,17 +380,15 @@ def route_all(
     menu_problems = validate_menu(tree)
     if menu_problems:
         raise ValueError("menu is not valid: " + "; ".join(menu_problems))
-    terminal = flatten(tree)
-    data_problems = validate_dataset(ds, terminal)
+    data_problems = validate_dataset(ds, flatten(tree))
     if data_problems:
         raise ValueError("dataset is not valid: " + "; ".join(data_problems))
 
     records = select_records(ds, record_filter)
     context = render_context(tree, condition)
-    known = frozenset(tp.path for tp in terminal)
 
     def step(index: int) -> RoutingResult:
-        return route_one(records[index], condition, context, provider, known, lenient)
+        return route_one(records[index], condition, context, provider, lenient)
 
     def by_id(failures: list[tuple[int, str]]) -> list[tuple[str, str]]:
         return [(records[index].id, message) for index, message in failures]
@@ -476,26 +471,21 @@ def build_manifest(identity: dict, n_results: int, failures: list[tuple[str, str
 
 def result_from_record(record: dict) -> RoutingResult:
     """The result a results-file row holds; a field of the wrong type is
-    refused with ValueError. Other keys, as the ``condition``, ``model_name``
-    and ``correct`` of rows of an earlier format, are ignored. A row without
-    ``normalization_applied`` applied no rule."""
+    refused with ValueError. Other keys, as the ``condition``, ``model_name``,
+    ``correct``, ``known_path`` and ``normalization_applied`` of rows of
+    earlier formats, are ignored."""
     intent_id = record["intent_id"]
     if not isinstance(intent_id, str):
         raise ValueError(f"intent_id must be a string, not {intent_id!r}")
-    for name, kind, what in [("raw_response", str, "a string"), ("known_path", bool, "true or false")]:
-        if not isinstance(record[name], kind):
-            raise ValueError(f"intent {intent_id}: {name} must be {what}, not {record[name]!r}")
+    if not isinstance(record["raw_response"], str):
+        raise ValueError(f"intent {intent_id}: raw_response must be a string, not {record['raw_response']!r}")
     latency = record["latency"]
     if type(latency) not in (int, float) or not 0 <= latency < math.inf:  # no bool, no NaN
         raise ValueError(f"intent {intent_id}: latency must be a finite number ≥ 0, not {latency!r}")
-    rules = record.get("normalization_applied", [])
-    if not isinstance(rules, list) or not all(isinstance(rule, str) for rule in rules):
-        raise ValueError(f"intent {intent_id}: normalization_applied must list strings, not {rules!r}")
     predicted = record["predicted"]
     if predicted != INVALID:
         predicted = DtmfPath(predicted)  # refused when it is no path
-    return RoutingResult(intent_id, record["raw_response"], tuple(rules), predicted,
-                         DtmfPath(record["ground_truth"]), record["known_path"], latency)
+    return RoutingResult(intent_id, record["raw_response"], predicted, DtmfPath(record["ground_truth"]), latency)
 
 
 def save_results(results: Iterable[RoutingResult], path: str | Path) -> None:

@@ -173,10 +173,8 @@ def make_result(truth: str, predicted: str) -> RoutingResult:
     return RoutingResult(
         intent_id=f"{truth}:b00",
         raw_response=predicted,
-        normalization_applied=(),
         predicted=predicted,
         ground_truth=truth,
-        known_path=predicted != INVALID,
         latency=0.0,
     )
 

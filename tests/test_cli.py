@@ -275,7 +275,7 @@ REMOVED_FLAGS = {
                                           "--seed", "1"],
     "validate-menu-config": lambda menu, data, out: ["validate-menu", menu, "--config", "c.json"],
     "flatten-out": lambda menu, data, out: ["flatten", menu, "--out", out],
-    "eval-config": lambda menu, data, out: ["eval", "results.jsonl", "--config", "c.json"],
+    "eval-config": lambda menu, data, out: ["eval", "results.jsonl", "--menu", menu, "--config", "c.json"],
     "check-roles-out": lambda menu, data, out: ["check-roles", "--out", out],
     "gen-intents-out": lambda menu, data, out: ["gen-intents", menu, "--provider", "scripted",
                                                 "--out", out],
@@ -613,33 +613,74 @@ def test_eval_oracle_run(tmp_path, fixture_menu_path, fixture_dataset_path, caps
     assert "| Flattened Paths | Base Only | 100.00 | 230 |" in summary
 
 
-def test_eval_without_menu_uses_result_classes(tmp_path, fixture_menu_path,
-                                               fixture_dataset_path, capsys):
-    assert run(route_args(fixture_menu_path, fixture_dataset_path, tmp_path,
-                          condition="flattened", filter="all")) == 0
-    run_dir = next(tmp_path.glob("run-*"))
-    assert run(["eval", str(run_dir / "results.jsonl")]) == 0
+def test_eval_without_menu_exit_2_and_writes_nothing(tmp_path, fixture_menu_path, fixture_dataset_path,
+                                                     capsys):
+    run_dir = oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path)
+    before = set(tmp_path.rglob("*"))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as excinfo:
+        run(["eval", str(run_dir / "results.jsonl")])
+    assert excinfo.value.code == 2
+    assert "the following arguments are required: --menu" in capsys.readouterr().err
+    assert set(tmp_path.rglob("*")) == before
+
+
+def test_eval_scores_an_earlier_format_row_over_the_menus_classes(tmp_path, fixture_menu_path,
+                                                                   fixture_dataset_path, capsys):
+    run_dir = oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path)
+    results_file = run_dir / "results.jsonl"
+    # Rows of an earlier format: a row claiming that 9-9-9 is a terminal path
+    # does not make it a class, and rules listed beside a clean reply are ignored.
+    rows = [{**json.loads(line), "known_path": True, "normalization_applied": []}
+            for line in results_file.read_text(encoding="utf-8").splitlines()]
+    rows[3].update(raw_response="9-9-9", predicted="9-9-9", normalization_applied=["bogus", "trim"])
+    results_file.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["eval", str(results_file), "--menu", str(fixture_menu_path)]) == 0
+    assert "accuracy 99.57% over 230 results" in capsys.readouterr().out
     report = json.loads((next(run_dir.glob("eval-*")) / "report.json").read_text(encoding="utf-8"))
-    assert len(report["matrix"]["true_labels"]) == 23  # every class appears in the fixture
-    assert report["dataset_filter"] == "all"
-
-
-def test_eval_without_menu_takes_a_known_prediction_as_a_class(tmp_path, fixture_menu_path,
-                                                                fixture_dataset_path):
-    argv = route_args(fixture_menu_path, fixture_dataset_path, tmp_path, filter="base_only")
-    assert run(argv + ["--provider", "keyword"]) == 0
-    results_file = next(tmp_path.glob("run-*")) / "results.jsonl"
-    rows = [json.loads(line) for line in results_file.read_text(encoding="utf-8").splitlines()]
-    cut = [row for row in rows if row["ground_truth"] in ("1-1", "1-2")]
-    results_file.write_text("".join(json.dumps(row) + "\n" for row in cut), encoding="utf-8")
-    edit_manifest(results_file.parent, n_results=20)
-    assert len(cut) == 20 and {row["predicted"] for row in cut} == {"1-1", "1-2", "1-4", "3-4"}
-    assert run(["eval", str(results_file)]) == 0
-    report = json.loads((next(results_file.parent.glob("eval-*")) / "report.json").read_text(encoding="utf-8"))
     matrix = report["matrix"]
-    assert matrix["true_labels"] == ["1-1", "1-2", "1-4", "3-4"]  # 1-4 and 3-4 are terminal paths
-    assert matrix["predicted_labels"][-2:] == ["INVALID", "UNKNOWN_PATH"]
-    assert [row[-1] for row in matrix["counts"]] == [0, 0, 0, 0]
+    assert matrix["true_labels"] == [tp.path for tp in flatten(load_menu(fixture_menu_path))]
+    assert len(matrix["true_labels"]) == 23 and matrix["predicted_labels"][-2:] == ["INVALID", "UNKNOWN_PATH"]
+    unknown = {label: row[-1] for label, row in zip(matrix["true_labels"], matrix["counts"]) if row[-1]}
+    assert unknown == {rows[3]["ground_truth"]: 1}
+
+
+def test_eval_refuses_an_intent_with_two_rows(tmp_path, fixture_menu_path, fixture_dataset_path, capsys):
+    run_dir = oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path)
+    results_file = run_dir / "results.jsonl"
+    lines = results_file.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[5] = lines[4]  # as many rows as the run's n_results, one intent twice
+    results_file.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["eval", str(results_file), "--menu", str(fixture_menu_path)]) == 1
+    intent_id = json.loads(lines[4])["intent_id"]
+    assert capsys.readouterr().err == f"error: {results_file}: intent {intent_id} has more than one row\n"
+    assert not list(run_dir.glob("eval-*"))
+
+
+@pytest.mark.parametrize("menu, code, error", [
+    (None, 2, "error: no such menu file: "),
+    ('{"name": "Broken", "root": []}', 1, "error: invalid menu: "),
+], ids=["missing", "invalid"])
+def test_eval_menu_that_cannot_be_used_writes_no_report(tmp_path, fixture_menu_path, fixture_dataset_path,
+                                                        capsys, menu, code, error):
+    run_dir = oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path)
+    menu_file = tmp_path / "menu.json"
+    if menu is not None:
+        menu_file.write_text(menu, encoding="utf-8")
+    capsys.readouterr()
+    assert run(["eval", str(run_dir / "results.jsonl"), "--menu", str(menu_file)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(error) and err.count("\n") == 1, err
+    assert not list(run_dir.glob("eval-*"))
+
+
+def test_route_rows_hold_the_answer_alone(tmp_path, fixture_menu_path, fixture_dataset_path):
+    run_dir = oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path)
+    rows = [json.loads(line) for line in (run_dir / "results.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert len(rows) == 230
+    assert {tuple(row) for row in rows} == {("intent_id", "raw_response", "predicted", "ground_truth", "latency")}
 
 
 def test_eval_refuses_rows_of_two_runs(tmp_path, fixture_menu_path, fixture_dataset_path, capsys):
@@ -657,12 +698,12 @@ def test_eval_refuses_rows_of_two_runs(tmp_path, fixture_menu_path, fixture_data
                                          encoding="utf-8")
     (mixed / "manifest.json").write_bytes((runs["keyword"] / "manifest.json").read_bytes())
     capsys.readouterr()
-    assert run(["eval", str(mixed / "results.jsonl")]) == 1
+    assert run(["eval", str(mixed / "results.jsonl"), "--menu", str(fixture_menu_path)]) == 1
     assert capsys.readouterr().err == f"error: {mixed / 'results.jsonl'} mixes runs: 10 rows, n_results 230\n"
     # One run's rows beside another run's manifest, which names another model.
     keyword_results = runs["keyword"] / "results.jsonl"
     edit_manifest(runs["keyword"], model_name="oracle-mock")
-    assert run(["eval", str(keyword_results)]) == 1
+    assert run(["eval", str(keyword_results), "--menu", str(fixture_menu_path)]) == 1
     assert capsys.readouterr().err.endswith("is not the hash of the fields that name its run\n")
     assert not list(tmp_path.rglob("eval-*"))
 
@@ -696,7 +737,7 @@ def test_eval_ignores_a_manifest_that_is_no_object(tmp_path, fixture_menu_path,
     (run_dir / "manifest.json").write_text(manifest, encoding="utf-8")
     before = set(tmp_path.rglob("*"))
     capsys.readouterr()
-    assert run(["eval", str(run_dir / "results.jsonl")]) == 1
+    assert run(["eval", str(run_dir / "results.jsonl"), "--menu", str(fixture_menu_path)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: cannot load manifest {run_dir / 'manifest.json'}: ")
     assert captured.err.count("\n") == 1 and captured.out == ""
@@ -754,7 +795,7 @@ def test_eval_refuses_the_rows_of_another_slice_than_the_manifest(tmp_path, fixt
     # The 920 rows of the augmented run beside the base-only run's manifest.
     (run_dirs["all"] / "manifest.json").write_bytes((run_dirs["base_only"] / "manifest.json").read_bytes())
     capsys.readouterr()
-    assert run(["eval", str(run_dirs["all"] / "results.jsonl")]) == 1
+    assert run(["eval", str(run_dirs["all"] / "results.jsonl"), "--menu", str(fixture_menu_path)]) == 1
     assert capsys.readouterr().err.endswith("mixes runs: 920 rows, n_results 230\n")
     assert not list(tmp_path.rglob("eval-*"))
 
@@ -765,7 +806,7 @@ def test_eval_without_a_manifest_exit_2(tmp_path, fixture_menu_path, fixture_dat
     alone.mkdir()
     (alone / "results.jsonl").write_bytes((run_dir / "results.jsonl").read_bytes())
     capsys.readouterr()
-    assert run(["eval", str(alone / "results.jsonl")]) == 2
+    assert run(["eval", str(alone / "results.jsonl"), "--menu", str(fixture_menu_path)]) == 2
     assert capsys.readouterr().err == f"error: no such manifest file: {alone / 'manifest.json'}\n"
     assert list(alone.iterdir()) == [alone / "results.jsonl"]
 
@@ -778,7 +819,7 @@ def test_eval_refuses_a_prediction_its_reply_does_not_parse_to(tmp_path, fixture
     rewrite_row(results_file, 5, raw_response="no idea")
     intent_id = json.loads(results_file.read_text(encoding="utf-8").splitlines()[3])["intent_id"]
     capsys.readouterr()
-    assert run(["eval", str(results_file)]) == 1
+    assert run(["eval", str(results_file), "--menu", str(fixture_menu_path)]) == 1
     err = capsys.readouterr().err
     assert f"intent {intent_id}'s reply does not parse to its prediction" in err and "strict" in err
     assert not list(run_dir.glob("eval-*"))
@@ -787,22 +828,24 @@ def test_eval_refuses_a_prediction_its_reply_does_not_parse_to(tmp_path, fixture
 @settings(max_examples=100, deadline=None)
 @given(reply=st.text(max_size=30) | st.from_regex(r"\A[ '`.]{0,2}[0-9](-[0-9]){0,3}[ '`.]{0,2}\Z"),
        lenient=st.booleans(), other=st.sampled_from(["1-1", "2-1", "INVALID"]))
-def test_eval_regrades_any_reply_route_one_wrote(tmp_path_factory, reply, lenient, other):
+def test_eval_regrades_any_reply_route_one_wrote(tmp_path_factory, fixture_menu_path, reply, lenient, other):
     intent = make_record("1-1", "i want my balance")  # the ground truth is 1-1
     row = router.route_one(intent, RoutingCondition.FLATTENED_PATHS, "1-1: Balance",
-                           ScriptedProvider([reply]), frozenset({"1-1", "2-1"}), lenient)
+                           ScriptedProvider([reply]), lenient)
     run_dir = tmp_path_factory.mktemp("regrade")
-    identity = {"menu_name": "Tiny", "menu_hash": "0" * 64, "dataset_hash": "0" * 64,
+    tree = load_menu(fixture_menu_path)
+    identity = {"menu_name": tree.name, "menu_hash": router.menu_hash(tree), "dataset_hash": "0" * 64,
                 "condition": "flattened_paths", "dataset_filter": "base_only", "model_name": "scripted-mock",
                 "parse_mode": "lenient" if lenient else "strict"}
     manifest = {**identity, "run_id": router.run_id(identity), "n_results": 1}
     (run_dir / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     router.save_results([row], run_dir / "results.jsonl")
-    assert run(["eval", str(run_dir / "results.jsonl"), "--out", str(run_dir / "ok")]) == 0
+    evaluate = ["eval", str(run_dir / "results.jsonl"), "--menu", str(fixture_menu_path), "--out"]
+    assert run(evaluate + [str(run_dir / "ok")]) == 0
     if other != row.predicted:
         edited = row._replace(predicted=other)
         router.save_results([edited], run_dir / "results.jsonl")
-        assert run(["eval", str(run_dir / "results.jsonl"), "--out", str(run_dir / "edited")]) == 1
+        assert run(evaluate + [str(run_dir / "edited")]) == 1
         assert not (run_dir / "edited").exists()
 
 
@@ -812,7 +855,7 @@ def test_eval_ground_truth_that_is_no_path_exit_1(tmp_path, fixture_menu_path,
     run_dir = oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path)
     results_file = run_dir / "results.jsonl"
     rewrite_row(results_file, 3, ground_truth=ground_truth)
-    assert run(["eval", str(results_file)]) == 1
+    assert run(["eval", str(results_file), "--menu", str(fixture_menu_path)]) == 1
     assert "cannot load results" in capsys.readouterr().err
 
 
@@ -823,7 +866,7 @@ def test_eval_prediction_edited_against_its_flag_exit_1(tmp_path, fixture_menu_p
     row = json.loads(results_file.read_text(encoding="utf-8").splitlines()[3])
     wrong = "1-2" if row["ground_truth"] == "1-1" else "1-1"
     rewrite_row(results_file, 3, predicted=wrong, correct=True)  # a stale flag of a previous-format row
-    assert run(["eval", str(results_file)]) == 1
+    assert run(["eval", str(results_file), "--menu", str(fixture_menu_path)]) == 1
     err = capsys.readouterr().err
     assert f"intent {row['intent_id']}'s reply does not parse to its prediction {wrong}" in err
 
@@ -835,7 +878,7 @@ def test_eval_scores_a_previous_format_results_file_from_the_evidence(tmp_path, 
     truth = json.loads(results_file.read_text(encoding="utf-8").splitlines()[3])["ground_truth"]
     wrong = "1-2" if truth == "1-1" else "1-1"
     rewrite_row(results_file, 3, raw_response=wrong, predicted=wrong)
-    assert run(["eval", str(results_file), "--out", str(tmp_path / "now")]) == 0
+    assert run(["eval", str(results_file), "--menu", str(fixture_menu_path), "--out", str(tmp_path / "now")]) == 0
     # The same answers as rows were written before they held the answer alone:
     # each names the run's condition and model and stores a flag, true even on the wrong answer.
     rows = [json.loads(line) for line in results_file.read_text(encoding="utf-8").splitlines()]
@@ -843,7 +886,8 @@ def test_eval_scores_a_previous_format_results_file_from_the_evidence(tmp_path, 
         "intent_id": row["intent_id"], "condition": "flattened_paths", **row, "correct": True,
         "model_name": "oracle-mock"}) + "\n" for row in rows), encoding="utf-8")
     capsys.readouterr()
-    assert run(["eval", str(results_file), "--out", str(tmp_path / "previous")]) == 0
+    assert run(["eval", str(results_file), "--menu", str(fixture_menu_path),
+                "--out", str(tmp_path / "previous")]) == 0
     assert "accuracy 99.57% over 230 results" in capsys.readouterr().out
     for name in ("report.json", "matrix.csv", "matrix_long.csv", "summary.md"):
         report = f"eval-{run_dir.name.removeprefix('run-')}/{name}"
@@ -868,10 +912,6 @@ NOT_A_RESULTS_ROW = {
     "string": lambda row: "row",
     "null": lambda row: None,
     "array": lambda row: [row],
-    "rules-not-a-list": lambda row: {**row, "normalization_applied": 5},
-    "rules-a-string": lambda row: {**row, "normalization_applied": "trim"},
-    "rule-not-a-string": lambda row: {**row, "normalization_applied": ["trim", 1]},
-    "known-path-not-a-bool": lambda row: {**row, "known_path": "no"},
     "latency-a-string": lambda row: {**row, "latency": "fast"},
     "latency-negative": lambda row: {**row, "latency": -0.5},
     "latency-not-finite": lambda row: {**row, "latency": float("inf")},
@@ -889,20 +929,20 @@ def test_eval_results_line_that_is_no_results_row_exit_1(tmp_path, fixture_menu_
     rows = [json.loads(line) for line in results_file.read_text(encoding="utf-8").splitlines()]
     rows[3] = edit(rows[3])
     results_file.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
-    assert run(["eval", str(results_file)]) == 1
+    assert run(["eval", str(results_file), "--menu", str(fixture_menu_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot load results {results_file}: {results_file}:4: bad result")
 
 
-def test_eval_empty_results_exit_1(tmp_path, capsys):
+def test_eval_empty_results_exit_1(tmp_path, fixture_menu_path, capsys):
     empty = tmp_path / "results.jsonl"
     empty.write_text("", encoding="utf-8")
-    assert run(["eval", str(empty)]) == 1
+    assert run(["eval", str(empty), "--menu", str(fixture_menu_path)]) == 1
     assert "empty" in capsys.readouterr().err
 
 
-def test_eval_missing_file_exit_2(tmp_path):
-    assert run(["eval", str(tmp_path / "none.jsonl")]) == 2
+def test_eval_missing_file_exit_2(tmp_path, fixture_menu_path):
+    assert run(["eval", str(tmp_path / "none.jsonl"), "--menu", str(fixture_menu_path)]) == 2
 
 
 # --- output locations ------------------------------------------------------------------
@@ -941,7 +981,7 @@ def test_eval_out_a_file_exit_2(tmp_path, fixture_menu_path, fixture_dataset_pat
     file = tmp_path / "taken"
     file.write_text("", encoding="utf-8")
     capsys.readouterr()
-    assert run(["eval", str(run_dir / "results.jsonl"), "--out", str(file)]) == 2
+    assert run(["eval", str(run_dir / "results.jsonl"), "--menu", str(fixture_menu_path), "--out", str(file)]) == 2
     report_dir = file / run_dir.name.replace("run-", "eval-")
     assert capsys.readouterr().err.startswith(f"error: cannot write {report_dir}: ")
     assert file.read_text(encoding="utf-8") == ""
@@ -1294,16 +1334,17 @@ FRONT_DOOR = {
                   "error: invalid menu: maximum recursion depth exceeded"),
     "dataset": (lambda menu, data, file: route_args(menu, file, file.parent), 1,
                 "error: cannot load dataset"),
-    "results": (lambda menu, data, file: ["eval", str(file)], 1, "error: cannot load results"),
+    "results": (lambda menu, data, file: ["eval", str(file), "--menu", str(menu)], 1, "error: cannot load results"),
     "deep dataset": (lambda menu, data, file: route_args(menu, file, file.parent), 1,
                      "error: cannot load dataset"),
-    "deep results": (lambda menu, data, file: ["eval", str(file)], 1, "error: cannot load results"),
+    "deep results": (lambda menu, data, file: ["eval", str(file), "--menu", str(menu)], 1,
+                     "error: cannot load results"),
     "config": (lambda menu, data, file: route_args(menu, data, file.parent) + ["--config", str(file)], 2,
                "error: cannot read config file"),
     "script": (lambda menu, data, file: ["gen-intents", str(menu), "--provider", "scripted", "--script",
                                          str(file), "--dataset-out", str(file.parent / "intents.jsonl")], 2,
                "error: cannot read script file"),
-    "manifest": (lambda menu, data, file: ["eval", str(file.parent / "results.jsonl")], 1,
+    "manifest": (lambda menu, data, file: ["eval", str(file.parent / "results.jsonl"), "--menu", str(menu)], 1,
                  "error: cannot load manifest"),
 }
 
@@ -1311,8 +1352,8 @@ FRONT_DOOR = {
 GOOD_LINE = {
     "deep dataset": data_text("agentnet.intents.jsonl").splitlines()[0],
     "deep results": json.dumps({
-        "intent_id": "1-1:b00", "raw_response": "1-1", "normalization_applied": [], "predicted": "1-1",
-        "ground_truth": "1-1", "known_path": True, "latency": 0.0}),
+        "intent_id": "1-1:b00", "raw_response": "1-1", "predicted": "1-1", "ground_truth": "1-1",
+        "latency": 0.0}),
 }
 
 

@@ -27,10 +27,8 @@ def result(truth: str, predicted: str, intent_id: str = "") -> RoutingResult:
     return RoutingResult(
         intent_id=intent_id or f"{truth}:b00",
         raw_response=predicted,
-        normalization_applied=(),
         predicted=predicted,
         ground_truth=truth,
-        known_path=predicted != INVALID,
         latency=0.0,
     )
 

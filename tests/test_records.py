@@ -27,8 +27,7 @@ def intent():
 
 
 def result():
-    return RoutingResult(intent_id="1:b00", raw_response="1", normalization_applied=(), predicted="1",
-                         ground_truth="1", known_path=True, latency=0.25)
+    return RoutingResult(intent_id="1:b00", raw_response="1", predicted="1", ground_truth="1", latency=0.25)
 
 
 def matrix():

@@ -98,23 +98,22 @@ def test_dataset_survives_save_and_load(tmp_path_factory, dataset_records, menu_
 def results(draw):
     truth = draw(dtmf_paths)
     predicted = draw(st.one_of(st.just(truth), st.just(INVALID), dtmf_paths))
-    rules = ("trim", "unquote", "strip_trailing_period", "map_unicode_dashes", "lenient_extract")
     return RoutingResult(
         intent_id=draw(st.text(min_size=1)),
         raw_response=draw(st.text()),
-        normalization_applied=tuple(draw(st.lists(st.sampled_from(rules), unique=True))),
         predicted=predicted,
         ground_truth=truth,
-        known_path=draw(st.booleans()),
         latency=draw(st.floats(min_value=0, allow_nan=False, allow_infinity=False)),
     )
 
 
-# The keys a row held before it held the answer alone, with any values.
+# The keys rows of earlier formats held beside the answer, with any values.
 previous_row_keys = st.fixed_dictionaries({}, optional={
     "condition": st.sampled_from([c.value for c in RoutingCondition]),
     "model_name": st.text(),
     "correct": st.booleans(),
+    "known_path": st.booleans(),
+    "normalization_applied": st.lists(st.text()),
 })
 
 
@@ -123,6 +122,7 @@ previous_row_keys = st.fixed_dictionaries({}, optional={
 def test_result_survives_a_results_file_row(result, previous):
     # One row as save_results writes it and load_results reads it back.
     row = json.loads(json.dumps(result._asdict(), ensure_ascii=False))
+    assert list(row) == ["intent_id", "raw_response", "predicted", "ground_truth", "latency"]
     assert result_from_record(row) == result
     # A previous-format row is the same result, graded from its evidence.
     assert result_from_record({**row, **previous}) == result
@@ -173,8 +173,8 @@ def test_a_dataset_line_takes_exactly_the_grammars_paths(tmp_path_factory, text)
 
 def results_row(predicted, ground_truth) -> str:
     return json.dumps({
-        "intent_id": "a", "raw_response": "r", "normalization_applied": [], "predicted": predicted,
-        "ground_truth": ground_truth, "known_path": True, "latency": 0.0,
+        "intent_id": "a", "raw_response": "r", "predicted": predicted, "ground_truth": ground_truth,
+        "latency": 0.0,
     }, ensure_ascii=False) + "\n"
 
 

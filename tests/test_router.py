@@ -13,7 +13,6 @@ from collections import Counter
 import pytest
 
 from ivroute.datagen import Dataset
-from ivroute.menu import flatten
 from ivroute.prompts import RoutingCondition
 from ivroute import router
 from ivroute.provider import (
@@ -150,18 +149,13 @@ def test_lenient_not_used_when_strict_matches():
 
 # --- route_one -----------------------------------------------------------------------
 
-def known_paths(tree):
-    return frozenset(tp.path.canonical() for tp in flatten(tree))
-
-
 def test_route_one_correct(tiny_tree):
     record = make_record("1-1", "I want to pay my bill.")
     provider = ScriptedProvider(["1-1"])
     context = render_context(tiny_tree, RoutingCondition.FLATTENED_PATHS)
-    result = route_one(record, RoutingCondition.FLATTENED_PATHS, context, provider,
-                       known_paths=known_paths(tiny_tree))
+    result = route_one(record, RoutingCondition.FLATTENED_PATHS, context, provider)
     assert result.predicted == "1-1"
-    assert result.correct and result.known_path
+    assert result.correct
     assert result.ground_truth == "1-1"
     assert result.intent_id == record.id
     assert result.latency >= 0
@@ -171,30 +165,27 @@ def test_route_one_wrong_but_known(tiny_tree):
     record = make_record("1-1", "I want to pay my bill.")
     provider = ScriptedProvider(["1-9"])
     context = render_context(tiny_tree, RoutingCondition.FLATTENED_PATHS)
-    result = route_one(record, RoutingCondition.FLATTENED_PATHS, context, provider,
-                       known_paths=known_paths(tiny_tree))
+    result = route_one(record, RoutingCondition.FLATTENED_PATHS, context, provider)
     assert result.predicted == "1-9"
-    assert not result.correct and result.known_path
+    assert not result.correct
 
 
 def test_route_one_valid_but_unknown(tiny_tree):
     record = make_record("1-1", "I want to pay my bill.")
     provider = ScriptedProvider(["7-7-7"])
     context = render_context(tiny_tree, RoutingCondition.FLATTENED_PATHS)
-    result = route_one(record, RoutingCondition.FLATTENED_PATHS, context, provider,
-                       known_paths=known_paths(tiny_tree))
+    result = route_one(record, RoutingCondition.FLATTENED_PATHS, context, provider)
     assert result.predicted == "7-7-7"
-    assert not result.correct and not result.known_path
+    assert not result.correct
 
 
 def test_route_one_invalid_reply(tiny_tree):
     record = make_record("1-1", "I want to pay my bill.")
     provider = ScriptedProvider(["I think you should press one"])
     context = render_context(tiny_tree, RoutingCondition.FLATTENED_PATHS)
-    result = route_one(record, RoutingCondition.FLATTENED_PATHS, context, provider,
-                       known_paths=known_paths(tiny_tree))
+    result = route_one(record, RoutingCondition.FLATTENED_PATHS, context, provider)
     assert result.predicted == INVALID
-    assert not result.correct and not result.known_path
+    assert not result.correct
     assert result.raw_response == "I think you should press one"
 
 
@@ -759,14 +750,15 @@ def test_results_row_keys_in_file_order(tmp_path, tiny_tree):
     file = tmp_path / "results.jsonl"
     save_results([r._replace(latency=0.25) for r in run.results[:2]], file)
     assert file.read_text(encoding="utf-8").splitlines() == [
-        '{"intent_id": "1-1:b00", "raw_response": " \'1-1.\' ", '
-        '"normalization_applied": ["trim", "unquote", "strip_trailing_period"], "predicted": "1-1", '
-        '"ground_truth": "1-1", "known_path": true, "latency": 0.25}',
-        '{"intent_id": "1-1:b01", "raw_response": "2\u20139", '
-        '"normalization_applied": ["map_unicode_dashes"], "predicted": "2-9", '
-        '"ground_truth": "1-1", "known_path": false, "latency": 0.25}',
+        '{"intent_id": "1-1:b00", "raw_response": " \'1-1.\' ", "predicted": "1-1", '
+        '"ground_truth": "1-1", "latency": 0.25}',
+        '{"intent_id": "1-1:b01", "raw_response": "2\u20139", "predicted": "2-9", '
+        '"ground_truth": "1-1", "latency": 0.25}',
     ]
     assert [r.correct for r in run.results[:2]] == [True, False]  # graded from the row, not stored in it
+    # The rules that fired are read off the stored reply, under the run's parse mode.
+    assert [parse_dtmf_response(r.raw_response).normalization_applied for r in run.results[:2]] == [
+        ("trim", "unquote", "strip_trailing_period"), ("map_unicode_dashes",)]
 
 
 def test_results_round_trip(tmp_path, tiny_tree):
