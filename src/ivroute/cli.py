@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import shutil
 import sys
 from pathlib import Path
@@ -47,6 +48,7 @@ from .router import (
     run_identity,
     load_results,
     save_results,
+    sha256,
 )
 
 EXIT_OK = 0
@@ -304,8 +306,8 @@ def cmd_route(args: argparse.Namespace) -> int:
 
     try:
         run_dir.mkdir(exist_ok=True)
-        save_results(run.results, run_dir / "results.jsonl")
-        (run_dir / "manifest.json").write_text(json.dumps(run.manifest, indent=2, ensure_ascii=False) + "\n",
+        manifest = {**run.manifest, "results_sha256": save_results(run.results, run_dir / "results.jsonl")}
+        (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, ensure_ascii=False) + "\n",
                                                encoding="utf-8")
     except OSError as exc:
         raise CommandFailed(f"cannot write {run_dir}: {exc}", EXIT_FAILURE)
@@ -327,11 +329,12 @@ def _run_manifest(file: Path) -> dict:
     """A route run's manifest.json; ValueError naming each field that is missing or wrong, or a false run_id."""
     data = _json_file(file)
     data = data if isinstance(data, dict) else {}
+    digest = data.get("results_sha256")
     fields = {"condition": data.get("condition") in list(CONDITIONS),
               "model_name": isinstance(data.get("model_name"), str),
               "dataset_filter": data.get("dataset_filter") in list(DATASET_FILTERS),
               "parse_mode": data.get("parse_mode") in ("strict", "lenient"),
-              "n_results": type(data.get("n_results")) is int}
+              "results_sha256": isinstance(digest, str) and re.fullmatch("[0-9a-f]{64}", digest) is not None}
     if not all(fields.values()):
         raise ValueError(f"not a route run's manifest (bad {', '.join(k for k, ok in fields.items() if not ok)})")
     if run_id(data) != data.get("run_id"):  # so it is 12 hex digits, fit to name a directory
@@ -343,21 +346,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
     from .evaluation import build_report, emit_report  # only this command scores a report
 
     results_file = Path(args.results)
-    results = _read(results_file, "results", load_results)
+    results, digest = _read(results_file, "results", lambda file: (load_results(file), sha256(file.read_bytes())))
     if not results:
         raise CommandFailed(f"results file {results_file} is empty", EXIT_FAILURE)
     manifest = _read(results_file.parent / "manifest.json", "manifest", _run_manifest)
+    # The rows must be the bytes route wrote: no row added, dropped, moved or edited.
+    if digest != manifest["results_sha256"]:
+        raise CommandFailed(f"{results_file} has sha256 {digest}, but the run's results_sha256 "
+                            f"is {manifest['results_sha256']}", EXIT_FAILURE)
 
-    if manifest["n_results"] != len(results):  # the rows must be all the answers of the run it names
-        raise CommandFailed(f"{results_file} mixes runs: {len(results)} rows, n_results {manifest['n_results']}",
-                            EXIT_FAILURE)
     # A prediction is graded from the reply its row stores, parsed again.
     lenient = manifest["parse_mode"] == "lenient"
-    graded = set()
     for r in results:
-        if r.intent_id in graded:
-            raise CommandFailed(f"{results_file}: intent {r.intent_id} has more than one row", EXIT_FAILURE)
-        graded.add(r.intent_id)
         if (parse_dtmf_response(r.raw_response, lenient).path or INVALID) != r.predicted:
             raise CommandFailed(f"{results_file}: intent {r.intent_id}'s reply does not parse to its prediction "
                                 f"{r.predicted} under {manifest['parse_mode']} parsing", EXIT_FAILURE)

@@ -8,6 +8,7 @@ equal inputs give equal bytes.
 
 from __future__ import annotations
 
+import re
 from enum import Enum
 from functools import cache
 from importlib import resources
@@ -49,6 +50,12 @@ def load_template(name: str) -> str:
     return text.rstrip("\n")
 
 
+def fill(template: str, values: dict[str, str]) -> str:
+    """``template`` with each placeholder that ``values`` names, as ``"{{QUERY}}"``,
+    replaced by its value in one pass, so no text put in is searched again."""
+    return re.sub(r"\{\{[A-Z_]+\}\}", lambda match: values.get(match[0], match[0]), template)
+
+
 def _clean_query(query: str) -> str:
     # Only the trailing newline goes; queries keep their noise on purpose.
     cleaned = query.rstrip("\n")
@@ -63,6 +70,5 @@ def build_prompt(condition: RoutingCondition, context_text: str, query: str) -> 
     if not context_text:
         raise ValueError(f"the {spec.name} context is empty")
     cleaned = _clean_query(query)
-    content = load_template(spec.template).replace(spec.placeholder, context_text, 1)
-    content = content.replace("{{QUERY}}", cleaned, 1)
+    content = fill(load_template(spec.template), {spec.placeholder: context_text, "{{QUERY}}": cleaned})
     return PromptText(content=content, query=cleaned)

@@ -405,13 +405,12 @@ def route_all(
     finally:
         # The running attempts are done: no idle connection outlives the run.
         provider.close()
-    results = [r for r in slots if r is not None]
-    return RoutingRun(results=results, manifest=build_manifest(identity, len(results), by_id(failures)))
+    return RoutingRun([r for r in slots if r is not None], build_manifest(identity, by_id(failures)))
 
 
 # --- manifest and results files ----------------------------------------------
 
-def _sha256(data: bytes) -> str:
+def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
@@ -421,7 +420,7 @@ IDENTITY_KEYS = ("menu_name", "menu_hash", "dataset_hash", "condition", "dataset
 
 
 def menu_hash(tree: MenuTree) -> str:
-    return _sha256(json.dumps(tree_to_document(tree), sort_keys=True, ensure_ascii=False).encode("utf-8"))
+    return sha256(json.dumps(tree_to_document(tree), sort_keys=True, ensure_ascii=False).encode("utf-8"))
 
 
 def run_identity(
@@ -442,7 +441,7 @@ def run_identity(
     core = {
         "menu_name": tree.name,
         "menu_hash": menu_hash(tree),
-        "dataset_hash": _sha256(dataset_to_jsonl(ds).encode("utf-8")),
+        "dataset_hash": sha256(dataset_to_jsonl(ds).encode("utf-8")),
         "condition": condition.value,
         "dataset_filter": record_filter,
         "model_name": model_name,
@@ -456,14 +455,13 @@ def run_identity(
 def run_id(fields: dict) -> str:
     """The id of the run that ``fields``, a ``run_identity`` or a manifest, names: its IDENTITY_KEYS' hash."""
     identity = {key: fields[key] for key in IDENTITY_KEYS if key in fields}
-    return _sha256(json.dumps(identity, sort_keys=True).encode("utf-8"))[:12]
+    return sha256(json.dumps(identity, sort_keys=True).encode("utf-8"))[:12]
 
 
-def build_manifest(identity: dict, n_results: int, failures: list[tuple[str, str]]) -> dict:
-    """A run's ``run_identity`` plus what the run produced."""
+def build_manifest(identity: dict, failures: list[tuple[str, str]]) -> dict:
+    """A run's ``run_identity``, failures and time; ``route`` adds ``results_sha256`` once it saves the rows."""
     return {
         **identity,
-        "n_results": n_results,
         "failures": [{"intent_id": i, "error": e} for i, e in failures],
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
@@ -488,10 +486,11 @@ def result_from_record(record: dict) -> RoutingResult:
     return RoutingResult(intent_id, record["raw_response"], predicted, DtmfPath(record["ground_truth"]), latency)
 
 
-def save_results(results: Iterable[RoutingResult], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for result in results:
-            handle.write(json.dumps(result._asdict(), ensure_ascii=False) + "\n")
+def save_results(results: Iterable[RoutingResult], path: str | Path) -> str:
+    """Write ``results`` as a results file; return the ``sha256`` of its bytes."""
+    data = "".join(json.dumps(result._asdict(), ensure_ascii=False) + "\n" for result in results).encode("utf-8")
+    Path(path).write_bytes(data)
+    return sha256(data)
 
 
 def load_results(path: str | Path) -> list[RoutingResult]:

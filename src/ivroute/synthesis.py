@@ -19,7 +19,7 @@ from typing import Generator, Sequence
 
 from .datagen import DatagenError, Dataset, IntentRecord
 from .menu import MenuTree, TerminalPath
-from .prompts import load_template
+from .prompts import fill, load_template
 from .provider import Provider
 from .router import AGAIN, Pacing, RoutingAborted, run_calls
 
@@ -112,11 +112,8 @@ def generate_base_intents(
 
     def generate_node(tp: TerminalPath):
         service = "self-service" if tp.service_type.value == "self_service" else "agent handoff"
-        prompt = (
-            template.replace("{{COUNT}}", str(per_node))
-            .replace("{{BREADCRUMB}}", tp.breadcrumb_text())
-            .replace("{{SERVICE_TYPE}}", service)
-        )
+        prompt = fill(template, {"{{COUNT}}": str(per_node), "{{BREADCRUMB}}": tp.breadcrumb_text(),
+                                 "{{SERVICE_TYPE}}": service})
         texts: list[str] = []
         seen: set[str] = set()
         for _ in range(1 + _EXTRA_CALLS):
@@ -180,6 +177,7 @@ def augment_intents(
         return []
 
     template = load_template("template_paraphrase.txt")
+    undirected = template.replace("\n{{NOISE_DIRECTIVES}}", "")  # the template when no noise is asked for
     rng = random.Random(seed)
 
     def paraphrase(record: IntentRecord, prompt: str):
@@ -194,8 +192,7 @@ def augment_intents(
         base_key = _dedup_key(record.text)
         for k, text in enumerate(texts):
             if _dedup_key(text) == base_key:
-                retry_prompt = template.replace("{{COUNT}}", "1").replace("{{TEXT}}", record.text)
-                retry_prompt = retry_prompt.replace("\n{{NOISE_DIRECTIVES}}", "")
+                retry_prompt = fill(undirected, {"{{COUNT}}": "1", "{{TEXT}}": record.text})
                 retry = parse_listed_lines((yield retry_prompt).raw_text)
                 if retry and _dedup_key(retry[0]) != base_key:
                     texts[k] = retry[0]
@@ -211,11 +208,8 @@ def augment_intents(
     jobs = []
     for record in base:  # directives drawn in base order, so a seed fixes every prompt
         directives = _noise_directives(rng, noise, variants)
-        prompt = template.replace("{{COUNT}}", str(variants)).replace("{{TEXT}}", record.text)
-        if directives:
-            prompt = prompt.replace("{{NOISE_DIRECTIVES}}", directives)
-        else:
-            prompt = prompt.replace("\n{{NOISE_DIRECTIVES}}", "")
+        prompt = fill(template if directives else undirected,
+                      {"{{COUNT}}": str(variants), "{{TEXT}}": record.text, "{{NOISE_DIRECTIVES}}": directives})
         jobs.append(paraphrase(record, prompt))
     return [r for variants_of in _run_jobs(provider, jobs, pacing) for r in variants_of]
 

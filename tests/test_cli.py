@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, file outputs, the demo loop, and
 configuration layering."""
 
+import hashlib
 import io
 import json
 import math
@@ -212,6 +213,9 @@ def test_route_oracle_base_only(tmp_path, fixture_menu_path, fixture_dataset_pat
     manifest = json.loads((run_dirs[0] / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["dataset_filter"] == "base_only"
     assert run_dirs[0].name == f"run-{manifest['run_id']}"
+    assert list(manifest) == ["menu_name", "menu_hash", "dataset_hash", "condition", "dataset_filter",
+                              "model_name", "parse_mode", "run_id", "failures", "timestamp", "results_sha256"]
+    assert manifest["results_sha256"] == hashlib.sha256((run_dirs[0] / "results.jsonl").read_bytes()).hexdigest()
 
 
 def test_route_descriptive_all_920(tmp_path, fixture_menu_path, fixture_dataset_path, capsys):
@@ -613,6 +617,43 @@ def test_eval_oracle_run(tmp_path, fixture_menu_path, fixture_dataset_path, caps
     assert "| Flattened Paths | Base Only | 100.00 | 230 |" in summary
 
 
+# The sha256 of each file eval writes for the fixture's four oracle runs, named by run id.
+ORACLE_REPORTS = {
+    "c3ca07a72a4f": ("flattened", "base_only", {
+        "report.json": "c6cb6da9168619d042124020a24afc190a0f5df5121c19840d5040079aef6475",
+        "matrix.csv": "5ee26d428aea9533c9142f4076aff482ec2abae3a1dcf8cecb4ccb4d3cb9fdcf",
+        "matrix_long.csv": "2cb852598550cf3c5e92fac20620b5f71d9090db1d2a23d203d6cc7e48d168e0",
+        "summary.md": "d9c8c78cfb7f988c2760dd754aea630fe61e7bdbbd9d20710857be57f0d05f52"}),
+    "dfc44e400268": ("flattened", "all", {
+        "report.json": "6d87560bf6f7da6f0297cbdf147837cc2742fdd948417fc7ab86c08b184664a0",
+        "matrix.csv": "e90258698e3c7f8e5abec26baf568eb514375af76306e3cf7e474f86a58f8a46",
+        "matrix_long.csv": "635962ef06c06aca68fae631030a75fff9c00bff71cb3b43228a22ade573cbd8",
+        "summary.md": "99c96df1e715658ee9d0c362f3194f3b4a13e91a8a524fb1b708369af1b0d81c"}),
+    "8a900ae47168": ("descriptive", "base_only", {
+        "report.json": "30f84890c937b22a19a83c1fd8fd4effe4a3e431c19bed9091a566876ba5b101",
+        "matrix.csv": "5ee26d428aea9533c9142f4076aff482ec2abae3a1dcf8cecb4ccb4d3cb9fdcf",
+        "matrix_long.csv": "2cb852598550cf3c5e92fac20620b5f71d9090db1d2a23d203d6cc7e48d168e0",
+        "summary.md": "169fc01470d844464e78ebb4861f1ec1b771506c3d65d53cf384f0ec2efde037"}),
+    "f01ca3e681f7": ("descriptive", "all", {
+        "report.json": "cde2948ac86d6f8adb3cb215eb3f37f29bd7f150c976265ee4c0b0817ac24c6a",
+        "matrix.csv": "e90258698e3c7f8e5abec26baf568eb514375af76306e3cf7e474f86a58f8a46",
+        "matrix_long.csv": "635962ef06c06aca68fae631030a75fff9c00bff71cb3b43228a22ade573cbd8",
+        "summary.md": "77c7a40834743f72e684b23a3d3a85aefbf186cb079a35d56ddbc835a41fda6f"}),
+}
+
+
+@pytest.mark.parametrize("run_id", ORACLE_REPORTS)
+def test_eval_writes_the_pinned_report_of_each_fixture_oracle_run(tmp_path, fixture_menu_path,
+                                                                  fixture_dataset_path, run_id):
+    condition, record_filter, digests = ORACLE_REPORTS[run_id]
+    assert run(route_args(fixture_menu_path, fixture_dataset_path, tmp_path,
+                          condition=condition, filter=record_filter)) == 0
+    results_file = tmp_path / f"run-{run_id}" / "results.jsonl"
+    assert run(["eval", str(results_file), "--menu", str(fixture_menu_path)]) == 0
+    report_dir = results_file.parent / f"eval-{run_id}"
+    assert {file.name: hashlib.sha256(file.read_bytes()).hexdigest() for file in report_dir.iterdir()} == digests
+
+
 def test_eval_without_menu_exit_2_and_writes_nothing(tmp_path, fixture_menu_path, fixture_dataset_path,
                                                      capsys):
     run_dir = oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path)
@@ -635,6 +676,7 @@ def test_eval_scores_an_earlier_format_row_over_the_menus_classes(tmp_path, fixt
             for line in results_file.read_text(encoding="utf-8").splitlines()]
     rows[3].update(raw_response="9-9-9", predicted="9-9-9", normalization_applied=["bogus", "trim"])
     results_file.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    vouch(run_dir)
     capsys.readouterr()
     assert run(["eval", str(results_file), "--menu", str(fixture_menu_path)]) == 0
     assert "accuracy 99.57% over 230 results" in capsys.readouterr().out
@@ -650,13 +692,9 @@ def test_eval_refuses_an_intent_with_two_rows(tmp_path, fixture_menu_path, fixtu
     run_dir = oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path)
     results_file = run_dir / "results.jsonl"
     lines = results_file.read_text(encoding="utf-8").splitlines(keepends=True)
-    lines[5] = lines[4]  # as many rows as the run's n_results, one intent twice
+    lines[5] = lines[4]  # as many rows as the run wrote, one intent twice
     results_file.write_text("".join(lines), encoding="utf-8")
-    capsys.readouterr()
-    assert run(["eval", str(results_file), "--menu", str(fixture_menu_path)]) == 1
-    intent_id = json.loads(lines[4])["intent_id"]
-    assert capsys.readouterr().err == f"error: {results_file}: intent {intent_id} has more than one row\n"
-    assert not list(run_dir.glob("eval-*"))
+    assert_unvouched(results_file, fixture_menu_path, capsys)
 
 
 @pytest.mark.parametrize("menu, code, error", [
@@ -697,9 +735,7 @@ def test_eval_refuses_rows_of_two_runs(tmp_path, fixture_menu_path, fixture_data
     (mixed / "results.jsonl").write_text("".join(lines["keyword"][:5] + lines["oracle"][:5]),
                                          encoding="utf-8")
     (mixed / "manifest.json").write_bytes((runs["keyword"] / "manifest.json").read_bytes())
-    capsys.readouterr()
-    assert run(["eval", str(mixed / "results.jsonl"), "--menu", str(fixture_menu_path)]) == 1
-    assert capsys.readouterr().err == f"error: {mixed / 'results.jsonl'} mixes runs: 10 rows, n_results 230\n"
+    assert_unvouched(mixed / "results.jsonl", fixture_menu_path, capsys)
     # One run's rows beside another run's manifest, which names another model.
     keyword_results = runs["keyword"] / "results.jsonl"
     edit_manifest(runs["keyword"], model_name="oracle-mock")
@@ -717,6 +753,22 @@ def oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path):
 def edit_manifest(run_dir, **fields):
     manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
     (run_dir / "manifest.json").write_text(json.dumps({**manifest, **fields}), encoding="utf-8")
+
+
+def vouch(run_dir):
+    """Vouch for the run's results file as it now is, as README's migration of an earlier run does."""
+    edit_manifest(run_dir, results_sha256=hashlib.sha256((run_dir / "results.jsonl").read_bytes()).hexdigest())
+
+
+def assert_unvouched(results_file, menu, capsys, *flags):
+    """``eval`` refuses ``results_file`` for bytes its manifest does not vouch for, and writes no report."""
+    vouched = json.loads((results_file.parent / "manifest.json").read_text(encoding="utf-8"))["results_sha256"]
+    capsys.readouterr()
+    assert run(["eval", str(results_file), "--menu", str(menu), *flags]) == 1
+    digest = hashlib.sha256(results_file.read_bytes()).hexdigest()
+    assert capsys.readouterr().err == (f"error: {results_file} has sha256 {digest}, "
+                                       f"but the run's results_sha256 is {vouched}\n")
+    assert not list(results_file.parent.glob("eval-*"))
 
 
 def rewrite_row(results_file, index, **fields):
@@ -753,7 +805,8 @@ MANIFEST_EDITS = {
     "no model name": ({"model_name": ["oracle-mock"]}, "not a route run's manifest (bad model_name)"),
     "dataset_filter": ({"dataset_filter": "augmented"}, "not a route run's manifest (bad dataset_filter)"),
     "parse_mode": ({"parse_mode": None}, "not a route run's manifest (bad parse_mode)"),
-    "no count": ({"n_results": "230"}, "not a route run's manifest (bad n_results)"),
+    "no digest": ({"results_sha256": None}, "not a route run's manifest (bad results_sha256)"),
+    "digest in capitals": ({"results_sha256": "A" * 64}, "not a route run's manifest (bad results_sha256)"),
     # another run than the one its run_id names, in each field the run_id hashes
     "menu_name": ({"menu_name": "Other"}, NOT_HASHED),
     "menu_hash": ({"menu_hash": "0" * 64}, NOT_HASHED),
@@ -763,8 +816,8 @@ MANIFEST_EDITS = {
     "model_name": ({"model_name": "keyword-mock"}, NOT_HASHED),
     "parse_mode hashed": ({"parse_mode": "lenient"}, NOT_HASHED),
     "temperature": ({"temperature": 0.0}, NOT_HASHED),
-    # another number of rows than the run's
-    "n_results": ({"n_results": 229}, "mixes runs: 230 rows, n_results 229"),
+    # another results file than the run's
+    "results_sha256": ({"results_sha256": "0" * 64}, "but the run's results_sha256 is " + "0" * 64),
 }
 
 
@@ -794,10 +847,69 @@ def test_eval_refuses_the_rows_of_another_slice_than_the_manifest(tmp_path, fixt
         run_dirs[slice_] = next((tmp_path / slice_).glob("run-*"))
     # The 920 rows of the augmented run beside the base-only run's manifest.
     (run_dirs["all"] / "manifest.json").write_bytes((run_dirs["base_only"] / "manifest.json").read_bytes())
-    capsys.readouterr()
-    assert run(["eval", str(run_dirs["all"] / "results.jsonl"), "--menu", str(fixture_menu_path)]) == 1
-    assert capsys.readouterr().err.endswith("mixes runs: 920 rows, n_results 230\n")
+    assert_unvouched(run_dirs["all"] / "results.jsonl", fixture_menu_path, capsys)
     assert not list(tmp_path.rglob("eval-*"))
+
+
+# Edits of a route-written results file that leave each row well formed and each intent once or absent.
+RESULTS_EDITS = {
+    "two rows swapped": lambda lines: lines[:3] + [lines[4], lines[3]] + lines[5:],
+    "a row duplicated": lambda lines: lines[:4] + [lines[3]] + lines[4:],
+    "the last row cut off": lambda lines: lines[:-1],
+}
+
+
+@pytest.mark.parametrize("edit", RESULTS_EDITS.values(), ids=RESULTS_EDITS.keys())
+def test_eval_refuses_rows_in_another_order_or_number_than_route_wrote(tmp_path, fixture_menu_path,
+                                                                      fixture_dataset_path, capsys, edit):
+    run_dir = oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path)
+    results_file = run_dir / "results.jsonl"
+    results_file.write_text("".join(edit(results_file.read_text(encoding="utf-8").splitlines(keepends=True))),
+                            encoding="utf-8")
+    assert_unvouched(results_file, fixture_menu_path, capsys)
+
+
+def test_eval_refuses_a_row_of_another_run_in_place_of_one_of_its_own(tmp_path, fixture_menu_path,
+                                                                      fixture_dataset_path, capsys):
+    run_dir = oracle_run_dir(tmp_path / "base", fixture_menu_path, fixture_dataset_path)
+    assert run(route_args(fixture_menu_path, fixture_dataset_path, tmp_path / "all", filter="all")) == 0
+    all_results = next((tmp_path / "all").glob("run-*/results.jsonl"))
+    augmented = next(line for line in all_results.read_text(encoding="utf-8").splitlines(keepends=True)
+                     if ":v" in json.loads(line)["intent_id"])
+    results_file = run_dir / "results.jsonl"
+    lines = results_file.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[5] = augmented  # 230 rows, each intent once, each reply parsing to its prediction
+    results_file.write_text("".join(lines), encoding="utf-8")
+    assert_unvouched(results_file, fixture_menu_path, capsys)
+
+
+def test_eval_refuses_labels_edited_to_the_predictions(tmp_path, fixture_menu_path, fixture_dataset_path, capsys):
+    assert run(route_args(fixture_menu_path, fixture_dataset_path, tmp_path, filter="base_only")
+               + ["--provider", "keyword"]) == 0
+    results_file = next(tmp_path.glob("run-*/results.jsonl"))
+    rows = [json.loads(line) for line in results_file.read_text(encoding="utf-8").splitlines()]
+    wrong = [row for row in rows if row["predicted"] not in (row["ground_truth"], "INVALID")]
+    assert len(wrong) > 40
+    for row in wrong[:40]:
+        row["ground_truth"] = row["predicted"]
+    results_file.write_text("".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows), encoding="utf-8")
+    assert_unvouched(results_file, fixture_menu_path, capsys, "--force")
+
+
+def test_eval_scores_a_run_routed_before_manifests_held_a_digest_once_vouched(tmp_path, fixture_menu_path,
+                                                                             fixture_dataset_path, capsys):
+    run_dir = oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path)
+    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+    del manifest["results_sha256"]
+    (run_dir / "manifest.json").write_text(json.dumps({**manifest, "n_results": 230}), encoding="utf-8")
+    capsys.readouterr()
+    evaluate = ["eval", str(run_dir / "results.jsonl"), "--menu", str(fixture_menu_path)]
+    assert run(evaluate) == 1
+    assert capsys.readouterr().err.endswith("not a route run's manifest (bad results_sha256)\n")
+    assert not list(run_dir.glob("eval-*"))
+    vouch(run_dir)  # the migration README gives
+    assert run(evaluate) == 0
+    assert "accuracy 100.00% over 230 results" in capsys.readouterr().out
 
 
 def test_eval_without_a_manifest_exit_2(tmp_path, fixture_menu_path, fixture_dataset_path, capsys):
@@ -817,6 +929,7 @@ def test_eval_refuses_a_prediction_its_reply_does_not_parse_to(tmp_path, fixture
     results_file = run_dir / "results.jsonl"
     rewrite_row(results_file, 3, raw_response="I cannot tell, sorry")  # "predicted" and "correct" left
     rewrite_row(results_file, 5, raw_response="no idea")
+    vouch(run_dir)
     intent_id = json.loads(results_file.read_text(encoding="utf-8").splitlines()[3])["intent_id"]
     capsys.readouterr()
     assert run(["eval", str(results_file), "--menu", str(fixture_menu_path)]) == 1
@@ -837,14 +950,15 @@ def test_eval_regrades_any_reply_route_one_wrote(tmp_path_factory, fixture_menu_
     identity = {"menu_name": tree.name, "menu_hash": router.menu_hash(tree), "dataset_hash": "0" * 64,
                 "condition": "flattened_paths", "dataset_filter": "base_only", "model_name": "scripted-mock",
                 "parse_mode": "lenient" if lenient else "strict"}
-    manifest = {**identity, "run_id": router.run_id(identity), "n_results": 1}
+    manifest = {**identity, "run_id": router.run_id(identity),
+                "results_sha256": router.save_results([row], run_dir / "results.jsonl")}
     (run_dir / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
-    router.save_results([row], run_dir / "results.jsonl")
     evaluate = ["eval", str(run_dir / "results.jsonl"), "--menu", str(fixture_menu_path), "--out"]
     assert run(evaluate + [str(run_dir / "ok")]) == 0
     if other != row.predicted:
         edited = row._replace(predicted=other)
         router.save_results([edited], run_dir / "results.jsonl")
+        vouch(run_dir)
         assert run(evaluate + [str(run_dir / "edited")]) == 1
         assert not (run_dir / "edited").exists()
 
@@ -866,6 +980,7 @@ def test_eval_prediction_edited_against_its_flag_exit_1(tmp_path, fixture_menu_p
     row = json.loads(results_file.read_text(encoding="utf-8").splitlines()[3])
     wrong = "1-2" if row["ground_truth"] == "1-1" else "1-1"
     rewrite_row(results_file, 3, predicted=wrong, correct=True)  # a stale flag of a previous-format row
+    vouch(run_dir)
     assert run(["eval", str(results_file), "--menu", str(fixture_menu_path)]) == 1
     err = capsys.readouterr().err
     assert f"intent {row['intent_id']}'s reply does not parse to its prediction {wrong}" in err
@@ -878,6 +993,7 @@ def test_eval_scores_a_previous_format_results_file_from_the_evidence(tmp_path, 
     truth = json.loads(results_file.read_text(encoding="utf-8").splitlines()[3])["ground_truth"]
     wrong = "1-2" if truth == "1-1" else "1-1"
     rewrite_row(results_file, 3, raw_response=wrong, predicted=wrong)
+    vouch(run_dir)
     assert run(["eval", str(results_file), "--menu", str(fixture_menu_path), "--out", str(tmp_path / "now")]) == 0
     # The same answers as rows were written before they held the answer alone:
     # each names the run's condition and model and stores a flag, true even on the wrong answer.
@@ -885,6 +1001,7 @@ def test_eval_scores_a_previous_format_results_file_from_the_evidence(tmp_path, 
     results_file.write_text("".join(json.dumps({
         "intent_id": row["intent_id"], "condition": "flattened_paths", **row, "correct": True,
         "model_name": "oracle-mock"}) + "\n" for row in rows), encoding="utf-8")
+    vouch(run_dir)
     capsys.readouterr()
     assert run(["eval", str(results_file), "--menu", str(fixture_menu_path),
                 "--out", str(tmp_path / "previous")]) == 0

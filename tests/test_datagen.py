@@ -28,7 +28,7 @@ from ivroute.synthesis import (
     parse_listed_lines,
 )
 
-from conftest import make_record, tiny_dataset
+from conftest import action, make_record, tiny_dataset
 
 
 def serial_scripted(replies):
@@ -89,6 +89,18 @@ def test_base_generation_prompts_name_the_breadcrumb(tiny_tree):
     assert "Billing -> Pay Bill" in provider.calls[0]
     assert "agent handoff" in provider.calls[1]
     assert "self-service" in provider.calls[2]
+
+
+def test_generation_prompts_keep_placeholders_of_labels_and_texts_as_text(tiny_tree):
+    # Each template is filled in one pass: a breadcrumb or a text holding a placeholder is not filled again.
+    tree = tiny_tree._replace(root=tiny_tree.root._replace(children=(
+        action("Support {{SERVICE_TYPE}} {{COUNT}}", 2),)))
+    provider = serial_scripted([numbered(["a {{NOISE_DIRECTIVES}}"]), numbered(["b"])])
+    (base,) = generate_base_intents(flatten(tree), provider, per_node=1)
+    assert "Endpoint: Support {{SERVICE_TYPE}} {{COUNT}}\nEndpoint kind: self-service" in provider.calls[0]
+    augment_intents([base], provider, variants=1, noise=NoiseProfile(0, 0, 0))
+    assert "Original message: a {{NOISE_DIRECTIVES}}\n" in provider.calls[1]
+    assert provider.calls[1].endswith("numbered 1. through 1.")
 
 
 def test_base_generation_drops_duplicates_and_reasks(tiny_tree):

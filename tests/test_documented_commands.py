@@ -2,6 +2,7 @@
 and scripts/live_table.sh, each in bash, offline. Their python3 is the
 interpreter running the tests and their PYTHONPATH the checkout's src."""
 
+import json
 import os
 import shlex
 import subprocess
@@ -41,6 +42,28 @@ def test_readme_offline_round_trip_runs_as_written(tmp_path):
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "runs" / "run-c3ca07a72a4f").is_dir()
     assert "accuracy 100.00% over 230 results" in done.stdout
+
+
+def test_readme_migration_vouches_for_a_run_routed_before_manifests_held_a_digest(tmp_path):
+    (tmp_path / "src").symlink_to(REPO_ROOT / "src")
+    env = shell_env(tmp_path)
+
+    def bash(script):
+        return subprocess.run(["bash", "-e", "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=120)
+
+    assert bash(readme_block("Typical offline round trip")).returncode == 0
+    manifest_file = tmp_path / "runs" / "run-c3ca07a72a4f" / "manifest.json"
+    manifest = json.loads(manifest_file.read_text(encoding="utf-8"))
+    digest = manifest.pop("results_sha256")
+    manifest_file.write_text(json.dumps({**manifest, "n_results": 230}), encoding="utf-8")  # as routed before
+    evaluate = ("python3 -m ivroute.cli eval runs/run-c3ca07a72a4f/results.jsonl"
+                " --menu src/ivroute/data/agentnet.menu.json --force")
+    assert "(bad results_sha256)" in bash(evaluate).stderr
+    done = bash(readme_block("To score a run routed before"))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(manifest_file.read_text(encoding="utf-8"))["results_sha256"] == digest
+    assert "accuracy 100.00% over 230 results" in bash(evaluate).stdout
 
 
 # The endpoint's status, and the script's exit code and stdout: every cell

@@ -2,13 +2,17 @@
 
 import pytest
 
-from ivroute.menu import render_descriptive, render_flattened
+from ivroute.menu import MenuTree, render_descriptive, render_flattened, validate_menu
 from ivroute.prompts import (
+    CONDITIONS,
     PromptText,
     RoutingCondition,
     build_prompt,
     load_template,
 )
+from ivroute.router import render_context
+
+from conftest import action, submenu
 
 EXPECTED_DESCRIPTIVE = (
     "Given the following IVR menu structure, identify the exact DTMF path "
@@ -108,3 +112,18 @@ def test_substitution_is_literal_not_regex(paths):
     tricky = r"pay \1 {{QUERY}} \g<0> bill"
     prompt = build_prompt(RoutingCondition.FLATTENED_PATHS, text, tricky)
     assert tricky in prompt.content
+
+
+@pytest.mark.parametrize("condition", list(RoutingCondition))
+def test_a_placeholder_in_the_menu_is_text_in_the_prompt(condition):
+    # A menu may call an option "{{QUERY}}": the query still goes where the template puts it.
+    root = submenu("Root", None, [submenu("Billing {{QUERY}}", 1, [action("Pay {{QUERY}}", 1),
+                                                                   action("{{MENU}} {{PATHS}}", 2)],
+                                          prompt_text="For {{QUERY}}, press 1.")])
+    tree = MenuTree(name="Braces", root=root)
+    assert validate_menu(tree) == []
+    context = render_context(tree, condition)
+    assert "{{QUERY}}" in context
+    head, tail = load_template(CONDITIONS[condition].template).split(CONDITIONS[condition].placeholder)
+    prompt = build_prompt(condition, context, "my bill")
+    assert prompt.content == head + context + tail.replace("{{QUERY}}", "my bill")

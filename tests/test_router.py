@@ -1,6 +1,7 @@
 """Response parsing, single-shot routing, batch routing, manifests, and
 result files."""
 
+import hashlib
 import json
 import math
 import random
@@ -275,7 +276,7 @@ def test_route_all_tolerates_failures_within_budget(tiny_tree):
     assert run.manifest["failures"] == [
         {"intent_id": ds.records[1].id, "error": "synthetic outage"}
     ]
-    assert run.manifest["n_results"] == 5
+    assert "n_results" not in run.manifest  # route's results_sha256 vouches for the rows
 
 
 def test_route_all_aborts_past_budget(tiny_tree):
@@ -669,22 +670,22 @@ def test_run_calls_counts_a_failure_within_budget_and_keeps_going():
 # --- manifest ------------------------------------------------------------------------
 
 def manifest_for(ds, tree, condition=RoutingCondition.FLATTENED_PATHS, record_filter="base_only",
-                 model_name="scripted-mock", lenient=False, n_results=1, failures=()):
+                 model_name="scripted-mock", lenient=False, failures=()):
     identity = run_identity(ds, tree, condition, record_filter, model_name, lenient)
-    return build_manifest(identity, n_results, list(failures))
+    return build_manifest(identity, list(failures))
 
 
 def test_manifest_run_id_ignores_timestamp_and_counts(tiny_tree, monkeypatch):
     ds = tiny_dataset()
     first = manifest_for(ds, tiny_tree)
-    second = manifest_for(ds, tiny_tree, n_results=99, failures=[("x", "boom")])
+    second = manifest_for(ds, tiny_tree, failures=[("x", "boom")])
     assert first["run_id"] == second["run_id"]
     assert first["timestamp"]
 
 
 def test_a_manifest_hashes_to_its_run_id(tiny_tree):
     ds = tiny_dataset()
-    manifest = manifest_for(ds, tiny_tree, n_results=99, failures=[("x", "boom")])
+    manifest = manifest_for(ds, tiny_tree, failures=[("x", "boom")])
     assert router.run_id(manifest) == manifest["run_id"]
     identity = run_identity(ds, tiny_tree, RoutingCondition.FLATTENED_PATHS, "all", "m", False, 0.5)
     assert list(identity) == [*router.IDENTITY_KEYS, "run_id"]  # the run id hashes every input named
@@ -759,6 +760,14 @@ def test_results_row_keys_in_file_order(tmp_path, tiny_tree):
     # The rules that fired are read off the stored reply, under the run's parse mode.
     assert [parse_dtmf_response(r.raw_response).normalization_applied for r in run.results[:2]] == [
         ("trim", "unquote", "strip_trailing_period"), ("map_unicode_dashes",)]
+
+
+def test_save_results_returns_the_sha256_of_the_bytes_it_wrote(tmp_path, tiny_tree):
+    ds = tiny_dataset()
+    run = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, ScriptedProvider(["1-1"] * 6))
+    file = tmp_path / "results.jsonl"
+    assert save_results(run.results, file) == hashlib.sha256(file.read_bytes()).hexdigest()
+    assert save_results([], file) == hashlib.sha256(b"").hexdigest() and file.read_bytes() == b""
 
 
 def test_results_round_trip(tmp_path, tiny_tree):
