@@ -1,12 +1,14 @@
 """Shared fixtures: the bundled menu and dataset, small synthetic menus,
-provider doubles wired for deterministic tests, and a loopback
-chat-completions server for the real HTTP transport."""
+provider doubles wired for deterministic tests, and a loopback HTTP
+server, answering with scripted bytes or as a chat-completions endpoint,
+for the real HTTP transport."""
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import socket
-import socketserver
 import ssl
 import threading
 import time
@@ -149,7 +151,7 @@ def tiny_dataset() -> Dataset:
     return Dataset(menu_name="Tiny", records=records)
 
 
-# --- loopback chat-completions server ------------------------------------------
+# --- loopback HTTP server --------------------------------------------------------
 
 PROXY_VARIABLES = tuple(
     name for base in ("http_proxy", "https_proxy", "all_proxy", "no_proxy")
@@ -157,149 +159,184 @@ PROXY_VARIABLES = tuple(
 )
 
 
-class ChatServer(socketserver.ThreadingTCPServer):
-    """A chat-completions endpoint on 127.0.0.1, one thread per connection.
+class Close(bytes):
+    """A reply after which the server ends the connection; ``Close(b"")``
+    ends it without a reply."""
 
-    Every response leaves in one write: status line, headers and body split
-    over several writes stall kept-alive calls on the Nagle / delayed-ACK
-    interaction. ``reply`` is the content of every 200, or a function from
-    the request's prompt to that content; ``statuses`` the
-    statuses of the first responses, in order, ``status`` that of every
-    later one and ``delay`` holds each response.
-    ``retry_after``, when set, goes out as a Retry-After header on every
-    response that is not a 200. With ``tls`` the server speaks https with
-    the test certificate, TLS_CERT.
-    ``hang_up`` closes each connection after its first response, without a
-    ``Connection: close`` header, as a server whose idle timeout ran out
-    does: at once (``"after-reply"``), or once the next request on it has
-    been read (``"before-reply"``), as when that request crosses the
-    hang-up. Counters: connections accepted, open now and at most at once,
-    and the requests answered.
+
+class Request(bytes):
+    """The bytes of one request as read, with its request ``line``, its
+    ``headers`` by lower-case name and its ``body``."""
+
+
+class LoopbackServer:
+    """An HTTP/1.1 server on 127.0.0.1, one thread per connection.
+
+    ``answer(request, index)`` makes the reply to each Request, ``index``
+    being its place on its connection: bytes, written in one go, since a
+    response split over several writes stalls kept-alive calls on the
+    Nagle / delayed-ACK interaction, or a Close. ``tls`` makes it speak TLS
+    with the test certificate, TLS_CERT: from the first byte (``"https"``),
+    or once it has answered a CONNECT with a 200 (``"tunnel"``), as a proxy
+    that is the endpoint at the tunnel's far end. It keeps the requests it
+    read and counts the connections accepted, open now and at most at once,
+    the requests answered and the connections the client closed.
     """
 
-    daemon_threads = True
-    block_on_close = False
-
-    def __init__(self, reply="1-1", status=200, delay=0.0, hang_up=None, retry_after=None,
-                 statuses=(), tls=False):
-        super().__init__(("127.0.0.1", 0), _ChatHandler)
-        self.reply, self.status, self.delay = reply, status, delay
-        self.statuses = list(statuses)
-        self.retry_after = retry_after
-        self.hang_up = hang_up
-        self.tls = None
+    def __init__(self, answer, tls=None):
+        self.answer, self.tls = answer, tls
         if tls:
-            self.tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
-            self.tls.load_cert_chain(TLS_CERT, TLS_KEY)
-        self.port = self.server_address[1]
-        self.url = f"{'https' if tls else 'http'}://127.0.0.1:{self.port}/v1/chat/completions"
+            self.context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            self.context.load_cert_chain(TLS_CERT, TLS_KEY)
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self.listener.getsockname()[1]
+        self.url = f"{'https' if tls == 'https' else 'http'}://127.0.0.1:{self.port}/v1/chat/completions"
         self.lock = threading.Lock()
-        self.accepted = self.open = self.peak_open = self.answered = 0
-        self.seen: list[tuple[str, dict, bytes]] = []  # (request line, headers, body)
+        self.requests: list[Request] = []
+        self.accepted = self.open = self.peak_open = self.answered = self.client_closed = 0
+        threading.Thread(target=self._accept, daemon=True).start()
 
-    def get_request(self):
-        conn, address = super().get_request()
-        if self.tls is not None:  # the handshake is made on the connection's own thread
-            conn = self.tls.wrap_socket(conn, server_side=True, do_handshake_on_connect=False)
-        return conn, address
+    def close(self) -> None:
+        with contextlib.suppress(OSError):  # shutdown wakes the accept loop at once
+            self.listener.shutdown(socket.SHUT_RDWR)
+        self.listener.close()
 
-    def response(self, status: int, body: bytes) -> bytes:
-        if status == 200:
-            content = self.reply
-            if callable(content):
-                content = content(json.loads(body)["messages"][-1]["content"])
-            body = json.dumps({"choices": [{"message": {"content": content}}]},
-                              ensure_ascii=False).encode("utf-8")
-        else:
-            body = b'{"error": "unavailable"}'
-        head = f"HTTP/1.1 {status} Status\r\nContent-Type: application/json\r\n"
-        if status != 200 and self.retry_after is not None:
-            head += f"Retry-After: {self.retry_after}\r\n"
-        head += f"Content-Length: {len(body)}\r\n\r\n"
-        return head.encode("ascii") + body
-
-    def shutdown_request(self, request) -> None:
-        super().shutdown_request(request)
-        with self.lock:
-            self.open -= 1
-
-    def wait_open(self, count: int, timeout: float = 5.0) -> bool:
-        """Whether the open connections came down to ``count`` within ``timeout``."""
+    def wait(self, timeout: float = 5.0, **counts: int) -> bool:
+        """Whether each named counter came to its count within ``timeout``."""
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             with self.lock:
-                if self.open == count:
+                if all(getattr(self, name) == count for name, count in counts.items()):
                     return True
             time.sleep(0.01)
         return False
 
-    def wait_all_closed(self, timeout: float = 5.0) -> bool:
-        return self.wait_open(0, timeout)
+    def _accept(self) -> None:
+        while True:
+            try:
+                conn, _ = self.listener.accept()
+            except OSError:
+                return  # closed
+            with self.lock:
+                self.accepted += 1
+                self.open += 1
+                self.peak_open = max(self.peak_open, self.open)
+            threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
 
-
-class _ChatHandler(socketserver.StreamRequestHandler):
-    server: ChatServer
-
-    def handle(self) -> None:
-        server = self.server
-        self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        with server.lock:
-            server.accepted += 1
-            server.open += 1
-            server.peak_open = max(server.peak_open, server.open)
+    def _serve(self, conn) -> None:
         try:
-            if server.tls is not None:
-                self.request.do_handshake()
-            answered = self._answer_one()
-            if answered and server.hang_up == "before-reply":
-                self._read_request()
-            while answered and server.hang_up is None:
-                answered = self._answer_one()
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self.tls == "https":
+                conn = self.context.wrap_socket(conn, server_side=True)
+            buffer = b""
+            for index in itertools.count():
+                request, buffer = self._read(conn, buffer)
+                if request is None:
+                    with self.lock:
+                        self.client_closed += 1
+                    return
+                reply = self.answer(request, index)
+                with self.lock:
+                    self.requests.append(request)
+                    self.answered += bool(reply)
+                conn.sendall(reply)
+                if isinstance(reply, Close):
+                    return
+                if self.tls == "tunnel" and request.startswith(b"CONNECT ") and reply.startswith(b"HTTP/1.1 200 "):
+                    conn = self.context.wrap_socket(conn, server_side=True)
         except OSError:
-            pass  # a client that hangs up mid-request loses only its own connection
+            pass  # a client that resets loses only its own connection
+        finally:
+            conn.close()
+            with self.lock:
+                self.open -= 1
 
-    def _read_request(self) -> tuple[str, dict, bytes] | None:
-        request_line = self.rfile.readline()
-        if not request_line:
-            return None
-        headers = {}
-        while (line := self.rfile.readline()) not in (b"\r\n", b""):
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        body = self.rfile.read(int(headers.get("content-length", 0)))
-        return request_line.decode("latin-1").strip(), headers, body
+    @staticmethod
+    def _read(conn, buffer: bytes) -> tuple[Request | None, bytes]:
+        """The next request on ``conn``, whose bytes begin with ``buffer``,
+        and the bytes read past it; (None, b"") once the client has closed."""
+        while True:
+            head, end, rest = buffer.partition(b"\r\n\r\n")
+            if end:
+                line, *fields = head.decode("latin-1").split("\r\n")
+                headers = {name.strip().lower(): value.strip()
+                           for name, _, value in (field.partition(":") for field in fields)}
+                length = int(headers.get("content-length", 0))
+                if len(rest) >= length:
+                    request = Request(head + end + rest[:length])
+                    request.line, request.headers, request.body = line, headers, rest[:length]
+                    return request, rest[length:]
+            if not (chunk := conn.recv(65536)):
+                return None, b""
+            buffer += chunk
 
-    def _answer_one(self) -> bool:
-        request = self._read_request()
-        if request is None:
-            return False
-        time.sleep(self.server.delay)
-        with self.server.lock:
-            self.server.answered += 1
-            self.server.seen.append(request)
-            status = self.server.statuses.pop(0) if self.server.statuses else self.server.status
-        self.wfile.write(self.server.response(status, request[2]))
-        return True
+
+def chat_replies(reply="1-1", status=200, statuses=(), delay=0.0, retry_after=None, hang_up=None):
+    """The answer of a chat-completions endpoint. ``reply`` is the content
+    of every 200, or a function from the request's prompt to that content;
+    ``statuses`` the statuses of the first responses, in order, ``status``
+    that of every later one and ``delay`` holds each response.
+    ``retry_after``, when set, goes out as a Retry-After header on every
+    response that is not a 200. ``hang_up`` closes each connection after
+    its first response, without a ``Connection: close`` header, as a
+    server whose idle timeout ran out does: at once (``"after-reply"``), or
+    once the next request on it has been read (``"before-reply"``), as
+    when that request crosses the hang-up."""
+    statuses = iter(statuses)
+
+    def answer(request: Request, index: int) -> bytes:
+        if index and hang_up == "before-reply":
+            return Close(b"")
+        time.sleep(delay)
+        code = next(statuses, status)
+        if code == 200:
+            content = reply(json.loads(request.body)["messages"][-1]["content"]) if callable(reply) else reply
+            body = json.dumps({"choices": [{"message": {"content": content}}]}, ensure_ascii=False).encode("utf-8")
+        else:
+            body = b'{"error": "unavailable"}'
+        head = f"HTTP/1.1 {code} Status\r\nContent-Type: application/json\r\n"
+        if code != 200 and retry_after is not None:
+            head += f"Retry-After: {retry_after}\r\n"
+        response = f"{head}Content-Length: {len(body)}\r\n\r\n".encode("ascii") + body
+        return Close(response) if hang_up == "after-reply" else response
+
+    return answer
 
 
 @pytest.fixture
-def chat_server(monkeypatch):
-    """Start a ChatServer; calls ``chat_server(**options)`` return it. No
-    proxy settings reach the code under test."""
+def loopback(monkeypatch):
+    """``loopback(answer, tls=None)`` starts a LoopbackServer, closed at
+    teardown. No proxy settings reach the code under test."""
     for name in PROXY_VARIABLES:
         monkeypatch.delenv(name, raising=False)
     servers = []
 
-    def start(**options) -> ChatServer:
-        server = ChatServer(**options)
-        threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True).start()
-        servers.append(server)
-        return server
+    def start(answer, tls=None) -> LoopbackServer:
+        servers.append(LoopbackServer(answer, tls))
+        return servers[-1]
 
     yield start
     for server in servers:
-        server.shutdown()
-        server.server_close()
+        server.close()
+
+
+@pytest.fixture
+def raw_server(loopback):
+    """``raw_server(replies, tls=None)`` starts a server that answers each
+    request, in arrival order, with the next of ``replies``."""
+
+    def start(replies, tls=None) -> LoopbackServer:
+        replies = iter(replies)
+        return loopback(lambda request, index: next(replies), tls)
+
+    return start
+
+
+@pytest.fixture
+def chat_server(loopback):
+    """``chat_server(**options)`` starts a chat-completions endpoint, https
+    with ``tls=True``; the other options are chat_replies'."""
+    return lambda tls=False, **options: loopback(chat_replies(**options), "https" if tls else None)
 
 
 @pytest.fixture

@@ -89,6 +89,44 @@ def test_validate_menu_reports_every_tree_violation_together(tmp_path, capsys):
                                        "2: menu node has no children\n")
 
 
+# Edits, in place, of the bundled menu document that validate-menu refuses,
+# and the error, which names the node where there is one.
+MENU_REFUSALS = {
+    "empty-name": (lambda doc: doc.update(name=""), "menu name must be a non-empty string"),
+    "missing-label": (lambda doc: doc["root"]["children"][0]["children"][0].pop("label"),
+                      "node at 1-1: missing label"),
+    "unknown-kind": (lambda doc: doc["root"]["children"][0]["children"][0].update(kind="submenu"),
+                     "node at 1-1: unknown kind 'submenu'"),
+    "misplaced-field": (lambda doc: doc["root"]["children"][0]["children"][0].update(children=[]),
+                        "node at 1-1: field(s) ['children'] not allowed on action nodes"),
+    "bad-action-type": (lambda doc: doc["root"]["children"][0]["children"][0].update(action_type="robot"),
+                        "node at 1-1: action_type must be 'self_service' or 'agent_handoff'"),
+    "prompt-not-text": (lambda doc: doc["root"]["children"][0].update(prompt_text=5),
+                        "node at 1: prompt_text must be a string"),
+    "children-not-a-list": (lambda doc: doc["root"]["children"][0].update(children={}),
+                            "node at 1: children must be a list"),
+    "action-root": (lambda doc: doc.update(root={"label": "Root", "kind": "action",
+                                                 "action_type": "self_service"}),
+                    "root: must have kind 'menu'"),
+    "root-with-a-digit": (lambda doc: doc["root"].update(digit="1"),
+                          "root: carries a digit but is not selected by a keypress"),
+    "child-without-a-digit": (lambda doc: doc["root"]["children"][0]["children"][0].pop("digit"),
+                              "1: child 'Check Balance' has no digit"),
+}
+
+
+@pytest.mark.parametrize("kind", MENU_REFUSALS)
+def test_validate_menu_refusal_names_the_node_exit_1(tmp_path, capsys, kind):
+    edit, error = MENU_REFUSALS[kind]
+    doc = json.loads(data_text("agentnet.menu.json"))
+    edit(doc)
+    menu = tmp_path / "refused.menu.json"
+    menu.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["validate-menu", str(menu)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: invalid menu: {error}\n" and captured.out == ""
+
+
 # --- flatten ---------------------------------------------------------------------------
 
 def test_flatten_tsv_matches_golden(fixture_menu_path, capsys):
@@ -162,6 +200,23 @@ def test_gen_intents_rejects_oracle(fixture_menu_path, capsys):
 def test_gen_intents_scripted_needs_script(fixture_menu_path, capsys):
     assert run(["gen-intents", str(fixture_menu_path), "--provider", "scripted"]) == 2
     assert "--script" in capsys.readouterr().err
+
+
+def test_script_that_is_no_array_of_strings_exit_2(tmp_path, fixture_menu_path, capsys):
+    script = write_script(tmp_path, {"a": 1})
+    assert run(["gen-intents", str(fixture_menu_path), "--provider", "scripted", "--script", str(script),
+                "--dataset-out", str(tmp_path / "intents.jsonl")]) == 2
+    assert capsys.readouterr().err == f"error: script file {script} must hold a JSON array of strings\n"
+    assert not (tmp_path / "intents.jsonl").exists()
+
+
+def test_gen_intents_scripted_replies_running_out_exit_1(tmp_path, fixture_menu_path, capsys):
+    script = write_script(tmp_path, [numbered(["my balance please"])])  # one reply for 23 paths
+    assert run(["gen-intents", str(fixture_menu_path), "--per-node", "1", "--variants", "1",
+                "--provider", "scripted", "--script", str(script), "--max-in-flight", "1",
+                "--dataset-out", str(tmp_path / "intents.jsonl")]) == 1
+    assert capsys.readouterr().err == "error: scripted mock ran out of replies\n"
+    assert not (tmp_path / "intents.jsonl").exists()
 
 
 @pytest.mark.parametrize("counts", [["--per-node", "0"], ["--per-node", "1", "--variants", "-1"]],
@@ -342,6 +397,19 @@ def test_route_api_key_with_control_characters_exit_2(tmp_path, fixture_menu_pat
     err = capsys.readouterr().err
     assert err.startswith("error: bad provider settings") and "IVR_LLM_API_KEY" in err
     assert "sk-secret" not in err
+    assert not list(tmp_path.glob("run-*"))
+
+
+def test_route_https_proxy_exit_2(tmp_path, fixture_menu_path, fixture_dataset_path, raw_server,
+                                  monkeypatch, capsys):
+    proxy = raw_server([])
+    monkeypatch.setenv("ALL_PROXY", f"https://127.0.0.1:{proxy.port}")
+    argv = route_args(fixture_menu_path, fixture_dataset_path, tmp_path)
+    argv += ["--provider", "http", "--endpoint", "http://127.0.0.1:9/v1"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == ("error: bad provider settings: unsupported proxy "
+                                       f"'https://127.0.0.1:{proxy.port}': only http:// proxies are\n")
+    assert proxy.accepted == 0
     assert not list(tmp_path.glob("run-*"))
 
 
@@ -528,6 +596,22 @@ def test_route_uneven_dataset_exit_1(tmp_path, fixture_menu_path, fixture_datase
     assert not list(tmp_path.glob("run-*"))
 
 
+@pytest.mark.parametrize("edit, problem", [
+    (lambda row: {**row, "base_id": "1-1:b01"} if row["id"] == "1-1:b00" else row,
+     "record 1-1:b00: base record must be its own base_id"),
+    (lambda row: {**row, "variant_index": 1} if row["id"] == "1-1:b00" else row,
+     "record 1-1:b00: base record with variant_index != 0"),
+    (lambda row: {**row, "origin": "synthetic"} if row["id"] == "1-1:b00:v3" else row,
+     "record 1-1:b00:v3: unknown origin 'synthetic'"),
+], ids=["base-of-another-base", "base-with-a-variant-index", "unknown-origin"])
+def test_route_record_that_is_no_base_or_paraphrase_exit_1(tmp_path, fixture_menu_path,
+                                                           fixture_dataset_path, capsys, edit, problem):
+    dataset = edited_fixture(tmp_path, fixture_dataset_path, edit)
+    assert run(route_args(fixture_menu_path, dataset, tmp_path)) == 1
+    assert capsys.readouterr().err.startswith(f"error: dataset is not valid: {problem}")
+    assert not list(tmp_path.glob("run-*"))
+
+
 @pytest.mark.parametrize("field, value", [("text", 5), ("variant_index", 3.7), ("variant_index", True)])
 def test_dataset_field_of_wrong_type_exit_1(tmp_path, fixture_menu_path, fixture_dataset_path,
                                             monkeypatch, capsys, field, value):
@@ -556,6 +640,40 @@ def test_route_names_each_failure_once(tmp_path, fixture_menu_path, fixture_data
     err = capsys.readouterr().err.splitlines()
     assert err[0] == "error: run aborted: 3 provider failure(s) exceeded the budget of 2"
     assert err[1:] == [f"  failed 1-1:b0{i}: scripted mock ran out of replies" for i in (2, 3, 4)]
+
+
+def test_route_names_five_failures_and_counts_the_rest(tmp_path, fixture_menu_path, fixture_dataset_path,
+                                                       capsys):
+    argv = route_args(fixture_menu_path, fixture_dataset_path, tmp_path, filter="base_only", max_in_flight=1,
+                      error_budget=0.03) + ["--provider", "scripted", "--script", str(write_script(tmp_path, []))]
+    assert run(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "error: run aborted: 7 provider failure(s) exceeded the budget of 6"
+    assert err[1:] == [f"  failed 1-1:b0{i}: scripted mock ran out of replies" for i in range(5)] + [
+        "  ... and 2 more"]
+    assert not list(tmp_path.glob("run-*"))
+
+
+def test_route_force_over_results_that_cannot_be_written_exit_1(tmp_path, fixture_menu_path,
+                                                                fixture_dataset_path, capsys):
+    run_dir = oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path)
+    (run_dir / "results.jsonl").unlink()
+    (run_dir / "results.jsonl").mkdir()
+    capsys.readouterr()
+    argv = route_args(fixture_menu_path, fixture_dataset_path, tmp_path, filter="base_only")
+    assert run(argv + ["--force"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {run_dir}: ")
+
+
+def test_route_skips_blank_dataset_lines_and_keeps_the_run_id(tmp_path, fixture_menu_path,
+                                                              fixture_dataset_path):
+    lines = fixture_dataset_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    spaced = tmp_path / "spaced.jsonl"
+    spaced.write_text("\n" + "".join(lines[:100]) + " \t\n\n" + "".join(lines[100:]) + "\n", encoding="utf-8")
+    for name, dataset in [("plain", fixture_dataset_path), ("spaced", spaced)]:
+        assert run(route_args(fixture_menu_path, dataset, tmp_path / name, filter="base_only")) == 0
+    assert [run_dir.name for run_dir in (tmp_path / "spaced").iterdir()] == ["run-c3ca07a72a4f"]
+    assert [run_dir.name for run_dir in (tmp_path / "plain").iterdir()] == ["run-c3ca07a72a4f"]
 
 
 def test_route_summary_counts_the_failures_it_does_not_score(tmp_path, fixture_menu_path,
@@ -595,7 +713,7 @@ def test_route_reply_content_that_is_no_text_exit_1(tmp_path, fixture_menu_path,
     assert err.startswith("error: run aborted: 3 provider failure(s) exceeded the budget of 2")
     assert "content that is no text" in err and "Traceback" not in err
     assert server.answered == 3
-    assert server.wait_all_closed()
+    assert server.wait(open=0)
 
 
 # --- eval ------------------------------------------------------------------------------
@@ -973,6 +1091,33 @@ def test_eval_ground_truth_that_is_no_path_exit_1(tmp_path, fixture_menu_path,
     assert "cannot load results" in capsys.readouterr().err
 
 
+def test_eval_ground_truth_that_is_no_class_of_the_menu_exit_1(tmp_path, fixture_menu_path,
+                                                               fixture_dataset_path, capsys):
+    run_dir = oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path)
+    results_file = run_dir / "results.jsonl"
+    rewrite_row(results_file, 3, ground_truth="9-9-9")
+    vouch(run_dir)
+    capsys.readouterr()
+    assert run(["eval", str(results_file), "--menu", str(fixture_menu_path)]) == 1
+    intent_id = json.loads(results_file.read_text(encoding="utf-8").splitlines()[3])["intent_id"]
+    assert capsys.readouterr().err == (f"error: result {intent_id}: ground truth 9-9-9 "
+                                       "is outside the class list\n")
+    assert not list(run_dir.glob("eval-*"))
+
+
+def test_eval_again_without_force_exit_1_and_keeps_the_report(tmp_path, fixture_menu_path,
+                                                              fixture_dataset_path, capsys):
+    run_dir = oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path)
+    evaluate = ["eval", str(run_dir / "results.jsonl"), "--menu", str(fixture_menu_path)]
+    assert run(evaluate) == 0
+    report_dir = run_dir / run_dir.name.replace("run-", "eval-")
+    written = {file.name: file.read_bytes() for file in report_dir.iterdir()}
+    capsys.readouterr()
+    assert run(evaluate) == 1
+    assert capsys.readouterr().err == f"error: {report_dir} already exists; use --force to overwrite\n"
+    assert {file.name: file.read_bytes() for file in report_dir.iterdir()} == written
+
+
 def test_eval_prediction_edited_against_its_flag_exit_1(tmp_path, fixture_menu_path,
                                                         fixture_dataset_path, capsys):
     run_dir = oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path)
@@ -1140,6 +1285,14 @@ def test_demo_empty_line_costs_no_provider_call(fixture_menu_path, tmp_path,
     assert out.startswith("2-1-9  ")
 
 
+def test_demo_oracle_without_dataset_exit_2(fixture_menu_path, monkeypatch, capsys):
+    feed_stdin(monkeypatch, "i want to check my balance\n")
+    assert run(["demo", "--menu", str(fixture_menu_path), "--provider", "oracle"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: oracle provider needs a dataset to take its answers from\n"
+    assert captured.out == ""
+
+
 def test_demo_eof_exits_zero(fixture_menu_path, monkeypatch, capsys):
     feed_stdin(monkeypatch, "")
     assert run(["demo", "--menu", str(fixture_menu_path), "--provider", "keyword"]) == 0
@@ -1169,7 +1322,7 @@ def test_demo_retries_a_503_and_prints_the_path(fixture_menu_path, chat_server, 
     assert captured.out.startswith("2-1-9  ") and captured.out.count("\n") == 1
     assert captured.err == ""
     assert server.answered == 2  # the 503, then its retry
-    assert server.wait_all_closed()  # demo closed the connection when stdin ended
+    assert server.wait(open=0)  # demo closed the connection when stdin ended
 
 
 def echo_endpoint_or_original(prompt):
@@ -1191,7 +1344,7 @@ def test_gen_intents_one_text_for_every_path_exit_1(fixture_menu_path, chat_serv
     assert "violation: record 1-2:b00: same text as record 1-1:b00, which is labelled 1-1" in err
     assert err.endswith("error: generated dataset failed validation\n")
     assert not (tmp_path / "intents.jsonl").exists()
-    assert server.wait_all_closed()
+    assert server.wait(open=0)
 
 
 def test_gen_intents_stages_share_one_connection(fixture_menu_path, chat_server, monkeypatch,
@@ -1204,7 +1357,7 @@ def test_gen_intents_stages_share_one_connection(fixture_menu_path, chat_server,
     assert code == 0 and "wrote 46 records" in capsys.readouterr().out
     assert server.answered == 3 * 23  # base, paraphrase, and its retry for each path
     assert server.accepted == 1  # the paraphrase stage reused the base stage's connection
-    assert server.wait_all_closed()  # closed once, when the command ended
+    assert server.wait(open=0)  # closed once, when the command ended
 
 
 def test_demo_lines_share_one_connection(fixture_menu_path, chat_server, monkeypatch, capsys):
@@ -1217,7 +1370,7 @@ def test_demo_lines_share_one_connection(fixture_menu_path, chat_server, monkeyp
     assert capsys.readouterr().out.count("2-1-9  ") == 2
     assert server.answered == 2
     assert server.accepted == 1  # the second line reused the first line's connection
-    assert server.wait_all_closed()
+    assert server.wait(open=0)
 
 
 def test_demo_lines_share_one_pace(fixture_menu_path, monkeypatch, capsys):
@@ -1497,6 +1650,17 @@ def test_input_file_no_utf8_or_too_deep_ends_with_its_exit_code(tmp_path, fixtur
         assert err.startswith(error) and err.count("\n") == 1, err
     assert kind not in GOOD_LINE or f"{file}:2: bad " in err
     assert kind == "manifest" or not list(tmp_path.glob("run-*"))
+
+
+def test_input_file_that_cannot_be_read_exit_2(fixture_menu_path, monkeypatch, capsys):
+    # Permissions cannot make a file unreadable to root, so the loader is made to refuse it.
+    def refuse(path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr("ivroute.cli.load_menu", refuse)
+    assert run(["validate-menu", str(fixture_menu_path)]) == 2
+    assert capsys.readouterr().err == (f"error: cannot read menu file {fixture_menu_path}: "
+                                       f"[Errno 13] Permission denied: '{fixture_menu_path}'\n")
 
 
 @settings(max_examples=100, deadline=None)

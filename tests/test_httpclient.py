@@ -1,5 +1,4 @@
-"""The HTTP/1.1 client against a raw loopback socket server that sends
-scripted bytes: response framing, connection reuse, the bounds on what a
+"""The HTTP/1.1 client against the loopback server sending scripted bytes: response framing, connection reuse, the bounds on what a
 server may send, the one-write request, TLS and the CONNECT tunnel. The
 response reader is also checked against http.client on generated
 responses, delivered in pieces down to one byte."""
@@ -9,13 +8,9 @@ import http.client
 import io
 import json
 import os
-import re
 import socket
-import ssl
 import subprocess
 import sys
-import threading
-import time
 from pathlib import Path
 from unittest.mock import ANY
 
@@ -27,105 +22,7 @@ import ivroute
 from ivroute.httpclient import BadResponse, ConnectionPool, NoResponse, _Connection, _authority
 from ivroute.provider import TransportError
 
-from conftest import PROXY_VARIABLES, TLS_CERT, TLS_KEY
-
-
-class Close(bytes):
-    """A scripted reply after which RawServer closes the connection."""
-
-
-class RawServer:
-    """A loopback server that answers each request, in arrival order, with
-    the next bytes of ``replies``, written as they are. Records the raw
-    requests, the connections accepted and those the client closed.
-
-    ``tls`` makes it speak TLS with the test certificate, TLS_CERT: from
-    the first byte (``"https"``), or once it has answered a CONNECT with a
-    200 (``"tunnel"``), as a proxy that is the endpoint at the tunnel's far
-    end."""
-
-    def __init__(self, replies, tls=None):
-        self.replies = list(replies)
-        self.tls = tls
-        if tls:
-            self.context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
-            self.context.load_cert_chain(TLS_CERT, TLS_KEY)
-        self.listener = socket.create_server(("127.0.0.1", 0))
-        self.port = self.listener.getsockname()[1]
-        self.url = f"{'https' if tls == 'https' else 'http'}://127.0.0.1:{self.port}/v1/chat/completions"
-        self.lock = threading.Lock()
-        self.requests: list[bytes] = []
-        self.accepted = self.client_closed = 0
-        threading.Thread(target=self._accept, daemon=True).start()
-
-    def close(self) -> None:
-        self.listener.close()
-
-    def wait_client_closed(self, count: int, timeout: float = 5.0) -> bool:
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self.lock:
-                if self.client_closed == count:
-                    return True
-            time.sleep(0.01)
-        return False
-
-    def _accept(self) -> None:
-        while True:
-            try:
-                conn, _ = self.listener.accept()
-            except OSError:
-                return  # closed
-            with self.lock:
-                self.accepted += 1
-            threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
-
-    def _serve(self, conn) -> None:
-        try:
-            if self.tls == "https":
-                conn = self.context.wrap_socket(conn, server_side=True)
-            buffer = b""
-            while True:
-                while b"\r\n\r\n" not in buffer:
-                    chunk = conn.recv(65536)
-                    if not chunk:
-                        with self.lock:
-                            self.client_closed += 1
-                        return
-                    buffer += chunk
-                head, _, rest = buffer.partition(b"\r\n\r\n")
-                length = re.search(rb"\r\nContent-Length: (\d+)", head)
-                length = int(length.group(1)) if length else 0
-                while len(rest) < length:
-                    rest += conn.recv(65536)
-                buffer = rest[length:]
-                with self.lock:
-                    self.requests.append(head + b"\r\n\r\n" + rest[:length])
-                    reply = self.replies.pop(0)
-                conn.sendall(reply)
-                if isinstance(reply, Close):
-                    return
-                if self.tls == "tunnel" and head.startswith(b"CONNECT ") and reply.startswith(b"HTTP/1.1 200 "):
-                    conn = self.context.wrap_socket(conn, server_side=True)
-        finally:
-            conn.close()
-
-
-@pytest.fixture
-def raw_server(monkeypatch):
-    """``raw_server(replies, tls=None)`` starts a RawServer; no proxy
-    settings reach the code under test."""
-    for name in PROXY_VARIABLES:
-        monkeypatch.delenv(name, raising=False)
-    servers = []
-
-    def start(replies, tls=None) -> RawServer:
-        servers.append(RawServer(replies, tls))
-        return servers[-1]
-
-    yield start
-    for server in servers:
-        server.close()
+from conftest import PROXY_VARIABLES, Close
 
 
 def pool_to(url, headers=None):
@@ -146,7 +43,7 @@ def test_chunked_body_with_extension_and_trailer_keeps_the_connection(raw_server
     assert call(pool) == (200, "hello world", None)
     assert server.accepted == 1
     pool.close()
-    assert server.wait_client_closed(1)
+    assert server.wait(client_closed=1)
 
 
 @pytest.mark.parametrize("reply", [
@@ -162,7 +59,7 @@ def test_reply_that_ends_the_connection_is_never_reused(raw_server, reply):
     assert call(pool) == (200, "hello", None)
     assert server.accepted == 2
     if not isinstance(reply, Close):
-        assert server.wait_client_closed(2)  # the client hung up itself
+        assert server.wait(client_closed=2)  # the client hung up itself
 
 
 def test_tls_reply_without_a_length_runs_to_the_close(raw_server, trusted_test_certificate):
@@ -191,7 +88,8 @@ def headers(count, size=10):
 @pytest.mark.parametrize("reply", [
     b"HTTP/1.1 200 OK\r\n" + headers(1, 65536) + b"Content-Length: 2\r\n\r\nok",
     b"HTTP/1.1 200 OK\r\n" + headers(99) + b"Content-Length: 2\r\n\r\nok",
-], ids=["65536-byte-line", "100-headers"])
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nok\r\n0\r\n" + headers(100) + b"\r\n",
+], ids=["65536-byte-line", "100-headers", "100-trailers"])
 def test_response_at_the_bounds_is_read(raw_server, reply):
     server = raw_server([reply])
     pool = pool_to(server.url)
@@ -202,14 +100,22 @@ def test_response_at_the_bounds_is_read(raw_server, reply):
 @pytest.mark.parametrize("reply, message", [
     (b"SSH-2.0-OpenSSH_9.6\r\n\r\n", "not an HTTP/1.x status line"),
     (b"HTTP/1.1 200 OK\r\n" + headers(1, 65537) + b"Content-Length: 2\r\n\r\nok", "longer than 65536"),
-    (b"HTTP/1.1 200 OK\r\n" + headers(1, 70000), "longer than 65536"),  # no end of head in sight
+    # 65536 bytes and no line feed, on a connection that stays open
+    (b"HTTP/1.1 200 OK\r\nX-000: " + b"v" * 65529, "longer than 65536"),
     (b"HTTP/1.1 200 OK\r\n" + headers(100) + b"Content-Length: 2\r\n\r\nok", "more than 100 header"),
+    (b"HTTP/1.1 200 OK\r\nNo colon\r\nContent-Length: 2\r\n\r\nok", "malformed header line"),
     (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n", "bad chunk size"),
     (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0x2\r\nok\r\n0\r\n\r\n", "bad chunk size"),
+    (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nokay\r\n0\r\n\r\n", "runs past its size"),
+    (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n" + headers(101) + b"\r\n",
+     "more than 100 trailer"),
+    (b"HTTP/1.1 101 Switching Protocols\r\nUpgrade: h2c\r\nConnection: Upgrade\r\n\r\n",
+     "101 Switching Protocols"),
     (b"HTTP/1.1 200 OK\r\nContent-Length: 1, 2\r\n\r\nok", "bad Content-Length"),
     (Close(b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nhello"), "closed inside the response"),
-], ids=["non-http", "65537-byte-line", "endless-line", "101-headers", "chunk-size",
-        "prefixed-chunk-size", "two-lengths", "cut-short"])
+], ids=["non-http", "65537-byte-line", "endless-line", "101-headers", "no-colon", "chunk-size",
+        "prefixed-chunk-size", "chunk-past-its-size", "101-trailers", "switching-protocols",
+        "two-lengths", "cut-short"])
 def test_malformed_response_is_a_transport_error_that_closes_the_connection(raw_server, reply,
                                                                           message):
     server = raw_server([reply])
@@ -218,7 +124,7 @@ def test_malformed_response_is_a_transport_error_that_closes_the_connection(raw_
         call(pool)
     assert pool._idle == []
     if not isinstance(reply, Close):
-        assert server.wait_client_closed(1)
+        assert server.wait(client_closed=1)
 
 
 def test_request_leaves_in_one_write_on_a_nodelay_socket(raw_server, monkeypatch):
@@ -242,6 +148,27 @@ def test_request_leaves_in_one_write_on_a_nodelay_socket(raw_server, monkeypatch
     assert lines[-1] == f"Content-Length: {len(body)}".encode()
     assert [data for data in writes if data not in client_writes] == [ok, ok]  # the server's
     assert pool._idle[0].sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+    pool.close()
+
+
+def test_reused_connection_that_fails_is_sent_once_more_on_a_fresh_one(raw_server, monkeypatch):
+    # The request never reached the server, so no retry is spent on it.
+    ok = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+    server = raw_server([ok, ok])
+    pool = pool_to(server.url)
+    assert call(pool) == (200, "ok", None)
+    sendall, failed = socket.socket.sendall, []
+
+    def reset_once(sock, data, *args):
+        if not failed:
+            failed.append(data)
+            raise ConnectionResetError(104, "Connection reset by peer")
+        return sendall(sock, data, *args)
+
+    monkeypatch.setattr(socket.socket, "sendall", reset_once)
+    assert call(pool) == (200, "ok", None)
+    assert failed[0].startswith(b"POST ") and len(server.requests) == 2
+    assert server.accepted == 2 and server.wait(client_closed=1)  # the failed connection, closed
     pool.close()
 
 
@@ -278,7 +205,7 @@ def test_tunnel_sends_connect_and_refuses_a_bad_reply(raw_server, monkeypatch, r
     assert proxy.requests == [b"CONNECT endpoint.test:443 HTTP/1.1\r\nHost: endpoint.test:443\r\n"
                               b"Proxy-Authorization: Basic " + base64.b64encode(b"ivr:pw")
                               + b"\r\n\r\n"]
-    assert proxy.wait_client_closed(1)
+    assert proxy.wait(client_closed=1)
 
 
 def test_tunnel_carries_tls_and_is_kept_for_the_next_request(raw_server, monkeypatch,
@@ -297,7 +224,7 @@ def test_tunnel_carries_tls_and_is_kept_for_the_next_request(raw_server, monkeyp
     assert [post.split(b"\r\n")[:2] for post in posts] == [
         [b"POST /v1/chat/completions HTTP/1.1", b"Host: localhost:8443"]] * 2
     pool.close()
-    assert proxy.wait_client_closed(1)
+    assert proxy.wait(client_closed=1)
 
 
 PROXY_PROBE = """

@@ -125,6 +125,13 @@ def test_validate_flags_navigation_digit():
     assert any("navigation nodes use digit 0" in p for p in problems)
 
 
+def test_validate_flags_action_type_on_a_menu_node():
+    # Trees built in code skip parse_menu, which refuses the field off action nodes.
+    billing = submenu("Billing", 1, [action("Pay", 1)])._replace(action_type=ActionType.AGENT_HANDOFF)
+    problems = validate_menu(MenuTree(name="t", root=submenu("Root", None, [billing])))
+    assert problems == ["1: action_type set on a non-action node"]
+
+
 def test_validate_flags_childless_menu():
     root = submenu("Root", None, [submenu("Empty", 1, [])])
     problems = validate_menu(MenuTree(name="t", root=root))
