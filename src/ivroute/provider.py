@@ -4,11 +4,11 @@ All providers share the same contract: ``complete(prompt) -> Completion``
 sends exactly one request, safe to call from many worker threads at once.
 A request worth repeating raises ``TransportError`` with the server's
 ``retry_after``; any other ``ProviderError`` is final. A provider only
-sends: ``router.run_calls`` bounds the requests in flight, counts the
-attempts and asks a ``router.Pacing`` when each one goes (``--rps``,
-``Retry-After``, seeded jitter, ``max_retries``). Subclasses implement a
-single ``_request`` hook; the base class keeps the latency and a
-peak-concurrency count.
+sends: ``router.run_calls`` bounds the requests in flight, and its
+``router.Schedule`` counts the attempts and asks a ``router.Pacing`` when
+each one goes (``--rps``, ``Retry-After``, seeded jitter, ``max_retries``).
+Subclasses implement a single ``_request`` hook; the base class keeps the
+latency and a peak-concurrency count.
 
 The wire protocol of HttpProvider is the de-facto chat-completions JSON
 shape, so any compatible endpoint works: POST {"model", "messages"} with a
@@ -37,9 +37,9 @@ class ProviderError(Exception):
 
 
 class TransportError(ProviderError):
-    """Network failure or retryable HTTP status: ``router.run_calls``
-    retries the attempt that raised it when its ``Pacing`` says, and past
-    ``max_retries`` fails the call with a TransportError("gave up after ...").
+    """Network failure or retryable HTTP status: a ``router.Schedule`` sends
+    the attempt again when its ``Pacing`` says, and past ``max_retries``
+    fails the call with a TransportError("gave up after ...").
 
     ``retry_after`` is the server's Retry-After header value, if it sent one.
     """
@@ -114,9 +114,8 @@ class Completion(NamedTuple):
 
 
 class Provider:
-    """Shared plumbing: latency and peak-concurrency bookkeeping. It holds
-    no pacing state: when to send, and when to retry, is the caller's
-    ``router.Pacing``."""
+    """Shared plumbing: latency and peak-concurrency bookkeeping, and no
+    pacing state: when to send and when to retry is a ``router.Schedule``'s."""
 
     def __init__(self, config: ProviderConfig | None = None):
         self.config = config or ProviderConfig()

@@ -2,13 +2,14 @@
 
 ``route`` is the routing itself and needs no label; ``route_one`` grades its
 prediction against an intent's ground truth, and ``route_all`` does that for
-a whole dataset. ``run_calls`` is the scheduler every model call of the
-package goes through, routing and synthesis alike.
+a whole dataset. Every model call of the package, routing and synthesis
+alike, goes through ``run_calls``: its threads drive a ``Schedule``, which
+holds the scheduling rules.
 
 Model output is held to a strict grammar: after a small, fixed normalization
 pipeline the whole reply must be ``digit ("-" digit)*`` or it is scored as
 INVALID. Content is never re-requested for being wrong; only transport
-failures are retried, and ``run_calls`` decides when.
+failures are retried, and the ``Schedule`` decides when.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import re
 import threading
 import time
 from collections import deque
+from decimal import Decimal
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -41,7 +43,7 @@ from .provider import Completion, Provider, ProviderConfig, ProviderError, Trans
 
 INVALID = "INVALID"
 
-# Jobs run_calls keeps in progress per in-flight slot: enough to keep every
+# Jobs a Schedule keeps in progress per in-flight slot: enough to keep every
 # worker fed, and few enough that a dead endpoint sees a bounded number.
 WINDOW_PER_SLOT = 2
 
@@ -199,7 +201,7 @@ def render_context(tree: MenuTree, condition: RoutingCondition) -> str:
 
 
 class Pacing:
-    """When ``run_calls`` sends an attempt; ``now`` is a ``time.monotonic()``.
+    """When a Schedule sends an attempt; ``now`` is a ``time.monotonic()``.
     Every attempt takes its own requests_per_second turn. A failed attempt
     goes again after the server's Retry-After when it is whole seconds within
     [0, MAX_RETRY_AFTER_S], exactly, and otherwise (none sent, an HTTP-date,
@@ -230,115 +232,117 @@ class Pacing:
         return now + self.rng.uniform(0.0, min(0.5 * 2 ** (attempt - 1), 8.0))
 
 
-def run_calls(
-    provider: Provider,
-    count: int,
-    step: Callable[[int], object],
-    error_budget: float,
-    pacing: Pacing | None = None,
-) -> tuple[list, list[tuple[int, str]]]:
-    """Run jobs 0 .. count - 1; return their values (None for a failed job)
-    and the failures as (job, message).
+class Schedule:
+    """The rules of ``run_calls`` as plain state at the times ``now`` given
+    to its methods: it reads no clock, takes no lock, starts no thread.
 
-    ``step(index)`` makes one provider call for job ``index`` and returns
-    the job's value, or AGAIN for a follow-up call, admitted before any
-    other with a retry budget of its own. Attempts are counted here, for
-    ``pacing``, and nowhere else. Up to max_in_flight workers take jobs in
-    submission order; after each step its worker records the outcome and
-    submits what is due, with no scheduling thread. ``pacing`` (by default a
-    fresh Pacing of the provider's config) admits every attempt and times
-    each retry; a worker with nothing to admit waits for the next turn or
-    the next due retry. At most WINDOW_PER_SLOT x max_in_flight jobs are
-    submitted at once; while the latest step to finish brought no value,
-    jobs waiting out a retry count too. A job whose step raises
-    TransportError gives its worker back and goes again, after the jobs
-    already submitted and ahead of those not yet submitted, or fails with
-    TransportError("gave up after N attempt(s): ...") once ``pacing`` gives
-    up. Another ``ProviderError`` fails its job;
-    one failure past ``error_budget`` (a fraction of ``count``) raises
-    RoutingAborted, and any other exception, a step's or a worker's own, is
-    raised as it is once every worker has stopped; nothing is admitted after
-    either, and queued jobs and waiting retries are dropped.
-    The provider stays open for the caller's next run; the caller closes it.
+    Jobs 0 .. count - 1 are submitted in order, at most WINDOW_PER_SLOT x
+    max_in_flight at once, counting jobs waiting out a retry while the
+    latest outcome brought no value. Every attempt takes its ``pacing``
+    turn; a follow-up call (AGAIN) goes first, with a retry budget of its
+    own. A TransportError goes again when ``pacing`` says, ahead of jobs
+    not yet submitted, or fails its job as "gave up after N attempt(s)",
+    as another ProviderError does. A failure past ``error_budget`` x
+    ``count`` (the decimal product, floored) aborts the run with
+    RoutingAborted, any other exception as it is; nothing is sent after.
+    Results: ``values`` (None where a job failed), ``failures`` as (job,
+    message), and ``error``, set by whatever aborts the run.
     """
-    allowed_failures = math.floor(error_budget * count)
-    window = WINDOW_PER_SLOT * provider.config.max_in_flight
-    pacing = pacing or Pacing(provider.config)
 
-    values: list = [None] * count
-    failures: list[tuple[int, str]] = []
-    # The state below is shared by the workers and guarded by ``lock``.
-    lock = threading.Condition()
-    tasks: deque[tuple[int, int]] = deque()  # submitted (job, attempt), not yet taken
-    waiting: list[tuple[float, int, int]] = []  # heap of (due time, job, attempt)
-    submitted = 0  # tasks queued or running
-    next_index = 0
-    failing = False  # the latest step to finish brought no value
-    error: BaseException | None = None  # what aborts the run
+    def __init__(self, count: int, max_in_flight: int, error_budget: float, pacing: Pacing):
+        self.count, self.pacing = count, pacing
+        self.window = WINDOW_PER_SLOT * max_in_flight
+        self.allowed_failures = math.floor(Decimal(repr(error_budget)) * count)  # 0.29 x 100 is 29, not 28
+        self.values: list = [None] * count
+        self.failures: list[tuple[int, str]] = []
+        self.error: BaseException | None = None
+        self.ready: deque[tuple[int, int]] = deque()  # submitted (job, attempt), not yet taken
+        self.waiting: list[tuple[float, int, int]] = []  # heap of (due time, job, attempt)
+        self.submitted = 0  # jobs ready or running
+        self.next_job = 0
+        self.failing = False  # the latest outcome recorded brought no value
 
+    def next(self, now: float) -> tuple[int, int] | float | None:
+        """The (job, attempt) to send now, taking its pacing turn; else the time to wait until
+        (math.inf: until an outcome is recorded); None once every job has ended or the run aborted."""
+        if self.error is not None:
+            return None
+        while self.waiting and self.waiting[0][0] <= now:
+            self.ready.append(heapq.heappop(self.waiting)[1:])  # (job, attempt)
+            self.submitted += 1
+        while self.next_job < self.count and self.submitted + (len(self.waiting) if self.failing else 0) < self.window:
+            self.ready.append((self.next_job, 1))
+            self.next_job += 1
+            self.submitted += 1
+        if not self.ready:  # wait for the next retry, else for an outcome, else the run is over
+            return self.waiting[0][0] if self.waiting else math.inf if self.submitted else None
+        due = self.pacing.admit(now)
+        return self.ready.popleft() if due <= now else due
+
+    def record(self, now: float, job: int, attempt: int, outcome: object) -> float | None:
+        """Take the outcome of ``job``'s attempt ``attempt``, its value, AGAIN or its step's
+        exception; return when its retry is due, if one was scheduled."""
+        if self.error is not None:
+            return None
+        if outcome is AGAIN:
+            self.ready.appendleft((job, 1))
+            return None
+        self.submitted -= 1
+        self.failing = isinstance(outcome, BaseException)
+        due = self.pacing.retry_at(now, attempt, outcome.retry_after) if isinstance(outcome, TransportError) else None
+        if not self.failing:
+            self.values[job] = outcome
+        elif due is not None:
+            heapq.heappush(self.waiting, (due, job, attempt + 1))
+        elif not isinstance(outcome, ProviderError):
+            self.error = outcome
+        else:
+            if isinstance(outcome, TransportError):
+                gave_up = TransportError(f"gave up after {attempt} attempt(s): {outcome}")
+                gave_up.__cause__ = outcome
+                outcome = gave_up
+            self.failures.append((job, str(outcome)))
+            if len(self.failures) > self.allowed_failures:
+                self.error = RoutingAborted(f"{len(self.failures)} provider failure(s) exceeded the budget of "
+                                            f"{self.allowed_failures}", failures=self.failures)
+                self.error.__cause__ = outcome
+        return due
+
+
+def run_calls(provider: Provider, count: int, step: Callable[[int], object], error_budget: float,
+              pacing: Pacing | None = None) -> tuple[list, list[tuple[int, str]]]:
+    """Run jobs 0 .. count - 1 by the rules of a Schedule on up to
+    max_in_flight worker threads, and no scheduling thread; return their
+    values (None for a failed job) and the failures as (job, message).
+    ``step(index)`` makes one provider call for job ``index`` and returns
+    the job's value, or AGAIN for a follow-up call. ``pacing``, by default a
+    fresh Pacing of the provider's config, admits and times every attempt.
+    What aborts the run, a step's exception or a worker's own, is raised
+    once every worker has stopped, and queued jobs and waiting retries are
+    dropped. The provider stays open for the caller's next run; the caller
+    closes it.
+    """
+    schedule = Schedule(count, provider.config.max_in_flight, error_budget, pacing or Pacing(provider.config))
+    lock = threading.Condition()  # guards ``schedule``
     def work() -> None:
-        nonlocal submitted, next_index, failing, error
         with lock:
             try:
-                while error is None:
-                    now = time.monotonic()
-                    while waiting and waiting[0][0] <= now:
-                        _, index, attempt = heapq.heappop(waiting)
-                        tasks.append((index, attempt))
-                        submitted += 1
-                    while next_index < count and submitted + (len(waiting) if failing else 0) < window:
-                        tasks.append((next_index, 1))
-                        next_index += 1
-                        submitted += 1
-                    if not tasks:
-                        if not waiting and not submitted:
-                            break  # every job is done
-                        lock.wait(waiting[0][0] - now if waiting else None)
+                while (task := schedule.next(now := time.monotonic())) is not None:
+                    if not isinstance(task, tuple):  # nothing to send until then
+                        lock.wait(task - now if task < math.inf else None)
                         continue
-                    due = pacing.admit(now)
-                    if due > now:  # the next --rps turn has not come
-                        lock.wait(due - now)
-                        continue
-                    index, attempt = tasks.popleft()
-                    lock.notify(len(tasks))  # idle workers take the rest
+                    lock.notify(len(schedule.ready))  # idle workers take the rest
                     lock.release()
                     try:
-                        outcome = step(index)
+                        outcome = step(task[0])
                     except BaseException as exc:  # TransportError, ProviderError, or what aborts the run
                         outcome = exc
                     lock.acquire()
-                    if error is not None:
-                        break
-                    if outcome is AGAIN:  # the follow-up call is admitted first
-                        tasks.appendleft((index, 1))
-                        continue
-                    submitted -= 1
-                    failing = isinstance(outcome, BaseException)
-                    due = (pacing.retry_at(time.monotonic(), attempt, outcome.retry_after)
-                           if isinstance(outcome, TransportError) else None)
-                    if not failing:
-                        values[index] = outcome
-                    elif due is not None:
-                        heapq.heappush(waiting, (due, index, attempt + 1))
+                    if schedule.record(time.monotonic(), task[0], task[1], outcome) is not None:
                         lock.notify()  # a worker waiting for a later retry times its wait again
-                    elif not isinstance(outcome, ProviderError):
-                        error = outcome
-                    else:
-                        if isinstance(outcome, TransportError):
-                            gave_up = TransportError(f"gave up after {attempt} attempt(s): {outcome}")
-                            gave_up.__cause__ = outcome
-                            outcome = gave_up
-                        failures.append((index, str(outcome)))
-                        if len(failures) > allowed_failures:
-                            error = RoutingAborted(
-                                f"{len(failures)} provider failure(s) exceeded the budget of {allowed_failures}",
-                                failures=failures,
-                            )
-                            error.__cause__ = outcome
             except BaseException as exc:  # the scheduling's own, as a wait too long or a Pacing that raises
-                error = exc
+                schedule.error = exc
             lock.notify_all()  # the run is over, or aborted
-
     threads = [threading.Thread(target=work, name=f"ivroute-route-{n}", daemon=True)
                for n in range(min(provider.config.max_in_flight, count))]
     try:
@@ -348,15 +352,14 @@ def run_calls(
             thread.join()
     except BaseException as exc:  # a KeyboardInterrupt in the caller
         with lock:
-            error = exc
+            schedule.error = exc
             lock.notify_all()
-        for thread in threads:
-            if thread.is_alive():
-                thread.join()
+        for thread in filter(threading.Thread.is_alive, threads):
+            thread.join()
         raise
-    if error is not None:
-        raise error
-    return values, failures
+    if schedule.error is not None:
+        raise schedule.error
+    return schedule.values, schedule.failures
 
 
 def route_all(

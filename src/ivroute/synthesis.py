@@ -170,9 +170,6 @@ def augment_intents(
     """
     if variants < 0:
         raise ValueError("variants must not be negative")
-    for record in base:
-        if record.origin != "base":
-            raise ValueError(f"record {record.id} is not a base record")
     if variants == 0 or not base:
         return []
 

@@ -1,13 +1,15 @@
 """Shared fixtures: the bundled menu and dataset, small synthetic menus,
-provider doubles wired for deterministic tests, and a loopback HTTP
-server, answering with scripted bytes or as a chat-completions endpoint,
-for the real HTTP transport."""
+provider doubles wired for deterministic tests, a driver of the scheduler
+at simulated times, and a loopback HTTP server, answering with scripted
+bytes or as a chat-completions endpoint, for the real HTTP transport."""
 
 from __future__ import annotations
 
 import contextlib
+import heapq
 import itertools
 import json
+import math
 import socket
 import ssl
 import threading
@@ -149,6 +151,34 @@ def tiny_dataset() -> Dataset:
         make_record("2", "nothing works at my house", suffix="b01"),
     ]
     return Dataset(menu_name="Tiny", records=records)
+
+
+# --- the scheduler at simulated times ---------------------------------------------
+
+def simulate(schedule, width: int, outcomes=None, latency: float = 0.0) -> list[tuple[float, int, int]]:
+    """Drive ``schedule``, a router.Schedule, as run_calls' ``width`` workers
+    do, at simulated times and with no thread: a free worker asks for the
+    next attempt and sends it, or waits until the time it is given or until
+    the next outcome. Each attempt takes ``latency`` seconds; the outcomes
+    of job ``j``'s attempts are those queued in ``outcomes[j]``, in order,
+    and then the value ``j``. Returns the attempts sent, as (time, job,
+    attempt), once the schedule has nothing more to send."""
+    outcomes = outcomes or {}
+    now, sends, running = 0.0, [], []  # running: a heap of (done at, send number, job, attempt)
+    while True:
+        task = schedule.next(now) if len(running) < width else math.inf
+        if isinstance(task, tuple):
+            sends.append((now, *task))
+            heapq.heappush(running, (now + latency, len(sends), *task))
+        elif task is None:
+            return sends
+        elif running and running[0][0] <= task:
+            now, _, job, attempt = heapq.heappop(running)
+            queued = outcomes.get(job)
+            schedule.record(now, job, attempt, queued.pop(0) if queued else job)
+        else:
+            assert task < math.inf, "the schedule waits for an outcome that no attempt will bring"
+            now = task
 
 
 # --- loopback HTTP server --------------------------------------------------------

@@ -189,12 +189,6 @@ def test_augment_zero_variants_is_empty():
     assert augment_intents(base_pair(), serial_scripted([]), variants=0) == []
 
 
-def test_augment_rejects_non_base_records():
-    bad = make_record("1-1", "v", origin="augmented", base_suffix="b00", variant_index=1)
-    with pytest.raises(ValueError, match="not a base record"):
-        augment_intents([bad], serial_scripted([]), variants=1)
-
-
 def test_augment_short_reply_gets_second_call():
     replies = [
         numbered(["only one paraphrase"]),

@@ -3,7 +3,6 @@ shipped transport against a loopback server, the deterministic doubles,
 the retry and pacing policy of the scheduler, and role separation."""
 
 import base64
-import heapq
 import json
 import os
 import random
@@ -17,8 +16,6 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import ivroute
 from ivroute.menu import render_flattened
@@ -40,9 +37,9 @@ from ivroute.provider import (
 from ivroute.httpclient import ConnectionPool, _dropped
 
 from ivroute import router
-from ivroute.router import Pacing, RoutingAborted, route_all, run_calls
+from ivroute.router import Pacing, RoutingAborted, Schedule, route_all, run_calls
 
-from conftest import tiny_dataset
+from conftest import simulate, tiny_dataset
 
 
 def ok_body(text: str) -> str:
@@ -840,58 +837,27 @@ def test_pacing_with_the_same_seed_draws_the_same_waits():
     assert waits("c3ca07a72a4f") != waits("0123456789ab")
 
 
-HONOURED = ("0", "1", "7", "60")
-RETRY_AFTERS = st.one_of(st.none(), st.sampled_from([*HONOURED, "61", "-1", "soon"]))
+def test_run_calls_paces_every_attempt_and_a_retry_takes_its_own_token():
+    # Four jobs at 10/s on four workers; the first attempt gets a 503 with
+    # Retry-After: 0, so its retry is due at once but still waits its turn,
+    # and so does the job of a second run given the same pacing.
+    pacing = Pacing(ProviderConfig(max_in_flight=4, requests_per_second=10))
+    schedule = Schedule(4, 4, 0, pacing)
+    sends = simulate(schedule, 4, {0: [TransportError("HTTP 503", "0")]})
+    assert schedule.values == [0, 1, 2, 3] and schedule.failures == []
+    sends += simulate(Schedule(1, 4, 0, pacing), 4)  # keeps the pace
+    assert [(job, attempt) for _, job, attempt in sends] == [(0, 1), (1, 1), (2, 1), (3, 1), (0, 2), (0, 1)]
+    assert [at for at, _, _ in sends] == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
 
 
-def paced_schedule(rps, max_retries, failures, seed):
-    """Jobs 0 .. len(failures) - 1, all ready at time 0, sent at simulated
-    times as run_calls sends them with replies that take no time: attempt
-    ``n`` of job ``i`` fails with Retry-After ``failures[i][n - 1]`` while
-    there is one, and answers after. Returns the sends, as (time, job,
-    attempt), and the retries asked for, as (failed at, job, attempt, due
-    or None)."""
-    config = ProviderConfig(requests_per_second=rps, max_retries=max_retries)
-    pacing = Pacing(config, random.Random(seed))
-    ready = [(0.0, job, 1) for job in range(len(failures))]  # a heap of (due, job, attempt)
-    now, sends, retries = 0.0, [], []
-    while ready:
-        due, job, attempt = heapq.heappop(ready)
-        now = max(now, due)
-        while (turn := pacing.admit(now)) > now:
-            now = turn
-        sends.append((now, job, attempt))
-        if attempt <= len(failures[job]):
-            due = pacing.retry_at(now, attempt, failures[job][attempt - 1])
-            retries.append((now, job, attempt, due))
-            if due is not None:
-                heapq.heappush(ready, (due, job, attempt + 1))
-    return sends, retries
-
-
-@settings(max_examples=200, deadline=None)
-@given(rps=st.sampled_from([None, 0.5, 3, 10, 1000]), max_retries=st.integers(0, 5),
-       failures=st.lists(st.lists(RETRY_AFTERS, max_size=7), min_size=1, max_size=6),
-       seed=st.text(max_size=12))
-def test_a_paced_schedule_keeps_every_rule(rps, max_retries, failures, seed):
-    sends, retries = paced_schedule(rps, max_retries, failures, seed)
-    times = [at for at, _, _ in sends]
-    interval = 1 / rps if rps else 0.0
-    assert all(b - a >= interval - 1e-9 for a, b in zip(times, times[1:]))  # retries too
-    due_of = {}
-    for at, job, attempt, due in retries:
-        retry_after = failures[job][attempt - 1]
-        if attempt > max_retries:
-            assert due is None
-        elif retry_after in HONOURED:
-            assert due == at + int(retry_after)
-        else:
-            assert at <= due <= at + min(0.5 * 2 ** (attempt - 1), 8.0)
-        due_of[job, attempt + 1] = due
-    for job, fails in enumerate(failures):
-        assert [a for _, j, a in sends if j == job] == list(range(1, min(len(fails), max_retries) + 2))
-    assert all(at >= due_of[job, attempt] for at, job, attempt in sends if attempt > 1)
-    assert paced_schedule(rps, max_retries, failures, seed) == (sends, retries)  # same seed, same waits
+def test_run_calls_admits_nothing_after_an_abort():
+    # At 2/s on eight workers with no failure allowed, the second attempt
+    # fails. The workers waiting for a turn send nothing more, and the run
+    # ends at once instead of after their turns.
+    schedule = Schedule(16, 8, 0, Pacing(ProviderConfig(max_in_flight=8, requests_per_second=2)))
+    assert simulate(schedule, 8, {1: [ProviderError("down")]}) == [(0.0, 0, 1), (0.5, 1, 1)]
+    assert str(schedule.error) == "1 provider failure(s) exceeded the budget of 0"
+    assert schedule.next(0.5) is None and schedule.next(60.0) is None
 
 
 # --- concurrency and pacing, through run_calls --------------------------------------
@@ -913,57 +879,6 @@ def test_in_flight_never_exceeds_bound(bound):
     provider = SlowProvider(max_in_flight=bound)
     run_calls(provider, 24, complete_each(provider), error_budget=0)
     assert 1 <= provider.peak_in_flight <= bound
-
-
-class TimedProvider(Provider):
-    """Records when each request starts, and its prompt; answers ``1-1``, or
-    raises ``error`` for the requests numbered in ``fail`` (1-based)."""
-
-    def __init__(self, config, fail=(), error=TransportError("HTTP 503", "0")):
-        super().__init__(config)
-        self._fail, self._error = set(fail), error
-        self._lock = threading.Lock()
-        self.starts = []
-        self.prompts = []
-
-    def _request(self, text, prompt):
-        with self._lock:
-            self.starts.append(time.monotonic())
-            self.prompts.append(text)
-            number = len(self.starts)
-        if number in self._fail:
-            raise self._error
-        return "1-1"
-
-
-def test_run_calls_paces_every_attempt_and_a_retry_takes_its_own_token():
-    # Four jobs at 10/s on four workers; the first request gets a 503 with
-    # Retry-After: 0, so its retry is due at once but still waits its turn,
-    # and so does the job of a second run given the same pacing.
-    provider = TimedProvider(ProviderConfig(max_in_flight=4, requests_per_second=10), fail={1})
-    pacing = Pacing(provider.config)
-    values, failures = run_calls(provider, 4, complete_each(provider), error_budget=0, pacing=pacing)
-    assert [v.raw_text for v in values] == ["1-1"] * 4 and failures == []
-    assert sorted(provider.prompts) == ["q0", "q0", "q1", "q2", "q3"]  # q0 was sent twice
-    assert len(provider.starts) == 5
-    run_calls(provider, 1, complete_each(provider), error_budget=0, pacing=pacing)  # keeps the pace
-    assert len(provider.starts) == 6
-    gaps = [b - a for a, b in zip(provider.starts, provider.starts[1:])]
-    assert min(gaps) >= 0.07  # 1/10 s apart, less the time from admission to send
-    assert provider.starts[-1] - provider.starts[0] >= 5 / 10 - 0.01
-
-
-def test_run_calls_admits_nothing_after_an_abort():
-    # At 2/s on eight workers with no failure allowed, the second request
-    # fails. The workers waiting for a token send nothing more, and the run
-    # ends at once instead of after their turns.
-    config = ProviderConfig(max_in_flight=8, requests_per_second=2)
-    provider = TimedProvider(config, fail={2}, error=ProviderError("down"))
-    with pytest.raises(RoutingAborted):
-        run_calls(provider, 16, complete_each(provider), error_budget=0)
-    aborted = time.monotonic()
-    assert len(provider.starts) == 2
-    assert aborted - provider.starts[1] < 0.2
 
 
 class BrokenPacing(Pacing):

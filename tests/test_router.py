@@ -1,5 +1,5 @@
-"""Response parsing, single-shot routing, batch routing, manifests, and
-result files."""
+"""Response parsing, single-shot routing, batch routing, the scheduler's
+rules at simulated times, manifests, and result files."""
 
 import hashlib
 import json
@@ -12,6 +12,9 @@ import time
 from collections import Counter
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from ivroute.datagen import Dataset
 from ivroute.prompts import RoutingCondition
@@ -28,7 +31,10 @@ from ivroute.provider import (
 from ivroute.router import (
     AGAIN,
     INVALID,
+    WINDOW_PER_SLOT,
+    Pacing,
     RoutingAborted,
+    Schedule,
     build_manifest,
     load_results,
     parse_dtmf_response,
@@ -36,13 +42,12 @@ from ivroute.router import (
     route,
     route_all,
     route_one,
-    run_calls,
     run_identity,
     save_results,
     select_records,
 )
 
-from conftest import make_record, tiny_dataset
+from conftest import make_record, simulate, tiny_dataset
 
 
 # --- parsing: strict ---------------------------------------------------------------
@@ -351,19 +356,6 @@ def http_provider_on(transport, **config_kwargs):
     return HttpProvider(config, transport=transport)
 
 
-def test_route_all_retry_gives_its_worker_to_the_next_intent(tiny_tree):
-    ds = tiny_dataset()
-    queries = [r.text for r in ds.records]
-    transport = QueryTransport({queries[0]: [503]})
-    provider = http_provider_on(transport, max_in_flight=1)
-    run = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
-    assert [r.intent_id for r in run.results] == [r.id for r in ds.records]
-    # The second intent goes out while the first waits out its backoff;
-    # holding the worker through the wait would give q0, q0, q1.
-    assert transport.queries[:3] == [queries[0], queries[1], queries[0]]
-    assert len(transport.queries) == 7
-
-
 def test_route_all_dead_endpoint_sees_a_bounded_window(tiny_tree):
     ds = tiny_dataset()
     transport = QueryTransport({r.text: None for r in ds.records})
@@ -412,37 +404,6 @@ class BackoffProvider(Provider):
         return "1-1"
 
 
-def test_route_all_dead_endpoint_whose_retries_wait_sees_a_bounded_window(tiny_tree, monkeypatch):
-    ds = tiny_dataset()
-    dead = dict.fromkeys((r.text for r in ds.records), math.inf)
-    fixed_backoff(monkeypatch, 0.05)
-    provider = BackoffProvider(backoffs=dead, max_in_flight=1)
-    with pytest.raises(RoutingAborted) as excinfo:
-        route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider, error_budget=0.0)
-    assert excinfo.value.failures[0][1] == "gave up after 4 attempt(s): busy"
-    # Retries waiting on a failing endpoint fill the window of
-    # router.WINDOW_PER_SLOT x max_in_flight: no third intent is started.
-    assert len({query for query, _, _ in provider.arrivals}) <= 2
-
-
-def test_route_all_keeps_starting_intents_while_retries_wait_on_a_healthy_endpoint(tiny_tree, monkeypatch):
-    ds = tiny_dataset()
-    queries = [r.text for r in ds.records]
-    # A window's worth of intents (2 at max_in_flight=1) back off once, each
-    # followed by an intent that is answered. Were waiting retries always
-    # counted against the window, the two of them would hold back every
-    # intent after the third until a retry came back.
-    fixed_backoff(monkeypatch, 0.3)
-    provider = BackoffProvider(backoffs={queries[0]: 1, queries[2]: 1},
-                               max_in_flight=1, latency=0.02)
-    run = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
-    assert [r.intent_id for r in run.results] == [r.id for r in ds.records]
-    first = {query: at for query, number, at in provider.arrivals if number == 1}
-    assert set(first) == set(queries)
-    first_retry_due = min(first[queries[0]], first[queries[2]]) + 0.3
-    assert max(first.values()) < first_retry_due
-
-
 def test_route_all_wakes_an_idle_worker_for_intents_admitted_after_an_answer(tiny_tree, monkeypatch):
     ds = tiny_dataset()
     queries = [r.text for r in ds.records]
@@ -460,19 +421,6 @@ def test_route_all_wakes_an_idle_worker_for_intents_admitted_after_an_answer(tin
     first = {query: at for query, number, at in provider.arrivals if number == 1}
     first_retry_due = min(first[queries[i]] for i in (0, 1, 3)) + 0.5
     assert max(first.values()) < first_retry_due
-
-
-def test_route_all_submits_a_retry_once_it_is_due(tiny_tree, monkeypatch):
-    ds = tiny_dataset()
-    fixed_backoff(monkeypatch, 0.05)
-    provider = BackoffProvider(backoffs=dict.fromkeys((r.text for r in ds.records), 1),
-                               max_in_flight=2)
-    run = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
-    assert [r.intent_id for r in run.results] == [r.id for r in ds.records]
-    first = {query: at for query, number, at in provider.arrivals if number == 1}
-    second = {query: at for query, number, at in provider.arrivals if number == 2}
-    assert set(first) == set(second) == {r.text for r in ds.records}
-    assert all(second[query] - first[query] >= 0.05 for query in first)
 
 
 def test_route_all_seeds_its_retry_jitter_with_the_run_id(tiny_tree, monkeypatch):
@@ -614,24 +562,66 @@ def test_route_all_stress_keeps_every_intent_once(dataset, tree, monkeypatch):
     assert workers_alive() == []
 
 
+# --- the scheduler at simulated times ------------------------------------------------
+
+def busy(retry_after=None):
+    return TransportError("busy", retry_after)
+
+
+def test_route_all_retry_gives_its_worker_to_the_next_intent():
+    # One worker; the first job's first attempt gets a 503 with Retry-After:
+    # 0. The second job goes out before that retry; holding the worker
+    # through the wait would give 0, 0, 1.
+    schedule = Schedule(6, 1, 0.01, Pacing(ProviderConfig(max_in_flight=1)))
+    sends = simulate(schedule, 1, {0: [TransportError("HTTP 503", "0")]})
+    assert [(job, attempt) for _, job, attempt in sends] == [(0, 1), (1, 1), (0, 2), (2, 1), (3, 1), (4, 1), (5, 1)]
+    assert schedule.values == list(range(6))
+
+
+def test_route_all_dead_endpoint_whose_retries_wait_sees_a_bounded_window():
+    # Retries waiting on a failing endpoint fill the window of
+    # router.WINDOW_PER_SLOT x max_in_flight: no third job is started.
+    config = ProviderConfig(max_in_flight=1, max_retries=3)
+    schedule = Schedule(6, 1, 0, Pacing(config, random.Random(0)))
+    sends = simulate(schedule, 1, {job: [busy()] * 4 for job in range(6)})
+    assert str(schedule.error) == "1 provider failure(s) exceeded the budget of 0"
+    assert schedule.failures[0][1] == "gave up after 4 attempt(s): busy"
+    assert {job for _, job, _ in sends} == {0, 1}
+
+
+def test_route_all_keeps_starting_intents_while_retries_wait_on_a_healthy_endpoint():
+    # A window's worth of jobs (2 at max_in_flight=1) back off once, each
+    # followed by a job that is answered. Were waiting retries always
+    # counted against the window, the two of them would hold back every
+    # job after the third until a retry came back.
+    schedule = Schedule(6, 1, 0.01, Pacing(ProviderConfig(max_in_flight=1)))
+    sends = simulate(schedule, 1, {0: [busy("1")], 2: [busy("1")]}, latency=0.02)
+    assert schedule.values == list(range(6))
+    first = {job: at for at, job, attempt in sends if attempt == 1}
+    assert sorted(first) == list(range(6))
+    assert max(first.values()) < first[0] + 0.02 + 1  # before the first retry is due
+
+
+def test_route_all_submits_a_retry_once_it_is_due():
+    # Every job backs off once for a second; on two idle workers each
+    # retry goes out when it is due, not before and not later.
+    schedule = Schedule(6, 2, 0.01, Pacing(ProviderConfig(max_in_flight=2)))
+    sends = simulate(schedule, 2, {job: [busy("1")] for job in range(6)})
+    assert schedule.values == list(range(6))
+    at = {(job, attempt): at for at, job, attempt in sends}
+    assert sorted(at) == [(job, attempt) for job in range(6) for attempt in (1, 2)]
+    assert all(at[job, 2] == at[job, 1] + 1 for job in range(6))
+
+
 def test_run_calls_makes_a_follow_up_call_at_once_and_a_retry_after_the_next_job():
     # Job 0 backs off, its retry asks for a follow-up call, and that one
     # answers; job 1 answers at once. One worker takes job 1 while job 0
     # waits, and makes job 0's follow-up call right after the call that
     # asked for it.
-    steps = []
-
-    def step(index):
-        steps.append(index)
-        if index == 1:
-            return "one"
-        if len(steps) == 1:
-            raise TransportError("busy", retry_after="0")
-        return AGAIN if len(steps) == 3 else "zero"
-
-    provider = ScriptedProvider([], config=ProviderConfig(max_in_flight=1))
-    assert run_calls(provider, 2, step, error_budget=0) == (["zero", "one"], [])
-    assert steps == [0, 1, 0, 0]
+    schedule = Schedule(2, 1, 0, Pacing(ProviderConfig(max_in_flight=1)))
+    sends = simulate(schedule, 1, {0: [busy("0"), AGAIN]})
+    assert [(job, attempt) for _, job, attempt in sends] == [(0, 1), (1, 1), (0, 2), (0, 1)]
+    assert (schedule.values, schedule.failures) == ([0, 1], [])
 
 
 def test_run_calls_gives_a_follow_up_call_a_retry_budget_of_its_own():
@@ -639,32 +629,222 @@ def test_run_calls_gives_a_follow_up_call_a_retry_budget_of_its_own():
     # for a follow-up, which fails once too: two failures in one job, but
     # one per call, so the job still succeeds. Had the follow-up inherited
     # the first call's retry, its failure would have given up.
-    outcomes = iter([TransportError("busy", "0"), AGAIN, TransportError("busy", "0"), "done"])
-    calls = []
-
-    def step(index):
-        calls.append(index)
-        outcome = next(outcomes)
-        if isinstance(outcome, TransportError):
-            raise outcome
-        return outcome
-
-    provider = ScriptedProvider([], config=ProviderConfig(max_in_flight=1, max_retries=1))
-    assert run_calls(provider, 1, step, error_budget=0) == (["done"], [])
-    assert calls == [0, 0, 0, 0]
+    schedule = Schedule(1, 1, 0, Pacing(ProviderConfig(max_in_flight=1, max_retries=1)))
+    sends = simulate(schedule, 1, {0: [busy("0"), AGAIN, busy("0"), "done"]})
+    assert [(job, attempt) for _, job, attempt in sends] == [(0, 1), (0, 2), (0, 1), (0, 2)]
+    assert (schedule.values, schedule.failures) == (["done"], [])
 
 
 def test_run_calls_counts_a_failure_within_budget_and_keeps_going():
-    def step(index):
-        if index == 1:
-            raise ProviderError("down")
-        return index
+    def run(budget):
+        schedule = Schedule(3, 2, budget, Pacing(ProviderConfig(max_in_flight=2)))
+        simulate(schedule, 2, {1: [ProviderError("down")]})
+        return schedule
 
-    provider = ScriptedProvider([], config=ProviderConfig(max_in_flight=2))
-    assert run_calls(provider, 3, step, error_budget=0.5) == ([0, None, 2], [(1, "down")])
-    with pytest.raises(RoutingAborted, match="exceeded the budget of 0") as excinfo:
-        run_calls(provider, 3, step, error_budget=0.0)
-    assert excinfo.value.failures == [(1, "down")]
+    within = run(0.5)
+    assert (within.values, within.failures, within.error) == ([0, None, 2], [(1, "down")], None)
+    over = run(0.0)
+    assert isinstance(over.error, RoutingAborted) and over.error.failures == [(1, "down")]
+    assert str(over.error) == "1 provider failure(s) exceeded the budget of 0"
+
+
+@pytest.mark.parametrize("budget, count, allowed", [
+    (0.29, 100, 29), (0.57, 100, 57), (0.58, 100, 58), (0.01, 230, 2),
+    (0, 7, 0), (0.0, 230, 0), (1, 7, 7), (1.0, 230, 230),
+])
+def test_error_budget_allows_the_floor_of_the_decimal_product(budget, count, allowed):
+    # In binary floating point 0.29 x 100 is 28.999999999999996.
+    schedule = Schedule(count, 1, budget, Pacing(ProviderConfig()))
+    assert schedule.allowed_failures == allowed
+    simulate(schedule, 1, {job: [ProviderError("down")] for job in range(count)})
+    if allowed < count:  # the first failure past the budget aborts the run
+        assert str(schedule.error) == f"{allowed + 1} provider failure(s) exceeded the budget of {allowed}"
+    else:
+        assert schedule.error is None and len(schedule.failures) == count
+
+
+HONOURED = ("0", "1", "7", "60")  # Retry-After values that Pacing waits out exactly
+RETRY_AFTERS = st.one_of(st.none(), st.sampled_from([*HONOURED, "61", "-1", "soon"]))
+
+
+@st.composite
+def outcomes(draw):
+    """An attempt's outcome: a value, AGAIN, a TransportError with any
+    Retry-After, another ProviderError, or, seldom, another exception."""
+    kind = draw(st.sampled_from(["value", "retry"] * 4 + ["again", "failure", "again", "failure", "bug"]))
+    if kind == "retry":
+        return TransportError("busy", draw(RETRY_AFTERS))
+    return {"value": draw(st.integers()), "again": AGAIN, "failure": ProviderError("down"),
+            "bug": RuntimeError("bug")}[kind]  # no ProviderError: it aborts the run as it is
+
+
+WAITS = st.sampled_from([1.0, 0.0, 0.5])  # the share of a wait a worker waits before the next step
+
+
+class ScheduleMachine(RuleBasedStateMachine):
+    """Drives the real Schedule at simulated times with random outcomes, as
+    run_calls' workers would, and checks its rules against what it sent."""
+
+    @initialize(count=st.integers(2, 8), width=st.integers(1, 3), rps=st.sampled_from([None, 0.5, 3, 10]),
+                max_retries=st.integers(0, 3), budget=st.integers(0, 100), seed=st.integers(0, 2 ** 16))
+    def start(self, count, width, rps, max_retries, budget, seed):
+        self.config = ProviderConfig(max_in_flight=width, requests_per_second=rps, max_retries=max_retries)
+        self.count, self.budget, self.seed = count, budget / 100, seed
+        self.allowed = budget * count // 100
+        self.interval = 1 / rps if rps else 0.0
+        self.schedule = self.new_schedule()
+        self.calls = []  # (method, arguments, result) of every call made to the schedule
+        self.now = 0.0
+        self.running = []  # (job, attempt) sent, its outcome not yet recorded
+        self.sends = []  # (time, job, attempt)
+        self.attempt = {}  # the attempt a job sends next, when it is not 1
+        self.due = {}  # when a job's retry is due
+        self.follow_ups = []  # jobs owed a follow-up call, the latest last
+        self.values = [None] * count
+        self.failed = []
+        self.ended = set()
+        self.failing = False  # the latest outcome recorded was an exception
+        self.aborted = False
+        self.ask(waits=0.0)
+
+    def new_schedule(self):
+        return Schedule(self.count, self.config.max_in_flight, self.budget,
+                        Pacing(self.config, random.Random(self.seed)))
+
+    def call(self, method, *args):
+        result = getattr(self.schedule, method)(*args)
+        self.calls.append((method, args, result))
+        return result
+
+    def ask(self, waits):
+        """The free workers ask what to send until the schedule says to
+        wait; they then wait ``waits`` of that wait, and ask again once
+        they have waited it all."""
+        while len(self.running) < self.config.max_in_flight:
+            admitted = self.schedule.next_job
+            task = self.call("next", self.now)
+            if self.aborted:  # nothing is admitted after an abort
+                assert task is None and self.schedule.next_job == admitted
+                return
+            # Submissions never exceed the window, counting jobs waiting out
+            # a retry only while the latest outcome was a failure; and the
+            # window is filled while jobs are left.
+            waiting = sum(1 for due in self.due.values() if due > self.now)
+            held = self.schedule.next_job - len(self.ended) - (0 if self.failing else waiting)
+            window = WINDOW_PER_SLOT * self.config.max_in_flight
+            assert held <= window or self.schedule.next_job == admitted
+            assert held >= window or self.schedule.next_job == self.count
+            if task is None:
+                assert not self.running and self.ended == set(range(self.count))
+                return
+            if isinstance(task, tuple):
+                self.send(*task)
+                continue
+            assert self.now < task and (task < math.inf or self.running)
+            if task == math.inf:
+                return
+            self.now += waits * (task - self.now)
+            if waits < 1:
+                return
+
+    def send(self, job, attempt):
+        assert job not in self.ended and job not in {j for j, _ in self.running}
+        started = {j for _, j, _ in self.sends}
+        assert job in started or job == len(started)  # jobs start in order
+        if self.follow_ups:  # a follow-up call goes before any other
+            assert (job, attempt) == (self.follow_ups.pop(), 1)
+        assert attempt == self.attempt.pop(job, 1)
+        if job in self.due:  # no retry is sent before it is due
+            assert self.now >= self.due.pop(job)
+        if self.sends:  # every attempt takes its own --rps turn
+            assert self.now - self.sends[-1][0] >= self.interval - 1e-9
+        self.sends.append((self.now, job, attempt))
+        self.running.append((job, attempt))
+
+    @precondition(lambda self: self.running)
+    @rule(index=st.integers(0, 2), took=st.sampled_from([0.0, 0.1, 0.5, 2.0]), outcome=outcomes(),
+          waits=WAITS)
+    def finish(self, index, took, outcome, waits):
+        """A running attempt ends, ``took`` seconds on, with ``outcome``; its
+        worker, free again, asks what to send next."""
+        job, attempt = self.running.pop(index % len(self.running))
+        self.now += took
+        self.record(job, attempt, outcome)
+        self.ask(waits)
+
+    def record(self, job, attempt, outcome):
+        due = self.call("record", self.now, job, attempt, outcome)
+        if self.aborted or outcome is AGAIN:
+            assert due is None
+            if not self.aborted:
+                self.follow_ups.append(job)
+            return
+        self.failing = isinstance(outcome, BaseException)
+        if isinstance(outcome, TransportError) and attempt <= self.config.max_retries:
+            if outcome.retry_after in HONOURED:  # an honoured Retry-After is exact
+                assert due == self.now + int(outcome.retry_after)
+            else:  # a jittered wait stays under its cap
+                assert self.now <= due <= self.now + min(0.5 * 2 ** (attempt - 1), 8.0)
+            self.due[job], self.attempt[job] = due, attempt + 1
+            return
+        assert due is None
+        if isinstance(outcome, ProviderError):
+            if isinstance(outcome, TransportError):  # min(failures, max_retries) + 1 attempts per call
+                outcome = f"gave up after {attempt} attempt(s): {outcome}"
+            assert self.schedule.failures[-1] == (job, str(outcome))
+            self.failed.append(job)
+            if len(self.failed) > self.allowed:  # the first failure past the budget aborts
+                message = f"{len(self.failed)} provider failure(s) exceeded the budget of {self.allowed}"
+                assert isinstance(self.schedule.error, RoutingAborted) and str(self.schedule.error) == message
+                self.aborted = True
+        elif self.failing:
+            assert self.schedule.error is outcome
+            self.aborted = True
+        else:
+            self.values[job] = outcome
+        assert job not in self.ended  # each job ends once
+        self.ended.add(job)
+
+    @rule(seconds=st.sampled_from([0.05, 0.3, 1.0, 10.0]), waits=WAITS)
+    def advance(self, seconds, waits):
+        """Time passes; waiting workers wake and ask."""
+        self.now += seconds
+        self.ask(waits)
+
+    @precondition(lambda self: not self.aborted and len(self.calls) >= 40)
+    @rule()
+    def interrupt(self):
+        """The caller aborts the run, as run_calls does on a Ctrl-C, late
+        enough that the other rules have had their turns."""
+        self.schedule.error = KeyboardInterrupt()
+        self.calls.append(("interrupt", (), None))
+        self.aborted = True
+
+    @invariant()
+    def results_match_the_outcomes(self):
+        assert self.schedule.values == self.values
+        assert [job for job, _ in self.schedule.failures] == self.failed
+        assert (self.schedule.error is not None) == self.aborted
+        self.checked = len(self.calls)  # every step so far kept the rules
+
+    def teardown(self):
+        if getattr(self, "checked", None) != len(getattr(self, "calls", ())):
+            return  # the run never started, or a step broke a rule: that is the report
+        # Every job ends once the running attempts answer.
+        self.ask(waits=1.0)
+        while not self.aborted and len(self.ended) < self.count:
+            self.finish(0, 0.0, "answer", waits=1.0)
+        # The same seed gives the same schedule.
+        self.schedule = self.new_schedule()
+        for method, args, result in self.calls:
+            if method == "interrupt":
+                self.schedule.error = KeyboardInterrupt()
+            else:
+                assert getattr(self.schedule, method)(*args) == result
+
+
+ScheduleMachine.TestCase.settings = settings(max_examples=60, stateful_step_count=40, deadline=None)
+test_schedule_keeps_every_rule = ScheduleMachine.TestCase
 
 
 # --- manifest ------------------------------------------------------------------------
