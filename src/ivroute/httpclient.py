@@ -369,11 +369,9 @@ def _tls_context():
 def _dropped(sock) -> bool:
     """Whether an idle kept-alive socket can no longer carry a request: it
     is gone, or it polls readable, which between requests means the
-    server's FIN (or stray bytes) arrived."""
+    server's FIN (or stray bytes) arrived, or hung up or in error."""
     if sock is None:
         return True
-    try:
-        readable, _, _ = select.select([sock], [], [], 0)
-    except (OSError, ValueError):  # ValueError: a descriptor select() cannot watch
-        return True
-    return bool(readable)
+    poller = select.poll()  # select.select() cannot watch a descriptor past FD_SETSIZE (1024)
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))

@@ -156,17 +156,17 @@ class HttpProvider(Provider):
     TransportError, and a parseable 200 is never re-asked.
 
     ``_transport(payload) -> (status, body, retry_after)`` sends one
-    request. It is the ``request`` of the provider's own ConnectionPool,
-    built once with the endpoint, the headers and the timeout, unless a
-    ``transport`` is given or substituted later; ``close`` goes to the pool
-    directly, so it closes the connections either way.
+    request: it is the ``request`` of the provider's own ConnectionPool,
+    built once with the endpoint, the headers and the timeout. A benchmark
+    may substitute the attribute to time each attempt; ``close`` goes to
+    the pool directly, so it closes the connections either way.
 
     The API key is read from the environment once, here; a key holding
     anything but printable ASCII is refused with a ValueError that names
     the variable, never the value.
     """
 
-    def __init__(self, config: ProviderConfig, transport=None):
+    def __init__(self, config: ProviderConfig):
         super().__init__(config)
         headers = {}
         key = os.environ.get(config.api_key_env, "")
@@ -180,7 +180,7 @@ class HttpProvider(Provider):
 
         self._connections = ConnectionPool(config.endpoint_url, config.max_in_flight, headers,
                                            config.request_timeout)
-        self._transport = transport or self._connections.request
+        self._transport = self._connections.request
 
     def close(self) -> None:
         self._connections.close()

@@ -1,7 +1,9 @@
 """Shared fixtures: the bundled menu and dataset, small synthetic menus,
-provider doubles wired for deterministic tests, a driver of the scheduler
-at simulated times, and a loopback HTTP server, answering with scripted
-bytes or as a chat-completions endpoint, for the real HTTP transport."""
+the one provider double that answers by a test's function, ``simulate``,
+which runs the scheduler at simulated times, and the one fake HTTP
+endpoint: a loopback server, answering with scripted bytes or as a
+chat-completions endpoint, which HttpProviders built on its URL reach
+through the shipped client."""
 
 from __future__ import annotations
 
@@ -29,6 +31,7 @@ from ivroute.menu import (
     flatten,
     parse_menu,
 )
+from ivroute.provider import HttpProvider, Provider, ProviderConfig
 
 DATA = resources.files("ivroute.data")
 
@@ -151,6 +154,24 @@ def tiny_dataset() -> Dataset:
         make_record("2", "nothing works at my house", suffix="b01"),
     ]
     return Dataset(menu_name="Tiny", records=records)
+
+
+# --- the provider double ----------------------------------------------------------
+
+class AnsweringProvider(Provider):
+    """A provider whose ``answer(prompt)`` makes the reply to each request,
+    or raises its failure; ``settings`` are its ProviderConfig's. ``calls``
+    holds the text of each call answered, in order."""
+
+    def __init__(self, answer, **settings):
+        super().__init__(ProviderConfig(**settings))
+        self.answer = answer
+        self.calls = []
+
+    def _request(self, text, prompt):
+        reply = self.answer(prompt)
+        self.calls.append(text)
+        return reply
 
 
 # --- the scheduler at simulated times ---------------------------------------------
@@ -301,6 +322,31 @@ class LoopbackServer:
             buffer += chunk
 
 
+def prompt_of(request: Request) -> str:
+    """The prompt of a chat-completions request."""
+    return json.loads(request.body)["messages"][-1]["content"]
+
+
+def query_of(request: Request) -> str:
+    """The query of a routing prompt's request."""
+    return prompt_of(request).rpartition("User Query:\n")[2].strip()
+
+
+def chat_response(status=200, content="1-1", retry_after=None, body=None) -> bytes:
+    """One response of a chat-completions endpoint: a 200 whose first
+    choice's message holds ``content``, or an error body with any other
+    ``status``; ``body`` is sent instead when given, and ``retry_after``,
+    when set, as a Retry-After header."""
+    if body is None:
+        body = (json.dumps({"choices": [{"message": {"content": content}}]}, ensure_ascii=False)
+                if status == 200 else '{"error": "unavailable"}')
+    head = f"HTTP/1.1 {status} Status\r\nContent-Type: application/json\r\n"
+    if retry_after is not None:
+        head += f"Retry-After: {retry_after}\r\n"
+    body = body.encode("utf-8")
+    return f"{head}Content-Length: {len(body)}\r\n\r\n".encode("utf-8") + body
+
+
 def chat_replies(reply="1-1", status=200, statuses=(), delay=0.0, retry_after=None, hang_up=None):
     """The answer of a chat-completions endpoint. ``reply`` is the content
     of every 200, or a function from the request's prompt to that content;
@@ -320,14 +366,9 @@ def chat_replies(reply="1-1", status=200, statuses=(), delay=0.0, retry_after=No
         time.sleep(delay)
         code = next(statuses, status)
         if code == 200:
-            content = reply(json.loads(request.body)["messages"][-1]["content"]) if callable(reply) else reply
-            body = json.dumps({"choices": [{"message": {"content": content}}]}, ensure_ascii=False).encode("utf-8")
+            response = chat_response(content=reply(prompt_of(request)) if callable(reply) else reply)
         else:
-            body = b'{"error": "unavailable"}'
-        head = f"HTTP/1.1 {code} Status\r\nContent-Type: application/json\r\n"
-        if code != 200 and retry_after is not None:
-            head += f"Retry-After: {retry_after}\r\n"
-        response = f"{head}Content-Length: {len(body)}\r\n\r\n".encode("ascii") + body
+            response = chat_response(code, retry_after=retry_after)
         return Close(response) if hang_up == "after-reply" else response
 
     return answer
@@ -367,6 +408,28 @@ def chat_server(loopback):
     """``chat_server(**options)`` starts a chat-completions endpoint, https
     with ``tls=True``; the other options are chat_replies'."""
     return lambda tls=False, **options: loopback(chat_replies(**options), "https" if tls else None)
+
+
+@pytest.fixture
+def live_provider():
+    """``live_provider(url, **settings)`` builds an HttpProvider on ``url``
+    with the model ``test-model``, closed at teardown."""
+    providers = []
+
+    def build(url, **settings) -> HttpProvider:
+        providers.append(HttpProvider(ProviderConfig(endpoint_url=url, model_name="test-model", **settings)))
+        return providers[-1]
+
+    yield build
+    for provider in providers:
+        provider.close()
+
+
+def closed_port() -> int:
+    """A port on 127.0.0.1 that nothing listens on."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
 
 
 @pytest.fixture

@@ -1,10 +1,10 @@
 """Dataset synthesis: base generation, augmentation, validation, and JSONL
 round-trips."""
 
+import itertools
 import json
 import logging
 import random
-import threading
 
 import pytest
 
@@ -18,7 +18,7 @@ from ivroute.datagen import (
     validate_dataset,
 )
 from ivroute.menu import DtmfPath, flatten
-from ivroute.provider import HttpProvider, ProviderConfig, ProviderError, ScriptedProvider
+from ivroute.provider import ProviderConfig, ProviderError, ScriptedProvider
 from ivroute import synthesis
 from ivroute.synthesis import (
     NoiseProfile,
@@ -28,7 +28,7 @@ from ivroute.synthesis import (
     parse_listed_lines,
 )
 
-from conftest import action, make_record, tiny_dataset
+from conftest import action, make_record, prompt_of, tiny_dataset
 
 
 def serial_scripted(replies):
@@ -120,27 +120,20 @@ def test_base_generation_budget_exhaustion(tiny_tree):
         generate_base_intents(paths, serial_scripted(replies), per_node=3)
 
 
-def test_base_generation_call_backing_off_lets_the_next_path_go_first(tiny_tree):
+def test_base_generation_call_backing_off_lets_the_next_path_go_first(tiny_tree, chat_server, live_provider):
     # One worker: the first path's call gets a 503, and the second path's
     # call goes out while it waits. A worker that slept through the backoff
     # would send the first path's prompt twice in a row.
     breadcrumbs = [tp.breadcrumb_text() for tp in flatten(tiny_tree)]
-    sent = []
-    lock = threading.Lock()
+    numbers = itertools.count(2)  # the 200s answer requests 2, 3 and 4, in order
 
-    def transport(payload):
-        prompt = payload["messages"][0]["content"]
-        with lock:
-            sent.append(next(b for b in breadcrumbs if b in prompt))
-            if len(sent) == 1:
-                return 503, "busy", "0"
-            count = len(sent)
-        reply = numbered([f"complaint {count}a", f"complaint {count}b"])
-        return 200, json.dumps({"choices": [{"message": {"content": reply}}]}), None
+    def reply(prompt):
+        count = next(numbers)
+        return numbered([f"complaint {count}a", f"complaint {count}b"])
 
-    config = ProviderConfig(endpoint_url="http://endpoint.test/v1", max_in_flight=1)
-    records = generate_base_intents(flatten(tiny_tree), HttpProvider(config, transport=transport),
-                                    per_node=2)
+    server = chat_server(reply=reply, statuses=[503], retry_after="0")
+    records = generate_base_intents(flatten(tiny_tree), live_provider(server.url, max_in_flight=1), per_node=2)
+    sent = [next(b for b in breadcrumbs if b in prompt_of(request)) for request in server.requests]
     assert sent == [breadcrumbs[0], breadcrumbs[1], breadcrumbs[0], breadcrumbs[2]]
     assert [r.id for r in records] == ["1-1:b00", "1-1:b01", "1-9:b00", "1-9:b01", "2:b00", "2:b01"]
     assert records[0].text == "complaint 3a"  # the first path's answer is its retry's

@@ -1,9 +1,11 @@
 """``ivroute route`` end to end against a loopback endpoint that fails on
-purpose: each request gets a drawn fault, and whatever the faults and the
-width, the run either ends with a documented exit code and every intent
-accounted for once, or says why it stopped."""
+purpose: each request gets a drawn fault, and whatever the faults, the
+width and the retries, the run either ends with a documented exit code,
+every intent accounted for once and ``eval`` agreeing with it, or says why
+it stopped."""
 
 import json
+import re
 import tempfile
 import threading
 import time
@@ -12,23 +14,18 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ivroute import router
 from ivroute.cli import main
 from ivroute.datagen import save_dataset
 from ivroute.menu import tree_to_document
 from ivroute.provider import DEFAULT_API_KEY_ENV
 
-from conftest import Close, tiny_dataset
+from conftest import Close, chat_response, query_of, tiny_dataset
 
-# Faults that carry no Retry-After, so a retry of theirs sleeps a jittered
-# wait: drawn only with --max-retries 0, which keeps the test from sleeping.
-JITTERED = {"500", "hang-up", "cut-body"}
-# A plan is one of these, or the seconds a 200 is held back.
-FAULTS = ["429", "503", "not-a-completion", *sorted(JITTERED)]
-
-
-def response(status: int, body: bytes, extra: str = "") -> bytes:
-    return (f"HTTP/1.1 {status} Status\r\nContent-Type: application/json\r\n{extra}"
-            f"Content-Length: {len(body)}\r\n\r\n").encode("ascii") + body
+# A plan is one of these, or the seconds a 200 is held back. The 429s and
+# 503s carry Retry-After: 0; the 500s, hang-ups and cut bodies carry none,
+# so a retry of theirs waits a jittered backoff.
+FAULTS = ["429", "503", "not-a-completion", "500", "cut-body", "hang-up"]
 
 
 class FaultPlan:
@@ -44,19 +41,18 @@ class FaultPlan:
         with self.lock:
             plan = self.plans.pop(0) if self.plans else 0.0
         if plan in ("429", "503"):
-            return response(int(plan), b'{"error": "busy"}', "Retry-After: 0\r\n")
+            return chat_response(int(plan), retry_after="0")
         if plan == "500":
-            return response(500, b'{"error": "boom"}')
+            return chat_response(500)
         if plan == "hang-up":
             return Close(b"")
-        query = json.loads(request.body)["messages"][-1]["content"].rpartition("User Query:\n")[2].strip()
-        body = json.dumps({"choices": [{"message": {"content": self.truth[query]}}]}).encode("utf-8")
         if plan == "not-a-completion":
-            return response(200, b'{"answer": "1-1"}')
+            return chat_response(body='{"answer": "1-1"}')
+        reply = chat_response(content=self.truth[query_of(request)])
         if plan == "cut-body":
-            return Close(response(200, body)[:-5])
+            return Close(reply[:-5])
         time.sleep(plan)
-        return response(200, body)
+        return reply
 
 
 def route(menu: Path, dataset: Path, url: str, out: Path, *flags: str) -> int:
@@ -71,8 +67,21 @@ def rows_and_failures(out: Path) -> tuple[list[dict], list[str]]:
     return rows, [failure["intent_id"] for failure in manifest["failures"]]
 
 
+def eval_agrees_with_route(menu: Path, out: Path, route_stdout: str, capsys) -> None:
+    """``eval --menu`` of the run in ``out`` prints the accuracy and N that its route printed."""
+    (run_dir,) = out.glob("run-*")
+    n, accuracy = re.search(r"routed (\d+) intents, accuracy ([^%]+)%", route_stdout).groups()
+    assert main(["eval", str(run_dir / "results.jsonl"), "--menu", str(menu)]) == 0
+    assert f"accuracy {accuracy}% over {n} results\n" in capsys.readouterr().out
+
+
 def test_route_under_drawn_faults_accounts_for_every_intent(tiny_tree, tmp_path, loopback, monkeypatch, capsys):
     monkeypatch.delenv(DEFAULT_API_KEY_ENV, raising=False)
+    # Every wait a retry is given is a thousandth as long: a jittered
+    # backoff, at most 2 s at --max-retries 3, lasts at most 2 ms.
+    retry_at = router.Pacing.retry_at
+    monkeypatch.setattr(router.Pacing, "retry_at", lambda self, now, *rest: (
+        None if (due := retry_at(self, now, *rest)) is None else now + (due - now) / 1000))
     ds = tiny_dataset()
     menu, dataset = tmp_path / "menu.json", tmp_path / "intents.jsonl"
     menu.write_text(json.dumps(tree_to_document(tiny_tree)), encoding="utf-8")
@@ -81,6 +90,7 @@ def test_route_under_drawn_faults_accounts_for_every_intent(tiny_tree, tmp_path,
     server = loopback(plan)
 
     assert route(menu, dataset, server.url, tmp_path / "clean", "--max-in-flight", "1") == 0
+    eval_agrees_with_route(menu, tmp_path / "clean", capsys.readouterr().out, capsys)
     clean, no_failures = rows_and_failures(tmp_path / "clean")
     assert no_failures == [] and [row["predicted"] for row in clean] == [r.ground_truth.canonical() for r in ds.records]
     for row in clean:
@@ -94,15 +104,14 @@ def test_route_under_drawn_faults_accounts_for_every_intent(tiny_tree, tmp_path,
            retries=st.integers(0, 3))
     def check(plans, width, budget, retries):
         plan.plans = list(plans)
-        if JITTERED & set(plans):
-            retries = 0
         capsys.readouterr()
         with tempfile.TemporaryDirectory() as out:
             code = route(menu, dataset, server.url, Path(out), "--max-in-flight", str(width),
                          "--error-budget", str(budget), "--max-retries", str(retries))
-            err = capsys.readouterr().err
+            printed, err = capsys.readouterr()
             assert code in (0, 1), err
             if code == 0:
+                eval_agrees_with_route(menu, Path(out), printed, capsys)
                 rows, failed = rows_and_failures(Path(out))
                 assert sorted([row["intent_id"] for row in rows] + failed) == sorted(r.id for r in ds.records)
                 for row in rows:

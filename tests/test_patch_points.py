@@ -8,12 +8,10 @@ layer silently untimed. This checks the contract with plain counting
 wrappers, without importing the benchmark.
 """
 
-import json
 from collections import Counter
 
 from ivroute import router
 from ivroute.prompts import RoutingCondition
-from ivroute.provider import HttpProvider, ProviderConfig
 
 from conftest import tiny_dataset
 
@@ -38,21 +36,13 @@ def counting(calls: Counter, name: str, fn):
     return wrapper
 
 
-def test_route_all_calls_every_substitutable_name(monkeypatch, tiny_tree):
+def test_route_all_calls_every_substitutable_name(monkeypatch, tiny_tree, chat_server, live_provider):
     ds = tiny_dataset()
     calls = Counter()
     for name in ROUTER_CALLS:
         monkeypatch.setattr(router, name, counting(calls, name, getattr(router, name)))
 
-    answers = [(503, "busy", "0")] + [
-        (200, json.dumps({"choices": [{"message": {"content": "1-1"}}]}), None)
-    ] * len(ds.records)
-
-    def transport(payload):
-        return answers.pop(0)
-
-    config = ProviderConfig(endpoint_url="http://endpoint.test/v1", max_in_flight=2)
-    provider = HttpProvider(config, transport=transport)
+    provider = live_provider(chat_server(statuses=[503], retry_after="0").url, max_in_flight=2)
     provider.complete = counting(calls, "complete", provider.complete)
     provider._transport = counting(calls, "_transport", provider._transport)
 

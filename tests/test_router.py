@@ -20,9 +20,7 @@ from ivroute.datagen import Dataset
 from ivroute.prompts import RoutingCondition
 from ivroute import router
 from ivroute.provider import (
-    HttpProvider,
     OracleProvider,
-    Provider,
     ProviderConfig,
     ProviderError,
     ScriptedProvider,
@@ -47,7 +45,7 @@ from ivroute.router import (
     select_records,
 )
 
-from conftest import make_record, simulate, tiny_dataset
+from conftest import AnsweringProvider, make_record, query_of, simulate, tiny_dataset
 
 
 # --- parsing: strict ---------------------------------------------------------------
@@ -256,25 +254,23 @@ def test_route_all_rejects_invalid_dataset(tiny_tree):
         route_all(broken, RoutingCondition.FLATTENED_PATHS, tiny_tree, ScriptedProvider(["1-1"]))
 
 
-class FlakyOracle(Provider):
-    """Echoes truth, except queries marked to fail."""
+def flaky_oracle(ds, failing):
+    """A width-1 provider that answers each query with its truth in ``ds``,
+    but fails the calls for the records ``failing``."""
+    truth = {r.text: r.ground_truth.canonical() for r in ds.records}
+    fail = {r.text for r in failing}
 
-    def __init__(self, truth_by_text, fail_texts, max_in_flight=1):
-        super().__init__(ProviderConfig(model_name="flaky-mock", max_in_flight=max_in_flight))
-        self._truth = truth_by_text
-        self._fail = set(fail_texts)
-
-    def _request(self, text, prompt):
-        query = prompt.query
-        if query in self._fail:
+    def answer(prompt):
+        if prompt.query in fail:
             raise ProviderError("synthetic outage")
-        return self._truth[query]
+        return truth[prompt.query]
+
+    return AnsweringProvider(answer, max_in_flight=1)
 
 
 def test_route_all_tolerates_failures_within_budget(tiny_tree):
     ds = tiny_dataset()
-    truth = {r.text: r.ground_truth.canonical() for r in ds.records}
-    provider = FlakyOracle(truth, fail_texts={ds.records[1].text})
+    provider = flaky_oracle(ds, ds.records[1:2])
     run = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider,
                     error_budget=0.5)
     assert len(run.results) == 5
@@ -286,8 +282,7 @@ def test_route_all_tolerates_failures_within_budget(tiny_tree):
 
 def test_route_all_aborts_past_budget(tiny_tree):
     ds = tiny_dataset()
-    truth = {r.text: r.ground_truth.canonical() for r in ds.records}
-    provider = FlakyOracle(truth, fail_texts={r.text for r in ds.records[:3]})
+    provider = flaky_oracle(ds, ds.records[:3])
     with pytest.raises(RoutingAborted) as excinfo:
         route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider,
                   error_budget=0.0)
@@ -296,31 +291,16 @@ def test_route_all_aborts_past_budget(tiny_tree):
     assert str(aborted) == "1 provider failure(s) exceeded the budget of 0"
 
 
-class SlowProvider(Provider):
-    """Answers 1-1 after holding each call open for ``delay`` seconds, so
-    concurrency tests see real overlap; records each call's prompt text."""
-
-    def __init__(self, max_in_flight, delay):
-        super().__init__(ProviderConfig(max_in_flight=max_in_flight))
-        self.delay = delay
-        self.calls = []
-
-    def _request(self, text, prompt):
-        self.calls.append(text)
-        time.sleep(self.delay)
-        return "1-1"
-
-
 def test_route_all_other_error_cancels_queued_calls(tiny_tree):
     ds = tiny_dataset()
 
-    class Broken(SlowProvider):  # its call for the first record fails with no ProviderError
-        def _request(self, text, prompt):
-            if prompt.query == ds.records[0].text:
-                raise RuntimeError("provider bug")
-            return super()._request(text, prompt)
+    def broken(prompt):  # the call for the first record fails with no ProviderError
+        if prompt.query == ds.records[0].text:
+            raise RuntimeError("provider bug")
+        time.sleep(0.05)
+        return "1-1"
 
-    provider = Broken(max_in_flight=1, delay=0.05)
+    provider = AnsweringProvider(broken, max_in_flight=1)
     with pytest.raises(RuntimeError, match="provider bug"):
         route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
     # The single worker may have started the next call before the abort;
@@ -328,43 +308,15 @@ def test_route_all_other_error_cancels_queued_calls(tiny_tree):
     assert len(provider.calls) <= 1
 
 
-class QueryTransport:
-    """An HTTP transport that answers by the prompt's query: the statuses
-    queued for it in ``faults`` first, each with ``Retry-After: 0``, then a
-    200 with the reply ``1-1`` (a ``None`` queue answers 503 forever).
-    Records the queries in the order their requests arrive."""
-
-    def __init__(self, faults):
-        self.faults = {query: list(statuses) if statuses is not None else None
-                       for query, statuses in faults.items()}
-        self.queries = []
-        self._lock = threading.Lock()
-
-    def __call__(self, payload):
-        query = payload["messages"][0]["content"].rpartition("User Query:\n")[2].strip()
-        with self._lock:
-            self.queries.append(query)
-            queued = self.faults.get(query, [])
-            status = 503 if queued is None else (queued.pop(0) if queued else 200)
-        if status != 200:
-            return status, "busy", "0"
-        return 200, json.dumps({"choices": [{"message": {"content": "1-1"}}]}), None
-
-
-def http_provider_on(transport, **config_kwargs):
-    config = ProviderConfig(endpoint_url="http://endpoint.test/v1", **config_kwargs)
-    return HttpProvider(config, transport=transport)
-
-
-def test_route_all_dead_endpoint_sees_a_bounded_window(tiny_tree):
+def test_route_all_dead_endpoint_sees_a_bounded_window(tiny_tree, chat_server, live_provider):
     ds = tiny_dataset()
-    transport = QueryTransport({r.text: None for r in ds.records})
-    provider = http_provider_on(transport, max_in_flight=1, max_retries=3)
+    server = chat_server(status=503, retry_after="0")
+    provider = live_provider(server.url, max_in_flight=1, max_retries=3)
     with pytest.raises(RoutingAborted) as excinfo:
         route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider, error_budget=0.0)
     assert len(excinfo.value.failures) == 1
     assert "gave up after 4 attempt(s): HTTP 503" in excinfo.value.failures[0][1]
-    assert len(set(transport.queries)) <= 2  # router.WINDOW_PER_SLOT x max_in_flight
+    assert len(set(map(query_of, server.requests))) <= 2  # router.WINDOW_PER_SLOT x max_in_flight
 
 
 def fixed_backoff(monkeypatch, delay):
@@ -374,34 +326,25 @@ def fixed_backoff(monkeypatch, delay):
         None if retry_at(self, now, *rest) is None else now + delay))
 
 
-class BackoffProvider(Provider):
-    """Fails the first ``backoffs.get(query, 0)`` requests for a query with
-    a TransportError that run_calls retries; every other request answers
-    ``1-1`` after ``latency`` seconds. Records when each request arrived,
-    numbered per query from 1."""
+def backing_off(backoffs, latency=0.0):
+    """An answer that fails the first ``backoffs.get(query, 0)`` requests
+    for a query with a TransportError that run_calls retries, and answers
+    every other ``1-1`` after ``latency`` seconds; and the list of
+    (query, its request number from 1, monotonic time) it appends each
+    request to as it arrives."""
+    lock, sent, arrivals = threading.Lock(), Counter(), []
 
-    def __init__(self, backoffs, max_in_flight, latency=0.0, rps=None):
-        config = ProviderConfig(model_name="backoff-mock", max_in_flight=max_in_flight,
-                                requests_per_second=rps)
-        super().__init__(config)
-        self._backoffs = backoffs
-        self._latency = latency
-        self._lock = threading.Lock()
-        self._sent = Counter()
-        self.arrivals = []  # (query, its request number, monotonic time)
-
-    def complete(self, prompt):
-        with self._lock:
-            self._sent[prompt.query] += 1
-            number = self._sent[prompt.query]
-            self.arrivals.append((prompt.query, number, time.monotonic()))
-        if number <= self._backoffs.get(prompt.query, 0):
+    def answer(prompt):
+        with lock:
+            sent[prompt.query] += 1
+            number = sent[prompt.query]
+            arrivals.append((prompt.query, number, time.monotonic()))
+        if number <= backoffs.get(prompt.query, 0):
             raise TransportError("busy")
-        return super().complete(prompt)
-
-    def _request(self, text, prompt):
-        time.sleep(self._latency)
+        time.sleep(latency)
         return "1-1"
+
+    return answer, arrivals
 
 
 def test_route_all_wakes_an_idle_worker_for_intents_admitted_after_an_answer(tiny_tree, monkeypatch):
@@ -414,11 +357,11 @@ def test_route_all_wakes_an_idle_worker_for_intents_admitted_after_an_answer(tin
     # not when that retry is due: one worker taking both in turn would start
     # the second after 2 x 0.3 s, past the 0.5 s backoff.
     fixed_backoff(monkeypatch, 0.5)
-    provider = BackoffProvider(backoffs={queries[0]: 1, queries[1]: 1, queries[3]: 1},
-                               max_in_flight=2, latency=0.3)
+    answer, arrivals = backing_off({queries[0]: 1, queries[1]: 1, queries[3]: 1}, latency=0.3)
+    provider = AnsweringProvider(answer, max_in_flight=2)
     run = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
     assert [r.intent_id for r in run.results] == [r.id for r in ds.records]
-    first = {query: at for query, number, at in provider.arrivals if number == 1}
+    first = {query: at for query, number, at in arrivals if number == 1}
     first_retry_due = min(first[queries[i]] for i in (0, 1, 3)) + 0.5
     assert max(first.values()) < first_retry_due
 
@@ -437,8 +380,8 @@ def test_route_all_seeds_its_retry_jitter_with_the_run_id(tiny_tree, monkeypatch
 
     def waits(**kwargs):
         draws.clear()
-        provider = BackoffProvider(backoffs=dict.fromkeys((r.text for r in ds.records), 2),
-                                   max_in_flight=1)
+        answer, _ = backing_off(dict.fromkeys((r.text for r in ds.records), 2))
+        provider = AnsweringProvider(answer, model_name="backoff-mock", max_in_flight=1)
         run = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider, **kwargs)
         assert len(run.results) == len(ds.records)
         return run.manifest["run_id"], list(draws)
@@ -491,16 +434,15 @@ def test_route_all_starts_no_more_workers_than_intents(tiny_tree, monkeypatch):
 
 def test_route_all_leaves_no_worker_behind(tiny_tree):
     ds = tiny_dataset()
-    provider = SlowProvider(max_in_flight=4, delay=0.01)
+    provider = AnsweringProvider(lambda prompt: time.sleep(0.01) or "1-1", max_in_flight=4)  # calls overlap
     route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
     assert workers_alive() == []
 
-    class SlowlyFailing(Provider):
-        def _request(self, text, prompt):
-            time.sleep(0.05)
-            raise ProviderError("down")
+    def fail_slowly(prompt):
+        time.sleep(0.05)
+        raise ProviderError("down")
 
-    provider = SlowlyFailing(ProviderConfig(max_in_flight=4))
+    provider = AnsweringProvider(fail_slowly, max_in_flight=4)
     with pytest.raises(RoutingAborted) as excinfo:
         route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider, error_budget=0.0)
     assert workers_alive() == []
@@ -514,16 +456,13 @@ def test_route_all_interrupted_in_the_caller_drops_queued_calls(tiny_tree):
     caller = threading.get_ident()
     closed = []
 
-    class InterruptingProvider(ScriptedProvider):
-        def _request(self, text, prompt):
-            signal.pthread_kill(caller, signal.SIGINT)  # Ctrl-C while this call runs
-            time.sleep(0.1)
-            return super()._request(text, prompt)
+    def interrupt(prompt):
+        signal.pthread_kill(caller, signal.SIGINT)  # Ctrl-C while this call runs
+        time.sleep(0.1)
+        return "1-1"
 
-        def close(self):
-            closed.append(workers_alive())
-
-    provider = InterruptingProvider(["1-1"] * 6, config=ProviderConfig(max_in_flight=1))
+    provider = AnsweringProvider(interrupt, max_in_flight=1)
+    provider.close = lambda: closed.append(workers_alive())
     with pytest.raises(KeyboardInterrupt):
         route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
     # The running call finished before the provider was closed; the
@@ -542,7 +481,8 @@ def test_route_all_stress_keeps_every_intent_once(dataset, tree, monkeypatch):
     backoffs = dict.fromkeys(queries[::3], 1)
     rate = 2000
     fixed_backoff(monkeypatch, 0.0)
-    provider = BackoffProvider(backoffs=backoffs, max_in_flight=8, rps=rate)
+    answer, arrivals = backing_off(backoffs)
+    provider = AnsweringProvider(answer, max_in_flight=8, requests_per_second=rate)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -552,11 +492,11 @@ def test_route_all_stress_keeps_every_intent_once(dataset, tree, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert [r.intent_id for r in run.results] == [r.id for r in dataset.records]
-    assert len(provider.arrivals) == len(queries) + len(backoffs)
-    assert sorted((q, a) for q, a, _ in provider.arrivals) == sorted(
+    assert len(arrivals) == len(queries) + len(backoffs)
+    assert sorted((q, a) for q, a, _ in arrivals) == sorted(
         [(q, 1) for q in queries] + [(q, 2) for q in backoffs]
     )
-    sent = sorted(at for _, _, at in provider.arrivals)
+    sent = sorted(at for _, _, at in arrivals)
     assert sent[-1] - sent[0] >= (len(sent) - 1) / rate - 0.01
     assert elapsed < 30
     assert workers_alive() == []
