@@ -3,14 +3,15 @@
 Subcommands cover the whole pipeline: validate-menu, flatten, gen-intents,
 route, eval, demo, check-roles. Settings layer as CLI flags > config file >
 environment > built-in defaults. Exit codes: 0 ok, 1 failed work, 2 usage
-or missing input file.
+or missing input file, 130 interrupted (Ctrl-C), 141 stdout closed by its
+reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import re
+import os
 import shutil
 import sys
 from pathlib import Path
@@ -33,27 +34,27 @@ from .provider import (
 )
 from .router import (
     DATASET_FILTERS,
-    INVALID,
     Pacing,
     RoutingAborted,
     accuracy,
+    check_vouched,
     format_percent,
     menu_hash,
-    parse_dtmf_response,
+    read_manifest,
+    read_results,
     route,
     route_all,
     render_context,
     run_calls,
-    run_id,
     run_identity,
-    load_results,
-    save_results,
-    sha256,
+    save_run,
 )
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 _PROVIDER_KINDS = ("http", "oracle", "keyword", "scripted")
 
@@ -215,16 +216,12 @@ def cmd_flatten(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_intents(args: argparse.Namespace) -> int:
-    from .synthesis import NoiseProfile, build_dataset  # only this command synthesizes
+    from .synthesis import build_dataset  # only this command synthesizes
 
     if args.per_node < 1:
         raise CommandFailed(f"--per-node must be at least 1, not {args.per_node}", EXIT_USAGE)
     if args.variants < 0:
         raise CommandFailed(f"--variants must be at least 0, not {args.variants}", EXIT_USAGE)
-    try:
-        noise = NoiseProfile() if args.noise is None else NoiseProfile(*args.noise)
-    except ValueError as exc:
-        raise CommandFailed(f"--noise: {exc}", EXIT_USAGE)
     config = _load_config_file(args.config)
     seed = args.seed if args.seed is not None else config.get("seed", 0)
     if type(seed) is not int:  # a bool is refused too
@@ -237,15 +234,7 @@ def cmd_gen_intents(args: argparse.Namespace) -> int:
     _claim_dir(args.dataset_out.parent)
 
     try:
-        ds = build_dataset(
-            tree,
-            paths,
-            provider,
-            per_node=args.per_node,
-            variants=args.variants,
-            noise=noise,
-            seed=seed,
-        )
+        ds = build_dataset(tree, paths, provider, per_node=args.per_node, variants=args.variants, seed=seed)
     except (ProviderError, ValueError) as exc:
         raise CommandFailed(str(exc), EXIT_FAILURE)
     finally:
@@ -305,10 +294,7 @@ def cmd_route(args: argparse.Namespace) -> int:
         raise CommandFailed(str(exc), EXIT_FAILURE)
 
     try:
-        run_dir.mkdir(exist_ok=True)
-        manifest = {**run.manifest, "results_sha256": save_results(run.results, run_dir / "results.jsonl")}
-        (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, ensure_ascii=False) + "\n",
-                                               encoding="utf-8")
+        save_run(run, run_dir)
     except OSError as exc:
         raise CommandFailed(f"cannot write {run_dir}: {exc}", EXIT_FAILURE)
     # A --force rerun's report scored the results just replaced; until they
@@ -325,42 +311,18 @@ def cmd_route(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_manifest(file: Path) -> dict:
-    """A route run's manifest.json; ValueError naming each field that is missing or wrong, or a false run_id."""
-    data = _json_file(file)
-    data = data if isinstance(data, dict) else {}
-    digest = data.get("results_sha256")
-    fields = {"condition": data.get("condition") in list(CONDITIONS),
-              "model_name": isinstance(data.get("model_name"), str),
-              "dataset_filter": data.get("dataset_filter") in list(DATASET_FILTERS),
-              "parse_mode": data.get("parse_mode") in ("strict", "lenient"),
-              "results_sha256": isinstance(digest, str) and re.fullmatch("[0-9a-f]{64}", digest) is not None}
-    if not all(fields.values()):
-        raise ValueError(f"not a route run's manifest (bad {', '.join(k for k, ok in fields.items() if not ok)})")
-    if run_id(data) != data.get("run_id"):  # so it is 12 hex digits, fit to name a directory
-        raise ValueError(f"run_id {data.get('run_id')!r} is not the hash of the fields that name its run")
-    return data
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     from .evaluation import build_report, emit_report  # only this command scores a report
 
     results_file = Path(args.results)
-    results, digest = _read(results_file, "results", lambda file: (load_results(file), sha256(file.read_bytes())))
+    results, digest = _read(results_file, "results", read_results)
     if not results:
         raise CommandFailed(f"results file {results_file} is empty", EXIT_FAILURE)
-    manifest = _read(results_file.parent / "manifest.json", "manifest", _run_manifest)
-    # The rows must be the bytes route wrote: no row added, dropped, moved or edited.
-    if digest != manifest["results_sha256"]:
-        raise CommandFailed(f"{results_file} has sha256 {digest}, but the run's results_sha256 "
-                            f"is {manifest['results_sha256']}", EXIT_FAILURE)
-
-    # A prediction is graded from the reply its row stores, parsed again.
-    lenient = manifest["parse_mode"] == "lenient"
-    for r in results:
-        if (parse_dtmf_response(r.raw_response, lenient).path or INVALID) != r.predicted:
-            raise CommandFailed(f"{results_file}: intent {r.intent_id}'s reply does not parse to its prediction "
-                                f"{r.predicted} under {manifest['parse_mode']} parsing", EXIT_FAILURE)
+    manifest = _read(results_file.parent / "manifest.json", "manifest", read_manifest)
+    try:
+        check_vouched(results_file, results, digest, manifest)
+    except ValueError as exc:
+        raise CommandFailed(str(exc), EXIT_FAILURE)
 
     # The report's classes are the terminal paths of the menu the run routed against.
     tree = _read(args.menu, "menu", load_menu, "invalid menu")
@@ -493,13 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("menu", help="menu JSON file")
     p.add_argument("--per-node", type=int, default=10, help="base complaints per terminal path")
     p.add_argument("--variants", type=int, default=3, help="paraphrase variants per base complaint")
-    p.add_argument(
-        "--noise",
-        type=float,
-        nargs=3,
-        metavar=("INTERJECTION", "FILLER", "GRAMMAR"),
-        help="noise directive probabilities (defaults 0.3 0.3 0.2)",
-    )
     p.add_argument("--dataset-out", type=Path, default="intents.jsonl",
                    help="output JSONL file (default intents.jsonl)")
     p.add_argument("--seed", type=int, help="noise and retry-jitter seed (default: the config file's, else 0)")
@@ -554,10 +509,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # here, so a closed pipe is seen while it can still be handled
+        return code
     except CommandFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
+    except BrokenPipeError:
+        # The reader of stdout has gone. What is still buffered goes to
+        # /dev/null at exit, so that flush does not fail again with a warning.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .menu import DtmfPath, TerminalPath
 
@@ -130,23 +130,24 @@ def save_dataset(ds: Dataset, path: str | Path) -> None:
     Path(path).write_text(dataset_to_jsonl(ds), encoding="utf-8")
 
 
-def read_jsonl(path: str | Path, parse: Callable[[dict], object], what: str) -> list:
-    """What ``parse`` makes of each non-blank line of a JSONL file; a line
-    it refuses raises DatagenError naming ``<path>:<line>: bad <what>``."""
+def read_jsonl(lines: Iterable[str], path: str | Path, parse: Callable[[dict], object], what: str) -> list:
+    """What ``parse`` makes of each non-blank line of the JSONL file at
+    ``path``, read as ``lines``; a line it refuses raises DatagenError
+    naming ``<path>:<line>: bad <what>``."""
     items = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                items.append(parse(json.loads(line)))
-            # TypeError: no JSON object, or a field of the wrong type; RecursionError: nested too deep
-            except (KeyError, TypeError, ValueError, RecursionError) as exc:
-                raise DatagenError(f"{path}:{line_no}: bad {what}: {exc}") from exc
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            items.append(parse(json.loads(line)))
+        # TypeError: no JSON object, or a field of the wrong type; RecursionError: nested too deep
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
+            raise DatagenError(f"{path}:{line_no}: bad {what}: {exc}") from exc
     return items
 
 
 def load_dataset(path: str | Path, menu_name: str = "") -> Dataset:
     """Read a JSONL dataset; validate_dataset checks its counts."""
-    return Dataset(menu_name, read_jsonl(path, record_from_json, "record"))
+    with open(path, encoding="utf-8") as handle:
+        return Dataset(menu_name, read_jsonl(handle, path, record_from_json, "record"))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import io
 import json
 import math
 import random
@@ -38,7 +39,7 @@ from .menu import (
     tree_to_document,
     validate_menu,
 )
-from .prompts import PromptText, RoutingCondition, build_prompt
+from .prompts import CONDITIONS, PromptText, RoutingCondition, build_prompt
 from .provider import Completion, Provider, ProviderConfig, ProviderError, TransportError
 
 INVALID = "INVALID"
@@ -462,7 +463,7 @@ def run_id(fields: dict) -> str:
 
 
 def build_manifest(identity: dict, failures: list[tuple[str, str]]) -> dict:
-    """A run's ``run_identity``, failures and time; ``route`` adds ``results_sha256`` once it saves the rows."""
+    """A run's ``run_identity``, failures and time; ``save_run`` adds ``results_sha256`` once it saves the rows."""
     return {
         **identity,
         "failures": [{"intent_id": i, "error": e} for i, e in failures],
@@ -496,7 +497,56 @@ def save_results(results: Iterable[RoutingResult], path: str | Path) -> str:
     return sha256(data)
 
 
+def save_run(run: RoutingRun, run_dir: Path) -> None:
+    """Write ``run`` into ``run_dir``, made if absent: its rows as results.jsonl,
+    then manifest.json, whose ``results_sha256`` vouches for their bytes."""
+    run_dir.mkdir(exist_ok=True)
+    manifest = {**run.manifest, "results_sha256": save_results(run.results, run_dir / "results.jsonl")}
+    (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, ensure_ascii=False) + "\n",
+                                           encoding="utf-8")
+
+
+def read_results(path: str | Path) -> tuple[list[RoutingResult], str]:
+    """The results of a results file and the ``sha256`` of the bytes they
+    were parsed from, read once; a line that is no valid results row raises
+    ValueError naming its line."""
+    data = Path(path).read_bytes()
+    lines = io.StringIO(data.decode("utf-8"), newline=None)  # split as a text-mode file is
+    return read_jsonl(lines, path, result_from_record, "result"), sha256(data)
+
+
 def load_results(path: str | Path) -> list[RoutingResult]:
-    """The results of a results file; a line that is no valid results row
-    raises ValueError naming its line."""
-    return read_jsonl(path, result_from_record, "result")
+    """The results of a results file, as ``read_results`` reads them."""
+    return read_results(path)[0]
+
+
+def read_manifest(path: str | Path) -> dict:
+    """A route run's manifest.json; ValueError naming each field that is missing or wrong, or a false run_id."""
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = data if isinstance(data, dict) else {}
+    digest = data.get("results_sha256")
+    fields = {"condition": data.get("condition") in list(CONDITIONS),
+              "model_name": isinstance(data.get("model_name"), str),
+              "dataset_filter": data.get("dataset_filter") in list(DATASET_FILTERS),
+              "parse_mode": data.get("parse_mode") in ("strict", "lenient"),
+              "results_sha256": isinstance(digest, str) and re.fullmatch("[0-9a-f]{64}", digest) is not None}
+    if not all(fields.values()):
+        raise ValueError(f"not a route run's manifest (bad {', '.join(k for k, ok in fields.items() if not ok)})")
+    if run_id(data) != data.get("run_id"):  # so it is 12 hex digits, fit to name a directory
+        raise ValueError(f"run_id {data.get('run_id')!r} is not the hash of the fields that name its run")
+    return data
+
+
+def check_vouched(path: str | Path, results: Sequence[RoutingResult], digest: str, manifest: dict) -> None:
+    """ValueError unless ``manifest`` vouches for ``results``, read from
+    ``path`` as bytes of sha256 ``digest``, and each row's reply parses to
+    its prediction under the run's parse mode."""
+    # The rows must be the bytes route wrote: no row added, dropped, moved or edited.
+    if digest != manifest["results_sha256"]:
+        raise ValueError(f"{path} has sha256 {digest}, but the run's results_sha256 is {manifest['results_sha256']}")
+    # A prediction is graded from the reply its row stores, parsed again.
+    lenient = manifest["parse_mode"] == "lenient"
+    for r in results:
+        if (parse_dtmf_response(r.raw_response, lenient).path or INVALID) != r.predicted:
+            raise ValueError(f"{path}: intent {r.intent_id}'s reply does not parse to its prediction "
+                             f"{r.predicted} under {manifest['parse_mode']} parsing")

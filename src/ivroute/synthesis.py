@@ -14,7 +14,6 @@ from __future__ import annotations
 import logging
 import random
 import re
-from collections import namedtuple
 from typing import Generator, Sequence
 
 from .datagen import DatagenError, Dataset, IntentRecord
@@ -26,27 +25,11 @@ from .router import AGAIN, Pacing, RoutingAborted, run_calls
 log = logging.getLogger(__name__)
 
 
-class NoiseProfile(namedtuple("NoiseProfile", "interjection_prob filler_prob grammar_error_prob",
-                              defaults=(0.3, 0.3, 0.2))):
-    """Chances of asking the generator for each noise kind, per paraphrase.
-
-    The defaults are this artifact's own choice; nothing pins them beyond
-    "controlled noise".
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> NoiseProfile:
-        self = super().__new__(cls, *args, **kwargs)
-        for name, value in zip(self._fields, self):
-            if not 0.0 <= value <= 1.0:  # NaN fails the comparison too
-                raise ValueError(f"{name} must be within [0, 1], not {value!r}")
-        return self
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
-
-
-DEFAULT_NOISE = NoiseProfile()
+# The chances of asking the generator for each noise kind, per paraphrase:
+# this artifact's own choice; nothing pins them beyond "controlled noise".
+INTERJECTION_PROB = 0.3
+FILLER_PROB = 0.3
+GRAMMAR_ERROR_PROB = 0.2
 
 _LISTED_LINE = re.compile(r"^\s*(?:\d+[.)]\s+|[-*]\s+)(.*\S)\s*$")
 
@@ -137,17 +120,18 @@ def generate_base_intents(
 # --- augmentation -------------------------------------------------------------
 
 _NOISE_LINES = (
-    ('interjection_prob', '- Start paraphrase {k} with a natural interjection (for example "ugh", "hey", "honestly").'),
-    ('filler_prob', '- Work a casual filler phrase (for example "you know", "I mean", "like") into paraphrase {k}.'),
-    ('grammar_error_prob', '- Let paraphrase {k} carry one minor grammatical slip, the kind a hurried caller makes.'),
+    '- Start paraphrase {k} with a natural interjection (for example "ugh", "hey", "honestly").',
+    '- Work a casual filler phrase (for example "you know", "I mean", "like") into paraphrase {k}.',
+    '- Let paraphrase {k} carry one minor grammatical slip, the kind a hurried caller makes.',
 )
 
 
-def _noise_directives(rng: random.Random, noise: NoiseProfile, variants: int) -> str:
+def _noise_directives(rng: random.Random, variants: int) -> str:
+    chances = (INTERJECTION_PROB, FILLER_PROB, GRAMMAR_ERROR_PROB)  # in _NOISE_LINES' order
     lines = []
     for k in range(1, variants + 1):
-        for attr, template in _NOISE_LINES:
-            if rng.random() < getattr(noise, attr):
+        for chance, template in zip(chances, _NOISE_LINES):
+            if rng.random() < chance:
                 lines.append(template.format(k=k))
     return "\n".join(lines)
 
@@ -156,7 +140,6 @@ def augment_intents(
     base: Sequence[IntentRecord],
     provider: Provider,
     variants: int = 3,
-    noise: NoiseProfile = DEFAULT_NOISE,
     seed: int = 0,
     pacing: Pacing | None = None,
 ) -> list[IntentRecord]:
@@ -204,7 +187,7 @@ def augment_intents(
 
     jobs = []
     for record in base:  # directives drawn in base order, so a seed fixes every prompt
-        directives = _noise_directives(rng, noise, variants)
+        directives = _noise_directives(rng, variants)
         prompt = fill(template if directives else undirected,
                       {"{{COUNT}}": str(variants), "{{TEXT}}": record.text, "{{NOISE_DIRECTIVES}}": directives})
         jobs.append(paraphrase(record, prompt))
@@ -217,12 +200,11 @@ def build_dataset(
     provider: Provider,
     per_node: int = 10,
     variants: int = 3,
-    noise: NoiseProfile = DEFAULT_NOISE,
     seed: int = 0,
 ) -> Dataset:
     """Both generation stages back to back: all base records, then all
     augmented records, at one pace whose retry jitter ``seed`` fixes."""
     pacing = Pacing(provider.config, random.Random(seed))
     base = generate_base_intents(paths, provider, per_node, pacing)
-    augmented = augment_intents(base, provider, variants, noise, seed, pacing)
+    augmented = augment_intents(base, provider, variants, seed, pacing)
     return Dataset(tree.name, base + augmented)

@@ -5,12 +5,19 @@ import hashlib
 import io
 import json
 import math
+import os
+import signal
 import socket
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ivroute
 from ivroute.cli import _load_config_file, _make_provider, build_parser, main
 from ivroute.datagen import load_dataset, validate_dataset
 from ivroute.menu import flatten, load_menu
@@ -233,16 +240,6 @@ def test_gen_intents_counts_checked_before_any_call(fixture_menu_path, chat_serv
     assert not (tmp_path / "intents.jsonl").exists()
 
 
-@pytest.mark.parametrize("noise", [["5", "0.3", "0.2"], ["0.3", "-1", "0.2"], ["0.3", "0.3", "nan"]])
-def test_gen_intents_noise_out_of_range_exit_2(tmp_path, fixture_menu_path, capsys, noise):
-    script = write_script(tmp_path, [])
-    code = run(["gen-intents", str(fixture_menu_path), "--provider", "scripted",
-                "--script", str(script), "--noise", *noise])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "--noise" in err and "must be within [0, 1]" in err
-
-
 # --- route -----------------------------------------------------------------------------
 
 def route_args(menu, dataset, out, **extra):
@@ -338,6 +335,8 @@ REMOVED_FLAGS = {
     "check-roles-out": lambda menu, data, out: ["check-roles", "--out", out],
     "gen-intents-out": lambda menu, data, out: ["gen-intents", menu, "--provider", "scripted",
                                                 "--out", out],
+    "gen-intents-noise": lambda menu, data, out: ["gen-intents", menu, "--provider", "scripted",
+                                                  "--noise", "0.3", "0.3", "0.2"],
 }
 
 
@@ -859,6 +858,37 @@ def test_eval_refuses_rows_of_two_runs(tmp_path, fixture_menu_path, fixture_data
     edit_manifest(runs["keyword"], model_name="oracle-mock")
     assert run(["eval", str(keyword_results), "--menu", str(fixture_menu_path)]) == 1
     assert capsys.readouterr().err.endswith("is not the hash of the fields that name its run\n")
+    assert not list(tmp_path.rglob("eval-*"))
+
+
+def test_eval_grades_only_the_rows_it_hashed(tmp_path, fixture_menu_path, fixture_dataset_path,
+                                             monkeypatch, capsys):
+    run_dirs = {}
+    for provider in ("oracle", "keyword"):  # one run id: the model names a run, not the provider's kind
+        assert run(route_args(fixture_menu_path, fixture_dataset_path, tmp_path / provider, filter="base_only",
+                              provider=provider, model="m")) == 0
+        run_dirs[provider] = next((tmp_path / provider).glob("run-*"))
+    assert run_dirs["oracle"].name == run_dirs["keyword"].name
+    vouched = {provider: json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))["results_sha256"]
+               for provider, run_dir in run_dirs.items()}
+    # The keyword run replaces the oracle run's files, as a route --force would,
+    # once eval has begun to parse the oracle run's rows.
+    parse, swapped = router.result_from_record, []
+
+    def swapping(record):
+        if not swapped:
+            for name in ("results.jsonl", "manifest.json"):
+                os.replace(run_dirs["keyword"] / name, run_dirs["oracle"] / name)
+            swapped.append(name)
+        return parse(record)
+
+    monkeypatch.setattr(router, "result_from_record", swapping)
+    results_file = run_dirs["oracle"] / "results.jsonl"
+    capsys.readouterr()
+    assert run(["eval", str(results_file), "--menu", str(fixture_menu_path)]) == 1
+    assert swapped
+    assert capsys.readouterr().err == (f"error: {results_file} has sha256 {vouched['oracle']}, "
+                                       f"but the run's results_sha256 is {vouched['keyword']}\n")
     assert not list(tmp_path.rglob("eval-*"))
 
 
@@ -1673,3 +1703,67 @@ def test_any_bytes_as_menu_or_config_end_with_an_exit_code(tmp_path_factory, fix
     argv = route_args(fixture_menu_path, fixture_dataset_path, file.parent / "any-bytes-runs",
                       filter="base_only")
     assert run(argv + ["--config", str(file)]) in (0, 1, 2)
+
+
+# --- interrupts and closed pipes ------------------------------------------------------------
+
+def cli_child(*argv, python=(), **popen) -> subprocess.Popen:
+    """``python *python -m ivroute.cli *argv`` in a child process whose
+    stdout is buffered, as in a shell pipe, unless ``python`` holds ``-u``."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(ivroute.__file__).resolve().parents[1])
+    return subprocess.Popen([sys.executable, *python, "-m", "ivroute.cli", *argv], env=env, text=True,
+                            stderr=subprocess.PIPE, **popen)
+
+
+def interrupted(child: subprocess.Popen) -> str:
+    """Ctrl-C ``child``; once it has ended, its stderr."""
+    child.send_signal(signal.SIGINT)
+    try:
+        child.wait(timeout=30)
+    finally:
+        child.kill()  # a no-op once it has ended
+    return child.stderr.read()
+
+
+def test_ctrl_c_ends_demo_waiting_on_stdin_with_exit_130(fixture_menu_path):
+    with cli_child("demo", "--menu", str(fixture_menu_path), "--provider", "keyword", python=["-u"],
+                   stdin=subprocess.PIPE, stdout=subprocess.PIPE) as child:
+        child.stdin.write("i want to check my balance\n")
+        child.stdin.flush()
+        # Its answer is out, so it is waiting on stdin for the next line; stdin stays open.
+        assert child.stdout.readline() == "1-1  Billing and Account Management -> Check Balance\n"
+        assert interrupted(child) == "error: interrupted\n"
+    assert child.returncode == 130
+
+
+def test_ctrl_c_ends_route_waiting_to_retry_with_exit_130(chat_server, tmp_path, fixture_menu_path,
+                                                          fixture_dataset_path):
+    server = chat_server(status=503, retry_after="60")  # every attempt waits a minute to go again
+    with cli_child("route", "--menu", str(fixture_menu_path), "--dataset", str(fixture_dataset_path),
+                   "--filter", "base_only", "--provider", "http", "--endpoint", server.url,
+                   "--out", str(tmp_path), stdout=subprocess.PIPE) as child:
+        deadline = time.monotonic() + 30
+        while not server.answered and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert server.answered, "route sent no request"
+        assert interrupted(child) == "error: interrupted\n"
+        assert child.stdout.read() == ""
+    assert child.returncode == 130
+    assert not list(tmp_path.glob("run-*"))
+
+
+@pytest.mark.parametrize("command", ["flatten", "route"])
+def test_output_into_a_closed_pipe_ends_quietly_with_exit_141(tmp_path, fixture_menu_path,
+                                                              fixture_dataset_path, command):
+    argv = {"flatten": ["flatten", str(fixture_menu_path)],
+            "route": route_args(fixture_menu_path, fixture_dataset_path, tmp_path, filter="base_only")}[command]
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # as `ivroute ... | head -0` once head has exited
+    try:
+        with cli_child(*argv, stdout=write_end) as child:
+            assert child.wait(timeout=60) == 141
+            assert child.stderr.read() == ""
+    finally:
+        os.close(write_end)
+    assert command == "flatten" or len(list(tmp_path.glob("run-*/*"))) == 2  # the run was saved first

@@ -21,7 +21,6 @@ from ivroute.menu import DtmfPath, flatten
 from ivroute.provider import ProviderConfig, ProviderError, ScriptedProvider
 from ivroute import synthesis
 from ivroute.synthesis import (
-    NoiseProfile,
     augment_intents,
     build_dataset,
     generate_base_intents,
@@ -98,7 +97,7 @@ def test_generation_prompts_keep_placeholders_of_labels_and_texts_as_text(tiny_t
     provider = serial_scripted([numbered(["a {{NOISE_DIRECTIVES}}"]), numbered(["b"])])
     (base,) = generate_base_intents(flatten(tree), provider, per_node=1)
     assert "Endpoint: Support {{SERVICE_TYPE}} {{COUNT}}\nEndpoint kind: self-service" in provider.calls[0]
-    augment_intents([base], provider, variants=1, noise=NoiseProfile(0, 0, 0))
+    augment_intents([base], provider, variants=1)
     assert "Original message: a {{NOISE_DIRECTIVES}}\n" in provider.calls[1]
     assert provider.calls[1].endswith("numbered 1. through 1.")
 
@@ -227,37 +226,31 @@ def test_augment_identical_after_retry_kept_with_warning(caplog):
 
 
 def test_augment_prompts_reproducible_by_seed():
-    noise = NoiseProfile(0.5, 0.5, 0.5)
     replies = [numbered(["x1", "x2", "x3"]), numbered(["y1", "y2", "y3"])]
 
     def prompts_for(seed):
         provider = serial_scripted(list(replies))
-        augment_intents(base_pair(), provider, variants=3, noise=noise, seed=seed)
+        augment_intents(base_pair(), provider, variants=3, seed=seed)
         return provider.calls
 
     assert prompts_for(7) == prompts_for(7)
 
 
-def test_augment_noise_directives_follow_profile():
+def test_augment_noise_directives_follow_profile(monkeypatch):
     replies = [numbered(["x1"]), numbered(["y1"])]
-    always = NoiseProfile(1.0, 1.0, 1.0)
+    for name in ("INTERJECTION_PROB", "FILLER_PROB", "GRAMMAR_ERROR_PROB"):
+        monkeypatch.setattr(synthesis, name, 1.0)
     provider = serial_scripted(list(replies))
-    augment_intents(base_pair(), provider, variants=1, noise=always, seed=0)
+    augment_intents(base_pair(), provider, variants=1, seed=0)
     assert "interjection" in provider.calls[0]
     assert "filler" in provider.calls[0]
     assert "grammatical slip" in provider.calls[0]
 
-    never = NoiseProfile(0.0, 0.0, 0.0)
+    for name in ("INTERJECTION_PROB", "FILLER_PROB", "GRAMMAR_ERROR_PROB"):
+        monkeypatch.setattr(synthesis, name, 0.0)
     provider = serial_scripted(list(replies))
-    augment_intents(base_pair(), provider, variants=1, noise=never, seed=0)
+    augment_intents(base_pair(), provider, variants=1, seed=0)
     assert "interjection" not in provider.calls[0]
-
-
-@pytest.mark.parametrize("probs", [(5, 0.3, 0.2), (0.3, -1, 0.2), (0.3, 0.3, float("nan")),
-                                   (0.3, 0.3, 1.01)])
-def test_noise_probabilities_outside_0_1_are_refused(probs):
-    with pytest.raises(ValueError, match="must be within \\[0, 1\\]"):
-        NoiseProfile(*probs)
 
 
 # --- build_dataset ------------------------------------------------------------------

@@ -10,7 +10,6 @@ from ivroute.menu import ActionType, DtmfPath, MenuNode, MenuTree, NodeKind, Ter
 from ivroute.prompts import PromptText, RoutingCondition
 from ivroute.provider import Completion, ProviderConfig
 from ivroute.router import ParsedResponse, RoutingResult, RoutingRun
-from ivroute.synthesis import NoiseProfile
 
 FLAT = RoutingCondition.FLATTENED_PATHS
 
@@ -59,7 +58,6 @@ RECORDS = {
     "EvalReport": (lambda: EvalReport(accuracy=1.0, n=1, matrix=matrix(), per_class=[metrics()],
                                       condition=FLAT.value, dataset_filter="all", model_name="m"),
                    False),
-    "NoiseProfile": (lambda: NoiseProfile(filler_prob=0.5), True),
 }
 
 
@@ -82,5 +80,3 @@ def test_replace_derives_a_checked_copy():
     assert config._replace(max_in_flight=8).max_in_flight == 8 and config.max_in_flight == 4
     with pytest.raises(ValueError, match="max_retries"):
         config._replace(max_retries=9)
-    with pytest.raises(ValueError, match="filler_prob"):
-        NoiseProfile()._replace(filler_prob=2.0)

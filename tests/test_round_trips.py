@@ -1,6 +1,6 @@
-"""Property tests of the file round trips (menu documents, dataset JSONL and
-results rows) and of the one path grammar that every reader of a path
-applies."""
+"""Property tests of the file round trips (menu documents, dataset JSONL,
+results rows and run directories) and of the one path grammar that every
+reader of a path applies."""
 
 import json
 
@@ -27,7 +27,21 @@ from ivroute.menu import (
     tree_to_document,
 )
 from ivroute.prompts import RoutingCondition
-from ivroute.router import INVALID, RoutingResult, load_results, parse_dtmf_response, result_from_record
+from ivroute.router import (
+    IDENTITY_KEYS,
+    INVALID,
+    RoutingResult,
+    RoutingRun,
+    build_manifest,
+    check_vouched,
+    load_results,
+    parse_dtmf_response,
+    read_manifest,
+    read_results,
+    result_from_record,
+    run_id,
+    save_run,
+)
 
 labels = st.text(min_size=1, max_size=12)
 action_types = st.sampled_from((ActionType.SELF_SERVICE, ActionType.AGENT_HANDOFF))
@@ -126,6 +140,68 @@ def test_result_survives_a_results_file_row(result, previous):
     assert result_from_record(row) == result
     # A previous-format row is the same result, graded from its evidence.
     assert result_from_record({**row, **previous}) == result
+
+
+@st.composite
+def routed_rows(draw, lenient):
+    """A row as route_one writes it: any reply, the prediction parsing it makes."""
+    reply = draw(st.one_of(st.text(), st.text(alphabet="0123456789-\u2013 .'`\"", max_size=8)))
+    return RoutingResult(
+        intent_id=draw(st.text(min_size=1)),
+        raw_response=reply,
+        predicted=parse_dtmf_response(reply, lenient).path or INVALID,  # a path of no menu too
+        ground_truth=draw(dtmf_paths),
+        latency=draw(st.floats(min_value=0, allow_nan=False, allow_infinity=False)),
+    )
+
+
+@st.composite
+def routing_runs(draw):
+    identity = {
+        "menu_name": draw(st.text()),
+        "menu_hash": draw(st.text(alphabet="0123456789abcdef", min_size=64, max_size=64)),
+        "dataset_hash": draw(st.text(alphabet="0123456789abcdef", min_size=64, max_size=64)),
+        "condition": draw(st.sampled_from([c.value for c in RoutingCondition])),
+        "dataset_filter": draw(st.sampled_from(["base_only", "all"])),
+        "model_name": draw(st.text()),
+        "parse_mode": draw(st.sampled_from(["strict", "lenient"])),
+    }
+    temperature = draw(st.none() | st.floats(0, 2))
+    if temperature is not None:
+        identity["temperature"] = temperature
+    identity["run_id"] = run_id(identity)
+    rows = draw(st.lists(routed_rows(identity["parse_mode"] == "lenient"), min_size=1, max_size=8))
+    failures = draw(st.lists(st.tuples(st.text(min_size=1), st.text()), max_size=3))
+    return RoutingRun(rows, build_manifest(identity, failures))
+
+
+@settings(max_examples=150, deadline=None)
+@given(routing_runs(), st.data())
+def test_a_run_directory_reads_back_and_refuses_any_edit(tmp_path_factory, run, data):
+    run_dir = tmp_path_factory.getbasetemp() / "run-round-trip"  # rewritten by every example
+    save_run(run, run_dir)
+    results_file, manifest_file = run_dir / "results.jsonl", run_dir / "manifest.json"
+    results, digest = read_results(results_file)
+    manifest = read_manifest(manifest_file)
+    check_vouched(results_file, results, digest, manifest)
+    assert results == run.results
+    assert manifest == {**run.manifest, "results_sha256": digest}
+
+    # One byte of the results file changed: the rows no longer load, or the manifest does not vouch for them.
+    rows = results_file.read_bytes()
+    index = data.draw(st.integers(0, len(rows) - 1), label="byte")
+    byte = data.draw(st.integers(0, 255).filter(lambda b: b != rows[index]), label="new byte")
+    results_file.write_bytes(rows[:index] + bytes([byte]) + rows[index + 1:])
+    with pytest.raises(ValueError):
+        check_vouched(results_file, *read_results(results_file), manifest)
+
+    # One identity field of the manifest changed: its run id no longer holds.
+    key = data.draw(st.sampled_from([k for k in (*IDENTITY_KEYS, "run_id") if k in manifest]), label="field")
+    value = data.draw(st.one_of(st.none(), st.booleans(), st.text(), st.floats(allow_nan=False))
+                      .filter(lambda v: v != manifest[key]), label="new value")
+    manifest_file.write_text(json.dumps({**manifest, key: value}, ensure_ascii=False), encoding="utf-8")
+    with pytest.raises(ValueError):
+        read_manifest(manifest_file)
 
 
 # --- the path grammar -------------------------------------------------------------
