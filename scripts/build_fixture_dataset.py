@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Build the shipped fixture dataset (agentnet.intents.jsonl).
 
-Drives the normal two-stage generation pipeline with a scripted provider so
-the fixture exercises the exact code paths a live run would, while staying
-fully deterministic: the "model replies" come from the hand-written complaint
-banks below plus rule-based paraphrase transforms seeded once.
+Drives the normal two-stage generation pipeline, at its default
+concurrency, with a provider that answers each prompt by what it names, so
+the fixture exercises the exact code paths a live run would while staying
+fully deterministic: a base prompt's endpoint gets that path's hand-written
+complaint bank below, and a paraphrase prompt's original message gets
+rule-based paraphrase transforms, drawn once from one seeded generator.
 
 Run from the repository root:
 
@@ -25,7 +27,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ivroute.datagen import save_dataset, validate_dataset
 from ivroute.menu import flatten, load_menu
-from ivroute.provider import ProviderConfig, ScriptedProvider
+from ivroute.provider import Provider, ProviderConfig, ProviderError
 from ivroute.synthesis import _dedup_key, build_dataset
 
 SEED = 20240817
@@ -343,16 +345,32 @@ def _numbered(lines: list[str]) -> str:
     return "\n".join(f"{i}. {line}" for i, line in enumerate(lines, start=1))
 
 
-def build_replies(path_order: list[str]) -> list[str]:
-    """Scripted replies in exact pipeline call order: one batched reply per
-    path, then one paraphrase reply per base record. Relies on
-    max_in_flight=1 keeping both stages sequential."""
+def build_replies(paths) -> dict[str, str]:
+    """The reply to each prompt line that names a subject: a base prompt's
+    ``Endpoint:`` line gets its path's numbered bank, a paraphrase prompt's
+    ``Original message:`` line its numbered paraphrases, drawn from the
+    seeded generator in bank order."""
     rng = random.Random(SEED)
-    replies = [_numbered(BANKS[path]) for path in path_order]
-    for path in path_order:
-        for text in BANKS[path]:
-            replies.append(_numbered(_paraphrases(text, rng)))
+    replies = {f"Endpoint: {tp.breadcrumb_text()}": _numbered(BANKS[tp.path.canonical()]) for tp in paths}
+    for tp in paths:
+        for text in BANKS[tp.path.canonical()]:
+            replies[f"Original message: {text}"] = _numbered(_paraphrases(text, rng))
     return replies
+
+
+class BankProvider(Provider):
+    """Answers a generation prompt with the reply to the first of its lines
+    that ``replies`` holds, so the order of the calls changes nothing."""
+
+    def __init__(self, replies: dict[str, str]):
+        super().__init__(ProviderConfig(model_name="fixture-banks"))
+        self.replies = replies
+
+    def _request(self, text: str, prompt) -> str:
+        for line in text.splitlines():
+            if line in self.replies:
+                return self.replies[line]
+        raise ProviderError(f"no bank answers the prompt {text[:80]!r}")
 
 
 def main() -> int:
@@ -368,10 +386,7 @@ def main() -> int:
         if len(bank) != PER_NODE:
             raise SystemExit(f"bank {path} has {len(bank)} lines, needs {PER_NODE}")
 
-    provider = ScriptedProvider(
-        build_replies(path_order),
-        config=ProviderConfig(model_name="scripted-mock", max_in_flight=1),
-    )
+    provider = BankProvider(build_replies(paths))
     ds = build_dataset(tree, paths, provider, per_node=PER_NODE, variants=VARIANTS, seed=SEED)
 
     problems = validate_dataset(ds, paths)

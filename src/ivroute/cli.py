@@ -28,7 +28,6 @@ from .provider import (
     ProviderConfig,
     ProviderError,
     SETTINGS,
-    ScriptedProvider,
     check_role_separation,
     mock_config,
 )
@@ -56,13 +55,13 @@ EXIT_USAGE = 2
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
-_PROVIDER_KINDS = ("http", "oracle", "keyword", "scripted")
+_PROVIDER_KINDS = ("http", "oracle", "keyword")
 
 # The keys some command reads from a config file: at the top level, and in
 # the block of each stage under "providers". Each provider flag's dest is
 # its key. Only check-roles reads menugen's block, for its model_name.
 _CONFIG_KEYS = {"seed", "providers"}
-_PROVIDER_KEYS = ("kind", "script", *ProviderConfig._fields)
+_PROVIDER_KEYS = ("kind", *ProviderConfig._fields)
 _STAGE_KEYS = dict.fromkeys(PIPELINE_STAGES, _PROVIDER_KEYS) | {"menugen": ("model_name",)}
 
 
@@ -123,6 +122,8 @@ def _load_config_file(path: str | None) -> dict:
     if not isinstance(data, dict):
         raise CommandFailed(f"config file {path} must hold a JSON object", EXIT_USAGE)
     _check_config_block(data, _CONFIG_KEYS, "the top level")
+    if type(data.get("seed", 0)) is not int:  # a bool is refused too
+        raise CommandFailed(f"bad config: seed must be an integer, not {data['seed']!r}", EXIT_USAGE)
     _check_config_block(data.get("providers", {}), _STAGE_KEYS, "providers")
     for stage, settings in data.get("providers", {}).items():
         _check_config_block(settings, _STAGE_KEYS[stage], f"providers.{stage}")
@@ -150,8 +151,6 @@ def _stage_settings(flags: dict, config: dict, stage: str) -> tuple[dict, Provid
             given[key] = value
     settings = {key: given[key] for key in ProviderConfig._fields if key in given}
     try:
-        if not isinstance(given.get("script", ""), str):
-            raise TypeError(f"script must be a string, not {given['script']!r}")
         kind = given["kind"]
         if kind not in _PROVIDER_KINDS:  # a kind that is no string is none of them
             raise ValueError(f"kind must be one of {', '.join(_PROVIDER_KINDS)}, not {kind!r}")
@@ -172,7 +171,7 @@ def _make_provider(
     given, cfg = _stage_settings(vars(args), config, stage)
     kind = given["kind"]
     if stage == "datagen" and kind in ("oracle", "keyword"):
-        raise CommandFailed(f"{kind} provider cannot synthesize intents; use http or scripted", EXIT_USAGE)
+        raise CommandFailed(f"{kind} provider cannot synthesize intents; use http", EXIT_USAGE)
 
     if kind == "http":
         if not cfg.endpoint_url:
@@ -187,14 +186,7 @@ def _make_provider(
         if dataset is None:
             raise CommandFailed("oracle provider needs a dataset to take its answers from", EXIT_USAGE)
         return OracleProvider.for_dataset(dataset, config=cfg)
-    if kind == "keyword":
-        return KeywordProvider(paths, config=cfg)
-    if not given.get("script"):
-        raise CommandFailed("scripted provider needs --script <json array file>", EXIT_USAGE)
-    replies = _read(given["script"], "script", _json_file, "cannot read {what} file {file}", EXIT_USAGE)
-    if not isinstance(replies, list) or not all(isinstance(r, str) for r in replies):
-        raise CommandFailed(f"script file {given['script']} must hold a JSON array of strings", EXIT_USAGE)
-    return ScriptedProvider(replies, config=cfg)
+    return KeywordProvider(paths, config=cfg)
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -224,8 +216,6 @@ def cmd_gen_intents(args: argparse.Namespace) -> int:
         raise CommandFailed(f"--variants must be at least 0, not {args.variants}", EXIT_USAGE)
     config = _load_config_file(args.config)
     seed = args.seed if args.seed is not None else config.get("seed", 0)
-    if type(seed) is not int:  # a bool is refused too
-        raise CommandFailed(f"bad config: seed must be an integer, not {seed!r}", EXIT_USAGE)
     tree = _read(args.menu, "menu", load_menu, "invalid menu")
     paths = flatten(tree)
     provider = _make_provider(args, config, "datagen", paths=paths)
@@ -245,7 +235,10 @@ def cmd_gen_intents(args: argparse.Namespace) -> int:
             print(f"violation: {problem}", file=sys.stderr)
         raise CommandFailed("generated dataset failed validation", EXIT_FAILURE)
 
-    save_dataset(ds, args.dataset_out)
+    try:
+        save_dataset(ds, args.dataset_out)
+    except OSError as exc:
+        raise CommandFailed(f"cannot write {args.dataset_out}: {exc}", EXIT_FAILURE)
     print(f"wrote {len(ds.records)} records to {args.dataset_out}")
     return EXIT_OK
 
@@ -385,12 +378,10 @@ def cmd_demo(args: argparse.Namespace) -> int:
             continue
         parsed, completion = outcome
         if parsed.path is None:
-            print(f"INVALID  (reply did not parse: {completion.raw_text!r})")
+            print(f"INVALID  (reply did not parse: {completion.raw_text!r})", flush=True)
             continue
-        if parsed.path in breadcrumb_of:
-            print(f"{parsed.path}  {breadcrumb_of[parsed.path]}")
-        else:
-            print(f"{parsed.path}  (not a terminal path of this menu)")
+        where = breadcrumb_of.get(parsed.path, "(not a terminal path of this menu)")
+        print(f"{parsed.path}  {where}", flush=True)  # a reader on a pipe waits for each answer
 
 
 def cmd_check_roles(args: argparse.Namespace) -> int:
@@ -426,7 +417,6 @@ def _add_provider_flags(parser: argparse.ArgumentParser) -> None:
                         help="provider kind (default http, or the config file's choice)")
     for name, (flag, text, _, kind, _) in SETTINGS.items():
         parser.add_argument(flag, dest=name, type=kind, help=text)
-    parser.add_argument("--script", help="JSON array of replies for the scripted provider")
 
 
 def build_parser() -> argparse.ArgumentParser:

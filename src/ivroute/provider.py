@@ -1,4 +1,6 @@
-"""Chat-completion providers: one real HTTP client plus deterministic doubles.
+"""Chat-completion providers: one real HTTP client plus two deterministic
+doubles whose reply depends only on the prompt, so concurrency never
+changes what they answer.
 
 All providers share the same contract: ``complete(prompt) -> Completion``
 sends exactly one request, safe to call from many worker threads at once.
@@ -270,30 +272,6 @@ class KeywordProvider(Provider):
 
 def _words(text: str) -> set[str]:
     return {w for w in "".join(c.lower() if c.isalnum() else " " for c in text).split() if w}
-
-
-class ScriptedProvider(Provider):
-    """Plays back a fixed reply list in call order; raises when exhausted.
-
-    Reply assignment is call-order based, so tests that need a specific
-    reply per intent should run with max_in_flight=1.
-    """
-
-    def __init__(self, replies: list[str], config: ProviderConfig | None = None):
-        super().__init__(config or mock_config("scripted"))
-        self._replies = list(replies)
-        self._next = 0
-        self._script_lock = threading.Lock()
-        self.calls: list[str] = []
-
-    def _request(self, text: str, prompt) -> str:
-        with self._script_lock:
-            if self._next >= len(self._replies):
-                raise ProviderError("scripted mock ran out of replies")
-            reply = self._replies[self._next]
-            self._next += 1
-            self.calls.append(text)
-        return reply
 
 
 # --- pipeline hygiene --------------------------------------------------------

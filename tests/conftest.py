@@ -1,7 +1,7 @@
 """Shared fixtures: the bundled menu and dataset, small synthetic menus,
 the one provider double that answers by a test's function, ``simulate``,
 which runs the scheduler at simulated times, and the one fake HTTP
-endpoint: a loopback server, answering with scripted bytes or as a
+endpoint: a loopback server, answering with canned bytes or as a
 chat-completions endpoint, which HttpProviders built on its URL reach
 through the shipped client."""
 
@@ -172,6 +172,23 @@ class AnsweringProvider(Provider):
         reply = self.answer(prompt)
         self.calls.append(text)
         return reply
+
+
+def subject_of(prompt) -> str:
+    """What a generation prompt asks about: the breadcrumb on a base
+    prompt's ``Endpoint:`` line, or the text on a paraphrase prompt's
+    ``Original message:`` line."""
+    marker = "Endpoint: " if "Endpoint: " in prompt else "Original message: "
+    return prompt.split(marker, 1)[1].split("\n", 1)[0]
+
+
+def fail_with(error: Exception):
+    """An ``answer`` that fails every request with ``error``."""
+
+    def answer(prompt):
+        raise error
+
+    return answer
 
 
 # --- the scheduler at simulated times ---------------------------------------------

@@ -32,13 +32,12 @@ from ivroute.provider import (
     OracleProvider,
     Provider,
     ProviderConfig,
-    ScriptedProvider,
     check_role_separation,
 )
 from ivroute.router import INVALID, RoutingResult, parse_dtmf_response, route_all
 from ivroute.synthesis import build_dataset
 
-from conftest import data_text
+from conftest import AnsweringProvider, data_text, subject_of
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -138,33 +137,33 @@ def wrong_path(truth: str) -> str:
     return "1-2" if truth == "1-1" else "1-1"
 
 
-def scripted_run(dataset, tree, record_filter: str, n_correct: int) -> list[RoutingResult]:
+def answered_run(dataset, tree, record_filter: str, n_correct: int) -> list[RoutingResult]:
+    """The results of a run whose first ``n_correct`` selected queries are
+    answered with their truth and the rest with a wrong path."""
     records = dataset.records if record_filter == "all" else [
         r for r in dataset.records if r.origin == "base"
     ]
-    replies = [
-        r.ground_truth.canonical() if i < n_correct else wrong_path(r.ground_truth.canonical())
+    replies = {
+        r.text: r.ground_truth.canonical() if i < n_correct else wrong_path(r.ground_truth.canonical())
         for i, r in enumerate(records)
-    ]
-    provider = ScriptedProvider(
-        replies, config=ProviderConfig(model_name="scripted-mock", max_in_flight=1)
-    )
+    }
+    provider = AnsweringProvider(lambda prompt: replies[prompt.query], model_name="answering-mock")
     run = route_all(dataset, RoutingCondition.FLATTENED_PATHS, tree, provider,
                     record_filter=record_filter)
     return run.results
 
 
 def test_criterion_04_accuracy_arithmetic(tree, dataset):
-    base = scripted_run(dataset, tree, "base_only", 205)
+    base = answered_run(dataset, tree, "base_only", 205)
     assert len(base) == 230
     assert sum(r.correct for r in base) == 205
     assert format_percent(accuracy(base)) == "89.13"
 
-    augmented = scripted_run(dataset, tree, "all", 709)
+    augmented = answered_run(dataset, tree, "all", 709)
     assert len(augmented) == 920
     assert sum(r.correct for r in augmented) == 709
     assert format_percent(accuracy(augmented)) == "77.07"
-    announce(4, 'scripted 205/230 reports "89.13" and 709/920 reports "77.07"')
+    announce(4, 'answering 205/230 right reports "89.13" and 709/920 reports "77.07"')
 
 
 # --- 5. metric oracle equivalence ------------------------------------------------------------
@@ -307,27 +306,23 @@ def numbered(lines) -> str:
     return "\n".join(f"{i}. {line}" for i, line in enumerate(lines, start=1))
 
 
-def scripted_generation_replies(paths, per_node: int, variants: int) -> list[str]:
-    tags = [tp.path.canonical() for tp in paths]
-    replies = [
-        numbered([f"please handle {tag} issue number {i}" for i in range(per_node)])
-        for tag in tags
-    ]
-    for tag in tags:
-        for i in range(per_node):
-            if variants:
-                replies.append(numbered(
-                    [f"variant {k} of {tag} issue number {i}" for k in range(variants)]
-                ))
-    return replies
+def generation_replies(paths, per_node: int, variants: int):
+    """An ``answer`` for both generation stages: ``per_node`` complaints
+    that name the path, and ``variants`` paraphrases that name the text."""
+    tag_of = {tp.breadcrumb_text(): tp.path.canonical() for tp in paths}
+
+    def answer(prompt) -> str:
+        subject = subject_of(prompt)
+        if subject in tag_of:
+            return numbered([f"please handle {tag_of[subject]} issue number {i}" for i in range(per_node)])
+        return numbered([f"variant {k} of {subject}" for k in range(variants)])
+
+    return answer
 
 
 @pytest.mark.parametrize("per_node, variants", [(1, 0), (2, 1), (10, 3)])
 def test_criterion_07_dataset_invariants(tree, paths, per_node, variants):
-    provider = ScriptedProvider(
-        scripted_generation_replies(paths, per_node, variants),
-        config=ProviderConfig(model_name="scripted-mock", max_in_flight=1),
-    )
+    provider = AnsweringProvider(generation_replies(paths, per_node, variants), model_name="answering-mock")
     ds = build_dataset(tree, paths, provider, per_node=per_node, variants=variants, seed=7)
 
     assert len(ds.records) == per_node * 23 * (1 + variants)

@@ -6,8 +6,10 @@ import io
 import json
 import math
 import os
+import select
 import signal
 import socket
+import stat
 import subprocess
 import sys
 import time
@@ -18,15 +20,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ivroute
-from ivroute.cli import _load_config_file, _make_provider, build_parser, main
+from ivroute.cli import _PROVIDER_KINDS, _load_config_file, _make_provider, build_parser, main
 from ivroute.datagen import load_dataset, validate_dataset
 from ivroute.menu import flatten, load_menu
 from ivroute.prompts import RoutingCondition
-from ivroute.provider import DEFAULT_API_KEY_ENV, ScriptedProvider
+from ivroute.provider import DEFAULT_API_KEY_ENV
 from ivroute import router
 from ivroute.router import load_results, run_identity
 
-from conftest import data_text, make_record
+from conftest import AnsweringProvider, closed_port, data_text, make_record, subject_of
 
 
 def run(argv):
@@ -168,32 +170,33 @@ def test_flatten_single_action_menu(tmp_path, capsys):
 
 # --- gen-intents -----------------------------------------------------------------------
 
-def write_script(tmp_path, replies, name="script.json"):
-    file = tmp_path / name
-    file.write_text(json.dumps(replies), encoding="utf-8")
-    return file
+# The error of a call that chat_server answers with a 400, a final status.
+REFUSED = 'HTTP 400: {"error": "unavailable"}'
 
 
 def numbered(lines):
     return "\n".join(f"{i}. {line}" for i, line in enumerate(lines, start=1))
 
 
-def test_gen_intents_scripted(tmp_path, fixture_menu_path, capsys):
-    # 23 base replies then 23 paraphrase replies, driven in series.
-    paths = [tp.path.canonical() for tp in flatten(load_menu(fixture_menu_path))]
-    replies = [numbered([f"complaint about {p}"]) for p in paths]
-    replies += [numbered([f"rephrased complaint about {p}"]) for p in paths]
-    script = write_script(tmp_path, replies)
+def about_subject(prompt):
+    """One complaint about what a generation prompt names: a path's
+    breadcrumb, or the text to paraphrase."""
+    return numbered([f"about {subject_of(prompt)}"])
+
+
+def test_gen_intents_writes_a_valid_dataset(tmp_path, fixture_menu_path, chat_server, monkeypatch, capsys):
+    monkeypatch.delenv(DEFAULT_API_KEY_ENV, raising=False)
+    server = chat_server(reply=about_subject)  # 23 base prompts, then 23 paraphrase prompts
     out_file = tmp_path / "generated.jsonl"
     code = run([
         "gen-intents", str(fixture_menu_path),
         "--per-node", "1", "--variants", "1",
-        "--provider", "scripted", "--script", str(script),
-        "--max-in-flight", "1",
+        "--provider", "http", "--endpoint", server.url,
         "--dataset-out", str(out_file),
     ])
     assert code == 0
     assert "wrote 46 records" in capsys.readouterr().out
+    assert server.answered == 46
     ds = load_dataset(out_file)
     assert len(ds.records) == 46
     assert validate_dataset(ds, flatten(load_menu(fixture_menu_path))) == []
@@ -204,26 +207,27 @@ def test_gen_intents_rejects_oracle(fixture_menu_path, capsys):
     assert "cannot synthesize" in capsys.readouterr().err
 
 
-def test_gen_intents_scripted_needs_script(fixture_menu_path, capsys):
-    assert run(["gen-intents", str(fixture_menu_path), "--provider", "scripted"]) == 2
-    assert "--script" in capsys.readouterr().err
-
-
-def test_script_that_is_no_array_of_strings_exit_2(tmp_path, fixture_menu_path, capsys):
-    script = write_script(tmp_path, {"a": 1})
-    assert run(["gen-intents", str(fixture_menu_path), "--provider", "scripted", "--script", str(script),
-                "--dataset-out", str(tmp_path / "intents.jsonl")]) == 2
-    assert capsys.readouterr().err == f"error: script file {script} must hold a JSON array of strings\n"
-    assert not (tmp_path / "intents.jsonl").exists()
-
-
-def test_gen_intents_scripted_replies_running_out_exit_1(tmp_path, fixture_menu_path, capsys):
-    script = write_script(tmp_path, [numbered(["my balance please"])])  # one reply for 23 paths
+def test_gen_intents_failed_call_exit_1(tmp_path, fixture_menu_path, chat_server, monkeypatch, capsys):
+    monkeypatch.delenv(DEFAULT_API_KEY_ENV, raising=False)
+    server = chat_server(reply=about_subject, statuses=[200], status=400)  # one answer for 23 paths
     assert run(["gen-intents", str(fixture_menu_path), "--per-node", "1", "--variants", "1",
-                "--provider", "scripted", "--script", str(script), "--max-in-flight", "1",
+                "--provider", "http", "--endpoint", server.url,
                 "--dataset-out", str(tmp_path / "intents.jsonl")]) == 1
-    assert capsys.readouterr().err == "error: scripted mock ran out of replies\n"
+    assert capsys.readouterr().err == f"error: {REFUSED}\n"
     assert not (tmp_path / "intents.jsonl").exists()
+
+
+@pytest.mark.skipif(not (os.path.exists("/dev/full") and stat.S_ISCHR(os.stat("/dev/full").st_mode)),
+                    reason="needs /dev/full, a device every write to fails")
+def test_gen_intents_dataset_that_cannot_be_written_exit_1(fixture_menu_path, chat_server, monkeypatch,
+                                                           capsys):
+    monkeypatch.delenv(DEFAULT_API_KEY_ENV, raising=False)
+    server = chat_server(reply=about_subject)
+    assert run(["gen-intents", str(fixture_menu_path), "--per-node", "1", "--variants", "0",
+                "--provider", "http", "--endpoint", server.url, "--dataset-out", "/dev/full"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write /dev/full: [Errno 28] ") and captured.err.count("\n") == 1
+    assert captured.out == "" and server.answered == 23  # every call was made, then the write failed
 
 
 @pytest.mark.parametrize("counts", [["--per-node", "0"], ["--per-node", "1", "--variants", "-1"]],
@@ -288,7 +292,7 @@ def test_route_refuses_overwrite_without_force(tmp_path, fixture_menu_path,
 
 
 def test_route_force_replaces_the_report_only_once_new_results_are_written(
-        tmp_path, fixture_menu_path, fixture_dataset_path, capsys):
+        tmp_path, fixture_menu_path, fixture_dataset_path, chat_server, monkeypatch, capsys):
     run_dir = oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path)
     evaluate = ["eval", str(run_dir / "results.jsonl"), "--menu", str(fixture_menu_path)]
     assert run(evaluate) == 0
@@ -298,7 +302,8 @@ def test_route_force_replaces_the_report_only_once_new_results_are_written(
     rerun = route_args(fixture_menu_path, fixture_dataset_path, tmp_path, condition="flattened",
                        filter="base_only", model="oracle-mock") + ["--force", "--provider"]
     # A rerun that aborts keeps the old results and their report together.
-    assert run(rerun + ["scripted", "--script", str(write_script(tmp_path, ["1-1"]))]) == 1
+    monkeypatch.delenv(DEFAULT_API_KEY_ENV, raising=False)
+    assert run(rerun + ["http", "--endpoint", chat_server(status=400).url]) == 1
     assert (run_dir / "results.jsonl").read_bytes() == oracle_results
     assert json.loads(report.read_text(encoding="utf-8"))["accuracy"] == 1.0
     assert run(rerun + ["keyword"]) == 0
@@ -333,11 +338,43 @@ REMOVED_FLAGS = {
     "flatten-out": lambda menu, data, out: ["flatten", menu, "--out", out],
     "eval-config": lambda menu, data, out: ["eval", "results.jsonl", "--menu", menu, "--config", "c.json"],
     "check-roles-out": lambda menu, data, out: ["check-roles", "--out", out],
-    "gen-intents-out": lambda menu, data, out: ["gen-intents", menu, "--provider", "scripted",
+    "gen-intents-out": lambda menu, data, out: ["gen-intents", menu, "--provider", "http",
                                                 "--out", out],
-    "gen-intents-noise": lambda menu, data, out: ["gen-intents", menu, "--provider", "scripted",
+    "gen-intents-noise": lambda menu, data, out: ["gen-intents", menu, "--provider", "http",
                                                   "--noise", "0.3", "0.3", "0.2"],
+    "route-script": lambda menu, data, out: ["route", "--menu", menu, "--dataset", data,
+                                             "--provider", "oracle", "--out", out, "--script", "replies.json"],
 }
+
+
+def test_a_provider_kind_that_is_gone_is_refused(tmp_path, fixture_menu_path, fixture_dataset_path, capsys):
+    argv = route_args(fixture_menu_path, fixture_dataset_path, tmp_path / "runs")
+    with pytest.raises(SystemExit) as excinfo:
+        run(argv + ["--provider", "scripted"])
+    assert excinfo.value.code == 2
+    assert "argument --provider: invalid choice: 'scripted'" in capsys.readouterr().err
+    file = tmp_path / "config.json"
+    file.write_text(json.dumps({"providers": {"routing": {"kind": "scripted"}}}), encoding="utf-8")
+    assert run(argv + ["--config", str(file)]) == 2
+    assert capsys.readouterr().err == ("error: bad provider settings: kind must be one of http, oracle, keyword, "
+                                       "not 'scripted'\n")
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("kind", [kind for kind in _PROVIDER_KINDS if kind != "http"])
+def test_a_run_id_names_one_set_of_rows_at_any_concurrency(tmp_path, fixture_menu_path, fixture_dataset_path,
+                                                            capsys, kind):
+    # Each double's reply depends only on its prompt, so two runs of one run
+    # id hold the same rows, however their eight workers interleave.
+    runs = []
+    for out in (tmp_path / "first", tmp_path / "second"):
+        argv = route_args(fixture_menu_path, fixture_dataset_path, out, filter="base_only", max_in_flight=8)
+        assert run(argv + ["--provider", kind]) == 0
+        (run_dir,) = out.glob("run-*")
+        rows = [{**json.loads(line), "latency": None}
+                for line in (run_dir / "results.jsonl").read_text(encoding="utf-8").splitlines()]
+        runs.append((run_dir.name, rows))
+    assert runs[0] == runs[1] and len(runs[0][1]) == 230
 
 
 @pytest.mark.parametrize("argv", REMOVED_FLAGS.values(), ids=REMOVED_FLAGS.keys())
@@ -478,7 +515,7 @@ def test_route_config_value_of_wrong_type_exit_2(tmp_path, fixture_menu_path,
     for settings in [{"max_in_flight": "4"}, {"max_in_flight": 2.5}, {"max_retries": True},
                      {"temperature": True}, {"requests_per_second": math.nan},
                      {"requests_per_second": math.inf}, {"model_name": 3}, {"endpoint_url": 3},
-                     {"api_key_env": []}, {"kind": 3}, {"script": 3}, {"requests_per_second": 1e-300},
+                     {"api_key_env": []}, {"kind": 3}, {"requests_per_second": 1e-300},
                      {"request_timeout": 1e10}]:
         file.write_text(json.dumps({"providers": dict.fromkeys(("datagen", "routing"), settings)}),
                         encoding="utf-8")
@@ -492,16 +529,20 @@ def test_route_config_value_of_wrong_type_exit_2(tmp_path, fixture_menu_path,
 
 
 @pytest.mark.parametrize("seed", ["x", True, 1.5, None])
-def test_gen_intents_config_seed_of_wrong_type_exit_2(tmp_path, fixture_menu_path, capsys, seed):
+def test_gen_intents_config_seed_of_wrong_type_exit_2(tmp_path, fixture_menu_path, fixture_dataset_path,
+                                                      monkeypatch, capsys, seed):
+    # Every command that reads the file checks it, even where --seed overrides it.
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"seed": seed}), encoding="utf-8")
-    script = write_script(tmp_path, [])
-    code = run(["gen-intents", str(fixture_menu_path), "--provider", "scripted",
-                "--script", str(script), "--config", str(config),
-                "--dataset-out", str(tmp_path / "intents.jsonl")])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: bad config: seed must be an integer")
-    assert not (tmp_path / "intents.jsonl").exists()
+    commands = config_commands(fixture_menu_path, fixture_dataset_path, tmp_path)
+    commands["gen-intents --seed 5"] = commands["gen-intents"] + ["--seed", "5"]
+    for name, argv in commands.items():
+        feed_stdin(monkeypatch, "i want to check my balance\n")
+        assert run(argv + ["--config", str(config)]) == 2, name
+        captured = capsys.readouterr()
+        assert captured.err == f"error: bad config: seed must be an integer, not {seed!r}\n", name
+        assert captured.out == "", name
+    assert not list(tmp_path.glob("run-*")) and not (tmp_path / "intents.jsonl").exists()
 
 
 def malformed_datasets(tmp_path):
@@ -630,26 +671,28 @@ def test_dataset_field_of_wrong_type_exit_1(tmp_path, fixture_menu_path, fixture
     assert not list(tmp_path.glob("run-*"))
 
 
-def test_route_names_each_failure_once(tmp_path, fixture_menu_path, fixture_dataset_path, capsys):
-    script = write_script(tmp_path, ["1-1", "1-1"])
+def test_route_names_each_failure_once(tmp_path, fixture_menu_path, fixture_dataset_path, chat_server,
+                                       monkeypatch, capsys):
+    monkeypatch.delenv(DEFAULT_API_KEY_ENV, raising=False)
+    server = chat_server(statuses=[200, 200], status=400)  # one worker: the first two intents are answered
     argv = ["route", "--menu", str(fixture_menu_path), "--dataset", str(fixture_dataset_path),
-            "--filter", "base_only", "--provider", "scripted", "--script", str(script),
+            "--filter", "base_only", "--provider", "http", "--endpoint", server.url,
             "--max-in-flight", "1", "--out", str(tmp_path)]
     assert run(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert err[0] == "error: run aborted: 3 provider failure(s) exceeded the budget of 2"
-    assert err[1:] == [f"  failed 1-1:b0{i}: scripted mock ran out of replies" for i in (2, 3, 4)]
+    assert err[1:] == [f"  failed 1-1:b0{i}: {REFUSED}" for i in (2, 3, 4)]
 
 
 def test_route_names_five_failures_and_counts_the_rest(tmp_path, fixture_menu_path, fixture_dataset_path,
-                                                       capsys):
+                                                       chat_server, monkeypatch, capsys):
+    monkeypatch.delenv(DEFAULT_API_KEY_ENV, raising=False)
     argv = route_args(fixture_menu_path, fixture_dataset_path, tmp_path, filter="base_only", max_in_flight=1,
-                      error_budget=0.03) + ["--provider", "scripted", "--script", str(write_script(tmp_path, []))]
+                      error_budget=0.03) + ["--provider", "http", "--endpoint", chat_server(status=400).url]
     assert run(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert err[0] == "error: run aborted: 7 provider failure(s) exceeded the budget of 6"
-    assert err[1:] == [f"  failed 1-1:b0{i}: scripted mock ran out of replies" for i in range(5)] + [
-        "  ... and 2 more"]
+    assert err[1:] == [f"  failed 1-1:b0{i}: {REFUSED}" for i in range(5)] + ["  ... and 2 more"]
     assert not list(tmp_path.glob("run-*"))
 
 
@@ -676,20 +719,21 @@ def test_route_skips_blank_dataset_lines_and_keeps_the_run_id(tmp_path, fixture_
 
 
 def test_route_summary_counts_the_failures_it_does_not_score(tmp_path, fixture_menu_path,
-                                                             fixture_dataset_path, capsys):
-    script = write_script(tmp_path, ["1-1"] * 228)  # two of the 230 base intents get no reply
+                                                             fixture_dataset_path, chat_server, monkeypatch,
+                                                             capsys):
+    monkeypatch.delenv(DEFAULT_API_KEY_ENV, raising=False)
+    server = chat_server(statuses=[200] * 228, status=400)  # two of the 230 base intents get no reply
     argv = route_args(fixture_menu_path, fixture_dataset_path, tmp_path, filter="base_only",
-                      max_in_flight=1) + ["--provider", "scripted", "--script", str(script)]
+                      max_in_flight=1) + ["--provider", "http", "--endpoint", server.url]
     assert run(argv) == 0
     assert capsys.readouterr().out.splitlines()[0] == "routed 228 intents, accuracy 4.39%, 2 failed and not scored"
 
 
 def test_route_every_intent_failing_within_budget_exit_1(tmp_path, fixture_menu_path,
-                                                         fixture_dataset_path, capsys):
-    script = tmp_path / "empty.json"
-    script.write_text("[]", encoding="utf-8")
+                                                         fixture_dataset_path, chat_server, monkeypatch, capsys):
+    monkeypatch.delenv(DEFAULT_API_KEY_ENV, raising=False)
     argv = ["route", "--menu", str(fixture_menu_path), "--dataset", str(fixture_dataset_path),
-            "--filter", "base_only", "--provider", "scripted", "--script", str(script),
+            "--filter", "base_only", "--provider", "http", "--endpoint", chat_server(status=400).url,
             "--error-budget", "1", "--out", str(tmp_path)]
     assert run(argv) == 1  # returned, not raised: there is nothing to score
     err = capsys.readouterr().err
@@ -1092,11 +1136,11 @@ def test_eval_refuses_a_prediction_its_reply_does_not_parse_to(tmp_path, fixture
 def test_eval_regrades_any_reply_route_one_wrote(tmp_path_factory, fixture_menu_path, reply, lenient, other):
     intent = make_record("1-1", "i want my balance")  # the ground truth is 1-1
     row = router.route_one(intent, RoutingCondition.FLATTENED_PATHS, "1-1: Balance",
-                           ScriptedProvider([reply]), lenient)
+                           AnsweringProvider(lambda prompt: reply), lenient)
     run_dir = tmp_path_factory.mktemp("regrade")
     tree = load_menu(fixture_menu_path)
     identity = {"menu_name": tree.name, "menu_hash": router.menu_hash(tree), "dataset_hash": "0" * 64,
-                "condition": "flattened_paths", "dataset_filter": "base_only", "model_name": "scripted-mock",
+                "condition": "flattened_paths", "dataset_filter": "base_only", "model_name": "answering-mock",
                 "parse_mode": "lenient" if lenient else "strict"}
     manifest = {**identity, "run_id": router.run_id(identity),
                 "results_sha256": router.save_results([row], run_dir / "results.jsonl")}
@@ -1302,17 +1346,17 @@ def test_demo_zero_overlap_falls_back_to_first_path(fixture_menu_path, monkeypat
     assert capsys.readouterr().out == "1-1  Billing and Account Management -> Check Balance\n"
 
 
-def test_demo_empty_line_costs_no_provider_call(fixture_menu_path, tmp_path,
-                                                monkeypatch, capsys):
-    script = write_script(tmp_path, ["2-1-9"])
+def test_demo_empty_line_costs_no_provider_call(fixture_menu_path, chat_server, monkeypatch, capsys):
+    monkeypatch.delenv(DEFAULT_API_KEY_ENV, raising=False)
+    server = chat_server(reply="2-1-9")
     feed_stdin(monkeypatch, "\n\nrouter is broken\n")
-    code = run(["demo", "--menu", str(fixture_menu_path), "--provider", "scripted",
-                "--script", str(script)])
+    code = run(["demo", "--menu", str(fixture_menu_path), "--provider", "http", "--endpoint", server.url])
     assert code == 0
     out = capsys.readouterr().out
-    # One reply consumed by the only non-empty line; empty lines spent none.
+    # One call, for the only non-empty line; empty lines made none.
     assert out.count("\n") == 1
     assert out.startswith("2-1-9  ")
+    assert server.answered == 1
 
 
 def test_demo_oracle_without_dataset_exit_2(fixture_menu_path, monkeypatch, capsys):
@@ -1329,15 +1373,15 @@ def test_demo_eof_exits_zero(fixture_menu_path, monkeypatch, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_demo_provider_error_continues(fixture_menu_path, tmp_path, monkeypatch, capsys):
-    script = write_script(tmp_path, ["1-4"])
+def test_demo_provider_error_continues(fixture_menu_path, chat_server, monkeypatch, capsys):
+    monkeypatch.delenv(DEFAULT_API_KEY_ENV, raising=False)
+    server = chat_server(reply="1-4", statuses=[200], status=400)  # the lines go one by one
     feed_stdin(monkeypatch, "first query\nsecond query\nthird query\n")
-    code = run(["demo", "--menu", str(fixture_menu_path), "--provider", "scripted",
-                "--script", str(script)])
+    code = run(["demo", "--menu", str(fixture_menu_path), "--provider", "http", "--endpoint", server.url])
     assert code == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("1-4  ")
-    assert captured.err.count("error:") == 2  # exhausted script, loop kept going
+    assert captured.err == f"error: {REFUSED}\n" * 2  # two refused lines, and the loop kept going
 
 
 def test_demo_retries_a_503_and_prints_the_path(fixture_menu_path, chat_server, monkeypatch,
@@ -1353,13 +1397,6 @@ def test_demo_retries_a_503_and_prints_the_path(fixture_menu_path, chat_server, 
     assert captured.err == ""
     assert server.answered == 2  # the 503, then its retry
     assert server.wait(open=0)  # demo closed the connection when stdin ended
-
-
-def echo_endpoint_or_original(prompt):
-    """One complaint per path, its breadcrumb; a paraphrase repeats its
-    original, which is asked again once and then kept."""
-    marker = "Endpoint: " if "Endpoint: " in prompt else "Original message: "
-    return prompt.split(marker, 1)[1].split("\n", 1)[0]
 
 
 def test_gen_intents_one_text_for_every_path_exit_1(fixture_menu_path, chat_server, monkeypatch,
@@ -1380,7 +1417,9 @@ def test_gen_intents_one_text_for_every_path_exit_1(fixture_menu_path, chat_serv
 def test_gen_intents_stages_share_one_connection(fixture_menu_path, chat_server, monkeypatch,
                                                 tmp_path, capsys):
     monkeypatch.delenv(DEFAULT_API_KEY_ENV, raising=False)
-    server = chat_server(reply=echo_endpoint_or_original)
+    # One complaint per path, its breadcrumb; a paraphrase repeats its
+    # original, which is asked again once and then kept.
+    server = chat_server(reply=subject_of)
     code = run(["gen-intents", str(fixture_menu_path), "--per-node", "1", "--variants", "1",
                 "--max-in-flight", "1", "--provider", "http", "--endpoint", server.url,
                 "--dataset-out", str(tmp_path / "intents.jsonl")])
@@ -1414,11 +1453,11 @@ def test_demo_lines_share_one_pace(fixture_menu_path, monkeypatch, capsys):
     assert len(paced) == 2 and paced[0] is paced[1]  # the second line keeps the first line's pace
 
 
-def test_demo_invalid_reply_reported(fixture_menu_path, tmp_path, monkeypatch, capsys):
-    script = write_script(tmp_path, ["press one please", "5-5-5"])
-    feed_stdin(monkeypatch, "a\nb\n")
-    run(["demo", "--menu", str(fixture_menu_path), "--provider", "scripted",
-         "--script", str(script)])
+def test_demo_invalid_reply_reported(fixture_menu_path, chat_server, monkeypatch, capsys):
+    monkeypatch.delenv(DEFAULT_API_KEY_ENV, raising=False)
+    server = chat_server(reply=lambda prompt: "press one please" if prompt.endswith("\nfirst") else "5-5-5")
+    feed_stdin(monkeypatch, "first\nsecond\n")
+    run(["demo", "--menu", str(fixture_menu_path), "--provider", "http", "--endpoint", server.url])
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("INVALID  ")
     assert out[1] == "5-5-5  (not a terminal path of this menu)"
@@ -1507,17 +1546,15 @@ def test_config_flag_overrides_file(tmp_path, capsys):
 
 # --- pipeline composition -----------------------------------------------------------------
 
-def test_pipeline_composes_end_to_end(tmp_path, fixture_menu_path, capsys):
+def test_pipeline_composes_end_to_end(tmp_path, fixture_menu_path, chat_server, monkeypatch, capsys):
     """validate-menu -> flatten -> gen-intents -> route -> eval, exit 0 each."""
     assert run(["validate-menu", str(fixture_menu_path)]) == 0
     assert run(["flatten", str(fixture_menu_path)]) == 0
 
-    paths = [tp.path.canonical() for tp in flatten(load_menu(fixture_menu_path))]
-    replies = [numbered([f"help with {p}"]) for p in paths]
-    script = write_script(tmp_path, replies)
+    monkeypatch.delenv(DEFAULT_API_KEY_ENV, raising=False)
     dataset_file = tmp_path / "mini.jsonl"
     assert run(["gen-intents", str(fixture_menu_path), "--per-node", "1", "--variants", "0",
-                "--provider", "scripted", "--script", str(script), "--max-in-flight", "1",
+                "--provider", "http", "--endpoint", chat_server(reply=about_subject).url,
                 "--dataset-out", str(dataset_file)]) == 0
 
     assert run(["route", "--menu", str(fixture_menu_path), "--dataset", str(dataset_file),
@@ -1533,6 +1570,7 @@ def test_pipeline_composes_end_to_end(tmp_path, fixture_menu_path, capsys):
 UNREAD_CONFIGS = {
     "top-level key": {"seed": 1, "bogus": 1},
     "stage key": {"providers": {"routing": {"kind": "oracle", "bogus": 1}}},
+    "script key": {"providers": {"routing": {"kind": "oracle", "script": "replies.json"}}},
     "menugen provider key": {"providers": {"menugen": {"model_name": "m", "temperature": 0}}},
     "misspelt stage key": {"providers": {"routing": {"max_in_fligth": 8}}},
     "stage": {"providers": {"scoring": {}}},
@@ -1542,11 +1580,12 @@ UNREAD_CONFIGS = {
 
 
 def config_commands(menu, dataset, tmp_path):
-    script = write_script(tmp_path, [])
+    """The commands that read a config file, each refusing a bad one before any call."""
+    endpoint = f"http://127.0.0.1:{closed_port()}/v1/chat/completions"
     return {
         "route": route_args(menu, dataset, tmp_path),
         "demo": ["demo", "--menu", str(menu), "--provider", "keyword"],
-        "gen-intents": ["gen-intents", str(menu), "--provider", "scripted", "--script", str(script),
+        "gen-intents": ["gen-intents", str(menu), "--provider", "http", "--endpoint", endpoint,
                         "--dataset-out", str(tmp_path / "intents.jsonl")],
         "check-roles": ["check-roles"],
     }
@@ -1625,9 +1664,9 @@ def deep_menu(levels):
 
 # Each input file of the CLI, the command that reads it, and the exit code
 # and error line when the file is no UTF-8 text or nests too deep to parse:
-# a menu, dataset, results or manifest file is refused (1), and a config or
-# script file is a usage error (2). A JSONL
-# line nested too deep is refused by its line number.
+# a menu, dataset, results or manifest file is refused (1), and a config
+# file is a usage error (2). A JSONL line nested too deep is refused by its
+# line number.
 FRONT_DOOR = {
     "menu": (lambda menu, data, file: ["validate-menu", str(file)], 1, "error: invalid menu: 'utf-8'"),
     "deep menu": (lambda menu, data, file: ["validate-menu", str(file)], 1,
@@ -1641,9 +1680,6 @@ FRONT_DOOR = {
                      "error: cannot load results"),
     "config": (lambda menu, data, file: route_args(menu, data, file.parent) + ["--config", str(file)], 2,
                "error: cannot read config file"),
-    "script": (lambda menu, data, file: ["gen-intents", str(menu), "--provider", "scripted", "--script",
-                                         str(file), "--dataset-out", str(file.parent / "intents.jsonl")], 2,
-               "error: cannot read script file"),
     "manifest": (lambda menu, data, file: ["eval", str(file.parent / "results.jsonl"), "--menu", str(menu)], 1,
                  "error: cannot load manifest"),
 }
@@ -1707,12 +1743,12 @@ def test_any_bytes_as_menu_or_config_end_with_an_exit_code(tmp_path_factory, fix
 
 # --- interrupts and closed pipes ------------------------------------------------------------
 
-def cli_child(*argv, python=(), **popen) -> subprocess.Popen:
-    """``python *python -m ivroute.cli *argv`` in a child process whose
-    stdout is buffered, as in a shell pipe, unless ``python`` holds ``-u``."""
+def cli_child(*argv, **popen) -> subprocess.Popen:
+    """``python -m ivroute.cli *argv`` in a child process whose stdout is
+    buffered, as in a shell pipe."""
     env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(ivroute.__file__).resolve().parents[1])
-    return subprocess.Popen([sys.executable, *python, "-m", "ivroute.cli", *argv], env=env, text=True,
+    return subprocess.Popen([sys.executable, "-m", "ivroute.cli", *argv], env=env, text=True,
                             stderr=subprocess.PIPE, **popen)
 
 
@@ -1727,7 +1763,7 @@ def interrupted(child: subprocess.Popen) -> str:
 
 
 def test_ctrl_c_ends_demo_waiting_on_stdin_with_exit_130(fixture_menu_path):
-    with cli_child("demo", "--menu", str(fixture_menu_path), "--provider", "keyword", python=["-u"],
+    with cli_child("demo", "--menu", str(fixture_menu_path), "--provider", "keyword",
                    stdin=subprocess.PIPE, stdout=subprocess.PIPE) as child:
         child.stdin.write("i want to check my balance\n")
         child.stdin.flush()
@@ -1735,6 +1771,26 @@ def test_ctrl_c_ends_demo_waiting_on_stdin_with_exit_130(fixture_menu_path):
         assert child.stdout.readline() == "1-1  Billing and Account Management -> Check Balance\n"
         assert interrupted(child) == "error: interrupted\n"
     assert child.returncode == 130
+
+
+@pytest.mark.parametrize("reply, answer", [
+    (None, "1-1  Billing and Account Management -> Check Balance\n"),
+    ("press one please", "INVALID  (reply did not parse: 'press one please')\n"),
+], ids=["path", "invalid"])
+def test_demo_answers_a_line_while_stdin_is_still_open(fixture_menu_path, chat_server, reply, answer):
+    # A program that drives demo line by line through pipes waits for each
+    # answer before it writes the next line.
+    provider = ["--provider", "keyword"] if reply is None else [
+        "--provider", "http", "--endpoint", chat_server(reply=reply).url]
+    with cli_child("demo", "--menu", str(fixture_menu_path), *provider,
+                   stdin=subprocess.PIPE, stdout=subprocess.PIPE) as child:
+        child.stdin.write("i want to check my balance\n")
+        child.stdin.flush()
+        assert select.select([child.stdout], [], [], 20)[0], "no answer while stdin was open"
+        assert child.stdout.readline() == answer
+        child.stdin.close()
+        assert child.wait(timeout=30) == 0
+        assert child.stdout.read() == "" and child.stderr.read() == ""
 
 
 def test_ctrl_c_ends_route_waiting_to_retry_with_exit_130(chat_server, tmp_path, fixture_menu_path,

@@ -18,7 +18,7 @@ from ivroute.datagen import (
     validate_dataset,
 )
 from ivroute.menu import DtmfPath, flatten
-from ivroute.provider import ProviderConfig, ProviderError, ScriptedProvider
+from ivroute.provider import ProviderError
 from ivroute import synthesis
 from ivroute.synthesis import (
     augment_intents,
@@ -27,11 +27,18 @@ from ivroute.synthesis import (
     parse_listed_lines,
 )
 
-from conftest import action, make_record, prompt_of, tiny_dataset
+from conftest import AnsweringProvider, action, fail_with, make_record, prompt_of, subject_of, tiny_dataset
 
 
-def serial_scripted(replies):
-    return ScriptedProvider(replies, config=ProviderConfig(max_in_flight=1))
+def by_subject(replies: dict[str, list[str]]) -> AnsweringProvider:
+    """Answers each generation prompt with the next reply queued for its
+    subject, a path's breadcrumb or a base text: a subject's prompts come
+    one after another, so its replies do not depend on the order of calls."""
+    return AnsweringProvider(lambda prompt: replies[subject_of(prompt)].pop(0))
+
+
+def breadcrumbs(tree) -> list[str]:
+    return [tp.breadcrumb_text() for tp in flatten(tree)]
 
 
 def numbered(lines):
@@ -67,12 +74,12 @@ def test_parse_empty_reply():
 
 def test_base_generation_shape(tiny_tree):
     paths = flatten(tiny_tree)
-    replies = [
-        numbered(["pay my bill now", "how do I pay"]),
-        numbered(["need a person for billing", "agent please"]),
-        numbered(["my line is dead", "no service at home"]),
-    ]
-    records = generate_base_intents(paths, serial_scripted(replies), per_node=2)
+    replies = dict(zip(breadcrumbs(tiny_tree), ([numbered(lines)] for lines in [
+        ["pay my bill now", "how do I pay"],
+        ["need a person for billing", "agent please"],
+        ["my line is dead", "no service at home"],
+    ])))
+    records = generate_base_intents(paths, by_subject(replies), per_node=2)
     assert [r.id for r in records] == [
         "1-1:b00", "1-1:b01", "1-9:b00", "1-9:b01", "2:b00", "2:b01",
     ]
@@ -82,19 +89,21 @@ def test_base_generation_shape(tiny_tree):
 
 
 def test_base_generation_prompts_name_the_breadcrumb(tiny_tree):
-    paths = flatten(tiny_tree)
-    provider = serial_scripted([numbered(["a", "b"]), numbered(["c", "d"]), numbered(["e", "f"])])
-    generate_base_intents(paths, provider, per_node=2)
-    assert "Billing -> Pay Bill" in provider.calls[0]
-    assert "agent handoff" in provider.calls[1]
-    assert "self-service" in provider.calls[2]
+    provider = AnsweringProvider(lambda prompt: numbered([f"{subject_of(prompt)} {i}" for i in "ab"]))
+    generate_base_intents(flatten(tiny_tree), provider, per_node=2)
+    prompt_for = {subject_of(prompt): prompt for prompt in provider.calls}
+    assert len(provider.calls) == len(prompt_for) == 3
+    assert "Endpoint kind: self-service" in prompt_for["Billing -> Pay Bill"]
+    assert "Endpoint kind: agent handoff" in prompt_for["Billing -> Billing Agent"]
+    assert "Endpoint kind: self-service" in prompt_for["Support"]
 
 
 def test_generation_prompts_keep_placeholders_of_labels_and_texts_as_text(tiny_tree):
     # Each template is filled in one pass: a breadcrumb or a text holding a placeholder is not filled again.
     tree = tiny_tree._replace(root=tiny_tree.root._replace(children=(
         action("Support {{SERVICE_TYPE}} {{COUNT}}", 2),)))
-    provider = serial_scripted([numbered(["a {{NOISE_DIRECTIVES}}"]), numbered(["b"])])
+    provider = by_subject({"Support {{SERVICE_TYPE}} {{COUNT}}": [numbered(["a {{NOISE_DIRECTIVES}}"])],
+                           "a {{NOISE_DIRECTIVES}}": [numbered(["b"])]})
     (base,) = generate_base_intents(flatten(tree), provider, per_node=1)
     assert "Endpoint: Support {{SERVICE_TYPE}} {{COUNT}}\nEndpoint kind: self-service" in provider.calls[0]
     augment_intents([base], provider, variants=1)
@@ -108,15 +117,16 @@ def test_base_generation_drops_duplicates_and_reasks(tiny_tree):
         numbered(["same text", "Same   TEXT"]),  # one survivor after dedup
         numbered(["different text"]),
     ]
-    records = generate_base_intents(paths, serial_scripted(replies), per_node=2)
+    records = generate_base_intents(paths, by_subject({paths[0].breadcrumb_text(): replies}), per_node=2)
     assert [r.text for r in records] == ["same text", "different text"]
 
 
 def test_base_generation_budget_exhaustion(tiny_tree):
     paths = flatten(tiny_tree)[:1]
-    replies = [numbered(["only one"])] * 4  # initial call + 3 extra, all stuck
+    provider = AnsweringProvider(lambda prompt: numbered(["only one"]))  # initial call + 3 extra, all stuck
     with pytest.raises(DatagenError, match="only 1 distinct"):
-        generate_base_intents(paths, serial_scripted(replies), per_node=3)
+        generate_base_intents(paths, provider, per_node=3)
+    assert len(provider.calls) == 4
 
 
 def test_base_generation_call_backing_off_lets_the_next_path_go_first(tiny_tree, chat_server, live_provider):
@@ -139,17 +149,18 @@ def test_base_generation_call_backing_off_lets_the_next_path_go_first(tiny_tree,
 
 
 def test_base_generation_provider_failure_is_raised_as_it_is(tiny_tree):
-    paths = flatten(tiny_tree)
-    with pytest.raises(ProviderError, match="scripted mock ran out of replies"):
-        generate_base_intents(paths, serial_scripted([numbered(["a", "b"])]), per_node=2)
+    error = ProviderError("no reply")
+    with pytest.raises(ProviderError) as excinfo:
+        generate_base_intents(flatten(tiny_tree), AnsweringProvider(fail_with(error)), per_node=2)
+    assert excinfo.value is error
 
 
 def test_base_generation_rejects_bad_args(tiny_tree):
     paths = flatten(tiny_tree)
     with pytest.raises(ValueError):
-        generate_base_intents(paths, serial_scripted([]), per_node=0)
+        generate_base_intents(paths, AnsweringProvider(lambda prompt: ""), per_node=0)
     with pytest.raises(ValueError):
-        generate_base_intents([], serial_scripted([]))
+        generate_base_intents([], AnsweringProvider(lambda prompt: ""))
 
 
 # --- augmentation ------------------------------------------------------------------
@@ -162,11 +173,11 @@ def base_pair():
 
 
 def test_augment_shape_and_linkage():
-    replies = [
-        numbered(["ugh, I want to pay my bill", "paying my bill, how"]),
-        numbered(["person for billing pls", "need billing human"]),
-    ]
-    augmented = augment_intents(base_pair(), serial_scripted(replies), variants=2)
+    replies = {
+        "I want to pay my bill.": [numbered(["ugh, I want to pay my bill", "paying my bill, how"])],
+        "get me a billing person": [numbered(["person for billing pls", "need billing human"])],
+    }
+    augmented = augment_intents(base_pair(), by_subject(replies), variants=2)
     assert [r.id for r in augmented] == [
         "1-1:b00:v1", "1-1:b00:v2", "1-9:b00:v1", "1-9:b00:v2",
     ]
@@ -178,16 +189,15 @@ def test_augment_shape_and_linkage():
 
 
 def test_augment_zero_variants_is_empty():
-    assert augment_intents(base_pair(), serial_scripted([]), variants=0) == []
+    assert augment_intents(base_pair(), AnsweringProvider(lambda prompt: ""), variants=0) == []
 
 
 def test_augment_short_reply_gets_second_call():
-    replies = [
-        numbered(["only one paraphrase"]),
-        numbered(["first", "second"]),
-        numbered(["for the second base", "and another"]),
-    ]
-    provider = serial_scripted(replies)
+    replies = {
+        "I want to pay my bill.": [numbered(["only one paraphrase"]), numbered(["first", "second"])],
+        "get me a billing person": [numbered(["for the second base", "and another"])],
+    }
+    provider = by_subject(replies)
     augmented = augment_intents(base_pair(), provider, variants=2)
     assert [r.text for r in augmented] == [
         "first", "second", "for the second base", "and another",
@@ -196,9 +206,10 @@ def test_augment_short_reply_gets_second_call():
 
 
 def test_augment_still_short_raises():
-    replies = [numbered(["one"]), numbered(["one"])]
+    provider = AnsweringProvider(lambda prompt: numbered(["one"]))
     with pytest.raises(DatagenError, match="needed 2"):
-        augment_intents(base_pair()[:1], serial_scripted(replies), variants=2)
+        augment_intents(base_pair()[:1], provider, variants=2)
+    assert len(provider.calls) == 2
 
 
 def test_augment_identical_variant_retried_once():
@@ -207,7 +218,7 @@ def test_augment_identical_variant_retried_once():
         numbered(["I want to pay my bill.", "a real paraphrase"]),  # v1 echoes base
         numbered(["fixed paraphrase"]),  # single-item retry
     ]
-    provider = serial_scripted(replies)
+    provider = by_subject({"I want to pay my bill.": replies})
     augmented = augment_intents(base, provider, variants=2)
     assert [r.text for r in augmented] == ["fixed paraphrase", "a real paraphrase"]
     assert len(provider.calls) == 2
@@ -220,27 +231,24 @@ def test_augment_identical_after_retry_kept_with_warning(caplog):
         numbered(["i want to pay my bill."]),  # retry still identical under dedup key
     ]
     with caplog.at_level(logging.WARNING):
-        augmented = augment_intents(base, serial_scripted(replies), variants=2)
+        augmented = augment_intents(base, by_subject({"I want to pay my bill.": replies}), variants=2)
     assert augmented[0].text == "I want to pay my bill."
     assert any("still identical" in r.message for r in caplog.records)
 
 
 def test_augment_prompts_reproducible_by_seed():
-    replies = [numbered(["x1", "x2", "x3"]), numbered(["y1", "y2", "y3"])]
-
     def prompts_for(seed):
-        provider = serial_scripted(list(replies))
+        provider = AnsweringProvider(lambda prompt: numbered(["x1", "x2", "x3"]))
         augment_intents(base_pair(), provider, variants=3, seed=seed)
-        return provider.calls
+        return sorted(provider.calls)
 
     assert prompts_for(7) == prompts_for(7)
 
 
 def test_augment_noise_directives_follow_profile(monkeypatch):
-    replies = [numbered(["x1"]), numbered(["y1"])]
     for name in ("INTERJECTION_PROB", "FILLER_PROB", "GRAMMAR_ERROR_PROB"):
         monkeypatch.setattr(synthesis, name, 1.0)
-    provider = serial_scripted(list(replies))
+    provider = AnsweringProvider(lambda prompt: numbered(["x1"]))
     augment_intents(base_pair(), provider, variants=1, seed=0)
     assert "interjection" in provider.calls[0]
     assert "filler" in provider.calls[0]
@@ -248,7 +256,7 @@ def test_augment_noise_directives_follow_profile(monkeypatch):
 
     for name in ("INTERJECTION_PROB", "FILLER_PROB", "GRAMMAR_ERROR_PROB"):
         monkeypatch.setattr(synthesis, name, 0.0)
-    provider = serial_scripted(list(replies))
+    provider = AnsweringProvider(lambda prompt: numbered(["x1"]))
     augment_intents(base_pair(), provider, variants=1, seed=0)
     assert "interjection" not in provider.calls[0]
 
@@ -257,14 +265,15 @@ def test_augment_noise_directives_follow_profile(monkeypatch):
 
 def test_build_dataset_small(tiny_tree):
     paths = flatten(tiny_tree)
-    replies = [
-        numbered(["pay my bill", "how to pay"]),
-        numbered(["billing agent now", "human for bills"]),
-        numbered(["service broken", "nothing works"]),
-    ]
-    for i in range(6):  # one paraphrase call per base record
-        replies.append(numbered([f"variant of base {i}"]))
-    ds = build_dataset(tiny_tree, paths, serial_scripted(replies), per_node=2, variants=1)
+    bases = dict(zip(breadcrumbs(tiny_tree), [
+        ["pay my bill", "how to pay"],
+        ["billing agent now", "human for bills"],
+        ["service broken", "nothing works"],
+    ]))
+    # One paraphrase call per base record.
+    provider = AnsweringProvider(lambda prompt: numbered(bases.get(subject_of(prompt))
+                                                         or [f"variant of {subject_of(prompt)}"]))
+    ds = build_dataset(tiny_tree, paths, provider, per_node=2, variants=1)
     assert len(ds.records) == 2 * 3 * 2
     assert validate_dataset(ds, paths) == []
     base = [r for r in ds.records if r.origin == "base"]
@@ -278,8 +287,8 @@ def test_build_dataset_runs_both_stages_at_one_pace_seeded_by_its_seed(tiny_tree
     monkeypatch.setattr(synthesis, "run_calls", lambda *args, pacing, **kwargs: (
         paced.append(pacing) or run_calls(*args, pacing=pacing, **kwargs)))
     paths = flatten(tiny_tree)
-    replies = [numbered([f"{kind} {i}"]) for kind in ("complaint", "variant") for i in range(3)]
-    build_dataset(tiny_tree, paths, serial_scripted(replies), per_node=1, variants=1, seed=7)
+    provider = AnsweringProvider(lambda prompt: numbered([f"about {subject_of(prompt)}"]))
+    build_dataset(tiny_tree, paths, provider, per_node=1, variants=1, seed=7)
     assert len(paced) == 2 and paced[0] is paced[1]  # the paraphrase stage keeps the base stage's pace
     assert paced[0].rng.getstate() == random.Random(7).getstate()  # no retry drew from it
 

@@ -2,7 +2,6 @@
 
 import csv
 import json
-import random
 
 import pytest
 
@@ -142,51 +141,6 @@ def test_f1_zero_when_both_zero():
     matrix = confusion_matrix(results, CLASSES)
     for m in per_class_metrics(matrix):
         assert m.f1 == 0.0
-
-
-# --- brute-force cross-check (the big randomized sweep is in the acceptance suite) -----
-
-def brute_force(results, classes):
-    """Independent re-count with plain dictionaries."""
-    correct = sum(1 for r in results if r.predicted == r.ground_truth)
-    acc = correct / len(results)
-    counts = {t: {p: 0 for p in classes + [INVALID, UNKNOWN_PATH]} for t in classes}
-    for r in results:
-        predicted = r.predicted
-        if predicted != INVALID and predicted not in classes:
-            predicted = UNKNOWN_PATH
-        counts[r.ground_truth][predicted] += 1
-    metrics = {}
-    for c in classes:
-        tp = counts[c][c]
-        support = sum(counts[c].values())
-        column = sum(counts[t][c] for t in classes)
-        recall = tp / support if support else 0.0
-        precision = tp / column if column else 0.0
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        metrics[c] = (precision, recall, f1, support)
-    return acc, counts, metrics
-
-
-def test_matches_brute_force_on_random_lists():
-    rng = random.Random(99)
-    options = CLASSES + [INVALID, "9-9", "8-8-8"]
-    for _ in range(200):
-        n = rng.randint(1, 30)
-        results = [result(rng.choice(CLASSES), rng.choice(options), intent_id=f"r{i}")
-                   for i, _ in enumerate(range(n))]
-        matrix = confusion_matrix(results, CLASSES)
-        acc, counts, metrics = brute_force(results, CLASSES)
-        assert accuracy(results) == pytest.approx(acc)
-        for i, t in enumerate(CLASSES):
-            for j, p in enumerate(matrix.predicted_labels):
-                assert matrix.counts[i][j] == counts[t][p]
-        for m in per_class_metrics(matrix):
-            precision, recall, f1, support = metrics[m.label]
-            assert m.precision == pytest.approx(precision)
-            assert m.recall == pytest.approx(recall)
-            assert m.f1 == pytest.approx(f1)
-            assert m.support == support
 
 
 # --- reports ----------------------------------------------------------------------------

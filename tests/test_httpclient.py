@@ -1,4 +1,4 @@
-"""The HTTP/1.1 client against the loopback server sending scripted bytes: response framing, connection reuse, the bounds on what a
+"""The HTTP/1.1 client against the loopback server sending canned bytes: response framing, connection reuse, the bounds on what a
 server may send, the one-write request, TLS and the CONNECT tunnel. The
 response reader is also checked against http.client on generated
 responses, delivered in pieces down to one byte."""

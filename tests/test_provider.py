@@ -31,7 +31,6 @@ from ivroute.provider import (
     ProtocolError,
     ProviderConfig,
     ProviderError,
-    ScriptedProvider,
     TransportError,
     check_role_separation,
 )
@@ -597,25 +596,18 @@ def route_in_child(server, out, menu, dataset, modules):
                           env=env, capture_output=True, text=True, timeout=120)
 
 
-def test_cli_http_route_never_imports_requests(chat_server, tmp_path,
-                                               fixture_menu_path, fixture_dataset_path):
+def test_cli_http_route_loads_only_what_it_runs(chat_server, tmp_path, fixture_menu_path, fixture_dataset_path):
+    # No requests stack, no ssl on plain http, none of the stdlib HTTP client
+    # modules, and nothing that only another command or stage runs.
     server = chat_server()
     child = route_in_child(server, tmp_path, fixture_menu_path, fixture_dataset_path,
-                           ("requests", "urllib3"))
+                           ("requests", "urllib3", "ssl", "http.client", "email", "urllib.request",
+                            "concurrent.futures", "logging", "csv", "ivroute.evaluation",
+                            "ivroute.synthesis", "dataclasses", "inspect"))
     assert child.returncode == 0, child.stderr
     assert "routed 230 intents" in child.stdout
     assert "loaded: []" in child.stdout
     assert server.answered == 230
-
-
-def test_cli_http_route_loads_no_ssl_http_client_email_or_urllib(chat_server, tmp_path,
-                                                                  fixture_menu_path,
-                                                                  fixture_dataset_path):
-    child = route_in_child(chat_server(), tmp_path, fixture_menu_path, fixture_dataset_path,
-                           ("ssl", "http.client", "email", "urllib.request"))
-    assert child.returncode == 0, child.stderr
-    assert "routed 230 intents" in child.stdout
-    assert "loaded: []" in child.stdout
 
 
 def test_cli_https_route_loads_ssl_but_no_http_client_email_or_urllib(chat_server, trusted_test_certificate,
@@ -628,16 +620,6 @@ def test_cli_https_route_loads_ssl_but_no_http_client_email_or_urllib(chat_serve
     assert "routed 230 intents" in child.stdout
     assert "loaded: ['ssl']" in child.stdout
     assert server.answered == 230
-
-
-def test_cli_http_route_loads_only_what_it_runs(chat_server, tmp_path,
-                                                fixture_menu_path, fixture_dataset_path):
-    child = route_in_child(chat_server(), tmp_path, fixture_menu_path, fixture_dataset_path,
-                           ("concurrent.futures", "logging", "csv", "ivroute.evaluation",
-                            "ivroute.synthesis", "dataclasses", "inspect"))
-    assert child.returncode == 0, child.stderr
-    assert "routed 230 intents" in child.stdout
-    assert "loaded: []" in child.stdout
 
 
 def test_no_module_imports_dataclasses_or_inspect():
@@ -713,37 +695,11 @@ def test_keyword_rejects_empty_path_list():
         KeywordProvider([])
 
 
-def test_scripted_replies_in_order():
-    scripted = ScriptedProvider(["1-1", "garbage", "2-1-9"])
-    assert scripted.complete("a").raw_text == "1-1"
-    assert scripted.complete("b").raw_text == "garbage"
-    assert scripted.complete("c").raw_text == "2-1-9"
-    assert scripted.calls == ["a", "b", "c"]
-
-
-def test_scripted_exhaustion_raises():
-    scripted = ScriptedProvider(["only"])
-    scripted.complete("a")
-    with pytest.raises(ProviderError, match="ran out of replies"):
-        scripted.complete("b")
-
-
-def test_scripted_is_thread_safe():
-    replies = [str(i) for i in range(64)]
-    scripted = ScriptedProvider(replies, config=ProviderConfig(max_in_flight=8))
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        outputs = list(pool.map(lambda i: scripted.complete(f"q{i}").raw_text, range(64)))
-    # Call order under threads is arbitrary, but every reply is served once.
-    assert sorted(outputs, key=int) == replies
-    assert len(scripted.calls) == 64
-
-
 def test_mocks_are_deterministic(paths):
     ds = tiny_dataset()
     for make in (
         lambda: OracleProvider.for_dataset(ds),
         lambda: KeywordProvider(paths),
-        lambda: ScriptedProvider(["1-1", "1-9", "2"]),
     ):
         first = [make().complete(routing_prompt(paths, r.text)).raw_text for r in ds.records[:3]]
         second = [make().complete(routing_prompt(paths, r.text)).raw_text for r in ds.records[:3]]
@@ -843,7 +799,7 @@ def refuse_every_turn(now):
 def test_run_calls_raises_what_its_own_scheduling_raises(admit, error):
     # Not a step's exception but a worker's own ends the run as well: it is
     # raised once every worker has stopped, and no partial run is returned.
-    provider = ScriptedProvider([], config=ProviderConfig(max_in_flight=2))
+    provider = AnsweringProvider(lambda prompt: "1-1", max_in_flight=2)
     with pytest.raises(error):
         run_calls(provider, 3, lambda i: "x", error_budget=0, pacing=BrokenPacing(provider.config, admit))
     assert not [t for t in threading.enumerate() if t.name.startswith("ivroute-route")]

@@ -23,7 +23,6 @@ from ivroute.provider import (
     OracleProvider,
     ProviderConfig,
     ProviderError,
-    ScriptedProvider,
     TransportError,
 )
 from ivroute.router import (
@@ -45,7 +44,7 @@ from ivroute.router import (
     select_records,
 )
 
-from conftest import AnsweringProvider, make_record, query_of, simulate, tiny_dataset
+from conftest import AnsweringProvider, fail_with, make_record, query_of, simulate, tiny_dataset
 
 
 # --- parsing: strict ---------------------------------------------------------------
@@ -118,7 +117,7 @@ def test_strict_mismatch_keeps_raw_text(tiny_tree):
     assert parse_dtmf_response("The answer is 1-4.") == (None, ("strip_trailing_period",))
     context = render_context(tiny_tree, RoutingCondition.FLATTENED_PATHS)
     result = route_one(make_record("1-1", "my bill"), RoutingCondition.FLATTENED_PATHS, context,
-                       ScriptedProvider(["The answer is 1-4."]))
+                       AnsweringProvider(lambda prompt: "The answer is 1-4."))
     assert result.raw_response == "The answer is 1-4." and result.predicted == INVALID
 
 
@@ -155,7 +154,7 @@ def test_lenient_not_used_when_strict_matches():
 
 def test_route_one_correct(tiny_tree):
     record = make_record("1-1", "I want to pay my bill.")
-    provider = ScriptedProvider(["1-1"])
+    provider = AnsweringProvider(lambda prompt: "1-1")
     context = render_context(tiny_tree, RoutingCondition.FLATTENED_PATHS)
     result = route_one(record, RoutingCondition.FLATTENED_PATHS, context, provider)
     assert result.predicted == "1-1"
@@ -167,7 +166,7 @@ def test_route_one_correct(tiny_tree):
 
 def test_route_one_wrong_but_known(tiny_tree):
     record = make_record("1-1", "I want to pay my bill.")
-    provider = ScriptedProvider(["1-9"])
+    provider = AnsweringProvider(lambda prompt: "1-9")
     context = render_context(tiny_tree, RoutingCondition.FLATTENED_PATHS)
     result = route_one(record, RoutingCondition.FLATTENED_PATHS, context, provider)
     assert result.predicted == "1-9"
@@ -176,7 +175,7 @@ def test_route_one_wrong_but_known(tiny_tree):
 
 def test_route_one_valid_but_unknown(tiny_tree):
     record = make_record("1-1", "I want to pay my bill.")
-    provider = ScriptedProvider(["7-7-7"])
+    provider = AnsweringProvider(lambda prompt: "7-7-7")
     context = render_context(tiny_tree, RoutingCondition.FLATTENED_PATHS)
     result = route_one(record, RoutingCondition.FLATTENED_PATHS, context, provider)
     assert result.predicted == "7-7-7"
@@ -185,7 +184,7 @@ def test_route_one_valid_but_unknown(tiny_tree):
 
 def test_route_one_invalid_reply(tiny_tree):
     record = make_record("1-1", "I want to pay my bill.")
-    provider = ScriptedProvider(["I think you should press one"])
+    provider = AnsweringProvider(lambda prompt: "I think you should press one")
     context = render_context(tiny_tree, RoutingCondition.FLATTENED_PATHS)
     result = route_one(record, RoutingCondition.FLATTENED_PATHS, context, provider)
     assert result.predicted == INVALID
@@ -196,17 +195,17 @@ def test_route_one_invalid_reply(tiny_tree):
 def test_route_one_passes_provider_error_through(tiny_tree):
     # route_all names the failing intent; route_one adds nothing to the error.
     record = make_record("1-1", "text")
-    provider = ScriptedProvider([])  # immediately exhausted
+    provider = AnsweringProvider(fail_with(ProviderError("no reply")))
     context = render_context(tiny_tree, RoutingCondition.FLATTENED_PATHS)
     with pytest.raises(ProviderError) as excinfo:
         route_one(record, RoutingCondition.FLATTENED_PATHS, context, provider)
     assert type(excinfo.value) is ProviderError
-    assert str(excinfo.value) == "scripted mock ran out of replies"
+    assert str(excinfo.value) == "no reply"
     assert excinfo.value.__cause__ is None
 
 
 def test_route_needs_no_ground_truth(tiny_tree):
-    provider = ScriptedProvider(["The path is 1-9."])
+    provider = AnsweringProvider(lambda prompt: "The path is 1-9.")
     context = render_context(tiny_tree, RoutingCondition.DESCRIPTIVE_MENU)
     parsed, completion = route("get me a person about my bill",
                                RoutingCondition.DESCRIPTIVE_MENU, context, provider,
@@ -238,20 +237,21 @@ def test_route_all_oracle_order_preserved_under_concurrency(dataset, tree):
     assert all(r.correct for r in run.results)
 
 
-def test_route_all_scripted_alignment_serial(tiny_tree):
+def test_route_all_verdicts_land_on_their_rows(tiny_tree):
     ds = tiny_dataset()
-    replies = ["1-1", "2", "1-9", "1-9", "2", "2"]  # second record misrouted
-    provider = ScriptedProvider(replies, config=ProviderConfig(max_in_flight=1))
+    replies = dict(zip((r.text for r in ds.records), ["1-1", "2", "1-9", "1-9", "2", "2"]))  # second misrouted
+    provider = AnsweringProvider(lambda prompt: time.sleep(0.002) or replies[prompt.query],  # calls overlap
+                                 max_in_flight=4)
     run = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
-    verdicts = [r.correct for r in run.results]
-    assert verdicts == [True, False, True, True, True, True]
+    assert [(r.intent_id, r.correct) for r in run.results] == [
+        (r.id, i != 1) for i, r in enumerate(ds.records)]
 
 
 def test_route_all_rejects_invalid_dataset(tiny_tree):
     ds = tiny_dataset()
     broken = Dataset(ds.menu_name, ds.records[:-1])
     with pytest.raises(ValueError, match="dataset is not valid"):
-        route_all(broken, RoutingCondition.FLATTENED_PATHS, tiny_tree, ScriptedProvider(["1-1"]))
+        route_all(broken, RoutingCondition.FLATTENED_PATHS, tiny_tree, AnsweringProvider(lambda prompt: "1-1"))
 
 
 def flaky_oracle(ds, failing):
@@ -400,14 +400,12 @@ def test_route_all_seeds_its_retry_jitter_with_the_run_id(tiny_tree, monkeypatch
 
 def test_route_all_takes_the_callers_identity(tiny_tree, monkeypatch):
     ds = tiny_dataset()
-    config = ProviderConfig(max_in_flight=1)
-    plain = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree,
-                      ScriptedProvider(["1-1"] * 6, config=config))
+    plain = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, AnsweringProvider(lambda prompt: "1-1"))
     identity = run_identity(ds, tiny_tree, RoutingCondition.FLATTENED_PATHS, "all", "mock", False)
     hashed = []
     monkeypatch.setattr(router, "dataset_to_jsonl", lambda d: hashed.append(d) or "")
-    given = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree,
-                      ScriptedProvider(["1-1"] * 6, config=config), identity=identity)
+    given = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, AnsweringProvider(lambda prompt: "1-1"),
+                      identity=identity)
     assert hashed == []  # the manifest reuses the identity, it does not hash again
     assert json.dumps({**given.manifest, "timestamp": ""}) == json.dumps({**plain.manifest, "timestamp": ""})
 
@@ -426,7 +424,7 @@ def test_route_all_starts_no_more_workers_than_intents(tiny_tree, monkeypatch):
 
     monkeypatch.setattr(threading, "Thread", CountingThread)
     ds = tiny_dataset()
-    provider = ScriptedProvider(["1-1"] * 6, config=ProviderConfig(max_in_flight=64))
+    provider = AnsweringProvider(lambda prompt: "1-1", max_in_flight=64)
     run = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
     assert len(run.results) == len(ds.records)
     assert 1 <= len(started) <= len(ds.records)
@@ -790,7 +788,7 @@ test_schedule_keeps_every_rule = ScheduleMachine.TestCase
 # --- manifest ------------------------------------------------------------------------
 
 def manifest_for(ds, tree, condition=RoutingCondition.FLATTENED_PATHS, record_filter="base_only",
-                 model_name="scripted-mock", lenient=False, failures=()):
+                 model_name="answering-mock", lenient=False, failures=()):
     identity = run_identity(ds, tree, condition, record_filter, model_name, lenient)
     return build_manifest(identity, list(failures))
 
@@ -857,7 +855,7 @@ def test_manifest_core_fields(tiny_tree):
     assert manifest["menu_name"] == "Tiny"
     assert manifest["condition"] == "flattened_paths"
     assert manifest["dataset_filter"] == "base_only"
-    assert manifest["model_name"] == "scripted-mock"
+    assert manifest["model_name"] == "answering-mock"
     assert manifest["parse_mode"] == "strict"
     assert len(manifest["run_id"]) == 12
 
@@ -866,7 +864,7 @@ def test_manifest_core_fields(tiny_tree):
 
 def test_results_row_keys_in_file_order(tmp_path, tiny_tree):
     ds = tiny_dataset()
-    provider = ScriptedProvider([" '1-1.' "] + ["2\u20139"] * 5, config=ProviderConfig(max_in_flight=1))
+    provider = AnsweringProvider(lambda prompt: " '1-1.' " if prompt.query == ds.records[0].text else "2\u20139")
     run = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
     file = tmp_path / "results.jsonl"
     save_results([r._replace(latency=0.25) for r in run.results[:2]], file)
@@ -884,7 +882,7 @@ def test_results_row_keys_in_file_order(tmp_path, tiny_tree):
 
 def test_save_results_returns_the_sha256_of_the_bytes_it_wrote(tmp_path, tiny_tree):
     ds = tiny_dataset()
-    run = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, ScriptedProvider(["1-1"] * 6))
+    run = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, AnsweringProvider(lambda prompt: "1-1"))
     file = tmp_path / "results.jsonl"
     assert save_results(run.results, file) == hashlib.sha256(file.read_bytes()).hexdigest()
     assert save_results([], file) == hashlib.sha256(b"").hexdigest() and file.read_bytes() == b""
@@ -892,10 +890,8 @@ def test_save_results_returns_the_sha256_of_the_bytes_it_wrote(tmp_path, tiny_tr
 
 def test_results_round_trip(tmp_path, tiny_tree):
     ds = tiny_dataset()
-    provider = ScriptedProvider(
-        ["1-1", "nonsense", "1-9", "7-7", "2", "2"],
-        config=ProviderConfig(max_in_flight=1),
-    )
+    replies = dict(zip((r.text for r in ds.records), ["1-1", "nonsense", "1-9", "7-7", "2", "2"]))
+    provider = AnsweringProvider(lambda prompt: replies[prompt.query])
     run = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
     file = tmp_path / "results.jsonl"
     save_results(run.results, file)
