@@ -596,18 +596,25 @@ def route_in_child(server, out, menu, dataset, modules):
                           env=env, capture_output=True, text=True, timeout=120)
 
 
-def test_cli_http_route_loads_only_what_it_runs(chat_server, tmp_path, fixture_menu_path, fixture_dataset_path):
-    # No requests stack, no ssl on plain http, none of the stdlib HTTP client
-    # modules, and nothing that only another command or stage runs.
+def test_cli_http_route_never_imports_requests(chat_server, tmp_path,
+                                               fixture_menu_path, fixture_dataset_path):
     server = chat_server()
     child = route_in_child(server, tmp_path, fixture_menu_path, fixture_dataset_path,
-                           ("requests", "urllib3", "ssl", "http.client", "email", "urllib.request",
-                            "concurrent.futures", "logging", "csv", "ivroute.evaluation",
-                            "ivroute.synthesis", "dataclasses", "inspect"))
+                           ("requests", "urllib3"))
     assert child.returncode == 0, child.stderr
     assert "routed 230 intents" in child.stdout
     assert "loaded: []" in child.stdout
     assert server.answered == 230
+
+
+def test_cli_http_route_loads_no_ssl_http_client_email_or_urllib(chat_server, tmp_path,
+                                                                  fixture_menu_path,
+                                                                  fixture_dataset_path):
+    child = route_in_child(chat_server(), tmp_path, fixture_menu_path, fixture_dataset_path,
+                           ("ssl", "http.client", "email", "urllib.request"))
+    assert child.returncode == 0, child.stderr
+    assert "routed 230 intents" in child.stdout
+    assert "loaded: []" in child.stdout
 
 
 def test_cli_https_route_loads_ssl_but_no_http_client_email_or_urllib(chat_server, trusted_test_certificate,
@@ -620,6 +627,16 @@ def test_cli_https_route_loads_ssl_but_no_http_client_email_or_urllib(chat_serve
     assert "routed 230 intents" in child.stdout
     assert "loaded: ['ssl']" in child.stdout
     assert server.answered == 230
+
+
+def test_cli_http_route_loads_only_what_it_runs(chat_server, tmp_path,
+                                                fixture_menu_path, fixture_dataset_path):
+    child = route_in_child(chat_server(), tmp_path, fixture_menu_path, fixture_dataset_path,
+                           ("concurrent.futures", "logging", "csv", "ivroute.evaluation",
+                            "ivroute.synthesis", "dataclasses", "inspect"))
+    assert child.returncode == 0, child.stderr
+    assert "routed 230 intents" in child.stdout
+    assert "loaded: []" in child.stdout
 
 
 def test_no_module_imports_dataclasses_or_inspect():
