@@ -333,10 +333,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report_dir = Path(args.out or results_file.parent) / f"eval-{manifest['run_id']}"
     if report_dir.exists() and not args.force:
         raise CommandFailed(f"{report_dir} already exists; use --force to overwrite", EXIT_FAILURE)
+    _claim_dir(report_dir)
     try:
         written = emit_report(report, report_dir)
-    except OSError as exc:  # an --out that names a file, say
-        raise CommandFailed(f"cannot write {report_dir}: {exc}", EXIT_USAGE)
+    except OSError as exc:
+        raise CommandFailed(f"cannot write {report_dir}: {exc}", EXIT_FAILURE)
     print(f"accuracy {format_percent(report.accuracy)}% over {report.n} results")
     for path in written:
         print(f"wrote {path}")

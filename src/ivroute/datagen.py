@@ -12,10 +12,6 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .menu import DtmfPath, TerminalPath
 
 
-class DatagenError(ValueError):
-    """A dataset could not be generated, or a JSONL file could not be read."""
-
-
 class IntentRecord(NamedTuple):
     """One dataset line, its fields in the line's key order."""
 
@@ -132,7 +128,7 @@ def save_dataset(ds: Dataset, path: str | Path) -> None:
 
 def read_jsonl(lines: Iterable[str], path: str | Path, parse: Callable[[dict], object], what: str) -> list:
     """What ``parse`` makes of each non-blank line of the JSONL file at
-    ``path``, read as ``lines``; a line it refuses raises DatagenError
+    ``path``, read as ``lines``; a line it refuses raises ValueError
     naming ``<path>:<line>: bad <what>``."""
     items = []
     for line_no, line in enumerate(lines, start=1):
@@ -143,7 +139,7 @@ def read_jsonl(lines: Iterable[str], path: str | Path, parse: Callable[[dict], o
             items.append(parse(json.loads(line)))
         # TypeError: no JSON object, or a field of the wrong type; RecursionError: nested too deep
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
-            raise DatagenError(f"{path}:{line_no}: bad {what}: {exc}") from exc
+            raise ValueError(f"{path}:{line_no}: bad {what}: {exc}") from exc
     return items
 
 

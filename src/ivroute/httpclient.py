@@ -21,7 +21,7 @@ import threading
 from urllib.parse import unquote, urlsplit, urlunsplit
 
 from . import __version__
-from .provider import RETRY_AFTER_STATUSES, ProtocolError, TransportError
+from .provider import RETRY_AFTER_STATUSES, ProviderError, TransportError
 
 # Bounds on what the server sends, as http.client has them: one status,
 # header, chunk-size or trailer line (its line ending counted) and the
@@ -274,7 +274,7 @@ class ConnectionPool:
             # instead of importing it keeps ssl out of http:// runs.
             ssl = sys.modules.get("ssl")
             if ssl is not None and isinstance(exc, ssl.SSLCertVerificationError):
-                raise ProtocolError(f"TLS certificate refused: {exc}") from exc
+                raise ProviderError(f"TLS certificate refused: {exc}") from exc
             if isinstance(exc, (OSError, BadResponse)):
                 raise TransportError(f"{type(exc).__name__}: {exc}") from exc
             raise

@@ -30,10 +30,6 @@ class ActionType(str, Enum):
     NONE = "none"
 
 
-class MenuFormatError(ValueError):
-    """Raised when a menu document does not conform to the file schema."""
-
-
 # The grammar of a DTMF path, for every file, prompt and reply: ASCII digits
 # only (\d would admit unicode digits like fullwidth 3), joined by hyphens.
 PATH_PATTERN = "[0-9](?:-[0-9])*"
@@ -94,7 +90,7 @@ _KIND_FIELDS = {
 def parse_menu(document: str) -> MenuTree:
     """Parse a menu document's JSON text.
 
-    Raises MenuFormatError with the offending node's digit path on any
+    Raises ValueError with the offending node's digit path on any
     schema violation. The tree invariants (root kind and digit, action
     types, children, sibling digits, depth) are validate_menu's alone, so a
     document's violations of them are reported together.
@@ -102,23 +98,23 @@ def parse_menu(document: str) -> MenuTree:
     try:
         data = json.loads(document)
     except json.JSONDecodeError as exc:
-        raise MenuFormatError(f"menu document is not valid JSON: {exc}") from exc
+        raise ValueError(f"menu document is not valid JSON: {exc}") from exc
     if not isinstance(data, Mapping):
-        raise MenuFormatError("menu document must be a JSON object")
+        raise ValueError("menu document must be a JSON object")
 
     missing = [key for key in ("name", "root") if key not in data]
     if missing:
-        raise MenuFormatError(
+        raise ValueError(
             "menu document missing required field(s): " + ", ".join(missing)
         )
     name = data["name"]
     if not isinstance(name, str) or not name:
-        raise MenuFormatError("menu name must be a non-empty string")
+        raise ValueError("menu name must be a non-empty string")
 
     tree = MenuTree(name=name, root=_parse_node(data["root"], where="root"))
     violations = validate_menu(tree)
     if violations:
-        raise MenuFormatError("; ".join(violations))
+        raise ValueError("; ".join(violations))
     return tree
 
 
@@ -130,20 +126,20 @@ def _parse_node(data, where: str) -> MenuNode:
     """The node a document object describes, each field converted to its
     type; a field that the node's kind may not carry is refused."""
     if not isinstance(data, Mapping):
-        raise MenuFormatError(f"node at {where}: must be a JSON object")
+        raise ValueError(f"node at {where}: must be a JSON object")
 
     label = data.get("label")
     if not isinstance(label, str) or not label:
-        raise MenuFormatError(f"node at {where}: missing label")
+        raise ValueError(f"node at {where}: missing label")
 
     kind_text = data.get("kind")
     try:
         kind = NodeKind(kind_text)
     except ValueError:
-        raise MenuFormatError(f"node at {where}: unknown kind {kind_text!r}") from None
+        raise ValueError(f"node at {where}: unknown kind {kind_text!r}") from None
     misplaced = set(data) - _NODE_FIELDS - _KIND_FIELDS[kind]
     if misplaced:
-        raise MenuFormatError(
+        raise ValueError(
             f"node at {where}: field(s) {sorted(misplaced)} not allowed on {kind.value} nodes"
         )
 
@@ -152,7 +148,7 @@ def _parse_node(data, where: str) -> MenuNode:
         digit_text = data["digit"]
         # a one-keypress path is exactly one ASCII digit
         if not isinstance(digit_text, str) or len(digit_text) != 1 or not _PATH.fullmatch(digit_text):
-            raise MenuFormatError(
+            raise ValueError(
                 f"node at {where}: digit must be a one-character string '0'-'9'"
             )
         digit = int(digit_text)
@@ -160,17 +156,17 @@ def _parse_node(data, where: str) -> MenuNode:
     action_type = ActionType.NONE
     if "action_type" in data:
         if data["action_type"] not in ("self_service", "agent_handoff"):
-            raise MenuFormatError(
+            raise ValueError(
                 f"node at {where}: action_type must be 'self_service' or 'agent_handoff'"
             )
         action_type = ActionType(data["action_type"])
 
     prompt_text = data.get("prompt_text", "")
     if not isinstance(prompt_text, str):
-        raise MenuFormatError(f"node at {where}: prompt_text must be a string")
+        raise ValueError(f"node at {where}: prompt_text must be a string")
     raw_children = data.get("children", [])
     if not isinstance(raw_children, list):
-        raise MenuFormatError(f"node at {where}: children must be a list")
+        raise ValueError(f"node at {where}: children must be a list")
 
     children = []
     for child_data in raw_children:

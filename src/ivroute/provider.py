@@ -35,7 +35,7 @@ RETRY_AFTER_STATUSES = frozenset({429, 503})
 
 
 class ProviderError(Exception):
-    """Base class for completion failures."""
+    """A completion failure: final, unless it is a TransportError."""
 
 
 class TransportError(ProviderError):
@@ -49,10 +49,6 @@ class TransportError(ProviderError):
     def __init__(self, message: str, retry_after: str | None = None):
         super().__init__(message)
         self.retry_after = retry_after
-
-
-class ProtocolError(ProviderError):
-    """The endpoint answered, but not with a usable completion body."""
 
 
 # Each setting, by its config-file key: its flag and the flag's help; its
@@ -201,7 +197,7 @@ class HttpProvider(Provider):
         if status in RETRYABLE_STATUSES:
             raise TransportError(f"HTTP {status}", retry_after)
         if status != 200:
-            raise ProtocolError(f"HTTP {status}: {body[:200]}")
+            raise ProviderError(f"HTTP {status}: {body[:200]}")
         return self._extract_text(body)
 
     @staticmethod
@@ -209,13 +205,13 @@ class HttpProvider(Provider):
         try:
             data = json.loads(body)
         except json.JSONDecodeError as exc:
-            raise ProtocolError(f"response body is not JSON: {exc}") from exc
+            raise ProviderError(f"response body is not JSON: {exc}") from exc
         choices = data.get("choices") if isinstance(data, dict) else None
         if not isinstance(choices, list) or not choices:
-            raise ProtocolError("response carries no choices")
+            raise ProviderError("response carries no choices")
         message = choices[0].get("message") if isinstance(choices[0], dict) else None
         if not isinstance(message, dict) or not isinstance(message.get("content", 0), (str, type(None))):
-            raise ProtocolError("first choice carries no message content, or content that is no text")
+            raise ProviderError("first choice carries no message content, or content that is no text")
         return message["content"] or ""
 
 

@@ -51,9 +51,6 @@ WINDOW_PER_SLOT = 2
 # The longest Retry-After, in seconds, that Pacing honours.
 MAX_RETRY_AFTER_S = 60
 
-# What a step returns when its job needs a follow-up call.
-AGAIN = object()
-
 # a path token not butted against other digits/hyphens, for lenient salvage
 _PATH_TOKEN = re.compile(rf"(?<![0-9-]){PATH_PATTERN}(?![0-9-])")
 
@@ -240,8 +237,7 @@ class Schedule:
     Jobs 0 .. count - 1 are submitted in order, at most WINDOW_PER_SLOT x
     max_in_flight at once, counting jobs waiting out a retry while the
     latest outcome brought no value. Every attempt takes its ``pacing``
-    turn; a follow-up call (AGAIN) goes first, with a retry budget of its
-    own. A TransportError goes again when ``pacing`` says, ahead of jobs
+    turn. A TransportError goes again when ``pacing`` says, ahead of jobs
     not yet submitted, or fails its job as "gave up after N attempt(s)",
     as another ProviderError does. A failure past ``error_budget`` x
     ``count`` (the decimal product, floored) aborts the run with
@@ -281,12 +277,9 @@ class Schedule:
         return self.ready.popleft() if due <= now else due
 
     def record(self, now: float, job: int, attempt: int, outcome: object) -> float | None:
-        """Take the outcome of ``job``'s attempt ``attempt``, its value, AGAIN or its step's
-        exception; return when its retry is due, if one was scheduled."""
+        """Take the outcome of ``job``'s attempt ``attempt``, its value or its step's exception;
+        return when its retry is due, if one was scheduled."""
         if self.error is not None:
-            return None
-        if outcome is AGAIN:
-            self.ready.appendleft((job, 1))
             return None
         self.submitted -= 1
         self.failing = isinstance(outcome, BaseException)
@@ -316,8 +309,8 @@ def run_calls(provider: Provider, count: int, step: Callable[[int], object], err
     max_in_flight worker threads, and no scheduling thread; return their
     values (None for a failed job) and the failures as (job, message).
     ``step(index)`` makes one provider call for job ``index`` and returns
-    the job's value, or AGAIN for a follow-up call. ``pacing``, by default a
-    fresh Pacing of the provider's config, admits and times every attempt.
+    the job's value. ``pacing``, by default a fresh Pacing of the
+    provider's config, admits and times every attempt.
     What aborts the run, a step's exception or a worker's own, is raised
     once every worker has stopped, and queued jobs and waiting retries are
     dropped. The provider stays open for the caller's next run; the caller

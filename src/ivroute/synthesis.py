@@ -2,7 +2,7 @@
 both through a configured provider. The menu they are labelled against is
 an input; ivroute does not generate menus. Every model call runs on the
 router's scheduler: each job is a generator that yields its prompts and is
-sent their completions.
+sent their completions, one call per job and round.
 
 Each paraphrase inherits its base record's label; linguistic noise
 (interjections, fillers, small grammar slips) is requested from the
@@ -16,11 +16,11 @@ import random
 import re
 from typing import Generator, Sequence
 
-from .datagen import DatagenError, Dataset, IntentRecord
+from .datagen import Dataset, IntentRecord
 from .menu import MenuTree, TerminalPath
 from .prompts import fill, load_template
 from .provider import Provider
-from .router import AGAIN, Pacing, RoutingAborted, run_calls
+from .router import Pacing, RoutingAborted, run_calls
 
 log = logging.getLogger(__name__)
 
@@ -49,23 +49,31 @@ def parse_listed_lines(text: str) -> list[str]:
 
 def _run_jobs(provider: Provider, jobs: list[Generator], pacing: Pacing | None) -> list:
     """The return values of ``jobs``, in order. Each job yields a prompt
-    and is sent its completion, until it returns. The jobs share the
-    workers of ``run_calls``, a backoff holds none, and the first failure
-    ends the run and is raised as it is. The provider stays open, and
-    ``pacing`` keeps its pace, for the next stage; the caller closes it."""
-    prompts = [next(job) for job in jobs]
+    and is sent its completion, until it returns. The jobs run in rounds,
+    each one ``run_calls`` of one call per job not yet returned, so the
+    jobs share its workers and a backoff holds none; a job that yields
+    another prompt goes to the next round. The first failure ends the run
+    and is raised as it is. The provider stays open, and ``pacing`` keeps
+    its pace, for the next round and stage; the caller closes it."""
+    prompts = {index: next(job) for index, job in enumerate(jobs)}  # each unreturned job's next prompt
+    values: list = [None] * len(jobs)
 
-    def step(index: int):
+    def step(index: int) -> str | None:
+        """Job ``index``'s next prompt, or None once it has returned its value."""
         try:
-            prompts[index] = jobs[index].send(provider.complete(prompts[index]))
+            return jobs[index].send(provider.complete(prompts[index]))
         except StopIteration as done:
-            return done.value
-        return AGAIN
+            values[index] = done.value
+            return None
 
-    try:
-        return run_calls(provider, len(jobs), step, error_budget=0, pacing=pacing)[0]
-    except RoutingAborted as exc:
-        raise exc.__cause__  # with no failure allowed, the run's only one
+    while prompts:
+        pending = list(prompts)
+        try:
+            asked = run_calls(provider, len(pending), lambda n: step(pending[n]), error_budget=0, pacing=pacing)[0]
+        except RoutingAborted as exc:
+            raise exc.__cause__  # with no failure allowed, the run's only one
+        prompts = {index: prompt for index, prompt in zip(pending, asked) if prompt is not None}
+    return values
 
 
 # --- base intents -------------------------------------------------------------
@@ -109,7 +117,7 @@ def generate_base_intents(
                     return [IntentRecord(id=f"{tp.path}:b{i:02d}", text=text, ground_truth=tp.path,
                                          origin="base", base_id=f"{tp.path}:b{i:02d}", variant_index=0)
                             for i, text in enumerate(texts)]
-        raise DatagenError(
+        raise ValueError(
             f"path {tp.path}: only {len(texts)} distinct text(s) "
             f"after {1 + _EXTRA_CALLS} call(s), needed {per_node}"
         )
@@ -165,7 +173,7 @@ def augment_intents(
         if len(texts) < variants:
             texts = parse_listed_lines((yield prompt).raw_text)
         if len(texts) < variants:
-            raise DatagenError(
+            raise ValueError(
                 f"record {record.id}: got {len(texts)} paraphrase(s), needed {variants}"
             )
         texts = texts[:variants]

@@ -1,9 +1,9 @@
-"""Shared fixtures: the bundled menu and dataset, small synthetic menus,
-the one provider double that answers by a test's function, ``simulate``,
-which runs the scheduler at simulated times, and the one fake HTTP
-endpoint: a loopback server, answering with canned bytes or as a
-chat-completions endpoint, which HttpProviders built on its URL reach
-through the shipped client."""
+"""Shared fixtures: the bundled menu and dataset, the menu's golden
+renderings, small synthetic menus, the one provider double that answers
+by a test's function, ``simulate``, which runs the scheduler at simulated
+times, and the one fake HTTP endpoint: a loopback server, answering with
+canned bytes or as a chat-completions endpoint, which HttpProviders built
+on its URL reach through the shipped client."""
 
 from __future__ import annotations
 
@@ -44,12 +44,18 @@ DATA = resources.files("ivroute.data")
 #     -addext "keyUsage=critical,digitalSignature,keyCertSign" \
 #     -addext "extendedKeyUsage=serverAuth" \
 #     -keyout localhost-key.pem -out localhost-cert.pem
-TLS_CERT = Path(__file__).parent / "data" / "localhost-cert.pem"
-TLS_KEY = Path(__file__).parent / "data" / "localhost-key.pem"
+TEST_DATA = Path(__file__).parent / "data"
+TLS_CERT = TEST_DATA / "localhost-cert.pem"
+TLS_KEY = TEST_DATA / "localhost-key.pem"
 
 
 def data_text(name: str) -> str:
     return DATA.joinpath(name).read_text(encoding="utf-8")
+
+
+def golden_text(name: str) -> str:
+    """A golden rendering of the bundled menu; the tests alone read them, so they are not shipped."""
+    return (TEST_DATA / name).read_text(encoding="utf-8")
 
 
 @pytest.fixture(scope="session")

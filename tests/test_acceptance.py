@@ -37,7 +37,7 @@ from ivroute.provider import (
 from ivroute.router import INVALID, RoutingResult, parse_dtmf_response, route_all
 from ivroute.synthesis import build_dataset
 
-from conftest import AnsweringProvider, data_text, subject_of
+from conftest import AnsweringProvider, golden_text, subject_of
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -57,7 +57,7 @@ def test_criterion_01_golden_flattening(tree):
     elapsed = time.perf_counter() - started
 
     assert len(terminal) == 23
-    assert tsv == data_text("agentnet.paths.tsv")
+    assert tsv == golden_text("agentnet.paths.tsv")
     assert elapsed < 1.0
     announce(1, f"23 terminal paths byte-equal to the golden TSV in {elapsed:.3f}s")
 
@@ -94,7 +94,7 @@ def test_criterion_02_golden_rendering(tree):
     flattened = load_template("template_flattened.txt")
     elapsed = time.perf_counter() - started
 
-    assert outline == data_text("agentnet.descriptive.txt")
+    assert outline == golden_text("agentnet.descriptive.txt")
     assert descriptive == EXPECTED_DESCRIPTIVE_TEMPLATE
     assert flattened == EXPECTED_FLATTENED_TEMPLATE
     assert elapsed < 1.0

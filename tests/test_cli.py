@@ -13,6 +13,7 @@ import stat
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,7 @@ from ivroute.provider import DEFAULT_API_KEY_ENV
 from ivroute import router
 from ivroute.router import load_results, run_identity
 
-from conftest import AnsweringProvider, closed_port, data_text, make_record, subject_of
+from conftest import AnsweringProvider, closed_port, data_text, golden_text, make_record, prompt_of, subject_of
 
 
 def run(argv):
@@ -140,7 +141,7 @@ def test_validate_menu_refusal_names_the_node_exit_1(tmp_path, capsys, kind):
 
 def test_flatten_tsv_matches_golden(fixture_menu_path, capsys):
     assert run(["flatten", str(fixture_menu_path), "--format", "tsv"]) == 0
-    assert capsys.readouterr().out == data_text("agentnet.paths.tsv")
+    assert capsys.readouterr().out == golden_text("agentnet.paths.tsv")
 
 
 def test_flatten_prompt_lines(fixture_menu_path, capsys):
@@ -200,6 +201,39 @@ def test_gen_intents_writes_a_valid_dataset(tmp_path, fixture_menu_path, chat_se
     ds = load_dataset(out_file)
     assert len(ds.records) == 46
     assert validate_dataset(ds, flatten(load_menu(fixture_menu_path))) == []
+
+
+def test_gen_intents_sends_a_jobs_next_call_in_the_next_round(tmp_path, fixture_menu_path, chat_server,
+                                                              monkeypatch, capsys):
+    # The first path's first answer holds one of the two complaints asked
+    # for, so it needs a second call: that goes out once every path's first
+    # call has been answered. Each of its two calls gets a 503 first, and
+    # with --max-retries 1 each call still gets its answer: the retry
+    # budget is per call, not per path.
+    monkeypatch.delenv(DEFAULT_API_KEY_ENV, raising=False)
+    paths = flatten(load_menu(fixture_menu_path))
+    first = paths[0].breadcrumb_text()
+    answered = Counter()
+
+    def reply(prompt):
+        subject = subject_of(prompt)
+        answered[subject] += 1
+        if subject == first:
+            return numbered([f"complaint {answered[subject]} about {subject}"])
+        return numbered([f"about {subject}", f"more about {subject}"])
+
+    server = chat_server(reply=reply, statuses=[503] + [200] * 23 + [503], retry_after="0")
+    out_file = tmp_path / "generated.jsonl"
+    assert run(["gen-intents", str(fixture_menu_path), "--per-node", "2", "--variants", "0",
+                "--max-in-flight", "1", "--max-retries", "1", "--provider", "http", "--endpoint", server.url,
+                "--dataset-out", str(out_file)]) == 0
+    assert "wrote 46 records" in capsys.readouterr().out
+    sent = [subject_of(prompt_of(request)) for request in server.requests]
+    others = [tp.breadcrumb_text() for tp in paths[1:]]
+    assert sent == [first, others[0], first, *others[1:], first, first]  # each 503 retried after the next call
+    ds = load_dataset(out_file)
+    assert [r.text for r in ds.records[:2]] == [f"complaint 1 about {first}", f"complaint 2 about {first}"]
+    assert validate_dataset(ds, paths) == []
 
 
 def test_gen_intents_rejects_oracle(fixture_menu_path, capsys):
@@ -1321,6 +1355,21 @@ def test_eval_out_a_file_exit_2(tmp_path, fixture_menu_path, fixture_dataset_pat
     report_dir = file / run_dir.name.replace("run-", "eval-")
     assert capsys.readouterr().err.startswith(f"error: cannot write {report_dir}: ")
     assert file.read_text(encoding="utf-8") == ""
+
+
+def test_eval_report_file_that_cannot_be_written_exit_1(tmp_path, fixture_menu_path, fixture_dataset_path,
+                                                        capsys):
+    run_dir = oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path)
+    evaluate = ["eval", str(run_dir / "results.jsonl"), "--menu", str(fixture_menu_path), "--force"]
+    assert run(evaluate) == 0
+    report_dir = run_dir / run_dir.name.replace("run-", "eval-")
+    (report_dir / "summary.md").unlink()
+    (report_dir / "summary.md").mkdir()  # the directory exists, but this one write fails
+    capsys.readouterr()
+    assert run(evaluate) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {report_dir}: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 # --- demo ------------------------------------------------------------------------------

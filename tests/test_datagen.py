@@ -9,7 +9,6 @@ import random
 import pytest
 
 from ivroute.datagen import (
-    DatagenError,
     Dataset,
     IntentRecord,
     dataset_to_jsonl,
@@ -124,7 +123,7 @@ def test_base_generation_drops_duplicates_and_reasks(tiny_tree):
 def test_base_generation_budget_exhaustion(tiny_tree):
     paths = flatten(tiny_tree)[:1]
     provider = AnsweringProvider(lambda prompt: numbered(["only one"]))  # initial call + 3 extra, all stuck
-    with pytest.raises(DatagenError, match="only 1 distinct"):
+    with pytest.raises(ValueError, match="only 1 distinct"):
         generate_base_intents(paths, provider, per_node=3)
     assert len(provider.calls) == 4
 
@@ -207,7 +206,7 @@ def test_augment_short_reply_gets_second_call():
 
 def test_augment_still_short_raises():
     provider = AnsweringProvider(lambda prompt: numbered(["one"]))
-    with pytest.raises(DatagenError, match="needed 2"):
+    with pytest.raises(ValueError, match="needed 2"):
         augment_intents(base_pair()[:1], provider, variants=2)
     assert len(provider.calls) == 2
 
@@ -447,7 +446,7 @@ def test_dataset_line_keys_in_file_order():
 def test_load_dataset_rejects_bad_lines(tmp_path):
     file = tmp_path / "bad.jsonl"
     file.write_text('{"id": "x"}\n', encoding="utf-8")
-    with pytest.raises(DatagenError, match="bad record"):
+    with pytest.raises(ValueError, match="bad record"):
         load_dataset(file)
 
 
@@ -459,6 +458,6 @@ def test_load_dataset_bad_path_names_its_line(tmp_path, truth):
                       "base_id": "b", "variant_index": 0})
     file = tmp_path / "bad.jsonl"
     file.write_text(f"{good}\n{good}\n{bad}\n", encoding="utf-8")
-    with pytest.raises(DatagenError, match=r"bad\.jsonl:3: bad record: not a canonical DTMF path"):
+    with pytest.raises(ValueError, match=r"bad\.jsonl:3: bad record: not a canonical DTMF path"):
         load_dataset(file)
 

@@ -8,7 +8,6 @@ from ivroute.menu import (
     MAX_DEPTH,
     ActionType,
     DtmfPath,
-    MenuFormatError,
     MenuNode,
     MenuTree,
     NodeKind,
@@ -21,7 +20,7 @@ from ivroute.menu import (
     validate_menu,
 )
 
-from conftest import action, data_text, navigation, submenu
+from conftest import action, golden_text, navigation, submenu
 
 
 # --- DtmfPath -------------------------------------------------------------------
@@ -64,14 +63,14 @@ def test_parse_round_trip(tree):
 
 
 def test_parse_rejects_bad_json():
-    with pytest.raises(MenuFormatError, match="not valid JSON"):
+    with pytest.raises(ValueError, match="^menu document is not valid JSON: "):
         parse_menu("{nope")
 
 
 def test_parse_rejects_missing_fields():
-    with pytest.raises(MenuFormatError):
+    with pytest.raises(ValueError, match=r"^menu document missing required field\(s\): name$"):
         parse_menu(json.dumps({"root": {"label": "x", "kind": "menu", "children": []}}))
-    with pytest.raises(MenuFormatError):
+    with pytest.raises(ValueError, match=r"^menu document missing required field\(s\): root$"):
         parse_menu(json.dumps({"name": "x"}))
 
 
@@ -95,7 +94,7 @@ def test_parse_reports_offending_node_path():
             ],
         },
     }
-    with pytest.raises(MenuFormatError, match="1-1"):
+    with pytest.raises(ValueError, match="1-1"):
         parse_menu(json.dumps(doc))
 
 
@@ -112,7 +111,7 @@ def test_parse_rejects_duplicate_digits():
             ],
         },
     }
-    with pytest.raises(MenuFormatError, match="duplicate digit"):
+    with pytest.raises(ValueError, match="duplicate digit"):
         parse_menu(json.dumps(doc))
 
 
@@ -207,13 +206,13 @@ def test_flatten_skips_navigation(tiny_tree):
 
 
 def test_flatten_golden_tsv(paths):
-    assert render_paths_tsv(paths) == data_text("agentnet.paths.tsv")
+    assert render_paths_tsv(paths) == golden_text("agentnet.paths.tsv")
 
 
 # --- rendering ------------------------------------------------------------------
 
 def test_render_descriptive_golden(tree):
-    assert render_descriptive(tree) == data_text("agentnet.descriptive.txt")
+    assert render_descriptive(tree) == golden_text("agentnet.descriptive.txt")
 
 
 def test_render_descriptive_mechanical_fallback(tiny_tree):

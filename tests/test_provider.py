@@ -28,7 +28,6 @@ from ivroute.provider import (
     HttpProvider,
     KeywordProvider,
     OracleProvider,
-    ProtocolError,
     ProviderConfig,
     ProviderError,
     TransportError,
@@ -228,7 +227,7 @@ def test_retries_exhausted_raises_transport_error(chat_server, live_provider):
 def test_non_retryable_status_fails_immediately(chat_server, live_provider):
     server = chat_server(status=400)
     delays = []
-    with pytest.raises(ProtocolError, match="HTTP 400"):
+    with pytest.raises(ProviderError, match="^HTTP 400: "):
         attempt_until_done(live_provider(server.url, max_retries=3), "q", delays)
     assert len(server.requests) == 1
     assert delays == []
@@ -236,8 +235,9 @@ def test_non_retryable_status_fails_immediately(chat_server, live_provider):
 
 def test_malformed_body_is_protocol_error_not_retried(raw_server, live_provider):
     server = raw_server([chat_response(body="not json")])
-    with pytest.raises(ProtocolError, match="not JSON"):
+    with pytest.raises(ProviderError, match="^response body is not JSON: ") as excinfo:
         live_provider(server.url, max_retries=3).complete("q")
+    assert not isinstance(excinfo.value, TransportError)
     assert len(server.requests) == 1
 
 
@@ -254,8 +254,10 @@ def test_malformed_body_is_protocol_error_not_retried(raw_server, live_provider)
     ],
 )
 def test_missing_choices_or_content_is_protocol_error(body, raw_server, live_provider):
-    with pytest.raises(ProtocolError):
+    message = "^(response carries no choices|first choice carries no message content, or content that is no text)$"
+    with pytest.raises(ProviderError, match=message) as excinfo:
         live_provider(raw_server([chat_response(body=body)]).url).complete("q")
+    assert not isinstance(excinfo.value, TransportError)
 
 
 def test_null_content_is_an_empty_reply(chat_server, live_provider):
@@ -493,11 +495,12 @@ def test_refused_certificate_is_one_attempt_not_retried(monkeypatch, live_provid
         )
 
     monkeypatch.setattr(provider._connections, "_open", refuse)
-    with pytest.raises(ProtocolError, match="TLS certificate refused.*self-signed") as excinfo:
-        provider.complete("q")  # a ProtocolError, not a TransportError
+    with pytest.raises(ProviderError, match="TLS certificate refused.*self-signed") as excinfo:
+        provider.complete("q")
+    assert not isinstance(excinfo.value, TransportError)
     assert isinstance(excinfo.value.__cause__, ssl.SSLCertVerificationError)
     delays = []
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ProviderError, match="TLS certificate refused"):
         attempt_until_done(provider, "q", delays)
     assert len(opened) == 2 and delays == []
 
@@ -523,8 +526,9 @@ def test_https_host_name_mismatch_is_one_open_and_no_retry(chat_server, live_pro
     opened = []
     open_connection = pool._open
     monkeypatch.setattr(pool, "_open", lambda: opened.append(1) or open_connection())
-    with pytest.raises(ProtocolError, match="TLS certificate refused.*ivroute.test") as excinfo:
-        provider.complete("q")  # a ProtocolError, not a TransportError
+    with pytest.raises(ProviderError, match="TLS certificate refused.*ivroute.test") as excinfo:
+        provider.complete("q")
+    assert not isinstance(excinfo.value, TransportError)
     assert isinstance(excinfo.value.__cause__, ssl.SSLCertVerificationError)
     assert len(opened) == 1
     assert server.answered == 0

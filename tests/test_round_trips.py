@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ivroute.datagen import (
-    DatagenError,
     Dataset,
     IntentRecord,
     dataset_to_jsonl,
@@ -19,7 +18,6 @@ from ivroute.datagen import (
 from ivroute.menu import (
     ActionType,
     DtmfPath,
-    MenuFormatError,
     MenuNode,
     MenuTree,
     NodeKind,
@@ -243,7 +241,7 @@ def test_a_dataset_line_takes_exactly_the_grammars_paths(tmp_path_factory, text)
     if is_path(text):
         assert load_dataset(file).records[0].ground_truth == text
     else:
-        with pytest.raises(DatagenError, match="not a canonical DTMF path"):
+        with pytest.raises(ValueError, match="not a canonical DTMF path"):
             load_dataset(file)
 
 
@@ -291,5 +289,5 @@ def test_a_menu_digit_is_exactly_one_of_0_to_9(digit):
     if len(digit) == 1 and digit in "0123456789":
         assert parse_menu(one_option_menu(digit)).root.children[0].digit == int(digit)
     else:
-        with pytest.raises(MenuFormatError, match="digit must be"):
+        with pytest.raises(ValueError, match="digit must be"):
             parse_menu(one_option_menu(digit))

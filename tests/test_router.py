@@ -26,7 +26,6 @@ from ivroute.provider import (
     TransportError,
 )
 from ivroute.router import (
-    AGAIN,
     INVALID,
     WINDOW_PER_SLOT,
     Pacing,
@@ -551,28 +550,6 @@ def test_route_all_submits_a_retry_once_it_is_due():
     assert all(at[job, 2] == at[job, 1] + 1 for job in range(6))
 
 
-def test_run_calls_makes_a_follow_up_call_at_once_and_a_retry_after_the_next_job():
-    # Job 0 backs off, its retry asks for a follow-up call, and that one
-    # answers; job 1 answers at once. One worker takes job 1 while job 0
-    # waits, and makes job 0's follow-up call right after the call that
-    # asked for it.
-    schedule = Schedule(2, 1, 0, Pacing(ProviderConfig(max_in_flight=1)))
-    sends = simulate(schedule, 1, {0: [busy("0"), AGAIN]})
-    assert [(job, attempt) for _, job, attempt in sends] == [(0, 1), (1, 1), (0, 2), (0, 1)]
-    assert (schedule.values, schedule.failures) == ([0, 1], [])
-
-
-def test_run_calls_gives_a_follow_up_call_a_retry_budget_of_its_own():
-    # With one retry allowed, the job's first call fails once and then asks
-    # for a follow-up, which fails once too: two failures in one job, but
-    # one per call, so the job still succeeds. Had the follow-up inherited
-    # the first call's retry, its failure would have given up.
-    schedule = Schedule(1, 1, 0, Pacing(ProviderConfig(max_in_flight=1, max_retries=1)))
-    sends = simulate(schedule, 1, {0: [busy("0"), AGAIN, busy("0"), "done"]})
-    assert [(job, attempt) for _, job, attempt in sends] == [(0, 1), (0, 2), (0, 1), (0, 2)]
-    assert (schedule.values, schedule.failures) == (["done"], [])
-
-
 def test_run_calls_counts_a_failure_within_budget_and_keeps_going():
     def run(budget):
         schedule = Schedule(3, 2, budget, Pacing(ProviderConfig(max_in_flight=2)))
@@ -607,12 +584,12 @@ RETRY_AFTERS = st.one_of(st.none(), st.sampled_from([*HONOURED, "61", "-1", "soo
 
 @st.composite
 def outcomes(draw):
-    """An attempt's outcome: a value, AGAIN, a TransportError with any
-    Retry-After, another ProviderError, or, seldom, another exception."""
-    kind = draw(st.sampled_from(["value", "retry"] * 4 + ["again", "failure", "again", "failure", "bug"]))
+    """An attempt's outcome: a value, a TransportError with any Retry-After,
+    another ProviderError, or, seldom, another exception."""
+    kind = draw(st.sampled_from(["value", "retry"] * 4 + ["failure", "failure", "bug"]))
     if kind == "retry":
         return TransportError("busy", draw(RETRY_AFTERS))
-    return {"value": draw(st.integers()), "again": AGAIN, "failure": ProviderError("down"),
+    return {"value": draw(st.integers()), "failure": ProviderError("down"),
             "bug": RuntimeError("bug")}[kind]  # no ProviderError: it aborts the run as it is
 
 
@@ -637,7 +614,6 @@ class ScheduleMachine(RuleBasedStateMachine):
         self.sends = []  # (time, job, attempt)
         self.attempt = {}  # the attempt a job sends next, when it is not 1
         self.due = {}  # when a job's retry is due
-        self.follow_ups = []  # jobs owed a follow-up call, the latest last
         self.values = [None] * count
         self.failed = []
         self.ended = set()
@@ -689,8 +665,6 @@ class ScheduleMachine(RuleBasedStateMachine):
         assert job not in self.ended and job not in {j for j, _ in self.running}
         started = {j for _, j, _ in self.sends}
         assert job in started or job == len(started)  # jobs start in order
-        if self.follow_ups:  # a follow-up call goes before any other
-            assert (job, attempt) == (self.follow_ups.pop(), 1)
         assert attempt == self.attempt.pop(job, 1)
         if job in self.due:  # no retry is sent before it is due
             assert self.now >= self.due.pop(job)
@@ -712,10 +686,8 @@ class ScheduleMachine(RuleBasedStateMachine):
 
     def record(self, job, attempt, outcome):
         due = self.call("record", self.now, job, attempt, outcome)
-        if self.aborted or outcome is AGAIN:
+        if self.aborted:
             assert due is None
-            if not self.aborted:
-                self.follow_ups.append(job)
             return
         self.failing = isinstance(outcome, BaseException)
         if isinstance(outcome, TransportError) and attempt <= self.config.max_retries:
