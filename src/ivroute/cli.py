@@ -290,8 +290,8 @@ def cmd_route(args: argparse.Namespace) -> int:
         save_run(run, run_dir)
     except OSError as exc:
         raise CommandFailed(f"cannot write {run_dir}: {exc}", EXIT_FAILURE)
-    # A --force rerun's report scored the results just replaced; until they
-    # were, an aborted rerun kept both.
+    # A --force rerun's old report scored the rows just replaced; it goes, so
+    # no report of those rows sits beside the new ones.
     shutil.rmtree(run_dir / f"eval-{identity['run_id']}", ignore_errors=True)
     failures = len(run.manifest["failures"])  # each fit in the error budget
     if not run.results:
@@ -309,8 +309,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     results_file = Path(args.results)
     results, digest = _read(results_file, "results", read_results)
-    if not results:
-        raise CommandFailed(f"results file {results_file} is empty", EXIT_FAILURE)
     manifest = _read(results_file.parent / "manifest.json", "manifest", read_manifest)
     try:
         check_vouched(results_file, results, digest, manifest)
@@ -331,8 +329,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise CommandFailed(str(exc), EXIT_FAILURE)
 
     report_dir = Path(args.out or results_file.parent) / f"eval-{manifest['run_id']}"
-    if report_dir.exists() and not args.force:
-        raise CommandFailed(f"{report_dir} already exists; use --force to overwrite", EXIT_FAILURE)
     _claim_dir(report_dir)
     try:
         written = emit_report(report, report_dir)
@@ -469,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a results file into a report directory")
     p.add_argument("results", help="results JSONL file")
     p.add_argument("--menu", required=True, help="the run's menu JSON file; its terminal paths are the classes")
-    p.add_argument("--force", action="store_true", help="overwrite an existing report directory")
     p.add_argument("--out", help="directory the report directory goes in (default: the results file's)")
     p.set_defaults(func=cmd_eval)
 

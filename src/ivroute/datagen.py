@@ -6,6 +6,7 @@ be scored by exact match; ``synthesis`` generates records through a model.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -123,7 +124,20 @@ def dataset_to_jsonl(ds: Dataset) -> str:
 
 
 def save_dataset(ds: Dataset, path: str | Path) -> None:
-    Path(path).write_text(dataset_to_jsonl(ds), encoding="utf-8")
+    """Write the dataset whole: to a file beside ``path``, then renamed onto
+    it, so a failure leaves the old file or none, never part of one. A
+    device or a pipe at ``path`` is written to as it is."""
+    path, text = Path(path), dataset_to_jsonl(ds)
+    if path.exists() and not path.is_file():
+        path.write_text(text, encoding="utf-8")
+        return
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        temp.write_text(text, encoding="utf-8")
+        os.replace(temp, path)
+    except BaseException:  # a Ctrl-C too
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def read_jsonl(lines: Iterable[str], path: str | Path, parse: Callable[[dict], object], what: str) -> list:

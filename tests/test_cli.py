@@ -264,6 +264,24 @@ def test_gen_intents_dataset_that_cannot_be_written_exit_1(fixture_menu_path, ch
     assert captured.out == "" and server.answered == 23  # every call was made, then the write failed
 
 
+def test_gen_intents_dataset_that_cannot_be_renamed_into_place_exit_1_and_keeps_the_old_one(
+        tmp_path, fixture_menu_path, chat_server, monkeypatch, capsys):
+    monkeypatch.delenv(DEFAULT_API_KEY_ENV, raising=False)
+    out_file = tmp_path / "intents.jsonl"
+    out_file.write_text("old dataset\n", encoding="utf-8")
+
+    def fail_renaming(source, target):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", fail_renaming)
+    assert run(["gen-intents", str(fixture_menu_path), "--per-node", "1", "--variants", "0",
+                "--provider", "http", "--endpoint", chat_server(reply=about_subject).url,
+                "--dataset-out", str(out_file)]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {out_file}: [Errno 28] No space left on device\n"
+    assert list(tmp_path.iterdir()) == [out_file]  # no temporary file left beside it
+    assert out_file.read_text(encoding="utf-8") == "old dataset\n"
+
+
 @pytest.mark.parametrize("counts", [["--per-node", "0"], ["--per-node", "1", "--variants", "-1"]],
                          ids=["per-node-0", "variants-minus-1"])
 def test_gen_intents_counts_checked_before_any_call(fixture_menu_path, chat_server, monkeypatch,
@@ -371,6 +389,7 @@ REMOVED_FLAGS = {
     "validate-menu-config": lambda menu, data, out: ["validate-menu", menu, "--config", "c.json"],
     "flatten-out": lambda menu, data, out: ["flatten", menu, "--out", out],
     "eval-config": lambda menu, data, out: ["eval", "results.jsonl", "--menu", menu, "--config", "c.json"],
+    "eval-force": lambda menu, data, out: ["eval", "results.jsonl", "--menu", menu, "--force"],
     "check-roles-out": lambda menu, data, out: ["check-roles", "--out", out],
     "gen-intents-out": lambda menu, data, out: ["gen-intents", menu, "--provider", "http",
                                                 "--out", out],
@@ -986,11 +1005,11 @@ def vouch(run_dir):
     edit_manifest(run_dir, results_sha256=hashlib.sha256((run_dir / "results.jsonl").read_bytes()).hexdigest())
 
 
-def assert_unvouched(results_file, menu, capsys, *flags):
+def assert_unvouched(results_file, menu, capsys):
     """``eval`` refuses ``results_file`` for bytes its manifest does not vouch for, and writes no report."""
     vouched = json.loads((results_file.parent / "manifest.json").read_text(encoding="utf-8"))["results_sha256"]
     capsys.readouterr()
-    assert run(["eval", str(results_file), "--menu", str(menu), *flags]) == 1
+    assert run(["eval", str(results_file), "--menu", str(menu)]) == 1
     digest = hashlib.sha256(results_file.read_bytes()).hexdigest()
     assert capsys.readouterr().err == (f"error: {results_file} has sha256 {digest}, "
                                        f"but the run's results_sha256 is {vouched}\n")
@@ -1119,7 +1138,7 @@ def test_eval_refuses_labels_edited_to_the_predictions(tmp_path, fixture_menu_pa
     for row in wrong[:40]:
         row["ground_truth"] = row["predicted"]
     results_file.write_text("".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows), encoding="utf-8")
-    assert_unvouched(results_file, fixture_menu_path, capsys, "--force")
+    assert_unvouched(results_file, fixture_menu_path, capsys)
 
 
 def test_eval_scores_a_run_routed_before_manifests_held_a_digest_once_vouched(tmp_path, fixture_menu_path,
@@ -1213,19 +1232,6 @@ def test_eval_ground_truth_that_is_no_class_of_the_menu_exit_1(tmp_path, fixture
     assert not list(run_dir.glob("eval-*"))
 
 
-def test_eval_again_without_force_exit_1_and_keeps_the_report(tmp_path, fixture_menu_path,
-                                                              fixture_dataset_path, capsys):
-    run_dir = oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path)
-    evaluate = ["eval", str(run_dir / "results.jsonl"), "--menu", str(fixture_menu_path)]
-    assert run(evaluate) == 0
-    report_dir = run_dir / run_dir.name.replace("run-", "eval-")
-    written = {file.name: file.read_bytes() for file in report_dir.iterdir()}
-    capsys.readouterr()
-    assert run(evaluate) == 1
-    assert capsys.readouterr().err == f"error: {report_dir} already exists; use --force to overwrite\n"
-    assert {file.name: file.read_bytes() for file in report_dir.iterdir()} == written
-
-
 def test_eval_prediction_edited_against_its_flag_exit_1(tmp_path, fixture_menu_path,
                                                         fixture_dataset_path, capsys):
     run_dir = oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path)
@@ -1304,11 +1310,24 @@ def test_eval_results_line_that_is_no_results_row_exit_1(tmp_path, fixture_menu_
     assert err.startswith(f"error: cannot load results {results_file}: {results_file}:4: bad result")
 
 
-def test_eval_empty_results_exit_1(tmp_path, fixture_menu_path, capsys):
-    empty = tmp_path / "results.jsonl"
-    empty.write_text("", encoding="utf-8")
-    assert run(["eval", str(empty), "--menu", str(fixture_menu_path)]) == 1
-    assert "empty" in capsys.readouterr().err
+def test_eval_empty_results_exit_1(tmp_path, fixture_menu_path, fixture_dataset_path, chat_server,
+                                   monkeypatch, capsys):
+    monkeypatch.delenv(DEFAULT_API_KEY_ENV, raising=False)
+    argv = ["route", "--menu", str(fixture_menu_path), "--dataset", str(fixture_dataset_path),
+            "--filter", "base_only", "--provider", "http", "--endpoint", chat_server(status=503).url,
+            "--error-budget", "1", "--max-retries", "0", "--out", str(tmp_path / "runs")]
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith("error: no intent was routed (230 provider failure(s))")
+    (run_dir,) = (tmp_path / "runs").glob("run-*")
+    assert run(["eval", str(run_dir / "results.jsonl"), "--menu", str(fixture_menu_path)]) == 1
+    assert capsys.readouterr().err == "error: no results to score\n"
+    assert not list(run_dir.glob("eval-*"))
+    # An empty results file with no manifest beside it is no run at all.
+    alone = tmp_path / "alone" / "results.jsonl"
+    alone.parent.mkdir()
+    alone.write_text("", encoding="utf-8")
+    assert run(["eval", str(alone), "--menu", str(fixture_menu_path)]) == 2
+    assert capsys.readouterr().err == f"error: no such manifest file: {alone.parent / 'manifest.json'}\n"
 
 
 def test_eval_missing_file_exit_2(tmp_path, fixture_menu_path):
@@ -1360,9 +1379,10 @@ def test_eval_out_a_file_exit_2(tmp_path, fixture_menu_path, fixture_dataset_pat
 def test_eval_report_file_that_cannot_be_written_exit_1(tmp_path, fixture_menu_path, fixture_dataset_path,
                                                         capsys):
     run_dir = oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path)
-    evaluate = ["eval", str(run_dir / "results.jsonl"), "--menu", str(fixture_menu_path), "--force"]
+    evaluate = ["eval", str(run_dir / "results.jsonl"), "--menu", str(fixture_menu_path)]
     assert run(evaluate) == 0
     report_dir = run_dir / run_dir.name.replace("run-", "eval-")
+    written = {file.name: file.read_bytes() for file in report_dir.iterdir()}
     (report_dir / "summary.md").unlink()
     (report_dir / "summary.md").mkdir()  # the directory exists, but this one write fails
     capsys.readouterr()
@@ -1370,6 +1390,10 @@ def test_eval_report_file_that_cannot_be_written_exit_1(tmp_path, fixture_menu_p
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: cannot write {report_dir}: ") and captured.err.count("\n") == 1
     assert captured.out == ""
+    (report_dir / "summary.md").rmdir()
+    (report_dir / "summary.md").write_text("", encoding="utf-8")  # a file again, left partial
+    assert run(evaluate) == 0  # the next eval finishes the report
+    assert {file.name: file.read_bytes() for file in report_dir.iterdir()} == written and len(written) == 4
 
 
 # --- demo ------------------------------------------------------------------------------

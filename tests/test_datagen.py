@@ -1,10 +1,13 @@
 """Dataset synthesis: base generation, augmentation, validation, and JSONL
 round-trips."""
 
+import errno
 import itertools
 import json
 import logging
+import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -435,6 +438,40 @@ def test_dataset_round_trip(tmp_path, tiny_tree):
     loaded = load_dataset(file, menu_name="Tiny")
     assert loaded == ds
     assert validate_dataset(loaded, flatten(tiny_tree)) == []
+
+
+def fail_writing_half(self, text, **kwargs):
+    Path.write_bytes(self, text.encode("utf-8")[:len(text) // 2])
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def fail_renaming(source, target):
+    raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+
+# The step of save_dataset that fails: the object, its attribute and the failing stand-in.
+SAVE_FAILURES = {"at-the-write": (Path, "write_text", fail_writing_half),
+                 "at-the-rename": (os, "replace", fail_renaming)}
+
+
+@pytest.mark.parametrize("old", [b"old dataset\n", None], ids=["over-a-dataset", "no-dataset"])
+@pytest.mark.parametrize("failure", SAVE_FAILURES.values(), ids=SAVE_FAILURES.keys())
+def test_a_failed_save_leaves_the_old_dataset_or_none(tmp_path, monkeypatch, old, failure):
+    file = tmp_path / "intents.jsonl"
+    if old is not None:
+        file.write_bytes(old)
+    monkeypatch.setattr(*failure)
+    with pytest.raises(OSError):
+        save_dataset(tiny_dataset(), file)
+    assert list(tmp_path.iterdir()) == ([file] if old is not None else [])
+    if old is not None:
+        assert file.read_bytes() == old
+
+
+def test_a_saved_dataset_has_the_mode_of_a_plain_write(tmp_path):
+    (tmp_path / "plain").write_text("", encoding="utf-8")
+    save_dataset(tiny_dataset(), tmp_path / "intents.jsonl")
+    assert (tmp_path / "intents.jsonl").stat().st_mode == (tmp_path / "plain").stat().st_mode
 
 
 def test_dataset_line_keys_in_file_order():

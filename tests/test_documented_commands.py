@@ -58,7 +58,7 @@ def test_readme_migration_vouches_for_a_run_routed_before_manifests_held_a_diges
     digest = manifest.pop("results_sha256")
     manifest_file.write_text(json.dumps({**manifest, "n_results": 230}), encoding="utf-8")  # as routed before
     evaluate = ("python3 -m ivroute.cli eval runs/run-c3ca07a72a4f/results.jsonl"
-                " --menu src/ivroute/data/agentnet.menu.json --force")
+                " --menu src/ivroute/data/agentnet.menu.json")
     assert "(bad results_sha256)" in bash(evaluate).stderr
     done = bash(readme_block("To score a run routed before"))
     assert done.returncode == 0, done.stderr

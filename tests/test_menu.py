@@ -1,4 +1,4 @@
-"""Menu model: parsing, validation, flattening, rendering, goldens."""
+"""Menu model: parsing, validation, flattening, rendering."""
 
 import json
 
@@ -20,7 +20,7 @@ from ivroute.menu import (
     validate_menu,
 )
 
-from conftest import action, golden_text, navigation, submenu
+from conftest import action, navigation, submenu
 
 
 # --- DtmfPath -------------------------------------------------------------------
@@ -205,15 +205,7 @@ def test_flatten_skips_navigation(tiny_tree):
     assert all("Return" not in tp.breadcrumb_text() for tp in terminals)
 
 
-def test_flatten_golden_tsv(paths):
-    assert render_paths_tsv(paths) == golden_text("agentnet.paths.tsv")
-
-
 # --- rendering ------------------------------------------------------------------
-
-def test_render_descriptive_golden(tree):
-    assert render_descriptive(tree) == golden_text("agentnet.descriptive.txt")
-
 
 def test_render_descriptive_mechanical_fallback(tiny_tree):
     text = render_descriptive(tiny_tree)

@@ -14,33 +14,6 @@ from ivroute.router import render_context
 
 from conftest import action, submenu
 
-EXPECTED_DESCRIPTIVE = (
-    "Given the following IVR menu structure, identify the exact DTMF path "
-    "(e.g., '1-2-3') that best addresses the user's query. Output only the path.\n"
-    "\n"
-    "IVR Menu:\n"
-    "{{MENU}}\n"
-    "\n"
-    "User Query:\n"
-    "{{QUERY}}"
-)
-
-EXPECTED_FLATTENED = (
-    "Select the most appropriate DTMF path from the list below that "
-    "corresponds to the user's query. Output only the path.\n"
-    "\n"
-    "Available Paths:\n"
-    "{{PATHS}}\n"
-    "\n"
-    "User Query:\n"
-    "{{QUERY}}"
-)
-
-
-def test_templates_are_byte_exact():
-    assert load_template("template_descriptive.txt") == EXPECTED_DESCRIPTIVE
-    assert load_template("template_flattened.txt") == EXPECTED_FLATTENED
-
 
 def test_descriptive_substitution(tree):
     menu_text = render_descriptive(tree)
