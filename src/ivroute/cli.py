@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shutil
 import sys
 from pathlib import Path
 
@@ -290,9 +289,6 @@ def cmd_route(args: argparse.Namespace) -> int:
         save_run(run, run_dir)
     except OSError as exc:
         raise CommandFailed(f"cannot write {run_dir}: {exc}", EXIT_FAILURE)
-    # A --force rerun's old report scored the rows just replaced; it goes, so
-    # no report of those rows sits beside the new ones.
-    shutil.rmtree(run_dir / f"eval-{identity['run_id']}", ignore_errors=True)
     failures = len(run.manifest["failures"])  # each fit in the error budget
     if not run.results:
         raise CommandFailed(
@@ -329,7 +325,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise CommandFailed(str(exc), EXIT_FAILURE)
 
     report_dir = Path(args.out or results_file.parent) / f"eval-{manifest['run_id']}"
-    _claim_dir(report_dir)
+    _claim_dir(report_dir.parent)
     try:
         written = emit_report(report, report_dir)
     except OSError as exc:

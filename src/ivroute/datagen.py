@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -124,20 +125,43 @@ def dataset_to_jsonl(ds: Dataset) -> str:
 
 
 def save_dataset(ds: Dataset, path: str | Path) -> None:
-    """Write the dataset whole: to a file beside ``path``, then renamed onto
-    it, so a failure leaves the old file or none, never part of one. A
-    device or a pipe at ``path`` is written to as it is."""
-    path, text = Path(path), dataset_to_jsonl(ds)
+    """Write the dataset whole (``write_whole``). A device or a pipe at
+    ``path`` is written to as it is."""
+    path, data = Path(path), dataset_to_jsonl(ds).encode("utf-8")
     if path.exists() and not path.is_file():
-        path.write_text(text, encoding="utf-8")
-        return
-    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        path.write_bytes(data)
+    else:
+        write_whole(path, data)
+
+
+def write_whole(path: str | Path, content: bytes | dict[str, bytes]) -> None:
+    """Write ``content``, a file's bytes or a directory's files by name, beside
+    ``path``, then rename it onto ``path``, a directory there moved aside first
+    and removed last: a failure leaves the old file or directory or none."""
+    path = Path(path)
+    temp, old = (path.with_name(f".{path.name}.{os.getpid()}.{end}") for end in ("tmp", "old"))
+    moved = False
     try:
-        temp.write_text(text, encoding="utf-8")
+        if isinstance(content, bytes):
+            temp.write_bytes(content)
+        else:
+            temp.mkdir()
+            for name, data in content.items():
+                (temp / name).write_bytes(data)
+        if path.is_dir():
+            os.replace(path, old)
+            moved = True
         os.replace(temp, path)
     except BaseException:  # a Ctrl-C too
-        temp.unlink(missing_ok=True)
+        if moved:
+            os.replace(old, path)
+        if temp.is_dir():
+            shutil.rmtree(temp)
+        else:
+            temp.unlink(missing_ok=True)
         raise
+    if moved:
+        shutil.rmtree(old)
 
 
 def read_jsonl(lines: Iterable[str], path: str | Path, parse: Callable[[dict], object], what: str) -> list:

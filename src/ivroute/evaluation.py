@@ -16,6 +16,7 @@ import json
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
+from .datagen import write_whole
 from .prompts import CONDITIONS
 from .router import DATASET_FILTERS, INVALID, RoutingResult, accuracy, format_percent
 
@@ -172,19 +173,13 @@ def summary_markdown(report: EvalReport) -> str:
 
 
 def emit_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
-    """Write report.json, matrix.csv, matrix_long.csv and summary.md;
-    returns the paths written."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Write the directory ``out_dir`` whole, replacing all it held (``write_whole``):
+    report.json, matrix.csv, matrix_long.csv and summary.md; returns their paths."""
     files = {
         "report.json": json.dumps(report_to_json(report), indent=2, ensure_ascii=False) + "\n",
         "matrix.csv": matrix_csv(report.matrix),
         "matrix_long.csv": matrix_long_csv(report.matrix),
         "summary.md": summary_markdown(report),
     }
-    written = []
-    for name, text in files.items():
-        path = out / name
-        path.write_text(text, encoding="utf-8")
-        written.append(path)
-    return written
+    write_whole(out_dir, {name: text.encode("utf-8") for name, text in files.items()})
+    return [Path(out_dir) / name for name in files]

@@ -28,7 +28,7 @@ from decimal import Decimal
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .datagen import Dataset, IntentRecord, dataset_to_jsonl, read_jsonl, validate_dataset
+from .datagen import Dataset, IntentRecord, dataset_to_jsonl, read_jsonl, validate_dataset, write_whole
 from .menu import (
     PATH_PATTERN,
     DtmfPath,
@@ -483,20 +483,25 @@ def result_from_record(record: dict) -> RoutingResult:
     return RoutingResult(intent_id, record["raw_response"], predicted, DtmfPath(record["ground_truth"]), latency)
 
 
+def results_bytes(results: Iterable[RoutingResult]) -> bytes:
+    """The bytes of a results file of ``results``, one JSON row each."""
+    return "".join(json.dumps(result._asdict(), ensure_ascii=False) + "\n" for result in results).encode("utf-8")
+
+
 def save_results(results: Iterable[RoutingResult], path: str | Path) -> str:
     """Write ``results`` as a results file; return the ``sha256`` of its bytes."""
-    data = "".join(json.dumps(result._asdict(), ensure_ascii=False) + "\n" for result in results).encode("utf-8")
+    data = results_bytes(results)
     Path(path).write_bytes(data)
     return sha256(data)
 
 
 def save_run(run: RoutingRun, run_dir: Path) -> None:
-    """Write ``run`` into ``run_dir``, made if absent: its rows as results.jsonl,
-    then manifest.json, whose ``results_sha256`` vouches for their bytes."""
-    run_dir.mkdir(exist_ok=True)
-    manifest = {**run.manifest, "results_sha256": save_results(run.results, run_dir / "results.jsonl")}
-    (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, ensure_ascii=False) + "\n",
-                                           encoding="utf-8")
+    """Write ``run`` as the directory ``run_dir``, replacing it whole with all
+    it held, an old report too (``write_whole``): its rows as results.jsonl,
+    and manifest.json, whose ``results_sha256`` vouches for their bytes."""
+    results = results_bytes(run.results)
+    manifest = json.dumps({**run.manifest, "results_sha256": sha256(results)}, indent=2, ensure_ascii=False)
+    write_whole(run_dir, {"results.jsonl": results, "manifest.json": (manifest + "\n").encode("utf-8")})
 
 
 def read_results(path: str | Path) -> tuple[list[RoutingResult], str]:

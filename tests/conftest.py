@@ -8,10 +8,12 @@ on its URL reach through the shipped client."""
 from __future__ import annotations
 
 import contextlib
+import errno
 import heapq
 import itertools
 import json
 import math
+import os
 import socket
 import ssl
 import threading
@@ -195,6 +197,28 @@ def fail_with(error: Exception):
         raise error
 
     return answer
+
+
+# --- a filesystem step that fails ------------------------------------------------
+
+def fail_at_step(monkeypatch, failing: int) -> None:
+    """Make the ``failing``-th (from 0) file write or rename from now on fail
+    once with ENOSPC, a write after half its bytes reach the file."""
+    steps = itertools.count()
+
+    def at_step(real, writes: bool):
+        def step(first, second, *args, **kwargs):
+            if next(steps) == failing:
+                if writes:
+                    real(first, second[:len(second) // 2], *args, **kwargs)
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real(first, second, *args, **kwargs)
+
+        return step
+
+    monkeypatch.setattr(Path, "write_bytes", at_step(Path.write_bytes, True))
+    monkeypatch.setattr(Path, "write_text", at_step(Path.write_text, True))
+    monkeypatch.setattr(os, "replace", at_step(os.replace, False))
 
 
 # --- the scheduler at simulated times ---------------------------------------------

@@ -29,7 +29,8 @@ from ivroute.provider import DEFAULT_API_KEY_ENV
 from ivroute import router
 from ivroute.router import load_results, run_identity
 
-from conftest import AnsweringProvider, closed_port, data_text, golden_text, make_record, prompt_of, subject_of
+from conftest import (AnsweringProvider, closed_port, data_text, fail_at_step, golden_text, make_record, prompt_of,
+                      subject_of)
 
 
 def run(argv):
@@ -750,14 +751,21 @@ def test_route_names_five_failures_and_counts_the_rest(tmp_path, fixture_menu_pa
 
 
 def test_route_force_over_results_that_cannot_be_written_exit_1(tmp_path, fixture_menu_path,
-                                                                fixture_dataset_path, capsys):
+                                                                fixture_dataset_path, monkeypatch, capsys):
     run_dir = oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path)
-    (run_dir / "results.jsonl").unlink()
-    (run_dir / "results.jsonl").mkdir()
+    evaluate = ["eval", str(run_dir / "results.jsonl"), "--menu", str(fixture_menu_path)]
+    assert run(evaluate) == 0
+    old_run = files_under(run_dir)
     capsys.readouterr()
+    fail_at_step(monkeypatch, 0)  # the first file write
     argv = route_args(fixture_menu_path, fixture_dataset_path, tmp_path, filter="base_only")
     assert run(argv + ["--force"]) == 1
     assert capsys.readouterr().err.startswith(f"error: cannot write {run_dir}: ")
+    monkeypatch.undo()
+    assert files_under(run_dir) == old_run and len(old_run) == 6  # the old run and its report
+    assert list(tmp_path.iterdir()) == [run_dir]  # no temporary entry left beside it
+    assert run(evaluate) == 0
+    assert files_under(run_dir) == old_run
 
 
 def test_route_skips_blank_dataset_lines_and_keeps_the_run_id(tmp_path, fixture_menu_path,
@@ -993,6 +1001,11 @@ def oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path):
     assert run(route_args(fixture_menu_path, fixture_dataset_path, tmp_path,
                           condition="flattened", filter="base_only")) == 0
     return next(tmp_path.glob("run-*"))
+
+
+def files_under(directory):
+    """The bytes of each file under ``directory``, by its path relative to it."""
+    return {str(file.relative_to(directory)): file.read_bytes() for file in directory.rglob("*") if file.is_file()}
 
 
 def edit_manifest(run_dir, **fields):
@@ -1371,29 +1384,39 @@ def test_eval_out_a_file_exit_2(tmp_path, fixture_menu_path, fixture_dataset_pat
     file.write_text("", encoding="utf-8")
     capsys.readouterr()
     assert run(["eval", str(run_dir / "results.jsonl"), "--menu", str(fixture_menu_path), "--out", str(file)]) == 2
-    report_dir = file / run_dir.name.replace("run-", "eval-")
-    assert capsys.readouterr().err.startswith(f"error: cannot write {report_dir}: ")
+    assert capsys.readouterr().err.startswith(f"error: cannot write {file}: ")
     assert file.read_text(encoding="utf-8") == ""
 
 
 def test_eval_report_file_that_cannot_be_written_exit_1(tmp_path, fixture_menu_path, fixture_dataset_path,
-                                                        capsys):
+                                                        monkeypatch, capsys):
     run_dir = oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path)
     evaluate = ["eval", str(run_dir / "results.jsonl"), "--menu", str(fixture_menu_path)]
     assert run(evaluate) == 0
     report_dir = run_dir / run_dir.name.replace("run-", "eval-")
-    written = {file.name: file.read_bytes() for file in report_dir.iterdir()}
-    (report_dir / "summary.md").unlink()
-    (report_dir / "summary.md").mkdir()  # the directory exists, but this one write fails
+    written = files_under(report_dir)
     capsys.readouterr()
+    fail_at_step(monkeypatch, 0)  # the first file write
     assert run(evaluate) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: cannot write {report_dir}: ") and captured.err.count("\n") == 1
     assert captured.out == ""
-    (report_dir / "summary.md").rmdir()
-    (report_dir / "summary.md").write_text("", encoding="utf-8")  # a file again, left partial
-    assert run(evaluate) == 0  # the next eval finishes the report
-    assert {file.name: file.read_bytes() for file in report_dir.iterdir()} == written and len(written) == 4
+    monkeypatch.undo()
+    assert files_under(report_dir) == written and len(written) == 4  # the old report, byte for byte
+    assert sorted(run_dir.iterdir()) == [report_dir, run_dir / "manifest.json", run_dir / "results.jsonl"]
+    assert run(evaluate) == 0
+    assert files_under(report_dir) == written
+
+
+def test_eval_whose_first_write_fails_exit_1_and_leaves_no_report(tmp_path, fixture_menu_path,
+                                                                  fixture_dataset_path, monkeypatch, capsys):
+    run_dir = oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path)
+    report_dir = run_dir / run_dir.name.replace("run-", "eval-")
+    capsys.readouterr()
+    fail_at_step(monkeypatch, 0)
+    assert run(["eval", str(run_dir / "results.jsonl"), "--menu", str(fixture_menu_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {report_dir}: ")
+    assert sorted(run_dir.iterdir()) == [run_dir / "manifest.json", run_dir / "results.jsonl"]
 
 
 # --- demo ------------------------------------------------------------------------------

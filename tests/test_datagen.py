@@ -440,8 +440,9 @@ def test_dataset_round_trip(tmp_path, tiny_tree):
     assert validate_dataset(loaded, flatten(tiny_tree)) == []
 
 
-def fail_writing_half(self, text, **kwargs):
-    Path.write_bytes(self, text.encode("utf-8")[:len(text) // 2])
+def fail_writing_half(self, data):
+    with open(self, "wb") as handle:
+        handle.write(data[:len(data) // 2])
     raise OSError(errno.ENOSPC, "No space left on device")
 
 
@@ -450,7 +451,7 @@ def fail_renaming(source, target):
 
 
 # The step of save_dataset that fails: the object, its attribute and the failing stand-in.
-SAVE_FAILURES = {"at-the-write": (Path, "write_text", fail_writing_half),
+SAVE_FAILURES = {"at-the-write": (Path, "write_bytes", fail_writing_half),
                  "at-the-rename": (os, "replace", fail_renaming)}
 
 

@@ -173,8 +173,8 @@ def test_emit_report_files(tmp_path):
 
 
 def test_report_json_keys_in_file_order(tmp_path):
-    emit_report(sample_report(), tmp_path)
-    data = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    emit_report(sample_report(), tmp_path / "report")
+    data = json.loads((tmp_path / "report" / "report.json").read_text(encoding="utf-8"))
     assert list(data) == ["accuracy", "n", "condition", "dataset_filter", "model_name", "matrix",
                           "per_class"]
     assert list(data["matrix"]) == ["true_labels", "predicted_labels", "counts"]

@@ -1,8 +1,9 @@
 """Property tests of the file round trips (menu documents, dataset JSONL,
-results rows and run directories) and of the one path grammar that every
-reader of a path applies."""
+results rows and run directories), of writing each artifact whole or not at
+all, and of the one path grammar that every reader of a path applies."""
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +16,7 @@ from ivroute.datagen import (
     load_dataset,
     save_dataset,
 )
+from ivroute.evaluation import EvalReport, build_report, emit_report
 from ivroute.menu import (
     ActionType,
     DtmfPath,
@@ -40,6 +42,8 @@ from ivroute.router import (
     run_id,
     save_run,
 )
+
+from conftest import fail_at_step
 
 labels = st.text(min_size=1, max_size=12)
 action_types = st.sampled_from((ActionType.SELF_SERVICE, ActionType.AGENT_HANDOFF))
@@ -200,6 +204,53 @@ def test_a_run_directory_reads_back_and_refuses_any_edit(tmp_path_factory, run, 
     manifest_file.write_text(json.dumps({**manifest, key: value}, ensure_ascii=False), encoding="utf-8")
     with pytest.raises(ValueError):
         read_manifest(manifest_file)
+
+
+# --- every artifact appears whole or not at all ----------------------------------
+
+def report_of(run: RoutingRun) -> EvalReport:
+    manifest = run.manifest
+    return build_report(run.results, sorted({r.ground_truth for r in run.results}), manifest["condition"],
+                        manifest["dataset_filter"], manifest["model_name"])
+
+
+# Each artifact: what draws one, what writes it, and how many files it holds.
+ARTIFACTS = {
+    "dataset-file": (st.lists(records, max_size=4).map(lambda rs: Dataset("", rs)), save_dataset, 1),
+    "run-directory": (routing_runs(), save_run, 2),
+    "report-directory": (routing_runs().map(report_of), emit_report, 4),
+}
+
+
+def contents(path: Path):
+    """The bytes of the file at ``path``, of each file in the directory at ``path`` by name, or None."""
+    if path.is_dir():
+        return {entry.name: entry.read_bytes() for entry in path.iterdir()}
+    return path.read_bytes() if path.exists() else None
+
+
+@pytest.mark.parametrize("kind", ARTIFACTS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_an_artifact_appears_whole_or_not_at_all(tmp_path_factory, kind, data):
+    artifacts, save, files = ARTIFACTS[kind]
+    target = tmp_path_factory.mktemp(kind) / "artifact"
+    earlier = data.draw(st.none() | artifacts, label="earlier")
+    if earlier is not None:
+        save(earlier, target)
+    before = contents(target)
+    artifact = data.draw(artifacts, label="artifact")
+    # Each file's write, the move aside of a directory in place, and the rename into place.
+    steps = files + isinstance(before, dict) + 1
+    with pytest.MonkeyPatch.context() as monkeypatch, pytest.raises(OSError):
+        fail_at_step(monkeypatch, data.draw(st.integers(0, steps - 1), label="failing step"))
+        save(artifact, target)
+    assert contents(target) == before
+    assert list(target.parent.iterdir()) == ([target] if earlier is not None else [])  # no temporary entry
+    save(artifact, target)
+    save(artifact, target.with_name("fresh"))
+    assert contents(target) == contents(target.with_name("fresh"))
+    assert contents(target) is not None
 
 
 # --- the path grammar -------------------------------------------------------------
