@@ -11,23 +11,10 @@ from __future__ import annotations
 
 import json
 import re
-from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
 MAX_DEPTH = 10  # DTMF gives ten digits; one level per keypress
-
-
-class NodeKind(str, Enum):
-    MENU = "menu"
-    ACTION = "action"
-    NAVIGATION = "navigation"
-
-
-class ActionType(str, Enum):
-    SELF_SERVICE = "self_service"
-    AGENT_HANDOFF = "agent_handoff"
-    NONE = "none"
 
 
 # The grammar of a DTMF path, for every file, prompt and reply: ASCII digits
@@ -52,10 +39,15 @@ class DtmfPath(str):
 
 
 class MenuNode(NamedTuple):
+    """A node as its document holds it: ``kind`` is "menu", "action" or
+    "navigation"; ``digit`` is its one-character keypress, None only on the
+    root; ``action_type`` is "self_service" or "agent_handoff" on an action
+    node and "" elsewhere."""
+
     label: str
-    digit: int | None  # None only on the root
-    kind: NodeKind
-    action_type: ActionType = ActionType.NONE
+    digit: str | None
+    kind: str
+    action_type: str = ""
     children: tuple["MenuNode", ...] = ()
     prompt_text: str = ""
 
@@ -70,7 +62,7 @@ class TerminalPath(NamedTuple):
 
     path: DtmfPath
     breadcrumb: tuple[str, ...]
-    service_type: ActionType
+    service_type: str  # the action node's action_type
 
     def breadcrumb_text(self) -> str:
         return " -> ".join(self.breadcrumb)
@@ -80,11 +72,7 @@ class TerminalPath(NamedTuple):
 
 # The fields every node may carry, and those a node of each kind may add.
 _NODE_FIELDS = {"label", "digit", "kind"}
-_KIND_FIELDS = {
-    NodeKind.MENU: {"prompt_text", "children"},
-    NodeKind.ACTION: {"action_type"},
-    NodeKind.NAVIGATION: set(),
-}
+_KIND_FIELDS = {"menu": {"prompt_text", "children"}, "action": {"action_type"}, "navigation": set()}
 
 
 def parse_menu(document: str) -> MenuTree:
@@ -123,8 +111,8 @@ def load_menu(path: str | Path) -> MenuTree:
 
 
 def _parse_node(data, where: str) -> MenuNode:
-    """The node a document object describes, each field converted to its
-    type; a field that the node's kind may not carry is refused."""
+    """The node a document object describes; a field of the wrong type or
+    value, or one that the node's kind may not carry, is refused."""
     if not isinstance(data, Mapping):
         raise ValueError(f"node at {where}: must be a JSON object")
 
@@ -132,34 +120,27 @@ def _parse_node(data, where: str) -> MenuNode:
     if not isinstance(label, str) or not label:
         raise ValueError(f"node at {where}: missing label")
 
-    kind_text = data.get("kind")
-    try:
-        kind = NodeKind(kind_text)
-    except ValueError:
-        raise ValueError(f"node at {where}: unknown kind {kind_text!r}") from None
+    kind = data.get("kind")
+    if not isinstance(kind, str) or kind not in _KIND_FIELDS:
+        raise ValueError(f"node at {where}: unknown kind {kind!r}")
     misplaced = set(data) - _NODE_FIELDS - _KIND_FIELDS[kind]
     if misplaced:
         raise ValueError(
-            f"node at {where}: field(s) {sorted(misplaced)} not allowed on {kind.value} nodes"
+            f"node at {where}: field(s) {sorted(misplaced)} not allowed on {kind} nodes"
         )
 
-    digit = None
-    if "digit" in data:
-        digit_text = data["digit"]
-        # a one-keypress path is exactly one ASCII digit
-        if not isinstance(digit_text, str) or len(digit_text) != 1 or not _PATH.fullmatch(digit_text):
-            raise ValueError(
-                f"node at {where}: digit must be a one-character string '0'-'9'"
-            )
-        digit = int(digit_text)
+    digit = data.get("digit")
+    # a one-keypress path is exactly one ASCII digit
+    if "digit" in data and (not isinstance(digit, str) or len(digit) != 1 or not _PATH.fullmatch(digit)):
+        raise ValueError(
+            f"node at {where}: digit must be a one-character string '0'-'9'"
+        )
 
-    action_type = ActionType.NONE
-    if "action_type" in data:
-        if data["action_type"] not in ("self_service", "agent_handoff"):
-            raise ValueError(
-                f"node at {where}: action_type must be 'self_service' or 'agent_handoff'"
-            )
-        action_type = ActionType(data["action_type"])
+    action_type = data.get("action_type", "")
+    if "action_type" in data and action_type not in ("self_service", "agent_handoff"):
+        raise ValueError(
+            f"node at {where}: action_type must be 'self_service' or 'agent_handoff'"
+        )
 
     prompt_text = data.get("prompt_text", "")
     if not isinstance(prompt_text, str):
@@ -194,11 +175,11 @@ def tree_to_document(tree: MenuTree) -> dict:
 def _node_to_document(node: MenuNode) -> dict:
     doc: dict = {"label": node.label}
     if node.digit is not None:  # every node but the root
-        doc["digit"] = str(node.digit)
-    doc["kind"] = node.kind.value
-    if node.kind is NodeKind.ACTION:
-        doc["action_type"] = node.action_type.value
-    if node.kind is NodeKind.MENU:
+        doc["digit"] = node.digit
+    doc["kind"] = node.kind
+    if node.kind == "action":
+        doc["action_type"] = node.action_type
+    if node.kind == "menu":
         doc["prompt_text"] = node.prompt_text
         doc["children"] = [_node_to_document(c) for c in node.children]
     return doc
@@ -210,32 +191,32 @@ def validate_menu(tree: MenuTree) -> list[str]:
     """Check every tree invariant; each violation names the offending node
     by its digit path. An empty list means the tree is well-formed."""
     violations: list[str] = []
-    if tree.root.kind is not NodeKind.MENU:
+    if tree.root.kind != "menu":
         violations.append("root: must have kind 'menu'")
     if tree.root.digit is not None:
         violations.append("root: carries a digit but is not selected by a keypress")
 
-    def walk(node: MenuNode, digits: tuple[int, ...]) -> None:
-        where = "-".join(str(d) for d in digits) or "root"
+    def walk(node: MenuNode, digits: tuple[str, ...]) -> None:
+        where = "-".join(digits) or "root"
         if len(digits) > MAX_DEPTH:
             violations.append(f"{where}: exceeds maximum depth {MAX_DEPTH}")
             return
-        if node.kind is NodeKind.ACTION and node.action_type is ActionType.NONE:
+        if node.kind == "action" and not node.action_type:
             violations.append(f"{where}: action node without an action_type")
-        if node.kind is not NodeKind.ACTION and node.action_type is not ActionType.NONE:
+        if node.kind != "action" and node.action_type:
             violations.append(f"{where}: action_type set on a non-action node")
-        if node.kind is NodeKind.NAVIGATION and node.digit != 0:
+        if node.kind == "navigation" and node.digit != "0":
             violations.append(f"{where}: navigation nodes use digit 0")
-        if node.kind is not NodeKind.MENU:
+        if node.kind != "menu":
             if node.children:
-                violations.append(f"{where}: {node.kind.value} nodes may not have children")
+                violations.append(f"{where}: {node.kind} nodes may not have children")
             return
         if not node.children:
             violations.append(f"{where}: menu node has no children")
             return
-        if all(c.kind is NodeKind.NAVIGATION for c in node.children):
+        if all(c.kind == "navigation" for c in node.children):
             violations.append(f"{where}: menu node needs at least one non-navigation child")
-        digits_seen: set[int] = set()
+        digits_seen: set[str] = set()
         for child in node.children:
             if child.digit is None:
                 violations.append(f"{where}: child {child.label!r} has no digit")
@@ -263,9 +244,9 @@ def flatten(tree: MenuTree) -> list[TerminalPath]:
         for child in node.children:
             path = f"{prefix}{child.digit}"
             child_trail = trail + (child.label,)
-            if child.kind is NodeKind.ACTION:
+            if child.kind == "action":
                 paths.append(TerminalPath(DtmfPath(path), child_trail, child.action_type))
-            elif child.kind is NodeKind.MENU:
+            elif child.kind == "menu":
                 walk(child, path + "-", child_trail)
 
     walk(tree.root, "", ())
@@ -306,8 +287,8 @@ def render_descriptive(tree: MenuTree) -> str:
                 lines.append(body_indent + f"For {child.label}, press {child.digit}.")
                 lines.append("")
         for child in node.children:
-            if child.kind is NodeKind.MENU:
-                emit_menu(child, f"{path}-{child.digit}" if path else str(child.digit), depth + 1)
+            if child.kind == "menu":
+                emit_menu(child, f"{path}-{child.digit}" if path else child.digit, depth + 1)
 
     emit_menu(tree.root, "", 0)
     return "\n".join(lines).rstrip("\n") + "\n"
@@ -323,8 +304,5 @@ def render_flattened(paths: Iterable[TerminalPath]) -> str:
 
 def render_paths_tsv(paths: Iterable[TerminalPath]) -> str:
     """Tab-separated path table: path, breadcrumb, service type."""
-    lines = [
-        f"{tp.path}\t{tp.breadcrumb_text()}\t{tp.service_type.value}"
-        for tp in paths
-    ]
+    lines = [f"{tp.path}\t{tp.breadcrumb_text()}\t{tp.service_type}" for tp in paths]
     return "\n".join(lines) + "\n"

@@ -102,7 +102,7 @@ def generate_base_intents(
     template = load_template("template_base_intents.txt")
 
     def generate_node(tp: TerminalPath):
-        service = "self-service" if tp.service_type.value == "self_service" else "agent handoff"
+        service = "self-service" if tp.service_type == "self_service" else "agent handoff"
         prompt = fill(template, {"{{COUNT}}": str(per_node), "{{BREADCRUMB}}": tp.breadcrumb_text(),
                                  "{{SERVICE_TYPE}}": service})
         texts: list[str] = []

@@ -25,11 +25,9 @@ import pytest
 
 from ivroute.datagen import Dataset, IntentRecord, load_dataset
 from ivroute.menu import (
-    ActionType,
     DtmfPath,
     MenuNode,
     MenuTree,
-    NodeKind,
     flatten,
     parse_menu,
 )
@@ -90,22 +88,22 @@ def dataset(fixture_dataset_path, tree) -> Dataset:
     return load_dataset(fixture_dataset_path, menu_name=tree.name)
 
 
-def action(label: str, digit: int, service: ActionType = ActionType.SELF_SERVICE) -> MenuNode:
-    return MenuNode(label=label, digit=digit, kind=NodeKind.ACTION, action_type=service)
+def action(label: str, digit: str, service: str = "self_service") -> MenuNode:
+    return MenuNode(label=label, digit=digit, kind="action", action_type=service)
 
 
-def submenu(label: str, digit: int | None, children, prompt_text: str = "") -> MenuNode:
+def submenu(label: str, digit: str | None, children, prompt_text: str = "") -> MenuNode:
     return MenuNode(
         label=label,
         digit=digit,
-        kind=NodeKind.MENU,
+        kind="menu",
         children=tuple(children),
         prompt_text=prompt_text,
     )
 
 
 def navigation(label: str = "Return to Main Menu") -> MenuNode:
-    return MenuNode(label=label, digit=0, kind=NodeKind.NAVIGATION)
+    return MenuNode(label=label, digit="0", kind="navigation")
 
 
 @pytest.fixture
@@ -117,14 +115,14 @@ def tiny_tree() -> MenuTree:
         [
             submenu(
                 "Billing",
-                1,
+                "1",
                 [
-                    action("Pay Bill", 1),
-                    action("Billing Agent", 9, ActionType.AGENT_HANDOFF),
+                    action("Pay Bill", "1"),
+                    action("Billing Agent", "9", "agent_handoff"),
                     navigation(),
                 ],
             ),
-            action("Support", 2),
+            action("Support", "2"),
         ],
     )
     return MenuTree(name="Tiny", root=root)

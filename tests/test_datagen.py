@@ -103,7 +103,7 @@ def test_base_generation_prompts_name_the_breadcrumb(tiny_tree):
 def test_generation_prompts_keep_placeholders_of_labels_and_texts_as_text(tiny_tree):
     # Each template is filled in one pass: a breadcrumb or a text holding a placeholder is not filled again.
     tree = tiny_tree._replace(root=tiny_tree.root._replace(children=(
-        action("Support {{SERVICE_TYPE}} {{COUNT}}", 2),)))
+        action("Support {{SERVICE_TYPE}} {{COUNT}}", "2"),)))
     provider = by_subject({"Support {{SERVICE_TYPE}} {{COUNT}}": [numbered(["a {{NOISE_DIRECTIVES}}"])],
                            "a {{NOISE_DIRECTIVES}}": [numbered(["b"])]})
     (base,) = generate_base_intents(flatten(tree), provider, per_node=1)

@@ -6,11 +6,9 @@ import pytest
 
 from ivroute.menu import (
     MAX_DEPTH,
-    ActionType,
     DtmfPath,
     MenuNode,
     MenuTree,
-    NodeKind,
     flatten,
     parse_menu,
     render_descriptive,
@@ -52,7 +50,7 @@ def test_path_rejects_bad_digits():
 
 def test_parse_fixture_menu(tree):
     assert tree.name == "AgentNet IVR"
-    assert tree.root.kind is NodeKind.MENU
+    assert tree.root.kind == "menu"
     assert tree.root.digit is None
     assert validate_menu(tree) == []
 
@@ -118,21 +116,21 @@ def test_parse_rejects_duplicate_digits():
 # --- validation -----------------------------------------------------------------
 
 def test_validate_flags_navigation_digit():
-    bad_nav = MenuNode(label="Repeat", digit=5, kind=NodeKind.NAVIGATION)
-    root = submenu("Root", None, [action("A", 1), bad_nav])
+    bad_nav = MenuNode(label="Repeat", digit="5", kind="navigation")
+    root = submenu("Root", None, [action("A", "1"), bad_nav])
     problems = validate_menu(MenuTree(name="t", root=root))
     assert any("navigation nodes use digit 0" in p for p in problems)
 
 
 def test_validate_flags_action_type_on_a_menu_node():
     # Trees built in code skip parse_menu, which refuses the field off action nodes.
-    billing = submenu("Billing", 1, [action("Pay", 1)])._replace(action_type=ActionType.AGENT_HANDOFF)
+    billing = submenu("Billing", "1", [action("Pay", "1")])._replace(action_type="agent_handoff")
     problems = validate_menu(MenuTree(name="t", root=submenu("Root", None, [billing])))
     assert problems == ["1: action_type set on a non-action node"]
 
 
 def test_validate_flags_childless_menu():
-    root = submenu("Root", None, [submenu("Empty", 1, [])])
+    root = submenu("Root", None, [submenu("Empty", "1", [])])
     problems = validate_menu(MenuTree(name="t", root=root))
     assert any("menu node has no children" in p for p in problems)
 
@@ -140,28 +138,28 @@ def test_validate_flags_childless_menu():
 def test_validate_flags_action_with_children():
     broken = MenuNode(
         label="Act",
-        digit=1,
-        kind=NodeKind.ACTION,
-        action_type=ActionType.SELF_SERVICE,
-        children=(action("X", 1),),
+        digit="1",
+        kind="action",
+        action_type="self_service",
+        children=(action("X", "1"),),
     )
     problems = validate_menu(MenuTree(name="t", root=submenu("Root", None, [broken])))
     assert any("may not have children" in p for p in problems)
 
 
 def test_validate_flags_depth_overflow():
-    node = action("Deep", 1)
+    node = action("Deep", "1")
     for _ in range(MAX_DEPTH):  # wraps to depth MAX_DEPTH + 1
-        node = submenu("Level", 1, [node])
+        node = submenu("Level", "1", [node])
     tree = MenuTree(name="t", root=submenu("Root", None, [node]))
     problems = validate_menu(tree)
     assert any(f"exceeds maximum depth {MAX_DEPTH}" in p for p in problems)
 
 
 def test_validate_accepts_depth_at_limit():
-    node = action("Leaf", 1)
+    node = action("Leaf", "1")
     for _ in range(MAX_DEPTH - 1):
-        node = submenu("Level", 1, [node])
+        node = submenu("Level", "1", [node])
     tree = MenuTree(name="t", root=submenu("Root", None, [node]))
     assert validate_menu(tree) == []
     deepest = flatten(tree)[-1]
@@ -170,13 +168,13 @@ def test_validate_accepts_depth_at_limit():
 
 def test_validate_flags_duplicate_sibling_digits_once():
     # Trees built in code skip parse_menu, so validate_menu is their check.
-    root = submenu("Root", None, [action("A", 1), action("B", 1)])
+    root = submenu("Root", None, [action("A", "1"), action("B", "1")])
     problems = validate_menu(MenuTree(name="t", root=root))
     assert problems == ["root: duplicate digit 1 among children"]
 
 
 def test_validate_flags_menu_of_only_navigation():
-    root = submenu("Root", None, [submenu("Dead End", 1, [navigation()])])
+    root = submenu("Root", None, [submenu("Dead End", "1", [navigation()])])
     problems = validate_menu(MenuTree(name="t", root=root))
     assert any("at least one non-navigation child" in p for p in problems)
 
@@ -188,10 +186,10 @@ def test_flatten_fixture_count_and_endpoints(paths):
     first, last = paths[0], paths[-1]
     assert first.path.canonical() == "1-1"
     assert first.breadcrumb == ("Billing and Account Management", "Check Balance")
-    assert first.service_type is ActionType.SELF_SERVICE
+    assert first.service_type == "self_service"
     assert last.path.canonical() == "3-9"
     assert last.breadcrumb == ("New Services and Upgrades", "Sales Representative")
-    assert last.service_type is ActionType.AGENT_HANDOFF
+    assert last.service_type == "agent_handoff"
 
 
 def test_flatten_is_document_order(paths):

@@ -90,8 +90,8 @@ def test_substitution_is_literal_not_regex(paths):
 @pytest.mark.parametrize("condition", list(RoutingCondition))
 def test_a_placeholder_in_the_menu_is_text_in_the_prompt(condition):
     # A menu may call an option "{{QUERY}}": the query still goes where the template puts it.
-    root = submenu("Root", None, [submenu("Billing {{QUERY}}", 1, [action("Pay {{QUERY}}", 1),
-                                                                   action("{{MENU}} {{PATHS}}", 2)],
+    root = submenu("Root", None, [submenu("Billing {{QUERY}}", "1", [action("Pay {{QUERY}}", "1"),
+                                                                     action("{{MENU}} {{PATHS}}", "2")],
                                           prompt_text="For {{QUERY}}, press 1.")])
     tree = MenuTree(name="Braces", root=root)
     assert validate_menu(tree) == []

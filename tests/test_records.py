@@ -6,7 +6,7 @@ import pytest
 
 from ivroute.datagen import Dataset, IntentRecord
 from ivroute.evaluation import ClassMetrics, ConfusionMatrix, EvalReport
-from ivroute.menu import ActionType, DtmfPath, MenuNode, MenuTree, NodeKind, TerminalPath
+from ivroute.menu import DtmfPath, MenuNode, MenuTree, TerminalPath
 from ivroute.prompts import PromptText, RoutingCondition
 from ivroute.provider import Completion, ProviderConfig
 from ivroute.router import ParsedResponse, RoutingResult, RoutingRun
@@ -15,8 +15,8 @@ FLAT = RoutingCondition.FLATTENED_PATHS
 
 
 def node():
-    return MenuNode(label="Root", digit=None, kind=NodeKind.MENU, children=(
-        MenuNode(label="Balance", digit=1, kind=NodeKind.ACTION, action_type=ActionType.SELF_SERVICE),
+    return MenuNode(label="Root", digit=None, kind="menu", children=(
+        MenuNode(label="Balance", digit="1", kind="action", action_type="self_service"),
     ))
 
 
@@ -44,7 +44,7 @@ RECORDS = {
     "DtmfPath": (lambda: DtmfPath("2-1-9"), True),
     "MenuNode": (node, True),
     "MenuTree": (lambda: MenuTree(name="Menu", root=node()), True),
-    "TerminalPath": (lambda: TerminalPath(DtmfPath("1"), ("Balance",), ActionType.SELF_SERVICE), True),
+    "TerminalPath": (lambda: TerminalPath(DtmfPath("1"), ("Balance",), "self_service"), True),
     "IntentRecord": (intent, True),
     "Dataset": (lambda: Dataset(menu_name="Menu", records=[intent()]), False),
     "PromptText": (lambda: PromptText(content="Route: my balance?", query="my balance?"), True),
