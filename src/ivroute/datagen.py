@@ -11,7 +11,7 @@ import shutil
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .menu import DtmfPath, TerminalPath
+from .menu import DtmfPath, TerminalPath, has_lone_surrogate
 
 
 class IntentRecord(NamedTuple):
@@ -106,6 +106,8 @@ def record_from_json(data: dict) -> IntentRecord:
     for name in ("id", "text", "origin", "base_id"):
         if not isinstance(data[name], str):
             raise ValueError(f"{name} must be a string, not {data[name]!r}")
+        if has_lone_surrogate(data[name]):
+            raise ValueError(f"{name} holds a lone surrogate: {data[name]!r}")
     if type(data["variant_index"]) is not int:  # a bool or a fraction is refused too
         raise ValueError(f"variant_index must be an integer, not {data['variant_index']!r}")
     return IntentRecord(
@@ -137,7 +139,8 @@ def save_dataset(ds: Dataset, path: str | Path) -> None:
 def write_whole(path: str | Path, content: bytes | dict[str, bytes]) -> None:
     """Write ``content``, a file's bytes or a directory's files by name, beside
     ``path``, then rename it onto ``path``, a directory there moved aside first
-    and removed last: a failure leaves the old file or directory or none."""
+    and removed last (a link to one is unlinked, its target left as it is): a
+    failure leaves the old file or directory or none."""
     path = Path(path)
     temp, old = (path.with_name(f".{path.name}.{os.getpid()}.{end}") for end in ("tmp", "old"))
     moved = False
@@ -160,7 +163,9 @@ def write_whole(path: str | Path, content: bytes | dict[str, bytes]) -> None:
         else:
             temp.unlink(missing_ok=True)
         raise
-    if moved:
+    if moved and old.is_symlink():
+        old.unlink()
+    elif moved:
         shutil.rmtree(old)
 
 

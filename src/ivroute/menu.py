@@ -22,6 +22,14 @@ MAX_DEPTH = 10  # DTMF gives ten digits; one level per keypress
 PATH_PATTERN = "[0-9](?:-[0-9])*"
 _PATH = re.compile(PATH_PATTERN)
 
+# A lone surrogate, as a JSON escape such as \ud83d or an argv byte that is
+# no UTF-8 makes: no UTF-8 file can hold one.
+LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def has_lone_surrogate(text: str) -> bool:
+    return not text.isascii() and LONE_SURROGATE.search(text) is not None
+
 
 class DtmfPath(str):
     """A non-empty keypress sequence as its canonical text, e.g. "2-1-9"."""
@@ -98,6 +106,8 @@ def parse_menu(document: str) -> MenuTree:
     name = data["name"]
     if not isinstance(name, str) or not name:
         raise ValueError("menu name must be a non-empty string")
+    if has_lone_surrogate(name):
+        raise ValueError("menu name holds a lone surrogate")
 
     tree = MenuTree(name=name, root=_parse_node(data["root"], where="root"))
     violations = validate_menu(tree)
@@ -145,6 +155,9 @@ def _parse_node(data, where: str) -> MenuNode:
     prompt_text = data.get("prompt_text", "")
     if not isinstance(prompt_text, str):
         raise ValueError(f"node at {where}: prompt_text must be a string")
+    for field, text in (("label", label), ("prompt_text", prompt_text)):
+        if has_lone_surrogate(text):
+            raise ValueError(f"node at {where}: {field} holds a lone surrogate")
     raw_children = data.get("children", [])
     if not isinstance(raw_children, list):
         raise ValueError(f"node at {where}: children must be a list")

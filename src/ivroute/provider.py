@@ -27,6 +27,8 @@ import time
 from collections import namedtuple
 from typing import NamedTuple
 
+from .menu import LONE_SURROGATE, has_lone_surrogate
+
 DEFAULT_API_KEY_ENV = "IVR_LLM_API_KEY"
 
 RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
@@ -94,6 +96,8 @@ class ProviderConfig(namedtuple("ProviderConfig", SETTINGS,
                 raise TypeError(f"{name} must be {what}, not {value!r}")
             if interval and not _within(interval, value):
                 raise ValueError(f"{name} must be {what}, not {value!r}")
+            if kind is str and has_lone_surrogate(value):
+                raise ValueError(f"{name} holds a lone surrogate: {value!r}")
         return self
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
@@ -212,7 +216,8 @@ class HttpProvider(Provider):
         message = choices[0].get("message") if isinstance(choices[0], dict) else None
         if not isinstance(message, dict) or not isinstance(message.get("content", 0), (str, type(None))):
             raise ProviderError("first choice carries no message content, or content that is no text")
-        return message["content"] or ""
+        content = message["content"] or ""  # a lone surrogate is replaced, as undecodable bytes are
+        return content if content.isascii() else LONE_SURROGATE.sub("\ufffd", content)
 
 
 # --- deterministic doubles ---------------------------------------------------

@@ -34,6 +34,7 @@ from .menu import (
     DtmfPath,
     MenuTree,
     flatten,
+    has_lone_surrogate,
     render_descriptive,
     render_flattened,
     tree_to_document,
@@ -304,19 +305,18 @@ class Schedule:
 
 
 def run_calls(provider: Provider, count: int, step: Callable[[int], object], error_budget: float,
-              pacing: Pacing | None = None) -> tuple[list, list[tuple[int, str]]]:
+              pacing: Pacing) -> tuple[list, list[tuple[int, str]]]:
     """Run jobs 0 .. count - 1 by the rules of a Schedule on up to
     max_in_flight worker threads, and no scheduling thread; return their
     values (None for a failed job) and the failures as (job, message).
     ``step(index)`` makes one provider call for job ``index`` and returns
-    the job's value. ``pacing``, by default a fresh Pacing of the
-    provider's config, admits and times every attempt.
+    the job's value. ``pacing`` admits and times every attempt.
     What aborts the run, a step's exception or a worker's own, is raised
     once every worker has stopped, and queued jobs and waiting retries are
     dropped. The provider stays open for the caller's next run; the caller
     closes it.
     """
-    schedule = Schedule(count, provider.config.max_in_flight, error_budget, pacing or Pacing(provider.config))
+    schedule = Schedule(count, provider.config.max_in_flight, error_budget, pacing)
     lock = threading.Condition()  # guards ``schedule``
     def work() -> None:
         with lock:
@@ -524,7 +524,7 @@ def read_manifest(path: str | Path) -> dict:
     data = data if isinstance(data, dict) else {}
     digest = data.get("results_sha256")
     fields = {"condition": data.get("condition") in list(CONDITIONS),
-              "model_name": isinstance(data.get("model_name"), str),
+              "model_name": isinstance(data.get("model_name"), str) and not has_lone_surrogate(data["model_name"]),
               "dataset_filter": data.get("dataset_filter") in list(DATASET_FILTERS),
               "parse_mode": data.get("parse_mode") in ("strict", "lenient"),
               "results_sha256": isinstance(digest, str) and re.fullmatch("[0-9a-f]{64}", digest) is not None}

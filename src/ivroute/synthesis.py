@@ -53,8 +53,10 @@ def _run_jobs(provider: Provider, jobs: list[Generator], pacing: Pacing | None) 
     each one ``run_calls`` of one call per job not yet returned, so the
     jobs share its workers and a backoff holds none; a job that yields
     another prompt goes to the next round. The first failure ends the run
-    and is raised as it is. The provider stays open, and ``pacing`` keeps
-    its pace, for the next round and stage; the caller closes it."""
+    and is raised as it is. The provider stays open, and ``pacing`` (by
+    default a fresh Pacing, built once) keeps its pace, for the next round
+    and stage; the caller closes it."""
+    pacing = pacing or Pacing(provider.config)
     prompts = {index: next(job) for index, job in enumerate(jobs)}  # each unreturned job's next prompt
     values: list = [None] * len(jobs)
 

@@ -29,8 +29,8 @@ from ivroute.provider import DEFAULT_API_KEY_ENV
 from ivroute import router
 from ivroute.router import load_results, run_identity
 
-from conftest import (AnsweringProvider, closed_port, data_text, fail_at_step, golden_text, make_record, prompt_of,
-                      subject_of)
+from conftest import (AnsweringProvider, chat_response, closed_port, data_text, fail_at_step, golden_text,
+                      make_record, prompt_of, subject_of)
 
 
 def run(argv):
@@ -123,6 +123,12 @@ MENU_REFUSALS = {
                           "root: carries a digit but is not selected by a keypress"),
     "child-without-a-digit": (lambda doc: doc["root"]["children"][0]["children"][0].pop("digit"),
                               "1: child 'Check Balance' has no digit"),
+    # json.dumps writes each lone surrogate as a JSON escape, such as \ud83d
+    "surrogate-in-name": (lambda doc: doc.update(name="AgentNet \ud83d"), "menu name holds a lone surrogate"),
+    "surrogate-in-label": (lambda doc: doc["root"]["children"][0]["children"][0].update(label="Balance \udcff"),
+                           "node at 1-1: label holds a lone surrogate"),
+    "surrogate-in-prompt-text": (lambda doc: doc["root"]["children"][1].update(prompt_text="\ude00 press 1"),
+                                 "node at 2: prompt_text holds a lone surrogate"),
 }
 
 
@@ -582,6 +588,32 @@ def test_route_config_value_of_wrong_type_exit_2(tmp_path, fixture_menu_path,
     assert not list(tmp_path.glob("run-*")) and not (tmp_path / "intents.jsonl").exists()
 
 
+@pytest.mark.parametrize("key", ["model_name", "endpoint_url", "api_key_env"])
+def test_config_setting_holding_a_lone_surrogate_exit_2(tmp_path, fixture_menu_path, fixture_dataset_path,
+                                                        monkeypatch, capsys, key):
+    file = tmp_path / "config.json"
+    file.write_text(json.dumps({"providers": dict.fromkeys(("datagen", "routing"), {key: "m\udcff"})}),
+                    encoding="utf-8")
+    for name, argv in config_commands(fixture_menu_path, fixture_dataset_path, tmp_path).items():
+        feed_stdin(monkeypatch, "i want to check my balance\n")
+        assert run(argv + ["--config", str(file)]) == 2, name
+        captured = capsys.readouterr()
+        assert captured.err == f"error: bad provider settings: {key} holds a lone surrogate: 'm\\udcff'\n", name
+        assert captured.out == "", name
+    assert not list(tmp_path.glob("run-*")) and not (tmp_path / "intents.jsonl").exists()
+
+
+def test_route_model_flag_that_is_no_utf8_exit_2_before_any_call(tmp_path, fixture_menu_path,
+                                                                 fixture_dataset_path):
+    # argv bytes that are no UTF-8 reach Python as lone surrogates: b"\xff" as "\udcff"
+    argv = route_args(fixture_menu_path, fixture_dataset_path, tmp_path / "runs", filter="base_only")
+    with cli_child(*argv, os.fsdecode(b"--model=m\xff"), stdout=subprocess.PIPE) as child:
+        out, err = child.communicate(timeout=30)
+    assert child.returncode == 2 and out == ""
+    assert err == "error: bad provider settings: model_name holds a lone surrogate: 'm\\udcff'\n"
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("seed", ["x", True, 1.5, None])
 def test_gen_intents_config_seed_of_wrong_type_exit_2(tmp_path, fixture_menu_path, fixture_dataset_path,
                                                       monkeypatch, capsys, seed):
@@ -725,6 +757,18 @@ def test_dataset_field_of_wrong_type_exit_1(tmp_path, fixture_menu_path, fixture
     assert not list(tmp_path.glob("run-*"))
 
 
+@pytest.mark.parametrize("field", ["id", "text", "origin", "base_id"])
+def test_dataset_field_holding_a_lone_surrogate_exit_1(tmp_path, fixture_menu_path, fixture_dataset_path,
+                                                       capsys, field):
+    dataset = edited_fixture(tmp_path, fixture_dataset_path,
+                             lambda row: {**row, field: row[field] + "\ud83d"} if row["id"] == "1-1:b00:v3" else row)
+    assert run(route_args(fixture_menu_path, dataset, tmp_path)) == 1  # returned, no traceback
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot load dataset {dataset}: {dataset}:233: bad record: "
+                                   f"{field} holds a lone surrogate: ")
+    assert captured.out == "" and not list(tmp_path.glob("run-*"))
+
+
 def test_route_names_each_failure_once(tmp_path, fixture_menu_path, fixture_dataset_path, chat_server,
                                        monkeypatch, capsys):
     monkeypatch.delenv(DEFAULT_API_KEY_ENV, raising=False)
@@ -766,6 +810,21 @@ def test_route_force_over_results_that_cannot_be_written_exit_1(tmp_path, fixtur
     assert list(tmp_path.iterdir()) == [run_dir]  # no temporary entry left beside it
     assert run(evaluate) == 0
     assert files_under(run_dir) == old_run
+
+
+def test_route_force_over_a_linked_run_directory_replaces_the_link_and_keeps_its_target(
+        tmp_path, fixture_menu_path, fixture_dataset_path):
+    target = oracle_run_dir(tmp_path / "elsewhere", fixture_menu_path, fixture_dataset_path)
+    old_run = files_under(target)
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    (runs / target.name).symlink_to(target, target_is_directory=True)
+    assert run(route_args(fixture_menu_path, fixture_dataset_path, runs, filter="base_only") + ["--force"]) == 0
+    run_dir = runs / target.name
+    assert run_dir.is_dir() and not run_dir.is_symlink()
+    assert files_under(run_dir).keys() == {"results.jsonl", "manifest.json"}
+    assert files_under(target) == old_run
+    assert list(runs.iterdir()) == [run_dir]  # no moved-aside link or temporary entry left
 
 
 def test_route_skips_blank_dataset_lines_and_keeps_the_run_id(tmp_path, fixture_menu_path,
@@ -818,6 +877,21 @@ def test_route_reply_content_that_is_no_text_exit_1(tmp_path, fixture_menu_path,
     assert "content that is no text" in err and "Traceback" not in err
     assert server.answered == 3
     assert server.wait(open=0)
+
+
+def test_a_reply_holding_a_lone_surrogate_is_saved_with_a_replacement_character(
+        tmp_path, fixture_menu_path, fixture_dataset_path, loopback, monkeypatch, capsys):
+    monkeypatch.delenv(DEFAULT_API_KEY_ENV, raising=False)
+    body = '{"choices": [{"message": {"content": "1-1\\ud83d"}}]}'  # half a surrogate pair, escaped
+    server = loopback(lambda request, index: chat_response(body=body))
+    argv = route_args(fixture_menu_path, fixture_dataset_path, tmp_path, filter="base_only")
+    assert run(argv + ["--provider", "http", "--endpoint", server.url]) == 0
+    (run_dir,) = tmp_path.glob("run-*")
+    rows = load_results(run_dir / "results.jsonl")
+    assert len(rows) == 230 and {(r.raw_response, r.predicted) for r in rows} == {("1-1\ufffd", "INVALID")}
+    capsys.readouterr()
+    assert run(["eval", str(run_dir / "results.jsonl"), "--menu", str(fixture_menu_path)]) == 0
+    assert "accuracy 0.00% over 230 results" in capsys.readouterr().out  # each row regraded as saved
 
 
 # --- eval ------------------------------------------------------------------------------
@@ -1061,6 +1135,8 @@ MANIFEST_EDITS = {
     "run_id": ({"run_id": "C3CA07A72A4F"}, "cannot load manifest {file}: run_id 'C3CA07A72A4F' is not the hash"),
     "no condition": ({"condition": "foo"}, "cannot load manifest {file}: not a route run's manifest (bad condition)"),
     "no model name": ({"model_name": ["oracle-mock"]}, "not a route run's manifest (bad model_name)"),
+    "model name with a lone surrogate": ({"model_name": "oracle-mock\udcff"},
+                                         "not a route run's manifest (bad model_name)"),
     "dataset_filter": ({"dataset_filter": "augmented"}, "not a route run's manifest (bad dataset_filter)"),
     "parse_mode": ({"parse_mode": None}, "not a route run's manifest (bad parse_mode)"),
     "no digest": ({"results_sha256": None}, "not a route run's manifest (bad results_sha256)"),
@@ -1835,6 +1911,36 @@ def test_any_bytes_as_menu_or_config_end_with_an_exit_code(tmp_path_factory, fix
     argv = route_args(fixture_menu_path, fixture_dataset_path, file.parent / "any-bytes-runs",
                       filter="base_only")
     assert run(argv + ["--config", str(file)]) in (0, 1, 2)
+
+
+# Text that may hold a lone surrogate (category Cs), which st.text() never draws.
+texts_with_surrogates = st.text(st.characters() | st.characters(categories=["Cs"]), max_size=6)
+
+
+def holds_a_surrogate(text: str) -> bool:
+    return any(0xD800 <= ord(c) <= 0xDFFF for c in text)
+
+
+def read_back(text: str) -> str:
+    """``text`` written to a JSON file and read again: an escaped high and low surrogate make one character."""
+    return json.loads(json.dumps(text))
+
+
+@settings(max_examples=100, deadline=None)
+@given(label=texts_with_surrogates, text=texts_with_surrogates, model=texts_with_surrogates)
+def test_text_that_may_hold_a_lone_surrogate_is_routed_or_refused_with_its_exit_code(tmp_path_factory, label,
+                                                                                     text, model):
+    # A menu label, a dataset text and a model name: a lone surrogate in the
+    # menu or the dataset is refused with exit 1, in a setting with exit 2.
+    directory = tmp_path_factory.getbasetemp() / "surrogates"  # rewritten by every example
+    directory.mkdir(exist_ok=True)
+    menu, dataset = directory / "menu.json", directory / "intents.jsonl"
+    menu.write_text(json.dumps({"name": "One", "root": {"label": "Root", "kind": "menu", "children": [
+        {"label": "Pay " + label, "digit": "1", "kind": "action", "action_type": "self_service"}]}}), encoding="utf-8")
+    dataset.write_text(json.dumps(make_record("1", "my bill " + text)._asdict()) + "\n", encoding="utf-8")
+    argv = route_args(menu, dataset, directory / "runs") + [f"--model={model}", "--force"]
+    expected = 1 if holds_a_surrogate(read_back(label) + read_back(text)) else 2 if holds_a_surrogate(model) else 0
+    assert run(argv) == expected
 
 
 # --- interrupts and closed pipes ------------------------------------------------------------

@@ -21,7 +21,7 @@ from ivroute.datagen import (
 )
 from ivroute.menu import DtmfPath, flatten
 from ivroute.provider import ProviderError
-from ivroute import synthesis
+from ivroute import router, synthesis
 from ivroute.synthesis import (
     augment_intents,
     build_dataset,
@@ -121,6 +121,16 @@ def test_base_generation_drops_duplicates_and_reasks(tiny_tree):
     ]
     records = generate_base_intents(paths, by_subject({paths[0].breadcrumb_text(): replies}), per_node=2)
     assert [r.text for r in records] == ["same text", "different text"]
+
+
+def test_a_stage_called_without_a_pace_keeps_one_pace_over_its_rounds(tiny_tree, monkeypatch):
+    paces = []
+    init = router.Schedule.__init__
+    monkeypatch.setattr(router.Schedule, "__init__", lambda self, *args: paces.append(args[-1]) or init(self, *args))
+    paths = flatten(tiny_tree)[:1]
+    replies = [numbered(["same text", "Same   TEXT"]), numbered(["different text"])]
+    generate_base_intents(paths, by_subject({paths[0].breadcrumb_text(): replies}), per_node=2)
+    assert len(paces) == 2 and paces[0] is paces[1]  # two rounds, one pace
 
 
 def test_base_generation_budget_exhaustion(tiny_tree):

@@ -387,7 +387,8 @@ def test_threads_share_at_most_max_in_flight_connections(chat_server, live_provi
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as possible
     try:
-        completions, _ = run_calls(provider, 30, complete_each(provider), error_budget=0)
+        completions, _ = run_calls(provider, 30, complete_each(provider), error_budget=0,
+                                   pacing=Pacing(provider.config))
     finally:
         sys.setswitchinterval(interval)
     assert [c.raw_text for c in completions] == ["1-1"] * 30
@@ -799,7 +800,7 @@ def test_run_calls_admits_nothing_after_an_abort():
 @pytest.mark.parametrize("bound", [1, 3])
 def test_in_flight_never_exceeds_bound(bound):
     provider = AnsweringProvider(lambda prompt: time.sleep(0.002) or "1-1", max_in_flight=bound)  # calls overlap
-    run_calls(provider, 24, complete_each(provider), error_budget=0)
+    run_calls(provider, 24, complete_each(provider), error_budget=0, pacing=Pacing(provider.config))
     assert 1 <= provider.peak_in_flight <= bound
 
 
