@@ -10,6 +10,7 @@ reader.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -490,6 +491,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        # A path from argv bytes that are no UTF-8 is printed escaped, as on stderr.
+        sys.stdout.reconfigure(errors="backslashreplace")
     try:
         code = args.func(args)
         sys.stdout.flush()  # here, so a closed pipe is seen while it can still be handled

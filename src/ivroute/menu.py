@@ -28,7 +28,7 @@ LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def has_lone_surrogate(text: str) -> bool:
-    return not text.isascii() and LONE_SURROGATE.search(text) is not None
+    return LONE_SURROGATE.search(text) is not None
 
 
 class DtmfPath(str):
@@ -81,6 +81,8 @@ class TerminalPath(NamedTuple):
 # The fields every node may carry, and those a node of each kind may add.
 _NODE_FIELDS = {"label", "digit", "kind"}
 _KIND_FIELDS = {"menu": {"prompt_text", "children"}, "action": {"action_type"}, "navigation": set()}
+_ACTION_TYPES = ("self_service", "agent_handoff")
+_DIGITS = tuple("0123456789")  # a one-keypress path is exactly one ASCII digit
 
 
 def parse_menu(document: str) -> MenuTree:
@@ -100,9 +102,7 @@ def parse_menu(document: str) -> MenuTree:
 
     missing = [key for key in ("name", "root") if key not in data]
     if missing:
-        raise ValueError(
-            "menu document missing required field(s): " + ", ".join(missing)
-        )
+        raise ValueError("menu document missing required field(s): " + ", ".join(missing))
     name = data["name"]
     if not isinstance(name, str) or not name:
         raise ValueError("menu name must be a non-empty string")
@@ -135,22 +135,15 @@ def _parse_node(data, where: str) -> MenuNode:
         raise ValueError(f"node at {where}: unknown kind {kind!r}")
     misplaced = set(data) - _NODE_FIELDS - _KIND_FIELDS[kind]
     if misplaced:
-        raise ValueError(
-            f"node at {where}: field(s) {sorted(misplaced)} not allowed on {kind} nodes"
-        )
+        raise ValueError(f"node at {where}: field(s) {sorted(misplaced)} not allowed on {kind} nodes")
 
     digit = data.get("digit")
-    # a one-keypress path is exactly one ASCII digit
-    if "digit" in data and (not isinstance(digit, str) or len(digit) != 1 or not _PATH.fullmatch(digit)):
-        raise ValueError(
-            f"node at {where}: digit must be a one-character string '0'-'9'"
-        )
+    if "digit" in data and digit not in _DIGITS:
+        raise ValueError(f"node at {where}: digit must be a one-character string '0'-'9'")
 
     action_type = data.get("action_type", "")
-    if "action_type" in data and action_type not in ("self_service", "agent_handoff"):
-        raise ValueError(
-            f"node at {where}: action_type must be 'self_service' or 'agent_handoff'"
-        )
+    if "action_type" in data and action_type not in _ACTION_TYPES:
+        raise ValueError(f"node at {where}: action_type must be 'self_service' or 'agent_handoff'")
 
     prompt_text = data.get("prompt_text", "")
     if not isinstance(prompt_text, str):
@@ -214,8 +207,13 @@ def validate_menu(tree: MenuTree) -> list[str]:
         if len(digits) > MAX_DEPTH:
             violations.append(f"{where}: exceeds maximum depth {MAX_DEPTH}")
             return
+        if node.kind not in _KIND_FIELDS:
+            violations.append(f"{where}: unknown kind {node.kind!r}")
+            return
         if node.kind == "action" and not node.action_type:
             violations.append(f"{where}: action node without an action_type")
+        elif node.kind == "action" and node.action_type not in _ACTION_TYPES:
+            violations.append(f"{where}: action_type must be 'self_service' or 'agent_handoff'")
         if node.kind != "action" and node.action_type:
             violations.append(f"{where}: action_type set on a non-action node")
         if node.kind == "navigation" and node.digit != "0":
@@ -233,6 +231,10 @@ def validate_menu(tree: MenuTree) -> list[str]:
         for child in node.children:
             if child.digit is None:
                 violations.append(f"{where}: child {child.label!r} has no digit")
+                continue
+            if child.digit not in _DIGITS:
+                violations.append(f"{where}: child {child.label!r} has digit {child.digit!r}, "
+                                  "not a one-character string '0'-'9'")
                 continue
             if child.digit in digits_seen:
                 violations.append(f"{where}: duplicate digit {child.digit} among children")

@@ -216,8 +216,8 @@ class HttpProvider(Provider):
         message = choices[0].get("message") if isinstance(choices[0], dict) else None
         if not isinstance(message, dict) or not isinstance(message.get("content", 0), (str, type(None))):
             raise ProviderError("first choice carries no message content, or content that is no text")
-        content = message["content"] or ""  # a lone surrogate is replaced, as undecodable bytes are
-        return content if content.isascii() else LONE_SURROGATE.sub("\ufffd", content)
+        # a lone surrogate is replaced, as undecodable bytes are
+        return LONE_SURROGATE.sub("\ufffd", message["content"] or "")
 
 
 # --- deterministic doubles ---------------------------------------------------

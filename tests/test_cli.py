@@ -614,6 +614,29 @@ def test_route_model_flag_that_is_no_utf8_exit_2_before_any_call(tmp_path, fixtu
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("command", ["route", "gen-intents", "eval"])
+def test_an_output_path_from_argv_bytes_that_are_no_utf8_is_printed_escaped(tmp_path, fixture_menu_path,
+                                                                           fixture_dataset_path, chat_server,
+                                                                           monkeypatch, capsys, command):
+    # The artifact is written under the path the bytes name; the line that
+    # names it escapes the byte instead of ending in a UnicodeEncodeError.
+    out = tmp_path / os.fsdecode(b"out\xff")
+    if command == "route":
+        argv = route_args(fixture_menu_path, fixture_dataset_path, out, filter="base_only")
+    elif command == "gen-intents":
+        monkeypatch.delenv(DEFAULT_API_KEY_ENV, raising=False)
+        argv = ["gen-intents", str(fixture_menu_path), "--per-node", "1", "--variants", "0", "--provider", "http",
+                "--endpoint", chat_server(reply=about_subject).url, "--dataset-out", str(out / "intents.jsonl")]
+    else:
+        run_dir = oracle_run_dir(tmp_path, fixture_menu_path, fixture_dataset_path)
+        capsys.readouterr()
+        argv = ["eval", str(run_dir / "results.jsonl"), "--menu", str(fixture_menu_path), "--out", str(out)]
+    assert run(argv) == 0
+    printed = capsys.readouterr().out
+    assert f"{tmp_path}/out\\udcff/" in printed
+    assert len(list(out.iterdir())) == 1
+
+
 @pytest.mark.parametrize("seed", ["x", True, 1.5, None])
 def test_gen_intents_config_seed_of_wrong_type_exit_2(tmp_path, fixture_menu_path, fixture_dataset_path,
                                                       monkeypatch, capsys, seed):

@@ -173,6 +173,25 @@ def test_validate_flags_duplicate_sibling_digits_once():
     assert problems == ["root: duplicate digit 1 among children"]
 
 
+def test_validate_flags_a_misspelt_kind_action_type_or_digit():
+    # Trees built in code use the document's strings; a typo among them is
+    # reported, not carried into a flattening or a prompt.
+    root = submenu("Root", None, [
+        action("Hyphen", "1", service="self-service"),
+        MenuNode(label="Typo", digit="2", kind="acton", action_type="self_service"),
+        action("Number", 3),
+        action("Two Keys", "45"),
+        action("Fine", "6"),
+    ])
+    problems = validate_menu(MenuTree(name="t", root=root))
+    assert problems == [
+        "1: action_type must be 'self_service' or 'agent_handoff'",
+        "2: unknown kind 'acton'",
+        "root: child 'Number' has digit 3, not a one-character string '0'-'9'",
+        "root: child 'Two Keys' has digit '45', not a one-character string '0'-'9'",
+    ]
+
+
 def test_validate_flags_menu_of_only_navigation():
     root = submenu("Root", None, [submenu("Dead End", "1", [navigation()])])
     problems = validate_menu(MenuTree(name="t", root=root))
