@@ -13,8 +13,9 @@ Run from the repository root:
     python3 scripts/build_fixture_dataset.py
 
 Reruns reproduce the shipped file byte for byte. The script refuses to write
-a dataset that fails validation or contains any duplicate text, because the
-oracle mock maps text -> truth and silently misroutes on collisions.
+a dataset that fails validation (which refuses one text under two labels) or
+holds two texts equal up to case and spacing, so that every intent of the
+fixture is a complaint worded its own way.
 """
 
 from __future__ import annotations
@@ -395,7 +396,7 @@ def main() -> int:
     keys = [_dedup_key(r.text) for r in ds.records]
     if len(set(keys)) != len(keys):
         dupes = sorted({k for k in keys if keys.count(k) > 1})
-        raise SystemExit(f"duplicate texts would break the oracle mock: {dupes[:5]}")
+        raise SystemExit(f"texts equal up to case and spacing: {dupes[:5]}")
 
     save_dataset(ds, OUT_FILE)
     base = sum(1 for r in ds.records if r.origin == "base")

@@ -7,7 +7,8 @@
 # README.md, not exactly at them; live model output is not deterministic.
 # Each cell's route report goes to stderr and to $IVR_OUT/route-*.log; stdout
 # holds the grid alone. A cell whose route fails ends the script with
-# route's exit code, before the grid is printed.
+# route's exit code, before the grid is printed; a cell with intents that
+# failed within route's error budget shows their count, as "4.35 (1 failed)".
 #
 # Required environment:
 #   IVR_ENDPOINT_URL   chat-completions endpoint, e.g. https://api.example.com/v1/chat/completions
@@ -56,9 +57,11 @@ run_cell() {
     --out "$OUT" | tee "$OUT/route-$condition-$filter.log" >&2
 }
 
-# "routed N intents, accuracy XX.XX%" -> XX.XX
+# "routed N intents, accuracy XX.XX%" -> XX.XX, and
+# "routed N intents, accuracy XX.XX%, K failed and not scored" -> XX.XX (K failed)
 accuracy() {
-  sed -n 's/.*accuracy \([0-9.]*\)%.*/\1/p' "$OUT/route-$1-$2.log"
+  sed -n -e 's/.*accuracy \([0-9.]*\)%, \([0-9]*\) failed and not scored.*/\1 (\2 failed)/p' -e t \
+    -e 's/.*accuracy \([0-9.]*\)%.*/\1/p' "$OUT/route-$1-$2.log"
 }
 
 echo "routing 2 conditions x 2 dataset slices with $IVR_MODEL ..." >&2

@@ -121,8 +121,8 @@ def load_menu(path: str | Path) -> MenuTree:
 
 
 def _parse_node(data, where: str) -> MenuNode:
-    """The node a document object describes; a field of the wrong type or
-    value, or one that the node's kind may not carry, is refused."""
+    """The node a document object describes. A field of the wrong type, or
+    one its kind may not carry, is refused; validate_menu judges values."""
     if not isinstance(data, Mapping):
         raise ValueError(f"node at {where}: must be a JSON object")
 
@@ -136,14 +136,6 @@ def _parse_node(data, where: str) -> MenuNode:
     misplaced = set(data) - _NODE_FIELDS - _KIND_FIELDS[kind]
     if misplaced:
         raise ValueError(f"node at {where}: field(s) {sorted(misplaced)} not allowed on {kind} nodes")
-
-    digit = data.get("digit")
-    if "digit" in data and digit not in _DIGITS:
-        raise ValueError(f"node at {where}: digit must be a one-character string '0'-'9'")
-
-    action_type = data.get("action_type", "")
-    if "action_type" in data and action_type not in _ACTION_TYPES:
-        raise ValueError(f"node at {where}: action_type must be 'self_service' or 'agent_handoff'")
 
     prompt_text = data.get("prompt_text", "")
     if not isinstance(prompt_text, str):
@@ -165,9 +157,9 @@ def _parse_node(data, where: str) -> MenuNode:
 
     return MenuNode(
         label=label,
-        digit=digit,
+        digit=data.get("digit"),
         kind=kind,
-        action_type=action_type,
+        action_type=data.get("action_type", ""),
         children=tuple(children),
         prompt_text=prompt_text,
     )

@@ -3,7 +3,8 @@
 The two prompt templates live as text files under data/ with {{MENU}},
 {{PATHS}} and {{QUERY}} placeholders, so the exact wording is reviewable
 and pinned by golden tests. Building a prompt is pure string substitution:
-equal inputs give equal bytes.
+equal inputs give equal bytes, and the query goes in verbatim as its
+intent's text, the key that the oracle double and the dataset checks read.
 """
 
 from __future__ import annotations
@@ -56,19 +57,13 @@ def fill(template: str, values: dict[str, str]) -> str:
     return re.sub(r"\{\{[A-Z_]+\}\}", lambda match: values.get(match[0], match[0]), template)
 
 
-def _clean_query(query: str) -> str:
-    # Only the trailing newline goes; queries keep their noise on purpose.
-    cleaned = query.rstrip("\n")
-    if not cleaned.strip():
-        raise ValueError("query is empty")
-    return cleaned
-
-
 def build_prompt(condition: RoutingCondition, context_text: str, query: str) -> PromptText:
-    """Fill the condition's template with its context text and the query."""
+    """Fill the condition's template with its context text and the query,
+    as it is: a trailing newline stays, and only a blank query is refused."""
     spec = CONDITIONS[condition]
     if not context_text:
         raise ValueError(f"the {spec.name} context is empty")
-    cleaned = _clean_query(query)
-    content = fill(load_template(spec.template), {spec.placeholder: context_text, "{{QUERY}}": cleaned})
-    return PromptText(content=content, query=cleaned)
+    if not query.strip():
+        raise ValueError("query is empty")
+    content = fill(load_template(spec.template), {spec.placeholder: context_text, "{{QUERY}}": query})
+    return PromptText(content=content, query=query)

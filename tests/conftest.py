@@ -373,8 +373,8 @@ def prompt_of(request: Request) -> str:
 
 
 def query_of(request: Request) -> str:
-    """The query of a routing prompt's request."""
-    return prompt_of(request).rpartition("User Query:\n")[2].strip()
+    """The query of a routing prompt's request, verbatim."""
+    return prompt_of(request).rpartition("User Query:\n")[2]
 
 
 def chat_response(status=200, content="1-1", retry_after=None, body=None) -> bytes:

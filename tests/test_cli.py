@@ -17,7 +17,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ivroute
@@ -83,8 +83,8 @@ def test_validate_menu_unicode_digit_exit_1(tmp_path, capsys, digit):
     menu.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
     assert run(["validate-menu", str(menu)]) == 1  # an exception would leave main
     captured = capsys.readouterr()
-    assert captured.err == (f"error: invalid menu: node at 1-{digit}: "
-                            "digit must be a one-character string '0'-'9'\n")
+    assert captured.err == (f"error: invalid menu: 1: child 'Check Balance' has digit {digit!r}, "
+                            "not a one-character string '0'-'9'\n")
     assert captured.out == ""
 
 
@@ -100,6 +100,19 @@ def test_validate_menu_reports_every_tree_violation_together(tmp_path, capsys):
                                        "2: menu node has no children\n")
 
 
+def test_validate_menu_reports_bad_digits_and_action_types_with_the_other_violations(tmp_path, capsys):
+    doc = json.loads(data_text("agentnet.menu.json"))
+    doc["root"]["children"][0]["children"][0]["digit"] = "\uff11"
+    doc["root"]["children"][1]["children"][0]["children"] = []
+    doc["root"]["children"][2]["children"][0]["action_type"] = "robot"
+    menu = tmp_path / "broken.menu.json"
+    menu.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["validate-menu", str(menu)]) == 1
+    assert capsys.readouterr().err == (
+        "error: invalid menu: 1: child 'Check Balance' has digit '\uff11', not a one-character string '0'-'9'; "
+        "2-1: menu node has no children; 3-1: action_type must be 'self_service' or 'agent_handoff'\n")
+
+
 # Edits, in place, of the bundled menu document that validate-menu refuses,
 # and the error, which names the node where there is one.
 MENU_REFUSALS = {
@@ -111,7 +124,7 @@ MENU_REFUSALS = {
     "misplaced-field": (lambda doc: doc["root"]["children"][0]["children"][0].update(children=[]),
                         "node at 1-1: field(s) ['children'] not allowed on action nodes"),
     "bad-action-type": (lambda doc: doc["root"]["children"][0]["children"][0].update(action_type="robot"),
-                        "node at 1-1: action_type must be 'self_service' or 'agent_handoff'"),
+                        "1-1: action_type must be 'self_service' or 'agent_handoff'"),
     "prompt-not-text": (lambda doc: doc["root"]["children"][0].update(prompt_text=5),
                         "node at 1: prompt_text must be a string"),
     "children-not-a-list": (lambda doc: doc["root"]["children"][0].update(children={}),
@@ -710,6 +723,20 @@ def test_route_blank_text_is_refused_before_any_call(tmp_path, fixture_menu_path
     assert capsys.readouterr().err == "error: dataset is not valid: record 3-9:b09:v3: text is blank\n"
     assert not out.exists()
     assert (server.accepted, server.answered) == (0, 0)
+
+
+@pytest.mark.parametrize("condition", ["flattened", "descriptive"])
+def test_route_oracle_scores_texts_that_end_in_a_newline_as_they_are(tmp_path, condition, capsys):
+    # The prompt's query is the intent's text, the oracle's key for its answer.
+    menu, dataset = tmp_path / "menu.json", tmp_path / "intents.jsonl"
+    menu.write_text(json.dumps({"name": "Three", "root": {"label": "Root", "kind": "menu", "children": [
+        {"label": label, "digit": digit, "kind": "action", "action_type": "self_service"}
+        for digit, label in (("1", "Pay"), ("2", "Repair"), ("3", "Cancel"))]}}), encoding="utf-8")
+    records = [make_record("1", "my bill is wrong\n"), make_record("2", "the internet is down\r\n"),
+               make_record("3", "cancel my plan\n\n")]
+    dataset.write_text("".join(json.dumps(r._asdict()) + "\n" for r in records), encoding="utf-8")
+    assert run(route_args(menu, dataset, tmp_path / "runs", condition=condition)) == 0
+    assert "routed 3 intents, accuracy 100.00%" in capsys.readouterr().out.splitlines()
 
 
 def edited_fixture(tmp_path, fixture_dataset_path, edit):
@@ -1951,6 +1978,7 @@ def read_back(text: str) -> str:
 
 @settings(max_examples=100, deadline=None)
 @given(label=texts_with_surrogates, text=texts_with_surrogates, model=texts_with_surrogates)
+@example(label="", text="&\n", model="")  # a text that ends in a newline is routed as it is
 def test_text_that_may_hold_a_lone_surrogate_is_routed_or_refused_with_its_exit_code(tmp_path_factory, label,
                                                                                      text, model):
     # A menu label, a dataset text and a model name: a lone surrogate in the

@@ -2,6 +2,7 @@
 and scripts/live_table.sh, each in bash, offline. Their python3 is the
 interpreter running the tests and their PYTHONPATH the checkout's src."""
 
+import fnmatch
 import json
 import os
 import shlex
@@ -66,7 +67,7 @@ def test_readme_migration_vouches_for_a_run_routed_before_manifests_held_a_diges
     assert "accuracy 100.00% over 230 results" in bash(evaluate).stdout
 
 
-# The endpoint's status, and the script's exit code and stdout: every cell
+# The endpoint's statuses, and the script's exit code and stdout: every cell
 # scores 4.35% when each reply is 1-1, right for 1 path in 23.
 GRID = """
 ### Routing accuracy (%): m
@@ -76,17 +77,23 @@ GRID = """
 | Flattened Paths | 4.35 | 4.35 |
 | Descriptive Menu | 4.35 | 4.35 |
 """
-LIVE_TABLE = {"every call answered": (200, 0, GRID), "every call refused": (400, 1, "")}
+# The first cell's one 400, which is not retried, fails one intent within
+# route's 1 % error budget: that cell shows the failure, after a score that
+# depends on which intent it was.
+ONE_FAILED = GRID.replace("| Flattened Paths | 4.35 |", "| Flattened Paths | * (1 failed) |")
+LIVE_TABLE = {"every call answered": ({}, 0, GRID), "every call refused": ({"status": 400}, 1, ""),
+              "every call but the first answered": ({"statuses": [400]}, 0, ONE_FAILED)}
 
 
 @pytest.mark.parametrize("kind", LIVE_TABLE)
 def test_live_table_prints_the_grid_or_ends_with_the_failed_cells_code(tmp_path, chat_server, kind):
-    status, code, grid = LIVE_TABLE[kind]
-    server = chat_server(status=status)
+    options, code, grid = LIVE_TABLE[kind]
+    server = chat_server(**options)
     out = tmp_path / "live-runs"
     env = shell_env(tmp_path) | {"IVR_ENDPOINT_URL": server.url, "IVR_MODEL": "m", "IVR_LLM_API_KEY": "k",
                                  "IVR_OUT": str(out), "IVR_RPS": "100000", "IVR_MAX_IN_FLIGHT": "8"}
     done = subprocess.run([str(REPO_ROOT / "scripts" / "live_table.sh")], env=env, capture_output=True,
                           text=True, timeout=120)
-    assert (done.returncode, done.stdout) == (code, grid), done.stderr
+    assert done.returncode == code, done.stderr
+    assert fnmatch.fnmatchcase(done.stdout, grid), done.stdout
     assert len(list(out.glob("route-*.log"))) == (1 if code else 4)  # no cell is routed after a failed one

@@ -50,11 +50,12 @@ def test_equal_inputs_equal_bytes(paths):
     assert a.content == b.content
 
 
-def test_query_trailing_newline_stripped(paths):
+def test_query_trailing_newline_kept(paths):
+    # The query is the intent's text, the key the oracle and the dataset's checks read.
     text = render_flattened(paths)
     prompt = build_prompt(RoutingCondition.FLATTENED_PATHS, text, "trailing\n")
-    assert prompt.query == "trailing"
-    assert prompt.content.endswith("trailing")
+    assert prompt.query == "trailing\n"
+    assert prompt.content.endswith("trailing\n")
 
 
 def test_query_internal_noise_kept(paths):

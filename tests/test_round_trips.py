@@ -338,5 +338,6 @@ def test_a_menu_digit_is_exactly_one_of_0_to_9(digit):
     if len(digit) == 1 and digit in "0123456789":
         assert parse_menu(one_option_menu(digit)).root.children[0].digit == digit
     else:
-        with pytest.raises(ValueError, match="digit must be"):
+        with pytest.raises(ValueError) as refused:
             parse_menu(one_option_menu(digit))
+        assert str(refused.value) == f"root: child 'Pay' has digit {digit!r}, not a one-character string '0'-'9'"
