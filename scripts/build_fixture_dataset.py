@@ -367,7 +367,7 @@ class BankProvider(Provider):
         super().__init__(ProviderConfig(model_name="fixture-banks"))
         self.replies = replies
 
-    def _request(self, text: str, prompt) -> str:
+    def _request(self, text: str) -> str:
         for line in text.splitlines():
             if line in self.replies:
                 return self.replies[line]

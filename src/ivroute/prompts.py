@@ -5,6 +5,7 @@ The two prompt templates live as text files under data/ with {{MENU}},
 and pinned by golden tests. Building a prompt is pure string substitution:
 equal inputs give equal bytes, and the query goes in verbatim as its
 intent's text, the key that the oracle double and the dataset checks read.
+A provider receives only the built text; ``query_of`` reads the query back.
 """
 
 from __future__ import annotations
@@ -39,16 +40,16 @@ CONDITIONS = {
 }
 
 
-class PromptText(NamedTuple):
-    content: str
-    query: str
-
-
 @cache
 def load_template(name: str) -> str:
     """A bundled template's text without its trailing newlines, read once."""
     text = resources.files("ivroute.data").joinpath(name).read_text(encoding="utf-8")
     return text.rstrip("\n")
+
+
+def template_bytes(condition: RoutingCondition) -> bytes:
+    """The bytes of the condition's bundled template file."""
+    return resources.files("ivroute.data").joinpath(CONDITIONS[condition].template).read_bytes()
 
 
 def fill(template: str, values: dict[str, str]) -> str:
@@ -57,7 +58,7 @@ def fill(template: str, values: dict[str, str]) -> str:
     return re.sub(r"\{\{[A-Z_]+\}\}", lambda match: values.get(match[0], match[0]), template)
 
 
-def build_prompt(condition: RoutingCondition, context_text: str, query: str) -> PromptText:
+def build_prompt(condition: RoutingCondition, context_text: str, query: str) -> str:
     """Fill the condition's template with its context text and the query,
     as it is: a trailing newline stays, and only a blank query is refused."""
     spec = CONDITIONS[condition]
@@ -65,5 +66,12 @@ def build_prompt(condition: RoutingCondition, context_text: str, query: str) -> 
         raise ValueError(f"the {spec.name} context is empty")
     if not query.strip():
         raise ValueError("query is empty")
-    content = fill(load_template(spec.template), {spec.placeholder: context_text, "{{QUERY}}": query})
-    return PromptText(content=content, query=query)
+    return fill(load_template(spec.template), {spec.placeholder: context_text, "{{QUERY}}": query})
+
+
+def query_of(text: str) -> str:
+    """The query of a routing prompt: the text after its first
+    ``"\\nUser Query:\\n"``, or "" when it holds none. Both templates end
+    with that line and then ``{{QUERY}}``, so the reading is exact whenever
+    no line of the context reads ``User Query:``; a query may hold the marker."""
+    return text.partition("\nUser Query:\n")[2]

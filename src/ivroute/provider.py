@@ -2,11 +2,13 @@
 doubles whose reply depends only on the prompt, so concurrency never
 changes what they answer.
 
-All providers share the same contract: ``complete(prompt) -> Completion``
-sends exactly one request, safe to call from many worker threads at once.
-A request worth repeating raises ``TransportError`` with the server's
-``retry_after``; any other ``ProviderError`` is final. A provider only
-sends: ``router.run_calls`` bounds the requests in flight, and its
+All providers share the same contract: ``complete(text) -> Completion``
+sends ``text``, and only it, in exactly one request, safe to call from many
+worker threads at once. The doubles read a routing prompt's query out of
+the text with ``prompts.query_of``, as a model has to. A request worth
+repeating raises ``TransportError`` with the server's ``retry_after``; any
+other ``ProviderError`` is final. A provider only sends:
+``router.run_calls`` bounds the requests in flight, and its
 ``router.Schedule`` counts the attempts and asks a ``router.Pacing`` when
 each one goes (``--rps``, ``Retry-After``, seeded jitter, ``max_retries``).
 Subclasses implement a single ``_request`` hook; the base class keeps the
@@ -28,6 +30,7 @@ from collections import namedtuple
 from typing import NamedTuple
 
 from .menu import LONE_SURROGATE, has_lone_surrogate
+from .prompts import query_of
 
 DEFAULT_API_KEY_ENV = "IVR_LLM_API_KEY"
 
@@ -125,22 +128,20 @@ class Provider:
         self._in_flight = 0
         self.peak_in_flight = 0
 
-    def complete(self, prompt) -> Completion:
-        """Send one request for one completion; ``prompt`` is a PromptText
-        or a plain string."""
-        text = prompt.content if hasattr(prompt, "content") else str(prompt)
+    def complete(self, text: str) -> Completion:
+        """Send ``text`` in one request for one completion."""
         with self._state_lock:
             self._in_flight += 1
             self.peak_in_flight = max(self.peak_in_flight, self._in_flight)
         start = time.perf_counter()
         try:
-            raw = self._request(text, prompt)
+            raw = self._request(text)
         finally:
             with self._state_lock:
                 self._in_flight -= 1
         return Completion(raw_text=raw, latency=time.perf_counter() - start)
 
-    def _request(self, text: str, prompt) -> str:
+    def _request(self, text: str) -> str:
         """Send one request and return the reply text. A TransportError is
         worth retrying; any other ProviderError fails the call at once."""
         raise NotImplementedError
@@ -196,7 +197,7 @@ class HttpProvider(Provider):
             payload["temperature"] = self.config.temperature
         return payload
 
-    def _request(self, text: str, prompt) -> str:
+    def _request(self, text: str) -> str:
         status, body, retry_after = self._transport(self._payload(text))
         if status in RETRYABLE_STATUSES:
             raise TransportError(f"HTTP {status}", retry_after)
@@ -239,10 +240,8 @@ class OracleProvider(Provider):
         truth = {r.text: r.ground_truth for r in dataset.records}
         return cls(truth, config)
 
-    def _request(self, text: str, prompt) -> str:
-        query = getattr(prompt, "query", None)
-        if query is None:
-            raise ProviderError("oracle mock needs a routing prompt with a query")
+    def _request(self, text: str) -> str:
+        query = query_of(text)
         try:
             return self._truth_by_text[query]
         except KeyError:
@@ -259,9 +258,8 @@ class KeywordProvider(Provider):
         if not self._paths:
             raise ValueError("keyword mock needs at least one terminal path")
 
-    def _request(self, text: str, prompt) -> str:
-        query = getattr(prompt, "query", text)
-        query_words = _words(query)
+    def _request(self, text: str) -> str:
+        query_words = _words(query_of(text))
         best_path = self._paths[0][0]
         best_score = -1
         for path, words in self._paths:

@@ -28,6 +28,7 @@ from decimal import Decimal
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
+from . import __version__
 from .datagen import Dataset, IntentRecord, dataset_to_jsonl, read_jsonl, validate_dataset, write_whole
 from .menu import (
     PATH_PATTERN,
@@ -40,7 +41,7 @@ from .menu import (
     tree_to_document,
     validate_menu,
 )
-from .prompts import CONDITIONS, PromptText, RoutingCondition, build_prompt
+from .prompts import CONDITIONS, RoutingCondition, build_prompt, template_bytes
 from .provider import Completion, Provider, ProviderConfig, ProviderError, TransportError
 
 INVALID = "INVALID"
@@ -133,8 +134,7 @@ def route(
 ) -> tuple[ParsedResponse, Completion]:
     """One prompt, one completion (one request), one parsed reply for a
     single query."""
-    prompt: PromptText = build_prompt(condition, context, query)
-    completion = provider.complete(prompt)
+    completion = provider.complete(build_prompt(condition, context, query))
     return parse_dtmf_response(completion.raw_text, lenient=lenient), completion
 
 
@@ -456,11 +456,14 @@ def run_id(fields: dict) -> str:
 
 
 def build_manifest(identity: dict, failures: list[tuple[str, str]]) -> dict:
-    """A run's ``run_identity``, failures and time; ``save_run`` adds ``results_sha256`` once it saves the rows."""
+    """A run's ``run_identity``, failures and time, and, outside the run id, its template file's
+    sha256 and the ivroute version; ``save_run`` adds ``results_sha256`` once it saves the rows."""
     return {
         **identity,
         "failures": [{"intent_id": i, "error": e} for i, e in failures],
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        "template_sha256": sha256(template_bytes(RoutingCondition(identity["condition"]))),
+        "ivroute_version": __version__,
     }
 
 

@@ -165,17 +165,17 @@ def tiny_dataset() -> Dataset:
 # --- the provider double ----------------------------------------------------------
 
 class AnsweringProvider(Provider):
-    """A provider whose ``answer(prompt)`` makes the reply to each request,
-    or raises its failure; ``settings`` are its ProviderConfig's. ``calls``
-    holds the text of each call answered, in order."""
+    """A provider whose ``answer(text)`` makes the reply to the text of each
+    request, or raises its failure; ``settings`` are its ProviderConfig's.
+    ``calls`` holds the text of each call answered, in order."""
 
     def __init__(self, answer, **settings):
         super().__init__(ProviderConfig(**settings))
         self.answer = answer
         self.calls = []
 
-    def _request(self, text, prompt):
-        reply = self.answer(prompt)
+    def _request(self, text):
+        reply = self.answer(text)
         self.calls.append(text)
         return reply
 
@@ -370,11 +370,6 @@ class LoopbackServer:
 def prompt_of(request: Request) -> str:
     """The prompt of a chat-completions request."""
     return json.loads(request.body)["messages"][-1]["content"]
-
-
-def query_of(request: Request) -> str:
-    """The query of a routing prompt's request, verbatim."""
-    return prompt_of(request).rpartition("User Query:\n")[2]
 
 
 def chat_response(status=200, content="1-1", retry_after=None, body=None) -> bytes:

@@ -27,7 +27,7 @@ from ivroute.evaluation import (
     per_class_metrics,
 )
 from ivroute.menu import flatten, render_descriptive, render_paths_tsv
-from ivroute.prompts import RoutingCondition, load_template
+from ivroute.prompts import RoutingCondition, load_template, query_of
 from ivroute.provider import (
     OracleProvider,
     Provider,
@@ -147,7 +147,7 @@ def answered_run(dataset, tree, record_filter: str, n_correct: int) -> list[Rout
         r.text: r.ground_truth.canonical() if i < n_correct else wrong_path(r.ground_truth.canonical())
         for i, r in enumerate(records)
     }
-    provider = AnsweringProvider(lambda prompt: replies[prompt.query], model_name="answering-mock")
+    provider = AnsweringProvider(lambda prompt: replies[query_of(prompt)], model_name="answering-mock")
     run = route_all(dataset, RoutingCondition.FLATTENED_PATHS, tree, provider,
                     record_filter=record_filter)
     return run.results
@@ -346,7 +346,7 @@ class CountingProvider(Provider):
         self._active = 0
         self.observed_peak = 0
 
-    def _request(self, text, prompt):
+    def _request(self, text):
         with self._counter_lock:
             self._active += 1
             self.observed_peak = max(self.observed_peak, self._active)

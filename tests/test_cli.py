@@ -342,15 +342,24 @@ def test_route_oracle_base_only(tmp_path, fixture_menu_path, fixture_dataset_pat
     assert manifest["dataset_filter"] == "base_only"
     assert run_dirs[0].name == f"run-{manifest['run_id']}"
     assert list(manifest) == ["menu_name", "menu_hash", "dataset_hash", "condition", "dataset_filter",
-                              "model_name", "parse_mode", "run_id", "failures", "timestamp", "results_sha256"]
+                              "model_name", "parse_mode", "run_id", "failures", "timestamp", "template_sha256",
+                              "ivroute_version", "results_sha256"]
     assert manifest["results_sha256"] == hashlib.sha256((run_dirs[0] / "results.jsonl").read_bytes()).hexdigest()
+    # What made the run, outside its run id: the bytes of the template it filled, and the version.
+    template = Path(ivroute.__file__).parent / "data" / "template_flattened.txt"
+    assert manifest["template_sha256"] == hashlib.sha256(template.read_bytes()).hexdigest()
+    assert manifest["ivroute_version"] == ivroute.__version__
+    assert manifest["run_id"] == "c3ca07a72a4f"
+    assert run(["eval", str(run_dirs[0] / "results.jsonl"), "--menu", str(fixture_menu_path)]) == 0
 
 
 def test_route_descriptive_all_920(tmp_path, fixture_menu_path, fixture_dataset_path, capsys):
-    code = run(route_args(fixture_menu_path, fixture_dataset_path, tmp_path,
-                          condition="descriptive", filter="all"))
-    assert code == 0
-    assert "routed 920 intents" in capsys.readouterr().out
+    argv = route_args(fixture_menu_path, fixture_dataset_path, tmp_path, condition="descriptive", filter="all")
+    assert run(argv) == 0
+    assert "routed 920 intents, accuracy 100.00%" in capsys.readouterr().out
+    # The keyword double reads the query out of the descriptive template's text too.
+    assert run(argv + ["--provider", "keyword"]) == 0
+    assert "routed 920 intents, accuracy 30.87%" in capsys.readouterr().out
 
 
 def test_route_refuses_overwrite_without_force(tmp_path, fixture_menu_path,

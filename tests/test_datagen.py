@@ -204,6 +204,14 @@ def test_augment_zero_variants_is_empty():
     assert augment_intents(base_pair(), AnsweringProvider(lambda prompt: ""), variants=0) == []
 
 
+def test_augment_negative_variants_refused_before_any_call():
+    # The CLI refuses --variants -1 itself, so only a library call reaches this check.
+    provider = AnsweringProvider(lambda prompt: "")
+    with pytest.raises(ValueError, match="^variants must not be negative$"):
+        augment_intents(base_pair(), provider, variants=-1)
+    assert provider.calls == []
+
+
 def test_augment_short_reply_gets_second_call():
     replies = {
         "I want to pay my bill.": [numbered(["only one paraphrase"]), numbered(["first", "second"])],

@@ -18,9 +18,10 @@ from ivroute import router
 from ivroute.cli import main
 from ivroute.datagen import save_dataset
 from ivroute.menu import tree_to_document
+from ivroute.prompts import query_of
 from ivroute.provider import DEFAULT_API_KEY_ENV
 
-from conftest import Close, chat_response, query_of, tiny_dataset
+from conftest import Close, chat_response, prompt_of, tiny_dataset
 
 # A plan is one of these, or the seconds a 200 is held back. The 429s and
 # 503s carry Retry-After: 0; the 500s, hang-ups and cut bodies carry none,
@@ -48,7 +49,7 @@ class FaultPlan:
             return Close(b"")
         if plan == "not-a-completion":
             return chat_response(body='{"answer": "1-1"}')
-        reply = chat_response(content=self.truth[query_of(request)])
+        reply = chat_response(content=self.truth[query_of(prompt_of(request))])
         if plan == "cut-body":
             return Close(reply[:-5])
         time.sleep(plan)

@@ -151,11 +151,11 @@ def test_missing_key_sends_no_auth_header(chat_server, live_provider, monkeypatc
     assert "authorization" not in sent_headers(chat_server(), live_provider)
 
 
-def test_prompt_object_content_is_sent(paths, chat_server, live_provider):
+def test_the_built_prompt_is_sent_as_it_is(paths, chat_server, live_provider):
     prompt = build_prompt(RoutingCondition.FLATTENED_PATHS, render_flattened(paths), "where is my invoice")
     server = chat_server(reply="1-2")
     live_provider(server.url).complete(prompt)
-    assert payloads(server)[0]["messages"][0]["content"] == prompt.content
+    assert payloads(server)[0]["messages"][0]["content"] == prompt
 
 
 # --- retry policy ----------------------------------------------------------------
@@ -676,9 +676,9 @@ def test_oracle_unknown_query_raises(paths):
         oracle.complete(routing_prompt(paths, "never seen"))
 
 
-def test_oracle_needs_query_attribute():
+def test_oracle_finds_no_truth_for_a_text_with_no_query():
     oracle = OracleProvider({"q": "1-1"})
-    with pytest.raises(ProviderError):
+    with pytest.raises(ProviderError, match="no truth for query ''"):
         oracle.complete("bare string prompt")
 
 

@@ -7,7 +7,7 @@ import pytest
 from ivroute.datagen import Dataset, IntentRecord
 from ivroute.evaluation import ClassMetrics, ConfusionMatrix, EvalReport
 from ivroute.menu import DtmfPath, MenuNode, MenuTree, TerminalPath
-from ivroute.prompts import PromptText, RoutingCondition
+from ivroute.prompts import RoutingCondition
 from ivroute.provider import Completion, ProviderConfig
 from ivroute.router import ParsedResponse, RoutingResult, RoutingRun
 
@@ -47,7 +47,6 @@ RECORDS = {
     "TerminalPath": (lambda: TerminalPath(DtmfPath("1"), ("Balance",), "self_service"), True),
     "IntentRecord": (intent, True),
     "Dataset": (lambda: Dataset(menu_name="Menu", records=[intent()]), False),
-    "PromptText": (lambda: PromptText(content="Route: my balance?", query="my balance?"), True),
     "ProviderConfig": (lambda: ProviderConfig(endpoint_url="http://127.0.0.1/v1", max_in_flight=2), True),
     "Completion": (lambda: Completion(raw_text="1", latency=0.25), True),
     "ParsedResponse": (lambda: ParsedResponse(DtmfPath("1"), ("trim",)), True),

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from ivroute.datagen import Dataset
-from ivroute.prompts import RoutingCondition
+from ivroute.prompts import RoutingCondition, query_of
 from ivroute import router
 from ivroute.provider import (
     OracleProvider,
@@ -43,7 +43,7 @@ from ivroute.router import (
     select_records,
 )
 
-from conftest import AnsweringProvider, fail_with, make_record, query_of, simulate, tiny_dataset
+from conftest import AnsweringProvider, fail_with, make_record, prompt_of, simulate, tiny_dataset
 
 
 # --- parsing: strict ---------------------------------------------------------------
@@ -239,7 +239,7 @@ def test_route_all_oracle_order_preserved_under_concurrency(dataset, tree):
 def test_route_all_verdicts_land_on_their_rows(tiny_tree):
     ds = tiny_dataset()
     replies = dict(zip((r.text for r in ds.records), ["1-1", "2", "1-9", "1-9", "2", "2"]))  # second misrouted
-    provider = AnsweringProvider(lambda prompt: time.sleep(0.002) or replies[prompt.query],  # calls overlap
+    provider = AnsweringProvider(lambda prompt: time.sleep(0.002) or replies[query_of(prompt)],  # calls overlap
                                  max_in_flight=4)
     run = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
     assert [(r.intent_id, r.correct) for r in run.results] == [
@@ -260,9 +260,9 @@ def flaky_oracle(ds, failing):
     fail = {r.text for r in failing}
 
     def answer(prompt):
-        if prompt.query in fail:
+        if query_of(prompt) in fail:
             raise ProviderError("synthetic outage")
-        return truth[prompt.query]
+        return truth[query_of(prompt)]
 
     return AnsweringProvider(answer, max_in_flight=1)
 
@@ -294,7 +294,7 @@ def test_route_all_other_error_cancels_queued_calls(tiny_tree):
     ds = tiny_dataset()
 
     def broken(prompt):  # the call for the first record fails with no ProviderError
-        if prompt.query == ds.records[0].text:
+        if query_of(prompt) == ds.records[0].text:
             raise RuntimeError("provider bug")
         time.sleep(0.05)
         return "1-1"
@@ -315,7 +315,8 @@ def test_route_all_dead_endpoint_sees_a_bounded_window(tiny_tree, chat_server, l
         route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider, error_budget=0.0)
     assert len(excinfo.value.failures) == 1
     assert "gave up after 4 attempt(s): HTTP 503" in excinfo.value.failures[0][1]
-    assert len(set(map(query_of, server.requests))) <= 2  # router.WINDOW_PER_SLOT x max_in_flight
+    queries = {query_of(prompt_of(request)) for request in server.requests}
+    assert len(queries) <= 2  # router.WINDOW_PER_SLOT x max_in_flight
 
 
 def fixed_backoff(monkeypatch, delay):
@@ -335,10 +336,10 @@ def backing_off(backoffs, latency=0.0):
 
     def answer(prompt):
         with lock:
-            sent[prompt.query] += 1
-            number = sent[prompt.query]
-            arrivals.append((prompt.query, number, time.monotonic()))
-        if number <= backoffs.get(prompt.query, 0):
+            sent[query_of(prompt)] += 1
+            number = sent[query_of(prompt)]
+            arrivals.append((query_of(prompt), number, time.monotonic()))
+        if number <= backoffs.get(query_of(prompt), 0):
             raise TransportError("busy")
         time.sleep(latency)
         return "1-1"
@@ -836,7 +837,7 @@ def test_manifest_core_fields(tiny_tree):
 
 def test_results_row_keys_in_file_order(tmp_path, tiny_tree):
     ds = tiny_dataset()
-    provider = AnsweringProvider(lambda prompt: " '1-1.' " if prompt.query == ds.records[0].text else "2\u20139")
+    provider = AnsweringProvider(lambda prompt: " '1-1.' " if query_of(prompt) == ds.records[0].text else "2\u20139")
     run = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
     file = tmp_path / "results.jsonl"
     save_results([r._replace(latency=0.25) for r in run.results[:2]], file)
@@ -863,7 +864,7 @@ def test_save_results_returns_the_sha256_of_the_bytes_it_wrote(tmp_path, tiny_tr
 def test_results_round_trip(tmp_path, tiny_tree):
     ds = tiny_dataset()
     replies = dict(zip((r.text for r in ds.records), ["1-1", "nonsense", "1-9", "7-7", "2", "2"]))
-    provider = AnsweringProvider(lambda prompt: replies[prompt.query])
+    provider = AnsweringProvider(lambda prompt: replies[query_of(prompt)])
     run = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
     file = tmp_path / "results.jsonl"
     save_results(run.results, file)
