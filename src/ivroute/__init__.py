@@ -4,4 +4,4 @@ The library API lives in the submodules: menu, datagen, synthesis, prompts,
 provider, router and evaluation; cli is the command-line front end.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -159,13 +159,7 @@ def _stage_settings(flags: dict, config: dict, stage: str) -> tuple[dict, Provid
         raise CommandFailed(f"bad provider settings: {exc}", EXIT_USAGE)
 
 
-def _make_provider(
-    args: argparse.Namespace,
-    config: dict,
-    stage: str,
-    paths,
-    dataset=None,
-) -> Provider:
+def _make_provider(args: argparse.Namespace, config: dict, stage: str, dataset=None) -> Provider:
     """The stage's provider, built from its flag > config file > default
     settings; exit 2 when none can be built."""
     given, cfg = _stage_settings(vars(args), config, stage)
@@ -186,7 +180,7 @@ def _make_provider(
         if dataset is None:
             raise CommandFailed("oracle provider needs a dataset to take its answers from", EXIT_USAGE)
         return OracleProvider.for_dataset(dataset, config=cfg)
-    return KeywordProvider(paths, config=cfg)
+    return KeywordProvider(config=cfg)
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -218,7 +212,7 @@ def cmd_gen_intents(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else config.get("seed", 0)
     tree = _read(args.menu, "menu", load_menu, "invalid menu")
     paths = flatten(tree)
-    provider = _make_provider(args, config, "datagen", paths=paths)
+    provider = _make_provider(args, config, "datagen")
     if args.dataset_out.is_dir():
         raise CommandFailed(f"cannot write {args.dataset_out}: it is a directory", EXIT_USAGE)
     _claim_dir(args.dataset_out.parent)
@@ -252,7 +246,7 @@ def cmd_route(args: argparse.Namespace) -> int:
     ds = _read_dataset(args.dataset, tree, paths)
 
     condition = _condition(args)
-    provider = _make_provider(args, config, "routing", dataset=ds, paths=paths)
+    provider = _make_provider(args, config, "routing", dataset=ds)
 
     # The run directory is named by the inputs alone, so a run that could
     # not be saved is refused before any call is paid for.
@@ -343,7 +337,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     paths = flatten(tree)
 
     dataset = _read_dataset(args.dataset, tree, paths) if args.dataset else None
-    provider = _make_provider(args, config, "routing", dataset=dataset, paths=paths)
+    provider = _make_provider(args, config, "routing", dataset=dataset)
     pacing = Pacing(provider.config)  # one pace across the session's lines
 
     condition = _condition(args)

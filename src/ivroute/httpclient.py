@@ -152,7 +152,7 @@ class _Connection:
         elif coding is None and length is not None:
             lengths = set(_tokens(length))
             value = lengths.pop() if len(lengths) == 1 else ""
-            if not (value.isascii() and value.isdigit()):
+            if not (value.isascii() and value.isdigit() and len(value) <= 18):  # under 10**18 bytes
                 raise BadResponse(f"bad Content-Length: {length[:80]!r}")
             body = self.read(int(value))
         else:  # no length given, or a transfer coding other than chunked

@@ -309,6 +309,30 @@ def render_flattened(paths: Iterable[TerminalPath]) -> str:
     return "\n".join(lines)
 
 
+# How a rendered context offers a path: a flattened "<path>: <breadcrumb>"
+# line, or a "press <digit>" line under an outline's "(DTMF: <path>)" header.
+_FLAT_LINE = re.compile(f"({PATH_PATTERN}): (.*)")
+_SECTION = re.compile(rf" *--- .*\(DTMF: ({PATH_PATTERN})\) ---")
+_PRESS = re.compile(r"\bpress ([0-9])\b")
+
+
+def offered_paths(context: str) -> list[tuple[str, str]]:
+    """The (path, line) pairs a rendered context offers, in order: a flattened
+    line's path and breadcrumb; each outline "press <d>", digit 0 too, as <d>
+    at the root or "<path>-<d>" under "(DTMF: <path>)", with its stripped
+    line. A sub-menu's own path is dropped: its section offers its choices."""
+    offers, sections, prefix = [], set(), ""
+    for line in context.split("\n"):
+        if flat := _FLAT_LINE.fullmatch(line):
+            offers.append((flat[1], flat[2]))
+        elif header := _SECTION.fullmatch(line):
+            sections.add(header[1])
+            prefix = header[1] + "-"
+        else:
+            offers += [(prefix + press[1], line.strip()) for press in _PRESS.finditer(line)]
+    return [offer for offer in offers if offer[0] not in sections]
+
+
 def render_paths_tsv(paths: Iterable[TerminalPath]) -> str:
     """Tab-separated path table: path, breadcrumb, service type."""
     lines = [f"{tp.path}\t{tp.breadcrumb_text()}\t{tp.service_type}" for tp in paths]

@@ -39,6 +39,9 @@ CONDITIONS = {
                                                     "template_flattened.txt", "{{PATHS}}"),
 }
 
+# What both templates put between the context and {{QUERY}}.
+QUERY_MARKER = "\nUser Query:\n"
+
 
 @cache
 def load_template(name: str) -> str:
@@ -71,7 +74,7 @@ def build_prompt(condition: RoutingCondition, context_text: str, query: str) -> 
 
 def query_of(text: str) -> str:
     """The query of a routing prompt: the text after its first
-    ``"\\nUser Query:\\n"``, or "" when it holds none. Both templates end
-    with that line and then ``{{QUERY}}``, so the reading is exact whenever
-    no line of the context reads ``User Query:``; a query may hold the marker."""
-    return text.partition("\nUser Query:\n")[2]
+    QUERY_MARKER, or "" when it holds none. Both templates end with that
+    line and then ``{{QUERY}}``, so the reading is exact whenever no line
+    of the context reads ``User Query:``; a query may hold the marker."""
+    return text.partition(QUERY_MARKER)[2]

@@ -5,7 +5,8 @@ changes what they answer.
 All providers share the same contract: ``complete(text) -> Completion``
 sends ``text``, and only it, in exactly one request, safe to call from many
 worker threads at once. The doubles read a routing prompt's query out of
-the text with ``prompts.query_of``, as a model has to. A request worth
+the text after ``prompts.QUERY_MARKER`` and the keyword double the paths
+the context before it offers, as a model has to. A request worth
 repeating raises ``TransportError`` with the server's ``retry_after``; any
 other ``ProviderError`` is final. A provider only sends:
 ``router.run_calls`` bounds the requests in flight, and its
@@ -29,8 +30,8 @@ import time
 from collections import namedtuple
 from typing import NamedTuple
 
-from .menu import LONE_SURROGATE, has_lone_surrogate
-from .prompts import query_of
+from .menu import LONE_SURROGATE, has_lone_surrogate, offered_paths
+from .prompts import QUERY_MARKER, query_of
 
 DEFAULT_API_KEY_ENV = "IVR_LLM_API_KEY"
 
@@ -209,7 +210,7 @@ class HttpProvider(Provider):
     def _extract_text(body: str) -> str:
         try:
             data = json.loads(body)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # no JSON, or an integer of more digits than int() converts
             raise ProviderError(f"response body is not JSON: {exc}") from exc
         choices = data.get("choices") if isinstance(data, dict) else None
         if not isinstance(choices, list) or not choices:
@@ -249,24 +250,21 @@ class OracleProvider(Provider):
 
 
 class KeywordProvider(Provider):
-    """Routes by word overlap between the query and each breadcrumb; ties go
-    to the earliest path in document order. Crude but fully deterministic."""
+    """Routes by word overlap between the query and the line of each path
+    that the prompt's context offers (``menu.offered_paths``): a flattened
+    path's breadcrumb, or an outline's "press" line. Ties go to the first
+    offer. Crude but fully deterministic."""
 
-    def __init__(self, paths, config: ProviderConfig | None = None):
+    def __init__(self, config: ProviderConfig | None = None):
         super().__init__(config or mock_config("keyword"))
-        self._paths = [(tp.path, _words(tp.breadcrumb_text())) for tp in paths]
-        if not self._paths:
-            raise ValueError("keyword mock needs at least one terminal path")
 
     def _request(self, text: str) -> str:
-        query_words = _words(query_of(text))
-        best_path = self._paths[0][0]
-        best_score = -1
-        for path, words in self._paths:
-            score = len(query_words & words)
-            if score > best_score:  # strict: ties keep the earlier path
-                best_path, best_score = path, score
-        return best_path
+        context, _, query = text.partition(QUERY_MARKER)
+        offers = offered_paths(context)
+        if not offers:
+            raise ProviderError("keyword mock finds no path offered in the prompt")
+        query_words = _words(query)
+        return max(offers, key=lambda offer: len(query_words & _words(offer[1])))[0]  # the first of equals
 
 
 def _words(text: str) -> set[str]:

@@ -226,8 +226,9 @@ class Pacing:
         if attempt > self.max_retries:
             return None
         value = (retry_after or "").strip()
-        if value.isascii() and value.isdigit() and int(value) <= MAX_RETRY_AFTER_S:
-            return now + int(value)
+        seconds = value.lstrip("0") or "0"  # so no int() is taken of more digits than the cap has
+        if value.isascii() and value.isdigit() and len(seconds) <= 2 and int(seconds) <= MAX_RETRY_AFTER_S:
+            return now + int(seconds)
         return now + self.rng.uniform(0.0, min(0.5 * 2 ** (attempt - 1), 8.0))
 
 

@@ -357,9 +357,9 @@ def test_route_descriptive_all_920(tmp_path, fixture_menu_path, fixture_dataset_
     argv = route_args(fixture_menu_path, fixture_dataset_path, tmp_path, condition="descriptive", filter="all")
     assert run(argv) == 0
     assert "routed 920 intents, accuracy 100.00%" in capsys.readouterr().out
-    # The keyword double reads the query out of the descriptive template's text too.
+    # The keyword double reads the query and the offered paths out of the outline's prompt too.
     assert run(argv + ["--provider", "keyword"]) == 0
-    assert "routed 920 intents, accuracy 30.87%" in capsys.readouterr().out
+    assert "routed 920 intents, accuracy 28.26%" in capsys.readouterr().out
 
 
 def test_route_refuses_overwrite_without_force(tmp_path, fixture_menu_path,
@@ -1867,8 +1867,7 @@ PROVIDER_SETTINGS = {
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_provider_settings_layer_flag_then_file_then_default(tmp_path_factory, fixture_menu_path,
-                                                             paths, data):
+def test_provider_settings_layer_flag_then_file_then_default(tmp_path_factory, fixture_menu_path, data):
     argv = ["demo", "--menu", str(fixture_menu_path), "--provider", "keyword"]
     stage, expected = {}, {}
     for field, (flag, key, default, values) in PROVIDER_SETTINGS.items():
@@ -1882,7 +1881,7 @@ def test_provider_settings_layer_flag_then_file_then_default(tmp_path_factory, f
     file = tmp_path_factory.getbasetemp() / "layering.json"  # rewritten by every example
     file.write_text(json.dumps({"providers": {"routing": stage}}), encoding="utf-8")
     args = build_parser().parse_args(argv + ["--config", str(file)])
-    provider = _make_provider(args, _load_config_file(args.config), "routing", paths=paths)
+    provider = _make_provider(args, _load_config_file(args.config), "routing")
     assert provider.config._asdict() == expected
 
 

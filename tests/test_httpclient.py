@@ -112,10 +112,11 @@ def test_response_at_the_bounds_is_read(raw_server, reply):
     (b"HTTP/1.1 101 Switching Protocols\r\nUpgrade: h2c\r\nConnection: Upgrade\r\n\r\n",
      "101 Switching Protocols"),
     (b"HTTP/1.1 200 OK\r\nContent-Length: 1, 2\r\n\r\nok", "bad Content-Length"),
+    (b"HTTP/1.1 200 OK\r\nContent-Length: " + b"0" * 5000 + b"1\r\n\r\nok", "bad Content-Length"),
     (Close(b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nhello"), "closed inside the response"),
 ], ids=["non-http", "65537-byte-line", "endless-line", "101-headers", "no-colon", "chunk-size",
         "prefixed-chunk-size", "chunk-past-its-size", "101-trailers", "switching-protocols",
-        "two-lengths", "cut-short"])
+        "two-lengths", "5001-digit-length", "cut-short"])
 def test_malformed_response_is_a_transport_error_that_closes_the_connection(raw_server, reply,
                                                                           message):
     server = raw_server([reply])

@@ -10,6 +10,7 @@ from ivroute.menu import (
     MenuNode,
     MenuTree,
     flatten,
+    offered_paths,
     parse_menu,
     render_descriptive,
     render_flattened,
@@ -18,7 +19,7 @@ from ivroute.menu import (
     validate_menu,
 )
 
-from conftest import action, navigation, submenu
+from conftest import action, golden_text, navigation, submenu
 
 
 # --- DtmfPath -------------------------------------------------------------------
@@ -254,3 +255,28 @@ def test_tsv_one_line_per_path(tiny_tree):
         "1-9\tBilling -> Billing Agent\tagent_handoff\n"
         "2\tSupport\tself_service\n"
     )
+
+
+# --- reading a rendering back -----------------------------------------------------
+
+def test_offered_paths_of_the_fixture_outline(paths):
+    offers = offered_paths(golden_text("agentnet.descriptive.txt"))
+    # The root's branches head sections of their own; its "press 0" is an offer, as each menu's is.
+    assert offers[0] == ("0", "To hear these options again, press 0.")
+    assert offers[1] == ("1-1", "To check your balance, press 1.")
+    navigation_paths = ["0", "1-0", "2-0", "2-1-0", "2-2-0", "2-3-0", "3-0"]
+    assert sorted(path for path, _ in offers) == sorted([tp.path for tp in paths] + navigation_paths)
+
+
+def test_offered_paths_reads_each_press_under_its_section():
+    outline = "\n".join([
+        "--- Root Menu ---",
+        "  For help press 2, or press 0 to hear this again.",
+        "--- Branch 2: Help (DTMF: 2) ---",
+        "    To express 5 wishes, press 4.",
+        "  --- Sub-Menu for More (DTMF: 2-1) ---",
+        "      press 7",
+    ])
+    line = "For help press 2, or press 0 to hear this again."
+    assert offered_paths(outline) == [("0", line), ("2-4", "To express 5 wishes, press 4."), ("2-1-7", "press 7")]
+    assert offered_paths("Pick a path.\n\nnothing to press here") == []

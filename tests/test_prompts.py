@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from ivroute.menu import MenuTree, render_descriptive, render_flattened, validate_menu
 from ivroute.prompts import (
     CONDITIONS,
+    QUERY_MARKER,
     RoutingCondition,
     build_prompt,
     load_template,
@@ -16,9 +17,6 @@ from ivroute.provider import OracleProvider
 from ivroute.router import accuracy, render_context, route_all
 
 from conftest import action, submenu, tiny_dataset
-
-MARKER = "\nUser Query:\n"
-
 
 def test_descriptive_substitution(tree):
     menu_text = render_descriptive(tree)
@@ -108,15 +106,15 @@ def test_a_placeholder_in_the_menu_is_text_in_the_prompt(condition):
 
 # The reader of a routing prompt's query: exact for any query, the marker
 # and a trailing newline included, as long as no context line reads "User Query:".
-queries = (st.text(min_size=1) | st.builds("".join, st.lists(st.text() | st.just(MARKER), min_size=1))
+queries = (st.text(min_size=1) | st.builds("".join, st.lists(st.text() | st.just(QUERY_MARKER), min_size=1))
            ).filter(str.strip)
 contexts = st.text(min_size=1).filter(lambda context: "User Query:" not in context.split("\n"))
 
 
 @settings(max_examples=200, deadline=None)
 @given(condition=st.sampled_from(RoutingCondition), context=contexts, query=queries)
-@example(condition=RoutingCondition.FLATTENED_PATHS, context="1-1", query=f"my bill{MARKER}is wrong\n")
-@example(condition=RoutingCondition.DESCRIPTIVE_MENU, context="User Query: ", query=MARKER.join(["a", "", "b\n"]))
+@example(condition=RoutingCondition.FLATTENED_PATHS, context="1-1", query=f"my bill{QUERY_MARKER}is wrong\n")
+@example(condition=RoutingCondition.DESCRIPTIVE_MENU, context="User Query: ", query=QUERY_MARKER.join(["a", "", "b\n"]))
 def test_query_of_reads_back_the_query_a_prompt_was_built_for(condition, context, query):
     assert query_of(build_prompt(condition, context, query)) == query
 
@@ -126,9 +124,9 @@ def test_the_oracle_routes_texts_that_hold_the_marker(tiny_tree, condition):
     # Each text quotes a line after a marker line: reading after the first
     # marker gives the text, and after the last one a text that no record holds.
     ds = tiny_dataset()
-    ds = ds._replace(records=[r._replace(text=f"Re: {r.text}{MARKER}{r.text}") for r in ds.records])
+    ds = ds._replace(records=[r._replace(text=f"Re: {r.text}{QUERY_MARKER}{r.text}") for r in ds.records])
     run = route_all(ds, condition, tiny_tree, OracleProvider.for_dataset(ds))
     assert accuracy(run.results) == 1.0 and len(run.results) == len(ds.records)
     context = render_context(tiny_tree, condition)
     texts = {r.text for r in ds.records}
-    assert not any(build_prompt(condition, context, text).rpartition(MARKER)[2] in texts for text in texts)
+    assert not any(build_prompt(condition, context, text).rpartition(QUERY_MARKER)[2] in texts for text in texts)

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -233,6 +234,13 @@ def test_non_retryable_status_fails_immediately(chat_server, live_provider):
     assert delays == []
 
 
+def test_a_body_with_an_integer_too_long_to_convert_is_not_json(raw_server, live_provider):
+    server = raw_server([chat_response(body='{"id": ' + "1" * 5000 + ', "choices": []}')])
+    with pytest.raises(ProviderError, match="^response body is not JSON: "):
+        live_provider(server.url, max_retries=3).complete("q")
+    assert len(server.requests) == 1
+
+
 def test_malformed_body_is_protocol_error_not_retried(raw_server, live_provider):
     server = raw_server([chat_response(body="not json")])
     with pytest.raises(ProviderError, match="^response body is not JSON: ") as excinfo:
@@ -317,6 +325,8 @@ def test_api_key_is_read_once_when_built(chat_server, live_provider, monkeypatch
         ("abc", [0.5, 1.0]),
         ("\u0662", [0.5, 1.0]),  # a digit, but not an ASCII one
         ("", [0.5, 1.0]),
+        pytest.param("0" * 5000, [0.0, 0.0], id="5000-zeros"),  # more digits than int() converts
+        pytest.param("9" * 5000, [0.5, 1.0], id="5000-nines"),
     ],
 )
 def test_retry_after_whole_seconds_up_to_60_are_honoured(status, retry_after, sleeps_expected,
@@ -683,7 +693,7 @@ def test_oracle_finds_no_truth_for_a_text_with_no_query():
 
 
 def test_keyword_overlap_wins(paths):
-    keyword = KeywordProvider(paths)
+    keyword = KeywordProvider()
     reply = keyword.complete(routing_prompt(paths, "i want to check my balance")).raw_text
     assert reply == "1-1"
     reply = keyword.complete(routing_prompt(paths, "slow speed on my internet")).raw_text
@@ -691,7 +701,7 @@ def test_keyword_overlap_wins(paths):
 
 
 def test_keyword_zero_overlap_ties_to_first_path(paths):
-    keyword = KeywordProvider(paths)
+    keyword = KeywordProvider()
     # No query word appears in any breadcrumb ("bill" != "billing"), so every
     # path scores zero and document order decides.
     reply = keyword.complete(routing_prompt(paths, "my bill looks wrong")).raw_text
@@ -699,7 +709,7 @@ def test_keyword_zero_overlap_ties_to_first_path(paths):
 
 
 def test_keyword_tie_breaks_to_earlier_document_order(paths):
-    keyword = KeywordProvider(paths)
+    keyword = KeywordProvider()
     # "technical representative" matches the breadcrumbs of 2-1-9, 2-2-9 and
     # 2-3-9 with the same score; 2-1-9 comes first in document order.
     reply = keyword.complete(routing_prompt(paths, "technical representative")).raw_text
@@ -707,21 +717,36 @@ def test_keyword_tie_breaks_to_earlier_document_order(paths):
 
 
 def test_keyword_is_case_insensitive(paths):
-    keyword = KeywordProvider(paths)
+    keyword = KeywordProvider()
     reply = keyword.complete(routing_prompt(paths, "CHECK BALANCE")).raw_text
     assert reply == "1-1"
 
 
 def test_keyword_rejects_empty_path_list():
-    with pytest.raises(ValueError):
-        KeywordProvider([])
+    # A prompt whose context offers no path leaves the double nothing to answer.
+    with pytest.raises(ProviderError, match="no path offered"):
+        KeywordProvider().complete(build_prompt(RoutingCondition.FLATTENED_PATHS, "no paths here", "my bill"))
+
+
+def test_keyword_reads_the_paths_each_context_offers(tree, paths, dataset):
+    # The flattened list offers the terminal paths; the outline offers its
+    # "press" lines, its navigation options among them, which no terminal path
+    # answers. So the two conditions score apart, each intent the same every run.
+    results = {condition: route_all(dataset, condition, tree, KeywordProvider()).results
+               for condition in RoutingCondition}
+    flat, outline = results[RoutingCondition.FLATTENED_PATHS], results[RoutingCondition.DESCRIPTIVE_MENU]
+    assert [sum(r.correct for r in run) for run in (flat, outline)] == [284, 260]  # 30.87 % and 28.26 % of 920
+    terminals = {tp.path for tp in paths}
+    assert Counter(r.predicted for r in outline if r.predicted not in terminals) == {"1-0": 216, "0": 97}
+    assert sum(f.correct and not o.correct for f, o in zip(flat, outline)) == 136
+    assert sum(o.correct and not f.correct for f, o in zip(flat, outline)) == 112
 
 
 def test_mocks_are_deterministic(paths):
     ds = tiny_dataset()
     for make in (
         lambda: OracleProvider.for_dataset(ds),
-        lambda: KeywordProvider(paths),
+        KeywordProvider,
     ):
         first = [make().complete(routing_prompt(paths, r.text)).raw_text for r in ds.records[:3]]
         second = [make().complete(routing_prompt(paths, r.text)).raw_text for r in ds.records[:3]]

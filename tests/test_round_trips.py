@@ -3,6 +3,7 @@ results rows and run directories), of writing each artifact whole or not at
 all, and of the one path grammar that every reader of a path applies."""
 
 import json
+import string
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,11 @@ from ivroute.menu import (
     DtmfPath,
     MenuNode,
     MenuTree,
+    flatten,
+    offered_paths,
     parse_menu,
+    render_descriptive,
+    render_flattened,
     tree_to_document,
 )
 from ivroute.prompts import RoutingCondition
@@ -48,7 +53,7 @@ action_types = st.sampled_from(("self_service", "agent_handoff"))
 
 
 @st.composite
-def menu_nodes(draw, digit=None, depth=0):
+def menu_nodes(draw, digit=None, depth=0, labels=labels, prompt_texts=st.text(max_size=30)):
     """A valid menu node: distinct child digits, navigation options only on
     0 and never alone, sub-menus at most three levels deep."""
     digits = draw(st.lists(st.sampled_from("0123456789"), min_size=1, max_size=4, unique=True))
@@ -59,14 +64,14 @@ def menu_nodes(draw, digit=None, depth=0):
             kinds.append("navigation")
         kind = draw(st.sampled_from(kinds))
         if kind == "menu":
-            children.append(draw(menu_nodes(child_digit, depth + 1)))
+            children.append(draw(menu_nodes(child_digit, depth + 1, labels, prompt_texts)))
         elif kind == "navigation":
             children.append(MenuNode(label=draw(labels), digit="0", kind="navigation"))
         else:
             children.append(MenuNode(label=draw(labels), digit=child_digit, kind="action",
                                      action_type=draw(action_types)))
     return MenuNode(label=draw(labels), digit=digit, kind="menu", children=tuple(children),
-                    prompt_text=draw(st.text(max_size=30)))
+                    prompt_text=draw(prompt_texts))
 
 
 menu_trees = st.builds(MenuTree, name=labels, root=menu_nodes())
@@ -78,6 +83,29 @@ def test_menu_survives_its_document(tree):
     document = tree_to_document(tree)
     assert parse_menu(json.dumps(document, ensure_ascii=False)) == tree
     assert tree_to_document(parse_menu(json.dumps(document))) == document
+
+
+# Labels of letters and spaces, and menus that speak no message of their
+# own, so the outline announces each child in its "For <label>, press <d>." line.
+plain_labels = st.text(alphabet=string.ascii_letters + " ", min_size=1, max_size=12)
+plain_trees = st.builds(MenuTree, name=plain_labels, root=menu_nodes(labels=plain_labels, prompt_texts=st.just("")))
+
+
+def navigation_paths(node, prefix=""):
+    for child in node.children:
+        path = prefix + child.digit
+        if child.kind == "navigation":
+            yield path
+        yield from navigation_paths(child, path + "-")
+
+
+@settings(max_examples=200, deadline=None)
+@given(plain_trees)
+def test_each_rendering_offers_the_paths_of_its_tree(tree):
+    terminals = flatten(tree)
+    assert offered_paths(render_flattened(terminals)) == [(tp.path, tp.breadcrumb_text()) for tp in terminals]
+    outline_paths = [path for path, _ in offered_paths(render_descriptive(tree))]
+    assert sorted(outline_paths) == sorted([tp.path for tp in terminals] + list(navigation_paths(tree.root)))
 
 
 dtmf_paths = st.lists(st.sampled_from("0123456789"), min_size=1, max_size=5).map(
