@@ -179,7 +179,7 @@ def _make_provider(args: argparse.Namespace, config: dict, stage: str, dataset=N
     if kind == "oracle":
         if dataset is None:
             raise CommandFailed("oracle provider needs a dataset to take its answers from", EXIT_USAGE)
-        return OracleProvider.for_dataset(dataset, config=cfg)
+        return OracleProvider(dataset.records, config=cfg)
     return KeywordProvider(config=cfg)
 
 
@@ -364,9 +364,9 @@ def cmd_demo(args: argparse.Namespace) -> int:
         if failures:
             print(f"error: {failures[0][1]}", file=sys.stderr)
             continue
-        parsed, completion = outcome
+        parsed, raw = outcome
         if parsed.path is None:
-            print(f"INVALID  (reply did not parse: {completion.raw_text!r})", flush=True)
+            print(f"INVALID  (reply did not parse: {raw!r})", flush=True)
             continue
         where = breadcrumb_of.get(parsed.path, "(not a terminal path of this menu)")
         print(f"{parsed.path}  {where}", flush=True)  # a reader on a pipe waits for each answer

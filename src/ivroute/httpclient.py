@@ -6,7 +6,9 @@ one write, and a response framed by Content-Length, by chunked coding or by
 the end of the connection. ``ssl`` is loaded only for an https endpoint or
 a CONNECT tunnel, and ``urllib.request`` only when a proxy variable is set.
 The module is imported when the first HttpProvider is built, so commands
-that build none never load it.
+that build none never load it. It knows no retry policy: a failure of
+``ConnectionPool.request`` is an ``OSError``, and HttpProvider decides
+what it means.
 """
 
 from __future__ import annotations
@@ -16,12 +18,10 @@ import json
 import os
 import select
 import socket
-import sys
 import threading
 from urllib.parse import unquote, urlsplit, urlunsplit
 
 from . import __version__
-from .provider import RETRY_AFTER_STATUSES, ProviderError, TransportError
 
 # Bounds on what the server sends, as http.client has them: one status,
 # header, chunk-size or trailer line (its line ending counted) and the
@@ -32,7 +32,7 @@ DEFAULT_PORTS = {"http": 80, "https": 443}
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
-class BadResponse(Exception):
+class BadResponse(OSError):
     """The server's bytes are not an HTTP/1.x response."""
 
 
@@ -249,7 +249,8 @@ class ConnectionPool:
 
     def request(self, payload: dict) -> tuple[int, str, str | None]:
         """POST ``payload`` as JSON; (status, body decoded as UTF-8, the
-        Retry-After header of a 429 or 503 response or None)."""
+        Retry-After header or None). A failure closes the connection and
+        is raised as it is: an OSError, unless it is no I/O failure."""
         body = json.dumps(payload).encode("utf-8")
         message = self._head + b"Content-Length: %d\r\n\r\n" % len(body) + body
         conn = self._checkout()
@@ -266,25 +267,16 @@ class ConnectionPool:
             if conn is None:
                 conn = self._open()
                 response = self._send(conn, message)
-        except BaseException as exc:
+        except BaseException:
             if conn is not None:
                 conn.close()
-            # A certificate that failed verification fails again, so it is
-            # not retried. Any TLS connection has loaded ssl; looking it up
-            # instead of importing it keeps ssl out of http:// runs.
-            ssl = sys.modules.get("ssl")
-            if ssl is not None and isinstance(exc, ssl.SSLCertVerificationError):
-                raise ProviderError(f"TLS certificate refused: {exc}") from exc
-            if isinstance(exc, (OSError, BadResponse)):
-                raise TransportError(f"{type(exc).__name__}: {exc}") from exc
             raise
         status, fields, data, reusable = response
         if reusable:
             self._checkin(conn)
         else:
             conn.close()
-        retry_after = fields.get("retry-after") if status in RETRY_AFTER_STATUSES else None
-        return status, data.decode("utf-8", errors="replace"), retry_after
+        return status, data.decode("utf-8", errors="replace"), fields.get("retry-after")
 
     def close(self) -> None:
         """Close every idle connection. The pool stays usable: the next

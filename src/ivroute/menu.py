@@ -31,6 +31,11 @@ def has_lone_surrogate(text: str) -> bool:
     return LONE_SURROGATE.search(text) is not None
 
 
+# A control character (Cc), U+2028 or U+2029: it would break a label's or a
+# menu name's one line in a rendered context or a TSV row.
+_LINE_BREAKER = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029]")
+
+
 class DtmfPath(str):
     """A non-empty keypress sequence as its canonical text, e.g. "2-1-9"."""
 
@@ -90,8 +95,8 @@ def parse_menu(document: str) -> MenuTree:
 
     Raises ValueError with the offending node's digit path on any
     schema violation. The tree invariants (root kind and digit, action
-    types, children, sibling digits, depth) are validate_menu's alone, so a
-    document's violations of them are reported together.
+    types, children, sibling digits, depth, one-line labels and name) are
+    validate_menu's alone, so a document's violations are reported together.
     """
     try:
         data = json.loads(document)
@@ -189,6 +194,8 @@ def validate_menu(tree: MenuTree) -> list[str]:
     """Check every tree invariant; each violation names the offending node
     by its digit path. An empty list means the tree is well-formed."""
     violations: list[str] = []
+    if _LINE_BREAKER.search(tree.name):
+        violations.append(f"menu name holds a control character or line separator: {tree.name!r}")
     if tree.root.kind != "menu":
         violations.append("root: must have kind 'menu'")
     if tree.root.digit is not None:
@@ -199,6 +206,8 @@ def validate_menu(tree: MenuTree) -> list[str]:
         if len(digits) > MAX_DEPTH:
             violations.append(f"{where}: exceeds maximum depth {MAX_DEPTH}")
             return
+        if _LINE_BREAKER.search(node.label):
+            violations.append(f"{where}: label holds a control character or line separator: {node.label!r}")
         if node.kind not in _KIND_FIELDS:
             violations.append(f"{where}: unknown kind {node.kind!r}")
             return

@@ -2,33 +2,33 @@
 doubles whose reply depends only on the prompt, so concurrency never
 changes what they answer.
 
-All providers share the same contract: ``complete(text) -> Completion``
-sends ``text``, and only it, in exactly one request, safe to call from many
-worker threads at once. The doubles read a routing prompt's query out of
-the text after ``prompts.QUERY_MARKER`` and the keyword double the paths
-the context before it offers, as a model has to. A request worth
-repeating raises ``TransportError`` with the server's ``retry_after``; any
-other ``ProviderError`` is final. A provider only sends:
-``router.run_calls`` bounds the requests in flight, and its
+All providers share the same contract: ``complete(text)`` sends ``text``,
+and only it, in exactly one request, and returns the reply's text; it is
+safe to call from many worker threads at once. The doubles read a routing
+prompt's query out of the text after ``prompts.QUERY_MARKER`` and the
+keyword double the paths the context before it offers, as a model has to.
+A request worth repeating raises ``TransportError`` with the server's
+``retry_after``; any other ``ProviderError`` is final. A provider only
+sends: ``router.run_calls`` bounds the requests in flight, and its
 ``router.Schedule`` counts the attempts and asks a ``router.Pacing`` when
 each one goes (``--rps``, ``Retry-After``, seeded jitter, ``max_retries``).
-Subclasses implement a single ``_request`` hook; the base class keeps the
-latency and a peak-concurrency count.
+Subclasses implement a single ``_request`` hook; the base class keeps a
+peak-concurrency count and times nothing.
 
 The wire protocol of HttpProvider is the de-facto chat-completions JSON
 shape, so any compatible endpoint works: POST {"model", "messages"} with a
 bearer token, read choices[0].message.content. It goes over kept-alive
-HTTP/1.1 connections, spoken by the small client in ``ivroute.httpclient``.
+HTTP/1.1 connections of ``ivroute.httpclient``, whose pool raises OSError
+and knows no retry policy: HttpProvider alone decides what outcomes mean.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 import threading
-import time
 from collections import namedtuple
-from typing import NamedTuple
 
 from .menu import LONE_SURROGATE, has_lone_surrogate, offered_paths
 from .prompts import QUERY_MARKER, query_of
@@ -112,16 +112,9 @@ def mock_config(kind: str, **settings) -> ProviderConfig:
     return ProviderConfig(**{"model_name": f"{kind}-mock", **settings})
 
 
-class Completion(NamedTuple):
-    """One reply: its text, and the seconds its request took."""
-
-    raw_text: str
-    latency: float
-
-
 class Provider:
-    """Shared plumbing: latency and peak-concurrency bookkeeping, and no
-    pacing state: when to send and when to retry is a ``router.Schedule``'s."""
+    """Shared plumbing: a peak-concurrency count, and no pacing state: when
+    to send and when to retry is a ``router.Schedule``'s."""
 
     def __init__(self, config: ProviderConfig | None = None):
         self.config = config or ProviderConfig()
@@ -129,18 +122,16 @@ class Provider:
         self._in_flight = 0
         self.peak_in_flight = 0
 
-    def complete(self, text: str) -> Completion:
-        """Send ``text`` in one request for one completion."""
+    def complete(self, text: str) -> str:
+        """Send ``text`` in one request; return the reply's text."""
         with self._state_lock:
             self._in_flight += 1
             self.peak_in_flight = max(self.peak_in_flight, self._in_flight)
-        start = time.perf_counter()
         try:
-            raw = self._request(text)
+            return self._request(text)
         finally:
             with self._state_lock:
                 self._in_flight -= 1
-        return Completion(raw_text=raw, latency=time.perf_counter() - start)
 
     def _request(self, text: str) -> str:
         """Send one request and return the reply text. A TransportError is
@@ -156,8 +147,9 @@ class Provider:
 
 class HttpProvider(Provider):
     """POSTs chat-completion requests over kept-alive connections, one
-    request per ``_request``: transport failures, 429 and 5xx raise
-    TransportError, and a parseable 200 is never re-asked.
+    request per ``_request``: a refused certificate, which fails again,
+    raises ProviderError; another OSError, a 429 or a 5xx raises
+    TransportError, with the Retry-After of a 429 or 503.
 
     ``_transport(payload) -> (status, body, retry_after)`` sends one
     request: it is the ``request`` of the provider's own ConnectionPool,
@@ -199,9 +191,15 @@ class HttpProvider(Provider):
         return payload
 
     def _request(self, text: str) -> str:
-        status, body, retry_after = self._transport(self._payload(text))
+        try:
+            status, body, retry_after = self._transport(self._payload(text))
+        except OSError as exc:
+            ssl = sys.modules.get("ssl")  # any TLS connection loaded it; an http:// run need not
+            if ssl is not None and isinstance(exc, ssl.SSLCertVerificationError):
+                raise ProviderError(f"TLS certificate refused: {exc}") from exc
+            raise TransportError(f"{type(exc).__name__}: {exc}") from exc
         if status in RETRYABLE_STATUSES:
-            raise TransportError(f"HTTP {status}", retry_after)
+            raise TransportError(f"HTTP {status}", retry_after if status in RETRY_AFTER_STATUSES else None)
         if status != 200:
             raise ProviderError(f"HTTP {status}: {body[:200]}")
         return self._extract_text(body)
@@ -225,21 +223,14 @@ class HttpProvider(Provider):
 # --- deterministic doubles ---------------------------------------------------
 
 class OracleProvider(Provider):
-    """Answers every routing prompt with the ground-truth path of its query.
-
-    Built from a mapping of intent text to canonical path, usually via
-    ``OracleProvider.for_dataset``. Deterministic and content-addressed, so
-    it is safe at any concurrency.
+    """Answers every routing prompt with the ground-truth path of its query,
+    looked up by text among ``records``. Deterministic and content-addressed,
+    so it is safe at any concurrency.
     """
 
-    def __init__(self, truth_by_text: dict[str, str], config: ProviderConfig | None = None):
+    def __init__(self, records, config: ProviderConfig | None = None):
         super().__init__(config or mock_config("oracle"))
-        self._truth_by_text = dict(truth_by_text)
-
-    @classmethod
-    def for_dataset(cls, dataset, config: ProviderConfig | None = None) -> "OracleProvider":
-        truth = {r.text: r.ground_truth for r in dataset.records}
-        return cls(truth, config)
+        self._truth_by_text = {r.text: r.ground_truth for r in records}
 
     def _request(self, text: str) -> str:
         query = query_of(text)

@@ -42,7 +42,7 @@ from .menu import (
     validate_menu,
 )
 from .prompts import CONDITIONS, RoutingCondition, build_prompt, template_bytes
-from .provider import Completion, Provider, ProviderConfig, ProviderError, TransportError
+from .provider import Provider, ProviderConfig, ProviderError, TransportError
 
 INVALID = "INVALID"
 
@@ -131,11 +131,11 @@ def route(
     context: str,
     provider: Provider,
     lenient: bool = False,
-) -> tuple[ParsedResponse, Completion]:
-    """One prompt, one completion (one request), one parsed reply for a
+) -> tuple[ParsedResponse, str]:
+    """One prompt, one request, and the reply parsed and as it came, for a
     single query."""
-    completion = provider.complete(build_prompt(condition, context, query))
-    return parse_dtmf_response(completion.raw_text, lenient=lenient), completion
+    raw = provider.complete(build_prompt(condition, context, query))
+    return parse_dtmf_response(raw, lenient=lenient), raw
 
 
 def route_one(
@@ -145,18 +145,20 @@ def route_one(
     provider: Provider,
     lenient: bool = False,
 ) -> RoutingResult:
-    """Route one intent's text and grade the reply against its ground truth.
+    """Route one intent's text and grade the reply against its ground truth;
+    the latency is this attempt's, from building the prompt to parsing.
 
     A ProviderError passes through unchanged, for ``run_calls`` to retry or
     to record against the intent.
     """
-    parsed, completion = route(intent.text, condition, context, provider, lenient)
+    start = time.perf_counter()
+    parsed, raw = route(intent.text, condition, context, provider, lenient)
     return RoutingResult(
         intent_id=intent.id,
-        raw_response=completion.raw_text,
+        raw_response=raw,
         predicted=INVALID if parsed.path is None else parsed.path,
         ground_truth=intent.ground_truth,
-        latency=completion.latency,
+        latency=time.perf_counter() - start,
     )
 
 

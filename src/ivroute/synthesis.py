@@ -2,7 +2,7 @@
 both through a configured provider. The menu they are labelled against is
 an input; ivroute does not generate menus. Every model call runs on the
 router's scheduler: each job is a generator that yields its prompts and is
-sent their completions, one call per job and round.
+sent the replies' text, one call per job and round.
 
 Each paraphrase inherits its base record's label; linguistic noise
 (interjections, fillers, small grammar slips) is requested from the
@@ -49,7 +49,7 @@ def parse_listed_lines(text: str) -> list[str]:
 
 def _run_jobs(provider: Provider, jobs: list[Generator], pacing: Pacing | None) -> list:
     """The return values of ``jobs``, in order. Each job yields a prompt
-    and is sent its completion, until it returns. The jobs run in rounds,
+    and is sent the reply's text, until it returns. The jobs run in rounds,
     each one ``run_calls`` of one call per job not yet returned, so the
     jobs share its workers and a backoff holds none; a job that yields
     another prompt goes to the next round. The first failure ends the run
@@ -110,7 +110,7 @@ def generate_base_intents(
         texts: list[str] = []
         seen: set[str] = set()
         for _ in range(1 + _EXTRA_CALLS):
-            for item in parse_listed_lines((yield prompt).raw_text):
+            for item in parse_listed_lines((yield prompt)):
                 key = _dedup_key(item)
                 if key and key not in seen:
                     seen.add(key)
@@ -171,9 +171,9 @@ def augment_intents(
     rng = random.Random(seed)
 
     def paraphrase(record: IntentRecord, prompt: str):
-        texts = parse_listed_lines((yield prompt).raw_text)
+        texts = parse_listed_lines((yield prompt))
         if len(texts) < variants:
-            texts = parse_listed_lines((yield prompt).raw_text)
+            texts = parse_listed_lines((yield prompt))
         if len(texts) < variants:
             raise ValueError(
                 f"record {record.id}: got {len(texts)} paraphrase(s), needed {variants}"
@@ -183,7 +183,7 @@ def augment_intents(
         for k, text in enumerate(texts):
             if _dedup_key(text) == base_key:
                 retry_prompt = fill(undirected, {"{{COUNT}}": "1", "{{TEXT}}": record.text})
-                retry = parse_listed_lines((yield retry_prompt).raw_text)
+                retry = parse_listed_lines((yield retry_prompt))
                 if retry and _dedup_key(retry[0]) != base_key:
                     texts[k] = retry[0]
                 else:

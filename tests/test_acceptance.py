@@ -115,9 +115,7 @@ def test_criterion_03_oracle_end_to_end(tree, dataset, monkeypatch):
     started = time.perf_counter()
     for condition in BOTH_CONDITIONS:
         for record_filter, n in expected_n.items():
-            provider = OracleProvider.for_dataset(
-                dataset, ProviderConfig(model_name="oracle-mock", max_in_flight=8)
-            )
+            provider = OracleProvider(dataset.records, ProviderConfig(model_name="oracle-mock", max_in_flight=8))
             run = route_all(dataset, condition, tree, provider, record_filter=record_filter)
             assert len(run.results) == n
             assert accuracy(run.results) == 1.0

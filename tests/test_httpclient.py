@@ -119,13 +119,22 @@ def test_response_at_the_bounds_is_read(raw_server, reply):
         "two-lengths", "5001-digit-length", "cut-short"])
 def test_malformed_response_is_a_transport_error_that_closes_the_connection(raw_server, reply,
                                                                           message):
+    # The pool raises a BadResponse, an OSError, which HttpProvider takes for a TransportError.
     server = raw_server([reply])
     pool = pool_to(server.url)
-    with pytest.raises(TransportError, match=f"BadResponse: .*{message}"):
+    with pytest.raises(BadResponse, match=message):
         call(pool)
     assert pool._idle == []
     if not isinstance(reply, Close):
         assert server.wait(client_closed=1)
+
+
+def test_malformed_bytes_reach_the_provider_as_a_transport_error(raw_server, live_provider):
+    server = raw_server([b"SSH-2.0-OpenSSH_9.6\r\n\r\n"])
+    with pytest.raises(TransportError, match="^BadResponse: not an HTTP/1.x status line") as excinfo:
+        live_provider(server.url).complete("q")
+    assert isinstance(excinfo.value.__cause__, BadResponse)
+    assert server.wait(client_closed=1)
 
 
 def test_request_leaves_in_one_write_on_a_nodelay_socket(raw_server, monkeypatch):
@@ -201,7 +210,7 @@ def test_tunnel_sends_connect_and_refuses_a_bad_reply(raw_server, monkeypatch, r
     proxy = raw_server([reply])
     monkeypatch.setenv("HTTPS_PROXY", f"http://ivr:pw@127.0.0.1:{proxy.port}")
     pool = pool_to("https://endpoint.test/v1/chat/completions")
-    with pytest.raises(TransportError, match=message):
+    with pytest.raises(OSError, match=message):
         call(pool)
     assert proxy.requests == [b"CONNECT endpoint.test:443 HTTP/1.1\r\nHost: endpoint.test:443\r\n"
                               b"Proxy-Authorization: Basic " + base64.b64encode(b"ivr:pw")
@@ -247,6 +256,14 @@ def test_urllib_is_imported_only_when_a_proxy_may_apply(variable, loaded):
     child = subprocess.run([sys.executable, "-c", PROXY_PROBE, "http://127.0.0.1:8/v1"], env=env,
                            capture_output=True, text=True, timeout=60)
     assert child.stdout.split() == [str(loaded)], child.stderr
+
+
+def test_the_client_imports_nothing_from_the_provider():
+    # The pool knows no retry policy: what an HTTP outcome means is HttpProvider's alone.
+    code = "import sys, ivroute.httpclient; print('ivroute.provider' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(ivroute.__file__).resolve().parents[1]))
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert child.stdout.split() == ["False"], child.stderr
 
 
 # --- the reader against http.client -----------------------------------------------

@@ -125,7 +125,7 @@ def test_the_oracle_routes_texts_that_hold_the_marker(tiny_tree, condition):
     # marker gives the text, and after the last one a text that no record holds.
     ds = tiny_dataset()
     ds = ds._replace(records=[r._replace(text=f"Re: {r.text}{QUERY_MARKER}{r.text}") for r in ds.records])
-    run = route_all(ds, condition, tiny_tree, OracleProvider.for_dataset(ds))
+    run = route_all(ds, condition, tiny_tree, OracleProvider(ds.records))
     assert accuracy(run.results) == 1.0 and len(run.results) == len(ds.records)
     context = render_context(tiny_tree, condition)
     texts = {r.text for r in ds.records}

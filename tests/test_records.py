@@ -8,7 +8,7 @@ from ivroute.datagen import Dataset, IntentRecord
 from ivroute.evaluation import ClassMetrics, ConfusionMatrix, EvalReport
 from ivroute.menu import DtmfPath, MenuNode, MenuTree, TerminalPath
 from ivroute.prompts import RoutingCondition
-from ivroute.provider import Completion, ProviderConfig
+from ivroute.provider import ProviderConfig
 from ivroute.router import ParsedResponse, RoutingResult, RoutingRun
 
 FLAT = RoutingCondition.FLATTENED_PATHS
@@ -48,7 +48,6 @@ RECORDS = {
     "IntentRecord": (intent, True),
     "Dataset": (lambda: Dataset(menu_name="Menu", records=[intent()]), False),
     "ProviderConfig": (lambda: ProviderConfig(endpoint_url="http://127.0.0.1/v1", max_in_flight=2), True),
-    "Completion": (lambda: Completion(raw_text="1", latency=0.25), True),
     "ParsedResponse": (lambda: ParsedResponse(DtmfPath("1"), ("trim",)), True),
     "RoutingResult": (result, True),
     "RoutingRun": (lambda: RoutingRun(results=[result()], manifest={"run_id": "abc"}), False),

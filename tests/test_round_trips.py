@@ -48,7 +48,9 @@ from ivroute.router import (
 
 from conftest import fail_at_step
 
-labels = st.text(min_size=1, max_size=12)
+# No control character (Cc), no line or paragraph separator (Zl, Zp): validate_menu refuses them in a label
+# or a name, which must stay on its one line of a rendered context. No lone surrogate (Cs) either.
+labels = st.text(st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp")), min_size=1, max_size=12)
 action_types = st.sampled_from(("self_service", "agent_handoff"))
 
 
@@ -99,13 +101,41 @@ def navigation_paths(node, prefix=""):
         yield from navigation_paths(child, path + "-")
 
 
+def assert_outline_offers_the_paths_of(tree):
+    """The outline offers each terminal path and each navigation option's path, and nothing else."""
+    outline_paths = [path for path, _ in offered_paths(render_descriptive(tree))]
+    assert sorted(outline_paths) == sorted([tp.path for tp in flatten(tree)] + list(navigation_paths(tree.root)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(plain_trees)
 def test_each_rendering_offers_the_paths_of_its_tree(tree):
     terminals = flatten(tree)
     assert offered_paths(render_flattened(terminals)) == [(tp.path, tp.breadcrumb_text()) for tp in terminals]
-    outline_paths = [path for path, _ in offered_paths(render_descriptive(tree))]
-    assert sorted(outline_paths) == sorted([tp.path for tp in terminals] + list(navigation_paths(tree.root)))
+    assert_outline_offers_the_paths_of(tree)
+
+
+@st.composite
+def announcing_trees(draw):
+    """A plain tree whose every menu speaks a message that announces each
+    child as "To <label>, press <d>.", one or more to a line."""
+    def announce(node):
+        if node.kind != "menu":
+            return node
+        children = tuple(announce(child) for child in node.children)
+        sentences = [f"To {child.label}, press {child.digit}." for child in children]
+        breaks = draw(st.lists(st.sampled_from(" \n"), min_size=len(sentences) - 1, max_size=len(sentences) - 1))
+        message = sentences[0] + "".join(gap + sentence for gap, sentence in zip(breaks, sentences[1:]))
+        return node._replace(children=children, prompt_text=message)
+
+    tree = draw(plain_trees)
+    return tree._replace(root=announce(tree.root))
+
+
+@settings(max_examples=200, deadline=None)
+@given(announcing_trees())
+def test_an_outline_whose_messages_announce_each_child_offers_the_paths_of_its_tree(tree):
+    assert_outline_offers_the_paths_of(tree)
 
 
 dtmf_paths = st.lists(st.sampled_from("0123456789"), min_size=1, max_size=5).map(

@@ -206,11 +206,10 @@ def test_route_one_passes_provider_error_through(tiny_tree):
 def test_route_needs_no_ground_truth(tiny_tree):
     provider = AnsweringProvider(lambda prompt: "The path is 1-9.")
     context = render_context(tiny_tree, RoutingCondition.DESCRIPTIVE_MENU)
-    parsed, completion = route("get me a person about my bill",
-                               RoutingCondition.DESCRIPTIVE_MENU, context, provider,
-                               lenient=True)
+    parsed, raw = route("get me a person about my bill", RoutingCondition.DESCRIPTIVE_MENU, context, provider,
+                        lenient=True)
     assert parsed.path.canonical() == "1-9"
-    assert completion.raw_text == "The path is 1-9."
+    assert raw == "The path is 1-9."
     assert "get me a person about my bill" in provider.calls[0]
 
 
@@ -225,9 +224,7 @@ def test_select_records(dataset):
 
 
 def test_route_all_oracle_order_preserved_under_concurrency(dataset, tree):
-    oracle = OracleProvider.for_dataset(
-        dataset, config=ProviderConfig(model_name="oracle-mock", max_in_flight=8)
-    )
+    oracle = OracleProvider(dataset.records, config=ProviderConfig(model_name="oracle-mock", max_in_flight=8))
     run = route_all(dataset, RoutingCondition.FLATTENED_PATHS, tree, oracle,
                     record_filter="base_only")
     assert [r.intent_id for r in run.results] == [
@@ -815,8 +812,7 @@ def test_a_set_temperature_names_the_run(dataset, tree):
     assert len({identity(t)["run_id"] for t in (None, 0, 1.5)}) == 3
     assert identity(1) == identity(1.0)  # one temperature, however it is written
     # Without an identity from its caller, route_all hashes its provider's temperature.
-    oracle = OracleProvider.for_dataset(dataset, config=ProviderConfig(model_name="oracle-mock",
-                                                                      temperature=1.5))
+    oracle = OracleProvider(dataset.records, config=ProviderConfig(model_name="oracle-mock", temperature=1.5))
     run = route_all(dataset, RoutingCondition.FLATTENED_PATHS, tree, oracle, record_filter="base_only")
     assert run.manifest["run_id"] == identity(1.5)["run_id"]
     assert run.manifest["temperature"] == 1.5
