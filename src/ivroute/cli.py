@@ -103,9 +103,9 @@ def _claim_dir(directory: Path) -> None:
         raise CommandFailed(f"cannot write {directory}: {exc}", EXIT_USAGE)
 
 
-def _read_dataset(path: str, tree, paths):
+def _read_dataset(path: str, paths):
     """The dataset at ``path``; exit 1 when it cannot be loaded or is not valid for the menu's ``paths``."""
-    dataset = _read(path, "dataset", lambda file: load_dataset(file, menu_name=tree.name))
+    dataset = _read(path, "dataset", load_dataset)
     problems = validate_dataset(dataset, paths)
     if problems:
         raise CommandFailed("dataset is not valid: " + "; ".join(problems), EXIT_FAILURE)
@@ -243,7 +243,7 @@ def cmd_route(args: argparse.Namespace) -> int:
     config = _load_config_file(args.config)
     tree = _read(args.menu, "menu", load_menu, "invalid menu")
     paths = flatten(tree)
-    ds = _read_dataset(args.dataset, tree, paths)
+    ds = _read_dataset(args.dataset, paths)
 
     condition = _condition(args)
     provider = _make_provider(args, config, "routing", dataset=ds)
@@ -336,7 +336,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     tree = _read(args.menu, "menu", load_menu, "invalid menu")
     paths = flatten(tree)
 
-    dataset = _read_dataset(args.dataset, tree, paths) if args.dataset else None
+    dataset = _read_dataset(args.dataset, paths) if args.dataset else None
     provider = _make_provider(args, config, "routing", dataset=dataset)
     pacing = Pacing(provider.config)  # one pace across the session's lines
 

@@ -31,13 +31,17 @@ class Dataset(NamedTuple):
 
 
 def validate_dataset(ds: Dataset, paths: Sequence[TerminalPath]) -> list[str]:
-    """Empty iff every text holds a character other than white space, every
-    label is a real path, no text is labelled with two paths (a text may
-    repeat under one), every terminal path has the same nonzero number of
-    base records, and every base record has the same number k of
-    paraphrases, whose variant_index values are 1..k, each once. None of it
-    depends on the order of the records."""
-    violations: list[str] = []
+    """Empty iff no string holds a lone surrogate, every text holds a
+    character other than white space, every label is a real path, no text
+    is labelled with two paths (a text may repeat under one), every terminal
+    path has the same nonzero number of base records, and every base record
+    has the same number k of paraphrases, whose variant_index values are
+    1..k, each once. None of it depends on the order of the records."""
+    # A lone surrogate is judged first and alone: the other messages print a record's strings as they are.
+    violations = [f"record {record.id!r}: {field} holds a lone surrogate" for record in ds.records
+                  for field in ("id", "text", "origin", "base_id") if has_lone_surrogate(getattr(record, field))]
+    if violations:
+        return violations
     base_per_path = dict.fromkeys((tp.path for tp in paths), 0)
 
     ids_seen: set[str] = set()
@@ -106,8 +110,6 @@ def record_from_json(data: dict) -> IntentRecord:
     for name in ("id", "text", "origin", "base_id"):
         if not isinstance(data[name], str):
             raise ValueError(f"{name} must be a string, not {data[name]!r}")
-        if has_lone_surrogate(data[name]):
-            raise ValueError(f"{name} holds a lone surrogate: {data[name]!r}")
     if type(data["variant_index"]) is not int:  # a bool or a fraction is refused too
         raise ValueError(f"variant_index must be an integer, not {data['variant_index']!r}")
     return IntentRecord(
@@ -187,6 +189,6 @@ def read_jsonl(lines: Iterable[str], path: str | Path, parse: Callable[[dict], o
 
 
 def load_dataset(path: str | Path, menu_name: str = "") -> Dataset:
-    """Read a JSONL dataset; validate_dataset checks its counts."""
+    """Read a JSONL dataset; validate_dataset judges its values."""
     with open(path, encoding="utf-8") as handle:
         return Dataset(menu_name, read_jsonl(handle, path, record_from_json, "record"))

@@ -93,10 +93,10 @@ _DIGITS = tuple("0123456789")  # a one-keypress path is exactly one ASCII digit
 def parse_menu(document: str) -> MenuTree:
     """Parse a menu document's JSON text.
 
-    Raises ValueError with the offending node's digit path on any
-    schema violation. The tree invariants (root kind and digit, action
-    types, children, sibling digits, depth, one-line labels and name) are
-    validate_menu's alone, so a document's violations are reported together.
+    Raises ValueError with the offending node's digit path on a missing
+    field or one of the wrong type. Every value (kinds, digits, action
+    types, children, depth, names, labels, messages) is validate_menu's
+    alone, so it judges a parsed tree as one built in code, all at once.
     """
     try:
         data = json.loads(document)
@@ -108,13 +108,10 @@ def parse_menu(document: str) -> MenuTree:
     missing = [key for key in ("name", "root") if key not in data]
     if missing:
         raise ValueError("menu document missing required field(s): " + ", ".join(missing))
-    name = data["name"]
-    if not isinstance(name, str) or not name:
-        raise ValueError("menu name must be a non-empty string")
-    if has_lone_surrogate(name):
-        raise ValueError("menu name holds a lone surrogate")
+    if not isinstance(data["name"], str):
+        raise ValueError("menu name must be a string")
 
-    tree = MenuTree(name=name, root=_parse_node(data["root"], where="root"))
+    tree = MenuTree(name=data["name"], root=_parse_node(data["root"], where="root"))
     violations = validate_menu(tree)
     if violations:
         raise ValueError("; ".join(violations))
@@ -126,31 +123,23 @@ def load_menu(path: str | Path) -> MenuTree:
 
 
 def _parse_node(data, where: str) -> MenuNode:
-    """The node a document object describes. A field of the wrong type, or
-    one its kind may not carry, is refused; validate_menu judges values."""
+    """The node a document object describes. A field missing, of the wrong
+    type, or not allowed on a known kind is refused; validate_menu judges values."""
     if not isinstance(data, Mapping):
-        raise ValueError(f"node at {where}: must be a JSON object")
-
-    label = data.get("label")
-    if not isinstance(label, str) or not label:
-        raise ValueError(f"node at {where}: missing label")
-
-    kind = data.get("kind")
-    if not isinstance(kind, str) or kind not in _KIND_FIELDS:
-        raise ValueError(f"node at {where}: unknown kind {kind!r}")
-    misplaced = set(data) - _NODE_FIELDS - _KIND_FIELDS[kind]
+        raise ValueError(f"{where}: must be a JSON object")
+    label, kind, prompt_text = data.get("label"), data.get("kind"), data.get("prompt_text", "")
+    if not isinstance(label, str):
+        raise ValueError(f"{where}: missing label")
+    if not isinstance(kind, str):
+        raise ValueError(f"{where}: unknown kind {kind!r}")
+    misplaced = set(data) - _NODE_FIELDS - _KIND_FIELDS.get(kind, set(data))  # none on an unknown kind
     if misplaced:
-        raise ValueError(f"node at {where}: field(s) {sorted(misplaced)} not allowed on {kind} nodes")
-
-    prompt_text = data.get("prompt_text", "")
+        raise ValueError(f"{where}: field(s) {sorted(misplaced)} not allowed on {kind} nodes")
     if not isinstance(prompt_text, str):
-        raise ValueError(f"node at {where}: prompt_text must be a string")
-    for field, text in (("label", label), ("prompt_text", prompt_text)):
-        if has_lone_surrogate(text):
-            raise ValueError(f"node at {where}: {field} holds a lone surrogate")
+        raise ValueError(f"{where}: prompt_text must be a string")
     raw_children = data.get("children", [])
     if not isinstance(raw_children, list):
-        raise ValueError(f"node at {where}: children must be a list")
+        raise ValueError(f"{where}: children must be a list")
 
     children = []
     for child_data in raw_children:
@@ -190,12 +179,22 @@ def _node_to_document(node: MenuNode) -> dict:
 
 # --- validation ------------------------------------------------------------
 
+def _one_line_problems(what: str, text: str) -> list[str]:
+    """What unfits ``text``, a menu name or a label, for its one line in each rendering."""
+    problems = [] if text else [f"{what} must be a non-empty string"]
+    if has_lone_surrogate(text):
+        problems.append(f"{what} holds a lone surrogate")
+    if _LINE_BREAKER.search(text):
+        problems.append(f"{what} holds a control character or line separator: {text!r}")
+    if press := _PRESS.search(text):
+        problems.append(f"{what} says {press[0]!r}, which an outline offers as a choice: {text!r}")
+    return problems
+
+
 def validate_menu(tree: MenuTree) -> list[str]:
-    """Check every tree invariant; each violation names the offending node
-    by its digit path. An empty list means the tree is well-formed."""
-    violations: list[str] = []
-    if _LINE_BREAKER.search(tree.name):
-        violations.append(f"menu name holds a control character or line separator: {tree.name!r}")
+    """Check every tree invariant and value; each violation names the offending
+    node by its digit path. An empty list means the tree is well-formed."""
+    violations = _one_line_problems("menu name", tree.name)
     if tree.root.kind != "menu":
         violations.append("root: must have kind 'menu'")
     if tree.root.digit is not None:
@@ -206,8 +205,12 @@ def validate_menu(tree: MenuTree) -> list[str]:
         if len(digits) > MAX_DEPTH:
             violations.append(f"{where}: exceeds maximum depth {MAX_DEPTH}")
             return
-        if _LINE_BREAKER.search(node.label):
-            violations.append(f"{where}: label holds a control character or line separator: {node.label!r}")
+        violations.extend(_one_line_problems(f"{where}: label", node.label))
+        if has_lone_surrogate(node.prompt_text):
+            violations.append(f"{where}: prompt_text holds a lone surrogate")
+        for line in node.prompt_text.split("\n"):
+            if _SECTION.fullmatch(line):
+                violations.append(f"{where}: prompt_text line {line!r} reads as an outline's section header")
         if node.kind not in _KIND_FIELDS:
             violations.append(f"{where}: unknown kind {node.kind!r}")
             return

@@ -138,17 +138,17 @@ def test_validate_menu_refuses_a_label_that_would_forge_a_path_line(tmp_path, ca
 MENU_REFUSALS = {
     "empty-name": (lambda doc: doc.update(name=""), "menu name must be a non-empty string"),
     "missing-label": (lambda doc: doc["root"]["children"][0]["children"][0].pop("label"),
-                      "node at 1-1: missing label"),
+                      "1-1: missing label"),
     "unknown-kind": (lambda doc: doc["root"]["children"][0]["children"][0].update(kind="submenu"),
-                     "node at 1-1: unknown kind 'submenu'"),
+                     "1-1: unknown kind 'submenu'"),
     "misplaced-field": (lambda doc: doc["root"]["children"][0]["children"][0].update(children=[]),
-                        "node at 1-1: field(s) ['children'] not allowed on action nodes"),
+                        "1-1: field(s) ['children'] not allowed on action nodes"),
     "bad-action-type": (lambda doc: doc["root"]["children"][0]["children"][0].update(action_type="robot"),
                         "1-1: action_type must be 'self_service' or 'agent_handoff'"),
     "prompt-not-text": (lambda doc: doc["root"]["children"][0].update(prompt_text=5),
-                        "node at 1: prompt_text must be a string"),
+                        "1: prompt_text must be a string"),
     "children-not-a-list": (lambda doc: doc["root"]["children"][0].update(children={}),
-                            "node at 1: children must be a list"),
+                            "1: children must be a list"),
     "action-root": (lambda doc: doc.update(root={"label": "Root", "kind": "action",
                                                  "action_type": "self_service"}),
                     "root: must have kind 'menu'"),
@@ -159,13 +159,23 @@ MENU_REFUSALS = {
     # json.dumps writes each lone surrogate as a JSON escape, such as \ud83d
     "surrogate-in-name": (lambda doc: doc.update(name="AgentNet \ud83d"), "menu name holds a lone surrogate"),
     "surrogate-in-label": (lambda doc: doc["root"]["children"][0]["children"][0].update(label="Balance \udcff"),
-                           "node at 1-1: label holds a lone surrogate"),
+                           "1-1: label holds a lone surrogate"),
     "separator-in-name": (lambda doc: doc.update(name="AgentNet\u2028Support"),
                           "menu name holds a control character or line separator: 'AgentNet\\u2028Support'"),
     "c1-control-in-label": (lambda doc: doc["root"]["children"][0]["children"][0].update(label="Balance\x85"),
                             "1-1: label holds a control character or line separator: 'Balance\\x85'"),
     "surrogate-in-prompt-text": (lambda doc: doc["root"]["children"][1].update(prompt_text="\ude00 press 1"),
-                                 "node at 2: prompt_text holds a lone surrogate"),
+                                 "2: prompt_text holds a lone surrogate"),
+    # Menu text that would make the outline offer a path the menu does not have: a message line that reads as
+    # a section header re-prefixes the "press" lines after it, and the fallback line of a menu that speaks no
+    # message, "For <label>, press <d>.", offers the digit its label names too.
+    "header-in-prompt-text": (lambda doc: doc["root"].update(
+                                  prompt_text="For balance, press 1.\n--- Fake (DTMF: 9) ---\nFor bill, press 2."),
+                              "root: prompt_text line '--- Fake (DTMF: 9) ---' reads as an outline's section header"),
+    "press-in-label": (lambda doc: doc["root"].update(prompt_text="", children=[
+                           {"label": "to cancel press 9", "digit": "1", "kind": "action", "action_type": "self_service"},
+                           *doc["root"]["children"][1:]]),
+                       "1: label says 'press 9', which an outline offers as a choice: 'to cancel press 9'"),
 }
 
 
@@ -847,8 +857,8 @@ def test_dataset_field_holding_a_lone_surrogate_exit_1(tmp_path, fixture_menu_pa
                              lambda row: {**row, field: row[field] + "\ud83d"} if row["id"] == "1-1:b00:v3" else row)
     assert run(route_args(fixture_menu_path, dataset, tmp_path)) == 1  # returned, no traceback
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"error: cannot load dataset {dataset}: {dataset}:233: bad record: "
-                                   f"{field} holds a lone surrogate: ")
+    record_id = "1-1:b00:v3" + ("\ud83d" if field == "id" else "")
+    assert captured.err == f"error: dataset is not valid: record {record_id!r}: {field} holds a lone surrogate\n"
     assert captured.out == "" and not list(tmp_path.glob("run-*"))
 
 

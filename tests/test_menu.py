@@ -193,6 +193,34 @@ def test_validate_flags_a_misspelt_kind_action_type_or_digit():
     ]
 
 
+def test_validate_judges_the_text_of_a_tree_built_in_code():
+    # What a menu file's text must meet, a tree built in code meets too: no
+    # empty name or label, and no lone surrogate, which no UTF-8 file holds.
+    root = submenu("", None, [action("Bal\udcffance", "1"), action("Bill", "2")], prompt_text="\ude00 press 1")
+    assert validate_menu(MenuTree(name="", root=root)) == [
+        "menu name must be a non-empty string",
+        "root: label must be a non-empty string",
+        "root: prompt_text holds a lone surrogate",
+        "1: label holds a lone surrogate",
+    ]
+
+
+def test_validate_flags_menu_text_that_would_make_the_outline_offer_a_path_the_menu_lacks():
+    # A message line that reads as a section header re-prefixes the "press"
+    # lines after it; a label that says "press 9" is offered by the fallback
+    # line "For <label>, press <d>." of a menu that speaks no message.
+    header = submenu("Root", None, [action("Balance", "1"), action("Bill", "2")],
+                     prompt_text="For balance, press 1.\n--- Fake (DTMF: 9) ---\nFor bill, press 2.")
+    press = submenu("Root", None, [action("to cancel press 9", "1"), action("Bill", "2")])
+    for root, forged, problem in [
+        (header, "9-2", "root: prompt_text line '--- Fake (DTMF: 9) ---' reads as an outline's section header"),
+        (press, "9", "1: label says 'press 9', which an outline offers as a choice: 'to cancel press 9'"),
+    ]:
+        tree = MenuTree(name="t", root=root)
+        assert forged in [path for path, _ in offered_paths(render_descriptive(tree))]
+        assert validate_menu(tree) == [problem]
+
+
 def test_validate_flags_menu_of_only_navigation():
     root = submenu("Root", None, [submenu("Dead End", "1", [navigation()])])
     problems = validate_menu(MenuTree(name="t", root=root))

@@ -28,6 +28,7 @@ from ivroute.menu import (
     render_descriptive,
     render_flattened,
     tree_to_document,
+    validate_menu,
 )
 from ivroute.prompts import RoutingCondition
 from ivroute.router import (
@@ -38,6 +39,7 @@ from ivroute.router import (
     build_manifest,
     check_vouched,
     load_results,
+    menu_hash,
     parse_dtmf_response,
     read_manifest,
     read_results,
@@ -48,16 +50,18 @@ from ivroute.router import (
 
 from conftest import fail_at_step
 
-# No control character (Cc), no line or paragraph separator (Zl, Zp): validate_menu refuses them in a label
-# or a name, which must stay on its one line of a rendered context. No lone surrogate (Cs) either.
+# Labels that validate_menu passes, but for a rare "press <digit>". It refuses six in ten texts of any
+# character, most for a control character (Cc): too many for the filter of test_menu_survives_its_document.
+# loose_trees below draws such texts.
 labels = st.text(st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp")), min_size=1, max_size=12)
 action_types = st.sampled_from(("self_service", "agent_handoff"))
 
 
 @st.composite
 def menu_nodes(draw, digit=None, depth=0, labels=labels, prompt_texts=st.text(max_size=30)):
-    """A valid menu node: distinct child digits, navigation options only on
-    0 and never alone, sub-menus at most three levels deep."""
+    """A menu node of a valid shape: distinct child digits, navigation
+    options only on 0 and never alone, sub-menus at most three levels deep.
+    Its texts are what ``labels`` and ``prompt_texts`` draw."""
     digits = draw(st.lists(st.sampled_from("0123456789"), min_size=1, max_size=4, unique=True))
     children = []
     for child_digit in digits:
@@ -80,17 +84,49 @@ menu_trees = st.builds(MenuTree, name=labels, root=menu_nodes())
 
 
 @settings(max_examples=200, deadline=None)
-@given(menu_trees)
+@given(menu_trees.filter(lambda tree: not validate_menu(tree)))
 def test_menu_survives_its_document(tree):
     document = tree_to_document(tree)
     assert parse_menu(json.dumps(document, ensure_ascii=False)) == tree
     assert tree_to_document(parse_menu(json.dumps(document))) == document
 
 
+# Names, labels and messages that may be empty, may hold any character, lone surrogates (Cs) included, which
+# st.characters() alone never draws, and may hold a line that an outline reads as a section header, or a
+# "press <digit>" that it reads as a choice. validate_menu refuses almost every tree of them, so
+# loose_trees draws the trees of menu_trees, which it passes, as often.
+any_characters = st.characters() | st.characters(categories=["Cs"])
+loose_texts = st.text(any_characters, max_size=12) | st.builds(
+    "{}\n--- Fake (DTMF: 9) ---\n{} press 9".format, st.text(any_characters, max_size=4), st.text(max_size=4))
+loose_trees = menu_trees | st.builds(MenuTree, name=loose_texts,
+                                     root=menu_nodes(labels=loose_texts, prompt_texts=loose_texts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(loose_trees)
+def test_a_tree_is_judged_alike_parsed_or_built(tree):
+    # Written without escapes, a drawn high and low surrogate stay two characters, as in the built tree;
+    # a file's escaped pair would read back as one character.
+    document = json.dumps(tree_to_document(tree), ensure_ascii=False)
+    problems = validate_menu(tree)
+    if problems:
+        with pytest.raises(ValueError) as refused:
+            parse_menu(document)
+        assert str(refused.value) == "; ".join(problems)
+    else:
+        assert parse_menu(document) == tree
+        assert len(menu_hash(tree)) == 64  # a tree validate_menu passes can be hashed, as route_all does
+
+
 # Labels of letters and spaces, and menus that speak no message of their
 # own, so the outline announces each child in its "For <label>, press <d>." line.
 plain_labels = st.text(alphabet=string.ascii_letters + " ", min_size=1, max_size=12)
 plain_trees = st.builds(MenuTree, name=plain_labels, root=menu_nodes(labels=plain_labels, prompt_texts=st.just("")))
+# Plain labels that may say "press <digit>", which a "For <label>, press <d>." line would offer as a choice
+# the menu does not have, unless validate_menu refuses it; after a letter, "press" is no word and offers nothing.
+pressing_labels = plain_labels | st.builds("{}press {}".format, plain_labels, st.sampled_from(string.digits))
+pressing_trees = st.builds(MenuTree, name=pressing_labels,
+                           root=menu_nodes(labels=pressing_labels, prompt_texts=st.just("")))
 
 
 def navigation_paths(node, prefix=""):
@@ -108,7 +144,7 @@ def assert_outline_offers_the_paths_of(tree):
 
 
 @settings(max_examples=200, deadline=None)
-@given(plain_trees)
+@given(pressing_trees.filter(lambda tree: not validate_menu(tree)))
 def test_each_rendering_offers_the_paths_of_its_tree(tree):
     terminals = flatten(tree)
     assert offered_paths(render_flattened(terminals)) == [(tp.path, tp.breadcrumb_text()) for tp in terminals]

@@ -250,6 +250,22 @@ def test_route_all_rejects_invalid_dataset(tiny_tree):
         route_all(broken, RoutingCondition.FLATTENED_PATHS, tiny_tree, AnsweringProvider(lambda prompt: "1-1"))
 
 
+def test_route_all_holds_inputs_built_in_code_to_the_rules_of_a_file(tiny_tree):
+    # A lone surrogate, which no UTF-8 file can hold, is refused before any call in a tree or in records built
+    # in code, as in a file, and not met as a UnicodeEncodeError while the inputs are hashed.
+    ds = tiny_dataset()
+    support = tiny_tree.root.children[1]._replace(label="Bal\udcffance")
+    forged_tree = tiny_tree._replace(root=tiny_tree.root._replace(children=(tiny_tree.root.children[0], support)))
+    forged_ds = Dataset(ds.menu_name, [record._replace(text=record.text + "\udcff") for record in ds.records])
+    for tree, dataset, refusal in [(forged_tree, ds, "menu is not valid: 2: label holds a lone surrogate"),
+                                   (tiny_tree, forged_ds, "dataset is not valid: record '1-1:b00': text holds a "
+                                                          "lone surrogate; record '1-1:b01': text")]:
+        provider = AnsweringProvider(lambda prompt: "1-1")
+        with pytest.raises(ValueError) as refused:
+            route_all(dataset, RoutingCondition.FLATTENED_PATHS, tree, provider)
+        assert str(refused.value).startswith(refusal) and provider.calls == []
+
+
 def flaky_oracle(ds, failing):
     """A width-1 provider that answers each query with its truth in ``ds``,
     but fails the calls for the records ``failing``."""
