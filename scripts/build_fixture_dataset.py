@@ -388,7 +388,7 @@ def main() -> int:
             raise SystemExit(f"bank {path} has {len(bank)} lines, needs {PER_NODE}")
 
     provider = BankProvider(build_replies(paths))
-    ds = build_dataset(tree, paths, provider, per_node=PER_NODE, variants=VARIANTS, seed=SEED)
+    ds = build_dataset(tree, provider, per_node=PER_NODE, variants=VARIANTS, seed=SEED)
 
     problems = validate_dataset(ds, paths)
     if problems:

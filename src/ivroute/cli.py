@@ -39,13 +39,13 @@ from .router import (
     check_vouched,
     format_percent,
     menu_hash,
+    plan_run,
     read_manifest,
     read_results,
     route,
-    route_all,
+    route_plan,
     render_context,
     run_calls,
-    run_identity,
     save_run,
 )
 
@@ -211,19 +211,18 @@ def cmd_gen_intents(args: argparse.Namespace) -> int:
     config = _load_config_file(args.config)
     seed = args.seed if args.seed is not None else config.get("seed", 0)
     tree = _read(args.menu, "menu", load_menu, "invalid menu")
-    paths = flatten(tree)
     provider = _make_provider(args, config, "datagen")
     if args.dataset_out.is_dir():
         raise CommandFailed(f"cannot write {args.dataset_out}: it is a directory", EXIT_USAGE)
     _claim_dir(args.dataset_out.parent)
 
     try:
-        ds = build_dataset(tree, paths, provider, per_node=args.per_node, variants=args.variants, seed=seed)
+        ds = build_dataset(tree, provider, per_node=args.per_node, variants=args.variants, seed=seed)
     except (ProviderError, ValueError) as exc:
         raise CommandFailed(str(exc), EXIT_FAILURE)
     finally:
         provider.close()  # once: both stages share its connections
-    problems = validate_dataset(ds, paths)
+    problems = validate_dataset(ds, flatten(tree))
     if problems:
         for problem in problems:
             print(f"violation: {problem}", file=sys.stderr)
@@ -242,17 +241,16 @@ def cmd_route(args: argparse.Namespace) -> int:
         raise CommandFailed(f"--error-budget must be within [0, 1], not {args.error_budget}", EXIT_USAGE)
     config = _load_config_file(args.config)
     tree = _read(args.menu, "menu", load_menu, "invalid menu")
-    paths = flatten(tree)
-    ds = _read_dataset(args.dataset, paths)
-
-    condition = _condition(args)
+    ds = _read(args.dataset, "dataset", load_dataset)
     provider = _make_provider(args, config, "routing", dataset=ds)
+    try:
+        plan = plan_run(ds, tree, _condition(args), provider.config, args.filter, args.lenient)
+    except ValueError as exc:
+        raise CommandFailed(str(exc), EXIT_FAILURE)
 
     # The run directory is named by the inputs alone, so a run that could
     # not be saved is refused before any call is paid for.
-    identity = run_identity(ds, tree, condition, args.filter, provider.config.model_name, args.lenient,
-                            provider.config.temperature)
-    run_dir = Path(args.out) / f"run-{identity['run_id']}"
+    run_dir = Path(args.out) / f"run-{plan.identity['run_id']}"
     if run_dir.exists() and not args.force:
         raise CommandFailed(
             f"{run_dir} already exists (same menu/dataset/condition/model); use --force to overwrite",
@@ -261,16 +259,7 @@ def cmd_route(args: argparse.Namespace) -> int:
     _claim_dir(Path(args.out))
 
     try:
-        run = route_all(
-            ds,
-            condition,
-            tree,
-            provider,
-            record_filter=args.filter,
-            lenient=args.lenient,
-            error_budget=args.error_budget,
-            identity=identity,
-        )
+        run = route_plan(plan, provider, args.error_budget)
     except RoutingAborted as exc:
         lines = [f"run aborted: {exc}"]
         lines += [f"  failed {intent_id}: {message}" for intent_id, message in exc.failures[:5]]

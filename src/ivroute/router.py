@@ -2,9 +2,10 @@
 
 ``route`` is the routing itself and needs no label; ``route_one`` grades its
 prediction against an intent's ground truth, and ``route_all`` does that for
-a whole dataset. Every model call of the package, routing and synthesis
-alike, goes through ``run_calls``: its threads drive a ``Schedule``, which
-holds the scheduling rules.
+a whole dataset: ``plan_run`` judges, selects and names its inputs, then
+``route_plan`` makes the calls. Every model call of the package, routing
+and synthesis alike, goes through ``run_calls``: its threads drive a
+``Schedule``, which holds the scheduling rules.
 
 Model output is held to a strict grammar: after a small, fixed normalization
 pipeline the whole reply must be ``digit ("-" digit)*`` or it is scored as
@@ -359,53 +360,62 @@ def run_calls(provider: Provider, count: int, step: Callable[[int], object], err
     return schedule.values, schedule.failures
 
 
-def route_all(
-    ds: Dataset,
-    condition: RoutingCondition,
-    tree: MenuTree,
-    provider: Provider,
-    record_filter: str = "all",
-    lenient: bool = False,
-    error_budget: float = 0.01,
-    identity: dict | None = None,
-) -> RoutingRun:
-    """Route every selected record on ``run_calls`` and return results in
-    dataset order; the context is rendered once. A RoutingAborted names
-    its failures by intent id.
+class RunPlan(NamedTuple):
+    """All a run needs besides its provider; its ``run_identity`` holds its condition and parse mode."""
 
-    ``identity`` is the ``run_identity`` of these inputs when the caller has
-    it already; without it, the inputs are hashed here. Its run id seeds the
-    retry jitter, so a rerun of the same inputs retries on the same schedule.
-    """
+    identity: dict
+    records: list[IntentRecord]
+    context: str
+
+
+def plan_run(ds: Dataset, tree: MenuTree, condition: RoutingCondition, config: ProviderConfig,
+             record_filter: str = "all", lenient: bool = False) -> RunPlan:
+    """Judge the menu and the dataset, select the records, render the
+    context once, and name the run by its inputs and ``config``'s model and
+    temperature; no call is made. A ValueError says what is not valid."""
     menu_problems = validate_menu(tree)
     if menu_problems:
         raise ValueError("menu is not valid: " + "; ".join(menu_problems))
     data_problems = validate_dataset(ds, flatten(tree))
     if data_problems:
         raise ValueError("dataset is not valid: " + "; ".join(data_problems))
-
     records = select_records(ds, record_filter)
     context = render_context(tree, condition)
+    identity = run_identity(ds, tree, condition, record_filter, config.model_name, lenient, config.temperature)
+    return RunPlan(identity, records, context)
+
+
+def route_plan(plan: RunPlan, provider: Provider, error_budget: float = 0.01) -> RoutingRun:
+    """Route every record of ``plan`` on ``run_calls`` and return results
+    in dataset order. A RoutingAborted names its failures by intent id.
+    The run id seeds the retry jitter, so a rerun of the same inputs
+    retries on the same schedule."""
+    condition = RoutingCondition(plan.identity["condition"])
+    lenient = plan.identity["parse_mode"] == "lenient"
 
     def step(index: int) -> RoutingResult:
-        return route_one(records[index], condition, context, provider, lenient)
+        return route_one(plan.records[index], condition, plan.context, provider, lenient)
 
     def by_id(failures: list[tuple[int, str]]) -> list[tuple[str, str]]:
-        return [(records[index].id, message) for index, message in failures]
+        return [(plan.records[index].id, message) for index, message in failures]
 
-    if identity is None:
-        identity = run_identity(ds, tree, condition, record_filter, provider.config.model_name, lenient,
-                                provider.config.temperature)
     try:
-        slots, failures = run_calls(provider, len(records), step, error_budget,
-                                    Pacing(provider.config, random.Random(identity["run_id"])))
+        slots, failures = run_calls(provider, len(plan.records), step, error_budget,
+                                    Pacing(provider.config, random.Random(plan.identity["run_id"])))
     except RoutingAborted as exc:
         exc.failures = by_id(exc.failures)
         raise
     finally:
         # The running attempts are done: no idle connection outlives the run.
         provider.close()
-    return RoutingRun([r for r in slots if r is not None], build_manifest(identity, by_id(failures)))
+    return RoutingRun([r for r in slots if r is not None], build_manifest(plan.identity, by_id(failures)))
+
+
+def route_all(ds: Dataset, condition: RoutingCondition, tree: MenuTree, provider: Provider,
+              record_filter: str = "all", lenient: bool = False, error_budget: float = 0.01) -> RoutingRun:
+    """``route_plan`` of the ``plan_run`` of these inputs under the provider's config."""
+    plan = plan_run(ds, tree, condition, provider.config, record_filter, lenient)
+    return route_plan(plan, provider, error_budget)
 
 
 # --- manifest and results files ----------------------------------------------

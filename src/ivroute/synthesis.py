@@ -17,7 +17,7 @@ import re
 from typing import Generator, Sequence
 
 from .datagen import Dataset, IntentRecord
-from .menu import MenuTree, TerminalPath
+from .menu import MenuTree, TerminalPath, flatten
 from .prompts import fill, load_template
 from .provider import Provider
 from .router import Pacing, RoutingAborted, run_calls
@@ -206,15 +206,15 @@ def augment_intents(
 
 def build_dataset(
     tree: MenuTree,
-    paths: Sequence[TerminalPath],
     provider: Provider,
     per_node: int = 10,
     variants: int = 3,
     seed: int = 0,
 ) -> Dataset:
-    """Both generation stages back to back: all base records, then all
-    augmented records, at one pace whose retry jitter ``seed`` fixes."""
+    """Both generation stages back to back: all base records, for every
+    terminal path of ``tree``, then all augmented records, at one pace
+    whose retry jitter ``seed`` fixes."""
     pacing = Pacing(provider.config, random.Random(seed))
-    base = generate_base_intents(paths, provider, per_node, pacing)
+    base = generate_base_intents(flatten(tree), provider, per_node, pacing)
     augmented = augment_intents(base, provider, variants, seed, pacing)
     return Dataset(tree.name, base + augmented)

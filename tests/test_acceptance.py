@@ -321,7 +321,7 @@ def generation_replies(paths, per_node: int, variants: int):
 @pytest.mark.parametrize("per_node, variants", [(1, 0), (2, 1), (10, 3)])
 def test_criterion_07_dataset_invariants(tree, paths, per_node, variants):
     provider = AnsweringProvider(generation_replies(paths, per_node, variants), model_name="answering-mock")
-    ds = build_dataset(tree, paths, provider, per_node=per_node, variants=variants, seed=7)
+    ds = build_dataset(tree, provider, per_node=per_node, variants=variants, seed=7)
 
     assert len(ds.records) == per_node * 23 * (1 + variants)
     base_truth = {r.id: r.ground_truth.canonical() for r in ds.records if r.origin == "base"}

@@ -27,7 +27,7 @@ from ivroute.datagen import load_dataset, validate_dataset
 from ivroute.menu import flatten, load_menu
 from ivroute.prompts import RoutingCondition
 from ivroute.provider import DEFAULT_API_KEY_ENV
-from ivroute import router
+from ivroute import cli, router
 from ivroute.router import load_results, run_identity
 
 from conftest import (AnsweringProvider, chat_response, closed_port, data_text, fail_at_step, golden_text,
@@ -617,6 +617,20 @@ def test_route_hashes_its_inputs_once(tmp_path, fixture_menu_path, fixture_datas
     assert run_dir.name == f"run-{identity['run_id']}"
 
 
+def test_route_judges_and_names_its_run_once(tmp_path, fixture_menu_path, fixture_dataset_path, monkeypatch):
+    calls = Counter()
+
+    def counting(module, name):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.update([name]) or fn(*args))
+
+    counting(cli, "validate_dataset")
+    counting(router, "validate_dataset")
+    counting(router, "dataset_to_jsonl")
+    assert run(route_args(fixture_menu_path, fixture_dataset_path, tmp_path)) == 0
+    assert calls == {"validate_dataset": 1, "dataset_to_jsonl": 1}
+
+
 def test_route_config_value_of_wrong_type_exit_2(tmp_path, fixture_menu_path,
                                                 fixture_dataset_path, monkeypatch, capsys):
     file = tmp_path / "config.json"
@@ -750,6 +764,20 @@ def test_route_invalid_dataset_claims_no_out_dir(tmp_path, fixture_menu_path, fi
     out = tmp_path / "newout"
     assert run(route_args(fixture_menu_path, dataset, out)) == 1
     assert capsys.readouterr().err.startswith("error: dataset is not valid: base record count per terminal path")
+    assert not out.exists()
+
+
+def test_route_refuses_unusable_provider_settings_before_judging_the_dataset(tmp_path, fixture_menu_path,
+                                                                             fixture_dataset_path, capsys):
+    # Each fault alone keeps its exit code; together, the settings are refused first.
+    dataset = tmp_path / "head.jsonl"
+    dataset.write_text("".join(fixture_dataset_path.read_text(encoding="utf-8").splitlines(keepends=True)[:229]),
+                       encoding="utf-8")
+    out = tmp_path / "newout"
+    argv = route_args(fixture_menu_path, dataset, out)
+    assert run(argv) == 1 and "dataset is not valid" in capsys.readouterr().err
+    assert run(argv + ["--provider", "http"]) == 2
+    assert capsys.readouterr().err == "error: http provider needs --endpoint (or an endpoint_url in the config file)\n"
     assert not out.exists()
 
 
@@ -2032,6 +2060,7 @@ def test_text_that_may_hold_a_lone_surrogate_is_routed_or_refused_with_its_exit_
     # A menu label, a dataset text and a model name: a lone surrogate in the
     # menu or the dataset is refused with exit 1, in a setting with exit 2.
     # A label that holds a control character or a line separator is refused with exit 1 too.
+    # The menu is judged first, then the settings, then the dataset's values.
     directory = tmp_path_factory.getbasetemp() / "surrogates"  # rewritten by every example
     directory.mkdir(exist_ok=True)
     menu, dataset = directory / "menu.json", directory / "intents.jsonl"
@@ -2039,8 +2068,8 @@ def test_text_that_may_hold_a_lone_surrogate_is_routed_or_refused_with_its_exit_
         {"label": "Pay " + label, "digit": "1", "kind": "action", "action_type": "self_service"}]}}), encoding="utf-8")
     dataset.write_text(json.dumps(make_record("1", "my bill " + text)._asdict()) + "\n", encoding="utf-8")
     argv = route_args(menu, dataset, directory / "runs") + [f"--model={model}", "--force"]
-    refused = holds_a_surrogate(read_back(label) + read_back(text)) or breaks_a_line(label)
-    expected = 1 if refused else 2 if holds_a_surrogate(model) else 0
+    menu_refused = holds_a_surrogate(read_back(label)) or breaks_a_line(label)
+    expected = 1 if menu_refused else 2 if holds_a_surrogate(model) else 1 if holds_a_surrogate(read_back(text)) else 0
     assert run(argv) == expected
 
 

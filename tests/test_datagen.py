@@ -293,7 +293,7 @@ def test_build_dataset_small(tiny_tree):
     # One paraphrase call per base record.
     provider = AnsweringProvider(lambda prompt: numbered(bases.get(subject_of(prompt))
                                                          or [f"variant of {subject_of(prompt)}"]))
-    ds = build_dataset(tiny_tree, paths, provider, per_node=2, variants=1)
+    ds = build_dataset(tiny_tree, provider, per_node=2, variants=1)
     assert len(ds.records) == 2 * 3 * 2
     assert validate_dataset(ds, paths) == []
     base = [r for r in ds.records if r.origin == "base"]
@@ -306,9 +306,8 @@ def test_build_dataset_runs_both_stages_at_one_pace_seeded_by_its_seed(tiny_tree
     run_calls = synthesis.run_calls
     monkeypatch.setattr(synthesis, "run_calls", lambda *args, pacing, **kwargs: (
         paced.append(pacing) or run_calls(*args, pacing=pacing, **kwargs)))
-    paths = flatten(tiny_tree)
     provider = AnsweringProvider(lambda prompt: numbered([f"about {subject_of(prompt)}"]))
-    build_dataset(tiny_tree, paths, provider, per_node=1, variants=1, seed=7)
+    build_dataset(tiny_tree, provider, per_node=1, variants=1, seed=7)
     assert len(paced) == 2 and paced[0] is paced[1]  # the paraphrase stage keeps the base stage's pace
     assert paced[0].rng.getstate() == random.Random(7).getstate()  # no retry drew from it
 

@@ -34,10 +34,12 @@ from ivroute.router import (
     build_manifest,
     load_results,
     parse_dtmf_response,
+    plan_run,
     render_context,
     route,
     route_all,
     route_one,
+    route_plan,
     run_identity,
     save_results,
     select_records,
@@ -391,11 +393,15 @@ def test_route_all_seeds_its_retry_jitter_with_the_run_id(tiny_tree, monkeypatch
 
     monkeypatch.setattr(router.Pacing, "retry_at", recording)
 
-    def waits(**kwargs):
+    def waits(forged_run_id=None):
         draws.clear()
         answer, _ = backing_off(dict.fromkeys((r.text for r in ds.records), 2))
         provider = AnsweringProvider(answer, model_name="backoff-mock", max_in_flight=1)
-        run = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider, **kwargs)
+        if forged_run_id is None:
+            run = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
+        else:  # the same inputs under another run id
+            plan = plan_run(ds, tiny_tree, RoutingCondition.FLATTENED_PATHS, provider.config)
+            run = route_plan(plan._replace(identity={**plan.identity, "run_id": forged_run_id}), provider)
         assert len(run.results) == len(ds.records)
         return run.manifest["run_id"], list(draws)
 
@@ -406,21 +412,34 @@ def test_route_all_seeds_its_retry_jitter_with_the_run_id(tiny_tree, monkeypatch
     assert first == [(attempt, rng.uniform(0.0, 0.5 * 2 ** (attempt - 1))) for attempt, _ in first]
     identity = run_identity(ds, tiny_tree, RoutingCondition.FLATTENED_PATHS, "all", "backoff-mock", False)
     assert identity["run_id"] == run_id
-    other_id, other = waits(identity={**identity, "run_id": "0123456789ab"})
+    other_id, other = waits(forged_run_id="0123456789ab")
     assert other_id == "0123456789ab" and [a for a, _ in other] == [a for a, _ in first]
     assert other != first
 
 
-def test_route_all_takes_the_callers_identity(tiny_tree, monkeypatch):
+def test_plan_run_makes_no_call(tiny_tree):
+    ds = tiny_dataset()
+    provider = AnsweringProvider(lambda prompt: "1-1", model_name="m", temperature=0.5)
+    provider.complete = fail_with(AssertionError("plan_run made a call"))
+    plan = plan_run(ds, tiny_tree, RoutingCondition.DESCRIPTIVE_MENU, provider.config, "base_only", lenient=True)
+    assert plan.identity == run_identity(ds, tiny_tree, RoutingCondition.DESCRIPTIVE_MENU, "base_only", "m", True,
+                                         0.5)
+    assert plan.records == select_records(ds, "base_only")
+    assert plan.context == render_context(tiny_tree, RoutingCondition.DESCRIPTIVE_MENU)
+
+
+def test_route_plan_neither_judges_nor_hashes(tiny_tree, monkeypatch):
     ds = tiny_dataset()
     plain = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, AnsweringProvider(lambda prompt: "1-1"))
-    identity = run_identity(ds, tiny_tree, RoutingCondition.FLATTENED_PATHS, "all", "mock", False)
-    hashed = []
-    monkeypatch.setattr(router, "dataset_to_jsonl", lambda d: hashed.append(d) or "")
-    given = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, AnsweringProvider(lambda prompt: "1-1"),
-                      identity=identity)
-    assert hashed == []  # the manifest reuses the identity, it does not hash again
-    assert json.dumps({**given.manifest, "timestamp": ""}) == json.dumps({**plain.manifest, "timestamp": ""})
+    provider = AnsweringProvider(lambda prompt: "1-1")
+    plan = plan_run(ds, tiny_tree, RoutingCondition.FLATTENED_PATHS, provider.config)
+    probed = []
+    for name in ("validate_menu", "validate_dataset", "dataset_to_jsonl"):
+        monkeypatch.setattr(router, name, lambda *args, name=name: probed.append(name))
+    planned = route_plan(plan, provider)
+    assert probed == []  # the manifest takes the plan's identity, it does not hash again
+    assert [r._replace(latency=0) for r in planned.results] == [r._replace(latency=0) for r in plain.results]
+    assert json.dumps({**planned.manifest, "timestamp": ""}) == json.dumps({**plain.manifest, "timestamp": ""})
 
 
 def workers_alive():
@@ -827,7 +846,7 @@ def test_a_set_temperature_names_the_run(dataset, tree):
     assert "temperature" not in identity(None)
     assert len({identity(t)["run_id"] for t in (None, 0, 1.5)}) == 3
     assert identity(1) == identity(1.0)  # one temperature, however it is written
-    # Without an identity from its caller, route_all hashes its provider's temperature.
+    # route_all names its run with its provider's temperature.
     oracle = OracleProvider(dataset.records, config=ProviderConfig(model_name="oracle-mock", temperature=1.5))
     run = route_all(dataset, RoutingCondition.FLATTENED_PATHS, tree, oracle, record_filter="base_only")
     assert run.manifest["run_id"] == identity(1.5)["run_id"]
