@@ -208,8 +208,8 @@ class Pacing:
     goes again after the server's Retry-After when it is whole seconds within
     [0, MAX_RETRY_AFTER_S], exactly, and otherwise (none sent, an HTTP-date,
     text, or longer) after a draw from ``rng`` below a cap of 0.5 s doubling
-    per attempt to 8 s ("full jitter"), so calls that fail together come back
-    apart. Runs given one Pacing keep one pace."""
+    per attempt, to 8 s at max_retries' bound of 5 ("full jitter"), so calls
+    that fail together come back apart. Runs given one Pacing keep one pace."""
 
     def __init__(self, config: ProviderConfig, rng: random.Random | None = None):
         self.interval = 1.0 / config.requests_per_second if config.requests_per_second else 0.0
@@ -232,7 +232,7 @@ class Pacing:
         seconds = value.lstrip("0") or "0"  # so no int() is taken of more digits than the cap has
         if value.isascii() and value.isdigit() and len(seconds) <= 2 and int(seconds) <= MAX_RETRY_AFTER_S:
             return now + int(seconds)
-        return now + self.rng.uniform(0.0, min(0.5 * 2 ** (attempt - 1), 8.0))
+        return now + self.rng.uniform(0.0, 0.5 * 2 ** (attempt - 1))
 
 
 class Schedule:

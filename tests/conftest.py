@@ -188,6 +188,11 @@ def subject_of(prompt) -> str:
     return prompt.split(marker, 1)[1].split("\n", 1)[0]
 
 
+def numbered(lines) -> str:
+    """``lines`` as the numbered list that a generation reply holds."""
+    return "\n".join(f"{i}. {line}" for i, line in enumerate(lines, start=1))
+
+
 def fail_with(error: Exception):
     """An ``answer`` that fails every request with ``error``."""
 

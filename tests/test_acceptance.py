@@ -37,7 +37,7 @@ from ivroute.provider import (
 from ivroute.router import INVALID, RoutingResult, parse_dtmf_response, route_all
 from ivroute.synthesis import build_dataset
 
-from conftest import AnsweringProvider, golden_text, subject_of
+from conftest import AnsweringProvider, golden_text, numbered, subject_of
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -299,10 +299,6 @@ def test_criterion_06_parser_grammar_property():
 
 
 # --- 7. dataset invariants --------------------------------------------------------------------
-
-def numbered(lines) -> str:
-    return "\n".join(f"{i}. {line}" for i, line in enumerate(lines, start=1))
-
 
 def generation_replies(paths, per_node: int, variants: int):
     """An ``answer`` for both generation stages: ``per_node`` complaints

@@ -29,7 +29,8 @@ from ivroute.synthesis import (
     parse_listed_lines,
 )
 
-from conftest import AnsweringProvider, action, fail_with, make_record, prompt_of, subject_of, tiny_dataset
+from conftest import (AnsweringProvider, action, fail_with, make_record, numbered, prompt_of, subject_of,
+                      tiny_dataset)
 
 
 def by_subject(replies: dict[str, list[str]]) -> AnsweringProvider:
@@ -41,10 +42,6 @@ def by_subject(replies: dict[str, list[str]]) -> AnsweringProvider:
 
 def breadcrumbs(tree) -> list[str]:
     return [tp.breadcrumb_text() for tp in flatten(tree)]
-
-
-def numbered(lines):
-    return "\n".join(f"{i}. {line}" for i, line in enumerate(lines, start=1))
 
 
 # --- reply parsing ---------------------------------------------------------------
@@ -169,8 +166,10 @@ def test_base_generation_provider_failure_is_raised_as_it_is(tiny_tree):
 
 def test_base_generation_rejects_bad_args(tiny_tree):
     paths = flatten(tiny_tree)
-    with pytest.raises(ValueError):
-        generate_base_intents(paths, AnsweringProvider(lambda prompt: ""), per_node=0)
+    provider = AnsweringProvider(lambda prompt: "")
+    with pytest.raises(ValueError, match="^per_node must be at least 1$"):
+        generate_base_intents(paths, provider, per_node=0)
+    assert provider.calls == []
     with pytest.raises(ValueError):
         generate_base_intents([], AnsweringProvider(lambda prompt: ""))
 

@@ -1,6 +1,6 @@
 """The documented procedures run as written: README.md's offline round trip
 and scripts/live_table.sh, each in bash, offline. Their python3 is the
-interpreter running the tests and their PYTHONPATH the checkout's src."""
+interpreter running the tests, and it imports the ivroute they import."""
 
 import fnmatch
 import json
@@ -12,20 +12,22 @@ from pathlib import Path
 
 import pytest
 
+import ivroute
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def shell_env(tmp_path) -> dict:
     """The environment with a ``python3`` first on PATH that runs this
     interpreter (a version manager's ``python3`` shim can cost 0.4 s a
-    start) and the checkout's src as PYTHONPATH."""
+    start) and PYTHONPATH the directory that holds the ivroute imported here."""
     bin_dir = tmp_path / "bin"
     bin_dir.mkdir()
     python3 = bin_dir / "python3"
     python3.write_text(f'#!/bin/sh\nexec {shlex.quote(sys.executable)} "$@"\n', encoding="utf-8")
     python3.chmod(0o755)
     return dict(os.environ, PATH=f"{bin_dir}{os.pathsep}{os.environ['PATH']}",
-                PYTHONPATH=str(REPO_ROOT / "src"))
+                PYTHONPATH=str(Path(ivroute.__file__).resolve().parents[1]))
 
 
 def readme_block(lead: str) -> str:

@@ -114,9 +114,13 @@ def test_response_at_the_bounds_is_read(raw_server, reply):
     (b"HTTP/1.1 200 OK\r\nContent-Length: 1, 2\r\n\r\nok", "bad Content-Length"),
     (b"HTTP/1.1 200 OK\r\nContent-Length: " + b"0" * 5000 + b"1\r\n\r\nok", "bad Content-Length"),
     (Close(b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nhello"), "closed inside the response"),
+    # One digit past each bound: the server closes at once, so a reader that took the size waits for no timeout.
+    (Close(b"HTTP/1.1 200 OK\r\nContent-Length: " + b"1" * 19 + b"\r\n\r\nok"), "bad Content-Length"),
+    (Close(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + b"1" * 17 + b"\r\nok\r\n0\r\n\r\n"),
+     "bad chunk size"),
 ], ids=["non-http", "65537-byte-line", "endless-line", "101-headers", "no-colon", "chunk-size",
         "prefixed-chunk-size", "chunk-past-its-size", "101-trailers", "switching-protocols",
-        "two-lengths", "5001-digit-length", "cut-short"])
+        "two-lengths", "5001-digit-length", "cut-short", "19-digit-length", "17-hex-digit-chunk-size"])
 def test_malformed_response_is_a_transport_error_that_closes_the_connection(raw_server, reply,
                                                                           message):
     # The pool raises a BadResponse, an OSError, which HttpProvider takes for a TransportError.
