@@ -161,6 +161,22 @@ MUTANTS = [
     Mutant("per-node-below-1", "synthesis.py",
            '    if per_node < 1:\n        raise ValueError("per_node must be at least 1")\n', "",
            ("test_datagen.py::test_base_generation_rejects_bad_args",)),
+    # --- what an HTTP outcome means, and the keyword double's ties -----------------------------
+    Mutant("retry-after-read-on-a-500", "provider.py",
+           "RETRY_AFTER_STATUSES = frozenset({429, 503})", "RETRY_AFTER_STATUSES = frozenset({429, 500, 503})",
+           ("test_provider.py::test_transport_returns_retry_after_of_429_and_503[500-sleeps_expected2]",)),
+    Mutant("502-not-retried", "provider.py",
+           "frozenset({429, 500, 502, 503, 504})", "frozenset({429, 500, 503, 504})",
+           ("test_provider.py::test_retryable_status_then_success[502]",)),
+    Mutant("refused-certificate-retried", "provider.py",
+           'ProviderError(f"TLS certificate refused: {exc}")', 'TransportError(f"TLS certificate refused: {exc}")',
+           ("test_provider.py::test_refused_certificate_is_one_attempt_not_retried",)),
+    Mutant("4xx-retried", "provider.py",
+           'ProviderError(f"HTTP {status}: {body[:200]}")', 'TransportError(f"HTTP {status}: {body[:200]}")',
+           ("test_provider.py::test_non_retryable_status_fails_immediately",)),
+    Mutant("keyword-ties-to-the-last-offer", "provider.py",
+           "return max(offers, key=", "return max(reversed(offers), key=",
+           ("test_provider.py::test_keyword_tie_breaks_to_earlier_document_order",)),
     # --- the CLI's refusals -----------------------------------------------------------------
     Mutant("config-value-of-type-bool", "provider.py",
            "not (kind is float and type(value) is int)", "not (kind is float and isinstance(value, int))",

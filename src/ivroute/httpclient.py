@@ -229,7 +229,7 @@ class ConnectionPool:
         if proxy:
             proxy_parts = urlsplit(proxy if "://" in proxy else "http://" + proxy)
             if proxy_parts.scheme != "http" or not proxy_parts.hostname:
-                raise ValueError(f"unsupported proxy {proxy!r}: only http:// proxies are")
+                raise ValueError(f"unsupported proxy {proxy!r}: only http:// proxies are supported")
             proxy_headers = {}
             if proxy_parts.username is not None:
                 import base64

@@ -1,25 +1,29 @@
 """Shared fixtures: the bundled menu and dataset, the menu's golden
 renderings, small synthetic menus, the one provider double that answers
-by a test's function, ``simulate``, which runs the scheduler at simulated
-times, and the one fake HTTP endpoint: a loopback server, answering with
-canned bytes or as a chat-completions endpoint, which HttpProviders built
-on its URL reach through the shipped client."""
+by a test's function, ``table_tests``, which makes a test of each row of a
+table, ``simulate``, which runs the scheduler at simulated times, and the
+runners of its rows, and the one fake HTTP endpoint: a loopback server,
+answering with canned bytes or as a chat-completions endpoint, which
+HttpProviders built on its URL reach through the shipped client."""
 
 from __future__ import annotations
 
 import contextlib
 import errno
 import heapq
+import inspect
 import itertools
 import json
 import math
 import os
+import random
 import socket
 import ssl
 import threading
 import time
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -32,6 +36,7 @@ from ivroute.menu import (
     parse_menu,
 )
 from ivroute.provider import HttpProvider, Provider, ProviderConfig
+from ivroute.router import Pacing, RoutingAborted, Schedule
 
 DATA = resources.files("ivroute.data")
 
@@ -202,6 +207,57 @@ def fail_with(error: Exception):
     return answer
 
 
+# --- tables of rows ------------------------------------------------------------------
+
+def table_tests(namespace: dict, check, table: dict) -> None:
+    """Bind in ``namespace``, a test module's globals(), a test function
+    for each name in ``table``. It runs ``check(row, *fixtures)`` on its
+    row, on each row of a list of them in turn, or on each value of a dict
+    of them as a parameter id of its own; the fixtures are those that
+    ``check`` names after ``row``. A name that ``namespace`` already binds
+    is refused, so no row replaces a test."""
+    fixtures = list(inspect.signature(check).parameters)[1:]
+
+    def run(request, rows):
+        for row in rows if type(rows) is list else [rows]:
+            check(row, *map(request.getfixturevalue, fixtures))
+
+    for name, rows in table.items():
+        if name in namespace:
+            raise ValueError(f"{namespace.get('__name__')} already binds {name!r}: a table may not replace it")
+        if isinstance(rows, dict):
+            @pytest.mark.parametrize("rows", rows.values(), ids=rows.keys())
+            def test(request, rows):
+                run(request, rows)
+        else:
+            def test(request, rows=rows):
+                run(request, rows)
+        namespace[name] = test
+
+
+class Raises(NamedTuple):
+    """An exception of exactly ``kind`` whose message is ``message``, or,
+    with ``prefix``, begins with it."""
+
+    kind: type
+    message: str
+    prefix: bool = False
+
+
+def outcome_of(call, expected):
+    """Check that ``call()`` returns ``expected``, or raises as a Raises
+    says; return what it raised."""
+    if not isinstance(expected, Raises):
+        assert call() == expected
+        return None
+    with pytest.raises(expected.kind) as raised:
+        call()
+    message = str(raised.value)
+    assert type(raised.value) is expected.kind
+    assert message.startswith(expected.message) if expected.prefix else message == expected.message
+    return raised.value
+
+
 # --- a filesystem step that fails ------------------------------------------------
 
 def fail_at_step(monkeypatch, failing: int) -> None:
@@ -225,6 +281,13 @@ def fail_at_step(monkeypatch, failing: int) -> None:
 
 
 # --- the scheduler at simulated times ---------------------------------------------
+
+class CapRng(random.Random):
+    """Draws every backoff at its cap, so jittered waits are exact."""
+
+    def uniform(self, a, b):
+        return b
+
 
 def simulate(schedule, width: int, outcomes=None, latency: float = 0.0) -> list[tuple[float, int, int]]:
     """Drive ``schedule``, a router.Schedule, as run_calls' ``width`` workers
@@ -250,6 +313,47 @@ def simulate(schedule, width: int, outcomes=None, latency: float = 0.0) -> list[
         else:
             assert task < math.inf, "the schedule waits for an outcome that no attempt will bring"
             now = task
+
+
+class Run(NamedTuple):
+    """A Schedule of ``count`` jobs on ``width`` workers under ``budget``,
+    simulated with ``outcomes`` and ``latency``, its Pacing of ``settings``
+    drawing backoffs at their caps, and then one of ``then`` jobs on that
+    Pacing: ``sends`` as (time, job, attempt), ``values``, ``failures`` and
+    the RoutingAborted's ``error``."""
+
+    count: int
+    width: int
+    budget: float
+    outcomes: dict
+    sends: list
+    values: list
+    failures: list = []
+    error: str | None = None
+    settings: dict = {}
+    latency: float = 0.0
+    then: int = 0
+
+
+def check_run(row) -> None:
+    pacing = Pacing(ProviderConfig(max_in_flight=row.width, **row.settings), CapRng())
+    schedule = Schedule(row.count, row.width, row.budget, pacing)
+    sends = simulate(schedule, row.width, {job: list(queued) for job, queued in row.outcomes.items()}, row.latency)
+    if row.then:
+        sends += simulate(Schedule(row.then, row.width, 0, pacing), row.width)
+    assert [(round(at, 9), job, attempt) for at, job, attempt in sends] == row.sends
+    error = schedule.error and str(schedule.error)
+    assert (schedule.values, schedule.failures, error) == (row.values, row.failures, row.error)
+    assert schedule.error is None or (type(schedule.error), schedule.error.failures) == (RoutingAborted, row.failures)
+    assert schedule.next(math.inf) is None  # nothing is sent after the end or an abort
+
+
+def check_pacing(row) -> None:
+    """``row``: a Pacing's settings, and (method, *arguments, result) of
+    each call made to it in turn; it draws backoffs at their caps."""
+    settings, calls = row
+    pacing = Pacing(ProviderConfig(**settings), CapRng())
+    assert [getattr(pacing, method)(*args) for method, *args, _ in calls] == [result for *_, result in calls]
 
 
 # --- loopback HTTP server --------------------------------------------------------

@@ -39,7 +39,7 @@ from ivroute import cli, router
 from ivroute.router import load_results, run_identity
 
 from conftest import (AnsweringProvider, chat_response, data_text, fail_at_step, golden_text, make_record, numbered,
-                      prompt_of, subject_of)
+                      prompt_of, subject_of, table_tests)
 
 
 def run(argv):
@@ -119,53 +119,44 @@ def usages() -> dict:
             **{f"usage {name}": command.format_usage() for name, command in commands.choices.items()}}
 
 
-@pytest.fixture
-def refused(tmp_path, fixture_menu_path, fixture_dataset_path, oracle_run, chat_server, monkeypatch, capsys):
-    """``refused(rows)`` runs a Row, or each Row of a tuple in turn, each in
-    a directory of its own, with "i want to check my balance" on stdin. It
-    checks the exit code and the whole stderr and stdout; that the command
-    wrote nothing, since the files under the row's directory are the same,
-    byte for byte, before and after; and that no request reached {url}."""
+def refused(rows, tmp_path, fixture_menu_path, fixture_dataset_path, oracle_run, chat_server, monkeypatch, capsys):
+    """Run a Row, or each Row of a tuple in turn, each in a directory of its
+    own, with "i want to check my balance" on stdin. Check the exit code and
+    the whole stderr and stdout; that the command wrote nothing, since the
+    files under the row's directory are the same, byte for byte, before and
+    after; and that no request reached {url}."""
     server = chat_server()
     vouched = json.loads((oracle_run / "manifest.json").read_text(encoding="utf-8"))["results_sha256"]
-
-    def check(rows):
-        for index, row in enumerate((rows,) if isinstance(rows, Row) else rows):
-            tmp = tmp_path / str(index)
-            inputs = {"tmp": tmp, "menu": fixture_menu_path, "dataset": fixture_dataset_path, "out": tmp / "out",
-                      "run": shutil.copytree(oracle_run, tmp / "run"), "url": server.url, "port": server.port,
-                      "vouched": vouched, **usages()}
-            if row.prepare:
-                row.prepare(inputs)
-            inputs["digest"] = sha256_of(tmp / "run" / "results.jsonl")
-            for name, value in row.env:
-                monkeypatch.setenv(name, fill(value, inputs))
-            monkeypatch.setattr("sys.stdin", io.StringIO("i want to check my balance\n"))
-            before = contents(tmp)
-            try:
-                code = main([fill(arg, inputs) for arg in row.argv])  # returned: an exception would leave main
-            except SystemExit as exc:  # argparse's refusal
-                code = exc.code
-            captured = capsys.readouterr()
-            assert (code, captured.err, captured.out) == (row.code, fill(row.err, inputs), fill(row.out, inputs))
-            assert contents(tmp) == before
-        assert server.accepted == 0
-
-    return check
+    for index, row in enumerate((rows,) if isinstance(rows, Row) else rows):
+        tmp = tmp_path / str(index)
+        inputs = {"tmp": tmp, "menu": fixture_menu_path, "dataset": fixture_dataset_path, "out": tmp / "out",
+                  "run": shutil.copytree(oracle_run, tmp / "run"), "url": server.url, "port": server.port,
+                  "vouched": vouched, **usages()}
+        if row.prepare:
+            row.prepare(inputs)
+        inputs["digest"] = sha256_of(tmp / "run" / "results.jsonl")
+        for name, value in row.env:
+            monkeypatch.setenv(name, fill(value, inputs))
+        monkeypatch.setattr("sys.stdin", io.StringIO("i want to check my balance\n"))
+        before = contents(tmp)
+        try:
+            code = main([fill(arg, inputs) for arg in row.argv])  # returned: an exception would leave main
+        except SystemExit as exc:  # argparse's refusal
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.err, captured.out) == (row.code, fill(row.err, inputs), fill(row.out, inputs))
+        assert contents(tmp) == before
+    assert server.accepted == 0
 
 
-def refusal_tests(table: dict) -> None:
-    """A test function for each name in ``table``, checking its Row or tuple
-    of Rows, or for each parameter id of a dict of them, with ``refused``."""
-    for name, cases in table.items():
-        if isinstance(cases, dict):
-            @pytest.mark.parametrize("case", cases.values(), ids=cases.keys())
-            def test(refused, case):
-                refused(case)
-        else:
-            def test(refused, case=cases):
-                refused(case)
-        globals()[name] = test
+def test_a_table_may_not_take_the_name_of_a_test():
+    namespace = {"__name__": "test_example", "test_taken": print}
+    table_tests(namespace, lambda row: None, {"test_free": 1})
+    for name in ("test_taken", "test_free"):  # a test's name, and a row's of an earlier table
+        with pytest.raises(ValueError) as refusal:
+            table_tests(namespace, lambda row: None, {name: 2})
+        assert str(refusal.value) == f"test_example already binds {name!r}: a table may not replace it"
+    assert namespace["test_taken"] is print and namespace["test_free"].__defaults__ == (1,)
 
 
 def with_menu(doc):
@@ -342,7 +333,7 @@ VALIDATE_MENU = {
                                                                      *doc["root"]["children"][1:]]),
             "1: label says 'press 9', which an outline offers as a choice: 'to cancel press 9'")},
 }
-refusal_tests(VALIDATE_MENU)
+table_tests(globals(), refused, VALIDATE_MENU)
 
 
 # --- flatten ---------------------------------------------------------------------------
@@ -504,7 +495,7 @@ GEN_INTENTS_REFUSALS = {
         "gen-intents --dataset-out a directory": Row(
             (*GEN_INTENTS, "--dataset-out", "{tmp}"), 2, "error: cannot write {tmp}: it is a directory\n")},
 }
-refusal_tests(GEN_INTENTS_REFUSALS)
+table_tests(globals(), refused, GEN_INTENTS_REFUSALS)
 
 
 # --- route -----------------------------------------------------------------------------
@@ -918,7 +909,7 @@ ROUTE_REFUSALS = {
         (*ROUTE, *HTTP), "the API key in $IVR_LLM_API_KEY holds control or non-ASCII characters",
         env=(("IVR_LLM_API_KEY", "sk-secret-123\n"),)),
     "test_route_https_proxy_exit_2": bad_settings(
-        (*ROUTE, *HTTP), "unsupported proxy 'https://127.0.0.1:{port}': only http:// proxies are",
+        (*ROUTE, *HTTP), "unsupported proxy 'https://127.0.0.1:{port}': only http:// proxies are supported",
         env=(("ALL_PROXY", "https://127.0.0.1:{port}"),)),
     "test_route_error_budget_out_of_range_exit_2": {
         budget: Row((*ROUTE, "--error-budget", budget), 2,
@@ -962,7 +953,7 @@ ROUTE_REFUSALS = {
     "test_dataset_field_holding_a_lone_surrogate_exit_1": {
         field: lone_surrogate(field) for field in ["id", "text", "origin", "base_id"]},
 }
-refusal_tests(ROUTE_REFUSALS)
+table_tests(globals(), refused, ROUTE_REFUSALS)
 
 
 # --- eval ------------------------------------------------------------------------------
@@ -1376,7 +1367,7 @@ EVAL_REFUSALS = {
         "results_sha256": Row(EVAL, 1, UNVOUCHED.replace("{vouched}", "0" * 64),
                               prepare=edited_manifest(results_sha256="0" * 64))},
 }
-refusal_tests(EVAL_REFUSALS)
+table_tests(globals(), refused, EVAL_REFUSALS)
 
 
 # --- demo ------------------------------------------------------------------------------
@@ -1473,7 +1464,7 @@ DEMO_REFUSALS = {
         at("1-2:b00", text="How much do I currently owe on my account?"),
         "record 1-2:b00: same text as record 1-1:b00, which is labelled 1-1", DEMO_ORACLE),
 }
-refusal_tests(DEMO_REFUSALS)
+table_tests(globals(), refused, DEMO_REFUSALS)
 
 
 # --- check-roles -------------------------------------------------------------------------
@@ -1507,7 +1498,7 @@ CHECK_ROLES_REFUSALS = {
         prepare=with_config({"providers": {"menugen": {"model_name": "shared"}, "datagen": {"model_name": "shared"},
                                            "routing": {"model_name": "distinct"}}})),
 }
-refusal_tests(CHECK_ROLES_REFUSALS)
+table_tests(globals(), refused, CHECK_ROLES_REFUSALS)
 
 
 # --- pipeline composition -----------------------------------------------------------------
@@ -1603,7 +1594,7 @@ CONFIG_REFUSALS = {
         "bad provider settings: kind must be one of http, oracle, keyword, not 'bogus'",
         (*CONFIG_COMMANDS.values(), *((*argv, "--provider", "oracle") for argv in list(CONFIG_COMMANDS.values())[:3]))),
 }
-refusal_tests(CONFIG_REFUSALS)
+table_tests(globals(), refused, CONFIG_REFUSALS)
 
 
 # ProviderConfig field: its flag, its config-file key, its default (for the
@@ -1679,7 +1670,7 @@ INPUT_FILE_REFUSALS = {
                       prepare=write("{tmp}/config", NO_UTF8)),
         "manifest": Row(EVAL, 1, MANIFEST_ERROR % UTF8_ERROR, prepare=write("{run}/manifest.json", NO_UTF8))},
 }
-refusal_tests(INPUT_FILE_REFUSALS)
+table_tests(globals(), refused, INPUT_FILE_REFUSALS)
 
 
 def test_input_file_that_cannot_be_read_exit_2(fixture_menu_path, monkeypatch, capsys):

@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from ivroute.datagen import (
-    Dataset,
     IntentRecord,
     dataset_to_jsonl,
     load_dataset,
@@ -30,7 +29,7 @@ from ivroute.synthesis import (
 )
 
 from conftest import (AnsweringProvider, action, fail_with, make_record, numbered, prompt_of, subject_of,
-                      tiny_dataset)
+                      table_tests, tiny_dataset)
 
 
 def by_subject(replies: dict[str, list[str]]) -> AnsweringProvider:
@@ -319,98 +318,51 @@ def test_fixture_dataset_validates(dataset, paths):
     assert sum(1 for r in dataset.records if r.origin == "base") == 230
 
 
-def test_validate_flags_duplicate_ids(tiny_tree):
-    paths = flatten(tiny_tree)
+def check_problems(row, tiny_tree):
+    """``row``: an edit of tiny_dataset()'s records, and every problem
+    validate_dataset finds, in order, in the dataset that it makes."""
+    edit, problems = row
     ds = tiny_dataset()
-    broken = Dataset(ds.menu_name, ds.records + [ds.records[0]])
-    assert any("duplicate id" in p for p in validate_dataset(broken, paths))
+    assert validate_dataset(ds._replace(records=edit(ds.records)), flatten(tiny_tree)) == problems
 
 
-def test_validate_flags_unknown_truth(tiny_tree):
-    paths = flatten(tiny_tree)
-    ds = tiny_dataset()
-    stray = make_record("9", "registered nowhere")
-    broken = Dataset(ds.menu_name, ds.records[1:] + [stray])
-    assert any("not a terminal path" in p for p in validate_dataset(broken, paths))
+def paraphrase(base_id, variant_index, text, truth="1-1"):
+    return IntentRecord(f"{base_id}:v{variant_index}", text, DtmfPath(truth), "augmented", base_id, variant_index)
 
 
-def test_validate_flags_orphan_augmented(tiny_tree):
-    paths = flatten(tiny_tree)
-    ds = tiny_dataset()
-    orphan = IntentRecord(
-        id="1-1:b77:v1",
-        text="orphan",
-        ground_truth=DtmfPath("1-1"),
-        origin="augmented",
-        base_id="1-1:b77",
-        variant_index=1,
-    )
-    broken = Dataset(ds.menu_name, ds.records + [orphan])
-    assert any("not in dataset" in p for p in validate_dataset(broken, paths))
+def with_record(index, **fields):
+    """The edit that sets ``fields`` of the record at ``index``."""
+    return lambda records: [r._replace(**fields) if i == index else r for i, r in enumerate(records)]
 
 
-def test_validate_flags_truth_drift(tiny_tree):
-    paths = flatten(tiny_tree)
-    ds = tiny_dataset()
-    drifted = IntentRecord(
-        id="1-1:b00:v1",
-        text="label went wrong",
-        ground_truth=DtmfPath("1-9"),
-        origin="augmented",
-        base_id="1-1:b00",
-        variant_index=1,
-    )
-    broken = Dataset(ds.menu_name, ds.records + [drifted])
-    assert any("differs from base" in p for p in validate_dataset(broken, paths))
-
-
-def test_validate_flags_variant_index_range(tiny_tree):
-    paths = flatten(tiny_tree)
-    ds = tiny_dataset()
-    outlier = IntentRecord(
-        id="1-1:b00:v9",
-        text="ninth variant of one",
-        ground_truth=DtmfPath("1-1"),
-        origin="augmented",
-        base_id="1-1:b00",
-        variant_index=9,
-    )
-    broken = Dataset(ds.menu_name, ds.records + [outlier])
-    assert any("out of range" in p for p in validate_dataset(broken, paths))
-
-
-@pytest.mark.parametrize("blank", ["", "   ", "\n", " \t\r\n"])
-def test_validate_flags_a_blank_text(tiny_tree, blank):
-    records = tiny_dataset().records
-    records[3] = records[3]._replace(text=blank)  # no prompt can be built from it
-    broken = tiny_dataset()._replace(records=records)
-    assert validate_dataset(broken, flatten(tiny_tree)) == ["record 1-9:b01: text is blank"]
-
-
-def test_validate_flags_one_text_under_two_labels(tiny_tree):
-    paths = flatten(tiny_tree)
-    records = tiny_dataset().records
-    records[2] = records[2]._replace(text=records[0].text)  # a 1-9 record takes a 1-1 text
-    broken = tiny_dataset()._replace(records=records)
-    assert validate_dataset(broken, paths) == [
-        "record 1-9:b00: same text as record 1-1:b00, which is labelled 1-1"
-    ]
-
-
-def test_validate_allows_one_text_repeated_under_one_label(tiny_tree):
+COUNTS = "base record count per terminal path must be one number, but "
+PARAPHRASES = "paraphrase count per base record must be one number, but 1-1:b01 has 0 and 1-1:b00 has 1"
+PROBLEMS = {
+    "test_validate_flags_duplicate_ids": (lambda rs: rs + rs[:1],
+                                          ["record 1-1:b00: duplicate id", COUNTS + "1-9 has 2 and 1-1 has 3"]),
+    "test_validate_flags_unknown_truth": (lambda rs: rs[1:] + [make_record("9", "registered nowhere")], [
+        "record 9:b00: ground truth 9 is not a terminal path", COUNTS + "1-1 has 1 and 1-9 has 2"]),
+    "test_validate_flags_orphan_augmented": (lambda rs: rs + [paraphrase("1-1:b77", 1, "orphan")],
+                                             ["record 1-1:b77:v1: base_id 1-1:b77 not in dataset"]),
+    "test_validate_flags_truth_drift": (lambda rs: rs + [paraphrase("1-1:b00", 1, "label went wrong", "1-9")], [
+        "record 1-1:b00:v1: ground truth differs from base record 1-1:b00", PARAPHRASES]),
+    "test_validate_flags_variant_index_range": (lambda rs: rs + [paraphrase("1-1:b00", 9, "ninth variant of one")], [
+        "record 1-1:b00: paraphrase variant_index values [9] out of range or repeated; want 1..1, each once",
+        PARAPHRASES]),
+    "test_validate_flags_a_blank_text": {  # no prompt can be built from it
+        blank: (with_record(3, text=blank), ["record 1-9:b01: text is blank"]) for blank in ["", "   ", "\n", " \t\r\n"]},
+    "test_validate_flags_one_text_under_two_labels": (  # a 1-9 record takes a 1-1 text
+        with_record(2, text="I want to pay my bill."),
+        ["record 1-9:b00: same text as record 1-1:b00, which is labelled 1-1"]),
     # augment_intents keeps a paraphrase that came back equal to its base text
-    ds = tiny_dataset()
-    same = [make_record(r.ground_truth.canonical(), r.text, origin="augmented",
-                        base_suffix=r.id.split(":")[1], variant_index=1) for r in ds.records]
-    repeated = ds._replace(records=ds.records + same)
-    assert validate_dataset(repeated, flatten(tiny_tree)) == []
-
-
-def test_validate_flags_count_mismatch(tiny_tree):
-    paths = flatten(tiny_tree)
-    ds = tiny_dataset()
-    short = Dataset(ds.menu_name, ds.records[:-1])
-    assert any("base record count" in p for p in validate_dataset(short, paths))
+    "test_validate_allows_one_text_repeated_under_one_label": (
+        lambda rs: rs + [paraphrase(r.id, 1, r.text, r.ground_truth) for r in rs], []),
+    "test_validate_flags_count_mismatch": (lambda rs: rs[:-1], [COUNTS + "2 has 1 and 1-1 has 2"]),
+    "test_validate_flags_a_terminal_path_without_base_records": (
+        lambda rs: [r for r in rs if r.ground_truth != "2"],
+        ["terminal path 2 has no base record", COUNTS + "2 has 0 and 1-1 has 2"]),
+}
+table_tests(globals(), check_problems, PROBLEMS)
 
 
 def test_validate_count_rules_hold_in_any_record_order(dataset, paths):
@@ -433,15 +385,6 @@ def test_validate_count_rules_hold_in_any_record_order(dataset, paths):
     assert validate_dataset(repeated, paths) == [
         "record 1-1:b00: paraphrase variant_index values [1, 2, 2] out of range or repeated; "
         "want 1..3, each once"
-    ]
-
-
-def test_validate_flags_a_terminal_path_without_base_records(tiny_tree):
-    ds = tiny_dataset()
-    without_2 = ds._replace(records=[r for r in ds.records if r.ground_truth != "2"])
-    assert validate_dataset(without_2, flatten(tiny_tree)) == [
-        "terminal path 2 has no base record",
-        "base record count per terminal path must be one number, but 2 has 0 and 1-1 has 2",
     ]
 
 

@@ -19,7 +19,7 @@ from ivroute.menu import (
     validate_menu,
 )
 
-from conftest import action, golden_text, navigation, submenu
+from conftest import action, golden_text, navigation, submenu, table_tests
 
 
 # --- DtmfPath -------------------------------------------------------------------
@@ -116,93 +116,69 @@ def test_parse_rejects_duplicate_digits():
 
 # --- validation -----------------------------------------------------------------
 
-def test_validate_flags_navigation_digit():
-    bad_nav = MenuNode(label="Repeat", digit="5", kind="navigation")
-    root = submenu("Root", None, [action("A", "1"), bad_nav])
-    problems = validate_menu(MenuTree(name="t", root=root))
-    assert any("navigation nodes use digit 0" in p for p in problems)
+def check_menu_problems(row):
+    """``row``: a menu's root, or a whole MenuTree, and every problem
+    validate_menu finds in it, in order."""
+    tree, problems = row
+    assert validate_menu(tree if isinstance(tree, MenuTree) else MenuTree(name="t", root=tree)) == problems
 
 
-def test_validate_flags_action_type_on_a_menu_node():
+def root_of(*children):
+    return submenu("Root", None, children)
+
+
+def nested(node, depth):
+    """``node`` under ``depth`` menus of digit 1, under the root."""
+    for _ in range(depth):
+        node = submenu("Level", "1", [node])
+    return root_of(node)
+
+
+MENU_PROBLEMS = {
+    "test_validate_flags_navigation_digit": (
+        root_of(action("A", "1"), MenuNode(label="Repeat", digit="5", kind="navigation")),
+        ["5: navigation nodes use digit 0"]),
     # Trees built in code skip parse_menu, which refuses the field off action nodes.
-    billing = submenu("Billing", "1", [action("Pay", "1")])._replace(action_type="agent_handoff")
-    problems = validate_menu(MenuTree(name="t", root=submenu("Root", None, [billing])))
-    assert problems == ["1: action_type set on a non-action node"]
-
-
-def test_validate_flags_childless_menu():
-    root = submenu("Root", None, [submenu("Empty", "1", [])])
-    problems = validate_menu(MenuTree(name="t", root=root))
-    assert any("menu node has no children" in p for p in problems)
-
-
-def test_validate_flags_action_with_children():
-    broken = MenuNode(
-        label="Act",
-        digit="1",
-        kind="action",
-        action_type="self_service",
-        children=(action("X", "1"),),
-    )
-    problems = validate_menu(MenuTree(name="t", root=submenu("Root", None, [broken])))
-    assert any("may not have children" in p for p in problems)
-
-
-def test_validate_flags_depth_overflow():
-    node = action("Deep", "1")
-    for _ in range(MAX_DEPTH):  # wraps to depth MAX_DEPTH + 1
-        node = submenu("Level", "1", [node])
-    tree = MenuTree(name="t", root=submenu("Root", None, [node]))
-    problems = validate_menu(tree)
-    assert any(f"exceeds maximum depth {MAX_DEPTH}" in p for p in problems)
-
-
-def test_validate_accepts_depth_at_limit():
-    node = action("Leaf", "1")
-    for _ in range(MAX_DEPTH - 1):
-        node = submenu("Level", "1", [node])
-    tree = MenuTree(name="t", root=submenu("Root", None, [node]))
-    assert validate_menu(tree) == []
-    deepest = flatten(tree)[-1]
-    assert len(deepest.path.split("-")) == MAX_DEPTH
-
-
-def test_validate_flags_duplicate_sibling_digits_once():
+    "test_validate_flags_action_type_on_a_menu_node": (
+        root_of(submenu("Billing", "1", [action("Pay", "1")])._replace(action_type="agent_handoff")),
+        ["1: action_type set on a non-action node"]),
+    "test_validate_flags_childless_menu": (root_of(submenu("Empty", "1", [])), ["1: menu node has no children"]),
+    "test_validate_flags_action_with_children": (root_of(action("Act", "1")._replace(children=(action("X", "1"),))),
+                                                 ["1: action nodes may not have children"]),
+    "test_validate_flags_depth_overflow": (nested(action("Deep", "1"), MAX_DEPTH),  # a leaf at depth MAX_DEPTH + 1
+                                           ["-".join("1" * (MAX_DEPTH + 1)) + f": exceeds maximum depth {MAX_DEPTH}"]),
     # Trees built in code skip parse_menu, so validate_menu is their check.
-    root = submenu("Root", None, [action("A", "1"), action("B", "1")])
-    problems = validate_menu(MenuTree(name="t", root=root))
-    assert problems == ["root: duplicate digit 1 among children"]
-
-
-def test_validate_flags_a_misspelt_kind_action_type_or_digit():
+    "test_validate_flags_duplicate_sibling_digits_once": (root_of(action("A", "1"), action("B", "1")),
+                                                          ["root: duplicate digit 1 among children"]),
     # Trees built in code use the document's strings; a typo among them is
     # reported, not carried into a flattening or a prompt.
-    root = submenu("Root", None, [
+    "test_validate_flags_a_misspelt_kind_action_type_or_digit": (root_of(
         action("Hyphen", "1", service="self-service"),
         MenuNode(label="Typo", digit="2", kind="acton", action_type="self_service"),
-        action("Number", 3),
-        action("Two Keys", "45"),
-        action("Fine", "6"),
-    ])
-    problems = validate_menu(MenuTree(name="t", root=root))
-    assert problems == [
+        action("Number", 3), action("Two Keys", "45"), action("Fine", "6")), [
         "1: action_type must be 'self_service' or 'agent_handoff'",
         "2: unknown kind 'acton'",
         "root: child 'Number' has digit 3, not a one-character string '0'-'9'",
-        "root: child 'Two Keys' has digit '45', not a one-character string '0'-'9'",
-    ]
-
-
-def test_validate_judges_the_text_of_a_tree_built_in_code():
+        "root: child 'Two Keys' has digit '45', not a one-character string '0'-'9'"]),
     # What a menu file's text must meet, a tree built in code meets too: no
     # empty name or label, and no lone surrogate, which no UTF-8 file holds.
-    root = submenu("", None, [action("Bal\udcffance", "1"), action("Bill", "2")], prompt_text="\ude00 press 1")
-    assert validate_menu(MenuTree(name="", root=root)) == [
+    "test_validate_judges_the_text_of_a_tree_built_in_code": (MenuTree(name="", root=submenu(
+        "", None, [action("Bal\udcffance", "1"), action("Bill", "2")], prompt_text="\ude00 press 1")), [
         "menu name must be a non-empty string",
         "root: label must be a non-empty string",
         "root: prompt_text holds a lone surrogate",
-        "1: label holds a lone surrogate",
-    ]
+        "1: label holds a lone surrogate"]),
+    "test_validate_flags_menu_of_only_navigation": (root_of(submenu("Dead End", "1", [navigation()])),
+                                                    ["1: menu node needs at least one non-navigation child"]),
+}
+table_tests(globals(), check_menu_problems, MENU_PROBLEMS)
+
+
+def test_validate_accepts_depth_at_limit():
+    tree = MenuTree(name="t", root=nested(action("Leaf", "1"), MAX_DEPTH - 1))
+    assert validate_menu(tree) == []
+    deepest = flatten(tree)[-1]
+    assert len(deepest.path.split("-")) == MAX_DEPTH
 
 
 def test_validate_flags_menu_text_that_would_make_the_outline_offer_a_path_the_menu_lacks():
@@ -219,12 +195,6 @@ def test_validate_flags_menu_text_that_would_make_the_outline_offer_a_path_the_m
         tree = MenuTree(name="t", root=root)
         assert forged in [path for path, _ in offered_paths(render_descriptive(tree))]
         assert validate_menu(tree) == [problem]
-
-
-def test_validate_flags_menu_of_only_navigation():
-    root = submenu("Root", None, [submenu("Dead End", "1", [navigation()])])
-    problems = validate_menu(MenuTree(name="t", root=root))
-    assert any("at least one non-navigation child" in p for p in problems)
 
 
 # --- flattening -----------------------------------------------------------------

@@ -1,6 +1,11 @@
 """Provider layer: the HTTP provider and its shipped client against a
-loopback server, the deterministic doubles, the retry and pacing policy of
-the scheduler, and role separation."""
+loopback server, the deterministic doubles, and role separation.
+
+A call's outcome, a refused setting, a double's reply and a role warning
+are each a row of a table run by one ``check_*``. The bespoke tests are
+those of connection reuse, threads, real time, TLS host names, proxies and
+child processes. The pacing examples first written here stay here under
+their test ids, run by the ``conftest`` runners of test_router.py's rows."""
 
 import base64
 import fcntl
@@ -16,12 +21,14 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 import ivroute
-from ivroute.menu import render_flattened
+from ivroute.menu import flatten, parse_menu, render_flattened
 from ivroute.prompts import RoutingCondition, build_prompt, query_of
 from ivroute.provider import (
     DEFAULT_API_KEY_ENV,
@@ -34,16 +41,12 @@ from ivroute.provider import (
     check_role_separation,
 )
 from ivroute.httpclient import ConnectionPool, _dropped
-from ivroute.router import Pacing, RoutingAborted, Schedule, route_all, run_calls
+from ivroute.router import Pacing, RoutingAborted, route_all, run_calls
 
-from conftest import AnsweringProvider, Close, chat_response, closed_port, make_record, simulate, tiny_dataset
+from conftest import (PROXY_VARIABLES, AnsweringProvider, CapRng, Close, Raises, Run, chat_response, check_pacing,
+                      check_run, closed_port, data_text, make_record, outcome_of, prompt_of, table_tests, tiny_dataset)
 
-
-class CapRng(random.Random):
-    """Draws every backoff at its cap, so jittered delays are exact."""
-
-    def uniform(self, a, b):
-        return b
+FLATTENED = render_flattened(flatten(parse_menu(data_text("agentnet.menu.json"))))
 
 
 class RecordingPacing(Pacing):
@@ -78,215 +81,186 @@ def attempt_until_done(provider, prompt, delays):
     return reply
 
 
-def complete_each(provider):
-    """A run_calls step: job ``i`` is one call with the prompt ``q<i>``."""
-    return lambda i: provider.complete(f"q{i}")
+# --- one call's outcomes ----------------------------------------------------------
+
+class Call(NamedTuple):
+    """One call on run_calls of an HttpProvider with ``settings`` and
+    ``env`` to an endpoint that ``serves``: chat_server's options,
+    raw_server's replies, or None, a closed port. It ends in ``outcome``
+    after ``requests`` requests, each the payload of ``prompt`` with the
+    Authorization ``auth``, and the ``waits`` Pacing chose, at their caps."""
+
+    serves: dict | list | None
+    outcome: object
+    requests: int = 1
+    waits: tuple = ()
+    settings: dict = {}
+    prompt: str = "q"
+    env: dict = {}
+    auth: str | None = None
 
 
-# --- config ---------------------------------------------------------------------
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        ProviderConfig(max_retries=6)
-    with pytest.raises(ValueError):
-        ProviderConfig(max_in_flight=0)
-    with pytest.raises(ValueError):
-        ProviderConfig(temperature=2.5)
-    with pytest.raises(ValueError):
-        ProviderConfig(requests_per_second=0)
-    for timeout in (0, -1, float("inf"), float("nan")):
-        with pytest.raises(ValueError, match="request_timeout"):
-            ProviderConfig(request_timeout=timeout)
-    assert ProviderConfig().temperature is None
-
-
-# --- HTTP wire protocol ----------------------------------------------------------
-
-def payloads(server) -> list[dict]:
-    """The JSON body of each request ``server`` read, in order."""
-    return [json.loads(request.body) for request in server.requests]
-
-
-def test_post_payload_shape(chat_server, live_provider):
-    server = chat_server(reply="1-1")
-    assert live_provider(server.url).complete("route this") == "1-1"
-    assert payloads(server) == [{
-        "model": "test-model",
-        "messages": [{"role": "user", "content": "route this"}],
-    }]
-
-
-def test_temperature_sent_only_when_set(chat_server, live_provider, monkeypatch):
+def check_call(row, chat_server, raw_server, live_provider, monkeypatch):
     monkeypatch.delenv(DEFAULT_API_KEY_ENV, raising=False)
-    server = chat_server(reply="x")
-    live_provider(server.url).complete("q")
-    assert "temperature" not in payloads(server)[0]
-
-    live_provider(server.url, temperature=0.0).complete("q")
-    assert payloads(server)[1]["temperature"] == 0.0
-
-
-def sent_headers(server, live_provider, **config_kwargs):
-    """The header fields, by lower-case name, of one call to ``server``."""
-    live_provider(server.url, **config_kwargs).complete("q")
-    return server.requests[-1].headers
-
-
-def test_api_key_source_is_configurable(chat_server, live_provider, monkeypatch):
-    monkeypatch.setenv("OTHER_KEY_VAR", "alt-token")
-    monkeypatch.delenv(DEFAULT_API_KEY_ENV, raising=False)
-    headers = sent_headers(chat_server(), live_provider, api_key_env="OTHER_KEY_VAR")
-    assert headers["authorization"] == "Bearer alt-token"
-
-
-def test_missing_key_sends_no_auth_header(chat_server, live_provider, monkeypatch):
-    monkeypatch.delenv(DEFAULT_API_KEY_ENV, raising=False)
-    assert "authorization" not in sent_headers(chat_server(), live_provider)
+    for name, value in row.env.items():
+        monkeypatch.setenv(name, value)
+    if row.serves is None:
+        server, url = None, f"http://127.0.0.1:{closed_port()}/v1"
+    else:
+        server = chat_server(**row.serves) if isinstance(row.serves, dict) else raw_server(row.serves)
+        url = server.url
+    waits = []
+    raised = outcome_of(lambda: attempt_until_done(live_provider(url, **row.settings), row.prompt, waits),
+                        row.outcome)
+    if str(raised).startswith("gave up after "):  # the last attempt's own error is its cause
+        assert str(raised) == f"gave up after {len(waits) + 1} attempt(s): {raised.__cause__}"
+    requests = server.requests if server else []
+    assert (len(requests), waits) == (row.requests, list(row.waits))
+    payload = {"model": "test-model", "messages": [{"role": "user", "content": row.prompt}],
+               **{key: value for key, value in row.settings.items() if key == "temperature"}}
+    for request in requests:
+        assert (json.loads(request.body), request.headers.get("authorization")) == (payload, row.auth)
 
 
-def test_the_built_prompt_is_sent_as_it_is(paths, chat_server, live_provider):
-    prompt = build_prompt(RoutingCondition.FLATTENED_PATHS, render_flattened(paths), "where is my invoice")
-    server = chat_server(reply="1-2")
-    live_provider(server.url).complete(prompt)
-    assert payloads(server)[0]["messages"][0]["content"] == prompt
+ZERO, BACKOFF = (0.0, 0.0), (0.5, 1.0)  # waits before retries 1 and 2: none, and the caps of a backoff
+# Each Retry-After value that a 429 or a 503 may carry, and the waits
+# before the two retries it brings: whole seconds up to 60, exactly; any
+# other value, a backoff. The server writes the value as UTF-8; the client
+# reads header bytes as Latin-1.
+RETRY_AFTERS = [("0", ZERO), ("2", (2.0, 2.0)), (" 1 ", (1.0, 1.0)), ("60", (60.0, 60.0)), ("61", BACKOFF),
+                ("Wed, 21 Oct 2026 07:28:00 GMT", BACKOFF), ("-1", BACKOFF), ("1.5", BACKOFF), ("abc", BACKOFF),
+                ("\u0662", BACKOFF),  # a digit, but not an ASCII one
+                ("", BACKOFF)]
+LONG_RETRY_AFTERS = {"5000-zeros": ("0" * 5000, ZERO),  # more digits than int() converts
+                     "5000-nines": ("9" * 5000, BACKOFF)}
+ERROR_BODY = '{"error": "unavailable"}'  # chat_response's body of a status but 200
+NOT_JSON = Raises(ProviderError, "response body is not JSON: ", prefix=True)  # the decoder's text varies
+NO_CHOICES = "response carries no choices"
+NO_CONTENT = "first choice carries no message content, or content that is no text"
+ROUTING_PROMPT = build_prompt(RoutingCondition.FLATTENED_PATHS, FLATTENED, "where is my invoice")
 
 
-# --- retry policy ----------------------------------------------------------------
-
-@pytest.mark.parametrize("status", [429, 500, 502, 503, 504])
-def test_retryable_status_then_success(status, chat_server, live_provider):
-    server = chat_server(reply="2-1-1", statuses=[status] * 2)
-    delays = []
-    assert attempt_until_done(live_provider(server.url, max_retries=3), "q", delays) == "2-1-1"
-    assert len(server.requests) == 3
-    assert delays == [0.5, 1.0]
+def body_of_200(body, error):
+    """A 200 whose body is no chat completion is final: one request, no retry."""
+    return Call([chat_response(body=body)], error, 1, (), {"max_retries": 3})
 
 
-def test_transport_error_then_success(raw_server, live_provider):
-    server = raw_server([Close(b""), chat_response(content="3-9")])  # a hang-up, then a reply
-    delays = []
-    assert attempt_until_done(live_provider(server.url), "q", delays) == "3-9"
-    assert len(server.requests) == 2
-    assert delays == [0.5]
+def retried_after(status, retry_after, waits):
+    return Call({"statuses": [status] * 2, "retry_after": retry_after}, "1-1", 3, waits, {"max_retries": 3})
 
 
-def test_backoff_doubles_and_caps(chat_server, live_provider):
-    server = chat_server(statuses=[503] * 5)
-    delays = []
-    attempt_until_done(live_provider(server.url, max_retries=5), "q", delays)
-    assert delays == [0.5, 1.0, 2.0, 4.0, 8.0]
+CALLS = {
+    "test_post_payload_shape": Call({"reply": "1-1"}, "1-1", prompt="route this"),
+    "test_temperature_sent_only_when_set": [Call({"reply": "x"}, "x"),
+                                            Call({"reply": "x"}, "x", settings={"temperature": 0.0})],
+    "test_api_key_source_is_configurable": Call({}, "1-1", settings={"api_key_env": "OTHER_KEY_VAR"},
+                                                env={"OTHER_KEY_VAR": "alt-token"}, auth="Bearer alt-token"),
+    "test_missing_key_sends_no_auth_header": Call({}, "1-1"),
+    "test_the_built_prompt_is_sent_as_it_is": Call({"reply": "1-2"}, "1-2", prompt=ROUTING_PROMPT),
+    "test_retryable_status_then_success": {
+        str(status): Call({"reply": "2-1-1", "statuses": [status] * 2}, "2-1-1", 3, BACKOFF, {"max_retries": 3})
+        for status in (429, 500, 502, 503, 504)},
+    "test_transport_error_then_success": Call([Close(b""), chat_response(content="3-9")], "3-9", 2, (0.5,)),  # hang-up
+    "test_backoff_doubles_and_caps": Call({"statuses": [503] * 5}, "1-1", 6, (0.5, 1.0, 2.0, 4.0, 8.0),
+                                          {"max_retries": 5}),
+    "test_retries_exhausted_raises_transport_error": Call(
+        {"status": 503}, Raises(TransportError, "gave up after 3 attempt(s): HTTP 503"), 3, BACKOFF,
+        {"max_retries": 2}),
+    "test_non_retryable_status_fails_immediately": Call(
+        {"status": 400}, Raises(ProviderError, f"HTTP 400: {ERROR_BODY}"), 1, (), {"max_retries": 3}),
+    "test_a_body_with_an_integer_too_long_to_convert_is_not_json": body_of_200(
+        '{"id": ' + "1" * 5000 + ', "choices": []}', NOT_JSON),
+    "test_malformed_body_is_protocol_error_not_retried": body_of_200("not json", NOT_JSON),
+    "test_missing_choices_or_content_is_protocol_error": {
+        json.dumps(body): body_of_200(json.dumps(body), Raises(ProviderError, message)) for body, message in [
+            ({}, NO_CHOICES), ({"choices": []}, NO_CHOICES), ({"choices": [{"no_message": 1}]}, NO_CONTENT),
+            ({"choices": [{"message": {"role": "assistant"}}]}, NO_CONTENT), ({"choices": {"x": 1}}, NO_CHOICES),
+            ({"choices": [{"message": {"content": 219}}]}, NO_CONTENT),
+            ({"choices": [{"message": {"content": [{"type": "text", "text": "1-1"}]}}]}, NO_CONTENT)]},
+    "test_null_content_is_an_empty_reply": Call({"reply": None}, ""),
+    "test_success_never_retried": Call({"reply": "ok"}, "ok", settings={"max_retries": 5}),
+    "test_empty_content_is_kept": Call({"reply": ""}, ""),
+    # parameter ids as the earlier parametrization made them
+    "test_retry_after_whole_seconds_up_to_60_are_honoured": {
+        **{f"{value}-sleeps_expected{index}-{status}": retried_after(status, value, waits)
+           for index, (value, waits) in enumerate(RETRY_AFTERS) for status in (429, 503)},
+        **{f"{name}-{status}": retried_after(status, value, waits)
+           for name, (value, waits) in LONG_RETRY_AFTERS.items() for status in (429, 503)}},
+    "test_one_attempt_is_one_request_raising_its_retry_after": [
+        Call({"statuses": [429], "retry_after": "2"}, Raises(TransportError, "gave up after 1 attempt(s): HTTP 429"),
+             1, (), {"max_retries": 0}),
+        Call({"statuses": [429], "retry_after": "2"}, "1-1", 2, (2.0,), {"max_retries": 1})],
+    "test_last_attempt_gives_up_instead_of_backing_off": Call(
+        {"status": 503, "retry_after": "0"}, Raises(TransportError, "gave up after 3 attempt(s): HTTP 503"), 3, ZERO,
+        {"max_retries": 2}),
+    "test_reply_is_decoded_as_utf8": Call({"reply": "2\u20131"}, "2\u20131"),  # an en dash, sent without a charset
+    "test_transport_returns_retry_after_of_429_and_503": {  # a 500's is not read
+        f"{status}-sleeps_expected{index}": Call(
+            {"status": status, "retry_after": "0"},
+            Raises(TransportError, f"gave up after 3 attempt(s): HTTP {status}"), 3, waits, {"max_retries": 2})
+        for index, (status, waits) in enumerate([(429, ZERO), (503, ZERO), (500, BACKOFF)])},
+    "test_closed_port_is_a_transport_error_after_the_retries": Call(
+        None, Raises(TransportError, "gave up after 3 attempt(s): ConnectionRefusedError: ", prefix=True), 0, BACKOFF,
+        {"max_retries": 2}),
+    "test_refused_certificate_is_one_attempt_not_retried": Call({"tls": True}, Raises(  # no test certificate trusted
+        ProviderError, "TLS certificate refused: [SSL: CERTIFICATE_VERIFY_FAILED] certificate verify failed: ",
+        prefix=True), 0, (), {"max_retries": 3}),
+}
+table_tests(globals(), check_call, CALLS)
 
 
-# The jitter cap of failed attempts 1 .. 5, the most max_retries allows.
-BACKOFF_CAPS = [0.5, 1.0, 2.0, 4.0, 8.0]
+# --- settings refused when the provider is built -----------------------------------
+
+class Refusal(NamedTuple):
+    """HttpProvider settings, with ``env`` set and no proxy variable else,
+    that building the provider refuses as ``error`` says."""
+
+    settings: dict
+    error: Raises
+    env: dict = {}
 
 
-def test_jittered_backoff_spreads_below_a_doubling_cap():
-    pacing = Pacing(ProviderConfig(max_retries=5), random.Random(6))
-    for attempt, cap in enumerate(BACKOFF_CAPS, start=1):
-        draws = [pacing.retry_at(0.0, attempt, None) for _ in range(200)]
-        assert all(0.0 <= delay <= cap for delay in draws)
-        assert min(draws) < 0.1 * cap and max(draws) > 0.9 * cap  # the whole range, full jitter
-    capped = Pacing(ProviderConfig(max_retries=5), CapRng())
-    assert [capped.retry_at(0.0, attempt, None) for attempt in range(1, 6)] == BACKOFF_CAPS
-    assert capped.retry_at(0.0, 1, "\u0662") == capped.retry_at(0.0, 1, "\u00b2") == 0.5  # digits, not ASCII
+def check_refusal(row, monkeypatch):
+    for name in (*PROXY_VARIABLES, DEFAULT_API_KEY_ENV):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in row.env.items():
+        monkeypatch.setenv(name, value)
+    outcome_of(lambda: HttpProvider(ProviderConfig(**{"endpoint_url": "http://127.0.0.1/v1", **row.settings})),
+               row.error)
 
 
-@pytest.mark.parametrize("retry_after, delay", [("0", 0.0), ("3", 3.0), ("60", 60.0)])
-def test_honoured_retry_after_is_exact_not_jittered(retry_after, delay):
-    for attempt in range(1, 6):
-        pacing = Pacing(ProviderConfig(max_retries=5), random.Random(attempt))
-        assert pacing.retry_at(0.0, attempt, retry_after) == delay
-        assert pacing.retry_at(1234.5, attempt, retry_after) == 1234.5 + delay
+def out_of_range(name, value, interval):
+    return Refusal({name: value}, Raises(ValueError, f"{name} must be {interval}, not {value!r}"))
 
 
-def test_calls_that_fail_together_back_off_apart(chat_server, live_provider):
-    provider = live_provider(chat_server(statuses=[503] * 2).url, max_retries=3, max_in_flight=1)
-    delays = []
-    pacing = RecordingPacing(provider.config, delays, random.Random(8))
-    run_calls(provider, 2, complete_each(provider), error_budget=0, pacing=pacing)
-    assert len(delays) == 2 and delays[0] != delays[1]
-    assert all(0.0 <= delay <= 0.5 for delay in delays)
+def unusable_endpoint(url):
+    return Refusal({"endpoint_url": url},
+                   Raises(ValueError, f"endpoint must be an http:// or https:// URL, not {url!r}"))
 
 
-def test_retries_exhausted_raises_transport_error(chat_server, live_provider):
-    server = chat_server(status=503)
-    with pytest.raises(TransportError, match="gave up after 3 attempt"):
-        attempt_until_done(live_provider(server.url, max_retries=2), "q", [])
-    assert len(server.requests) == 3
-
-
-def test_non_retryable_status_fails_immediately(chat_server, live_provider):
-    server = chat_server(status=400)
-    delays = []
-    with pytest.raises(ProviderError, match="^HTTP 400: "):
-        attempt_until_done(live_provider(server.url, max_retries=3), "q", delays)
-    assert len(server.requests) == 1
-    assert delays == []
-
-
-def test_a_body_with_an_integer_too_long_to_convert_is_not_json(raw_server, live_provider):
-    server = raw_server([chat_response(body='{"id": ' + "1" * 5000 + ', "choices": []}')])
-    with pytest.raises(ProviderError, match="^response body is not JSON: "):
-        live_provider(server.url, max_retries=3).complete("q")
-    assert len(server.requests) == 1
-
-
-def test_malformed_body_is_protocol_error_not_retried(raw_server, live_provider):
-    server = raw_server([chat_response(body="not json")])
-    with pytest.raises(ProviderError, match="^response body is not JSON: ") as excinfo:
-        live_provider(server.url, max_retries=3).complete("q")
-    assert not isinstance(excinfo.value, TransportError)
-    assert len(server.requests) == 1
-
-
-@pytest.mark.parametrize(
-    "body",
-    [
-        json.dumps({}),
-        json.dumps({"choices": []}),
-        json.dumps({"choices": [{"no_message": 1}]}),
-        json.dumps({"choices": [{"message": {"role": "assistant"}}]}),
-        json.dumps({"choices": {"x": 1}}),
-        json.dumps({"choices": [{"message": {"content": 219}}]}),
-        json.dumps({"choices": [{"message": {"content": [{"type": "text", "text": "1-1"}]}}]}),
-    ],
-)
-def test_missing_choices_or_content_is_protocol_error(body, raw_server, live_provider):
-    message = "^(response carries no choices|first choice carries no message content, or content that is no text)$"
-    with pytest.raises(ProviderError, match=message) as excinfo:
-        live_provider(raw_server([chat_response(body=body)]).url).complete("q")
-    assert not isinstance(excinfo.value, TransportError)
-
-
-def test_null_content_is_an_empty_reply(chat_server, live_provider):
-    assert live_provider(chat_server(reply=None).url).complete("q") == ""
-
-
-def test_success_never_retried(chat_server, live_provider):
-    # A parseable 200 must consume exactly one request even with retries
-    # left over.
-    server = chat_server(reply="ok")
-    delays = []
-    attempt_until_done(live_provider(server.url, max_retries=5), "q", delays)
-    assert len(server.requests) == 1 and delays == []
-
-
-def test_empty_content_is_kept(chat_server, live_provider):
-    assert live_provider(chat_server(reply="").url).complete("q") == ""
-
-
-def test_requires_endpoint_url():
-    with pytest.raises(ValueError):
-        HttpProvider(ProviderConfig(endpoint_url=""))
-
-
-@pytest.mark.parametrize("key", ["sk-secret-123\n", "sk-secret\r\n123", "sk-\tsecret", "sk-s\u00e9cret"])
-def test_api_key_with_control_characters_is_refused_unseen(monkeypatch, key):
-    monkeypatch.setenv("OTHER_KEY_VAR", key)
-    with pytest.raises(ValueError, match=r"\$OTHER_KEY_VAR") as excinfo:
-        HttpProvider(ProviderConfig(endpoint_url="http://127.0.0.1/v1", api_key_env="OTHER_KEY_VAR"))
-    assert "secret" not in str(excinfo.value)
+REFUSALS = {
+    "test_config_validation": [
+        out_of_range("max_retries", 6, "an integer in [0, 5]"),
+        out_of_range("max_in_flight", 0, "an integer in [1, inf)"),
+        out_of_range("temperature", 2.5, "a number in [0, 2]"),
+        out_of_range("requests_per_second", 0, f"a number in [{1 / threading.TIMEOUT_MAX}, inf)"),
+        *(out_of_range("request_timeout", timeout, f"a number in (0, {threading.TIMEOUT_MAX}]")
+          for timeout in (0, -1, float("inf"), float("nan")))],
+    "test_requires_endpoint_url": unusable_endpoint(""),
+    "test_api_key_with_control_characters_is_refused_unseen": {  # the message names the variable, never the key
+        key: Refusal({"api_key_env": "OTHER_KEY_VAR"}, Raises(
+            ValueError, "the API key in $OTHER_KEY_VAR holds control or non-ASCII characters"), {"OTHER_KEY_VAR": key})
+        for key in ["sk-secret-123\n", "sk-secret\r\n123", "sk-\tsecret", "sk-s\u00e9cret"]},
+    "test_unusable_endpoint_url_is_rejected_at_construction": {
+        "ftp://endpoint.test/v1": unusable_endpoint("ftp://endpoint.test/v1"),
+        "http:///v1": unusable_endpoint("http:///v1"),
+        "http://127.0.0.1:port/v1": Refusal({"endpoint_url": "http://127.0.0.1:port/v1"},
+                                            Raises(ValueError, "Port could not be cast to integer value as 'port'"))},
+    "test_https_proxy_is_refused_at_construction": Refusal({}, Raises(
+        ValueError, "unsupported proxy 'https://proxy.test:3128': only http:// proxies are supported"),
+        {"ALL_PROXY": "https://proxy.test:3128"}),
+}
+table_tests(globals(), check_refusal, REFUSALS)
 
 
 def test_api_key_is_read_once_when_built(chat_server, live_provider, monkeypatch):
@@ -299,55 +273,13 @@ def test_api_key_is_read_once_when_built(chat_server, live_provider, monkeypatch
     assert [request.headers["authorization"] for request in server.requests] == ["Bearer first"] * 2
 
 
-# --- Retry-After and one attempt at a time -----------------------------------------
-
-@pytest.mark.parametrize("status", [429, 503])
-@pytest.mark.parametrize(
-    "retry_after, sleeps_expected",
-    [
-        ("0", [0.0, 0.0]),
-        ("2", [2.0, 2.0]),
-        (" 1 ", [1.0, 1.0]),
-        ("60", [60.0, 60.0]),
-        ("61", [0.5, 1.0]),
-        ("Wed, 21 Oct 2026 07:28:00 GMT", [0.5, 1.0]),
-        ("-1", [0.5, 1.0]),
-        ("1.5", [0.5, 1.0]),
-        ("abc", [0.5, 1.0]),
-        ("\u0662", [0.5, 1.0]),  # a digit, but not an ASCII one
-        ("", [0.5, 1.0]),
-        pytest.param("0" * 5000, [0.0, 0.0], id="5000-zeros"),  # more digits than int() converts
-        pytest.param("9" * 5000, [0.5, 1.0], id="5000-nines"),
-    ],
-)
-def test_retry_after_whole_seconds_up_to_60_are_honoured(status, retry_after, sleeps_expected,
-                                                         chat_server, live_provider):
-    # The server writes the value as UTF-8; the client reads header bytes as Latin-1.
-    server = chat_server(statuses=[status] * 2, retry_after=retry_after)
+def test_calls_that_fail_together_back_off_apart(chat_server, live_provider):
+    provider = live_provider(chat_server(statuses=[503] * 2).url, max_retries=3, max_in_flight=1)
     delays = []
-    assert attempt_until_done(live_provider(server.url, max_retries=3), "q", delays) == "1-1"
-    assert len(server.requests) == 3
-    assert delays == sleeps_expected
-
-
-def test_one_attempt_is_one_request_raising_its_retry_after(chat_server, live_provider):
-    server = chat_server(statuses=[429], retry_after="2")
-    provider = live_provider(server.url, max_in_flight=1, max_retries=1)
-    with pytest.raises(TransportError, match="HTTP 429") as excinfo:
-        provider.complete("q")
-    assert excinfo.value.retry_after == "2"
-    assert len(server.requests) == 1
-    assert provider.complete("q") == "1-1"
-    assert len(server.requests) == 2
-
-
-def test_last_attempt_gives_up_instead_of_backing_off(chat_server, live_provider):
-    server = chat_server(status=503, retry_after="0")
-    delays = []
-    with pytest.raises(TransportError, match="gave up after 3 attempt.*HTTP 503") as excinfo:
-        attempt_until_done(live_provider(server.url, max_retries=2), "q", delays)
-    assert str(excinfo.value.__cause__) == "HTTP 503"  # the last attempt's own error
-    assert len(server.requests) == 3 and delays == [0.0, 0.0]
+    pacing = RecordingPacing(provider.config, delays, random.Random(8))
+    run_calls(provider, 2, lambda i: provider.complete(f"q{i}"), error_budget=0, pacing=pacing)
+    assert len(delays) == 2 and delays[0] != delays[1]
+    assert all(0.0 <= delay <= 0.5 for delay in delays)
 
 
 def test_a_rows_latency_is_its_answering_attempt_without_the_backoff(chat_server, live_provider, tiny_tree):
@@ -357,29 +289,127 @@ def test_a_rows_latency_is_its_answering_attempt_without_the_backoff(chat_server
     run = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, live_provider(server.url, max_retries=1))
     assert time.perf_counter() - start >= 1.0  # one intent waited out Retry-After: 1
     assert len(server.requests) == len(ds.records) + 1
-    retried = query_of(payloads(server)[0]["messages"][0]["content"])
+    retried = query_of(prompt_of(server.requests[0]))
     (row,) = [result for result, record in zip(run.results, ds.records) if record.text == retried]
     assert row.latency < 0.5  # the first attempt and the backoff are not part of it
 
 
+# --- the pacing examples first written here, kept under their test ids ---------------
+
+PACINGS = {
+    "test_pacing_admits_one_attempt_per_turn": ({"requests_per_second": 4}, [
+        ("admit", 10.0, 10.0),  # the first attempt goes at once
+        ("admit", 10.0, 10.25),  # the next waits a quarter second
+        ("admit", 10.1, 10.25),  # asking early takes no turn
+        ("admit", 10.25, 10.25), ("admit", 10.3, 10.5),
+        ("admit", 11.0, 11.0),  # idle turns are not saved up for a burst
+        ("admit", 11.0, 11.25)]),
+    "test_pacing_without_a_rate_admits_every_attempt_at_once": ({}, [("admit", 5.0, 5.0)] * 3),
+    "test_a_retry_due_at_once_still_takes_its_own_turn": ({"requests_per_second": 2}, [
+        ("admit", 0.0, 0.0), ("retry_at", 0.0, 1, "0", 0.0),  # that attempt got Retry-After: 0
+        ("admit", 0.0, 0.5),  # the retry waits for the next turn
+        ("admit", 0.5, 0.5)]),
+    "test_pacing_gives_up_past_max_retries": {str(max_retries): ({"max_retries": max_retries}, [
+        ("retry_at", 0.0, attempt, retry_after, None if attempt > max_retries else 0.0 if retry_after else cap)
+        for attempt, cap in enumerate([0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0], start=1) for retry_after in ("0", None)])
+        for max_retries in range(6)},
+    "test_honoured_retry_after_is_exact_not_jittered": {f"{seconds}-{seconds}.0": ({"max_retries": 5}, [
+        ("retry_at", now, attempt, str(seconds), now + seconds) for attempt in range(1, 6) for now in (0.0, 1234.5)])
+        for seconds in (0, 3, 60)},
+}
+table_tests(globals(), check_pacing, PACINGS)
+
+RUNS = {
+    # Four jobs at 10/s on four workers; the first attempt gets a 503 with
+    # Retry-After: 0, so its retry is due at once but still waits its turn,
+    # and so does the job of a second run given the same pacing.
+    "test_run_calls_paces_every_attempt_and_a_retry_takes_its_own_token": Run(
+        4, 4, 0, {0: [TransportError("HTTP 503", "0")]},
+        [(0.0, 0, 1), (0.1, 1, 1), (0.2, 2, 1), (0.3, 3, 1), (0.4, 0, 2), (0.5, 0, 1)], [0, 1, 2, 3],
+        settings={"requests_per_second": 10}, then=1),
+    # At 2/s on eight workers with no failure allowed, the second attempt
+    # fails. The workers waiting for a turn send nothing more, and the run
+    # ends at once instead of after their turns.
+    "test_run_calls_admits_nothing_after_an_abort": Run(
+        16, 8, 0, {1: [ProviderError("down")]}, [(0.0, 0, 1), (0.5, 1, 1)], [0] + [None] * 15, [(1, "down")],
+        "1 provider failure(s) exceeded the budget of 0", settings={"requests_per_second": 2}),
+}
+table_tests(globals(), check_run, RUNS)
+
+
+def test_jittered_backoff_spreads_below_a_doubling_cap():
+    pacing = Pacing(ProviderConfig(max_retries=5), random.Random(6))
+    for attempt, cap in enumerate([0.5, 1.0, 2.0, 4.0, 8.0], start=1):
+        draws = [pacing.retry_at(0.0, attempt, None) for _ in range(200)]
+        assert all(0.0 <= delay <= cap for delay in draws)
+        assert min(draws) < 0.1 * cap and max(draws) > 0.9 * cap  # the whole range, full jitter
+    capped = Pacing(ProviderConfig(max_retries=5), CapRng())
+    assert capped.retry_at(0.0, 1, "\u0662") == capped.retry_at(0.0, 1, "\u00b2") == 0.5  # digits, not ASCII
+
+
+def test_pacing_with_the_same_seed_draws_the_same_waits():
+    def waits(seed):
+        pacing = Pacing(ProviderConfig(max_retries=5), random.Random(seed))
+        return [pacing.retry_at(0.0, attempt, None) for attempt in (1, 2, 1, 3, 5, 4)]
+
+    assert waits("c3ca07a72a4f") == waits("c3ca07a72a4f")
+    assert waits("c3ca07a72a4f") != waits("0123456789ab")
+
+
+@pytest.mark.parametrize("bound", [1, 3])
+def test_in_flight_never_exceeds_bound(bound):
+    provider = AnsweringProvider(lambda prompt: time.sleep(0.002) or "1-1", max_in_flight=bound)  # calls overlap
+    run_calls(provider, 24, lambda i: provider.complete(f"q{i}"), error_budget=0, pacing=Pacing(provider.config))
+    assert 1 <= provider.peak_in_flight <= bound
+
+
+class BrokenPacing(Pacing):
+    def __init__(self, config, admit):
+        super().__init__(config)
+        self.admit = admit
+
+
+def refuse_every_turn(now):
+    raise RuntimeError("no turn")
+
+
+@pytest.mark.parametrize("admit, error", [
+    (refuse_every_turn, RuntimeError),
+    (lambda now: now + 1e300, OverflowError),  # a wait longer than threading.TIMEOUT_MAX
+], ids=["admit-raises", "wait-overflows"])
+def test_run_calls_raises_what_its_own_scheduling_raises(admit, error):
+    # Not a step's exception but a worker's own ends the run as well: it is
+    # raised once every worker has stopped, and no partial run is returned.
+    provider = AnsweringProvider(lambda prompt: "1-1", max_in_flight=2)
+    with pytest.raises(error):
+        run_calls(provider, 3, lambda i: "x", error_budget=0, pacing=BrokenPacing(provider.config, admit))
+    assert not [t for t in threading.enumerate() if t.name.startswith("ivroute-route")]
+
+
 # --- the shipped client's connections ------------------------------------------------
 
-def test_transport_posts_json_on_one_kept_alive_connection(chat_server, live_provider, monkeypatch):
+def check_kept_alive(tls, chat_server, live_provider, monkeypatch, request):
+    if tls:
+        request.getfixturevalue("trusted_test_certificate")
     monkeypatch.setenv(DEFAULT_API_KEY_ENV, "sekrit")
-    server = chat_server(reply="2-1-9")
+    server = chat_server(reply="2-1-9", tls=tls)
     provider = live_provider(server.url)
     assert [provider.complete("route this") for _ in range(3)] == ["2-1-9"] * 3
     assert server.accepted == 1 and server.answered == 3
-    request = server.requests[0]
-    assert request.line == "POST /v1/chat/completions HTTP/1.1"
-    assert request.headers["content-type"] == "application/json"
-    assert request.headers["authorization"] == "Bearer sekrit"
-    assert json.loads(request.body) == {
+    sent = server.requests[0]
+    assert sent.line == "POST /v1/chat/completions HTTP/1.1"
+    assert sent.headers["content-type"] == "application/json"
+    assert sent.headers["authorization"] == "Bearer sekrit"
+    assert json.loads(sent.body) == {
         "model": "test-model",
         "messages": [{"role": "user", "content": "route this"}],
     }
     provider.close()
     assert server.wait(open=0)
+
+
+table_tests(globals(), check_kept_alive, {"test_transport_posts_json_on_one_kept_alive_connection": False,
+                                          "test_https_calls_share_one_kept_alive_connection": True})
 
 
 def test_threads_share_at_most_max_in_flight_connections(chat_server, live_provider):
@@ -388,8 +418,8 @@ def test_threads_share_at_most_max_in_flight_connections(chat_server, live_provi
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as possible
     try:
-        replies, _ = run_calls(provider, 30, complete_each(provider), error_budget=0,
-                                   pacing=Pacing(provider.config))
+        replies, _ = run_calls(provider, 30, lambda i: provider.complete(f"q{i}"), error_budget=0,
+                               pacing=Pacing(provider.config))
     finally:
         sys.setswitchinterval(interval)
     assert replies == ["1-1"] * 30
@@ -459,62 +489,6 @@ def test_pool_keeps_at_most_size_connections(chat_server):
     assert server.wait(open=0)
 
 
-def test_reply_is_decoded_as_utf8(chat_server, live_provider):
-    server = chat_server(reply="2\u20131")  # en dash, sent without a charset
-    provider = live_provider(server.url)
-    assert provider.complete("q") == "2\u20131"
-
-
-@pytest.mark.parametrize("status, sleeps_expected", [(429, [0.0, 0.0]), (503, [0.0, 0.0]),
-                                                     (500, [0.5, 1.0])])
-def test_transport_returns_retry_after_of_429_and_503(chat_server, live_provider, status, sleeps_expected):
-    server = chat_server(status=status, retry_after="0")
-    provider = live_provider(server.url, max_retries=2)
-    delays = []
-    with pytest.raises(TransportError, match=f"gave up after 3 attempt.*HTTP {status}"):
-        attempt_until_done(provider, "q", delays)
-    assert delays == sleeps_expected
-    assert server.answered == 3
-
-
-def test_closed_port_is_a_transport_error_after_the_retries(chat_server, live_provider):  # no proxy in play
-    provider = live_provider(f"http://127.0.0.1:{closed_port()}/v1", max_retries=2)
-    delays = []
-    with pytest.raises(TransportError, match="gave up after 3 attempt.*ConnectionRefusedError"):
-        attempt_until_done(provider, "q", delays)
-    assert delays == [0.5, 1.0]
-
-
-def test_refused_certificate_is_one_attempt_not_retried(monkeypatch, live_provider):
-    provider = live_provider("https://endpoint.test/v1", max_retries=3)
-    opened = []
-
-    def refuse():
-        opened.append(1)
-        raise ssl.SSLCertVerificationError(
-            1, "[SSL: CERTIFICATE_VERIFY_FAILED] certificate verify failed: self-signed certificate"
-        )
-
-    monkeypatch.setattr(provider._connections, "_open", refuse)
-    with pytest.raises(ProviderError, match="TLS certificate refused.*self-signed") as excinfo:
-        provider.complete("q")
-    assert not isinstance(excinfo.value, TransportError)
-    assert isinstance(excinfo.value.__cause__, ssl.SSLCertVerificationError)
-    delays = []
-    with pytest.raises(ProviderError, match="TLS certificate refused"):
-        attempt_until_done(provider, "q", delays)
-    assert len(opened) == 2 and delays == []
-
-
-def test_https_calls_share_one_kept_alive_connection(chat_server, live_provider, trusted_test_certificate):
-    server = chat_server(reply="2-1-9", tls=True)
-    provider = live_provider(server.url)
-    assert [provider.complete("route this") for _ in range(3)] == ["2-1-9"] * 3
-    assert server.accepted == 1 and server.answered == 3
-    provider.close()
-    assert server.wait(open=0)
-
-
 def test_https_host_name_mismatch_is_one_open_and_no_retry(chat_server, live_provider, trusted_test_certificate,
                                                            monkeypatch):
     # The certificate names localhost and 127.0.0.1. The endpoint's host
@@ -554,30 +528,18 @@ def test_no_proxy_bypasses_the_proxy(chat_server, live_provider, monkeypatch):
     assert provider.complete("q") == "1-1"
 
 
-@pytest.mark.parametrize("url", ["ftp://endpoint.test/v1", "http:///v1", "http://127.0.0.1:port/v1"])
-def test_unusable_endpoint_url_is_rejected_at_construction(url):
-    with pytest.raises(ValueError):
-        HttpProvider(ProviderConfig(endpoint_url=url))
-
-
-def test_no_connection_outlives_route_all(chat_server, live_provider, tiny_tree):
-    server = chat_server()
-    provider = live_provider(server.url, max_in_flight=2)
-    run = route_all(tiny_dataset(), RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
-    assert len(run.results) == 6
-    assert server.accepted >= 1
-    assert server.wait(open=0)
-
-
-def test_no_connection_outlives_routing_aborted(chat_server, live_provider, tiny_tree):
-    server = chat_server(status=503)  # answered in full, so the connection is kept
+def check_no_connection_outlives(status, chat_server, live_provider, tiny_tree):
+    server = chat_server(status=status)  # answered in full, so the connection is kept
     provider = live_provider(server.url, max_in_flight=2, max_retries=0)
-    with pytest.raises(RoutingAborted):
-        route_all(tiny_dataset(), RoutingCondition.FLATTENED_PATHS, tiny_tree, provider,
-                  error_budget=0.0)
+    outcome_of(lambda: len(route_all(tiny_dataset(), RoutingCondition.FLATTENED_PATHS, tiny_tree, provider,
+                                     error_budget=0.0).results),
+               6 if status == 200 else Raises(RoutingAborted, "1 provider failure(s) exceeded the budget of 0"))
     assert server.answered >= 1
     assert server.wait(open=0)
 
+
+table_tests(globals(), check_no_connection_outlives, {"test_no_connection_outlives_route_all": 200,
+                                                      "test_no_connection_outlives_routing_aborted": 503})
 
 LOADS_IN_CHILD = """
 import sys
@@ -587,61 +549,36 @@ code = main(sys.argv[2:])
 print("loaded:", sorted(m for m in modules if m in sys.modules))
 sys.exit(code)
 """
+SRC = str(Path(ivroute.__file__).resolve().parents[1])
 
 
-def route_in_child(server, out, menu, dataset, modules):
-    """Run ``ivroute route`` against ``server`` in a fresh interpreter; its
-    stdout ends with which of ``modules`` it loaded."""
-    src = str(Path(ivroute.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)  # the fixture took out every proxy setting
-    argv = ["route", "--menu", str(menu), "--dataset", str(dataset),
-            "--filter", "base_only", "--provider", "http", "--endpoint", server.url,
-            "--out", str(out)]
-    return subprocess.run([sys.executable, "-c", LOADS_IN_CHILD, ",".join(modules), *argv],
-                          env=env, capture_output=True, text=True, timeout=120)
-
-
-def test_cli_http_route_never_imports_requests(chat_server, tmp_path,
-                                               fixture_menu_path, fixture_dataset_path):
-    server = chat_server()
-    child = route_in_child(server, tmp_path, fixture_menu_path, fixture_dataset_path,
-                           ("requests", "urllib3"))
+def check_child_route(row, chat_server, tmp_path, fixture_menu_path, fixture_dataset_path, request):
+    """``ivroute route`` in a fresh interpreter, against an https endpoint with ``tls``, loads of ``modules``
+    only those ``loaded``."""
+    tls, modules, loaded = row
+    if tls:
+        request.getfixturevalue("trusted_test_certificate")  # the child trusts it through SSL_CERT_FILE
+    server = chat_server(tls=tls)
+    argv = ["route", "--menu", str(fixture_menu_path), "--dataset", str(fixture_dataset_path),
+            "--filter", "base_only", "--provider", "http", "--endpoint", server.url, "--out", str(tmp_path)]
+    child = subprocess.run([sys.executable, "-c", LOADS_IN_CHILD, ",".join(modules), *argv],
+                           env=dict(os.environ, PYTHONPATH=SRC),  # the fixture took out every proxy setting
+                           capture_output=True, text=True, timeout=120)
     assert child.returncode == 0, child.stderr
     assert "routed 230 intents" in child.stdout
-    assert "loaded: []" in child.stdout
+    assert f"loaded: {loaded}" in child.stdout
     assert server.answered == 230
 
 
-def test_cli_http_route_loads_no_ssl_http_client_email_or_urllib(chat_server, tmp_path,
-                                                                  fixture_menu_path,
-                                                                  fixture_dataset_path):
-    child = route_in_child(chat_server(), tmp_path, fixture_menu_path, fixture_dataset_path,
-                           ("ssl", "http.client", "email", "urllib.request"))
-    assert child.returncode == 0, child.stderr
-    assert "routed 230 intents" in child.stdout
-    assert "loaded: []" in child.stdout
-
-
-def test_cli_https_route_loads_ssl_but_no_http_client_email_or_urllib(chat_server, trusted_test_certificate,
-                                                                      tmp_path, fixture_menu_path,
-                                                                      fixture_dataset_path):
-    server = chat_server(tls=True)  # the child trusts its certificate through SSL_CERT_FILE
-    child = route_in_child(server, tmp_path, fixture_menu_path, fixture_dataset_path,
-                           ("ssl", "http.client", "email", "urllib.request"))
-    assert child.returncode == 0, child.stderr
-    assert "routed 230 intents" in child.stdout
-    assert "loaded: ['ssl']" in child.stdout
-    assert server.answered == 230
-
-
-def test_cli_http_route_loads_only_what_it_runs(chat_server, tmp_path,
-                                                fixture_menu_path, fixture_dataset_path):
-    child = route_in_child(chat_server(), tmp_path, fixture_menu_path, fixture_dataset_path,
-                           ("concurrent.futures", "logging", "csv", "ivroute.evaluation",
-                            "ivroute.synthesis", "dataclasses", "inspect"))
-    assert child.returncode == 0, child.stderr
-    assert "routed 230 intents" in child.stdout
-    assert "loaded: []" in child.stdout
+NO_STANDARD_HTTP = ("ssl", "http.client", "email", "urllib.request")
+table_tests(globals(), check_child_route, {
+    "test_cli_http_route_never_imports_requests": (False, ("requests", "urllib3"), []),
+    "test_cli_http_route_loads_no_ssl_http_client_email_or_urllib": (False, NO_STANDARD_HTTP, []),
+    "test_cli_https_route_loads_ssl_but_no_http_client_email_or_urllib": (True, NO_STANDARD_HTTP, ["ssl"]),
+    "test_cli_http_route_loads_only_what_it_runs": (False, ("concurrent.futures", "logging", "csv",
+                                                            "ivroute.evaluation", "ivroute.synthesis", "dataclasses",
+                                                            "inspect"), []),
+})
 
 
 def test_no_module_imports_dataclasses_or_inspect():
@@ -649,73 +586,57 @@ def test_no_module_imports_dataclasses_or_inspect():
     # the http provider do, and their records are named tuples too.
     code = ("import sys, ivroute.evaluation, ivroute.synthesis, ivroute.httpclient; "
             "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
-    src = str(Path(ivroute.__file__).resolve().parents[1])
-    child = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+    child = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
                            capture_output=True, text=True, timeout=60)
     assert child.returncode == 0, child.stderr
     assert child.stdout == "[]\n"
 
 
-# --- deterministic doubles --------------------------------------------------------
+# --- the deterministic doubles --------------------------------------------------------
 
-def routing_prompt(paths, query):
-    return build_prompt(RoutingCondition.FLATTENED_PATHS, render_flattened(paths), query)
+class Ask(NamedTuple):
+    """What a fresh ``double()`` answers, twice alike, to a routing prompt
+    of ``query`` over ``context``, or to ``query`` alone where ``context``
+    is None: a reply, or a Raises."""
 
-
-def test_oracle_echoes_truth(paths):
-    ds = tiny_dataset()
-    oracle = OracleProvider(ds.records)
-    record = ds.records[2]
-    prompt = routing_prompt(paths, record.text)
-    assert oracle.complete(prompt) == record.ground_truth.canonical()
-
-
-def test_oracle_unknown_query_raises(paths):
-    oracle = OracleProvider([make_record("1-1", "known")])
-    with pytest.raises(ProviderError, match="no truth"):
-        oracle.complete(routing_prompt(paths, "never seen"))
+    double: object
+    query: str
+    reply: object
+    context: str | None = FLATTENED
 
 
-def test_oracle_finds_no_truth_for_a_text_with_no_query():
-    oracle = OracleProvider([make_record("1-1", "q")])
-    with pytest.raises(ProviderError, match="no truth for query ''"):
-        oracle.complete("bare string prompt")
+def check_ask(row):
+    prompt = row.query if row.context is None else build_prompt(RoutingCondition.FLATTENED_PATHS, row.context,
+                                                                 row.query)
+    for _ in range(2):
+        outcome_of(lambda: row.double().complete(prompt), row.reply)
 
 
-def test_keyword_overlap_wins(paths):
-    keyword = KeywordProvider()
-    reply = keyword.complete(routing_prompt(paths, "i want to check my balance"))
-    assert reply == "1-1"
-    reply = keyword.complete(routing_prompt(paths, "slow speed on my internet"))
-    assert reply == "2-1-2"
-
-
-def test_keyword_zero_overlap_ties_to_first_path(paths):
-    keyword = KeywordProvider()
+ORACLE = partial(OracleProvider, tiny_dataset().records)
+ASKS = {
+    "test_oracle_echoes_truth": Ask(ORACLE, "get me a billing person", "1-9"),
+    "test_oracle_unknown_query_raises": Ask(partial(OracleProvider, [make_record("1-1", "known")]), "never seen",
+                                            Raises(ProviderError, "oracle mock has no truth for query 'never seen'")),
+    "test_oracle_finds_no_truth_for_a_text_with_no_query": Ask(
+        ORACLE, "bare string prompt", Raises(ProviderError, "oracle mock has no truth for query ''"), None),
+    "test_keyword_overlap_wins": [Ask(KeywordProvider, "i want to check my balance", "1-1"),
+                                  Ask(KeywordProvider, "slow speed on my internet", "2-1-2")],
     # No query word appears in any breadcrumb ("bill" != "billing"), so every
     # path scores zero and document order decides.
-    reply = keyword.complete(routing_prompt(paths, "my bill looks wrong"))
-    assert reply == "1-1"
-
-
-def test_keyword_tie_breaks_to_earlier_document_order(paths):
-    keyword = KeywordProvider()
+    "test_keyword_zero_overlap_ties_to_first_path": Ask(KeywordProvider, "my bill looks wrong", "1-1"),
     # "technical representative" matches the breadcrumbs of 2-1-9, 2-2-9 and
     # 2-3-9 with the same score; 2-1-9 comes first in document order.
-    reply = keyword.complete(routing_prompt(paths, "technical representative"))
-    assert reply == "2-1-9"
-
-
-def test_keyword_is_case_insensitive(paths):
-    keyword = KeywordProvider()
-    reply = keyword.complete(routing_prompt(paths, "CHECK BALANCE"))
-    assert reply == "1-1"
-
-
-def test_keyword_rejects_empty_path_list():
+    "test_keyword_tie_breaks_to_earlier_document_order": Ask(KeywordProvider, "technical representative", "2-1-9"),
+    "test_keyword_is_case_insensitive": Ask(KeywordProvider, "CHECK BALANCE", "1-1"),
     # A prompt whose context offers no path leaves the double nothing to answer.
-    with pytest.raises(ProviderError, match="no path offered"):
-        KeywordProvider().complete(build_prompt(RoutingCondition.FLATTENED_PATHS, "no paths here", "my bill"))
+    "test_keyword_rejects_empty_path_list": Ask(KeywordProvider, "my bill", Raises(
+        ProviderError, "keyword mock finds no path offered in the prompt"), "no paths here"),
+    "test_mocks_are_deterministic": [
+        Ask(double, record.text, reply) for double, replies in [(ORACLE, ["1-1", "1-1", "1-9"]),
+                                                                 (KeywordProvider, ["3-4", "1-1", "1-1"])]
+        for record, reply in zip(tiny_dataset().records, replies)],
+}
+table_tests(globals(), check_ask, ASKS)
 
 
 def test_keyword_reads_the_paths_each_context_offers(tree, paths, dataset):
@@ -732,148 +653,22 @@ def test_keyword_reads_the_paths_each_context_offers(tree, paths, dataset):
     assert sum(o.correct and not f.correct for f, o in zip(flat, outline)) == 112
 
 
-def test_mocks_are_deterministic(paths):
-    ds = tiny_dataset()
-    for make in (
-        lambda: OracleProvider(ds.records),
-        KeywordProvider,
-    ):
-        first = [make().complete(routing_prompt(paths, r.text)) for r in ds.records[:3]]
-        second = [make().complete(routing_prompt(paths, r.text)) for r in ds.records[:3]]
-        assert first == second
-
-
-# --- the pacing policy, at simulated times ------------------------------------------
-
-def test_pacing_admits_one_attempt_per_turn():
-    pacing = Pacing(ProviderConfig(requests_per_second=4))
-    assert pacing.admit(10.0) == 10.0  # the first attempt goes at once
-    assert pacing.admit(10.0) == 10.25  # the next waits a quarter second
-    assert pacing.admit(10.1) == 10.25  # asking early takes no turn
-    assert pacing.admit(10.25) == 10.25
-    assert pacing.admit(10.3) == 10.5
-    assert pacing.admit(11.0) == 11.0  # idle turns are not saved up for a burst
-    assert pacing.admit(11.0) == 11.25
-
-
-def test_pacing_without_a_rate_admits_every_attempt_at_once():
-    pacing = Pacing(ProviderConfig())
-    assert [pacing.admit(5.0) for _ in range(3)] == [5.0] * 3
-
-
-def test_a_retry_due_at_once_still_takes_its_own_turn():
-    pacing = Pacing(ProviderConfig(requests_per_second=2))
-    assert pacing.admit(0.0) == 0.0
-    due = pacing.retry_at(0.0, 1, "0")  # that attempt got Retry-After: 0
-    assert due == 0.0
-    assert pacing.admit(due) == 0.5  # the retry waits for the next turn
-    assert pacing.admit(0.5) == 0.5
-
-
-@pytest.mark.parametrize("max_retries", range(6))
-def test_pacing_gives_up_past_max_retries(max_retries):
-    pacing = Pacing(ProviderConfig(max_retries=max_retries), random.Random(1))
-    for attempt in range(1, 8):
-        for retry_after in ("0", None):
-            assert (pacing.retry_at(0.0, attempt, retry_after) is None) == (attempt > max_retries)
-
-
-def test_pacing_with_the_same_seed_draws_the_same_waits():
-    def waits(seed):
-        pacing = Pacing(ProviderConfig(max_retries=5), random.Random(seed))
-        return [pacing.retry_at(0.0, attempt, None) for attempt in (1, 2, 1, 3, 5, 4)]
-
-    assert waits("c3ca07a72a4f") == waits("c3ca07a72a4f")
-    assert waits("c3ca07a72a4f") != waits("0123456789ab")
-
-
-def test_run_calls_paces_every_attempt_and_a_retry_takes_its_own_token():
-    # Four jobs at 10/s on four workers; the first attempt gets a 503 with
-    # Retry-After: 0, so its retry is due at once but still waits its turn,
-    # and so does the job of a second run given the same pacing.
-    pacing = Pacing(ProviderConfig(max_in_flight=4, requests_per_second=10))
-    schedule = Schedule(4, 4, 0, pacing)
-    sends = simulate(schedule, 4, {0: [TransportError("HTTP 503", "0")]})
-    assert schedule.values == [0, 1, 2, 3] and schedule.failures == []
-    sends += simulate(Schedule(1, 4, 0, pacing), 4)  # keeps the pace
-    assert [(job, attempt) for _, job, attempt in sends] == [(0, 1), (1, 1), (2, 1), (3, 1), (0, 2), (0, 1)]
-    assert [at for at, _, _ in sends] == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
-
-
-def test_run_calls_admits_nothing_after_an_abort():
-    # At 2/s on eight workers with no failure allowed, the second attempt
-    # fails. The workers waiting for a turn send nothing more, and the run
-    # ends at once instead of after their turns.
-    schedule = Schedule(16, 8, 0, Pacing(ProviderConfig(max_in_flight=8, requests_per_second=2)))
-    assert simulate(schedule, 8, {1: [ProviderError("down")]}) == [(0.0, 0, 1), (0.5, 1, 1)]
-    assert str(schedule.error) == "1 provider failure(s) exceeded the budget of 0"
-    assert schedule.next(0.5) is None and schedule.next(60.0) is None
-
-
-# --- concurrency and pacing, through run_calls --------------------------------------
-
-@pytest.mark.parametrize("bound", [1, 3])
-def test_in_flight_never_exceeds_bound(bound):
-    provider = AnsweringProvider(lambda prompt: time.sleep(0.002) or "1-1", max_in_flight=bound)  # calls overlap
-    run_calls(provider, 24, complete_each(provider), error_budget=0, pacing=Pacing(provider.config))
-    assert 1 <= provider.peak_in_flight <= bound
-
-
-class BrokenPacing(Pacing):
-    def __init__(self, config, admit):
-        super().__init__(config)
-        self.admit = admit
-
-
-def refuse_every_turn(now):
-    raise RuntimeError("no turn")
-
-
-@pytest.mark.parametrize("admit, error", [
-    (refuse_every_turn, RuntimeError),
-    (lambda now: now + 1e300, OverflowError),  # a wait longer than threading.TIMEOUT_MAX
-], ids=["admit-raises", "wait-overflows"])
-def test_run_calls_raises_what_its_own_scheduling_raises(admit, error):
-    # Not a step's exception but a worker's own ends the run as well: it is
-    # raised once every worker has stopped, and no partial run is returned.
-    provider = AnsweringProvider(lambda prompt: "1-1", max_in_flight=2)
-    with pytest.raises(error):
-        run_calls(provider, 3, lambda i: "x", error_budget=0, pacing=BrokenPacing(provider.config, admit))
-    assert not [t for t in threading.enumerate() if t.name.startswith("ivroute-route")]
-
-
 # --- role separation ---------------------------------------------------------------
 
-def reference_stages():
-    return {
-        "menugen": ProviderConfig(model_name="gpt-3.5-turbo"),
-        "datagen": ProviderConfig(model_name="gpt-4o-mini"),
-        "routing": ProviderConfig(model_name="gpt-4.1-mini"),
-    }
+def check_roles(row):
+    """``row``: each stage's model, and the warnings of check_role_separation."""
+    models, warnings = row
+    configs = {stage: ProviderConfig(model_name=model) for stage, model in models.items()}
+    assert check_role_separation(configs) == warnings
 
 
-def test_distinct_models_produce_no_warnings():
-    assert check_role_separation(reference_stages()) == []
-
-
-def test_shared_model_produces_one_warning_per_reuse():
-    stages = {
-        "menugen": ProviderConfig(model_name="same"),
-        "datagen": ProviderConfig(model_name="same"),
-        "routing": ProviderConfig(model_name="same"),
-    }
-    warnings = check_role_separation(stages)
-    assert len(warnings) == 2
-    assert all("same" in w for w in warnings)
-
-
-def test_one_shared_pair_warns_once():
-    stages = reference_stages()
-    stages["routing"] = ProviderConfig(model_name="gpt-3.5-turbo")
-    warnings = check_role_separation(stages)
-    assert len(warnings) == 1
-    assert "routing" in warnings[0] and "menugen" in warnings[0]
-
-
-def test_empty_stage_map_is_clean():
-    assert check_role_separation({}) == []
+REFERENCE = {"menugen": "gpt-3.5-turbo", "datagen": "gpt-4o-mini", "routing": "gpt-4.1-mini"}
+table_tests(globals(), check_roles, {
+    "test_distinct_models_produce_no_warnings": (REFERENCE, []),
+    "test_shared_model_produces_one_warning_per_reuse": (dict.fromkeys(REFERENCE, "same"), [
+        "stage 'datagen' reuses model 'same' already assigned to stage 'menugen'",
+        "stage 'routing' reuses model 'same' already assigned to stage 'menugen'"]),
+    "test_one_shared_pair_warns_once": ({**REFERENCE, "routing": "gpt-3.5-turbo"}, [
+        "stage 'routing' reuses model 'gpt-3.5-turbo' already assigned to stage 'menugen'"]),
+    "test_empty_stage_map_is_clean": ({}, []),
+})

@@ -1,5 +1,11 @@
 """Response parsing, single-shot routing, batch routing, the scheduler's
-rules at simulated times, manifests, and result files."""
+rules at simulated times, manifests, and result files.
+
+A reply, with what strict and lenient parsing and ``route_one`` make of
+it, a ``route_all`` outcome and a scheduling case at simulated times are
+each a row of a table run by one ``check_*``. Beside them, a
+``hypothesis`` state machine checks every scheduling rule on random
+outcomes, and bespoke tests drive ``route_all`` on real threads."""
 
 import hashlib
 import json
@@ -10,6 +16,8 @@ import sys
 import threading
 import time
 from collections import Counter
+from functools import partial
+from typing import NamedTuple
 
 import pytest
 from hypothesis import settings
@@ -17,7 +25,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from ivroute.datagen import Dataset
-from ivroute.prompts import RoutingCondition, query_of
+from ivroute.prompts import RoutingCondition, build_prompt, query_of
 from ivroute import router
 from ivroute.provider import (
     OracleProvider,
@@ -30,13 +38,13 @@ from ivroute.router import (
     WINDOW_PER_SLOT,
     Pacing,
     RoutingAborted,
+    RoutingResult,
     Schedule,
     build_manifest,
     load_results,
     parse_dtmf_response,
     plan_run,
     render_context,
-    route,
     route_all,
     route_one,
     route_plan,
@@ -45,152 +53,80 @@ from ivroute.router import (
     select_records,
 )
 
-from conftest import AnsweringProvider, fail_with, make_record, prompt_of, simulate, tiny_dataset
+from conftest import (AnsweringProvider, Raises, Run, check_run, fail_with, make_record, outcome_of, table_tests,
+                      tiny_dataset)
 
 
-# --- parsing: strict ---------------------------------------------------------------
+# --- a reply: parsed, and routed by route_one ------------------------------------------
 
-@pytest.mark.parametrize("text", ["1", "1-1", "2-1-9", "0-0-0", "9-8-7-6-5-4-3-2-1-0"])
-def test_strict_accepts_canonical(text):
-    parsed = parse_dtmf_response(text)
-    assert parsed.path.canonical() == text
-    assert parsed.normalization_applied == ()
+class Reply(NamedTuple):
+    """A model's reply and what strict parsing makes of it: the path, or
+    INVALID, and the rules that fired; ``lenient``, where lenient parsing
+    makes another (path, rules) of it."""
 
-
-@pytest.mark.parametrize(
-    "raw, expected, rules",
-    [
-        ("  2-1-9  ", "2-1-9", ("trim",)),
-        ("'2-1-9'", "2-1-9", ("unquote",)),
-        ('"1-4"', "1-4", ("unquote",)),
-        ("`3-9`", "3-9", ("unquote",)),
-        ("2-1-9.", "2-1-9", ("strip_trailing_period",)),
-        ("2–1–9", "2-1-9", ("map_unicode_dashes",)),
-        ("2—1—9", "2-1-9", ("map_unicode_dashes",)),
-        (" '2-1-9.'  ", "2-1-9.", None),  # inner period survives the outer quote
-    ],
-)
-def test_strict_normalization_rules(raw, expected, rules):
-    parsed = parse_dtmf_response(raw)
-    if expected == "2-1-9.":
-        # The single trailing-period strip happens after unquoting, so a
-        # quoted "2-1-9." does resolve; spell the pipeline out.
-        assert parsed.path.canonical() == "2-1-9"
-        assert parsed.normalization_applied == ("trim", "unquote", "strip_trailing_period")
-    else:
-        assert parsed.path.canonical() == expected
-        assert parsed.normalization_applied == rules
+    raw: str
+    path: str
+    rules: tuple = ()
+    lenient: tuple | None = None
 
 
-def test_strict_combined_normalization():
-    parsed = parse_dtmf_response('  "2–1–9."  ')
-    assert parsed.path.canonical() == "2-1-9"
-    assert parsed.normalization_applied == (
-        "trim", "unquote", "strip_trailing_period", "map_unicode_dashes",
-    )
+def check_reply(row, tiny_tree):
+    """Parse the reply in each mode, and route it with ``route_one`` as the
+    reply to the prompt of an intent whose truth is 1-1."""
+    context = render_context(tiny_tree, RoutingCondition.FLATTENED_PATHS)
+    record = make_record("1-1", "I want to pay my bill.")
+    strict = (row.path, row.rules)
+    for lenient, (path, rules) in [(False, strict), (True, row.lenient or strict)]:
+        assert parse_dtmf_response(row.raw, lenient) == (None if path == INVALID else path, rules)
+        provider = AnsweringProvider(lambda prompt: row.raw)
+        result = route_one(record, RoutingCondition.FLATTENED_PATHS, context, provider, lenient)
+        assert result._replace(latency=0) == RoutingResult(record.id, row.raw, path, "1-1", 0)
+        assert result.latency >= 0 and result.correct == (path == "1-1")
+        assert provider.calls == [build_prompt(RoutingCondition.FLATTENED_PATHS, context, record.text)]
 
 
-@pytest.mark.parametrize(
-    "raw",
-    [
-        "",
-        "   ",
-        "12",
-        "1-23",
-        "1-",
-        "-1",
-        "1--2",
-        "path 1-2",
-        "1-2 maybe",
-        "one-two",
-        "1-2-3. extra",
-        "''",
-        "2-1-9..",  # only one trailing period is stripped
-        "((1-2))",  # parentheses are not quotes
-    ],
-)
-def test_strict_rejects_noise(raw):
-    assert parse_dtmf_response(raw).path is None
+def salvaged(raw, path, rules=()):
+    """A reply that is INVALID strictly and ``path`` leniently, from its one token."""
+    return Reply(raw, INVALID, rules, (path, (*rules, "lenient_extract")))
 
 
-def test_strict_mismatch_keeps_raw_text(tiny_tree):
+PERIOD = ("strip_trailing_period",)
+REPLIES = {  # parameter ids as the earlier parametrizations made them
+    "test_strict_accepts_canonical": {raw: Reply(raw, raw) for raw in ["1", "1-1", "2-1-9", "0-0-0",
+                                                                       "9-8-7-6-5-4-3-2-1-0"]},
+    "test_strict_normalization_rules": {
+        "  2-1-9  -2-1-9-rules0": Reply("  2-1-9  ", "2-1-9", ("trim",)),
+        "'2-1-9'-2-1-9-rules1": Reply("'2-1-9'", "2-1-9", ("unquote",)),
+        '"1-4"-1-4-rules2': Reply('"1-4"', "1-4", ("unquote",)),
+        "`3-9`-3-9-rules3": Reply("`3-9`", "3-9", ("unquote",)),
+        "2-1-9.-2-1-9-rules4": Reply("2-1-9.", "2-1-9", PERIOD),
+        "2–1–9-2-1-9-rules5": Reply("2–1–9", "2-1-9", ("map_unicode_dashes",)),
+        "2—1—9-2-1-9-rules6": Reply("2—1—9", "2-1-9", ("map_unicode_dashes",)),
+        # The single trailing-period strip happens after unquoting, so a quoted "2-1-9." does resolve.
+        " '2-1-9.'  -2-1-9.-None": Reply(" '2-1-9.'  ", "2-1-9", ("trim", "unquote", *PERIOD))},
+    "test_strict_combined_normalization": Reply('  "2–1–9."  ', "2-1-9",
+                                                ("trim", "unquote", *PERIOD, "map_unicode_dashes")),
+    "test_strict_rejects_noise": {
+        **{raw: Reply(raw, INVALID) for raw in ["", "12", "1-23", "1-", "-1", "1--2", "one-two"]},
+        "   ": Reply("   ", INVALID, ("trim",)), "''": Reply("''", INVALID, ("unquote",)),
+        **{raw: salvaged(raw, path) for raw, path in [("path 1-2", "1-2"), ("1-2 maybe", "1-2"),
+                                                      ("1-2-3. extra", "1-2-3"),
+                                                      ("((1-2))", "1-2")]},  # parentheses are not quotes
+        "2-1-9..": salvaged("2-1-9..", "2-1-9", PERIOD)},  # only one trailing period is stripped
     # The parse holds no text; the reply is kept once, in the result row.
-    assert parse_dtmf_response("The answer is 1-4.") == (None, ("strip_trailing_period",))
-    context = render_context(tiny_tree, RoutingCondition.FLATTENED_PATHS)
-    result = route_one(make_record("1-1", "my bill"), RoutingCondition.FLATTENED_PATHS, context,
-                       AnsweringProvider(lambda prompt: "The answer is 1-4."))
-    assert result.raw_response == "The answer is 1-4." and result.predicted == INVALID
-
-
-# --- parsing: lenient ----------------------------------------------------------------
-
-def test_lenient_salvages_single_token():
-    parsed = parse_dtmf_response("The best path is 2-1-9.", lenient=True)
-    assert parsed.path.canonical() == "2-1-9"
-    assert parsed.normalization_applied[-1] == "lenient_extract"
-
-
-def test_lenient_refuses_multiple_tokens():
-    parsed = parse_dtmf_response("either 1-2 or 3-4", lenient=True)
-    assert parsed.path is None
-
-
-def test_lenient_refuses_zero_tokens():
-    parsed = parse_dtmf_response("no digits here", lenient=True)
-    assert parsed.path is None
-
-
-def test_lenient_ignores_embedded_digit_runs():
-    # "12-3" is not a well-formed token and must not yield "2-3".
-    parsed = parse_dtmf_response("code 12-3", lenient=True)
-    assert parsed.path is None
-
-
-def test_lenient_not_used_when_strict_matches():
-    parsed = parse_dtmf_response("2-1-9", lenient=True)
-    assert parsed.normalization_applied == ()
-
-
-# --- route_one -----------------------------------------------------------------------
-
-def test_route_one_correct(tiny_tree):
-    record = make_record("1-1", "I want to pay my bill.")
-    provider = AnsweringProvider(lambda prompt: "1-1")
-    context = render_context(tiny_tree, RoutingCondition.FLATTENED_PATHS)
-    result = route_one(record, RoutingCondition.FLATTENED_PATHS, context, provider)
-    assert result.predicted == "1-1"
-    assert result.correct
-    assert result.ground_truth == "1-1"
-    assert result.intent_id == record.id
-    assert result.latency >= 0
-
-
-def test_route_one_wrong_but_known(tiny_tree):
-    record = make_record("1-1", "I want to pay my bill.")
-    provider = AnsweringProvider(lambda prompt: "1-9")
-    context = render_context(tiny_tree, RoutingCondition.FLATTENED_PATHS)
-    result = route_one(record, RoutingCondition.FLATTENED_PATHS, context, provider)
-    assert result.predicted == "1-9"
-    assert not result.correct
-
-
-def test_route_one_valid_but_unknown(tiny_tree):
-    record = make_record("1-1", "I want to pay my bill.")
-    provider = AnsweringProvider(lambda prompt: "7-7-7")
-    context = render_context(tiny_tree, RoutingCondition.FLATTENED_PATHS)
-    result = route_one(record, RoutingCondition.FLATTENED_PATHS, context, provider)
-    assert result.predicted == "7-7-7"
-    assert not result.correct
-
-
-def test_route_one_invalid_reply(tiny_tree):
-    record = make_record("1-1", "I want to pay my bill.")
-    provider = AnsweringProvider(lambda prompt: "I think you should press one")
-    context = render_context(tiny_tree, RoutingCondition.FLATTENED_PATHS)
-    result = route_one(record, RoutingCondition.FLATTENED_PATHS, context, provider)
-    assert result.predicted == INVALID
-    assert not result.correct
-    assert result.raw_response == "I think you should press one"
+    "test_strict_mismatch_keeps_raw_text": salvaged("The answer is 1-4.", "1-4", PERIOD),
+    "test_lenient_salvages_single_token": salvaged("The best path is 2-1-9.", "2-1-9", PERIOD),
+    "test_lenient_refuses_multiple_tokens": Reply("either 1-2 or 3-4", INVALID),
+    "test_lenient_refuses_zero_tokens": Reply("no digits here", INVALID),
+    "test_lenient_ignores_embedded_digit_runs": Reply("code 12-3", INVALID),  # "12-3" is no token, nor is "2-3"
+    "test_lenient_not_used_when_strict_matches": Reply("2-1-9", "2-1-9"),
+    "test_route_one_correct": Reply("1-1", "1-1"),
+    "test_route_one_wrong_but_known": Reply("1-9", "1-9"),
+    "test_route_one_valid_but_unknown": Reply("7-7-7", "7-7-7"),
+    "test_route_one_invalid_reply": Reply("I think you should press one", INVALID),
+    "test_route_needs_no_ground_truth": salvaged("The path is 1-9.", "1-9", PERIOD),
+}
+table_tests(globals(), check_reply, REPLIES)
 
 
 def test_route_one_passes_provider_error_through(tiny_tree):
@@ -205,16 +141,6 @@ def test_route_one_passes_provider_error_through(tiny_tree):
     assert excinfo.value.__cause__ is None
 
 
-def test_route_needs_no_ground_truth(tiny_tree):
-    provider = AnsweringProvider(lambda prompt: "The path is 1-9.")
-    context = render_context(tiny_tree, RoutingCondition.DESCRIPTIVE_MENU)
-    parsed, raw = route("get me a person about my bill", RoutingCondition.DESCRIPTIVE_MENU, context, provider,
-                        lenient=True)
-    assert parsed.path.canonical() == "1-9"
-    assert raw == "The path is 1-9."
-    assert "get me a person about my bill" in provider.calls[0]
-
-
 # --- route_all -----------------------------------------------------------------------
 
 def test_select_records(dataset):
@@ -225,113 +151,83 @@ def test_select_records(dataset):
         select_records(dataset, "bases")
 
 
-def test_route_all_oracle_order_preserved_under_concurrency(dataset, tree):
-    oracle = OracleProvider(dataset.records, config=ProviderConfig(model_name="oracle-mock", max_in_flight=8))
-    run = route_all(dataset, RoutingCondition.FLATTENED_PATHS, tree, oracle,
-                    record_filter="base_only")
-    assert [r.intent_id for r in run.results] == [
-        r.id for r in dataset.records if r.origin == "base"
-    ]
-    assert all(r.correct for r in run.results)
+class Routed(NamedTuple):
+    """route_all of tiny_dataset() and tiny_tree, or of what ``forge`` makes
+    of them, on ``width`` workers under ``budget``; each record's call
+    answers, or raises, its entry of ``answers`` after 2 ms. An answered
+    record's row predicts its answer; ``failures`` are the manifest's, or
+    those of the RoutingAborted that ``error`` names."""
+
+    answers: tuple
+    failures: tuple = ()
+    error: Raises | None = None
+    budget: float = 0.01
+    width: int = 1
+    forge: object = None
 
 
-def test_route_all_verdicts_land_on_their_rows(tiny_tree):
+def check_routed(row, tiny_tree):
     ds = tiny_dataset()
-    replies = dict(zip((r.text for r in ds.records), ["1-1", "2", "1-9", "1-9", "2", "2"]))  # second misrouted
-    provider = AnsweringProvider(lambda prompt: time.sleep(0.002) or replies[query_of(prompt)],  # calls overlap
-                                 max_in_flight=4)
-    run = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
-    assert [(r.intent_id, r.correct) for r in run.results] == [
-        (r.id, i != 1) for i, r in enumerate(ds.records)]
-
-
-def test_route_all_rejects_invalid_dataset(tiny_tree):
-    ds = tiny_dataset()
-    broken = Dataset(ds.menu_name, ds.records[:-1])
-    with pytest.raises(ValueError, match="dataset is not valid"):
-        route_all(broken, RoutingCondition.FLATTENED_PATHS, tiny_tree, AnsweringProvider(lambda prompt: "1-1"))
-
-
-def test_route_all_holds_inputs_built_in_code_to_the_rules_of_a_file(tiny_tree):
-    # A lone surrogate, which no UTF-8 file can hold, is refused before any call in a tree or in records built
-    # in code, as in a file, and not met as a UnicodeEncodeError while the inputs are hashed.
-    ds = tiny_dataset()
-    support = tiny_tree.root.children[1]._replace(label="Bal\udcffance")
-    forged_tree = tiny_tree._replace(root=tiny_tree.root._replace(children=(tiny_tree.root.children[0], support)))
-    forged_ds = Dataset(ds.menu_name, [record._replace(text=record.text + "\udcff") for record in ds.records])
-    for tree, dataset, refusal in [(forged_tree, ds, "menu is not valid: 2: label holds a lone surrogate"),
-                                   (tiny_tree, forged_ds, "dataset is not valid: record '1-1:b00': text holds a "
-                                                          "lone surrogate; record '1-1:b01': text")]:
-        provider = AnsweringProvider(lambda prompt: "1-1")
-        with pytest.raises(ValueError) as refused:
-            route_all(dataset, RoutingCondition.FLATTENED_PATHS, tree, provider)
-        assert str(refused.value).startswith(refusal) and provider.calls == []
-
-
-def flaky_oracle(ds, failing):
-    """A width-1 provider that answers each query with its truth in ``ds``,
-    but fails the calls for the records ``failing``."""
-    truth = {r.text: r.ground_truth.canonical() for r in ds.records}
-    fail = {r.text for r in failing}
+    answers = dict(zip((record.text for record in ds.records), row.answers))
 
     def answer(prompt):
-        if query_of(prompt) in fail:
-            raise ProviderError("synthetic outage")
-        return truth[query_of(prompt)]
+        time.sleep(0.002)
+        if isinstance(reply := answers[query_of(prompt)], Exception):
+            raise reply
+        return reply
 
-    return AnsweringProvider(answer, max_in_flight=1)
-
-
-def test_route_all_tolerates_failures_within_budget(tiny_tree):
-    ds = tiny_dataset()
-    provider = flaky_oracle(ds, ds.records[1:2])
-    run = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider,
-                    error_budget=0.5)
-    assert len(run.results) == 5
-    assert run.manifest["failures"] == [
-        {"intent_id": ds.records[1].id, "error": "synthetic outage"}
-    ]
+    tree, ds = row.forge(tiny_tree, ds) if row.forge else (tiny_tree, ds)
+    provider = AnsweringProvider(answer, max_in_flight=row.width)
+    route = partial(route_all, ds, RoutingCondition.FLATTENED_PATHS, tree, provider, error_budget=row.budget)
+    if row.error:
+        raised = outcome_of(route, row.error)
+        assert (getattr(raised, "failures", []), provider.calls) == (list(row.failures), [])
+        return
+    run = route()
+    assert [(r.intent_id, r.predicted, r.correct) for r in run.results] == [
+        (record.id, reply, reply == record.ground_truth) for record, reply in zip(ds.records, row.answers)
+        if not isinstance(reply, Exception)]
+    assert run.manifest["failures"] == [{"intent_id": intent, "error": message} for intent, message in row.failures]
     assert "n_results" not in run.manifest  # route's results_sha256 vouches for the rows
 
 
-def test_route_all_aborts_past_budget(tiny_tree):
-    ds = tiny_dataset()
-    provider = flaky_oracle(ds, ds.records[:3])
-    with pytest.raises(RoutingAborted) as excinfo:
-        route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider,
-                  error_budget=0.0)
-    aborted = excinfo.value
-    assert len(aborted.failures) == 1
-    assert str(aborted) == "1 provider failure(s) exceeded the budget of 0"
+def lone_surrogate_in(what):
+    """A ``forge``: a lone surrogate, which no UTF-8 file can hold, in the
+    label of the tree's node 2 or in the text of every record."""
+    def forge(tree, ds):
+        if what == "label":
+            support = tree.root.children[1]._replace(label="Bal\udcffance")
+            return tree._replace(root=tree.root._replace(children=(tree.root.children[0], support))), ds
+        return tree, Dataset(ds.menu_name, [record._replace(text=record.text + "\udcff") for record in ds.records])
+    return forge
 
 
-def test_route_all_other_error_cancels_queued_calls(tiny_tree):
-    ds = tiny_dataset()
+TRUTH = ("1-1", "1-1", "1-9", "1-9", "2", "2")
+OVER_BUDGET = "1 provider failure(s) exceeded the budget of 0"
+OUTAGE = ProviderError("synthetic outage")
 
-    def broken(prompt):  # the call for the first record fails with no ProviderError
-        if query_of(prompt) == ds.records[0].text:
-            raise RuntimeError("provider bug")
-        time.sleep(0.05)
-        return "1-1"
-
-    provider = AnsweringProvider(broken, max_in_flight=1)
-    with pytest.raises(RuntimeError, match="provider bug"):
-        route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
-    # The single worker may have started the next call before the abort;
-    # every call queued behind it is cancelled, not run.
-    assert len(provider.calls) <= 1
-
-
-def test_route_all_dead_endpoint_sees_a_bounded_window(tiny_tree, chat_server, live_provider):
-    ds = tiny_dataset()
-    server = chat_server(status=503, retry_after="0")
-    provider = live_provider(server.url, max_in_flight=1, max_retries=3)
-    with pytest.raises(RoutingAborted) as excinfo:
-        route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider, error_budget=0.0)
-    assert len(excinfo.value.failures) == 1
-    assert "gave up after 4 attempt(s): HTTP 503" in excinfo.value.failures[0][1]
-    queries = {query_of(prompt_of(request)) for request in server.requests}
-    assert len(queries) <= 2  # router.WINDOW_PER_SLOT x max_in_flight
+ROUTED = {
+    "test_route_all_verdicts_land_on_their_rows": Routed(("1-1", "2", "1-9", "1-9", "2", "2"), width=4),  # one wrong
+    "test_route_all_rejects_invalid_dataset": Routed(TRUTH, error=Raises(
+        ValueError, "dataset is not valid: base record count per terminal path must be one number, but 2 has 1 and "
+                    "1-1 has 2"), forge=lambda tree, ds: (tree, Dataset(ds.menu_name, ds.records[:-1]))),
+    # Inputs built in code are held to the rules of a file before any call,
+    # not met as a UnicodeEncodeError while they are hashed.
+    "test_route_all_holds_inputs_built_in_code_to_the_rules_of_a_file": [
+        Routed(TRUTH, error=Raises(ValueError, "menu is not valid: 2: label holds a lone surrogate"),
+               forge=lone_surrogate_in("label")),
+        Routed(TRUTH, error=Raises(ValueError, "dataset is not valid: record '1-1:b00': text holds a lone "
+                                               "surrogate; record '1-1:b01': text", prefix=True),
+               forge=lone_surrogate_in("text"))],
+    "test_route_all_tolerates_failures_within_budget": Routed(("1-1", OUTAGE, *TRUTH[2:]),
+                                                              (("1-1:b01", "synthetic outage"),), budget=0.5),
+    "test_route_all_aborts_past_budget": Routed((OUTAGE,) * 3 + TRUTH[3:], (("1-1:b00", "synthetic outage"),),
+                                                Raises(RoutingAborted, OVER_BUDGET), budget=0.0),
+    # no ProviderError: it ends the run as it is, and no queued call is made
+    "test_route_all_other_error_cancels_queued_calls": Routed((RuntimeError("provider bug"), *TRUTH[1:]),
+                                                              error=Raises(RuntimeError, "provider bug")),
+}
+table_tests(globals(), check_routed, ROUTED)
 
 
 def fixed_backoff(monkeypatch, delay):
@@ -538,77 +434,53 @@ def busy(retry_after=None):
     return TransportError("busy", retry_after)
 
 
-def test_route_all_retry_gives_its_worker_to_the_next_intent():
+def budget_run(budget, count, allowed):
+    """Every job of ``count`` fails on one worker; ``allowed`` failures are within the budget."""
+    ended = min(allowed + 1, count)  # the first failure past the budget aborts the run
+    return Run(count, 1, budget, {job: [ProviderError("down")] for job in range(count)},
+               [(0.0, job, 1) for job in range(ended)], [None] * count, [(job, "down") for job in range(ended)],
+               None if allowed == count else f"{allowed + 1} provider failure(s) exceeded the budget of {allowed}")
+
+
+ANSWERED = list(range(6))
+RUNS = {
     # One worker; the first job's first attempt gets a 503 with Retry-After:
     # 0. The second job goes out before that retry; holding the worker
     # through the wait would give 0, 0, 1.
-    schedule = Schedule(6, 1, 0.01, Pacing(ProviderConfig(max_in_flight=1)))
-    sends = simulate(schedule, 1, {0: [TransportError("HTTP 503", "0")]})
-    assert [(job, attempt) for _, job, attempt in sends] == [(0, 1), (1, 1), (0, 2), (2, 1), (3, 1), (4, 1), (5, 1)]
-    assert schedule.values == list(range(6))
-
-
-def test_route_all_dead_endpoint_whose_retries_wait_sees_a_bounded_window():
+    "test_route_all_retry_gives_its_worker_to_the_next_intent": Run(
+        6, 1, 0.01, {0: [TransportError("HTTP 503", "0")]},
+        [(0.0, 0, 1), (0.0, 1, 1), (0.0, 0, 2), (0.0, 2, 1), (0.0, 3, 1), (0.0, 4, 1), (0.0, 5, 1)], ANSWERED),
     # Retries waiting on a failing endpoint fill the window of
     # router.WINDOW_PER_SLOT x max_in_flight: no third job is started.
-    config = ProviderConfig(max_in_flight=1, max_retries=3)
-    schedule = Schedule(6, 1, 0, Pacing(config, random.Random(0)))
-    sends = simulate(schedule, 1, {job: [busy()] * 4 for job in range(6)})
-    assert str(schedule.error) == "1 provider failure(s) exceeded the budget of 0"
-    assert schedule.failures[0][1] == "gave up after 4 attempt(s): busy"
-    assert {job for _, job, _ in sends} == {0, 1}
-
-
-def test_route_all_keeps_starting_intents_while_retries_wait_on_a_healthy_endpoint():
+    "test_route_all_dead_endpoint_whose_retries_wait_sees_a_bounded_window": Run(
+        6, 1, 0, {job: [busy()] * 4 for job in range(6)},
+        [(0.0, 0, 1), (0.0, 1, 1), (0.5, 0, 2), (0.5, 1, 2), (1.5, 0, 3), (1.5, 1, 3), (3.5, 0, 4)], [None] * 6,
+        [(0, "gave up after 4 attempt(s): busy")], OVER_BUDGET, settings={"max_retries": 3}),
     # A window's worth of jobs (2 at max_in_flight=1) back off once, each
-    # followed by a job that is answered. Were waiting retries always
-    # counted against the window, the two of them would hold back every
-    # job after the third until a retry came back.
-    schedule = Schedule(6, 1, 0.01, Pacing(ProviderConfig(max_in_flight=1)))
-    sends = simulate(schedule, 1, {0: [busy("1")], 2: [busy("1")]}, latency=0.02)
-    assert schedule.values == list(range(6))
-    first = {job: at for at, job, attempt in sends if attempt == 1}
-    assert sorted(first) == list(range(6))
-    assert max(first.values()) < first[0] + 0.02 + 1  # before the first retry is due
-
-
-def test_route_all_submits_a_retry_once_it_is_due():
+    # followed by a job that is answered: every job starts before the first
+    # retry is due. Were waiting retries always counted against the window,
+    # the two of them would hold back every job after the third.
+    "test_route_all_keeps_starting_intents_while_retries_wait_on_a_healthy_endpoint": Run(
+        6, 1, 0.01, {0: [busy("1")], 2: [busy("1")]},
+        [(0.0, 0, 1), (0.02, 1, 1), (0.04, 2, 1), (0.06, 3, 1), (0.08, 4, 1), (0.1, 5, 1), (1.02, 0, 2),
+         (1.06, 2, 2)], ANSWERED, latency=0.02),
     # Every job backs off once for a second; on two idle workers each
     # retry goes out when it is due, not before and not later.
-    schedule = Schedule(6, 2, 0.01, Pacing(ProviderConfig(max_in_flight=2)))
-    sends = simulate(schedule, 2, {job: [busy("1")] for job in range(6)})
-    assert schedule.values == list(range(6))
-    at = {(job, attempt): at for at, job, attempt in sends}
-    assert sorted(at) == [(job, attempt) for job in range(6) for attempt in (1, 2)]
-    assert all(at[job, 2] == at[job, 1] + 1 for job in range(6))
-
-
-def test_run_calls_counts_a_failure_within_budget_and_keeps_going():
-    def run(budget):
-        schedule = Schedule(3, 2, budget, Pacing(ProviderConfig(max_in_flight=2)))
-        simulate(schedule, 2, {1: [ProviderError("down")]})
-        return schedule
-
-    within = run(0.5)
-    assert (within.values, within.failures, within.error) == ([0, None, 2], [(1, "down")], None)
-    over = run(0.0)
-    assert isinstance(over.error, RoutingAborted) and over.error.failures == [(1, "down")]
-    assert str(over.error) == "1 provider failure(s) exceeded the budget of 0"
-
-
-@pytest.mark.parametrize("budget, count, allowed", [
-    (0.29, 100, 29), (0.57, 100, 57), (0.58, 100, 58), (0.01, 230, 2),
-    (0, 7, 0), (0.0, 230, 0), (1, 7, 7), (1.0, 230, 230),
-])
-def test_error_budget_allows_the_floor_of_the_decimal_product(budget, count, allowed):
+    "test_route_all_submits_a_retry_once_it_is_due": Run(
+        6, 2, 0.01, {job: [busy("1")] for job in range(6)},
+        [(0.0, 0, 1), (0.0, 1, 1), (0.0, 2, 1), (0.0, 3, 1), (1.0, 0, 2), (1.0, 1, 2), (1.0, 2, 2), (1.0, 3, 2),
+         (1.0, 4, 1), (1.0, 5, 1), (2.0, 4, 2), (2.0, 5, 2)], ANSWERED),
+    "test_run_calls_counts_a_failure_within_budget_and_keeps_going": [
+        Run(3, 2, budget, {1: [ProviderError("down")]}, [(0.0, 0, 1), (0.0, 1, 1), (0.0, 2, 1)], values,
+            [(1, "down")], error) for budget, values, error in [(0.5, [0, None, 2], None),
+                                                               (0.0, [0, None, None], OVER_BUDGET)]],
     # In binary floating point 0.29 x 100 is 28.999999999999996.
-    schedule = Schedule(count, 1, budget, Pacing(ProviderConfig()))
-    assert schedule.allowed_failures == allowed
-    simulate(schedule, 1, {job: [ProviderError("down")] for job in range(count)})
-    if allowed < count:  # the first failure past the budget aborts the run
-        assert str(schedule.error) == f"{allowed + 1} provider failure(s) exceeded the budget of {allowed}"
-    else:
-        assert schedule.error is None and len(schedule.failures) == count
+    "test_error_budget_allows_the_floor_of_the_decimal_product": {
+        f"{budget}-{count}-{allowed}": budget_run(budget, count, allowed) for budget, count, allowed in [
+            (0.29, 100, 29), (0.57, 100, 57), (0.58, 100, 58), (0.01, 230, 2),
+            (0, 7, 0), (0.0, 230, 0), (1, 7, 7), (1.0, 230, 230)]},
+}
+table_tests(globals(), check_run, RUNS)
 
 
 HONOURED = ("0", "1", "7", "60")  # Retry-After values that Pacing waits out exactly
@@ -798,12 +670,28 @@ def manifest_for(ds, tree, condition=RoutingCondition.FLATTENED_PATHS, record_fi
     return build_manifest(identity, list(failures))
 
 
-def test_manifest_run_id_ignores_timestamp_and_counts(tiny_tree, monkeypatch):
-    ds = tiny_dataset()
-    first = manifest_for(ds, tiny_tree)
-    second = manifest_for(ds, tiny_tree, failures=[("x", "boom")])
-    assert first["run_id"] == second["run_id"]
-    assert first["timestamp"]
+def check_manifest(row, tiny_tree):
+    """``row``: manifest_for's arguments, the fields the manifest holds, and whether its run id is the
+    defaults'; every manifest is stamped and hashes to its run id."""
+    arguments, fields, same_run = row
+    manifest = manifest_for(tiny_dataset(), tiny_tree, **arguments)
+    assert {key: manifest[key] for key in fields} == fields
+    assert (manifest["run_id"] == manifest_for(tiny_dataset(), tiny_tree)["run_id"]) == same_run
+    assert router.run_id(manifest) == manifest["run_id"] and len(manifest["run_id"]) == 12 and manifest["timestamp"]
+
+
+table_tests(globals(), check_manifest, {
+    "test_manifest_run_id_ignores_timestamp_and_counts": (
+        {"failures": [("x", "boom")]}, {"failures": [{"intent_id": "x", "error": "boom"}]}, True),
+    "test_manifest_run_id_tracks_inputs": [
+        ({"condition": RoutingCondition.DESCRIPTIVE_MENU}, {"condition": "descriptive_menu"}, False),
+        ({"record_filter": "all"}, {"dataset_filter": "all"}, False),
+        ({"model_name": "other"}, {"model_name": "other"}, False),
+        ({"lenient": True}, {"parse_mode": "lenient"}, False)],
+    "test_manifest_core_fields": ({}, {"menu_name": "Tiny", "condition": "flattened_paths",
+                                       "dataset_filter": "base_only", "model_name": "answering-mock",
+                                       "parse_mode": "strict", "failures": []}, True),
+})
 
 
 def test_a_manifest_hashes_to_its_run_id(tiny_tree):
@@ -812,17 +700,6 @@ def test_a_manifest_hashes_to_its_run_id(tiny_tree):
     assert router.run_id(manifest) == manifest["run_id"]
     identity = run_identity(ds, tiny_tree, RoutingCondition.FLATTENED_PATHS, "all", "m", False, 0.5)
     assert list(identity) == [*router.IDENTITY_KEYS, "run_id"]  # the run id hashes every input named
-
-
-def test_manifest_run_id_tracks_inputs(tiny_tree):
-    ds = tiny_dataset()
-    base = manifest_for(ds, tiny_tree)
-    reconditioned = manifest_for(ds, tiny_tree, condition=RoutingCondition.DESCRIPTIVE_MENU)
-    assert base["run_id"] != reconditioned["run_id"]
-    refiltered = manifest_for(ds, tiny_tree, record_filter="all")
-    assert base["run_id"] != refiltered["run_id"]
-    remodeled = manifest_for(ds, tiny_tree, model_name="other")
-    assert base["run_id"] != remodeled["run_id"]
 
 
 @pytest.mark.parametrize("condition, record_filter, run_id", [
@@ -851,17 +728,6 @@ def test_a_set_temperature_names_the_run(dataset, tree):
     run = route_all(dataset, RoutingCondition.FLATTENED_PATHS, tree, oracle, record_filter="base_only")
     assert run.manifest["run_id"] == identity(1.5)["run_id"]
     assert run.manifest["temperature"] == 1.5
-
-
-def test_manifest_core_fields(tiny_tree):
-    ds = tiny_dataset()
-    manifest = manifest_for(ds, tiny_tree)
-    assert manifest["menu_name"] == "Tiny"
-    assert manifest["condition"] == "flattened_paths"
-    assert manifest["dataset_filter"] == "base_only"
-    assert manifest["model_name"] == "answering-mock"
-    assert manifest["parse_mode"] == "strict"
-    assert len(manifest["run_id"]) == 12
 
 
 # --- result files --------------------------------------------------------------------
