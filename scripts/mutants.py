@@ -73,6 +73,10 @@ MUTANTS = [
            "        if self.error is not None:\n            return None\n        while self.waiting",
            "        while self.waiting",
            ("test_provider.py::test_run_calls_admits_nothing_after_an_abort",)),
+    Mutant("a-worker-for-every-slot", "router.py",
+           "for n in range(min(provider.config.max_in_flight, count))]",
+           "for n in range(provider.config.max_in_flight)]",
+           ("test_router.py::test_route_all_starts_no_more_workers_than_intents",)),
     Mutant("retry-after-of-60-not-honoured", "router.py",
            "int(seconds) <= MAX_RETRY_AFTER_S", "int(seconds) < MAX_RETRY_AFTER_S",
            ("test_provider.py::test_honoured_retry_after_is_exact_not_jittered",)),
@@ -99,6 +103,13 @@ MUTANTS = [
            "col = col_index.get(result.predicted, col_index[UNKNOWN_PATH])",
            "col = col_index.get(result.predicted if result.predicted != INVALID else None, col_index[UNKNOWN_PATH])",
            ("test_evaluation.py::test_matrix_shape_and_counts", SCORER_ORACLE)),
+    Mutant("unknown-path-not-counted", "evaluation.py",
+           "counts[row_index[result.ground_truth]][col] += 1",
+           "counts[row_index[result.ground_truth]][col] += result.predicted in col_index",
+           ("test_evaluation.py::test_matrix_shape_and_counts",)),
+    Mutant("precision-defined-by-hits", "evaluation.py",
+           "precision_defined = column > 0", "precision_defined = tp > 0",
+           ("test_evaluation.py::test_per_class_undefined_recall_flagged",)),
     Mutant("accuracy-over-parsed-replies-only", "router.py",
            "sum(1 for r in results if r.correct) / len(results)",
            "sum(1 for r in results if r.correct) / max(1, sum(1 for r in results if r.predicted != INVALID))",
@@ -134,10 +145,22 @@ MUTANTS = [
     Mutant("line-of-65536-bytes", "httpclient.py",
            "if not 0 <= end < MAX_LINE:", "if not 0 <= end <= MAX_LINE:",
            (f"{MALFORMED}[65537-byte-line]",)),
+    Mutant("1xx-taken-for-the-response", "httpclient.py",
+           "while status < 200:", "while status < 100:",
+           ("test_httpclient.py::test_interim_100_continue_is_skipped",)),
+    Mutant("bytes-past-the-connect-reply-ignored", "httpclient.py",
+           "                if conn.buffer:\n"
+           '                    raise BadResponse("the proxy sent bytes past its CONNECT reply")\n',
+           "", ("test_httpclient.py::test_tunnel_sends_connect_and_refuses_a_bad_reply",)),
     # --- the prompt -------------------------------------------------------------------------
     Mutant("query-stripped", "prompts.py",
            '"{{QUERY}}": query', '"{{QUERY}}": query.strip()',
            ("test_prompts.py::test_query_trailing_newline_kept",)),
+    Mutant("placeholders-filled-one-after-another", "prompts.py",
+           r'    return re.sub(r"\{\{[A-Z_]+\}\}", lambda match: values.get(match[0], match[0]), template)',
+           "    for key, value in values.items():\n        template = template.replace(key, value)\n"
+           "    return template",
+           ("test_prompts.py::test_a_placeholder_in_the_menu_is_text_in_the_prompt",)),
     # --- validate_menu, validate_dataset and the generator's counts ----------------------------
     Mutant("menu-unicode-digit", "menu.py",
            "if child.digit not in _DIGITS:", "if not child.digit.isdigit():",
@@ -161,6 +184,12 @@ MUTANTS = [
     Mutant("per-node-below-1", "synthesis.py",
            '    if per_node < 1:\n        raise ValueError("per_node must be at least 1")\n', "",
            ("test_datagen.py::test_base_generation_rejects_bad_args",)),
+    Mutant("dedup-key-keeps-case-and-spaces", "synthesis.py",
+           'return " ".join(text.split()).lower()', "return text",
+           ("test_datagen.py::test_base_generation_drops_duplicates_and_reasks",)),
+    Mutant("short-paraphrase-reply-not-asked-again", "synthesis.py",
+           "        if len(texts) < variants:\n            texts = parse_listed_lines((yield prompt))\n", "",
+           ("test_datagen.py::test_augment_short_reply_gets_second_call",)),
     # --- what an HTTP outcome means, and the keyword double's ties -----------------------------
     Mutant("retry-after-read-on-a-500", "provider.py",
            "RETRY_AFTER_STATUSES = frozenset({429, 503})", "RETRY_AFTER_STATUSES = frozenset({429, 500, 503})",
@@ -200,6 +229,12 @@ MUTANTS = [
     Mutant("run-directory-replaced-without-force", "cli.py",
            "if run_dir.exists() and not args.force:", "if False:",
            ("test_cli.py::test_route_existing_run_dir_refused_before_any_request",)),
+    Mutant("interrupted-exit-1", "cli.py",
+           "EXIT_INTERRUPTED = 130", "EXIT_INTERRUPTED = 1",
+           ("test_cli.py::test_ctrl_c_ends_demo_waiting_on_stdin_with_exit_130",)),
+    Mutant("closed-pipe-exit-1", "cli.py",
+           "EXIT_BROKEN_PIPE = 141", "EXIT_BROKEN_PIPE = 1",
+           ("test_cli.py::test_output_into_a_closed_pipe_ends_quietly_with_exit_141",)),
 ]
 
 

@@ -47,16 +47,14 @@ def parse_listed_lines(text: str) -> list[str]:
     return [line.strip() for line in text.splitlines() if line.strip()]
 
 
-def _run_jobs(provider: Provider, jobs: list[Generator], pacing: Pacing | None) -> list:
+def _run_jobs(provider: Provider, jobs: list[Generator], pacing: Pacing) -> list:
     """The return values of ``jobs``, in order. Each job yields a prompt
     and is sent the reply's text, until it returns. The jobs run in rounds,
     each one ``run_calls`` of one call per job not yet returned, so the
     jobs share its workers and a backoff holds none; a job that yields
     another prompt goes to the next round. The first failure ends the run
-    and is raised as it is. The provider stays open, and ``pacing`` (by
-    default a fresh Pacing, built once) keeps its pace, for the next round
-    and stage; the caller closes it."""
-    pacing = pacing or Pacing(provider.config)
+    and is raised as it is. The provider stays open, and ``pacing`` keeps
+    its pace, for the next round and stage; the caller closes it."""
     prompts = {index: next(job) for index, job in enumerate(jobs)}  # each unreturned job's next prompt
     values: list = [None] * len(jobs)
 
@@ -86,8 +84,8 @@ _EXTRA_CALLS = 3  # calls per path beyond the first, to make up for duplicates
 def generate_base_intents(
     paths: Sequence[TerminalPath],
     provider: Provider,
+    pacing: Pacing,
     per_node: int = 10,
-    pacing: Pacing | None = None,
 ) -> list[IntentRecord]:
     """per_node distinct complaints for every terminal path.
 
@@ -149,9 +147,9 @@ def _noise_directives(rng: random.Random, variants: int) -> str:
 def augment_intents(
     base: Sequence[IntentRecord],
     provider: Provider,
+    pacing: Pacing,
     variants: int = 3,
     seed: int = 0,
-    pacing: Pacing | None = None,
 ) -> list[IntentRecord]:
     """``variants`` paraphrases per base record, labels untouched.
 
@@ -215,6 +213,6 @@ def build_dataset(
     terminal path of ``tree``, then all augmented records, at one pace
     whose retry jitter ``seed`` fixes."""
     pacing = Pacing(provider.config, random.Random(seed))
-    base = generate_base_intents(flatten(tree), provider, per_node, pacing)
-    augmented = augment_intents(base, provider, variants, seed, pacing)
+    base = generate_base_intents(flatten(tree), provider, pacing, per_node)
+    augmented = augment_intents(base, provider, pacing, variants, seed)
     return Dataset(tree.name, base + augmented)

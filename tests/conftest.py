@@ -1,15 +1,18 @@
 """Shared fixtures: the bundled menu and dataset, the menu's golden
 renderings, small synthetic menus, the one provider double that answers
 by a test's function, ``table_tests``, which makes a test of each row of a
-table, ``simulate``, which runs the scheduler at simulated times, and the
-runners of its rows, and the one fake HTTP endpoint: a loopback server,
-answering with canned bytes or as a chat-completions endpoint, which
-HttpProviders built on its URL reach through the shipped client."""
+table, ``in_time``, which bounds a routing run in time, ``simulate``, which
+runs the scheduler at simulated times, and the runners of its rows, the
+one fake HTTP endpoint: a loopback server, answering with canned bytes or
+as a chat-completions endpoint, which HttpProviders built on its URL reach
+through the shipped client, and ``python_child``, which runs code in a
+fresh interpreter that imports the same ivroute."""
 
 from __future__ import annotations
 
 import contextlib
 import errno
+import functools
 import heapq
 import inspect
 import itertools
@@ -19,6 +22,8 @@ import os
 import random
 import socket
 import ssl
+import subprocess
+import sys
 import threading
 import time
 from importlib import resources
@@ -27,6 +32,7 @@ from typing import NamedTuple
 
 import pytest
 
+import ivroute
 from ivroute.datagen import Dataset, IntentRecord, load_dataset
 from ivroute.menu import (
     DtmfPath,
@@ -256,6 +262,39 @@ def outcome_of(call, expected):
     assert type(raised.value) is expected.kind
     assert message.startswith(expected.message) if expected.prefix else message == expected.message
     return raised.value
+
+
+# --- a call bounded in time -------------------------------------------------------
+
+ROUTING_BOUND_S = 30.0  # far past what any routing run of the tests takes
+_THREAD = threading.Thread  # as imported: a test may replace threading.Thread
+
+
+def in_time(call):
+    """``call``, run on a daemon thread of its own: it returns or raises as
+    ``call`` does, and fails the test once ROUTING_BOUND_S seconds pass
+    without an outcome, as a routing run that never ends would."""
+    @functools.wraps(call)
+    def bounded(*args, **kwargs):
+        outcome = []
+
+        def run():
+            try:
+                outcome.append((call(*args, **kwargs), None))
+            except BaseException as exc:  # raised again on the caller's thread
+                outcome.append((None, exc))
+
+        thread = _THREAD(target=run, name=f"bounded-{call.__name__}", daemon=True)
+        thread.start()
+        thread.join(ROUTING_BOUND_S)
+        if not outcome:
+            pytest.fail(f"{call.__name__} had not returned after {ROUTING_BOUND_S:.0f} s")
+        value, error = outcome[0]
+        if error is not None:
+            raise error
+        return value
+
+    return bounded
 
 
 # --- a filesystem step that fails ------------------------------------------------
@@ -579,6 +618,27 @@ def closed_port() -> int:
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
         return probe.getsockname()[1]
+
+
+# --- child interpreters ---------------------------------------------------------
+
+SRC = str(Path(ivroute.__file__).resolve().parents[1])  # the ivroute these tests import
+
+
+def child_env(**variables: str) -> dict:
+    """The environment of a child interpreter that imports that ivroute:
+    this one's with ``variables`` set, and else no proxy setting and no
+    PYTHONUNBUFFERED, so that its stdout is buffered, as in a shell pipe."""
+    env = {name: value for name, value in os.environ.items() if name not in (*PROXY_VARIABLES, "PYTHONUNBUFFERED")}
+    return {**env, "PYTHONPATH": SRC, **variables}
+
+
+def python_child(code: str, *argv: str, **variables: str) -> str:
+    """The stdout of ``python -c code *argv`` under child_env(**variables); it must exit 0."""
+    child = subprocess.run([sys.executable, "-c", code, *argv], env=child_env(**variables), capture_output=True,
+                           text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    return child.stdout
 
 
 @pytest.fixture

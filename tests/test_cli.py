@@ -1,12 +1,16 @@
 """Command-line behavior: exit codes, file outputs, the demo loop, and
 configuration layering.
 
-Each command's refusals are rows of its table, run by ``refused``; the
-bespoke tests are the successful round trips, request counting and
-concurrency, byte-for-byte artifacts, ``hypothesis`` properties and child
-processes."""
+Each command's outcomes are rows of its table, run by ``check_cli``: the
+exit code, the whole stderr and stdout, each entry the call wrote and the
+requests it sent, a refusal writing nothing and sending nothing. The
+fixture's four oracle runs and its keyword run are routed once a session,
+and rows edit copies of them. The bespoke tests count calls made inside
+the CLI, run ``hypothesis`` properties and drive child processes."""
 
 import argparse
+import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -30,20 +34,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ivroute
-from ivroute.cli import _PROVIDER_KINDS, _load_config_file, _make_provider, build_parser, main
+from ivroute.cli import _load_config_file, _make_provider, build_parser, main
 from ivroute.datagen import load_dataset, validate_dataset
 from ivroute.menu import flatten, load_menu
 from ivroute.prompts import RoutingCondition
 from ivroute.provider import DEFAULT_API_KEY_ENV
 from ivroute import cli, router
-from ivroute.router import load_results, run_identity
 
-from conftest import (AnsweringProvider, chat_response, data_text, fail_at_step, golden_text, make_record, numbered,
-                      prompt_of, subject_of, table_tests)
-
-
-def run(argv):
-    return main(argv)
+from conftest import (AnsweringProvider, chat_replies, chat_response, child_env, data_text, fail_at_step, golden_text,
+                      make_record, numbered, prompt_of, subject_of, table_tests)
 
 
 @pytest.fixture(autouse=True)
@@ -72,31 +71,63 @@ def contents(directory: Path) -> dict:
             for entry in directory.rglob("*")}
 
 
+def results_rows(run_dir: Path) -> list:
+    return [json.loads(line) for line in (run_dir / "results.jsonl").read_text(encoding="utf-8").splitlines()]
+
+
+# The fixture's runs that a session routes once, by run id: the provider,
+# condition and slice of each, and the line that route prints for it.
+ORACLE_RUN, KEYWORD_RUN = "c3ca07a72a4f", "b9b785510a80"
+FIXTURE_RUNS = {
+    ORACLE_RUN: ("oracle", "flattened", "base_only", "routed 230 intents, accuracy 100.00%"),
+    "dfc44e400268": ("oracle", "flattened", "all", "routed 920 intents, accuracy 100.00%"),
+    "8a900ae47168": ("oracle", "descriptive", "base_only", "routed 230 intents, accuracy 100.00%"),
+    "f01ca3e681f7": ("oracle", "descriptive", "all", "routed 920 intents, accuracy 100.00%"),
+    KEYWORD_RUN: ("keyword", "flattened", "base_only", "routed 230 intents, accuracy 30.87%"),
+}
+
+
 @pytest.fixture(scope="session")
-def oracle_run(tmp_path_factory, fixture_menu_path, fixture_dataset_path) -> Path:
-    """The directory of the fixture's flattened base-only oracle run, routed once; tests edit copies of it."""
-    out = tmp_path_factory.mktemp("oracle")
-    assert run(route_args(fixture_menu_path, fixture_dataset_path, out, condition="flattened",
-                          filter="base_only")) == 0
-    return out / "run-c3ca07a72a4f"
+def fixture_runs(tmp_path_factory, fixture_menu_path, fixture_dataset_path) -> dict:
+    """The directory of each of FIXTURE_RUNS, routed once and its output
+    checked, by run id; tests edit copies of them."""
+    out = tmp_path_factory.mktemp("runs")
+    for run_id, (provider, condition, record_filter, routed) in FIXTURE_RUNS.items():
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            code = main(route_args(fixture_menu_path, fixture_dataset_path, out, condition=condition,
+                                   filter=record_filter) + ["--provider", provider])
+        assert (code, printed.getvalue()) == (0, f"{routed}\nrun directory: {out}/run-{run_id}\n")
+    return {run_id: out / f"run-{run_id}" for run_id in FIXTURE_RUNS}
 
 
-def copy_run(oracle_run: Path, directory: Path) -> Path:
-    return shutil.copytree(oracle_run, directory / oracle_run.name)
+@pytest.fixture
+def oracle_run(fixture_runs) -> Path:
+    return fixture_runs[ORACLE_RUN]
 
 
-# --- the refusal tables -------------------------------------------------------------------
+# --- the outcome runner ----------------------------------------------------------------
 
 class Row(NamedTuple):
-    """A command line the CLI refuses, and all it prints. ``argv``, ``err``,
-    ``out`` and the values of ``env`` hold placeholders: {tmp}, the row's
-    directory; {menu} and {dataset}, the fixture's files unless ``prepare``
-    wrote others; {out}, {tmp}/out; {run}, a copy of the oracle run; {url} and
-    {port}, a loopback chat endpoint; {vouched}, the run's results_sha256, and
-    {digest}, the sha256 of {run}/results.jsonl once ``prepare`` has run;
-    {usage} and "{usage <command>}", argparse's usage lines.
+    """A command line, and all the CLI makes of it: the exit code, the
+    whole stderr and stdout, each entry under the row's directory that the
+    call added, changed or removed (``wrote``), and the number of requests
+    that reached {url}, a loopback chat endpoint answering as chat_server's
+    options in ``server`` say (None: not counted). The defaults are a
+    refusal's: nothing written, nothing sent.
+
+    ``argv``, ``err``, ``out`` and the values of ``env`` hold placeholders:
+    {tmp}, the row's directory; {menu} and {dataset}, the fixture's files
+    unless ``prepare`` wrote others; {out}, {tmp}/out; {run}, {tmp}/run, a
+    copy of the oracle run, or of the fixture run that ``use_run`` names,
+    and {vouched}, its results_sha256; {digest}, the sha256 of
+    {run}/results.jsonl once ``prepare`` has run; {url} and {port}, the
+    endpoint's; {usage} and "{usage <command>}", argparse's usage lines.
     ``prepare(inputs)`` writes or edits the row's inputs, and may set
-    placeholders, before the one call of ``main``."""
+    placeholders, before the one call of ``main``, which reads ``stdin``;
+    ``then(inputs)`` checks what the call left. ``inputs`` also holds the
+    endpoint (``server``), the fixture runs by id (``runs``) and the test's
+    ``monkeypatch``."""
 
     argv: tuple[str, ...]
     code: int
@@ -104,49 +135,80 @@ class Row(NamedTuple):
     out: str = ""
     prepare: Callable[[dict], object] | None = None
     env: tuple[tuple[str, str], ...] = ()
+    wrote: tuple[str, ...] = ()
+    server: dict = {}
+    requests: int | None = 0
+    stdin: str = "i want to check my balance\n"
+    then: Callable[[dict], object] | None = None
 
 
 def fill(text: str, inputs: dict) -> str:
     for key, value in inputs.items():
-        text = text.replace("{" + key + "}", str(value))
+        if "{" + key + "}" in text:
+            text = text.replace("{" + key + "}", str(value))
     return text
+
+
+def commands(parser) -> dict:
+    """The parser of each command of the CLI's ``parser``, by name."""
+    (subparsers,) = (action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+    return subparsers.choices
 
 
 def usages() -> dict:
     parser = build_parser()
-    (commands,) = (action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
     return {"usage": parser.format_usage(),
-            **{f"usage {name}": command.format_usage() for name, command in commands.choices.items()}}
+            **{f"usage {name}": command.format_usage() for name, command in commands(parser).items()}}
 
 
-def refused(rows, tmp_path, fixture_menu_path, fixture_dataset_path, oracle_run, chat_server, monkeypatch, capsys):
+def choice_refused(command, option, value) -> str:
+    """What ``command`` prints refusing ``value`` for ``option``, a choice it
+    does not offer; argparse words the list of choices its own way in each
+    Python release, so its words are taken from argparse itself."""
+    (action,) = (action for action in commands(build_parser())[command]._actions if option in action.option_strings)
+    probe = argparse.ArgumentParser(exit_on_error=False)
+    probe.add_argument(option, choices=action.choices)
+    with pytest.raises(argparse.ArgumentError) as refusal:
+        probe.parse_args([option, value])
+    return f"{{usage {command}}}ivroute {command}: error: {refusal.value}\n"
+
+
+def vouched_by(run_dir: Path) -> str:
+    return json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))["results_sha256"]
+
+
+def check_cli(rows, tmp_path, fixture_menu_path, fixture_dataset_path, fixture_runs, chat_server, monkeypatch,
+              capsys):
     """Run a Row, or each Row of a tuple in turn, each in a directory of its
-    own, with "i want to check my balance" on stdin. Check the exit code and
-    the whole stderr and stdout; that the command wrote nothing, since the
-    files under the row's directory are the same, byte for byte, before and
-    after; and that no request reached {url}."""
-    server = chat_server()
-    vouched = json.loads((oracle_run / "manifest.json").read_text(encoding="utf-8"))["results_sha256"]
+    own, and check all that it says it makes."""
     for index, row in enumerate((rows,) if isinstance(rows, Row) else rows):
-        tmp = tmp_path / str(index)
+        tmp, server = tmp_path / str(index), chat_server(**row.server)
         inputs = {"tmp": tmp, "menu": fixture_menu_path, "dataset": fixture_dataset_path, "out": tmp / "out",
-                  "run": shutil.copytree(oracle_run, tmp / "run"), "url": server.url, "port": server.port,
-                  "vouched": vouched, **usages()}
+                  "run": shutil.copytree(fixture_runs[ORACLE_RUN], tmp / "run"), "url": server.url,
+                  "port": server.port, "vouched": vouched_by(fixture_runs[ORACLE_RUN]), "runs": fixture_runs,
+                  "server": server, "monkeypatch": monkeypatch, **usages()}
         if row.prepare:
             row.prepare(inputs)
         inputs["digest"] = sha256_of(tmp / "run" / "results.jsonl")
         for name, value in row.env:
             monkeypatch.setenv(name, fill(value, inputs))
-        monkeypatch.setattr("sys.stdin", io.StringIO("i want to check my balance\n"))
+        monkeypatch.setattr("sys.stdin", io.StringIO(row.stdin))
         before = contents(tmp)
+        capsys.readouterr()  # what a prepare printed
         try:
             code = main([fill(arg, inputs) for arg in row.argv])  # returned: an exception would leave main
         except SystemExit as exc:  # argparse's refusal
             code = exc.code
         captured = capsys.readouterr()
         assert (code, captured.err, captured.out) == (row.code, fill(row.err, inputs), fill(row.out, inputs))
-        assert contents(tmp) == before
-    assert server.accepted == 0
+        after = contents(tmp)
+        assert sorted(path for path in before.keys() | after.keys()
+                      if before.get(path, ...) != after.get(path, ...)) == sorted(row.wrote)
+        if row.requests is not None:  # where no request is sent, no connection is opened either
+            assert (len(server.requests), bool(server.accepted)) == (row.requests, bool(row.requests))
+        assert server.wait(open=0)  # the command closed every connection it opened
+        if row.then:
+            row.then(inputs)
 
 
 def test_a_table_may_not_take_the_name_of_a_test():
@@ -157,6 +219,29 @@ def test_a_table_may_not_take_the_name_of_a_test():
             table_tests(namespace, lambda row: None, {name: 2})
         assert str(refusal.value) == f"test_example already binds {name!r}: a table may not replace it"
     assert namespace["test_taken"] is print and namespace["test_free"].__defaults__ == (1,)
+
+
+# What a route or eval writes, under the row's directory, and what it prints.
+REPORT_FILES = ("report.json", "matrix.csv", "matrix_long.csv", "summary.md")
+
+
+def run_entries(run_id=ORACLE_RUN, under="out"):
+    """The --out directory, the run directory and the run's two files."""
+    return under, f"{under}/run-{run_id}", f"{under}/run-{run_id}/manifest.json", f"{under}/run-{run_id}/results.jsonl"
+
+
+def report_entries(run_id=ORACLE_RUN, under="run"):
+    """The report directory and its four files."""
+    return f"{under}/eval-{run_id}", *(f"{under}/eval-{run_id}/{name}" for name in REPORT_FILES)
+
+
+def routed(count=230, accuracy="100.00", run_id=ORACLE_RUN, under="{out}"):
+    return f"routed {count} intents, accuracy {accuracy}%\nrun directory: {under}/run-{run_id}\n"
+
+
+def evaluated(accuracy="100.00", count=230, run_id=ORACLE_RUN, under="{run}"):
+    return f"accuracy {accuracy}% over {count} results\n" + "".join(
+        f"wrote {under}/eval-{run_id}/{name}\n" for name in REPORT_FILES)
 
 
 def with_menu(doc):
@@ -226,12 +311,36 @@ def with_config(config):
     return write("{tmp}/config.json", json.dumps(config))
 
 
+def use_run(run_id):
+    """A ``prepare``: {run} becomes a copy of the fixture run ``run_id``, and {vouched} its results_sha256."""
+    def prepare(inputs):
+        shutil.rmtree(inputs["run"])
+        shutil.copytree(inputs["runs"][run_id], inputs["run"])
+        inputs["vouched"] = vouched_by(inputs["run"])
+    return prepare
+
+
+def steps(*prepares):
+    """A ``prepare`` of each of ``prepares`` in turn."""
+    def prepare(inputs):
+        for step in prepares:
+            step(inputs)
+    return prepare
+
+
+def succeeds(argv):
+    """A ``prepare``: ``main`` of ``argv``, its placeholders filled, exits 0."""
+    def prepare(inputs):
+        assert main([fill(arg, inputs) for arg in argv]) == 0
+    return prepare
+
+
+def patched(target, value):
+    """A ``prepare`` that sets ``target``, as monkeypatch.setattr takes it, to ``value``."""
+    return lambda inputs: inputs["monkeypatch"].setattr(target, value)
+
+
 # --- validate-menu -------------------------------------------------------------------
-
-def test_validate_menu_ok(fixture_menu_path, capsys):
-    assert run(["validate-menu", str(fixture_menu_path)]) == 0
-    assert "23 terminal paths" in capsys.readouterr().out
-
 
 def first_child(doc):
     return doc["root"]["children"][0]["children"][0]
@@ -242,10 +351,6 @@ VALIDATE = ("validate-menu", "{menu}")
 
 def invalid_menu(doc, error, argv=VALIDATE):
     return Row(argv, 1, f"error: invalid menu: {error}\n", prepare=with_menu(doc))
-
-
-def first_child(doc):
-    return doc["root"]["children"][0]["children"][0]
 
 
 def three_faults(doc):
@@ -269,6 +374,7 @@ FORGED_ERROR = ("1: label holds a control character or line separator: 'Pay\\tBi
                 "2: label holds a control character or line separator: 'Support\\n2-9: Fake Agent'")
 
 VALIDATE_MENU = {
+    "test_validate_menu_ok": Row(VALIDATE, 0, "", out="OK: AgentNet IVR: 23 terminal paths\n"),
     "test_validate_menu_violations_exit_1": invalid_menu(one_menu(action("A", "1"), action("B", "1")),
                                                          "root: duplicate digit 1 among children"),
     "test_validate_menu_missing_file_exit_2": Row(
@@ -333,30 +439,20 @@ VALIDATE_MENU = {
                                                                      *doc["root"]["children"][1:]]),
             "1: label says 'press 9', which an outline offers as a choice: 'to cancel press 9'")},
 }
-table_tests(globals(), refused, VALIDATE_MENU)
+table_tests(globals(), check_cli, VALIDATE_MENU)
 
 
 # --- flatten ---------------------------------------------------------------------------
 
-def test_flatten_tsv_matches_golden(fixture_menu_path, capsys):
-    assert run(["flatten", str(fixture_menu_path), "--format", "tsv"]) == 0
-    assert capsys.readouterr().out == golden_text("agentnet.paths.tsv")
-
-
-def test_flatten_prompt_lines(fixture_menu_path, capsys):
-    assert run(["flatten", str(fixture_menu_path), "--format", "prompt-lines"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 23
-    assert lines[0] == "1-1: Billing and Account Management -> Check Balance"
-
-
-def test_flatten_single_action_menu(tmp_path, capsys):
-    doc = {"name": "One", "root": {"label": "Root", "kind": "menu", "prompt_text": "", "children": [
-        {"label": "Only", "digit": "1", "kind": "action", "action_type": "self_service"}]}}
-    menu = tmp_path / "one.menu.json"
-    menu.write_text(json.dumps(doc), encoding="utf-8")
-    assert run(["flatten", str(menu)]) == 0
-    assert capsys.readouterr().out == "1\tOnly\tself_service\n"
+GOLDEN_TSV = golden_text("agentnet.paths.tsv")
+FIXTURE_PATHS, CRUMBS = ([line.split("\t")[column] for line in GOLDEN_TSV.splitlines()] for column in (0, 1))
+table_tests(globals(), check_cli, {
+    "test_flatten_tsv_matches_golden": Row(("flatten", "{menu}", "--format", "tsv"), 0, "", out=GOLDEN_TSV),
+    "test_flatten_prompt_lines": Row(("flatten", "{menu}", "--format", "prompt-lines"), 0, "", out="".join(
+        f"{path}: {breadcrumb}\n" for path, breadcrumb, _ in (line.split("\t") for line in GOLDEN_TSV.splitlines()))),
+    "test_flatten_single_action_menu": Row(("flatten", "{menu}"), 0, "", out="1\tOnly\tself_service\n",
+                                           prepare=with_menu(one_menu(action("Only", "1")))),
+})
 
 
 # --- gen-intents -----------------------------------------------------------------------
@@ -371,107 +467,86 @@ def about_subject(prompt):
     return numbered([f"about {subject_of(prompt)}"])
 
 
-def gen_args(menu, url, out, per_node=1, variants=0, *flags):
-    return ["gen-intents", str(menu), "--per-node", str(per_node), "--variants", str(variants), *flags,
-            "--provider", "http", "--endpoint", url, "--dataset-out", str(out)]
-
-
-def test_gen_intents_writes_a_valid_dataset(tmp_path, fixture_menu_path, chat_server, capsys):
-    server = chat_server(reply=about_subject)  # 23 base prompts, then 23 paraphrase prompts
-    assert run(gen_args(fixture_menu_path, server.url, tmp_path / "generated.jsonl", 1, 1)) == 0
-    assert "wrote 46 records" in capsys.readouterr().out
-    assert server.answered == 46
-    ds = load_dataset(tmp_path / "generated.jsonl")
-    assert len(ds.records) == 46
-    assert validate_dataset(ds, flatten(load_menu(fixture_menu_path))) == []
-
-
-def test_gen_intents_sends_a_jobs_next_call_in_the_next_round(tmp_path, fixture_menu_path, chat_server, capsys):
-    # The first path's first answer holds one of the two complaints asked
-    # for, so it needs a second call: that goes out once every path's first
-    # call has been answered. Each of its two calls gets a 503 first, and
-    # with --max-retries 1 each call still gets its answer: the retry
-    # budget is per call, not per path.
-    paths = flatten(load_menu(fixture_menu_path))
-    first = paths[0].breadcrumb_text()
+def next_round(inputs):
+    """A ``prepare``: the first path's first answer holds one of the two
+    complaints asked for, so it needs a second call: that goes out once every
+    path's first call has been answered. Each of its two calls gets a 503
+    first, and with --max-retries 1 each call still gets its answer: the
+    retry budget is per call, not per path."""
     answered = Counter()
 
     def reply(prompt):
         subject = subject_of(prompt)
         answered[subject] += 1
-        if subject == first:
+        if subject == CRUMBS[0]:
             return numbered([f"complaint {answered[subject]} about {subject}"])
         return numbered([f"about {subject}", f"more about {subject}"])
 
-    server = chat_server(reply=reply, statuses=[503] + [200] * 23 + [503], retry_after="0")
-    out_file = tmp_path / "generated.jsonl"
-    assert run(gen_args(fixture_menu_path, server.url, out_file, 2, 0, "--max-in-flight", "1",
-                        "--max-retries", "1")) == 0
-    assert "wrote 46 records" in capsys.readouterr().out
-    sent = [subject_of(prompt_of(request)) for request in server.requests]
-    others = [tp.breadcrumb_text() for tp in paths[1:]]
+    inputs["server"].answer = chat_replies(reply=reply, statuses=[503] + [200] * 23 + [503], retry_after="0")
+
+
+def sent_in_rounds(inputs):
+    first, *others = CRUMBS
+    sent = [subject_of(prompt_of(request)) for request in inputs["server"].requests]
     assert sent == [first, others[0], first, *others[1:], first, first]  # each 503 retried after the next call
-    ds = load_dataset(out_file)
-    assert [r.text for r in ds.records[:2]] == [f"complaint 1 about {first}", f"complaint 2 about {first}"]
-    assert validate_dataset(ds, paths) == []
+    records = load_dataset(inputs["tmp"] / "intents.jsonl").records
+    assert [r.text for r in records[:2]] == [f"complaint 1 about {first}", f"complaint 2 about {first}"]
 
 
-def test_gen_intents_failed_call_exit_1(tmp_path, fixture_menu_path, chat_server, capsys):
-    server = chat_server(reply=about_subject, statuses=[200], status=400)  # one answer for 23 paths
-    assert run(gen_args(fixture_menu_path, server.url, tmp_path / "intents.jsonl", 1, 1)) == 1
-    assert capsys.readouterr().err == f"error: {REFUSED}\n"
-    assert not (tmp_path / "intents.jsonl").exists()
+def generated_dataset_is_valid(inputs):
+    ds = load_dataset(inputs["tmp"] / "intents.jsonl")
+    assert validate_dataset(ds, flatten(load_menu(inputs["menu"]))) == [] and len(ds.records) == 46
 
 
-@pytest.mark.skipif(not (os.path.exists("/dev/full") and stat.S_ISCHR(os.stat("/dev/full").st_mode)),
-                    reason="needs /dev/full, a device every write to fails")
-def test_gen_intents_dataset_that_cannot_be_written_exit_1(fixture_menu_path, chat_server, capsys):
-    server = chat_server(reply=about_subject)
-    assert run(gen_args(fixture_menu_path, server.url, "/dev/full")) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: cannot write /dev/full: [Errno 28] ") and captured.err.count("\n") == 1
-    assert captured.out == "" and server.answered == 23  # every call was made, then the write failed
+def no_space(*args):
+    raise OSError(errno.ENOSPC, "No space left on device")
 
 
-def test_gen_intents_dataset_that_cannot_be_renamed_into_place_exit_1_and_keeps_the_old_one(
-        tmp_path, fixture_menu_path, chat_server, monkeypatch, capsys):
-    out_file = tmp_path / "intents.jsonl"
-    out_file.write_text("old dataset\n", encoding="utf-8")
-
-    def fail_renaming(source, target):
-        raise OSError(28, "No space left on device")
-
-    monkeypatch.setattr(os, "replace", fail_renaming)
-    assert run(gen_args(fixture_menu_path, chat_server(reply=about_subject).url, out_file)) == 1
-    assert capsys.readouterr().err == f"error: cannot write {out_file}: [Errno 28] No space left on device\n"
-    assert list(tmp_path.iterdir()) == [out_file]  # no temporary file left beside it
-    assert out_file.read_text(encoding="utf-8") == "old dataset\n"
+def needs_dev_full(inputs):
+    if not (os.path.exists("/dev/full") and stat.S_ISCHR(os.stat("/dev/full").st_mode)):
+        pytest.skip("needs /dev/full, a device every write to fails")
 
 
-def test_gen_intents_one_text_for_every_path_exit_1(fixture_menu_path, chat_server, tmp_path, capsys):
-    server = chat_server()  # every reply is "1-1", whichever path it is for
-    assert run(gen_args(fixture_menu_path, server.url, tmp_path / "intents.jsonl", 1, 1, "--max-in-flight", "1")) == 1
-    err = capsys.readouterr().err
-    assert "violation: record 1-2:b00: same text as record 1-1:b00, which is labelled 1-1" in err
-    assert err.endswith("error: generated dataset failed validation\n")
-    assert not (tmp_path / "intents.jsonl").exists()
-    assert server.wait(open=0)
-
-
-def test_gen_intents_stages_share_one_connection(fixture_menu_path, chat_server, tmp_path, capsys):
-    # One complaint per path, its breadcrumb; a paraphrase repeats its
-    # original, which is asked again once and then kept.
-    server = chat_server(reply=subject_of)
-    assert run(gen_args(fixture_menu_path, server.url, tmp_path / "intents.jsonl", 1, 1, "--max-in-flight", "1")) == 0
-    assert "wrote 46 records" in capsys.readouterr().out
-    assert server.answered == 3 * 23  # base, paraphrase, and its retry for each path
-    assert server.accepted == 1  # the paraphrase stage reused the base stage's connection
-    assert server.wait(open=0)  # closed once, when the command ended
+def one_connection(inputs):
+    assert inputs["server"].accepted == 1  # the paraphrase stage reused the base stage's connection
 
 
 GEN_INTENTS = ("gen-intents", "{menu}", "--provider", "http", "--endpoint", "{url}")
+GENERATE = (*GEN_INTENTS, "--per-node", "1", "--variants", "1", "--dataset-out", "{tmp}/intents.jsonl")
 
-GEN_INTENTS_REFUSALS = {
+GEN_INTENTS_ROWS = {
+    # 23 base prompts, then 23 paraphrase prompts
+    "test_gen_intents_writes_a_valid_dataset": Row(
+        GENERATE, 0, "", "wrote 46 records to {tmp}/intents.jsonl\n", wrote=("intents.jsonl",),
+        server={"reply": about_subject}, requests=46, then=generated_dataset_is_valid),
+    "test_gen_intents_failed_call_exit_1": Row(
+        GENERATE, 1, f"error: {REFUSED}\n", server={"reply": about_subject, "statuses": [200], "status": 400},
+        requests=None),  # one answer for 23 paths; the calls in flight when the first refusal comes
+    # Every call was made, then the write failed.
+    "test_gen_intents_dataset_that_cannot_be_written_exit_1": Row(
+        (*GEN_INTENTS, "--per-node", "1", "--variants", "0", "--dataset-out", "/dev/full"), 1,
+        "error: cannot write /dev/full: [Errno 28] No space left on device\n", prepare=needs_dev_full,
+        server={"reply": about_subject}, requests=23),
+    "test_gen_intents_dataset_that_cannot_be_renamed_into_place_exit_1_and_keeps_the_old_one": Row(
+        (*GEN_INTENTS, "--per-node", "1", "--variants", "0", "--dataset-out", "{tmp}/intents.jsonl"), 1,
+        "error: cannot write {tmp}/intents.jsonl: [Errno 28] No space left on device\n",
+        prepare=steps(write("{tmp}/intents.jsonl", "old dataset\n"), patched("os.replace", no_space)),
+        server={"reply": about_subject}, requests=23),
+    # Every reply is "1-1", whichever path it is for; each paraphrase is asked again once.
+    "test_gen_intents_one_text_for_every_path_exit_1": Row(
+        (*GENERATE, "--max-in-flight", "1"), 1, "".join(
+            f"violation: record {path}:b00{variant}: same text as record 1-1:b00, which is labelled 1-1\n"
+            for variant in ("", ":v1") for path in FIXTURE_PATHS[1:])
+        + "error: generated dataset failed validation\n", requests=3 * 23),
+    # One complaint per path, its breadcrumb; a paraphrase repeats its
+    # original, which is asked again once and then kept.
+    "test_gen_intents_stages_share_one_connection": Row(
+        (*GENERATE, "--max-in-flight", "1"), 0, "", "wrote 46 records to {tmp}/intents.jsonl\n",
+        wrote=("intents.jsonl",), server={"reply": subject_of}, requests=3 * 23, then=one_connection),
+    "test_gen_intents_sends_a_jobs_next_call_in_the_next_round": Row(
+        (*GEN_INTENTS, "--per-node", "2", "--variants", "0", "--max-in-flight", "1", "--max-retries", "1",
+         "--dataset-out", "{tmp}/intents.jsonl"), 0, "", "wrote 46 records to {tmp}/intents.jsonl\n",
+        wrote=("intents.jsonl",), prepare=next_round, requests=26, then=sent_in_rounds),
     "test_gen_intents_rejects_oracle": Row(
         ("gen-intents", "{menu}", "--provider", "oracle", "--dataset-out", "{out}/intents.jsonl"), 2,
         "error: oracle provider cannot synthesize intents; use http\n"),
@@ -495,321 +570,28 @@ GEN_INTENTS_REFUSALS = {
         "gen-intents --dataset-out a directory": Row(
             (*GEN_INTENTS, "--dataset-out", "{tmp}"), 2, "error: cannot write {tmp}: it is a directory\n")},
 }
-table_tests(globals(), refused, GEN_INTENTS_REFUSALS)
+table_tests(globals(), check_cli, GEN_INTENTS_ROWS)
 
 
 # --- route -----------------------------------------------------------------------------
 
-def test_route_oracle_base_only(tmp_path, fixture_menu_path, fixture_dataset_path, capsys):
-    assert run(route_args(fixture_menu_path, fixture_dataset_path, tmp_path, condition="flattened",
-                          filter="base_only")) == 0
-    assert "routed 230 intents, accuracy 100.00%" in capsys.readouterr().out
-    run_dirs = list(tmp_path.glob("run-*"))
-    assert len(run_dirs) == 1
-    assert len(load_results(run_dirs[0] / "results.jsonl")) == 230
-    manifest = json.loads((run_dirs[0] / "manifest.json").read_text(encoding="utf-8"))
-    assert manifest["dataset_filter"] == "base_only"
-    assert run_dirs[0].name == f"run-{manifest['run_id']}"
+def test_route_oracle_base_only(oracle_run):
+    # The session routed this run, and checked what route printed; here is what it wrote.
+    manifest = json.loads((oracle_run / "manifest.json").read_text(encoding="utf-8"))
     assert list(manifest) == ["menu_name", "menu_hash", "dataset_hash", "condition", "dataset_filter",
                               "model_name", "parse_mode", "run_id", "failures", "timestamp", "template_sha256",
                               "ivroute_version", "results_sha256"]
-    assert manifest["results_sha256"] == sha256_of(run_dirs[0] / "results.jsonl")
+    assert (manifest["dataset_filter"], manifest["run_id"], len(results_rows(oracle_run))) == ("base_only",
+                                                                                                ORACLE_RUN, 230)
+    assert manifest["results_sha256"] == sha256_of(oracle_run / "results.jsonl")
     # What made the run, outside its run id: the bytes of the template it filled, and the version.
     template = Path(ivroute.__file__).parent / "data" / "template_flattened.txt"
     assert manifest["template_sha256"] == sha256_of(template)
     assert manifest["ivroute_version"] == ivroute.__version__
-    assert manifest["run_id"] == "c3ca07a72a4f"
-    assert run(["eval", str(run_dirs[0] / "results.jsonl"), "--menu", str(fixture_menu_path)]) == 0
-
-
-def test_route_descriptive_all_920(tmp_path, fixture_menu_path, fixture_dataset_path, capsys):
-    argv = route_args(fixture_menu_path, fixture_dataset_path, tmp_path, condition="descriptive", filter="all")
-    assert run(argv) == 0
-    assert "routed 920 intents, accuracy 100.00%" in capsys.readouterr().out
-    # The keyword double reads the query and the offered paths out of the outline's prompt too.
-    assert run(argv + ["--provider", "keyword"]) == 0
-    assert "routed 920 intents, accuracy 28.26%" in capsys.readouterr().out
-
-
-def test_route_refuses_overwrite_without_force(tmp_path, fixture_menu_path,
-                                               fixture_dataset_path, capsys):
-    argv = route_args(fixture_menu_path, fixture_dataset_path, tmp_path,
-                      condition="flattened", filter="base_only")
-    assert run(argv) == 0
-    assert run(argv) == 1
-    assert "already exists" in capsys.readouterr().err
-    assert run(argv + ["--force"]) == 0
-
-
-def test_route_force_replaces_the_report_only_once_new_results_are_written(
-        tmp_path, fixture_menu_path, fixture_dataset_path, oracle_run, chat_server, capsys):
-    run_dir = copy_run(oracle_run, tmp_path)
-    evaluate = ["eval", str(run_dir / "results.jsonl"), "--menu", str(fixture_menu_path)]
-    assert run(evaluate) == 0
-    report = run_dir / f"eval-{run_dir.name.removeprefix('run-')}" / "report.json"
-    oracle_results = (run_dir / "results.jsonl").read_bytes()
-    # The same run id under another provider: the model name is in it, the provider kind is not.
-    rerun = route_args(fixture_menu_path, fixture_dataset_path, tmp_path, condition="flattened",
-                       filter="base_only", model="oracle-mock") + ["--force", "--provider"]
-    # A rerun that aborts keeps the old results and their report together.
-    assert run(rerun + ["http", "--endpoint", chat_server(status=400).url]) == 1
-    assert (run_dir / "results.jsonl").read_bytes() == oracle_results
-    assert json.loads(report.read_text(encoding="utf-8"))["accuracy"] == 1.0
-    assert run(rerun + ["keyword"]) == 0
-    assert list(tmp_path.glob("run-*")) == [run_dir]
-    assert not report.parent.exists()  # it scored the results just replaced
-    capsys.readouterr()
-    assert run(evaluate) == 0
-    assert "accuracy 30.87% over 230 results" in capsys.readouterr().out
-
-
-def test_route_a_set_temperature_names_its_own_run(tmp_path, fixture_menu_path, fixture_dataset_path):
-    argv = route_args(fixture_menu_path, fixture_dataset_path, tmp_path, condition="flattened",
-                      filter="base_only")
-    assert run(argv + ["--temperature", "0"]) == 0
-    assert run(argv + ["--temperature", "1.5"]) == 0  # not refused as the same run
-    names = {run_dir.name for run_dir in tmp_path.glob("run-*")}
-    assert len(names) == 2 and "run-c3ca07a72a4f" not in names  # the unset temperature's run
-
-
-# argparse words its list of choices differently across Python releases, so
-# the refusal of a choice it does not offer pins no whole message.
-def test_route_unknown_condition_usage_error(fixture_menu_path, fixture_dataset_path):
-    with pytest.raises(SystemExit) as excinfo:
-        run(route_args(fixture_menu_path, fixture_dataset_path, "out", condition="nonsense"))
-    assert excinfo.value.code == 2
-
-
-def test_a_provider_kind_that_is_gone_is_refused(tmp_path, fixture_menu_path, fixture_dataset_path, capsys):
-    argv = route_args(fixture_menu_path, fixture_dataset_path, tmp_path / "runs")
-    with pytest.raises(SystemExit) as excinfo:
-        run(argv + ["--provider", "scripted"])
-    assert excinfo.value.code == 2
-    assert "argument --provider: invalid choice: 'scripted'" in capsys.readouterr().err
-    file = tmp_path / "config.json"
-    file.write_text(json.dumps({"providers": {"routing": {"kind": "scripted"}}}), encoding="utf-8")
-    assert run(argv + ["--config", str(file)]) == 2
-    assert capsys.readouterr().err == ("error: bad provider settings: kind must be one of http, oracle, keyword, "
-                                       "not 'scripted'\n")
-    assert not (tmp_path / "runs").exists()
-
-
-@pytest.mark.parametrize("kind", [kind for kind in _PROVIDER_KINDS if kind != "http"])
-def test_a_run_id_names_one_set_of_rows_at_any_concurrency(tmp_path, fixture_menu_path, fixture_dataset_path,
-                                                            capsys, kind):
-    # Each double's reply depends only on its prompt, so two runs of one run
-    # id hold the same rows, however their eight workers interleave.
-    runs = []
-    for out in (tmp_path / "first", tmp_path / "second"):
-        argv = route_args(fixture_menu_path, fixture_dataset_path, out, filter="base_only", max_in_flight=8)
-        assert run(argv + ["--provider", kind]) == 0
-        (run_dir,) = out.glob("run-*")
-        rows = [{**json.loads(line), "latency": None}
-                for line in (run_dir / "results.jsonl").read_text(encoding="utf-8").splitlines()]
-        runs.append((run_dir.name, rows))
-    assert runs[0] == runs[1] and len(runs[0][1]) == 230
-
-
-@pytest.mark.parametrize("budget", ["0", "1"])
-def test_route_error_budget_bounds_are_allowed(tmp_path, fixture_menu_path,
-                                               fixture_dataset_path, budget):
-    argv = route_args(fixture_menu_path, fixture_dataset_path, tmp_path, filter="base_only")
-    assert run(argv + ["--error-budget", budget]) == 0
-
-
-def test_route_hashes_its_inputs_once(tmp_path, fixture_menu_path, fixture_dataset_path,
-                                      monkeypatch):
-    hashed = []
-    dataset_to_jsonl = router.dataset_to_jsonl
-    monkeypatch.setattr(router, "dataset_to_jsonl", lambda ds: hashed.append(1) or dataset_to_jsonl(ds))
-    argv = route_args(fixture_menu_path, fixture_dataset_path, tmp_path, filter="base_only")
-    assert run(argv) == 0
-    assert len(hashed) == 1  # for the run id, before routing; the manifest reuses it
-    (run_dir,) = tmp_path.glob("run-*")
-    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
-    tree = load_menu(fixture_menu_path)
-    ds = load_dataset(fixture_dataset_path, menu_name=tree.name)
-    identity = run_identity(ds, tree, RoutingCondition.FLATTENED_PATHS, "base_only", "oracle-mock", False)
-    assert list(manifest)[: len(identity)] == list(identity)
-    assert {key: manifest[key] for key in identity} == identity
-    assert run_dir.name == f"run-{identity['run_id']}"
-
-
-def test_route_judges_and_names_its_run_once(tmp_path, fixture_menu_path, fixture_dataset_path, monkeypatch):
-    calls = Counter()
-
-    def counting(module, name):
-        fn = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *args: calls.update([name]) or fn(*args))
-
-    counting(cli, "validate_dataset")
-    counting(router, "validate_dataset")
-    counting(router, "dataset_to_jsonl")
-    assert run(route_args(fixture_menu_path, fixture_dataset_path, tmp_path)) == 0
-    assert calls == {"validate_dataset": 1, "dataset_to_jsonl": 1}
-
-
-def test_route_model_flag_that_is_no_utf8_exit_2_before_any_call(tmp_path, fixture_menu_path,
-                                                                 fixture_dataset_path):
-    # argv bytes that are no UTF-8 reach Python as lone surrogates: b"\xff" as "\udcff"
-    argv = route_args(fixture_menu_path, fixture_dataset_path, tmp_path / "runs", filter="base_only")
-    with cli_child(*argv, os.fsdecode(b"--model=m\xff"), stdout=subprocess.PIPE) as child:
-        out, err = child.communicate(timeout=30)
-    assert child.returncode == 2 and out == ""
-    assert err == "error: bad provider settings: model_name holds a lone surrogate: 'm\\udcff'\n"
-    assert not (tmp_path / "runs").exists()
-
-
-@pytest.mark.parametrize("command", ["route", "gen-intents", "eval"])
-def test_an_output_path_from_argv_bytes_that_are_no_utf8_is_printed_escaped(tmp_path, fixture_menu_path,
-                                                                           fixture_dataset_path, oracle_run,
-                                                                           chat_server, capsys,
-                                                                           command):
-    # The artifact is written under the path the bytes name; the line that
-    # names it escapes the byte instead of ending in a UnicodeEncodeError.
-    out = tmp_path / os.fsdecode(b"out\xff")
-    if command == "route":
-        argv = route_args(fixture_menu_path, fixture_dataset_path, out, filter="base_only")
-    elif command == "gen-intents":
-            argv = gen_args(fixture_menu_path, chat_server(reply=about_subject).url, out / "intents.jsonl")
-    else:
-        run_dir = copy_run(oracle_run, tmp_path)
-        argv = ["eval", str(run_dir / "results.jsonl"), "--menu", str(fixture_menu_path), "--out", str(out)]
-    assert run(argv) == 0
-    printed = capsys.readouterr().out
-    assert f"{tmp_path}/out\\udcff/" in printed
-    assert len(list(out.iterdir())) == 1
-
-
-@pytest.mark.parametrize("condition", ["flattened", "descriptive"])
-def test_route_oracle_scores_texts_that_end_in_a_newline_as_they_are(tmp_path, condition, capsys):
-    # The prompt's query is the intent's text, the oracle's key for its answer.
-    menu, dataset = tmp_path / "menu.json", tmp_path / "intents.jsonl"
-    menu.write_text(json.dumps({"name": "Three", "root": {"label": "Root", "kind": "menu", "children": [
-        {"label": label, "digit": digit, "kind": "action", "action_type": "self_service"}
-        for digit, label in (("1", "Pay"), ("2", "Repair"), ("3", "Cancel"))]}}), encoding="utf-8")
-    records = [make_record("1", "my bill is wrong\n"), make_record("2", "the internet is down\r\n"),
-               make_record("3", "cancel my plan\n\n")]
-    dataset.write_text("".join(json.dumps(r._asdict()) + "\n" for r in records), encoding="utf-8")
-    assert run(route_args(menu, dataset, tmp_path / "runs", condition=condition)) == 0
-    assert "routed 3 intents, accuracy 100.00%" in capsys.readouterr().out.splitlines()
-
-
-def test_route_names_each_failure_once(tmp_path, fixture_menu_path, fixture_dataset_path, chat_server, capsys):
-    server = chat_server(statuses=[200, 200], status=400)  # one worker: the first two intents are answered
-    assert run(route_args(fixture_menu_path, fixture_dataset_path, tmp_path, filter="base_only", provider="http",
-                          endpoint=server.url, max_in_flight=1)) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert err[0] == "error: run aborted: 3 provider failure(s) exceeded the budget of 2"
-    assert err[1:] == [f"  failed 1-1:b0{i}: {REFUSED}" for i in (2, 3, 4)]
-
-
-def test_route_names_five_failures_and_counts_the_rest(tmp_path, fixture_menu_path, fixture_dataset_path,
-                                                       chat_server, capsys):
-    argv = route_args(fixture_menu_path, fixture_dataset_path, tmp_path, filter="base_only", max_in_flight=1,
-                      error_budget=0.03) + ["--provider", "http", "--endpoint", chat_server(status=400).url]
-    assert run(argv) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert err[0] == "error: run aborted: 7 provider failure(s) exceeded the budget of 6"
-    assert err[1:] == [f"  failed 1-1:b0{i}: {REFUSED}" for i in range(5)] + ["  ... and 2 more"]
-    assert not list(tmp_path.glob("run-*"))
-
-
-def test_route_force_over_results_that_cannot_be_written_exit_1(tmp_path, fixture_menu_path,
-                                                                fixture_dataset_path, oracle_run, monkeypatch,
-                                                                capsys):
-    run_dir = copy_run(oracle_run, tmp_path)
-    evaluate = ["eval", str(run_dir / "results.jsonl"), "--menu", str(fixture_menu_path)]
-    assert run(evaluate) == 0
-    old_run = contents(run_dir)
-    capsys.readouterr()
-    fail_at_step(monkeypatch, 0)  # the first file write
-    argv = route_args(fixture_menu_path, fixture_dataset_path, tmp_path, filter="base_only")
-    assert run(argv + ["--force"]) == 1
-    assert capsys.readouterr().err.startswith(f"error: cannot write {run_dir}: ")
-    monkeypatch.undo()
-    assert contents(run_dir) == old_run and len(old_run) == 7  # the old run and its report
-    assert list(tmp_path.iterdir()) == [run_dir]  # no temporary entry left beside it
-    assert run(evaluate) == 0
-    assert contents(run_dir) == old_run
-
-
-def test_route_force_over_a_linked_run_directory_replaces_the_link_and_keeps_its_target(
-        tmp_path, fixture_menu_path, fixture_dataset_path, oracle_run):
-    target = copy_run(oracle_run, tmp_path / "elsewhere")
-    old_run = contents(target)
-    runs = tmp_path / "runs"
-    runs.mkdir()
-    (runs / target.name).symlink_to(target, target_is_directory=True)
-    assert run(route_args(fixture_menu_path, fixture_dataset_path, runs, filter="base_only") + ["--force"]) == 0
-    run_dir = runs / target.name
-    assert run_dir.is_dir() and not run_dir.is_symlink()
-    assert contents(run_dir).keys() == {"results.jsonl", "manifest.json"}
-    assert contents(target) == old_run
-    assert list(runs.iterdir()) == [run_dir]  # no moved-aside link or temporary entry left
-
-
-def test_route_skips_blank_dataset_lines_and_keeps_the_run_id(tmp_path, fixture_menu_path,
-                                                              fixture_dataset_path):
-    lines = fixture_dataset_path.read_text(encoding="utf-8").splitlines(keepends=True)
-    spaced = tmp_path / "spaced.jsonl"
-    spaced.write_text("\n" + "".join(lines[:100]) + " \t\n\n" + "".join(lines[100:]) + "\n", encoding="utf-8")
-    for name, dataset in [("plain", fixture_dataset_path), ("spaced", spaced)]:
-        assert run(route_args(fixture_menu_path, dataset, tmp_path / name, filter="base_only")) == 0
-    assert [run_dir.name for run_dir in (tmp_path / "spaced").iterdir()] == ["run-c3ca07a72a4f"]
-    assert [run_dir.name for run_dir in (tmp_path / "plain").iterdir()] == ["run-c3ca07a72a4f"]
-
-
-def test_route_summary_counts_the_failures_it_does_not_score(tmp_path, fixture_menu_path,
-                                                             fixture_dataset_path, chat_server,
-                                                             capsys):
-    server = chat_server(statuses=[200] * 228, status=400)  # two of the 230 base intents get no reply
-    argv = route_args(fixture_menu_path, fixture_dataset_path, tmp_path, filter="base_only",
-                      max_in_flight=1) + ["--provider", "http", "--endpoint", server.url]
-    assert run(argv) == 0
-    assert capsys.readouterr().out.splitlines()[0] == "routed 228 intents, accuracy 4.39%, 2 failed and not scored"
-
-
-def test_route_every_intent_failing_within_budget_exit_1(tmp_path, fixture_menu_path,
-                                                         fixture_dataset_path, chat_server, capsys):
-    assert run(route_args(fixture_menu_path, fixture_dataset_path, tmp_path, filter="base_only", provider="http",
-                          endpoint=chat_server(status=400).url, error_budget=1)) == 1  # returned: nothing to score
-    err = capsys.readouterr().err
-    assert err.startswith("error: no intent was routed (230 provider failure(s))")
-    (run_dir,) = tmp_path.glob("run-*")
-    assert (run_dir / "results.jsonl").read_text(encoding="utf-8") == ""
-    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
-    assert len(manifest["failures"]) == 230
-
-
-def test_route_reply_content_that_is_no_text_exit_1(tmp_path, fixture_menu_path, fixture_dataset_path,
-                                                    chat_server, capsys):
-    server = chat_server(reply=219)  # "content": 219
-    assert run(route_args(fixture_menu_path, fixture_dataset_path, tmp_path, filter="base_only", provider="http",
-                          endpoint=server.url, max_in_flight=1)) == 1  # returned: an exception would leave main
-    err = capsys.readouterr().err
-    assert err.startswith("error: run aborted: 3 provider failure(s) exceeded the budget of 2")
-    assert "content that is no text" in err and "Traceback" not in err
-    assert server.answered == 3
-    assert server.wait(open=0)
-
-
-def test_a_reply_holding_a_lone_surrogate_is_saved_with_a_replacement_character(
-        tmp_path, fixture_menu_path, fixture_dataset_path, loopback, capsys):
-    body = '{"choices": [{"message": {"content": "1-1\\ud83d"}}]}'  # half a surrogate pair, escaped
-    server = loopback(lambda request, index: chat_response(body=body))
-    argv = route_args(fixture_menu_path, fixture_dataset_path, tmp_path, filter="base_only")
-    assert run(argv + ["--provider", "http", "--endpoint", server.url]) == 0
-    (run_dir,) = tmp_path.glob("run-*")
-    rows = load_results(run_dir / "results.jsonl")
-    assert len(rows) == 230 and {(r.raw_response, r.predicted) for r in rows} == {("1-1\ufffd", "INVALID")}
-    capsys.readouterr()
-    assert run(["eval", str(run_dir / "results.jsonl"), "--menu", str(fixture_menu_path)]) == 0
-    assert "accuracy 0.00% over 230 results" in capsys.readouterr().out  # each row regraded as saved
 
 
 def test_route_rows_hold_the_answer_alone(oracle_run):
-    rows = [json.loads(line) for line in (oracle_run / "results.jsonl").read_text(encoding="utf-8").splitlines()]
+    rows = results_rows(oracle_run)
     assert len(rows) == 230
     assert {tuple(row) for row in rows} == {("intent_id", "raw_response", "predicted", "ground_truth", "latency")}
 
@@ -888,9 +670,20 @@ ROUTE_REFUSALS = {
             ("gen-intents-noise", "--noise", ("gen-intents", "{menu}", "--provider", "http", "--noise", "0.3", "0.3",
                                               "0.2")),
             ("route-script", "--script", (*ROUTE, "--script", "replies.json"))]},
+    "test_route_unknown_condition_usage_error": Row((*ROUTE, "--condition", "nonsense"), 2,
+                                                    choice_refused("route", "--condition", "nonsense")),
+    # A kind that is gone, as a flag or in the config file.
+    "test_a_provider_kind_that_is_gone_is_refused": (
+        Row((*ROUTE, "--provider", "scripted"), 2, choice_refused("route", "--provider", "scripted")),
+        bad_settings((*ROUTE, "--config", "{tmp}/config.json"), "kind must be one of http, oracle, keyword, not "
+                     "'scripted'", prepare=with_config({"providers": {"routing": {"kind": "scripted"}}}))),
     "test_route_missing_dataset_exit_2": Row(
         ("route", "--menu", "{menu}", "--dataset", "{tmp}/absent.jsonl", "--provider", "oracle", "--out", "{out}"), 2,
         "error: no such dataset file: {tmp}/absent.jsonl\n"),
+    # argv bytes that are no UTF-8 reach Python as lone surrogates: b"\xff" as "\udcff"
+    "test_route_model_flag_that_is_no_utf8_exit_2_before_any_call": bad_settings(
+        (*ROUTE, "--filter", "base_only", os.fsdecode(b"--model=m\xff")),
+        "model_name holds a lone surrogate: 'm\\udcff'"),
     "test_route_http_requires_endpoint": Row((*ROUTE, "--provider", "http"), 2, NEEDS_ENDPOINT),
     "test_route_bad_provider_setting_exit_2": {
         f"{flag}-{value}": bad_settings((*ROUTE, flag, value), problem) for flag, value, problem in [
@@ -953,293 +746,182 @@ ROUTE_REFUSALS = {
     "test_dataset_field_holding_a_lone_surrogate_exit_1": {
         field: lone_surrogate(field) for field in ["id", "text", "origin", "base_id"]},
 }
-table_tests(globals(), refused, ROUTE_REFUSALS)
+table_tests(globals(), check_cli, ROUTE_REFUSALS)
+
+
+BASE_ONLY = (*ROUTE, "--filter", "base_only")
+OVERWRITE = ("error: {out}/run-c3ca07a72a4f already exists (same menu/dataset/condition/model); "
+             "use --force to overwrite\n")
+RUN_FILES = (f"out/run-{ORACLE_RUN}/manifest.json", f"out/run-{ORACLE_RUN}/results.jsonl")
+HTTP_RUN = "7764641436c7"  # the flattened base-only run of the http provider's default model
+
+
+def aborted(count, budget, failed, more=0):
+    """What route prints when its run aborts: the first five failures named."""
+    return (f"error: run aborted: {count} provider failure(s) exceeded the budget of {budget}\n"
+            + "".join(f"  failed {intent}: {message}\n" for intent, message in failed)
+            + (f"  ... and {more} more\n" if more else ""))
+
+
+def replaced_and_regraded(inputs):
+    results_file = inputs["out"] / f"run-{HTTP_RUN}" / "results.jsonl"
+    assert {(r.raw_response, r.predicted) for r in router.load_results(results_file)} == {("1-1\ufffd", "INVALID")}
+    assert main(["eval", str(results_file), "--menu", str(inputs["menu"])]) == 0  # each row regraded as saved
+
+
+def run_in_out(inputs):
+    """A ``prepare``: {out} holds a copy of the oracle run."""
+    shutil.copytree(inputs["run"], inputs["out"] / f"run-{ORACLE_RUN}")
+
+
+def failing_first_write(inputs):
+    fail_at_step(inputs["monkeypatch"], 0)  # the first file write
+
+
+def linked_run(inputs):
+    """{out}/run-<oracle run id> is a link to a copy of the run elsewhere."""
+    (inputs["out"]).mkdir()
+    target = shutil.copytree(inputs["run"], inputs["tmp"] / "elsewhere")
+    (inputs["out"] / f"run-{ORACLE_RUN}").symlink_to(target, target_is_directory=True)
+
+
+def a_directory_not_a_link(inputs):
+    assert not (inputs["out"] / f"run-{ORACLE_RUN}").is_symlink()
+
+
+def counting(*targets):
+    """A ``prepare``: the calls of each of ``targets``, a module and a name in it, are counted by name."""
+    def prepare(inputs):
+        inputs["calls"] = Counter()
+        for module, name in targets:
+            inputs["monkeypatch"].setattr(module, name, lambda *args, fn=getattr(module, name), name=name: (
+                inputs["calls"].update([name]) or fn(*args)))
+    return prepare
+
+
+def counted(**calls):
+    """A ``then``: the calls ``counting`` counted."""
+    def then(inputs):
+        assert inputs["calls"] == calls
+    return then
+
+
+def same_rows_as(run_id):
+    """A ``then``: the run's rows are those of the fixture run ``run_id``, but for their latencies."""
+    def then(inputs):
+        runs = [[{**row, "latency": None} for row in results_rows(run_dir)]
+                for run_dir in (inputs["out"] / f"run-{run_id}", inputs["runs"][run_id])]
+        assert runs[0] == runs[1]
+    return then
+
+
+def nothing_routed(inputs):
+    run_dir = inputs["out"] / f"run-{HTTP_RUN}"
+    assert (run_dir / "results.jsonl").read_bytes() == b""
+    assert len(json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))["failures"]) == 230
+
+
+SCORED_IN_OUT = steps(run_in_out, succeeds(("eval", f"{{out}}/run-{ORACLE_RUN}/results.jsonl", "--menu", "{menu}")))
+LINES = data_text("agentnet.intents.jsonl").splitlines(keepends=True)
+THREE_PATHS = {"name": "Three", "root": {"label": "Root", "kind": "menu", "children": [
+    action(label, digit) for digit, label in (("1", "Pay"), ("2", "Repair"), ("3", "Cancel"))]}}
+# Texts that end in a newline: the prompt's query is the intent's text, the oracle's key for its answer.
+NEWLINE_TEXTS = "".join(json.dumps(r._asdict()) + "\n" for r in [
+    make_record("1", "my bill is wrong\n"), make_record("2", "the internet is down\r\n"),
+    make_record("3", "cancel my plan\n\n")])
+NO_UTF8_OUT = os.fsdecode(b"out\xff")  # argv bytes that are no UTF-8: the line that names the path escapes them
+
+ROUTE_ROWS = {
+    # Each double's reply depends only on its prompt, so a run of one run id
+    # on eight workers holds the rows of the session's run on four.
+    "test_a_run_id_names_one_set_of_rows_at_any_concurrency": {
+        provider: Row((*BASE_ONLY, "--max-in-flight", "8", "--provider", provider), 0, "",
+                      routed(accuracy=accuracy, run_id=run_id), wrote=run_entries(run_id), then=same_rows_as(run_id))
+        for provider, accuracy, run_id in [("keyword", "30.87", KEYWORD_RUN), ("oracle", "100.00", ORACLE_RUN)]},
+    # For the run id, before routing; the manifest reuses it.
+    "test_route_hashes_its_inputs_once": Row(BASE_ONLY, 0, "", routed(), prepare=counting((router, "dataset_to_jsonl")),
+                                             wrote=run_entries(), then=counted(dataset_to_jsonl=1)),
+    "test_route_judges_and_names_its_run_once": Row(
+        ROUTE, 0, "", routed(920, run_id="dfc44e400268"), wrote=run_entries("dfc44e400268"),
+        prepare=counting((cli, "validate_dataset"), (router, "validate_dataset"), (router, "dataset_to_jsonl")),
+        then=counted(validate_dataset=1, dataset_to_jsonl=1)),
+    # The keyword double reads the query and the offered paths out of the outline's prompt too.
+    "test_route_descriptive_all_920": Row(
+        (*ROUTE, "--condition", "descriptive", "--filter", "all", "--provider", "keyword"), 0, "",
+        routed(920, "28.26", "3fbc001469bd"), wrote=run_entries("3fbc001469bd")),
+    "test_route_refuses_overwrite_without_force": (
+        Row(BASE_ONLY, 1, OVERWRITE, prepare=run_in_out),
+        Row((*BASE_ONLY, "--force"), 0, "", routed(), prepare=run_in_out, wrote=RUN_FILES)),
+    "test_route_a_set_temperature_names_its_own_run": tuple(  # not refused as one run, nor as the unset one's
+        Row((*BASE_ONLY, "--temperature", temperature), 0, "", routed(run_id=run_id), wrote=run_entries(run_id))
+        for temperature, run_id in [("0", "0e8a820ee964"), ("1.5", "500c34253f6c")]),
+    "test_route_error_budget_bounds_are_allowed": {
+        budget: Row((*BASE_ONLY, "--error-budget", budget), 0, "", routed(), wrote=run_entries()) for budget in "01"},
+    "test_an_output_path_from_argv_bytes_that_are_no_utf8_is_printed_escaped": {
+        "route": Row((*BASE_ONLY, "--out", f"{{tmp}}/{NO_UTF8_OUT}"), 0, "",
+                     routed(under="{tmp}/out\\udcff"), wrote=run_entries(under=NO_UTF8_OUT)),
+        "gen-intents": Row(
+            (*GEN_INTENTS, "--per-node", "1", "--variants", "0",
+             "--dataset-out", f"{{tmp}}/{NO_UTF8_OUT}/intents.jsonl"),
+            0, "", "wrote 23 records to {tmp}/out\\udcff/intents.jsonl\n",
+            wrote=(NO_UTF8_OUT, f"{NO_UTF8_OUT}/intents.jsonl"), server={"reply": about_subject}, requests=23),
+        "eval": Row(("eval", "{run}/results.jsonl", "--menu", "{menu}", "--out", f"{{tmp}}/{NO_UTF8_OUT}"), 0, "",
+                    evaluated(under="{tmp}/out\\udcff"), wrote=(NO_UTF8_OUT, *report_entries(under=NO_UTF8_OUT)))},
+    "test_route_oracle_scores_texts_that_end_in_a_newline_as_they_are": {
+        condition: Row((*ROUTE, "--condition", condition), 0, "", routed(3, run_id=run_id),
+                       prepare=steps(with_menu(THREE_PATHS), with_dataset(NEWLINE_TEXTS)), wrote=run_entries(run_id))
+        for condition, run_id in [("flattened", "836af9828f5d"), ("descriptive", "1d485dc120c0")]},
+    "test_route_skips_blank_dataset_lines_and_keeps_the_run_id": Row(
+        BASE_ONLY, 0, "", routed(), prepare=with_dataset("\n" + "".join(LINES[:100]) + " \t\n\n" + "".join(LINES[100:])
+                                                         + "\n"), wrote=run_entries()),
+    # Half a surrogate pair, escaped in the reply's JSON.
+    "test_a_reply_holding_a_lone_surrogate_is_saved_with_a_replacement_character": Row(
+        (*BASE_ONLY, *HTTP), 0, "", routed(accuracy="0.00", run_id=HTTP_RUN), wrote=run_entries(HTTP_RUN),
+        prepare=lambda inputs: setattr(inputs["server"], "answer", lambda request, index: chat_response(
+            body='{"choices": [{"message": {"content": "1-1\\ud83d"}}]}')), requests=230, then=replaced_and_regraded),
+    # One worker: the first two intents are answered.
+    "test_route_names_each_failure_once": Row(
+        (*BASE_ONLY, *HTTP, "--max-in-flight", "1"), 1, aborted(3, 2, [(f"1-1:b0{i}", REFUSED) for i in (2, 3, 4)]),
+        wrote=("out",), server={"statuses": [200, 200], "status": 400}, requests=5),
+    "test_route_names_five_failures_and_counts_the_rest": Row(
+        (*BASE_ONLY, *HTTP, "--max-in-flight", "1", "--error-budget", "0.03"), 1,
+        aborted(7, 6, [(f"1-1:b0{i}", REFUSED) for i in range(5)], more=2), wrote=("out",), server={"status": 400},
+        requests=7),
+    "test_route_reply_content_that_is_no_text_exit_1": Row(  # "content": 219
+        (*BASE_ONLY, *HTTP, "--max-in-flight", "1"), 1, aborted(3, 2, [
+            (f"1-1:b0{i}", "first choice carries no message content, or content that is no text") for i in range(3)]),
+        wrote=("out",), server={"reply": 219}, requests=3),
+    # Two of the 230 base intents get no reply.
+    "test_route_summary_counts_the_failures_it_does_not_score": Row(
+        (*BASE_ONLY, *HTTP, "--max-in-flight", "1"), 0, "",
+        "routed 228 intents, accuracy 4.39%, 2 failed and not scored\nrun directory: {out}/run-" + HTTP_RUN + "\n",
+        wrote=run_entries(HTTP_RUN), server={"statuses": [200] * 228, "status": 400}, requests=230),
+    "test_route_every_intent_failing_within_budget_exit_1": Row(
+        (*BASE_ONLY, *HTTP, "--error-budget", "1"), 1,
+        "error: no intent was routed (230 provider failure(s)); see {out}/run-" + HTTP_RUN + "\n",
+        wrote=run_entries(HTTP_RUN), server={"status": 400}, requests=230, then=nothing_routed),
+    # The old run and its report stay, byte for byte, and no temporary entry is left beside them.
+    "test_route_force_over_results_that_cannot_be_written_exit_1": Row(
+        (*BASE_ONLY, "--force"), 1, "error: cannot write {out}/run-c3ca07a72a4f: [Errno 28] No space left on device\n",
+        prepare=steps(SCORED_IN_OUT, failing_first_write)),
+    # The same run id under another provider, the model being in it and the provider kind not: a rerun that
+    # aborts keeps the old results and their report together; one that ends replaces both.
+    "test_route_force_replaces_the_report_only_once_new_results_are_written": (
+        Row((*BASE_ONLY, "--model", "oracle-mock", "--force", *HTTP, "--max-in-flight", "1"), 1,
+            aborted(3, 2, [(f"1-1:b0{i}", REFUSED) for i in range(3)]), prepare=SCORED_IN_OUT,
+            server={"status": 400}, requests=3),
+        Row((*BASE_ONLY, "--model", "oracle-mock", "--force", "--provider", "keyword"), 0, "", routed(230, "30.87"),
+            prepare=SCORED_IN_OUT, wrote=RUN_FILES + report_entries(under=f"out/run-{ORACLE_RUN}"))),
+    # The link is replaced by the run; the directory it named is kept.
+    "test_route_force_over_a_linked_run_directory_replaces_the_link_and_keeps_its_target": Row(
+        (*BASE_ONLY, "--force"), 0, "", routed(), prepare=linked_run, wrote=RUN_FILES, then=a_directory_not_a_link),
+}
+table_tests(globals(), check_cli, ROUTE_ROWS)
+
+
 
 
 # --- eval ------------------------------------------------------------------------------
-
-def test_eval_oracle_run(tmp_path, fixture_menu_path, oracle_run, capsys):
-    run_dir = copy_run(oracle_run, tmp_path)
-    assert run(["eval", str(run_dir / "results.jsonl"), "--menu", str(fixture_menu_path)]) == 0
-    assert "accuracy 100.00% over 230 results" in capsys.readouterr().out
-    report_dir = run_dir / f"eval-{run_dir.name.removeprefix('run-')}"
-    assert report_dir.is_dir()
-    report = json.loads((report_dir / "report.json").read_text(encoding="utf-8"))
-    assert report["accuracy"] == 1.0
-    assert report["dataset_filter"] == "base_only"
-    summary = (report_dir / "summary.md").read_text(encoding="utf-8")
-    assert "| Flattened Paths | Base Only | 100.00 | 230 |" in summary
-
-
-# The sha256 of each file eval writes for the fixture's four oracle runs, named by run id.
-ORACLE_REPORTS = {
-    "c3ca07a72a4f": ("flattened", "base_only", {
-        "report.json": "c6cb6da9168619d042124020a24afc190a0f5df5121c19840d5040079aef6475",
-        "matrix.csv": "5ee26d428aea9533c9142f4076aff482ec2abae3a1dcf8cecb4ccb4d3cb9fdcf",
-        "matrix_long.csv": "2cb852598550cf3c5e92fac20620b5f71d9090db1d2a23d203d6cc7e48d168e0",
-        "summary.md": "d9c8c78cfb7f988c2760dd754aea630fe61e7bdbbd9d20710857be57f0d05f52"}),
-    "dfc44e400268": ("flattened", "all", {
-        "report.json": "6d87560bf6f7da6f0297cbdf147837cc2742fdd948417fc7ab86c08b184664a0",
-        "matrix.csv": "e90258698e3c7f8e5abec26baf568eb514375af76306e3cf7e474f86a58f8a46",
-        "matrix_long.csv": "635962ef06c06aca68fae631030a75fff9c00bff71cb3b43228a22ade573cbd8",
-        "summary.md": "99c96df1e715658ee9d0c362f3194f3b4a13e91a8a524fb1b708369af1b0d81c"}),
-    "8a900ae47168": ("descriptive", "base_only", {
-        "report.json": "30f84890c937b22a19a83c1fd8fd4effe4a3e431c19bed9091a566876ba5b101",
-        "matrix.csv": "5ee26d428aea9533c9142f4076aff482ec2abae3a1dcf8cecb4ccb4d3cb9fdcf",
-        "matrix_long.csv": "2cb852598550cf3c5e92fac20620b5f71d9090db1d2a23d203d6cc7e48d168e0",
-        "summary.md": "169fc01470d844464e78ebb4861f1ec1b771506c3d65d53cf384f0ec2efde037"}),
-    "f01ca3e681f7": ("descriptive", "all", {
-        "report.json": "cde2948ac86d6f8adb3cb215eb3f37f29bd7f150c976265ee4c0b0817ac24c6a",
-        "matrix.csv": "e90258698e3c7f8e5abec26baf568eb514375af76306e3cf7e474f86a58f8a46",
-        "matrix_long.csv": "635962ef06c06aca68fae631030a75fff9c00bff71cb3b43228a22ade573cbd8",
-        "summary.md": "77c7a40834743f72e684b23a3d3a85aefbf186cb079a35d56ddbc835a41fda6f"}),
-}
-
-
-@pytest.mark.parametrize("run_id", ORACLE_REPORTS)
-def test_eval_writes_the_pinned_report_of_each_fixture_oracle_run(tmp_path, fixture_menu_path,
-                                                                  fixture_dataset_path, run_id):
-    condition, record_filter, digests = ORACLE_REPORTS[run_id]
-    assert run(route_args(fixture_menu_path, fixture_dataset_path, tmp_path,
-                          condition=condition, filter=record_filter)) == 0
-    results_file = tmp_path / f"run-{run_id}" / "results.jsonl"
-    assert run(["eval", str(results_file), "--menu", str(fixture_menu_path)]) == 0
-    report_dir = results_file.parent / f"eval-{run_id}"
-    assert {file.name: sha256_of(file) for file in report_dir.iterdir()} == digests
-
-
-def test_eval_scores_an_earlier_format_row_over_the_menus_classes(tmp_path, fixture_menu_path, oracle_run, capsys):
-    run_dir = copy_run(oracle_run, tmp_path)
-    results_file = run_dir / "results.jsonl"
-    # Rows of an earlier format: a row claiming that 9-9-9 is a terminal path
-    # does not make it a class, and rules listed beside a clean reply are ignored.
-    rows = [{**json.loads(line), "known_path": True, "normalization_applied": []}
-            for line in results_file.read_text(encoding="utf-8").splitlines()]
-    rows[3].update(raw_response="9-9-9", predicted="9-9-9", normalization_applied=["bogus", "trim"])
-    results_file.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
-    vouch(run_dir)
-    assert run(["eval", str(results_file), "--menu", str(fixture_menu_path)]) == 0
-    assert "accuracy 99.57% over 230 results" in capsys.readouterr().out
-    report = json.loads((next(run_dir.glob("eval-*")) / "report.json").read_text(encoding="utf-8"))
-    matrix = report["matrix"]
-    assert matrix["true_labels"] == [tp.path for tp in flatten(load_menu(fixture_menu_path))]
-    assert len(matrix["true_labels"]) == 23 and matrix["predicted_labels"][-2:] == ["INVALID", "UNKNOWN_PATH"]
-    unknown = {label: row[-1] for label, row in zip(matrix["true_labels"], matrix["counts"]) if row[-1]}
-    assert unknown == {rows[3]["ground_truth"]: 1}
-
-
-def test_eval_refuses_rows_of_two_runs(tmp_path, fixture_menu_path, fixture_dataset_path, capsys):
-    runs = {}
-    for condition, provider in [("flattened", "keyword"), ("descriptive", "oracle")]:
-        out = tmp_path / provider
-        assert run(route_args(fixture_menu_path, fixture_dataset_path, out, condition=condition,
-                              filter="base_only") + ["--provider", provider]) == 0
-        runs[provider] = next(out.glob("run-*"))
-    lines = {provider: (run_dir / "results.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
-             for provider, run_dir in runs.items()}
-    mixed = tmp_path / "mixed"
-    mixed.mkdir()
-    (mixed / "results.jsonl").write_text("".join(lines["keyword"][:5] + lines["oracle"][:5]),
-                                         encoding="utf-8")
-    (mixed / "manifest.json").write_bytes((runs["keyword"] / "manifest.json").read_bytes())
-    assert_unvouched(mixed / "results.jsonl", fixture_menu_path, capsys)
-    # One run's rows beside another run's manifest, which names another model.
-    keyword_results = runs["keyword"] / "results.jsonl"
-    edit_manifest(runs["keyword"], model_name="oracle-mock")
-    assert run(["eval", str(keyword_results), "--menu", str(fixture_menu_path)]) == 1
-    assert capsys.readouterr().err.endswith("is not the hash of the fields that name its run\n")
-    assert not list(tmp_path.rglob("eval-*"))
-
-
-def test_eval_grades_only_the_rows_it_hashed(tmp_path, fixture_menu_path, fixture_dataset_path,
-                                             monkeypatch, capsys):
-    run_dirs = {}
-    for provider in ("oracle", "keyword"):  # one run id: the model names a run, not the provider's kind
-        assert run(route_args(fixture_menu_path, fixture_dataset_path, tmp_path / provider, filter="base_only",
-                              provider=provider, model="m")) == 0
-        run_dirs[provider] = next((tmp_path / provider).glob("run-*"))
-    assert run_dirs["oracle"].name == run_dirs["keyword"].name
-    vouched = {provider: json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))["results_sha256"]
-               for provider, run_dir in run_dirs.items()}
-    # The keyword run replaces the oracle run's files, as a route --force would,
-    # once eval has begun to parse the oracle run's rows.
-    parse, swapped = router.result_from_record, []
-
-    def swapping(record):
-        if not swapped:
-            for name in ("results.jsonl", "manifest.json"):
-                os.replace(run_dirs["keyword"] / name, run_dirs["oracle"] / name)
-            swapped.append(name)
-        return parse(record)
-
-    monkeypatch.setattr(router, "result_from_record", swapping)
-    results_file = run_dirs["oracle"] / "results.jsonl"
-    capsys.readouterr()
-    assert run(["eval", str(results_file), "--menu", str(fixture_menu_path)]) == 1
-    assert swapped
-    assert capsys.readouterr().err == (f"error: {results_file} has sha256 {vouched['oracle']}, "
-                                       f"but the run's results_sha256 is {vouched['keyword']}\n")
-    assert not list(tmp_path.rglob("eval-*"))
-
-
-def assert_unvouched(results_file, menu, capsys):
-    """``eval`` refuses ``results_file`` for bytes its manifest does not vouch for, and writes no report."""
-    vouched = json.loads((results_file.parent / "manifest.json").read_text(encoding="utf-8"))["results_sha256"]
-    capsys.readouterr()
-    assert run(["eval", str(results_file), "--menu", str(menu)]) == 1
-    assert capsys.readouterr().err == (f"error: {results_file} has sha256 {sha256_of(results_file)}, "
-                                       f"but the run's results_sha256 is {vouched}\n")
-    assert not list(results_file.parent.glob("eval-*"))
-
-
-def test_eval_refuses_the_rows_of_another_slice_than_the_manifest(tmp_path, fixture_menu_path,
-                                                                   fixture_dataset_path, oracle_run, capsys):
-    assert run(route_args(fixture_menu_path, fixture_dataset_path, tmp_path, filter="all")) == 0
-    (all_run,) = tmp_path.glob("run-*")
-    # The 920 rows of the augmented run beside the base-only run's manifest.
-    (all_run / "manifest.json").write_bytes((oracle_run / "manifest.json").read_bytes())
-    assert_unvouched(all_run / "results.jsonl", fixture_menu_path, capsys)
-    assert not list(tmp_path.rglob("eval-*"))
-
-
-def test_eval_refuses_a_row_of_another_run_in_place_of_one_of_its_own(tmp_path, fixture_menu_path,
-                                                                      fixture_dataset_path, oracle_run, capsys):
-    run_dir = copy_run(oracle_run, tmp_path / "base")
-    assert run(route_args(fixture_menu_path, fixture_dataset_path, tmp_path / "all", filter="all")) == 0
-    all_results = next((tmp_path / "all").glob("run-*/results.jsonl"))
-    augmented = next(line for line in all_results.read_text(encoding="utf-8").splitlines(keepends=True)
-                     if ":v" in json.loads(line)["intent_id"])
-    results_file = run_dir / "results.jsonl"
-    lines = results_file.read_text(encoding="utf-8").splitlines(keepends=True)
-    lines[5] = augmented  # 230 rows, each intent once, each reply parsing to its prediction
-    results_file.write_text("".join(lines), encoding="utf-8")
-    assert_unvouched(results_file, fixture_menu_path, capsys)
-
-
-def test_eval_refuses_labels_edited_to_the_predictions(tmp_path, fixture_menu_path, fixture_dataset_path, capsys):
-    assert run(route_args(fixture_menu_path, fixture_dataset_path, tmp_path, filter="base_only")
-               + ["--provider", "keyword"]) == 0
-    results_file = next(tmp_path.glob("run-*/results.jsonl"))
-    rows = [json.loads(line) for line in results_file.read_text(encoding="utf-8").splitlines()]
-    wrong = [row for row in rows if row["predicted"] not in (row["ground_truth"], "INVALID")]
-    assert len(wrong) > 40
-    for row in wrong[:40]:
-        row["ground_truth"] = row["predicted"]
-    results_file.write_text("".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows), encoding="utf-8")
-    assert_unvouched(results_file, fixture_menu_path, capsys)
-
-
-def test_eval_scores_a_run_routed_before_manifests_held_a_digest_once_vouched(tmp_path, fixture_menu_path,
-                                                                             oracle_run, capsys):
-    run_dir = copy_run(oracle_run, tmp_path)
-    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
-    del manifest["results_sha256"]
-    (run_dir / "manifest.json").write_text(json.dumps({**manifest, "n_results": 230}), encoding="utf-8")
-    evaluate = ["eval", str(run_dir / "results.jsonl"), "--menu", str(fixture_menu_path)]
-    assert run(evaluate) == 1
-    assert capsys.readouterr().err.endswith("not a route run's manifest (bad results_sha256)\n")
-    assert not list(run_dir.glob("eval-*"))
-    vouch(run_dir)  # the migration README gives
-    assert run(evaluate) == 0
-    assert "accuracy 100.00% over 230 results" in capsys.readouterr().out
-
-
-@settings(max_examples=100, deadline=None)
-@given(reply=st.text(max_size=30) | st.from_regex(r"\A[ '`.]{0,2}[0-9](-[0-9]){0,3}[ '`.]{0,2}\Z"),
-       lenient=st.booleans(), other=st.sampled_from(["1-1", "2-1", "INVALID"]))
-def test_eval_regrades_any_reply_route_one_wrote(tmp_path_factory, fixture_menu_path, reply, lenient, other):
-    intent = make_record("1-1", "i want my balance")  # the ground truth is 1-1
-    row = router.route_one(intent, RoutingCondition.FLATTENED_PATHS, "1-1: Balance",
-                           AnsweringProvider(lambda prompt: reply), lenient)
-    run_dir = tmp_path_factory.mktemp("regrade")
-    tree = load_menu(fixture_menu_path)
-    identity = {"menu_name": tree.name, "menu_hash": router.menu_hash(tree), "dataset_hash": "0" * 64,
-                "condition": "flattened_paths", "dataset_filter": "base_only", "model_name": "answering-mock",
-                "parse_mode": "lenient" if lenient else "strict"}
-    manifest = {**identity, "run_id": router.run_id(identity),
-                "results_sha256": router.save_results([row], run_dir / "results.jsonl")}
-    (run_dir / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
-    evaluate = ["eval", str(run_dir / "results.jsonl"), "--menu", str(fixture_menu_path), "--out"]
-    assert run(evaluate + [str(run_dir / "ok")]) == 0
-    if other != row.predicted:
-        edited = row._replace(predicted=other)
-        router.save_results([edited], run_dir / "results.jsonl")
-        vouch(run_dir)
-        assert run(evaluate + [str(run_dir / "edited")]) == 1
-        assert not (run_dir / "edited").exists()
-
-
-def test_eval_scores_a_previous_format_results_file_from_the_evidence(tmp_path, fixture_menu_path, oracle_run,
-                                                                      capsys):
-    run_dir = copy_run(oracle_run, tmp_path)
-    results_file = run_dir / "results.jsonl"
-    truth = json.loads(results_file.read_text(encoding="utf-8").splitlines()[3])["ground_truth"]
-    wrong = "1-2" if truth == "1-1" else "1-1"
-    edit_rows(results_file, lambda rows: rows[:3] + [{**rows[3], "raw_response": wrong, "predicted": wrong}]
-              + rows[4:])
-    vouch(run_dir)
-    assert run(["eval", str(results_file), "--menu", str(fixture_menu_path), "--out", str(tmp_path / "now")]) == 0
-    # The same answers as rows were written before they held the answer alone:
-    # each names the run's condition and model and stores a flag, true even on the wrong answer.
-    rows = [json.loads(line) for line in results_file.read_text(encoding="utf-8").splitlines()]
-    results_file.write_text("".join(json.dumps({
-        "intent_id": row["intent_id"], "condition": "flattened_paths", **row, "correct": True,
-        "model_name": "oracle-mock"}) + "\n" for row in rows), encoding="utf-8")
-    vouch(run_dir)
-    capsys.readouterr()
-    assert run(["eval", str(results_file), "--menu", str(fixture_menu_path),
-                "--out", str(tmp_path / "previous")]) == 0
-    assert "accuracy 99.57% over 230 results" in capsys.readouterr().out
-    for name in ("report.json", "matrix.csv", "matrix_long.csv", "summary.md"):
-        report = f"eval-{run_dir.name.removeprefix('run-')}/{name}"
-        assert (tmp_path / "previous" / report).read_bytes() == (tmp_path / "now" / report).read_bytes()
-
-
-def test_eval_empty_results_exit_1(tmp_path, fixture_menu_path, fixture_dataset_path, chat_server, capsys):
-    assert run(route_args(fixture_menu_path, fixture_dataset_path, tmp_path / "runs", filter="base_only",
-                          provider="http", endpoint=chat_server(status=503).url, error_budget=1, max_retries=0)) == 1
-    assert capsys.readouterr().err.startswith("error: no intent was routed (230 provider failure(s))")
-    (run_dir,) = (tmp_path / "runs").glob("run-*")
-    assert run(["eval", str(run_dir / "results.jsonl"), "--menu", str(fixture_menu_path)]) == 1
-    assert capsys.readouterr().err == "error: no results to score\n"
-    assert not list(run_dir.glob("eval-*"))
-    # An empty results file with no manifest beside it is no run at all.
-    alone = tmp_path / "alone" / "results.jsonl"
-    alone.parent.mkdir()
-    alone.write_text("", encoding="utf-8")
-    assert run(["eval", str(alone), "--menu", str(fixture_menu_path)]) == 2
-    assert capsys.readouterr().err == f"error: no such manifest file: {alone.parent / 'manifest.json'}\n"
-
-
-def test_eval_report_file_that_cannot_be_written_exit_1(tmp_path, fixture_menu_path, oracle_run, monkeypatch,
-                                                        capsys):
-    run_dir = copy_run(oracle_run, tmp_path)
-    evaluate = ["eval", str(run_dir / "results.jsonl"), "--menu", str(fixture_menu_path)]
-    assert run(evaluate) == 0
-    report_dir = run_dir / run_dir.name.replace("run-", "eval-")
-    written = contents(report_dir)
-    capsys.readouterr()
-    fail_at_step(monkeypatch, 0)  # the first file write
-    assert run(evaluate) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith(f"error: cannot write {report_dir}: ") and captured.err.count("\n") == 1
-    assert captured.out == ""
-    monkeypatch.undo()
-    assert contents(report_dir) == written and len(written) == 4  # the old report, byte for byte
-    assert sorted(run_dir.iterdir()) == [report_dir, run_dir / "manifest.json", run_dir / "results.jsonl"]
-    assert run(evaluate) == 0
-    assert contents(report_dir) == written
-
-
-def test_eval_whose_first_write_fails_exit_1_and_leaves_no_report(tmp_path, fixture_menu_path, oracle_run,
-                                                                  monkeypatch, capsys):
-    run_dir = copy_run(oracle_run, tmp_path)
-    report_dir = run_dir / run_dir.name.replace("run-", "eval-")
-    fail_at_step(monkeypatch, 0)
-    assert run(["eval", str(run_dir / "results.jsonl"), "--menu", str(fixture_menu_path)]) == 1
-    assert capsys.readouterr().err.startswith(f"error: cannot write {report_dir}: ")
-    assert sorted(run_dir.iterdir()) == [run_dir / "manifest.json", run_dir / "results.jsonl"]
-
 
 EVAL = ("eval", "{run}/results.jsonl", "--menu", "{menu}")
 UNVOUCHED = "error: {run}/results.jsonl has sha256 {digest}, but the run's results_sha256 is {vouched}\n"
@@ -1367,95 +1049,240 @@ EVAL_REFUSALS = {
         "results_sha256": Row(EVAL, 1, UNVOUCHED.replace("{vouched}", "0" * 64),
                               prepare=edited_manifest(results_sha256="0" * 64))},
 }
-table_tests(globals(), refused, EVAL_REFUSALS)
+table_tests(globals(), check_cli, EVAL_REFUSALS)
+
+
+
+# The sha256 of each file eval writes for the fixture's four oracle runs, named by run id.
+BASE_MATRIX = {"matrix.csv": "5ee26d428aea9533c9142f4076aff482ec2abae3a1dcf8cecb4ccb4d3cb9fdcf",
+               "matrix_long.csv": "2cb852598550cf3c5e92fac20620b5f71d9090db1d2a23d203d6cc7e48d168e0"}
+ALL_MATRIX = {"matrix.csv": "e90258698e3c7f8e5abec26baf568eb514375af76306e3cf7e474f86a58f8a46",
+              "matrix_long.csv": "635962ef06c06aca68fae631030a75fff9c00bff71cb3b43228a22ade573cbd8"}
+ORACLE_REPORTS = {
+    "c3ca07a72a4f": {**BASE_MATRIX, "report.json": "c6cb6da9168619d042124020a24afc190a0f5df5121c19840d5040079aef6475",
+                     "summary.md": "d9c8c78cfb7f988c2760dd754aea630fe61e7bdbbd9d20710857be57f0d05f52"},
+    "dfc44e400268": {**ALL_MATRIX, "report.json": "6d87560bf6f7da6f0297cbdf147837cc2742fdd948417fc7ab86c08b184664a0",
+                     "summary.md": "99c96df1e715658ee9d0c362f3194f3b4a13e91a8a524fb1b708369af1b0d81c"},
+    "8a900ae47168": {**BASE_MATRIX, "report.json": "30f84890c937b22a19a83c1fd8fd4effe4a3e431c19bed9091a566876ba5b101",
+                     "summary.md": "169fc01470d844464e78ebb4861f1ec1b771506c3d65d53cf384f0ec2efde037"},
+    "f01ca3e681f7": {**ALL_MATRIX, "report.json": "cde2948ac86d6f8adb3cb215eb3f37f29bd7f150c976265ee4c0b0817ac24c6a",
+                     "summary.md": "77c7a40834743f72e684b23a3d3a85aefbf186cb079a35d56ddbc835a41fda6f"},
+}
+# The report of the oracle run whose fourth row names another path, scored
+# from the rows as route writes them and as earlier formats held them.
+ONE_WRONG_REPORT = {
+    "report.json": "d3d816fd32a2c75ba052a4b3c5020e18f4f65e9a9ea35141ab992fad0096cd70",
+    "matrix.csv": "e164b34ec21bed9c55ffb6689b7980216bd029ed279edf237e9acb3c04b15180",
+    "matrix_long.csv": "913e562ba8cffe9231e845700a09372097b989efc1361ba1e882568f50353143",
+    "summary.md": "33b6c8df8b7dc4587d05ab9d5b830a08f4ba85cb6f52009320949d80cda53b51"}
+
+
+def pinned(digests, run_id=ORACLE_RUN):
+    """A ``then``: the sha256 of each file of {run}'s report."""
+    def then(inputs):
+        report_dir = inputs["run"] / f"eval-{run_id}"
+        assert {file.name: sha256_of(file) for file in report_dir.iterdir()} == digests
+    return then
+
+
+def earlier_format(rows):
+    """Rows of an earlier format: a row claiming that 9-9-9 is a terminal path
+    does not make it a class, and rules listed beside a clean reply are ignored."""
+    rows = [{**row, "known_path": True, "normalization_applied": []} for row in rows]
+    rows[3].update(raw_response="9-9-9", predicted="9-9-9", normalization_applied=["bogus", "trim"])
+    return rows
+
+
+def scored_over_the_menus_classes(inputs):
+    matrix = json.loads((inputs["run"] / f"eval-{ORACLE_RUN}" / "report.json").read_text(encoding="utf-8"))["matrix"]
+    assert matrix["true_labels"] == [tp.path for tp in flatten(load_menu(inputs["menu"]))]
+    assert len(matrix["true_labels"]) == 23 and matrix["predicted_labels"][-2:] == ["INVALID", "UNKNOWN_PATH"]
+    unknown = {label: row[-1] for label, row in zip(matrix["true_labels"], matrix["counts"]) if row[-1]}
+    assert unknown == {"1-1": 1}  # the fourth row's truth
+
+
+def one_wrong(rows):
+    wrong = "1-2" if rows[3]["ground_truth"] == "1-1" else "1-1"
+    return rows[:3] + [{**rows[3], "raw_response": wrong, "predicted": wrong}] + rows[4:]
+
+
+def previous_format(rows):
+    """The rows as they were written before they held the answer alone: each
+    names the run's condition and model and stores a flag, true even on the wrong answer."""
+    return [{"intent_id": row["intent_id"], "condition": "flattened_paths", **row, "correct": True,
+             "model_name": "oracle-mock"} for row in one_wrong(rows)]
+
+
+def mixed_with(run_id):
+    """A ``prepare``: {run}'s first five rows, then the first five of the fixture run ``run_id``."""
+    def prepare(inputs):
+        other = results_rows(inputs["runs"][run_id])[:5]
+        with_rows(lambda rows: rows[:5] + other)(inputs)
+    return prepare
+
+
+def row_of_another_run(inputs):
+    """{run}'s sixth row becomes an augmented row of the oracle run of every record: 230 rows, each intent
+    once, each reply parsing to its prediction."""
+    augmented = next(row for row in results_rows(inputs["runs"]["dfc44e400268"]) if ":v" in row["intent_id"])
+    with_rows(lambda rows: rows[:5] + [augmented] + rows[6:])(inputs)
+
+
+def labels_to_predictions(rows):
+    wrong = [row for row in rows if row["predicted"] not in (row["ground_truth"], "INVALID")]
+    assert len(wrong) > 40
+    for row in wrong[:40]:
+        row["ground_truth"] = row["predicted"]
+    return rows
+
+
+def swapped_while_parsed(inputs):
+    """Once eval has begun to parse {run}'s rows, the keyword run's files
+    replace them, as a route --force would; {swapped} is their results_sha256."""
+    other = shutil.copytree(inputs["runs"][KEYWORD_RUN], inputs["tmp"] / "other")
+    inputs["swapped"], parse = vouched_by(other), router.result_from_record
+
+    def swapping(record):
+        for name in ("results.jsonl", "manifest.json"):
+            if (other / name).exists():
+                os.replace(other / name, inputs["run"] / name)
+        return parse(record)
+
+    inputs["monkeypatch"].setattr(router, "result_from_record", swapping)
+
+
+def undigested(inputs):
+    """{run}'s manifest as route wrote it before manifests held a results digest."""
+    manifest = json.loads((inputs["run"] / "manifest.json").read_text(encoding="utf-8"))
+    del manifest["results_sha256"]
+    (inputs["run"] / "manifest.json").write_text(json.dumps({**manifest, "n_results": 230}), encoding="utf-8")
+
+
+NO_SPACE = "error: cannot write {run}/eval-c3ca07a72a4f: [Errno 28] No space left on device\n"
+EVALUATED = report_entries()
+
+EVAL_ROWS = {
+    "test_eval_oracle_run": Row(EVAL, 0, "", evaluated(), wrote=EVALUATED),
+    "test_eval_writes_the_pinned_report_of_each_fixture_oracle_run": {
+        run_id: Row(EVAL, 0, "", evaluated(count=FIXTURE_RUNS[run_id][3].split()[1], run_id=run_id),
+                    prepare=use_run(run_id), wrote=report_entries(run_id), then=pinned(digests, run_id))
+        for run_id, digests in ORACLE_REPORTS.items()},
+    "test_eval_scores_an_earlier_format_row_over_the_menus_classes": Row(
+        EVAL, 0, "", evaluated("99.57"), prepare=with_rows(earlier_format, vouched=True), wrote=EVALUATED,
+        then=scored_over_the_menus_classes),
+    "test_eval_scores_a_previous_format_results_file_from_the_evidence": (
+        Row(EVAL, 0, "", evaluated("99.57"), prepare=with_rows(one_wrong, vouched=True), wrote=EVALUATED,
+            then=pinned(ONE_WRONG_REPORT)),
+        Row(EVAL, 0, "", evaluated("99.57"), prepare=with_rows(previous_format, vouched=True), wrote=EVALUATED,
+            then=pinned(ONE_WRONG_REPORT))),
+    "test_eval_refuses_rows_of_two_runs": (
+        Row(EVAL, 1, UNVOUCHED, prepare=steps(use_run(KEYWORD_RUN), mixed_with("8a900ae47168"))),
+        # One run's rows beside another run's manifest, which names another model.
+        Row(EVAL, 1, MANIFEST_ERROR % NOT_HASHED.replace(ORACLE_RUN, KEYWORD_RUN),
+            prepare=steps(use_run(KEYWORD_RUN), edited_manifest(model_name="oracle-mock")))),
+    "test_eval_grades_only_the_rows_it_hashed": Row(
+        EVAL, 1, "error: {run}/results.jsonl has sha256 {digest}, but the run's results_sha256 is {swapped}\n",
+        prepare=swapped_while_parsed,
+        wrote=("other/manifest.json", "other/results.jsonl", "run/manifest.json", "run/results.jsonl")),
+    # The 920 rows of the augmented run beside the base-only run's manifest.
+    "test_eval_refuses_the_rows_of_another_slice_than_the_manifest": Row(
+        EVAL, 1, UNVOUCHED, prepare=lambda inputs: shutil.copy(inputs["runs"]["dfc44e400268"] / "results.jsonl",
+                                                               inputs["run"])),
+    "test_eval_refuses_a_row_of_another_run_in_place_of_one_of_its_own": Row(
+        EVAL, 1, UNVOUCHED, prepare=row_of_another_run),
+    "test_eval_refuses_labels_edited_to_the_predictions": Row(
+        EVAL, 1, UNVOUCHED, prepare=steps(use_run(KEYWORD_RUN), with_rows(labels_to_predictions))),
+    "test_eval_scores_a_run_routed_before_manifests_held_a_digest_once_vouched": (
+        Row(EVAL, 1, MANIFEST_ERROR % "not a route run's manifest (bad results_sha256)", prepare=undigested),
+        # README's migration: vouch for the rows as they are.
+        Row(EVAL, 0, "", evaluated(), prepare=steps(undigested, lambda inputs: vouch(inputs["run"])), wrote=EVALUATED)),
+    "test_eval_empty_results_exit_1": (
+        Row(EVAL, 1, "error: no results to score\n", prepare=with_rows(lambda rows: [], vouched=True)),
+        # An empty results file with no manifest beside it is no run at all.
+        Row(("eval", "{tmp}/alone/results.jsonl", "--menu", "{menu}"), 2,
+            "error: no such manifest file: {tmp}/alone/manifest.json\n", prepare=steps(
+                lambda inputs: (inputs["tmp"] / "alone").mkdir(), write("{tmp}/alone/results.jsonl", "")))),
+    # The old report stays, byte for byte, and no temporary entry is left beside it.
+    "test_eval_report_file_that_cannot_be_written_exit_1": Row(
+        EVAL, 1, NO_SPACE, prepare=steps(succeeds(EVAL), failing_first_write)),
+    "test_eval_whose_first_write_fails_exit_1_and_leaves_no_report": Row(
+        EVAL, 1, NO_SPACE, prepare=failing_first_write),
+}
+table_tests(globals(), check_cli, EVAL_ROWS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(reply=st.text(max_size=30) | st.from_regex(r"\A[ '`.]{0,2}[0-9](-[0-9]){0,3}[ '`.]{0,2}\Z"),
+       lenient=st.booleans(), other=st.sampled_from(["1-1", "2-1", "INVALID"]))
+def test_eval_regrades_any_reply_route_one_wrote(tmp_path_factory, fixture_menu_path, reply, lenient, other):
+    intent = make_record("1-1", "i want my balance")  # the ground truth is 1-1
+    row = router.route_one(intent, RoutingCondition.FLATTENED_PATHS, "1-1: Balance",
+                           AnsweringProvider(lambda prompt: reply), lenient)
+    run_dir = tmp_path_factory.mktemp("regrade")
+    tree = load_menu(fixture_menu_path)
+    identity = {"menu_name": tree.name, "menu_hash": router.menu_hash(tree), "dataset_hash": "0" * 64,
+                "condition": "flattened_paths", "dataset_filter": "base_only", "model_name": "answering-mock",
+                "parse_mode": "lenient" if lenient else "strict"}
+    manifest = {**identity, "run_id": router.run_id(identity),
+                "results_sha256": router.save_results([row], run_dir / "results.jsonl")}
+    (run_dir / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    evaluate = ["eval", str(run_dir / "results.jsonl"), "--menu", str(fixture_menu_path), "--out"]
+    assert main(evaluate + [str(run_dir / "ok")]) == 0
+    if other != row.predicted:
+        edited = row._replace(predicted=other)
+        router.save_results([edited], run_dir / "results.jsonl")
+        vouch(run_dir)
+        assert main(evaluate + [str(run_dir / "edited")]) == 1
+        assert not (run_dir / "edited").exists()
 
 
 # --- demo ------------------------------------------------------------------------------
 
-def demo(monkeypatch, menu, lines, *provider):
-    """The exit code of ``ivroute demo`` on ``menu`` with ``provider``'s flags and ``lines`` on stdin."""
-    monkeypatch.setattr("sys.stdin", io.StringIO(lines))
-    return run(["demo", "--menu", str(menu), *provider])
+DEMO_KEYWORD = ("demo", "--menu", "{menu}", "--provider", "keyword")
+DEMO_HTTP = ("demo", "--menu", "{menu}", "--provider", "http", "--endpoint", "{url}")
+BALANCE = "1-1  Billing and Account Management -> Check Balance\n"
+INTERNET_AGENT = "2-1-9  Technical Assistance -> Internet Issues -> Technical Representative\n"
 
 
-def http_at(server):
-    return "--provider", "http", "--endpoint", server.url
+def recording_paces(inputs):
+    inputs["paced"], run_calls = [], router.run_calls
+    inputs["monkeypatch"].setattr("ivroute.cli.run_calls", lambda *args, pacing, **kwargs: (
+        inputs["paced"].append(pacing) or run_calls(*args, pacing=pacing, **kwargs)))
 
 
-def test_demo_keyword_prints_path_and_breadcrumb(fixture_menu_path, monkeypatch, capsys):
-    assert demo(monkeypatch, fixture_menu_path, "i want to check my balance\n", "--provider", "keyword",
-                "--condition", "flattened") == 0
-    assert capsys.readouterr().out == "1-1  Billing and Account Management -> Check Balance\n"
+def one_pace(inputs):
+    assert len(inputs["paced"]) == 2 and inputs["paced"][0] is inputs["paced"][1]  # the second line keeps the pace
 
 
-def test_demo_zero_overlap_falls_back_to_first_path(fixture_menu_path, monkeypatch, capsys):
-    # No word of the query matches any breadcrumb, so the keyword mock ties
+DEMO_ROWS = {
+    "test_demo_keyword_prints_path_and_breadcrumb": Row((*DEMO_KEYWORD, "--condition", "flattened"), 0, "", BALANCE),
+    # No word of the query matches any breadcrumb, so the keyword double ties
     # every path at zero and document order picks 1-1.
-    demo(monkeypatch, fixture_menu_path, "my bill looks wrong\n", "--provider", "keyword")
-    assert capsys.readouterr().out == "1-1  Billing and Account Management -> Check Balance\n"
-
-
-def test_demo_empty_line_costs_no_provider_call(fixture_menu_path, chat_server, monkeypatch, capsys):
-    server = chat_server(reply="2-1-9")
-    assert demo(monkeypatch, fixture_menu_path, "\n\nrouter is broken\n", *http_at(server)) == 0
-    out = capsys.readouterr().out
-    # One call, for the only non-empty line; empty lines made none.
-    assert out.count("\n") == 1
-    assert out.startswith("2-1-9  ")
-    assert server.answered == 1
-
-
-def test_demo_eof_exits_zero(fixture_menu_path, monkeypatch, capsys):
-    assert demo(monkeypatch, fixture_menu_path, "", "--provider", "keyword") == 0
-    assert capsys.readouterr().out == ""
-
-
-def test_demo_provider_error_continues(fixture_menu_path, chat_server, monkeypatch, capsys):
-    server = chat_server(reply="1-4", statuses=[200], status=400)  # the lines go one by one
-    assert demo(monkeypatch, fixture_menu_path, "first query\nsecond query\nthird query\n", *http_at(server)) == 0
-    captured = capsys.readouterr()
-    assert captured.out.startswith("1-4  ")
-    assert captured.err == f"error: {REFUSED}\n" * 2  # two refused lines, and the loop kept going
-
-
-def test_demo_retries_a_503_and_prints_the_path(fixture_menu_path, chat_server, monkeypatch, capsys):
-    server = chat_server(reply="2-1-9", statuses=[503], retry_after="0")
-    assert demo(monkeypatch, fixture_menu_path, "router is broken\n", *http_at(server)) == 0
-    captured = capsys.readouterr()
-    assert captured.out.startswith("2-1-9  ") and captured.out.count("\n") == 1
-    assert captured.err == ""
-    assert server.answered == 2  # the 503, then its retry
-    assert server.wait(open=0)  # demo closed the connection when stdin ended
-
-
-def test_demo_lines_share_one_connection(fixture_menu_path, chat_server, monkeypatch, capsys):
-    server = chat_server(reply="2-1-9")
-    assert demo(monkeypatch, fixture_menu_path, "router is broken\nstill broken\n", *http_at(server)) == 0
-    assert capsys.readouterr().out.count("2-1-9  ") == 2
-    assert server.answered == 2
-    assert server.accepted == 1  # the second line reused the first line's connection
-    assert server.wait(open=0)
-
-
-def test_demo_lines_share_one_pace(fixture_menu_path, monkeypatch, capsys):
-    paced = []
-    run_calls = router.run_calls
-    monkeypatch.setattr("ivroute.cli.run_calls", lambda *args, pacing, **kwargs: (
-        paced.append(pacing) or run_calls(*args, pacing=pacing, **kwargs)))
-    assert demo(monkeypatch, fixture_menu_path, "check my balance\npay my bill\n", "--provider", "keyword") == 0
-    assert capsys.readouterr().out.count("\n") == 2
-    assert len(paced) == 2 and paced[0] is paced[1]  # the second line keeps the first line's pace
-
-
-def test_demo_invalid_reply_reported(fixture_menu_path, chat_server, monkeypatch, capsys):
-    server = chat_server(reply=lambda prompt: "press one please" if prompt.endswith("\nfirst") else "5-5-5")
-    demo(monkeypatch, fixture_menu_path, "first\nsecond\n", *http_at(server))
-    out = capsys.readouterr().out.splitlines()
-    assert out[0].startswith("INVALID  ")
-    assert out[1] == "5-5-5  (not a terminal path of this menu)"
-
-
-DEMO_REFUSALS = {
+    "test_demo_zero_overlap_falls_back_to_first_path": Row(DEMO_KEYWORD, 0, "", BALANCE,
+                                                           stdin="my bill looks wrong\n"),
+    # One call, for the only line that is not empty.
+    "test_demo_empty_line_costs_no_provider_call": Row(DEMO_HTTP, 0, "", INTERNET_AGENT, server={"reply": "2-1-9"},
+                                                       requests=1, stdin="\n\nrouter is broken\n"),
+    "test_demo_eof_exits_zero": Row(DEMO_KEYWORD, 0, "", stdin=""),
+    # The lines go one by one: two refused lines, and the loop kept going.
+    "test_demo_provider_error_continues": Row(
+        DEMO_HTTP, 0, f"error: {REFUSED}\n" * 2, "1-4  Billing and Account Management -> Dispute Recent Charges\n",
+        server={"reply": "1-4", "statuses": [200], "status": 400}, requests=3,
+        stdin="first query\nsecond query\nthird query\n"),
+    # The 503, then its retry.
+    "test_demo_retries_a_503_and_prints_the_path": Row(
+        DEMO_HTTP, 0, "", INTERNET_AGENT, server={"reply": "2-1-9", "statuses": [503], "retry_after": "0"},
+        requests=2, stdin="router is broken\n"),
+    "test_demo_lines_share_one_connection": Row(
+        DEMO_HTTP, 0, "", INTERNET_AGENT * 2, server={"reply": "2-1-9"}, requests=2,
+        stdin="router is broken\nstill broken\n", then=one_connection),
+    "test_demo_lines_share_one_pace": Row(
+        DEMO_KEYWORD, 0, "", BALANCE * 2,
+        stdin="check my balance\npay my bill\n", prepare=recording_paces, then=one_pace),
+    "test_demo_invalid_reply_reported": Row(
+        DEMO_HTTP, 0, "", "INVALID  (reply did not parse: 'press one please')\n5-5-5  (not a terminal path of this "
+        "menu)\n", server={"reply": lambda prompt: "press one please" if prompt.endswith("\nfirst") else "5-5-5"},
+        requests=2, stdin="first\nsecond\n"),
     "test_demo_oracle_without_dataset_exit_2": Row(
         ("demo", "--menu", "{menu}", "--provider", "oracle"), 2,
         "error: oracle provider needs a dataset to take its answers from\n"),
@@ -1464,57 +1291,50 @@ DEMO_REFUSALS = {
         at("1-2:b00", text="How much do I currently owe on my account?"),
         "record 1-2:b00: same text as record 1-1:b00, which is labelled 1-1", DEMO_ORACLE),
 }
-table_tests(globals(), refused, DEMO_REFUSALS)
+table_tests(globals(), check_cli, DEMO_ROWS)
 
 
 # --- check-roles -------------------------------------------------------------------------
 
-def test_check_roles_distinct_models(capsys):
-    assert run(["check-roles", "--menugen-model", "gpt-3.5-turbo", "--datagen-model", "gpt-4o-mini",
-                "--routing-model", "gpt-4.1-mini"]) == 0
-    assert "no shared models" in capsys.readouterr().out
+REUSED = "warning: stage '{}' reuses model '{}' already assigned to stage '{}'\n"
+SHARED = {"menugen": {"model_name": "shared"}, "datagen": {"model_name": "shared"}}
 
-
-def test_check_roles_warns_without_strict(capsys):
-    assert run(["check-roles", "--menugen-model", "m", "--datagen-model", "m", "--routing-model", "m"]) == 0
-    assert capsys.readouterr().out.count("warning:") == 2
-
-
-def test_config_flag_overrides_file(tmp_path, capsys):
-    file = tmp_path / "config.json"
-    file.write_text(json.dumps({"providers": {"menugen": {"model_name": "shared"},
-                                              "datagen": {"model_name": "shared"}}}), encoding="utf-8")
-    # The CLI flag renames datagen's model, clearing the conflict.
-    assert run(["check-roles", "--config", str(file), "--datagen-model", "unique", "--strict-roles"]) == 0
-
-
-CHECK_ROLES_REFUSALS = {
+CHECK_ROLES_ROWS = {
+    "test_check_roles_distinct_models": Row(
+        ("check-roles", "--menugen-model", "gpt-3.5-turbo", "--datagen-model", "gpt-4o-mini", "--routing-model",
+         "gpt-4.1-mini"), 0, "", "ok: 3 stage(s), no shared models\n"),
+    "test_check_roles_warns_without_strict": Row(
+        ("check-roles", "--menugen-model", "m", "--datagen-model", "m", "--routing-model", "m"), 0, "",
+        REUSED.format("datagen", "m", "menugen") + REUSED.format("routing", "m", "menugen")),
+    # The flag renames datagen's model, clearing the conflict.
+    "test_config_flag_overrides_file": Row(
+        ("check-roles", "--config", "{tmp}/config.json", "--datagen-model", "unique", "--strict-roles"), 0, "",
+        "ok: 2 stage(s), no shared models\n", prepare=with_config({"providers": SHARED})),
     "test_check_roles_strict_exit_1": Row(
         ("check-roles", "--menugen-model", "m", "--datagen-model", "m", "--strict-roles"), 1, "",
-        out="warning: stage 'datagen' reuses model 'm' already assigned to stage 'menugen'\n"),
+        REUSED.format("datagen", "m", "menugen")),
     "test_check_roles_reads_config_file": Row(
         ("check-roles", "--config", "{tmp}/config.json", "--strict-roles"), 1, "",
-        out="warning: stage 'datagen' reuses model 'shared' already assigned to stage 'menugen'\n",
-        prepare=with_config({"providers": {"menugen": {"model_name": "shared"}, "datagen": {"model_name": "shared"},
-                                           "routing": {"model_name": "distinct"}}})),
+        REUSED.format("datagen", "shared", "menugen"),
+        prepare=with_config({"providers": {**SHARED, "routing": {"model_name": "distinct"}}})),
 }
-table_tests(globals(), refused, CHECK_ROLES_REFUSALS)
+table_tests(globals(), check_cli, CHECK_ROLES_ROWS)
 
 
 # --- pipeline composition -----------------------------------------------------------------
 
-def test_pipeline_composes_end_to_end(tmp_path, fixture_menu_path, chat_server, capsys):
-    """validate-menu -> flatten -> gen-intents -> route -> eval, exit 0 each."""
-    assert run(["validate-menu", str(fixture_menu_path)]) == 0
-    assert run(["flatten", str(fixture_menu_path)]) == 0
-
-    dataset_file = tmp_path / "mini.jsonl"
-    assert run(gen_args(fixture_menu_path, chat_server(reply=about_subject).url, dataset_file)) == 0
-
-    assert run(route_args(fixture_menu_path, dataset_file, tmp_path, condition="descriptive", filter="all")) == 0
-    run_dir = next(tmp_path.glob("run-*"))
-    assert run(["eval", str(run_dir / "results.jsonl"), "--menu", str(fixture_menu_path)]) == 0
-    capsys.readouterr()  # drain
+MINI_RUN = "c85baf5d52ca"  # the descriptive run of every record of the generated dataset
+table_tests(globals(), check_cli, {
+    # validate-menu, flatten, gen-intents, route, then eval of what route wrote
+    "test_pipeline_composes_end_to_end": Row(
+        ("eval", f"{{tmp}}/runs/run-{MINI_RUN}/results.jsonl", "--menu", "{menu}"), 0, "",
+        evaluated(count=23, run_id=MINI_RUN, under=f"{{tmp}}/runs/run-{MINI_RUN}"),
+        prepare=steps(*map(succeeds, [VALIDATE, ("flatten", "{menu}"), (
+            *GEN_INTENTS, "--per-node", "1", "--variants", "0", "--dataset-out", "{tmp}/mini.jsonl"), (
+            "route", "--menu", "{menu}", "--dataset", "{tmp}/mini.jsonl", "--provider", "oracle", "--condition",
+            "descriptive", "--filter", "all", "--out", "{tmp}/runs")])),
+        wrote=report_entries(MINI_RUN, under=f"runs/run-{MINI_RUN}"), server={"reply": about_subject}, requests=23),
+})
 
 
 # --- config files ---------------------------------------------------------------------------
@@ -1594,7 +1414,7 @@ CONFIG_REFUSALS = {
         "bad provider settings: kind must be one of http, oracle, keyword, not 'bogus'",
         (*CONFIG_COMMANDS.values(), *((*argv, "--provider", "oracle") for argv in list(CONFIG_COMMANDS.values())[:3]))),
 }
-table_tests(globals(), refused, CONFIG_REFUSALS)
+table_tests(globals(), check_cli, CONFIG_REFUSALS)
 
 
 # ProviderConfig field: its flag, its config-file key, its default (for the
@@ -1645,6 +1465,10 @@ DEEP_RESULTS = json.dumps({"intent_id": "1-1:b00", "raw_response": "1-1", "predi
 DEEP_DATASET = data_text("agentnet.intents.jsonl").splitlines()[0] + "\n" + TOO_DEEP + "\n"
 DATASET_AT = ("route", "--menu", "{menu}", "--dataset", "{tmp}/dataset", "--provider", "oracle", "--out", "{out}")
 
+def unreadable(path):
+    raise PermissionError(13, "Permission denied", str(path))
+
+
 # Each input file of the CLI, read by its command, that is no UTF-8 text or
 # nests too deep to parse: a menu, dataset, results or manifest file is
 # refused (1), and a config file is a usage error (2). A JSONL line nested
@@ -1669,19 +1493,12 @@ INPUT_FILE_REFUSALS = {
                       f"error: cannot read config file {{tmp}}/config: {UTF8_ERROR}\n",
                       prepare=write("{tmp}/config", NO_UTF8)),
         "manifest": Row(EVAL, 1, MANIFEST_ERROR % UTF8_ERROR, prepare=write("{run}/manifest.json", NO_UTF8))},
-}
-table_tests(globals(), refused, INPUT_FILE_REFUSALS)
-
-
-def test_input_file_that_cannot_be_read_exit_2(fixture_menu_path, monkeypatch, capsys):
     # Permissions cannot make a file unreadable to root, so the loader is made to refuse it.
-    def refuse(path):
-        raise PermissionError(13, "Permission denied", str(path))
-
-    monkeypatch.setattr("ivroute.cli.load_menu", refuse)
-    assert run(["validate-menu", str(fixture_menu_path)]) == 2
-    assert capsys.readouterr().err == (f"error: cannot read menu file {fixture_menu_path}: "
-                                       f"[Errno 13] Permission denied: '{fixture_menu_path}'\n")
+    "test_input_file_that_cannot_be_read_exit_2": Row(
+        VALIDATE, 2, "error: cannot read menu file {menu}: [Errno 13] Permission denied: '{menu}'\n",
+        prepare=patched("ivroute.cli.load_menu", unreadable)),
+}
+table_tests(globals(), check_cli, INPUT_FILE_REFUSALS)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1690,10 +1507,10 @@ def test_any_bytes_as_menu_or_config_end_with_an_exit_code(tmp_path_factory, fix
                                                            fixture_dataset_path, content):
     file = tmp_path_factory.getbasetemp() / "any-bytes"  # rewritten by every example
     file.write_bytes(content)
-    assert run(["validate-menu", str(file)]) in (0, 1, 2)
+    assert main(["validate-menu", str(file)]) in (0, 1, 2)
     argv = route_args(fixture_menu_path, fixture_dataset_path, file.parent / "any-bytes-runs",
                       filter="base_only")
-    assert run(argv + ["--config", str(file)]) in (0, 1, 2)
+    assert main(argv + ["--config", str(file)]) in (0, 1, 2)
 
 
 # Text that may hold a lone surrogate (category Cs), which st.text() never draws.
@@ -1733,88 +1550,80 @@ def test_text_that_may_hold_a_lone_surrogate_is_routed_or_refused_with_its_exit_
     argv = route_args(menu, dataset, directory / "runs") + [f"--model={model}", "--force"]
     menu_refused = holds_a_surrogate(read_back(label)) or breaks_a_line(label)
     expected = 1 if menu_refused else 2 if holds_a_surrogate(model) else 1 if holds_a_surrogate(read_back(text)) else 0
-    assert run(argv) == expected
+    assert main(argv) == expected
 
 
 # --- interrupts and closed pipes ------------------------------------------------------------
 
-def cli_child(*argv, **popen) -> subprocess.Popen:
-    """``python -m ivroute.cli *argv`` in a child process whose stdout is
-    buffered, as in a shell pipe."""
-    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = str(Path(ivroute.__file__).resolve().parents[1])
-    return subprocess.Popen([sys.executable, "-m", "ivroute.cli", *argv], env=env, text=True,
-                            stderr=subprocess.PIPE, **popen)
+class Child(NamedTuple):
+    """``python -m ivroute.cli`` of ``argv``, its placeholders as a Row's, in
+    a child process whose stdout is buffered, as in a shell pipe, or is a
+    pipe whose reader has gone (``closed_pipe``), as in ``| head -0``. It is
+    sent ``line``, its stdin kept open, and answers it with ``answer``. Then
+    it gets a Ctrl-C (``interrupt``), once that answer is out or the
+    endpoint, answering as chat_server's options in ``server`` say, has
+    answered a request, or its stdin is closed. It ends with ``code``, its
+    whole stderr, no more output, and ``saved`` entries under {out}."""
+
+    argv: tuple[str, ...]
+    code: int
+    err: str = ""
+    line: str | None = None
+    answer: str = ""
+    interrupt: bool = False
+    server: dict = {}
+    closed_pipe: bool = False
+    saved: int = 0
 
 
-def interrupted(child: subprocess.Popen) -> str:
-    """Ctrl-C ``child``; once it has ended, its stderr."""
-    child.send_signal(signal.SIGINT)
-    try:
-        child.wait(timeout=30)
-    finally:
-        child.kill()  # a no-op once it has ended
-    return child.stderr.read()
+def check_child(row, tmp_path, fixture_menu_path, fixture_dataset_path, chat_server):
+    server = chat_server(**row.server)
+    inputs = {"menu": fixture_menu_path, "dataset": fixture_dataset_path, "out": tmp_path, "url": server.url}
+    read_end, write_end = os.pipe()
+    stdout = open(read_end, encoding="utf-8")
+    if row.closed_pipe:
+        stdout.close()
+    with contextlib.closing(stdout), subprocess.Popen(
+            [sys.executable, "-m", "ivroute.cli", *(fill(arg, inputs) for arg in row.argv)], env=child_env(), text=True,
+            stdin=subprocess.PIPE, stdout=write_end, stderr=subprocess.PIPE) as child:
+        os.close(write_end)
+        try:
+            if row.line is not None:
+                child.stdin.write(row.line)
+                child.stdin.flush()
+                assert select.select([stdout], [], [], 20)[0], "no answer while stdin was open"
+                assert stdout.readline() == row.answer
+            deadline = time.monotonic() + 30
+            while row.interrupt and row.line is None and not server.answered and time.monotonic() < deadline:
+                time.sleep(0.01)
+            if row.interrupt:
+                assert row.line is not None or server.answered, "no request was sent"
+                child.send_signal(signal.SIGINT)
+            else:
+                child.stdin.close()
+            assert (child.wait(timeout=60), child.stderr.read()) == (row.code, row.err)
+            assert row.closed_pipe or stdout.read() == ""
+        finally:
+            child.kill()  # a no-op once it has ended
+    assert len(list(tmp_path.rglob("*"))) == row.saved
 
 
-def test_ctrl_c_ends_demo_waiting_on_stdin_with_exit_130(fixture_menu_path):
-    with cli_child("demo", "--menu", str(fixture_menu_path), "--provider", "keyword",
-                   stdin=subprocess.PIPE, stdout=subprocess.PIPE) as child:
-        child.stdin.write("i want to check my balance\n")
-        child.stdin.flush()
-        # Its answer is out, so it is waiting on stdin for the next line; stdin stays open.
-        assert child.stdout.readline() == "1-1  Billing and Account Management -> Check Balance\n"
-        assert interrupted(child) == "error: interrupted\n"
-    assert child.returncode == 130
-
-
-@pytest.mark.parametrize("reply, answer", [
-    (None, "1-1  Billing and Account Management -> Check Balance\n"),
-    ("press one please", "INVALID  (reply did not parse: 'press one please')\n"),
-], ids=["path", "invalid"])
-def test_demo_answers_a_line_while_stdin_is_still_open(fixture_menu_path, chat_server, reply, answer):
+QUERY = "i want to check my balance\n"
+INTERRUPTED = "error: interrupted\n"
+table_tests(globals(), check_child, {
+    # Its answer is out, so it is waiting on stdin for the next line; stdin stays open.
+    "test_ctrl_c_ends_demo_waiting_on_stdin_with_exit_130": Child(DEMO_KEYWORD, 130, INTERRUPTED, QUERY, BALANCE,
+                                                                  interrupt=True),
     # A program that drives demo line by line through pipes waits for each
     # answer before it writes the next line.
-    provider = ["--provider", "keyword"] if reply is None else [
-        "--provider", "http", "--endpoint", chat_server(reply=reply).url]
-    with cli_child("demo", "--menu", str(fixture_menu_path), *provider,
-                   stdin=subprocess.PIPE, stdout=subprocess.PIPE) as child:
-        child.stdin.write("i want to check my balance\n")
-        child.stdin.flush()
-        assert select.select([child.stdout], [], [], 20)[0], "no answer while stdin was open"
-        assert child.stdout.readline() == answer
-        child.stdin.close()
-        assert child.wait(timeout=30) == 0
-        assert child.stdout.read() == "" and child.stderr.read() == ""
-
-
-def test_ctrl_c_ends_route_waiting_to_retry_with_exit_130(chat_server, tmp_path, fixture_menu_path,
-                                                          fixture_dataset_path):
-    server = chat_server(status=503, retry_after="60")  # every attempt waits a minute to go again
-    with cli_child("route", "--menu", str(fixture_menu_path), "--dataset", str(fixture_dataset_path),
-                   "--filter", "base_only", "--provider", "http", "--endpoint", server.url,
-                   "--out", str(tmp_path), stdout=subprocess.PIPE) as child:
-        deadline = time.monotonic() + 30
-        while not server.answered and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert server.answered, "route sent no request"
-        assert interrupted(child) == "error: interrupted\n"
-        assert child.stdout.read() == ""
-    assert child.returncode == 130
-    assert not list(tmp_path.glob("run-*"))
-
-
-@pytest.mark.parametrize("command", ["flatten", "route"])
-def test_output_into_a_closed_pipe_ends_quietly_with_exit_141(tmp_path, fixture_menu_path,
-                                                              fixture_dataset_path, command):
-    argv = {"flatten": ["flatten", str(fixture_menu_path)],
-            "route": route_args(fixture_menu_path, fixture_dataset_path, tmp_path, filter="base_only")}[command]
-    read_end, write_end = os.pipe()
-    os.close(read_end)  # as `ivroute ... | head -0` once head has exited
-    try:
-        with cli_child(*argv, stdout=write_end) as child:
-            assert child.wait(timeout=60) == 141
-            assert child.stderr.read() == ""
-    finally:
-        os.close(write_end)
-    assert command == "flatten" or len(list(tmp_path.glob("run-*/*"))) == 2  # the run was saved first
+    "test_demo_answers_a_line_while_stdin_is_still_open": {
+        "path": Child(DEMO_KEYWORD, 0, line=QUERY, answer=BALANCE),
+        "invalid": Child(DEMO_HTTP, 0, line=QUERY, answer="INVALID  (reply did not parse: 'press one please')\n",
+                         server={"reply": "press one please"})},
+    # Every attempt waits a minute to go again.
+    "test_ctrl_c_ends_route_waiting_to_retry_with_exit_130": Child(
+        (*BASE_ONLY, *HTTP), 130, INTERRUPTED, interrupt=True, server={"status": 503, "retry_after": "60"}),
+    "test_output_into_a_closed_pipe_ends_quietly_with_exit_141": {
+        "flatten": Child(("flatten", "{menu}"), 141, closed_pipe=True),
+        "route": Child(BASE_ONLY, 141, closed_pipe=True, saved=3)},  # the run was saved first
+})

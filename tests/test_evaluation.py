@@ -1,50 +1,77 @@
-"""Scoring: accuracy, confusion matrix, per-class metrics, report files."""
+"""Scoring: accuracy, confusion matrix, per-class metrics, report files.
 
-import csv
+Each scoring case is a row of a table: the results, and the accuracy,
+matrix cells and per-class metrics of their report, or its refusal. Each
+report file is a row too, pinned whole."""
+
 import json
 
 import pytest
 
-from ivroute.evaluation import (
-    EXTRA_COLUMNS,
-    UNKNOWN_PATH,
-    accuracy,
-    build_report,
-    confusion_matrix,
-    emit_report,
-    format_percent,
-    matrix_csv,
-    matrix_long_csv,
-    per_class_metrics,
-    report_to_json,
-    summary_markdown,
-)
+from ivroute.evaluation import build_report, emit_report, format_percent
 from ivroute.router import INVALID, RoutingResult
 
+from conftest import Raises, outcome_of, table_tests
 
-def result(truth: str, predicted: str, intent_id: str = "") -> RoutingResult:
-    return RoutingResult(
-        intent_id=intent_id or f"{truth}:b00",
-        raw_response=predicted,
-        predicted=predicted,
-        ground_truth=truth,
-        latency=0.0,
-    )
+
+def results(*pairs) -> list[RoutingResult]:
+    """A result of each (truth, predicted) pair."""
+    return [RoutingResult(f"{truth}:b00", predicted, predicted, truth, 0.0) for truth, predicted in pairs]
 
 
 CLASSES = ["1-1", "1-2", "2-1"]
 
 
-# --- accuracy -----------------------------------------------------------------------
-
-def test_accuracy_simple():
-    results = [result("1-1", "1-1"), result("1-2", "1-1"), result("2-1", "2-1")]
-    assert accuracy(results) == pytest.approx(2 / 3)
+def report_of(pairs, condition="flattened_paths", dataset_filter="base_only", model_name="test-model"):
+    return build_report(results(*pairs), CLASSES, condition, dataset_filter, model_name)
 
 
-def test_accuracy_empty_raises():
-    with pytest.raises(ValueError):
-        accuracy([])
+# --- accuracy, the matrix and per-class metrics ------------------------------------------
+
+def check_scores(row):
+    """``row``: (truth, predicted) pairs scored over CLASSES, and the report's
+    accuracy, nonzero cells and per-class (precision, recall, f1, support,
+    precision_defined, recall_defined), each named there, or its refusal."""
+    pairs, expected = row
+    if isinstance(expected, Raises):
+        outcome_of(lambda: report_of(pairs), expected)
+        return
+    report = report_of(pairs)
+    assert report.matrix.true_labels == CLASSES
+    assert report.matrix.predicted_labels == [*CLASSES, INVALID, "UNKNOWN_PATH"]
+    scores = {"accuracy": round(report.accuracy, 9),
+              "cells": {(truth, predicted): count for truth, row in zip(CLASSES, report.matrix.counts)
+                        for predicted, count in zip(report.matrix.predicted_labels, row) if count},
+              "per_class": {m.label: (round(m.precision, 9), round(m.recall, 9), round(m.f1, 9), *m[4:])
+                            for m in report.per_class}}
+    assert {key: scores[key] for key in expected} == expected
+
+
+THIRD = 0.666666667  # 2/3, rounded
+SCORES = {
+    "test_accuracy_simple": ((("1-1", "1-1"), ("1-2", "1-1"), ("2-1", "2-1")), {"accuracy": THIRD}),
+    "test_accuracy_empty_raises": ((), Raises(ValueError, "no results to score")),
+    "test_matrix_shape_and_counts": (
+        (("1-1", "1-1"), ("1-1", "1-2"), ("1-2", "1-2"), ("2-1", INVALID), ("2-1", "9-9")),  # 9-9: no class
+        {"cells": {("1-1", "1-1"): 1, ("1-1", "1-2"): 1, ("1-2", "1-2"): 1, ("2-1", INVALID): 1,
+                   ("2-1", "UNKNOWN_PATH"): 1}}),
+    "test_matrix_rejects_foreign_truth": ((("5-5", "1-1"),), Raises(
+        ValueError, "result 5-5:b00: ground truth 5-5 is outside the class list")),
+    "test_matrix_diagonal_for_perfect_run": (tuple((c, c) for c in CLASSES for _ in range(3)), {
+        "accuracy": 1.0, "cells": {(c, c): 3 for c in CLASSES}}),
+    "test_per_class_hand_computed": (
+        (("1-1", "1-1"), ("1-1", "1-1"), ("1-1", "1-2"), ("1-2", "1-1"), ("1-2", "1-2"), ("2-1", INVALID)),
+        {"per_class": {"1-1": (THIRD, THIRD, THIRD, 3, True, True), "1-2": (0.5, 0.5, 0.5, 2, True, True),
+                       "2-1": (0.0, 0.0, 0.0, 1, False, True)}}),  # an empty predicted column
+    # 2-1 is no truth, so its support is zero; its column holds one miss.
+    "test_per_class_undefined_recall_flagged": ((("1-1", "2-1"), ("1-2", "1-2")), {"per_class": {
+        "1-1": (0.0, 0.0, 0.0, 1, False, True), "1-2": (1.0, 1.0, 1.0, 1, True, True),
+        "2-1": (0.0, 0.0, 0.0, 0, True, False)}}),
+    "test_f1_zero_when_both_zero": ((("1-1", "1-2"), ("1-2", "1-1")), {"per_class": {
+        "1-1": (0.0, 0.0, 0.0, 1, True, True), "1-2": (0.0, 0.0, 0.0, 1, True, True),
+        "2-1": (0.0, 0.0, 0.0, 0, False, False)}}),
+}
+table_tests(globals(), check_scores, SCORES)
 
 
 @pytest.mark.parametrize(
@@ -56,168 +83,65 @@ def test_format_percent_two_decimals(numerator, denominator, expected):
     assert format_percent(numerator / denominator) == expected
 
 
-# --- confusion matrix ----------------------------------------------------------------
+# --- report files --------------------------------------------------------------------
 
-def test_matrix_shape_and_counts():
-    results = [
-        result("1-1", "1-1"),
-        result("1-1", "1-2"),
-        result("1-2", "1-2"),
-        result("2-1", INVALID),
-        result("2-1", "9-9"),  # valid shape, not a class
-    ]
-    matrix = confusion_matrix(results, CLASSES)
-    assert matrix.true_labels == CLASSES
-    assert matrix.predicted_labels == CLASSES + list(EXTRA_COLUMNS)
-    cells = {
-        (truth, predicted): count
-        for truth, row in zip(matrix.true_labels, matrix.counts)
-        for predicted, count in zip(matrix.predicted_labels, row)
-        if count
-    }
-    assert cells == {("1-1", "1-1"): 1, ("1-1", "1-2"): 1, ("1-2", "1-2"): 1,
-                     ("2-1", INVALID): 1, ("2-1", UNKNOWN_PATH): 1}
+def check_report_files(row, tmp_path):
+    """``row``: a report_of's arguments, and the whole text of some of the
+    files that emit_report writes for it; report.json's as the object it
+    holds, written with an indent of 2, its keys in order."""
+    arguments, files = row
+    written = emit_report(report_of(*arguments), tmp_path / "report")
+    assert [path.name for path in written] == ["report.json", "matrix.csv", "matrix_long.csv", "summary.md"]
+    assert sorted(path.name for path in (tmp_path / "report").iterdir()) == sorted(path.name for path in written)
+    for name, text in files.items():
+        text = json.dumps(text, indent=2) + "\n" if name == "report.json" else text
+        assert (tmp_path / "report" / name).read_text(encoding="utf-8") == text
 
 
-def test_matrix_rejects_foreign_truth():
-    with pytest.raises(ValueError, match="outside the class list"):
-        confusion_matrix([result("5-5", "1-1")], CLASSES)
+SAMPLE = (("1-1", "1-1"), ("1-2", "1-2"), ("2-1", INVALID), ("1-1", "7-7"))
+SAMPLE_JSON = {
+    "accuracy": 0.5, "n": 4, "condition": "flattened_paths", "dataset_filter": "base_only", "model_name": "test-model",
+    "matrix": {"true_labels": CLASSES, "predicted_labels": [*CLASSES, "INVALID", "UNKNOWN_PATH"],
+               "counts": [[1, 0, 0, 0, 1], [0, 1, 0, 0, 0], [0, 0, 0, 1, 0]]},
+    "per_class": [
+        {"class": "1-1", "precision": 1.0, "recall": 0.5, "f1": 2 / 3, "support": 2, "precision_defined": True,
+         "recall_defined": True},
+        {"class": "1-2", "precision": 1.0, "recall": 1.0, "f1": 1.0, "support": 1, "precision_defined": True,
+         "recall_defined": True},
+        {"class": "2-1", "precision": 0.0, "recall": 0.0, "f1": 0.0, "support": 1, "precision_defined": False,
+         "recall_defined": True}]}
+SUMMARY = """# Routing accuracy: {model}
 
+| IVR Context | Dataset | Accuracy (%) | N |
+| --- | --- | --- | --- |
+| {row} |
 
-def test_matrix_diagonal_for_perfect_run():
-    results = [result(c, c) for c in CLASSES for _ in range(3)]
-    matrix = confusion_matrix(results, CLASSES)
-    for i, label in enumerate(CLASSES):
-        for j, predicted in enumerate(matrix.predicted_labels):
-            expected = 3 if predicted == label else 0
-            assert matrix.counts[i][j] == expected
+## Per-class metrics
 
-
-# --- per-class metrics -----------------------------------------------------------------
-
-def test_per_class_hand_computed():
-    results = [
-        result("1-1", "1-1"),
-        result("1-1", "1-1"),
-        result("1-1", "1-2"),
-        result("1-2", "1-1"),
-        result("1-2", "1-2"),
-        result("2-1", INVALID),
-    ]
-    matrix = confusion_matrix(results, CLASSES)
-    by_label = {m.label: m for m in per_class_metrics(matrix)}
-
-    m11 = by_label["1-1"]
-    assert m11.support == 3
-    assert m11.recall == pytest.approx(2 / 3)
-    assert m11.precision == pytest.approx(2 / 3)
-    assert m11.f1 == pytest.approx(2 / 3)
-
-    m12 = by_label["1-2"]
-    assert m12.support == 2
-    assert m12.recall == pytest.approx(1 / 2)
-    assert m12.precision == pytest.approx(1 / 2)
-
-    m21 = by_label["2-1"]
-    assert m21.support == 1
-    assert m21.recall == 0.0 and m21.recall_defined
-    assert m21.precision == 0.0 and not m21.precision_defined  # empty column
-    assert m21.f1 == 0.0
-
-
-def test_per_class_undefined_recall_flagged():
-    # "2-1" never appears as a truth, so its support is zero.
-    results = [result("1-1", "2-1"), result("1-2", "1-2")]
-    matrix = confusion_matrix(results, CLASSES)
-    by_label = {m.label: m for m in per_class_metrics(matrix)}
-    m21 = by_label["2-1"]
-    assert m21.support == 0
-    assert m21.recall == 0.0 and not m21.recall_defined
-    assert m21.precision == 0.0 and m21.precision_defined  # column has one miss
-
-
-def test_f1_zero_when_both_zero():
-    results = [result("1-1", "1-2"), result("1-2", "1-1")]
-    matrix = confusion_matrix(results, CLASSES)
-    for m in per_class_metrics(matrix):
-        assert m.f1 == 0.0
-
-
-# --- reports ----------------------------------------------------------------------------
-
-def sample_report():
-    results = [
-        result("1-1", "1-1"),
-        result("1-2", "1-2"),
-        result("2-1", INVALID),
-        result("1-1", "7-7"),
-    ]
-    return build_report(results, CLASSES, "flattened_paths", "base_only", "test-model")
-
-
-def test_report_json_round_trip():
-    report = sample_report()
-    data = report_to_json(report)
-    assert json.loads(json.dumps(data)) == data
-    assert data["matrix"]["counts"] == report.matrix.counts
-    assert [m["class"] for m in data["per_class"]] == [m.label for m in report.per_class]
-
-
-def test_emit_report_files(tmp_path):
-    report = sample_report()
-    written = emit_report(report, tmp_path / "out")
-    names = {p.name for p in written}
-    assert names == {"report.json", "matrix.csv", "matrix_long.csv", "summary.md"}
-    text = (tmp_path / "out" / "report.json").read_text(encoding="utf-8")
-    assert json.loads(text) == report_to_json(report)
-
-
-def test_report_json_keys_in_file_order(tmp_path):
-    emit_report(sample_report(), tmp_path / "report")
-    data = json.loads((tmp_path / "report" / "report.json").read_text(encoding="utf-8"))
-    assert list(data) == ["accuracy", "n", "condition", "dataset_filter", "model_name", "matrix",
-                          "per_class"]
-    assert list(data["matrix"]) == ["true_labels", "predicted_labels", "counts"]
-    assert data["per_class"][0] == {"class": "1-1", "precision": 1.0, "recall": 0.5, "f1": 2 / 3,
-                                    "support": 2, "precision_defined": True, "recall_defined": True}
-    assert list(data["per_class"][0]) == ["class", "precision", "recall", "f1", "support",
-                                          "precision_defined", "recall_defined"]
-
-
-def test_matrix_csv_shape(tmp_path):
-    report = sample_report()
-    rows = list(csv.reader(matrix_csv(report.matrix).splitlines()))
-    assert len(rows) == 1 + len(CLASSES)
-    assert len(rows[0]) == 1 + len(CLASSES) + 2
-    assert rows[0][0] == "true\\predicted"
-    assert rows[0][-2:] == [INVALID, UNKNOWN_PATH]
-    # Row for 1-1: one hit, one unknown.
-    row = rows[1]
-    assert row[0] == "1-1" and row[1] == "1" and row[-1] == "1"
-
-
-def test_matrix_long_csv_covers_every_cell():
-    report = sample_report()
-    rows = list(csv.reader(matrix_long_csv(report.matrix).splitlines()))
-    assert rows[0] == ["true", "predicted", "count"]
-    assert len(rows) == 1 + len(CLASSES) * (len(CLASSES) + 2)
-    total = sum(int(r[2]) for r in rows[1:])
-    assert total == report.n
-
-
-def test_summary_markdown_display_names():
-    report = sample_report()
-    text = summary_markdown(report)
-    assert "| Flattened Paths | Base Only | 50.00 | 4 |" in text
-
-    augmented = build_report(
-        [result("1-1", "1-1")], CLASSES, "descriptive_menu", "all", "m"
-    )
-    text = summary_markdown(augmented)
-    assert "| Descriptive Menu | Augmented | 100.00 | 1 |" in text
-
-
-def test_summary_markdown_marks_undefined():
-    report = sample_report()
-    text = summary_markdown(report)
-    assert "(undefined)" in text  # 2-1 has an empty predicted column
+| Class | Precision | Recall | F1 | Support |
+| --- | --- | --- | --- | --- |
+{classes}
+"""
+REPORT_FILES = {
+    "test_report_json_round_trip": ((SAMPLE,), {"report.json": SAMPLE_JSON}),
+    "test_report_json_keys_in_file_order": (((("2-1", "2-1"),), "descriptive_menu", "all", "m"), {"report.json": {
+        **SAMPLE_JSON, "accuracy": 1.0, "n": 1, "condition": "descriptive_menu", "dataset_filter": "all",
+        "model_name": "m", "matrix": {**SAMPLE_JSON["matrix"], "counts": [[0] * 5, [0] * 5, [0, 0, 1, 0, 0]]},
+        "per_class": [{"class": label, "precision": hit, "recall": hit, "f1": hit, "support": int(hit),
+                       "precision_defined": bool(hit), "recall_defined": bool(hit)}
+                      for label, hit in zip(CLASSES, (0.0, 0.0, 1.0))]}}),
+    "test_matrix_csv_shape": ((SAMPLE,), {"matrix.csv": "true\\predicted,1-1,1-2,2-1,INVALID,UNKNOWN_PATH\n"
+                                                        "1-1,1,0,0,0,1\n1-2,0,1,0,0,0\n2-1,0,0,0,1,0\n"}),
+    "test_matrix_long_csv_covers_every_cell": ((SAMPLE,), {"matrix_long.csv": "true,predicted,count\n" + "".join(
+        f"{truth},{predicted},{count}\n" for truth, counts in zip(CLASSES, SAMPLE_JSON["matrix"]["counts"])
+        for predicted, count in zip(SAMPLE_JSON["matrix"]["predicted_labels"], counts))}),
+    "test_summary_markdown_marks_undefined": ((SAMPLE,), {"summary.md": SUMMARY.format(
+        model="test-model", row="Flattened Paths | Base Only | 50.00 | 4", classes="| 1-1 | 1.00 | 0.50 | 0.67 | 2 |\n"
+        "| 1-2 | 1.00 | 1.00 | 1.00 | 1 |\n| 2-1 | 0.00 (undefined) | 0.00 | 0.00 | 1 |")}),
+    "test_summary_markdown_display_names": (((("1-1", "1-1"),), "descriptive_menu", "all", "m"), {
+        "summary.md": SUMMARY.format(model="m", row="Descriptive Menu | Augmented | 100.00 | 1", classes=(
+            "| 1-1 | 1.00 | 1.00 | 1.00 | 1 |\n| 1-2 | 0.00 (undefined) | 0.00 (undefined) | 0.00 | 0 |\n"
+            "| 2-1 | 0.00 (undefined) | 0.00 (undefined) | 0.00 | 0 |"))}),
+    "test_emit_report_files": ((SAMPLE,), {}),
+}
+table_tests(globals(), check_report_files, REPORT_FILES)

@@ -7,11 +7,9 @@ import base64
 import http.client
 import io
 import json
-import os
 import socket
-import subprocess
-import sys
-from pathlib import Path
+from functools import partial
+from typing import NamedTuple
 from unittest.mock import ANY
 
 import pytest
@@ -22,7 +20,7 @@ import ivroute
 from ivroute.httpclient import BadResponse, ConnectionPool, NoResponse, _Connection, _authority
 from ivroute.provider import TransportError
 
-from conftest import PROXY_VARIABLES, Close
+from conftest import Close, Raises, outcome_of, python_child, table_tests
 
 
 def pool_to(url, headers=None):
@@ -34,103 +32,143 @@ def call(pool):
     return pool.request({"q": "x"})
 
 
-def test_chunked_body_with_extension_and_trailer_keeps_the_connection(raw_server):
-    chunked = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
-               b"5;name=value\r\nhello\r\n6\r\n world\r\n0\r\nX-Checksum: 1\r\n\r\n")
-    server = raw_server([chunked, chunked])
-    pool = pool_to(server.url)
-    assert call(pool) == (200, "hello world", None)
-    assert call(pool) == (200, "hello world", None)
-    assert server.accepted == 1
-    pool.close()
-    assert server.wait(client_closed=1)
-
-
-@pytest.mark.parametrize("reply", [
-    b"HTTP/1.0 200 OK\r\nContent-Length: 5\r\n\r\nhello",
-    b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 5\r\n\r\nhello",
-    Close(b"HTTP/1.1 200 OK\r\n\r\nhello"),  # no length: the body runs to the close
-    Close(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip\r\n\r\nhello"),
-], ids=["http-1.0", "connection-close", "read-to-close", "other-coding"])
-def test_reply_that_ends_the_connection_is_never_reused(raw_server, reply):
-    server = raw_server([reply, reply])
-    pool = pool_to(server.url)
-    assert call(pool) == (200, "hello", None)
-    assert call(pool) == (200, "hello", None)
-    assert server.accepted == 2
-    if not isinstance(reply, Close):
-        assert server.wait(client_closed=2)  # the client hung up itself
-
-
-def test_tls_reply_without_a_length_runs_to_the_close(raw_server, trusted_test_certificate):
-    # The server closes the TCP connection without a TLS close_notify, as
-    # many do; the body still ends there, and the next call opens anew.
-    reply = Close(b"HTTP/1.1 200 OK\r\n\r\nhello over tls")
-    server = raw_server([reply, reply], tls="https")
-    pool = pool_to(server.url)
-    assert call(pool) == (200, "hello over tls", None)
-    assert call(pool) == (200, "hello over tls", None)
-    assert server.accepted == 2 and pool._idle == []
-
-
-def test_interim_100_continue_is_skipped(raw_server):
-    server = raw_server([b"HTTP/1.1 100 Continue\r\n\r\n"
-                         b"HTTP/1.1 503 Busy\r\nRetry-After: 7\r\nContent-Length: 2\r\n\r\nno"])
-    pool = pool_to(server.url)
-    assert call(pool) == (503, "no", "7")
-    pool.close()
-
-
 def headers(count, size=10):
     return b"".join(b"X-%03d: " % i + b"v" * (size - 9) + b"\r\n" for i in range(count))
 
 
-@pytest.mark.parametrize("reply", [
-    b"HTTP/1.1 200 OK\r\n" + headers(1, 65536) + b"Content-Length: 2\r\n\r\nok",
-    b"HTTP/1.1 200 OK\r\n" + headers(99) + b"Content-Length: 2\r\n\r\nok",
-    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nok\r\n0\r\n" + headers(100) + b"\r\n",
-], ids=["65536-byte-line", "100-headers", "100-trailers"])
-def test_response_at_the_bounds_is_read(raw_server, reply):
-    server = raw_server([reply])
-    pool = pool_to(server.url)
-    assert call(pool) == (200, "ok", None)
+class Exchange(NamedTuple):
+    """What a pool of one connection to ``url``, by default the loopback
+    server's, makes of the server's raw ``replies``, over ``tls`` when set,
+    with HTTPS_PROXY set to ``proxy`` at the server's {port} when set: each
+    call's (status, body, Retry-After) or Raises, in turn, on ``accepted``
+    connections, the server reading the requests ``sent`` whole when given.
+    The client closes, itself, each connection that the server does not end
+    with a Close, and keeps none open after a failed call."""
+
+    replies: list
+    outcomes: list
+    accepted: int = 1
+    tls: str | None = None
+    url: str | None = None
+    proxy: str | None = None
+    sent: list | None = None
+
+
+def check_exchange(row, raw_server, monkeypatch, request):
+    if row.tls:
+        request.getfixturevalue("trusted_test_certificate")
+    server = raw_server(row.replies, tls=row.tls)
+    if row.proxy:
+        monkeypatch.setenv("HTTPS_PROXY", row.proxy.format(port=server.port))
+    pool = pool_to(row.url or server.url)
+    for expected in row.outcomes:
+        if outcome_of(partial(call, pool), expected) is not None:
+            assert pool._idle == []
     pool.close()
+    assert row.sent is None or server.requests == row.sent
+    assert server.accepted == row.accepted
+    assert server.wait(client_closed=row.accepted - sum(isinstance(reply, Close) for reply in row.replies))
 
 
-@pytest.mark.parametrize("reply, message", [
-    (b"SSH-2.0-OpenSSH_9.6\r\n\r\n", "not an HTTP/1.x status line"),
-    (b"HTTP/1.1 200 OK\r\n" + headers(1, 65537) + b"Content-Length: 2\r\n\r\nok", "longer than 65536"),
-    # 65536 bytes and no line feed, on a connection that stays open
-    (b"HTTP/1.1 200 OK\r\nX-000: " + b"v" * 65529, "longer than 65536"),
-    (b"HTTP/1.1 200 OK\r\n" + headers(100) + b"Content-Length: 2\r\n\r\nok", "more than 100 header"),
-    (b"HTTP/1.1 200 OK\r\nNo colon\r\nContent-Length: 2\r\n\r\nok", "malformed header line"),
-    (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n", "bad chunk size"),
-    (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0x2\r\nok\r\n0\r\n\r\n", "bad chunk size"),
-    (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nokay\r\n0\r\n\r\n", "runs past its size"),
-    (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n" + headers(101) + b"\r\n",
-     "more than 100 trailer"),
-    (b"HTTP/1.1 101 Switching Protocols\r\nUpgrade: h2c\r\nConnection: Upgrade\r\n\r\n",
-     "101 Switching Protocols"),
-    (b"HTTP/1.1 200 OK\r\nContent-Length: 1, 2\r\n\r\nok", "bad Content-Length"),
-    (b"HTTP/1.1 200 OK\r\nContent-Length: " + b"0" * 5000 + b"1\r\n\r\nok", "bad Content-Length"),
-    (Close(b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nhello"), "closed inside the response"),
-    # One digit past each bound: the server closes at once, so a reader that took the size waits for no timeout.
-    (Close(b"HTTP/1.1 200 OK\r\nContent-Length: " + b"1" * 19 + b"\r\n\r\nok"), "bad Content-Length"),
-    (Close(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + b"1" * 17 + b"\r\nok\r\n0\r\n\r\n"),
-     "bad chunk size"),
-], ids=["non-http", "65537-byte-line", "endless-line", "101-headers", "no-colon", "chunk-size",
-        "prefixed-chunk-size", "chunk-past-its-size", "101-trailers", "switching-protocols",
-        "two-lengths", "5001-digit-length", "cut-short", "19-digit-length", "17-hex-digit-chunk-size"])
-def test_malformed_response_is_a_transport_error_that_closes_the_connection(raw_server, reply,
-                                                                          message):
+CHUNKED = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+           b"5;name=value\r\nhello\r\n6\r\n world\r\n0\r\nX-Checksum: 1\r\n\r\n")
+HELLO = (200, "hello", None)
+
+
+def malformed(reply, message):
     # The pool raises a BadResponse, an OSError, which HttpProvider takes for a TransportError.
-    server = raw_server([reply])
-    pool = pool_to(server.url)
-    with pytest.raises(BadResponse, match=message):
-        call(pool)
-    assert pool._idle == []
-    if not isinstance(reply, Close):
-        assert server.wait(client_closed=1)
+    return Exchange([reply], [Raises(BadResponse, message)])
+
+
+EXCHANGES = {
+    "test_chunked_body_with_extension_and_trailer_keeps_the_connection": Exchange(
+        [CHUNKED, CHUNKED], [(200, "hello world", None)] * 2),
+    "test_reply_that_ends_the_connection_is_never_reused": {
+        name: Exchange([reply, reply], [HELLO] * 2, 2) for name, reply in [
+            ("http-1.0", b"HTTP/1.0 200 OK\r\nContent-Length: 5\r\n\r\nhello"),
+            ("connection-close", b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 5\r\n\r\nhello"),
+            ("read-to-close", Close(b"HTTP/1.1 200 OK\r\n\r\nhello")),  # no length: the body runs to the close
+            ("other-coding", Close(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip\r\n\r\nhello"))]},
+    # The server closes the TCP connection without a TLS close_notify, as
+    # many do; the body still ends there, and the next call opens anew.
+    "test_tls_reply_without_a_length_runs_to_the_close": Exchange(
+        [Close(b"HTTP/1.1 200 OK\r\n\r\nhello over tls")] * 2, [(200, "hello over tls", None)] * 2, 2, "https"),
+    "test_interim_100_continue_is_skipped": Exchange(
+        [b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 503 Busy\r\nRetry-After: 7\r\nContent-Length: 2\r\n\r\nno"],
+        [(503, "no", "7")]),
+    "test_response_at_the_bounds_is_read": {name: Exchange([reply], [(200, "ok", None)]) for name, reply in [
+        ("65536-byte-line", b"HTTP/1.1 200 OK\r\n" + headers(1, 65536) + b"Content-Length: 2\r\n\r\nok"),
+        ("100-headers", b"HTTP/1.1 200 OK\r\n" + headers(99) + b"Content-Length: 2\r\n\r\nok"),
+        ("100-trailers", b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nok\r\n0\r\n" + headers(100)
+         + b"\r\n")]},
+    "test_malformed_response_is_a_transport_error_that_closes_the_connection": {
+        "non-http": malformed(b"SSH-2.0-OpenSSH_9.6\r\n\r\n", "not an HTTP/1.x status line: 'SSH-2.0-OpenSSH_9.6'"),
+        "65537-byte-line": malformed(b"HTTP/1.1 200 OK\r\n" + headers(1, 65537) + b"Content-Length: 2\r\n\r\nok",
+                                     "a response line is longer than 65536 bytes"),
+        # 65536 bytes and no line feed, on a connection that stays open
+        "endless-line": malformed(b"HTTP/1.1 200 OK\r\nX-000: " + b"v" * 65529,
+                                  "a response line is longer than 65536 bytes"),
+        "101-headers": malformed(b"HTTP/1.1 200 OK\r\n" + headers(100) + b"Content-Length: 2\r\n\r\nok",
+                                 "more than 100 header fields"),
+        "no-colon": malformed(b"HTTP/1.1 200 OK\r\nNo colon\r\nContent-Length: 2\r\n\r\nok",
+                              "malformed header line: 'No colon'"),
+        "chunk-size": malformed(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n", "bad chunk size: 'zz'"),
+        "prefixed-chunk-size": malformed(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0x2\r\nok\r\n0\r\n\r\n",
+                                         "bad chunk size: '0x2'"),
+        "chunk-past-its-size": malformed(
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nokay\r\n0\r\n\r\n",
+            "a chunk runs past its size"),
+        "101-trailers": malformed(
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n" + headers(101) + b"\r\n",
+            "more than 100 trailer fields"),
+        "switching-protocols": malformed(
+            b"HTTP/1.1 101 Switching Protocols\r\nUpgrade: h2c\r\nConnection: Upgrade\r\n\r\n",
+            "101 Switching Protocols to a request that asked for no upgrade"),
+        "two-lengths": malformed(b"HTTP/1.1 200 OK\r\nContent-Length: 1, 2\r\n\r\nok", "bad Content-Length: '1, 2'"),
+        "5001-digit-length": malformed(b"HTTP/1.1 200 OK\r\nContent-Length: " + b"0" * 5000 + b"1\r\n\r\nok",
+                                       f"bad Content-Length: '{'0' * 80}'"),
+        "cut-short": malformed(Close(b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nhello"),
+                               "the connection closed inside the response"),
+        # One digit past each bound: the server closes at once, so a reader that took the size waits for no timeout.
+        "19-digit-length": malformed(Close(b"HTTP/1.1 200 OK\r\nContent-Length: " + b"1" * 19 + b"\r\n\r\nok"),
+                                     f"bad Content-Length: '{'1' * 19}'"),
+        "17-hex-digit-chunk-size": malformed(
+            Close(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + b"1" * 17 + b"\r\nok\r\n0\r\n\r\n"),
+            f"bad chunk size: '{'1' * 17}'")},
+}
+table_tests(globals(), check_exchange, EXCHANGES)
+
+
+OK = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+# The CONNECT a pool sends a proxy that holds credentials, and the POST of call() inside the tunnel it opens.
+CONNECT = (b"CONNECT endpoint.test:443 HTTP/1.1\r\nHost: endpoint.test:443\r\nProxy-Authorization: Basic "
+           + base64.b64encode(b"ivr:pw") + b"\r\n\r\n")
+POST = (b"POST /v1/chat/completions HTTP/1.1\r\nHost: localhost:8443\r\nAccept-Encoding: identity\r\nUser-Agent: "
+        b"ivroute/" + ivroute.__version__.encode() + b"\r\nContent-Type: application/json\r\nContent-Length: 10\r\n\r\n"
+        b'{"q": "x"}')
+
+
+def refused_tunnel(reply, error):
+    return Exchange([reply], [error], url="https://endpoint.test/v1/chat/completions",
+                    proxy="http://ivr:pw@127.0.0.1:{port}", sent=[CONNECT])
+
+
+table_tests(globals(), check_exchange, {
+    "test_tunnel_sends_connect_and_refuses_a_bad_reply": {  # ids: the reply and a fragment of its refusal
+        f"{reply.decode('latin-1')}-{fragment}": refused_tunnel(reply, Raises(kind, message))
+        for reply, kind, message, fragment in [
+            (b"HTTP/1.1 407 Proxy Authentication Required\r\nContent-Length: 0\r\n\r\n", OSError,
+             "the proxy refused the tunnel: HTTP 407", "refused the tunnel: HTTP 407"),
+            (b"HTTP/1.1 200 Connection established\r\n\r\n\x16\x03\x01", BadResponse,
+             "the proxy sent bytes past its CONNECT reply", "bytes past its CONNECT reply")]},
+    # The certificate names localhost: TLS inside the tunnel is checked
+    # against the endpoint's name, not the proxy's address; one tunnel is
+    # kept for the second request.
+    "test_tunnel_carries_tls_and_is_kept_for_the_next_request": Exchange(
+        [b"HTTP/1.1 200 Connection established\r\n\r\n", OK, OK], [(200, "ok", None)] * 2, tls="tunnel",
+        url="https://localhost:8443/v1/chat/completions", proxy="http://127.0.0.1:{port}",
+        sent=[b"CONNECT localhost:8443 HTTP/1.1\r\nHost: localhost:8443\r\n\r\n", POST, POST]),
+})
 
 
 def test_malformed_bytes_reach_the_provider_as_a_transport_error(raw_server, live_provider):
@@ -146,8 +184,7 @@ def test_request_leaves_in_one_write_on_a_nodelay_socket(raw_server, monkeypatch
     sendall, send = socket.socket.sendall, socket.socket.send
     monkeypatch.setattr(socket.socket, "sendall", lambda s, data, *a: writes.append(bytes(data)) or sendall(s, data, *a))
     monkeypatch.setattr(socket.socket, "send", lambda s, data, *a: writes.append(bytes(data)) or send(s, data, *a))
-    ok = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
-    server = raw_server([ok, ok])
+    server = raw_server([OK, OK])
     pool = pool_to(server.url, {"Authorization": "Bearer k"})
     payload = {"model": "m", "messages": [{"role": "user", "content": "x" * 3000}]}
     for _ in range(2):
@@ -160,15 +197,14 @@ def test_request_leaves_in_one_write_on_a_nodelay_socket(raw_server, monkeypatch
     assert lines[1:3] == [f"Host: 127.0.0.1:{server.port}".encode(), b"Accept-Encoding: identity"]
     assert b"Authorization: Bearer k" in lines and b"Content-Type: application/json" in lines
     assert lines[-1] == f"Content-Length: {len(body)}".encode()
-    assert [data for data in writes if data not in client_writes] == [ok, ok]  # the server's
+    assert [data for data in writes if data not in client_writes] == [OK, OK]  # the server's
     assert pool._idle[0].sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
     pool.close()
 
 
 def test_reused_connection_that_fails_is_sent_once_more_on_a_fresh_one(raw_server, monkeypatch):
     # The request never reached the server, so no retry is spent on it.
-    ok = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
-    server = raw_server([ok, ok])
+    server = raw_server([OK, OK])
     pool = pool_to(server.url)
     assert call(pool) == (200, "ok", None)
     sendall, failed = socket.socket.sendall, []
@@ -205,42 +241,6 @@ def test_authority_of_host_header_and_connect_target(host, port, default, author
     assert _authority(host, port, default) == authority
 
 
-@pytest.mark.parametrize("reply, message", [
-    (b"HTTP/1.1 407 Proxy Authentication Required\r\nContent-Length: 0\r\n\r\n",
-     "refused the tunnel: HTTP 407"),
-    (b"HTTP/1.1 200 Connection established\r\n\r\n\x16\x03\x01", "bytes past its CONNECT reply"),
-])
-def test_tunnel_sends_connect_and_refuses_a_bad_reply(raw_server, monkeypatch, reply, message):
-    proxy = raw_server([reply])
-    monkeypatch.setenv("HTTPS_PROXY", f"http://ivr:pw@127.0.0.1:{proxy.port}")
-    pool = pool_to("https://endpoint.test/v1/chat/completions")
-    with pytest.raises(OSError, match=message):
-        call(pool)
-    assert proxy.requests == [b"CONNECT endpoint.test:443 HTTP/1.1\r\nHost: endpoint.test:443\r\n"
-                              b"Proxy-Authorization: Basic " + base64.b64encode(b"ivr:pw")
-                              + b"\r\n\r\n"]
-    assert proxy.wait(client_closed=1)
-
-
-def test_tunnel_carries_tls_and_is_kept_for_the_next_request(raw_server, monkeypatch,
-                                                              trusted_test_certificate):
-    # The certificate names localhost: TLS inside the tunnel is checked
-    # against the endpoint's name, not the proxy's address.
-    ok = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
-    proxy = raw_server([b"HTTP/1.1 200 Connection established\r\n\r\n", ok, ok], tls="tunnel")
-    monkeypatch.setenv("HTTPS_PROXY", f"http://127.0.0.1:{proxy.port}")
-    pool = pool_to("https://localhost:8443/v1/chat/completions")
-    assert call(pool) == (200, "ok", None)
-    assert call(pool) == (200, "ok", None)
-    assert proxy.accepted == 1  # one tunnel, kept for the second request
-    connect, *posts = proxy.requests
-    assert connect == b"CONNECT localhost:8443 HTTP/1.1\r\nHost: localhost:8443\r\n\r\n"
-    assert [post.split(b"\r\n")[:2] for post in posts] == [
-        [b"POST /v1/chat/completions HTTP/1.1", b"Host: localhost:8443"]] * 2
-    pool.close()
-    assert proxy.wait(client_closed=1)
-
-
 PROXY_PROBE = """
 import sys
 from ivroute.httpclient import ConnectionPool
@@ -253,21 +253,13 @@ print("urllib.request" in sys.modules)
                                               ("https_proxy", False), ("HTTP_PROXY", True),
                                               ("all_proxy", True)])
 def test_urllib_is_imported_only_when_a_proxy_may_apply(variable, loaded):
-    env = {name: value for name, value in os.environ.items() if name not in PROXY_VARIABLES}
-    env["PYTHONPATH"] = str(Path(ivroute.__file__).resolve().parents[1])
-    if variable:
-        env[variable] = "http://127.0.0.1:9"
-    child = subprocess.run([sys.executable, "-c", PROXY_PROBE, "http://127.0.0.1:8/v1"], env=env,
-                           capture_output=True, text=True, timeout=60)
-    assert child.stdout.split() == [str(loaded)], child.stderr
+    proxy = {variable: "http://127.0.0.1:9"} if variable else {}
+    assert python_child(PROXY_PROBE, "http://127.0.0.1:8/v1", **proxy) == f"{loaded}\n"
 
 
 def test_the_client_imports_nothing_from_the_provider():
     # The pool knows no retry policy: what an HTTP outcome means is HttpProvider's alone.
-    code = "import sys, ivroute.httpclient; print('ivroute.provider' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=str(Path(ivroute.__file__).resolve().parents[1]))
-    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert child.stdout.split() == ["False"], child.stderr
+    assert python_child("import sys, ivroute.httpclient; print('ivroute.provider' in sys.modules)") == "False\n"
 
 
 # --- the reader against http.client -----------------------------------------------

@@ -1,8 +1,10 @@
-"""Menu model: parsing, validation, flattening, rendering."""
+"""Menu model: parsing, validation, flattening, rendering. Each path and
+document parsed, each tree validated and each rendering is a row of a
+table."""
 
 import json
+from functools import partial
 
-import pytest
 
 from ivroute.menu import (
     MAX_DEPTH,
@@ -19,99 +21,61 @@ from ivroute.menu import (
     validate_menu,
 )
 
-from conftest import action, golden_text, navigation, submenu, table_tests
+from conftest import Raises, action, data_text, golden_text, navigation, outcome_of, submenu, table_tests
 
 
-# --- DtmfPath -------------------------------------------------------------------
+# --- DtmfPath and parsing ------------------------------------------------------------
 
-def test_path_parse_and_canonical():
-    path = DtmfPath("2-1-9")
-    assert path == "2-1-9" and isinstance(path, str)
-    assert path.canonical() == "2-1-9" and type(path.canonical()) is str
-    assert json.dumps({"path": path}) == '{"path": "2-1-9"}'
-
-
-def test_path_single_digit():
-    assert DtmfPath("7") == "7"
+def check_outcome(row):
+    """``row``: a call and what it returns, or a Raises."""
+    call, expected = row
+    outcome_of(call, expected)
 
 
-@pytest.mark.parametrize("bad", ["", "1-", "-1", "1--2", "12", "1-23", "a", "1 2", "1.2"])
-def test_path_parse_rejects_non_canonical(bad):
-    with pytest.raises(ValueError, match="not a canonical DTMF path"):
-        DtmfPath(bad)
+def not_a_path(value):
+    return partial(DtmfPath, value), Raises(ValueError, f"not a canonical DTMF path: {value!r}")
 
 
-def test_path_rejects_bad_digits():
-    for bad in ["1-\uff11", "\u00b2", "1\n", 7, None, ("1",)]:
-        with pytest.raises(ValueError, match="not a canonical DTMF path"):
-            DtmfPath(bad)
+def parsed(document):
+    return partial(parse_menu, document if isinstance(document, str) else json.dumps(document))
 
 
-# --- parsing --------------------------------------------------------------------
-
-def test_parse_fixture_menu(tree):
-    assert tree.name == "AgentNet IVR"
-    assert tree.root.kind == "menu"
-    assert tree.root.digit is None
-    assert validate_menu(tree) == []
+def menu_of(*children):
+    """The document of a menu whose root holds ``children``."""
+    return {"name": "Menu", "root": {"label": "Root", "kind": "menu", "prompt_text": "", "children": list(children)}}
 
 
-def test_parse_round_trip(tree):
-    again = parse_menu(json.dumps(tree_to_document(tree)))
-    assert again == tree
+def fixture_menu() -> MenuTree:
+    return parse_menu(data_text("agentnet.menu.json"))
 
 
-def test_parse_rejects_bad_json():
-    with pytest.raises(ValueError, match="^menu document is not valid JSON: "):
-        parse_menu("{nope")
+table_tests(globals(), check_outcome, {
+    "test_path_parse_and_canonical": (
+        lambda: ((path := DtmfPath("2-1-9")), isinstance(path, str), path.canonical(), type(path.canonical()),
+                 json.dumps({"path": path})), ("2-1-9", True, "2-1-9", str, '{"path": "2-1-9"}')),
+    "test_path_single_digit": (partial(DtmfPath, "7"), "7"),
+    "test_path_parse_rejects_non_canonical": {
+        bad: not_a_path(bad) for bad in ["", "1-", "-1", "1--2", "12", "1-23", "a", "1 2", "1.2"]},
+    "test_path_rejects_bad_digits": [not_a_path(bad) for bad in ["1-\uff11", "\u00b2", "1\n", 7, None, ("1",)]],
+    "test_parse_rejects_bad_json": (parsed("{nope"), Raises(
+        ValueError, "menu document is not valid JSON: Expecting property name enclosed in double quotes: line 1 "
+                    "column 2 (char 1)")),
+    "test_parse_rejects_missing_fields": [
+        (parsed({"root": {"label": "x", "kind": "menu", "children": []}}),
+         Raises(ValueError, "menu document missing required field(s): name")),
+        (parsed({"name": "x"}), Raises(ValueError, "menu document missing required field(s): root"))],
+    "test_parse_reports_offending_node_path": (parsed(menu_of({"label": "Billing", "digit": "1", "kind": "menu",
+                                                              "children": [{"label": "Pay", "digit": "1",
+                                                                            "kind": "action"}]})),
+                                               Raises(ValueError, "1-1: action node without an action_type")),
+    "test_parse_rejects_duplicate_digits": (parsed(menu_of(*({"label": label, "digit": "1", "kind": "action",
+                                                             "action_type": "self_service"} for label in "AB"))),
+                                            Raises(ValueError, "root: duplicate digit 1 among children")),
+    "test_parse_fixture_menu": (lambda: ((tree := fixture_menu()).name, tree.root.kind, tree.root.digit,
+                                         validate_menu(tree)), ("AgentNet IVR", "menu", None, [])),
+    "test_parse_round_trip": (lambda: (tree := fixture_menu()) == parse_menu(json.dumps(tree_to_document(tree))), True),
+})
 
-
-def test_parse_rejects_missing_fields():
-    with pytest.raises(ValueError, match=r"^menu document missing required field\(s\): name$"):
-        parse_menu(json.dumps({"root": {"label": "x", "kind": "menu", "children": []}}))
-    with pytest.raises(ValueError, match=r"^menu document missing required field\(s\): root$"):
-        parse_menu(json.dumps({"name": "x"}))
-
-
-def test_parse_reports_offending_node_path():
-    doc = {
-        "name": "Broken",
-        "root": {
-            "label": "Root",
-            "kind": "menu",
-            "prompt_text": "",
-            "children": [
-                {
-                    "label": "Billing",
-                    "digit": "1",
-                    "kind": "menu",
-                    "prompt_text": "",
-                    "children": [
-                        {"label": "Pay", "digit": "1", "kind": "action"},  # no action_type
-                    ],
-                }
-            ],
-        },
-    }
-    with pytest.raises(ValueError, match="1-1"):
-        parse_menu(json.dumps(doc))
-
-
-def test_parse_rejects_duplicate_digits():
-    doc = {
-        "name": "Dupes",
-        "root": {
-            "label": "Root",
-            "kind": "menu",
-            "prompt_text": "",
-            "children": [
-                {"label": "A", "digit": "1", "kind": "action", "action_type": "self_service"},
-                {"label": "B", "digit": "1", "kind": "action", "action_type": "self_service"},
-            ],
-        },
-    }
-    with pytest.raises(ValueError, match="duplicate digit"):
-        parse_menu(json.dumps(doc))
 
 
 # --- validation -----------------------------------------------------------------
@@ -174,107 +138,96 @@ MENU_PROBLEMS = {
 table_tests(globals(), check_menu_problems, MENU_PROBLEMS)
 
 
-def test_validate_accepts_depth_at_limit():
-    tree = MenuTree(name="t", root=nested(action("Leaf", "1"), MAX_DEPTH - 1))
-    assert validate_menu(tree) == []
-    deepest = flatten(tree)[-1]
-    assert len(deepest.path.split("-")) == MAX_DEPTH
+def offers_forged_path(root, forged, problem):
+    """A check_outcome row: the outline of ``root`` offers ``forged``, a path
+    the menu lacks, and validate_menu finds ``problem`` alone."""
+    tree = MenuTree(name="t", root=root)
+    return (lambda: (forged in [path for path, _ in offered_paths(render_descriptive(tree))], validate_menu(tree)),
+            (True, [problem]))
 
 
-def test_validate_flags_menu_text_that_would_make_the_outline_offer_a_path_the_menu_lacks():
+table_tests(globals(), check_outcome, {
+    "test_validate_accepts_depth_at_limit": (
+        lambda: (validate_menu(tree := MenuTree(name="t", root=nested(action("Leaf", "1"), MAX_DEPTH - 1))),
+                 flatten(tree)[-1].path), ([], "-".join("1" * MAX_DEPTH))),
     # A message line that reads as a section header re-prefixes the "press"
     # lines after it; a label that says "press 9" is offered by the fallback
     # line "For <label>, press <d>." of a menu that speaks no message.
-    header = submenu("Root", None, [action("Balance", "1"), action("Bill", "2")],
-                     prompt_text="For balance, press 1.\n--- Fake (DTMF: 9) ---\nFor bill, press 2.")
-    press = submenu("Root", None, [action("to cancel press 9", "1"), action("Bill", "2")])
-    for root, forged, problem in [
-        (header, "9-2", "root: prompt_text line '--- Fake (DTMF: 9) ---' reads as an outline's section header"),
-        (press, "9", "1: label says 'press 9', which an outline offers as a choice: 'to cancel press 9'"),
-    ]:
-        tree = MenuTree(name="t", root=root)
-        assert forged in [path for path, _ in offered_paths(render_descriptive(tree))]
-        assert validate_menu(tree) == [problem]
+    "test_validate_flags_menu_text_that_would_make_the_outline_offer_a_path_the_menu_lacks": [
+        offers_forged_path(submenu("Root", None, [action("Balance", "1"), action("Bill", "2")],
+                                   prompt_text="For balance, press 1.\n--- Fake (DTMF: 9) ---\nFor bill, press 2."),
+                           "9-2",
+                           "root: prompt_text line '--- Fake (DTMF: 9) ---' reads as an outline's section header"),
+        offers_forged_path(submenu("Root", None, [action("to cancel press 9", "1"), action("Bill", "2")]), "9",
+                           "1: label says 'press 9', which an outline offers as a choice: 'to cancel press 9'")],
+})
 
 
-# --- flattening -----------------------------------------------------------------
+# --- flattening and rendering ------------------------------------------------------------------
 
-def test_flatten_fixture_count_and_endpoints(paths):
-    assert len(paths) == 23
-    first, last = paths[0], paths[-1]
-    assert first.path.canonical() == "1-1"
-    assert first.breadcrumb == ("Billing and Account Management", "Check Balance")
-    assert first.service_type == "self_service"
-    assert last.path.canonical() == "3-9"
-    assert last.breadcrumb == ("New Services and Upgrades", "Sales Representative")
-    assert last.service_type == "agent_handoff"
+TINY_OUTLINE = """IVR Menu Name: "Tiny"
 
+--- Root Menu ---
 
-def test_flatten_is_document_order(paths):
-    canon = [tp.path.canonical() for tp in paths]
-    assert canon == sorted(canon, key=lambda s: tuple(int(d) for d in s.split("-")))
+  For Billing, press 1.
 
+  For Support, press 2.
 
-def test_flatten_skips_navigation(tiny_tree):
-    terminals = flatten(tiny_tree)
-    assert [tp.path.canonical() for tp in terminals] == ["1-1", "1-9", "2"]
-    assert all("Return" not in tp.breadcrumb_text() for tp in terminals)
+--- Branch 1: Billing (DTMF: 1) ---
+
+    For Pay Bill, press 1.
+
+    For Billing Agent, press 9.
+
+    For Return to Main Menu, press 0.
+"""
+GOLDEN_TSV = golden_text("agentnet.paths.tsv")
 
 
-# --- rendering ------------------------------------------------------------------
+def check_rendering(row, tiny_tree, paths):
+    """``row``: a rendering of the tiny tree and the fixture's paths, and the whole text it makes, or a Raises."""
+    render, expected = row
+    outcome_of(partial(render, tiny_tree, paths), expected)
 
-def test_render_descriptive_mechanical_fallback(tiny_tree):
-    text = render_descriptive(tiny_tree)
+
+table_tests(globals(), check_rendering, {
+    "test_flatten_fixture_count_and_endpoints": (lambda tiny, paths: render_paths_tsv(paths), GOLDEN_TSV),
+    "test_flatten_is_document_order": (lambda tiny, paths: [tp.path for tp in paths], sorted(
+        (line.split("\t")[0] for line in GOLDEN_TSV.splitlines()), key=lambda path: path.split("-"))),
+    "test_flatten_skips_navigation": (lambda tiny, paths: [tp.path for tp in flatten(tiny)], ["1-1", "1-9", "2"]),
     # No prompt_text anywhere, so every option gets a mechanical line.
-    assert "For Pay Bill, press 1." in text
-    assert "For Support, press 2." in text
-    assert text.endswith("\n")
-
-
-def test_render_flattened_shape(paths):
-    text = render_flattened(paths)
-    lines = text.split("\n")
-    assert len(lines) == 23
-    assert lines[0] == "1-1: Billing and Account Management -> Check Balance"
-    assert lines[-1] == "3-9: New Services and Upgrades -> Sales Representative"
-    assert not text.endswith("\n")
-
-
-def test_render_flattened_rejects_empty():
-    with pytest.raises(ValueError):
-        render_flattened([])
-
-
-def test_tsv_one_line_per_path(tiny_tree):
-    terminals = flatten(tiny_tree)
-    tsv = render_paths_tsv(terminals)
-    assert tsv == (
-        "1-1\tBilling -> Pay Bill\tself_service\n"
-        "1-9\tBilling -> Billing Agent\tagent_handoff\n"
-        "2\tSupport\tself_service\n"
-    )
+    "test_render_descriptive_mechanical_fallback": (lambda tiny, paths: render_descriptive(tiny), TINY_OUTLINE),
+    "test_render_flattened_shape": (lambda tiny, paths: render_flattened(paths), "\n".join(
+        ": ".join(line.split("\t")[:2]) for line in GOLDEN_TSV.splitlines())),
+    "test_render_flattened_rejects_empty": (lambda tiny, paths: render_flattened([]),
+                                            Raises(ValueError, "no terminal paths to render")),
+    "test_tsv_one_line_per_path": (lambda tiny, paths: render_paths_tsv(flatten(tiny)), (
+        "1-1\tBilling -> Pay Bill\tself_service\n1-9\tBilling -> Billing Agent\tagent_handoff\n"
+        "2\tSupport\tself_service\n")),
+})
 
 
 # --- reading a rendering back -----------------------------------------------------
 
-def test_offered_paths_of_the_fixture_outline(paths):
-    offers = offered_paths(golden_text("agentnet.descriptive.txt"))
+# Each section's "press" lines; "press" inside a word ("express") offers nothing.
+SECTIONS = "\n".join([
+    "--- Root Menu ---",
+    "  For help press 2, or press 0 to hear this again.",
+    "--- Branch 2: Help (DTMF: 2) ---",
+    "    To express 5 wishes, press 4.",
+    "  --- Sub-Menu for More (DTMF: 2-1) ---",
+    "      press 7",
+])
+NAVIGATION_PATHS = ["0", "1-0", "2-0", "2-1-0", "2-2-0", "2-3-0", "3-0"]
+
+table_tests(globals(), check_outcome, {
     # The root's branches head sections of their own; its "press 0" is an offer, as each menu's is.
-    assert offers[0] == ("0", "To hear these options again, press 0.")
-    assert offers[1] == ("1-1", "To check your balance, press 1.")
-    navigation_paths = ["0", "1-0", "2-0", "2-1-0", "2-2-0", "2-3-0", "3-0"]
-    assert sorted(path for path, _ in offers) == sorted([tp.path for tp in paths] + navigation_paths)
-
-
-def test_offered_paths_reads_each_press_under_its_section():
-    outline = "\n".join([
-        "--- Root Menu ---",
-        "  For help press 2, or press 0 to hear this again.",
-        "--- Branch 2: Help (DTMF: 2) ---",
-        "    To express 5 wishes, press 4.",
-        "  --- Sub-Menu for More (DTMF: 2-1) ---",
-        "      press 7",
-    ])
-    line = "For help press 2, or press 0 to hear this again."
-    assert offered_paths(outline) == [("0", line), ("2-4", "To express 5 wishes, press 4."), ("2-1-7", "press 7")]
-    assert offered_paths("Pick a path.\n\nnothing to press here") == []
+    "test_offered_paths_of_the_fixture_outline": (
+        lambda: ((offers := offered_paths(golden_text("agentnet.descriptive.txt")))[:2], sorted(p for p, _ in offers)),
+        ([("0", "To hear these options again, press 0."), ("1-1", "To check your balance, press 1.")],
+         sorted([line.split("\t")[0] for line in GOLDEN_TSV.splitlines()] + NAVIGATION_PATHS))),
+    "test_offered_paths_reads_each_press_under_its_section": [
+        (partial(offered_paths, SECTIONS), [("0", "For help press 2, or press 0 to hear this again."),
+                                            ("2-4", "To express 5 wishes, press 4."), ("2-1-7", "press 7")]),
+        (partial(offered_paths, "Pick a path.\n\nnothing to press here"), [])],
+})

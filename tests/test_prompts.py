@@ -1,10 +1,13 @@
-"""Prompt templates and substitution."""
+"""Prompt templates and substitution: each prompt built, or refused, is a
+row of a table; properties check the query's reading back."""
+
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ivroute.menu import MenuTree, render_descriptive, render_flattened, validate_menu
+from ivroute.menu import MenuTree, validate_menu
 from ivroute.prompts import (
     CONDITIONS,
     QUERY_MARKER,
@@ -16,92 +19,54 @@ from ivroute.prompts import (
 from ivroute.provider import OracleProvider
 from ivroute.router import accuracy, render_context, route_all
 
-from conftest import action, submenu, tiny_dataset
-
-def test_descriptive_substitution(tree):
-    menu_text = render_descriptive(tree)
-    prompt = build_prompt(RoutingCondition.DESCRIPTIVE_MENU, menu_text, "my bill is too high")
-    assert isinstance(prompt, str)
-    assert query_of(prompt) == "my bill is too high"
-    assert menu_text in prompt
-    assert "{{MENU}}" not in prompt
-    assert "{{QUERY}}" not in prompt
-    assert prompt.endswith("my bill is too high")
+from conftest import Raises, action, golden_text, outcome_of, submenu, table_tests, tiny_dataset
 
 
-def test_flattened_substitution(paths):
-    paths_text = render_flattened(paths)
-    prompt = build_prompt(RoutingCondition.FLATTENED_PATHS, paths_text, "internet is down")
-    assert paths_text in prompt
-    assert "{{PATHS}}" not in prompt
-    assert prompt.endswith("internet is down")
+def whole(condition, context, query):
+    """The condition's template with ``context`` and ``query`` put, as they are, where its placeholders stand."""
+    head, rest = load_template(CONDITIONS[condition].template).split(CONDITIONS[condition].placeholder)
+    middle, tail = rest.split("{{QUERY}}")
+    return head + context + middle + query + tail
 
 
-def test_build_prompt_dispatch():
-    desc = build_prompt(RoutingCondition.DESCRIPTIVE_MENU, "CONTEXT", "q")
-    flat = build_prompt(RoutingCondition.FLATTENED_PATHS, "CONTEXT", "q")
-    assert desc == load_template("template_descriptive.txt").replace("{{MENU}}", "CONTEXT").replace("{{QUERY}}", "q")
-    assert flat == load_template("template_flattened.txt").replace("{{PATHS}}", "CONTEXT").replace("{{QUERY}}", "q")
+def check_prompt(row):
+    """``row``: a condition, a context, or a menu that validate_menu passes
+    whose context it is, and a query, and the refusal to build a prompt of
+    them; by default, the whole prompt, equal each time it is built, whose
+    query reads back."""
+    condition, context, query, *refusal = row
+    if isinstance(context, MenuTree):
+        assert validate_menu(context) == []
+        context = render_context(context, condition)
+    built = partial(build_prompt, condition, context, query)
+    if outcome_of(built, refusal[0] if refusal else whole(condition, context, query)) is None:
+        assert built() == built() and query_of(built()) == query
 
 
-def test_equal_inputs_equal_bytes(paths):
-    text = render_flattened(paths)
-    a = build_prompt(RoutingCondition.FLATTENED_PATHS, text, "same query")
-    b = build_prompt(RoutingCondition.FLATTENED_PATHS, text, "same query")
-    assert a == b
-
-
-def test_query_trailing_newline_kept(paths):
+DESCRIPTIVE, FLATTENED = RoutingCondition.DESCRIPTIVE_MENU, RoutingCondition.FLATTENED_PATHS
+OUTLINE = golden_text("agentnet.descriptive.txt")
+PATH_LINES = "\n".join(": ".join(line.split("\t")[:2]) for line in golden_text("agentnet.paths.tsv").splitlines())
+NO_QUERY = Raises(ValueError, "query is empty")
+BRACES = MenuTree(name="Braces", root=submenu("Root", None, [submenu(
+    "Billing {{QUERY}}", "1", [action("Pay {{QUERY}}", "1"), action("{{MENU}} {{PATHS}}", "2")],
+    prompt_text="For {{QUERY}}, press 1.")]))
+table_tests(globals(), check_prompt, {
+    "test_descriptive_substitution": (DESCRIPTIVE, OUTLINE, "my bill is too high"),
+    "test_flattened_substitution": (FLATTENED, PATH_LINES, "internet is down"),
+    "test_build_prompt_dispatch": [(DESCRIPTIVE, "CONTEXT", "q"), (FLATTENED, "CONTEXT", "q")],
+    "test_equal_inputs_equal_bytes": (FLATTENED, PATH_LINES, "same query"),
     # The query is the intent's text, the key the oracle and the dataset's checks read.
-    text = render_flattened(paths)
-    prompt = build_prompt(RoutingCondition.FLATTENED_PATHS, text, "trailing\n")
-    assert query_of(prompt) == "trailing\n"
-    assert prompt.endswith("trailing\n")
-
-
-def test_query_internal_noise_kept(paths):
-    text = render_flattened(paths)
-    noisy = "ugh   my bill,, like, is SO wrong"
-    prompt = build_prompt(RoutingCondition.FLATTENED_PATHS, text, noisy)
-    assert query_of(prompt) == noisy
-
-
-def test_empty_query_rejected(paths):
-    text = render_flattened(paths)
-    with pytest.raises(ValueError):
-        build_prompt(RoutingCondition.FLATTENED_PATHS, text, "")
-    with pytest.raises(ValueError):
-        build_prompt(RoutingCondition.FLATTENED_PATHS, text, "   \n")
-
-
-def test_empty_context_rejected():
-    with pytest.raises(ValueError):
-        build_prompt(RoutingCondition.FLATTENED_PATHS, "", "query")
-    with pytest.raises(ValueError):
-        build_prompt(RoutingCondition.DESCRIPTIVE_MENU, "", "query")
-
-
-def test_substitution_is_literal_not_regex(paths):
-    # A query containing replacement-like tokens must land verbatim.
-    text = render_flattened(paths)
-    tricky = r"pay \1 {{QUERY}} \g<0> bill"
-    prompt = build_prompt(RoutingCondition.FLATTENED_PATHS, text, tricky)
-    assert tricky in prompt
-
-
-@pytest.mark.parametrize("condition", list(RoutingCondition))
-def test_a_placeholder_in_the_menu_is_text_in_the_prompt(condition):
+    "test_query_trailing_newline_kept": (FLATTENED, PATH_LINES, "trailing\n"),
+    "test_query_internal_noise_kept": (FLATTENED, PATH_LINES, "ugh   my bill,, like, is SO wrong"),
+    "test_empty_query_rejected": [(FLATTENED, PATH_LINES, "", NO_QUERY), (FLATTENED, PATH_LINES, "   \n", NO_QUERY)],
+    "test_empty_context_rejected": [(condition, "", "query", Raises(ValueError, f"the {name} context is empty"))
+                                    for condition, name in [(FLATTENED, "flattened"), (DESCRIPTIVE, "descriptive")]],
+    # A query holding replacement-like tokens lands verbatim.
+    "test_substitution_is_literal_not_regex": (FLATTENED, PATH_LINES, r"pay \1 {{QUERY}} \g<0> bill"),
     # A menu may call an option "{{QUERY}}": the query still goes where the template puts it.
-    root = submenu("Root", None, [submenu("Billing {{QUERY}}", "1", [action("Pay {{QUERY}}", "1"),
-                                                                     action("{{MENU}} {{PATHS}}", "2")],
-                                          prompt_text="For {{QUERY}}, press 1.")])
-    tree = MenuTree(name="Braces", root=root)
-    assert validate_menu(tree) == []
-    context = render_context(tree, condition)
-    assert "{{QUERY}}" in context
-    head, tail = load_template(CONDITIONS[condition].template).split(CONDITIONS[condition].placeholder)
-    prompt = build_prompt(condition, context, "my bill")
-    assert prompt == head + context + tail.replace("{{QUERY}}", "my bill")
+    "test_a_placeholder_in_the_menu_is_text_in_the_prompt": {
+        condition.value: (condition, BRACES, "my bill") for condition in RoutingCondition},
+})
 
 
 # The reader of a routing prompt's query: exact for any query, the marker

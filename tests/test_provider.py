@@ -10,24 +10,20 @@ their test ids, run by the ``conftest`` runners of test_router.py's rows."""
 import base64
 import fcntl
 import json
-import os
 import random
 import resource
 import socket
 import ssl
-import subprocess
 import sys
 import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
-import ivroute
 from ivroute.menu import flatten, parse_menu, render_flattened
 from ivroute.prompts import RoutingCondition, build_prompt, query_of
 from ivroute.provider import (
@@ -44,7 +40,8 @@ from ivroute.httpclient import ConnectionPool, _dropped
 from ivroute.router import Pacing, RoutingAborted, route_all, run_calls
 
 from conftest import (PROXY_VARIABLES, AnsweringProvider, CapRng, Close, Raises, Run, chat_response, check_pacing,
-                      check_run, closed_port, data_text, make_record, outcome_of, prompt_of, table_tests, tiny_dataset)
+                      check_run, closed_port, data_text, make_record, outcome_of, prompt_of, python_child, table_tests,
+                      tiny_dataset)
 
 FLATTENED = render_flattened(flatten(parse_menu(data_text("agentnet.menu.json"))))
 
@@ -549,7 +546,6 @@ code = main(sys.argv[2:])
 print("loaded:", sorted(m for m in modules if m in sys.modules))
 sys.exit(code)
 """
-SRC = str(Path(ivroute.__file__).resolve().parents[1])
 
 
 def check_child_route(row, chat_server, tmp_path, fixture_menu_path, fixture_dataset_path, request):
@@ -559,14 +555,10 @@ def check_child_route(row, chat_server, tmp_path, fixture_menu_path, fixture_dat
     if tls:
         request.getfixturevalue("trusted_test_certificate")  # the child trusts it through SSL_CERT_FILE
     server = chat_server(tls=tls)
-    argv = ["route", "--menu", str(fixture_menu_path), "--dataset", str(fixture_dataset_path),
-            "--filter", "base_only", "--provider", "http", "--endpoint", server.url, "--out", str(tmp_path)]
-    child = subprocess.run([sys.executable, "-c", LOADS_IN_CHILD, ",".join(modules), *argv],
-                           env=dict(os.environ, PYTHONPATH=SRC),  # the fixture took out every proxy setting
-                           capture_output=True, text=True, timeout=120)
-    assert child.returncode == 0, child.stderr
-    assert "routed 230 intents" in child.stdout
-    assert f"loaded: {loaded}" in child.stdout
+    printed = python_child(LOADS_IN_CHILD, ",".join(modules), "route", "--menu", str(fixture_menu_path), "--dataset",
+                           str(fixture_dataset_path), "--filter", "base_only", "--provider", "http", "--endpoint",
+                           server.url, "--out", str(tmp_path))
+    assert "routed 230 intents" in printed and f"loaded: {loaded}" in printed
     assert server.answered == 230
 
 
@@ -584,12 +576,8 @@ table_tests(globals(), check_child_route, {
 def test_no_module_imports_dataclasses_or_inspect():
     # route never loads evaluation, synthesis or httpclient; eval, gen-intents and
     # the http provider do, and their records are named tuples too.
-    code = ("import sys, ivroute.evaluation, ivroute.synthesis, ivroute.httpclient; "
-            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
-    child = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
-                           capture_output=True, text=True, timeout=60)
-    assert child.returncode == 0, child.stderr
-    assert child.stdout == "[]\n"
+    assert python_child("import sys, ivroute.evaluation, ivroute.synthesis, ivroute.httpclient; "
+                        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))") == "[]\n"
 
 
 # --- the deterministic doubles --------------------------------------------------------

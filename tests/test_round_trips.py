@@ -361,14 +361,19 @@ path_like = st.text(alphabet="0123456789-\u00b2\uff11\u0663\u2013 \n.", max_size
 any_text = st.one_of(path_like, st.text(max_size=8))
 
 
+def decided_by_the_grammar(accepted: bool, read, expected) -> None:
+    """``read()`` gives ``expected`` when the grammar ``accepted`` its paths, and else refuses them."""
+    if accepted:
+        assert read() == expected
+    else:
+        with pytest.raises(ValueError, match="not a canonical DTMF path"):
+            read()
+
+
 @settings(max_examples=300, deadline=None)
 @given(any_text)
 def test_a_path_is_exactly_what_the_grammar_accepts(text):
-    if is_path(text):
-        assert DtmfPath(text) == text
-    else:
-        with pytest.raises(ValueError, match="not a canonical DTMF path"):
-            DtmfPath(text)
+    decided_by_the_grammar(is_path(text), lambda: DtmfPath(text), text)
 
 
 def dataset_line(ground_truth) -> str:
@@ -381,11 +386,7 @@ def dataset_line(ground_truth) -> str:
 def test_a_dataset_line_takes_exactly_the_grammars_paths(tmp_path_factory, text):
     file = tmp_path_factory.getbasetemp() / "grammar.jsonl"  # rewritten by every example
     file.write_text(dataset_line(text), encoding="utf-8")
-    if is_path(text):
-        assert load_dataset(file).records[0].ground_truth == text
-    else:
-        with pytest.raises(ValueError, match="not a canonical DTMF path"):
-            load_dataset(file)
+    decided_by_the_grammar(is_path(text), lambda: load_dataset(file).records[0].ground_truth, text)
 
 
 def results_row(predicted, ground_truth) -> str:
@@ -403,12 +404,9 @@ def test_a_results_row_takes_exactly_the_grammars_paths(tmp_path_factory, text):
     for predicted, ground_truth in [(text, "1"), ("1", text), (INVALID, text)]:
         file.write_text(results_row(predicted, ground_truth), encoding="utf-8")
         # A row loads iff it predicts a path or INVALID, for a path.
-        if (is_path(predicted) or predicted == INVALID) and is_path(ground_truth):
-            (result,) = load_results(file)
-            assert (result.predicted, result.ground_truth) == (predicted, ground_truth)
-        else:
-            with pytest.raises(ValueError, match="not a canonical DTMF path"):
-                load_results(file)
+        decided_by_the_grammar((is_path(predicted) or predicted == INVALID) and is_path(ground_truth),
+                               lambda: [(r.predicted, r.ground_truth) for r in load_results(file)],
+                               [(predicted, ground_truth)])
 
 
 @settings(max_examples=300, deadline=None)

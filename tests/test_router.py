@@ -45,16 +45,18 @@ from ivroute.router import (
     parse_dtmf_response,
     plan_run,
     render_context,
-    route_all,
     route_one,
-    route_plan,
     run_identity,
     save_results,
     select_records,
 )
 
-from conftest import (AnsweringProvider, Raises, Run, check_run, fail_with, make_record, outcome_of, table_tests,
-                      tiny_dataset)
+from conftest import (AnsweringProvider, Raises, Run, check_run, fail_with, in_time, make_record, outcome_of,
+                      table_tests, tiny_dataset)
+
+# Every routing run here fails its test when it does not end in time; the
+# Ctrl-C test alone routes on the test's own thread, which the signal reaches.
+route_all, route_plan = in_time(router.route_all), in_time(router.route_plan)
 
 
 # --- a reply: parsed, and routed by route_one ------------------------------------------
@@ -156,17 +158,23 @@ class Routed(NamedTuple):
     of them, on ``width`` workers under ``budget``; each record's call
     answers, or raises, its entry of ``answers`` after 2 ms. An answered
     record's row predicts its answer; ``failures`` are the manifest's, or
-    those of the RoutingAborted that ``error`` names."""
+    those of the RoutingAborted that ``error`` names, or their number. It
+    starts no more workers than it has intents or slots, and leaves none
+    running."""
 
     answers: tuple
-    failures: tuple = ()
+    failures: tuple | int = ()
     error: Raises | None = None
     budget: float = 0.01
     width: int = 1
     forge: object = None
 
 
-def check_routed(row, tiny_tree):
+def workers_alive():
+    return [t.name for t in threading.enumerate() if t.name.startswith("ivroute-route")]
+
+
+def check_routed(row, tiny_tree, monkeypatch):
     ds = tiny_dataset()
     answers = dict(zip((record.text for record in ds.records), row.answers))
 
@@ -176,19 +184,29 @@ def check_routed(row, tiny_tree):
             raise reply
         return reply
 
+    started = []
+
+    class CountingThread(threading.Thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", CountingThread)
     tree, ds = row.forge(tiny_tree, ds) if row.forge else (tiny_tree, ds)
     provider = AnsweringProvider(answer, max_in_flight=row.width)
     route = partial(route_all, ds, RoutingCondition.FLATTENED_PATHS, tree, provider, error_budget=row.budget)
     if row.error:
-        raised = outcome_of(route, row.error)
-        assert (getattr(raised, "failures", []), provider.calls) == (list(row.failures), [])
-        return
-    run = route()
-    assert [(r.intent_id, r.predicted, r.correct) for r in run.results] == [
-        (record.id, reply, reply == record.ground_truth) for record, reply in zip(ds.records, row.answers)
-        if not isinstance(reply, Exception)]
-    assert run.manifest["failures"] == [{"intent_id": intent, "error": message} for intent, message in row.failures]
-    assert "n_results" not in run.manifest  # route's results_sha256 vouches for the rows
+        failures = getattr(outcome_of(route, row.error), "failures", [])
+        assert len(failures) == row.failures if isinstance(row.failures, int) else failures == list(row.failures)
+        assert provider.calls == []  # no call answered, and none sent after the error
+    else:
+        run = route()
+        assert [(r.intent_id, r.predicted, r.correct) for r in run.results] == [
+            (record.id, reply, reply == record.ground_truth) for record, reply in zip(ds.records, row.answers)
+            if not isinstance(reply, Exception)]
+        assert run.manifest["failures"] == [{"intent_id": i, "error": message} for i, message in row.failures]
+        assert "n_results" not in run.manifest  # route's results_sha256 vouches for the rows
+    assert len(started) <= min(row.width, len(ds.records)) and workers_alive() == []
 
 
 def lone_surrogate_in(what):
@@ -226,6 +244,11 @@ ROUTED = {
     # no ProviderError: it ends the run as it is, and no queued call is made
     "test_route_all_other_error_cancels_queued_calls": Routed((RuntimeError("provider bug"), *TRUTH[1:]),
                                                               error=Raises(RuntimeError, "provider bug")),
+    "test_route_all_starts_no_more_workers_than_intents": Routed(TRUTH, width=64),
+    # Four calls fail at once; the first failure aborts the run, and the
+    # calls still running when it does are not counted after it.
+    "test_route_all_leaves_no_worker_behind": [Routed(TRUTH, width=4), Routed(
+        (OUTAGE,) * 4 + TRUTH[4:], 1, Raises(RoutingAborted, OVER_BUDGET), budget=0.0, width=4)],
 }
 table_tests(globals(), check_routed, ROUTED)
 
@@ -338,45 +361,6 @@ def test_route_plan_neither_judges_nor_hashes(tiny_tree, monkeypatch):
     assert json.dumps({**planned.manifest, "timestamp": ""}) == json.dumps({**plain.manifest, "timestamp": ""})
 
 
-def workers_alive():
-    return [t.name for t in threading.enumerate() if t.name.startswith("ivroute-route")]
-
-
-def test_route_all_starts_no_more_workers_than_intents(tiny_tree, monkeypatch):
-    started = []
-
-    class CountingThread(threading.Thread):
-        def start(self):
-            started.append(self.name)
-            super().start()
-
-    monkeypatch.setattr(threading, "Thread", CountingThread)
-    ds = tiny_dataset()
-    provider = AnsweringProvider(lambda prompt: "1-1", max_in_flight=64)
-    run = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
-    assert len(run.results) == len(ds.records)
-    assert 1 <= len(started) <= len(ds.records)
-
-
-def test_route_all_leaves_no_worker_behind(tiny_tree):
-    ds = tiny_dataset()
-    provider = AnsweringProvider(lambda prompt: time.sleep(0.01) or "1-1", max_in_flight=4)  # calls overlap
-    route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
-    assert workers_alive() == []
-
-    def fail_slowly(prompt):
-        time.sleep(0.05)
-        raise ProviderError("down")
-
-    provider = AnsweringProvider(fail_slowly, max_in_flight=4)
-    with pytest.raises(RoutingAborted) as excinfo:
-        route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider, error_budget=0.0)
-    assert workers_alive() == []
-    # Four calls failed at once; the first failure aborted the run and the
-    # calls still running when it did are not counted after it.
-    assert len(excinfo.value.failures) == 1
-
-
 def test_route_all_interrupted_in_the_caller_drops_queued_calls(tiny_tree):
     ds = tiny_dataset()
     caller = threading.get_ident()
@@ -390,7 +374,7 @@ def test_route_all_interrupted_in_the_caller_drops_queued_calls(tiny_tree):
     provider = AnsweringProvider(interrupt, max_in_flight=1)
     provider.close = lambda: closed.append(workers_alive())
     with pytest.raises(KeyboardInterrupt):
-        route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
+        router.route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
     # The running call finished before the provider was closed; the
     # intent queued behind it was never sent.
     assert len(provider.calls) == 1
@@ -658,24 +642,26 @@ class ScheduleMachine(RuleBasedStateMachine):
                 assert getattr(self.schedule, method)(*args) == result
 
 
-ScheduleMachine.TestCase.settings = settings(max_examples=60, stateful_step_count=40, deadline=None)
+ScheduleMachine.TestCase.settings = settings(max_examples=90, stateful_step_count=40, deadline=None, derandomize=True)
 test_schedule_keeps_every_rule = ScheduleMachine.TestCase
 
 
 # --- manifest ------------------------------------------------------------------------
 
 def manifest_for(ds, tree, condition=RoutingCondition.FLATTENED_PATHS, record_filter="base_only",
-                 model_name="answering-mock", lenient=False, failures=()):
-    identity = run_identity(ds, tree, condition, record_filter, model_name, lenient)
+                 model_name="answering-mock", lenient=False, failures=(), temperature=None):
+    identity = run_identity(ds, tree, condition, record_filter, model_name, lenient, temperature)
     return build_manifest(identity, list(failures))
 
 
 def check_manifest(row, tiny_tree):
     """``row``: manifest_for's arguments, the fields the manifest holds, and whether its run id is the
-    defaults'; every manifest is stamped and hashes to its run id."""
+    defaults'; every manifest is stamped, begins with the fields its run id hashes, and hashes to its run id."""
     arguments, fields, same_run = row
     manifest = manifest_for(tiny_dataset(), tiny_tree, **arguments)
     assert {key: manifest[key] for key in fields} == fields
+    assert list(manifest)[:list(manifest).index("run_id") + 1] == [
+        key for key in (*router.IDENTITY_KEYS, "run_id") if key in manifest]
     assert (manifest["run_id"] == manifest_for(tiny_dataset(), tiny_tree)["run_id"]) == same_run
     assert router.run_id(manifest) == manifest["run_id"] and len(manifest["run_id"]) == 12 and manifest["timestamp"]
 
@@ -691,15 +677,10 @@ table_tests(globals(), check_manifest, {
     "test_manifest_core_fields": ({}, {"menu_name": "Tiny", "condition": "flattened_paths",
                                        "dataset_filter": "base_only", "model_name": "answering-mock",
                                        "parse_mode": "strict", "failures": []}, True),
+    # The run id hashes every input named, a set temperature too.
+    "test_a_manifest_hashes_to_its_run_id": ({"failures": [("x", "boom")], "temperature": 0.5}, {"temperature": 0.5},
+                                             False),
 })
-
-
-def test_a_manifest_hashes_to_its_run_id(tiny_tree):
-    ds = tiny_dataset()
-    manifest = manifest_for(ds, tiny_tree, failures=[("x", "boom")])
-    assert router.run_id(manifest) == manifest["run_id"]
-    identity = run_identity(ds, tiny_tree, RoutingCondition.FLATTENED_PATHS, "all", "m", False, 0.5)
-    assert list(identity) == [*router.IDENTITY_KEYS, "run_id"]  # the run id hashes every input named
 
 
 @pytest.mark.parametrize("condition, record_filter, run_id", [
@@ -732,43 +713,33 @@ def test_a_set_temperature_names_the_run(dataset, tree):
 
 # --- result files --------------------------------------------------------------------
 
-def test_results_row_keys_in_file_order(tmp_path, tiny_tree):
-    ds = tiny_dataset()
-    provider = AnsweringProvider(lambda prompt: " '1-1.' " if query_of(prompt) == ds.records[0].text else "2\u20139")
-    run = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
+def check_results_file(row, tmp_path):
+    """``row``: results, and the whole text that save_results writes of
+    them; it returns that text's sha256, and load_results reads them back."""
+    results, text = row
     file = tmp_path / "results.jsonl"
-    save_results([r._replace(latency=0.25) for r in run.results[:2]], file)
-    assert file.read_text(encoding="utf-8").splitlines() == [
-        '{"intent_id": "1-1:b00", "raw_response": " \'1-1.\' ", "predicted": "1-1", '
-        '"ground_truth": "1-1", "latency": 0.25}',
-        '{"intent_id": "1-1:b01", "raw_response": "2\u20139", "predicted": "2-9", '
-        '"ground_truth": "1-1", "latency": 0.25}',
-    ]
-    assert [r.correct for r in run.results[:2]] == [True, False]  # graded from the row, not stored in it
-    # The rules that fired are read off the stored reply, under the run's parse mode.
-    assert [parse_dtmf_response(r.raw_response).normalization_applied for r in run.results[:2]] == [
-        ("trim", "unquote", "strip_trailing_period"), ("map_unicode_dashes",)]
+    assert save_results(results, file) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert (file.read_text(encoding="utf-8"), load_results(file)) == (text, results)
 
 
-def test_save_results_returns_the_sha256_of_the_bytes_it_wrote(tmp_path, tiny_tree):
-    ds = tiny_dataset()
-    run = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, AnsweringProvider(lambda prompt: "1-1"))
-    file = tmp_path / "results.jsonl"
-    assert save_results(run.results, file) == hashlib.sha256(file.read_bytes()).hexdigest()
-    assert save_results([], file) == hashlib.sha256(b"").hexdigest() and file.read_bytes() == b""
+def results_of(*rows):
+    """A RoutingResult of each (reply, prediction) of the tiny dataset's records in turn, each taking 0.25 s."""
+    return [RoutingResult(record.id, reply, predicted, record.ground_truth, 0.25)
+            for record, (reply, predicted) in zip(tiny_dataset().records, rows)]
 
 
-def test_results_round_trip(tmp_path, tiny_tree):
-    ds = tiny_dataset()
-    replies = dict(zip((r.text for r in ds.records), ["1-1", "nonsense", "1-9", "7-7", "2", "2"]))
-    provider = AnsweringProvider(lambda prompt: replies[query_of(prompt)])
-    run = route_all(ds, RoutingCondition.FLATTENED_PATHS, tiny_tree, provider)
-    file = tmp_path / "results.jsonl"
-    save_results(run.results, file)
-    loaded = load_results(file)
-    assert loaded == run.results
-    lines = file.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 6
-    second = json.loads(lines[1])
-    assert second["predicted"] == INVALID
-    assert second["raw_response"] == "nonsense"
+def row_line(intent_id, reply, predicted, truth):
+    return (f'{{"intent_id": "{intent_id}", "raw_response": "{reply}", "predicted": "{predicted}", '
+            f'"ground_truth": "{truth}", "latency": 0.25}}\n')
+
+
+table_tests(globals(), check_results_file, {
+    # The answer alone, in file order: a row's verdict and rules come of its reply, as the REPLIES rows check.
+    "test_results_row_keys_in_file_order": (results_of((" '1-1.' ", "1-1"), ("2\u20139", "2-9")), (
+        row_line("1-1:b00", " '1-1.' ", "1-1", "1-1") + row_line("1-1:b01", "2\u20139", "2-9", "1-1"))),
+    "test_save_results_returns_the_sha256_of_the_bytes_it_wrote": ([], ""),
+    "test_results_round_trip": (
+        results_of(("1-1", "1-1"), ("nonsense", INVALID), ("1-9", "1-9"), ("7-7", "7-7")), "".join(
+            row_line(*row) for row in [("1-1:b00", "1-1", "1-1", "1-1"), ("1-1:b01", "nonsense", INVALID, "1-1"),
+                                       ("1-9:b00", "1-9", "1-9", "1-9"), ("1-9:b01", "7-7", "7-7", "1-9")])),
+})
